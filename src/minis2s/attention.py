@@ -75,19 +75,25 @@ def _aligned_causal_mask(n_q: int, n_k: int) -> np.ndarray:
 def dot_attention(xq: Tensor, xk: Tensor, xv: Tensor,
                   mask: Optional[np.ndarray] = None,
                   record: Optional[AttentionRecord] = None) -> Tensor:
-    """softmax(Xq Xk^T / sqrt(d)) Xv with optional masking."""
-    if xq.ndim != 2 or xk.ndim != 2 or xv.ndim != 2:
-        raise DimensionError("dot_attention operands must be 2-D")
-    d = xq.shape[1]
-    if xk.shape[1] != d:
-        raise DimensionError(f"query dim {d} != key dim {xk.shape[1]}")
-    if xv.shape[0] != xk.shape[0]:
-        raise DimensionError(f"key count {xk.shape[0]} != value count {xv.shape[0]}")
+    """softmax(Xq Xk^T / sqrt(d)) Xv with optional masking.
+
+    Operands are (n, d) matrices or carry leading batch axes, which
+    broadcast as in np.matmul; a mask is (n_q, n_k) and applies to every
+    batch entry alike.
+    """
+    if xq.ndim < 2 or xk.ndim < 2 or xv.ndim < 2:
+        raise DimensionError("dot_attention operands must have rank >= 2")
+    d = xq.shape[-1]
+    if xk.shape[-1] != d:
+        raise DimensionError(f"query dim {d} != key dim {xk.shape[-1]}")
+    if xv.shape[-2] != xk.shape[-2]:
+        raise DimensionError(f"key count {xk.shape[-2]} != value count "
+                             f"{xv.shape[-2]}")
     logits = (xq @ xk.T) * (1.0 / math.sqrt(d))
     if mask is not None:
-        if mask.shape != (xq.shape[0], xk.shape[0]):
+        if mask.shape != logits.shape[-2:]:
             raise DimensionError(f"mask shape {mask.shape} does not match scores "
-                                 f"({xq.shape[0]}, {xk.shape[0]})")
+                                 f"{logits.shape[-2:]}")
         bias = np.where(mask, 0.0, MASK_BIAS)
         weights = T.softmax(logits + Tensor(bias))
         weights = weights * Tensor(mask.astype(np.float64))
@@ -140,6 +146,40 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor,
     return T.concat(heads, axis=1) @ weights.w_head
 
 
+class FusedHeads:
+    """A multi-head attention's per-head projections laid side by side,
+    (d_att, H*d_att) each, for step-wise decoding: one product projects
+    every head of every row. Keys and values come out as (..., H, n,
+    d_att), which dot_attention takes with the heads as a batch axis.
+    Built from MhaWeights per utterance, so it follows the parameters."""
+
+    def __init__(self, weights: MhaWeights):
+        self.n_heads = len(weights.wq)
+        self.wq, self.wk, self.wv = (T.concat(ws, axis=1) for ws in
+                                     (weights.wq, weights.wk, weights.wv))
+        self.w_head = weights.w_head
+
+    def _split(self, x: Tensor) -> Tensor:
+        # (..., n, H*d) -> (..., H, n, d)
+        *lead, n, width = x.shape
+        k = len(lead)
+        y = x.reshape(tuple(lead) + (n, self.n_heads, width // self.n_heads))
+        return T.transpose(y, tuple(range(k)) + (k + 1, k, k + 2))
+
+    def keys_values(self, x: Tensor):
+        """Per-head keys and values of the rows of x, (..., n, d_att)."""
+        return self._split(x @ self.wk), self._split(x @ self.wv)
+
+    def attend(self, q_rows: Tensor, keys: Tensor, values: Tensor) -> Tensor:
+        """Attention of one query row per hypothesis, (B, d_att), over
+        keys and values shared by every row, (H, n_k, d_att), or held per
+        row, (B, H, n_k, d_att); equals multi_head_attention of the row."""
+        b, d = q_rows.shape
+        q = (q_rows @ self.wq).reshape(b, self.n_heads, 1, d)
+        out = dot_attention(q, keys, values)
+        return out.reshape(b, self.n_heads * d) @ self.w_head
+
+
 def positional_encoding(max_len: int, d_att: int) -> np.ndarray:
     """Sinusoidal table: PE[pos, 2i] = sin(pos / 10000^(2i/d)),
     PE[pos, 2i+1] = cos(pos / 10000^(2i/d))."""
@@ -158,23 +198,23 @@ def positional_encoding(max_len: int, d_att: int) -> np.ndarray:
 _pe_cache: dict = {}
 
 
-def add_positional_encoding(x: Tensor) -> Tensor:
-    """x + PE[:len(x)], with the table cached per feature width."""
-    n, d = x.shape
+def positional_rows(n: int, d: int) -> np.ndarray:
+    """PE[:n] for width d, from a table cached per width."""
     if n > MAX_PE_LEN:
         raise DimensionError(f"sequence of {n} frames exceeds the positional "
                              f"encoding cap of {MAX_PE_LEN}")
     if d not in _pe_cache:
         _pe_cache[d] = positional_encoding(MAX_PE_LEN, d)
-    return x + Tensor(_pe_cache[d][:n])
+    return _pe_cache[d][:n]
+
+
+def add_positional_encoding(x: Tensor) -> Tensor:
+    """x + PE[:len(x)]."""
+    n, d = x.shape
+    return x + Tensor(positional_rows(n, d))
 
 
 def scaled_positional_encoding(x: Tensor, alpha: Tensor) -> Tensor:
     """x + alpha * PE[:len(x)] with a learnable scalar alpha."""
     n, d = x.shape
-    if n > MAX_PE_LEN:
-        raise DimensionError(f"sequence of {n} frames exceeds the positional "
-                             f"encoding cap of {MAX_PE_LEN}")
-    if d not in _pe_cache:
-        _pe_cache[d] = positional_encoding(MAX_PE_LEN, d)
-    return x + alpha * Tensor(_pe_cache[d][:n])
+    return x + alpha * Tensor(positional_rows(n, d))

@@ -161,16 +161,23 @@ def load_experiment_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"no such config file: {path}")
     with open(path, "r", encoding="utf-8") as fh:
         items = parse_config_text(fh.read())
-    env_seed = os.environ.get("S2S_SEED")
     cfg = experiment_from_items(items)
-    if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError:
-            raise ConfigError(f"S2S_SEED must be an integer, got {env_seed!r}")
+    seed = env_seed()
+    if seed is not None:
         cfg.model.seed = seed
         cfg.train.seed = seed
     return cfg
+
+
+def env_seed() -> Optional[int]:
+    """The S2S_SEED override from the environment, or None when unset."""
+    raw = os.environ.get("S2S_SEED")
+    if raw is None:
+        return None
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"S2S_SEED must be an integer, got {raw!r}") from None
 
 
 def dump_experiment_config(cfg: ExperimentConfig) -> str:
@@ -217,7 +224,7 @@ def load_toy_spec(path: str) -> ToySpec:
             raise
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{key}: cannot parse {value!r} ({exc})")
-    env_seed = os.environ.get("S2S_SEED")
-    if env_seed is not None:
-        kwargs["seed"] = int(env_seed)
+    seed = env_seed()
+    if seed is not None:
+        kwargs["seed"] = seed
     return ToySpec(**kwargs).validate()

@@ -9,12 +9,20 @@ Padded batches: every forward that takes sequences accepts the true
 length next to the (possibly padded) buffer. Convolution tails are
 re-zeroed stage by stage and attention masks hide padded keys, so a
 padded run equals the unpadded run on the real frames.
+
+Search: S2SModel and RnnLm are steppers. `init_state` starts a cached
+state, `step(state, last_tokens)` consumes one token for each of B
+hypothesis rows and returns (B, V) next-token log-probabilities, and
+`state.select(rows)` keeps, reorders or repeats rows after pruning. A
+step computes only the new position: the LSTM decoder carries (h, c) per
+layer, and the Transformer decoder caches each layer's self-attention
+keys and values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -236,6 +244,14 @@ class TokenFrontEnd(Module):
             y = A.add_positional_encoding(y)
         return self.drop(y)
 
+    def step(self, ids, pos: int) -> Tensor:
+        """One row per id, every row at position pos: the rows forward
+        gives position pos of each id's sequence."""
+        y = self.embed(list(ids)) * self.scale
+        pe = Tensor(A.positional_rows(pos + 1, y.shape[1])[pos])
+        y = y + (self.alpha * pe if self.alpha is not None else pe)
+        return self.drop(y)
+
 
 # ------------------------------------------------------------- bodies
 
@@ -339,26 +355,77 @@ class TransformerDecoderLayer(Module):
     def forward(self, y: Tensor, x_e: Tensor, mask: np.ndarray,
                 rec_self: Optional[A.AttentionRecord],
                 rec_src: Optional[A.AttentionRecord]) -> Tensor:
+        return self._sublayers(
+            y, lambda h: self.self_mha(h, h, h, mask=mask, record=rec_self),
+            lambda q: self.src_mha(q, x_e, x_e, record=rec_src))
+
+    def init_cache(self, x_e: Tensor) -> "DecoderLayerCache":
+        self_heads = A.FusedHeads(self.self_mha.weights)
+        src_heads = A.FusedHeads(self.src_mha.weights)
+        src_k, src_v = src_heads.keys_values(x_e)
+        d = x_e.shape[1]
+        empty = Tensor(np.zeros((1, self_heads.n_heads, 0, d)))
+        return DecoderLayerCache(self_heads, src_heads, src_k, src_v,
+                                 keys=empty, values=empty)
+
+    def step(self, y: Tensor, cache: "DecoderLayerCache"
+             ) -> Tuple[Tensor, "DecoderLayerCache"]:
+        """The layer's output at the next position of each row of y,
+        (B, d_att), attending over the cached earlier positions."""
+        grown = []
+
+        def self_att(h: Tensor) -> Tensor:
+            k, v = cache.self_heads.keys_values(h.reshape(h.shape[0], 1,
+                                                          h.shape[1]))
+            keys = T.concat([cache.keys, k], axis=2)
+            values = T.concat([cache.values, v], axis=2)
+            grown.extend((keys, values))
+            return cache.self_heads.attend(h, keys, values)
+
+        out = self._sublayers(
+            y, self_att,
+            lambda q: cache.src_heads.attend(q, cache.src_k, cache.src_v))
+        return out, replace(cache, keys=grown[0], values=grown[1])
+
+    def _sublayers(self, y: Tensor, self_att, src_att) -> Tensor:
+        """Residual, normalization and feed-forward wiring around the two
+        attentions; self_att(h) and src_att(q) give their outputs."""
         if self.normalize == "pre":
             h = self.ln1(y)
-            y1 = y + self.drop(self.self_mha(h, h, h, mask=mask, record=rec_self))
+            y1 = y + self.drop(self_att(h))
             q = self.ln2(y1)
             base = y if self.src_residual == "paper" else y1
-            y2 = base + self.drop(self.src_mha(q, x_e, x_e, record=rec_src))
+            y2 = base + self.drop(src_att(q))
             y3 = y2 + self.drop(self.ff(self.ln3(y2)))
         elif self.normalize == "post":
-            y1 = self.ln1(y + self.drop(self.self_mha(y, y, y, mask=mask,
-                                                      record=rec_self)))
+            y1 = self.ln1(y + self.drop(self_att(y)))
             base = y if self.src_residual == "paper" else y1
-            y2 = self.ln2(base + self.drop(self.src_mha(y1, x_e, x_e,
-                                                        record=rec_src)))
+            y2 = self.ln2(base + self.drop(src_att(y1)))
             y3 = self.ln3(y2 + self.drop(self.ff(y2)))
         else:
-            y1 = y + self.drop(self.self_mha(y, y, y, mask=mask, record=rec_self))
+            y1 = y + self.drop(self_att(y))
             base = y if self.src_residual == "paper" else y1
-            y2 = base + self.drop(self.src_mha(y1, x_e, x_e, record=rec_src))
+            y2 = base + self.drop(src_att(y1))
             y3 = y2 + self.drop(self.ff(y2))
         return y3
+
+
+@dataclass
+class DecoderLayerCache:
+    """Search-time cache of one Transformer decoder layer: the fused
+    projections and source keys and values, fixed per utterance, and the
+    self-attention keys and values of every position consumed so far,
+    (B, H, t, d_att) with one row per hypothesis."""
+    self_heads: A.FusedHeads
+    src_heads: A.FusedHeads
+    src_k: Tensor
+    src_v: Tensor
+    keys: Tensor
+    values: Tensor
+
+    def select(self, rows: Sequence[int]) -> "DecoderLayerCache":
+        return replace(self, keys=_take_rows(self.keys, rows),
+                       values=_take_rows(self.values, rows))
 
 
 class TransformerDecoderBody(Module):
@@ -389,6 +456,30 @@ class TransformerDecoderBody(Module):
             y = self.final_ln(y)
         return y
 
+    def init_state(self, x_e: Tensor) -> "TransformerDecoderState":
+        return TransformerDecoderState([layer.init_cache(x_e)
+                                        for layer in self.layers])
+
+    def step(self, state: "TransformerDecoderState", y: Tensor
+             ) -> Tuple[Tensor, "TransformerDecoderState"]:
+        """Output rows (B, d_att) at the next position; forward's last
+        row for each row's prefix."""
+        caches = []
+        for layer, cache in zip(self.layers, state.layers):
+            y, cache = layer.step(y, cache)
+            caches.append(cache)
+        if self.final_ln is not None:
+            y = self.final_ln(y)
+        return y, TransformerDecoderState(caches)
+
+
+@dataclass
+class TransformerDecoderState:
+    layers: List[DecoderLayerCache]
+
+    def select(self, rows: Sequence[int]) -> "TransformerDecoderState":
+        return TransformerDecoderState([c.select(rows) for c in self.layers])
+
 
 class AdditiveAttention(Module):
     """Content-based single-head attention for the RNN decoder: scores
@@ -405,16 +496,34 @@ class AdditiveAttention(Module):
 
     def forward(self, enc_proj: Tensor, x_e: Tensor, state: Tensor
                 ) -> Tuple[Tensor, Tensor]:
-        shift = self.w_state(state).reshape(enc_proj.shape[1])
-        scores = self.v(T.tanh(enc_proj + shift))
-        alpha = T.softmax(scores.T)            # (1, n_k)
-        ctx = alpha @ x_e                       # (1, d_att)
+        """Context (B, d_att) and weights (B, n_k) for decoder states
+        (B, d_att), one row per hypothesis."""
+        b, d = state.shape
+        shift = self.w_state(state).reshape(b, 1, d)
+        scores = self.v(T.tanh(enc_proj + shift))   # (B, n_k, 1)
+        alpha = T.softmax(scores.reshape(b, enc_proj.shape[0]))
+        ctx = alpha @ x_e
         return ctx, alpha
+
+
+@dataclass
+class LstmDecoderState:
+    """Encoder output and its attention projection, fixed per utterance,
+    and per layer the (h, c) rows, one per hypothesis."""
+    x_e: Tensor
+    enc_proj: Tensor
+    h: List[Tensor]
+    c: List[Tensor]
+
+    def select(self, rows: Sequence[int]) -> "LstmDecoderState":
+        return replace(self, h=[_take_rows(t, rows) for t in self.h],
+                       c=[_take_rows(t, rows) for t in self.c])
 
 
 class LstmDecoderBody(Module):
     """Unidirectional LSTM stack; every step attends over the encoder
-    output, and the context vector rides along with the token embedding."""
+    output, and the context vector rides along with the token embedding.
+    Teacher forcing and search run the same step."""
 
     def __init__(self, d: int, d_att: int, rng: np.random.Generator):
         super().__init__()
@@ -427,26 +536,46 @@ class LstmDecoderBody(Module):
 
     def forward(self, y0: Tensor, x_e: Tensor,
                 records: Optional[DecoderRecords] = None) -> Tensor:
-        t = y0.shape[0]
-        d_att = self.d_att
-        enc_proj = self.attention.precompute(x_e)
-        hs = [Tensor(np.zeros((1, d_att))) for _ in self.cells]
-        cs = [Tensor(np.zeros((1, d_att))) for _ in self.cells]
+        state = self.init_state(x_e)
         outs = []
         alphas = []
-        for step in range(t):
-            ctx, alpha = self.attention(enc_proj, x_e, hs[-1])
+        for step in range(y0.shape[0]):
+            out, state, alpha = self._step(state, y0[step:step + 1])
+            outs.append(out)
             alphas.append(alpha)
-            inp = T.concat([y0[step:step + 1], ctx], axis=1)
-            for i, cell in enumerate(self.cells):
-                hs[i], cs[i] = cell(inp, hs[i], cs[i])
-                inp = hs[i]
-            outs.append(T.tanh(self.out(T.concat([hs[-1], ctx], axis=1))))
         if records is not None:
             rec = A.AttentionRecord()
             rec.weights.append(T.concat(alphas, axis=0))
             records.src_att.append(rec)
         return T.concat(outs, axis=0)
+
+    def init_state(self, x_e: Tensor) -> LstmDecoderState:
+        zeros = [Tensor(np.zeros((1, self.d_att))) for _ in self.cells]
+        return LstmDecoderState(x_e, self.attention.precompute(x_e),
+                                h=zeros, c=list(zeros))
+
+    def step(self, state: LstmDecoderState, y: Tensor
+             ) -> Tuple[Tensor, LstmDecoderState]:
+        """Output rows (B, d_att) for input rows y (B, d_att)."""
+        out, state, _ = self._step(state, y)
+        return out, state
+
+    def _step(self, state: LstmDecoderState, y: Tensor):
+        ctx, alpha = self.attention(state.enc_proj, state.x_e, state.h[-1])
+        inp = T.concat([y, ctx], axis=1)
+        hs, cs = [], []
+        for cell, h, c in zip(self.cells, state.h, state.c):
+            h, c = cell(inp, h, c)
+            hs.append(h)
+            cs.append(c)
+            inp = h
+        out = T.tanh(self.out(T.concat([hs[-1], ctx], axis=1)))
+        return out, LstmDecoderState(state.x_e, state.enc_proj, hs, cs), alpha
+
+
+def _take_rows(t: Tensor, rows: Sequence[int]) -> Tensor:
+    """Rows of a search-time state (repeats allowed); no gradient."""
+    return Tensor(t.data[rows])
 
 
 # ------------------------------------------------------------- task models
@@ -501,12 +630,34 @@ class S2SModel(Module):
             raise ConfigError("this model has no CTC head")
         return T.log_softmax(self.ctc_post(enc.x_e))
 
-    def next_token_logprobs(self, enc: EncodedSequence, prefix) -> np.ndarray:
-        """Decode-time scoring: distribution over the next token after
-        [sos] + prefix. Full-prefix recomputation each call."""
+    def init_state(self, enc: EncodedSequence) -> "DecoderState":
+        """Search state of one hypothesis that has consumed nothing yet;
+        the first step consumes the start-of-sequence id."""
         with T.no_grad():
-            lp = self.decode_logprobs(enc, [SOS_EOS_ID] + list(prefix))
-        return lp.data[-1]
+            return DecoderState(0, self.dec_body.init_state(enc.x_e))
+
+    def step(self, state: "DecoderState", last_tokens
+             ) -> Tuple[np.ndarray, "DecoderState"]:
+        """Consume one token per hypothesis row: returns the (B, V)
+        next-token log-probabilities, row b equal to the last row of
+        decode_logprobs over row b's prefix, and the grown state."""
+        with T.no_grad():
+            y = self.dec_pre.step(last_tokens, state.pos)
+            y_d, body = self.dec_body.step(state.body, y)
+            lp = T.log_softmax(self.dec_post(y_d))
+        return lp.data, DecoderState(state.pos + 1, body)
+
+
+@dataclass
+class DecoderState:
+    """Search state of a batch of hypotheses: the number of tokens each
+    has consumed and the decoder body's per-row cache. select(rows)
+    reorders or repeats rows after the beam is pruned."""
+    pos: int
+    body: object
+
+    def select(self, rows: Sequence[int]) -> "DecoderState":
+        return DecoderState(self.pos, self.body.select(rows))
 
 
 @dataclass
@@ -717,10 +868,28 @@ class RnnLm(Module):
         y = self.embed(list(ys_in))
         return T.log_softmax(self.out(self.lstm(y)))
 
-    def next_logprobs(self, prefix) -> np.ndarray:
+    def init_state(self) -> "LmState":
+        zero = Tensor(np.zeros((1, self.lstm.d_hidden)))
+        return LmState(h=zero, c=zero)
+
+    def step(self, state: "LmState", last_tokens
+             ) -> Tuple[np.ndarray, "LmState"]:
+        """Consume one token per row; the (B, V) rows equal the last row
+        of full_logprobs over each row's prefix."""
         with T.no_grad():
-            lp = self.full_logprobs([SOS_EOS_ID] + list(prefix))
-        return lp.data[-1]
+            h, c = self.lstm.cell(self.embed(list(last_tokens)),
+                                  state.h, state.c)
+            lp = T.log_softmax(self.out(h))
+        return lp.data, LmState(h, c)
+
+
+@dataclass
+class LmState:
+    h: Tensor
+    c: Tensor
+
+    def select(self, rows: Sequence[int]) -> "LmState":
+        return LmState(_take_rows(self.h, rows), _take_rows(self.c, rows))
 
 
 def build_model(config: ModelConfig):

@@ -228,17 +228,19 @@ def _as_array(x) -> np.ndarray:
 
 
 def _broadcast_check(a_shape: tuple, b_shape: tuple) -> None:
-    """Allowed pairings: identical shapes, scalar with anything, or a
-    1-D (d,) row vector against (n, d)."""
-    if a_shape == b_shape:
-        return
-    if a_shape == () or b_shape == ():
+    """numpy broadcasting rules; the common pairings (identical shapes,
+    a scalar, a (d,) row vector against (n, d)) skip the general check."""
+    if a_shape == b_shape or a_shape == () or b_shape == ():
         return
     if len(a_shape) == 2 and b_shape == (a_shape[1],):
         return
     if len(b_shape) == 2 and a_shape == (b_shape[1],):
         return
-    raise DimensionError(f"incompatible shapes {a_shape} and {b_shape}")
+    try:
+        np.broadcast_shapes(a_shape, b_shape)
+    except ValueError:
+        raise DimensionError(f"incompatible shapes {a_shape} and {b_shape}") \
+            from None
 
 
 def _reduce_to(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -247,8 +249,12 @@ def _reduce_to(g: np.ndarray, shape: tuple) -> np.ndarray:
         return g
     if shape == ():
         return np.asarray(g.sum())
-    # row vector (d,) broadcast over (n, d)
-    return g.sum(axis=0)
+    if g.ndim == 2 and len(shape) == 1:
+        return g.sum(axis=0)    # a (d,) row vector broadcast over (n, d)
+    lead = g.ndim - len(shape)
+    axes = tuple(range(lead)) + tuple(
+        lead + i for i, n in enumerate(shape) if n == 1 and g.shape[lead + i] != 1)
+    return g.sum(axis=axes).reshape(shape)
 
 
 def _add(a: Tensor, b) -> Tensor:
@@ -296,31 +302,58 @@ def _scale(a: Tensor, c) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """2-D matrix product with gradients to both operands."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError(f"matmul needs 2-D operands, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    """Matrix product with np.matmul semantics for operands of rank >= 2:
+    leading axes are batch axes and broadcast against each other."""
+    ad, bd = a.data, b.data
+    if ad.ndim < 2 or bd.ndim < 2:
+        raise DimensionError(f"matmul needs operands of rank >= 2, "
+                             f"got {a.shape} @ {b.shape}")
+    if ad.shape[-1] != bd.shape[-2]:
         raise DimensionError(f"matmul inner dims disagree: {a.shape} @ {b.shape}")
-    data = a.data @ b.data
+    if ad.ndim == 2 and bd.ndim == 2:
+        def bwd(g, a=a, b=b):
+            if a.requires_grad:
+                a._accumulate(g @ b.data.T)
+            if b.requires_grad:
+                b._accumulate(a.data.T @ g)
 
-    def bwd(g, a=a, b=b):
+        return _result(ad @ bd, (a, b), bwd)
+    try:
+        data = np.matmul(ad, bd)
+    except ValueError:
+        raise DimensionError(f"matmul batch axes disagree: {a.shape} @ {b.shape}") \
+            from None
+
+    def bwd_batched(g, a=a, b=b):
         if a.requires_grad:
-            a._accumulate(g @ b.data.T)
+            a._accumulate(_reduce_to(np.matmul(g, np.swapaxes(b.data, -1, -2)),
+                                     a.shape))
         if b.requires_grad:
-            b._accumulate(a.data.T @ g)
+            b._accumulate(_reduce_to(np.matmul(np.swapaxes(a.data, -1, -2), g),
+                                     b.shape))
 
-    return _result(data, (a, b), bwd)
+    return _result(data, (a, b), bwd_batched)
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.ndim != 2:
-        raise DimensionError(f"transpose needs a 2-D tensor, got {a.shape}")
+def transpose(a: Tensor, axes: Optional[Sequence[int]] = None) -> Tensor:
+    """Swap the last two axes, or permute the axes as np.transpose does."""
+    if axes is None:
+        if a.ndim < 2:
+            raise DimensionError(f"transpose needs rank >= 2, got {a.shape}")
+        # a swap is its own inverse
+        axes = inverse = tuple(range(a.ndim - 2)) + (a.ndim - 1, a.ndim - 2)
+    else:
+        axes = tuple(axes)
+        if sorted(axes) != list(range(a.ndim)):
+            raise DimensionError(f"axes {axes} do not permute a "
+                                 f"rank-{a.ndim} tensor")
+        inverse = tuple(int(i) for i in np.argsort(axes))
 
-    def bwd(g, a=a):
+    def bwd(g, a=a, inverse=inverse):
         if a.requires_grad:
-            a._accumulate(g.T)
+            a._accumulate(g.transpose(inverse))
 
-    return _result(a.data.T.copy(), (a,), bwd)
+    return _result(a.data.transpose(axes).copy(), (a,), bwd)
 
 
 def _slice(a: Tensor, idx) -> Tensor:

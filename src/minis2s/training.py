@@ -142,29 +142,40 @@ def save_checkpoint(path: str, source, epoch: int = 0) -> None:
 
 def load_checkpoint(path: str) -> Checkpoint:
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+
+        def take(n: int, what: str) -> bytes:
+            raw = fh.read(n) if n <= size - fh.tell() else b""
+            if len(raw) != n:
+                raise DataError(f"{path}: truncated {what}")
+            return raw
+
         magic = fh.read(4)
         if magic != CKPT_MAGIC:
             raise DataError(f"{path}: bad checkpoint magic {magic!r}")
-        (count,) = struct.unpack("<I", fh.read(4))
+        (count,) = struct.unpack("<I", take(4, "parameter count"))
         params: "OrderedDict[str, np.ndarray]" = OrderedDict()
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode("utf-8")
-            (rank,) = struct.unpack("<B", fh.read(1))
-            shape = tuple(struct.unpack("<I", fh.read(4))[0]
-                          for _ in range(rank))
-            n = int(np.prod(shape)) if shape else 1
-            payload = fh.read(8 * n)
-            if len(payload) != 8 * n:
-                raise DataError(f"{path}: truncated values for {name}")
+        for i in range(count):
+            (name_len,) = struct.unpack("<H", take(2, f"header of parameter {i}"))
+            try:
+                name = take(name_len, f"name of parameter {i}").decode("utf-8")
+            except UnicodeDecodeError:
+                raise DataError(f"{path}: name of parameter {i} is not "
+                                "UTF-8") from None
+            (rank,) = struct.unpack("<B", take(1, f"rank of {name}"))
+            shape = struct.unpack(f"<{rank}I", take(4 * rank, f"shape of {name}"))
+            payload = take(8 * math.prod(shape), f"values for {name}")
             params[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
         if fh.read(1):
             raise DataError(f"{path}: trailing bytes after last parameter")
     epoch = 0
     meta = path + ".epoch"
     if os.path.exists(meta):
-        with open(meta, "r", encoding="utf-8") as fh:
-            epoch = int(fh.read().strip() or 0)
+        with open(meta, "rb") as fh:
+            raw = fh.read().strip() or b"0"
+        if not raw.isdigit():
+            raise DataError(f"{meta}: epoch is not a whole number")
+        epoch = int(raw)
     return Checkpoint(params=params, epoch=epoch)
 
 

@@ -328,8 +328,8 @@ def test_a02_ctc_brute_force_oracle():
         scorer = CtcPrefixScorer(u)
         state = scorer.initial_state()
         for tok in target:
-            _, state = scorer.extend(state, tok)
-        worst_chain = max(worst_chain, abs(scorer.finish(state) - want))
+            state = scorer.extend(state).select([0], [tok])
+        worst_chain = max(worst_chain, abs(scorer.finish(state)[0] - want))
     ok = worst_full < 1e-9 and worst_chain < 1e-9
     _verdict("A2 CTC oracle", ok,
              f"100 cases, forward vs enumeration {worst_full:.2e}, "

@@ -82,6 +82,41 @@ def test_2x2_weights_against_extended_precision():
     np.testing.assert_allclose(out.data, want_o, rtol=0, atol=1e-12)
 
 
+def test_batched_dot_attention_equals_per_entry():
+    q, k, v = rnd((2, 3, 1, 4), 60), rnd((2, 3, 5, 4), 61), rnd((2, 3, 5, 4), 62)
+    out = dot_attention(q, k, v)
+    assert out.shape == (2, 3, 1, 4)
+    for i in range(2):
+        for j in range(3):
+            want = dot_attention(Tensor(q.data[i, j]), Tensor(k.data[i, j]),
+                                 Tensor(v.data[i, j]))
+            np.testing.assert_allclose(out.data[i, j], want.data,
+                                       rtol=0, atol=1e-12)
+    # keys shared by every batch entry broadcast, and a mask applies to all
+    shared_k, shared_v = rnd((3, 5, 4), 63), rnd((3, 5, 4), 64)
+    mask = np.array([[True, True, False, True, False]])
+    out = dot_attention(q, shared_k, shared_v, mask=mask)
+    want = dot_attention(Tensor(q.data[1, 2]), Tensor(shared_k.data[2]),
+                         Tensor(shared_v.data[2]), mask=mask)
+    np.testing.assert_allclose(out.data[1, 2], want.data, rtol=0, atol=1e-12)
+    f = lambda q, k, v: dot_attention(q, k, v, mask=mask).sum()
+    assert grad_check(f, [q, shared_k, shared_v]) < 1e-6
+
+
+def test_fused_heads_attend_equals_multi_head_attention():
+    d, n_heads = 4, 3
+    w = random_weights(d, n_heads, 65)
+    cfg = AttentionConfig(d_att=d, d_head=n_heads)
+    x_src = rnd((6, d), 66)
+    rows = rnd((2, d), 67)
+    heads = A.FusedHeads(w)
+    keys, values = heads.keys_values(x_src)
+    assert keys.shape == (n_heads, 6, d)
+    got = heads.attend(rows, keys, values)
+    want = multi_head_attention(rows, x_src, x_src, cfg, w)
+    np.testing.assert_allclose(got.data, want.data, rtol=0, atol=1e-12)
+
+
 def test_dot_attention_dim_mismatch():
     with pytest.raises(DimensionError):
         dot_attention(rnd((2, 3), 0), rnd((2, 4), 1), rnd((2, 4), 2))

@@ -333,3 +333,44 @@ def test_gen_data_rejects_bad_spec(tmp_path):
     spec.write_text("task = juggling\n", encoding="utf-8")
     assert main(["gen-data", "--spec", str(spec),
                  "--out", str(tmp_path / "d")]) == 1
+
+
+@pytest.mark.parametrize("cut", [6, 9, 12, "name"])
+def test_corrupt_checkpoint_header_exits_two(workspace, tmp_path, capsys,
+                                             cut):
+    # cuts inside the count, the first name length and the first name,
+    # and a first name that is not UTF-8 (it starts at byte 10)
+    raw = (workspace / "run" / "avg.esc").read_bytes()
+    raw = raw[:10] + b"\xff" + raw[11:] if cut == "name" else raw[:cut]
+    ckpt = tmp_path / "bad.esc"
+    ckpt.write_bytes(raw)
+    for side in ("model.cfg", "vocab.txt"):
+        (tmp_path / side).write_bytes((workspace / "run" / side).read_bytes())
+    capsys.readouterr()
+    assert main(["decode", "--ckpt", str(ckpt),
+                 "--data", str(workspace / "data")]) == 2
+    assert main(["avg-ckpt", "--out", str(tmp_path / "o.esc"),
+                 str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"data error: {ckpt}: ") == 2
+
+
+@pytest.mark.parametrize("sidecar", [b"x1\n", b"\xff\n"])
+def test_corrupt_epoch_sidecar_exits_two(workspace, tmp_path, capsys,
+                                         sidecar):
+    ckpt = tmp_path / "avg.esc"
+    ckpt.write_bytes((workspace / "run" / "avg.esc").read_bytes())
+    (tmp_path / "avg.esc.epoch").write_bytes(sidecar)
+    capsys.readouterr()
+    assert main(["avg-ckpt", "--out", str(tmp_path / "o.esc"),
+                 str(ckpt)]) == 2
+    assert f"{ckpt}.epoch" in capsys.readouterr().err
+
+
+def test_bad_env_seed_in_toy_spec_exits_one(tmp_path, monkeypatch, capsys):
+    spec = tmp_path / "toy.cfg"
+    spec.write_text(TOY, encoding="utf-8")
+    monkeypatch.setenv("S2S_SEED", "abc")
+    assert main(["gen-data", "--spec", str(spec),
+                 "--out", str(tmp_path / "d")]) == 1
+    assert "S2S_SEED" in capsys.readouterr().err

@@ -2,23 +2,27 @@
 
 The central check is exhaustive equivalence: with a wide enough beam,
 the search must return exactly the sequence an explicit enumeration of
-every candidate ranks first, on many random models.
+every candidate ranks first, on many random models. The enumeration and
+a reference beam score from independent oracles: full-prefix decoder
+and LM rows and a scalar single-token CTC chain, none of which the
+incremental search uses.
 """
 
 import itertools
 import types
+import warnings
 
 import numpy as np
 import pytest
 
 from minis2s import tensor as T
 from minis2s.decoding import (BeamConfig, BeamResult, CtcPrefixScorer,
-                              Hypothesis, beam_search, combined_score,
-                              greedy_decode, lm_score, rank_hypotheses)
+                              CtcPrefixState, Hypothesis, beam_search, combined_score,
+                              greedy_decode, rank_hypotheses)
 from minis2s.errors import ConfigError, DataError, ImpossibleAlignmentError
 from minis2s.losses import ctc_log_likelihood, ctc_min_frames
-from minis2s.models import (SOS_EOS_ID, EncodedSequence, ModelConfig, RnnLm,
-                            build_model)
+from minis2s.models import (BLANK_ID, SOS_EOS_ID, EncodedSequence,
+                            ModelConfig, RnnLm, build_model)
 from minis2s.tensor import Tensor
 
 
@@ -34,6 +38,14 @@ def tiny_model(seed, vocab=5, feat=6, alpha=0.5):
     return build_model(cfg)
 
 
+class TableState:
+    def __init__(self, pos):
+        self.pos = pos
+
+    def select(self, rows):
+        return TableState(self.pos)
+
+
 class TableModel:
     """Stand-in model whose next-token distribution depends only on the
     prefix length; lets tests pin the argmax path exactly."""
@@ -43,14 +55,86 @@ class TableModel:
         self.config = types.SimpleNamespace(
             vocab_size=self.rows.shape[1], uses_ctc=False)
 
-    def next_token_logprobs(self, enc, prefix):
-        i = min(len(prefix), len(self.rows) - 1)
-        row = self.rows[i]
-        return row - np.log(np.exp(row).sum())
+    def init_state(self, enc):
+        return TableState(0)
+
+    def step(self, state, last_tokens):
+        row = self.rows[min(state.pos, len(self.rows) - 1)]
+        row = row - np.log(np.exp(row).sum())
+        return np.tile(row, (len(last_tokens), 1)), TableState(state.pos + 1)
 
 
 def table_enc(n_sub, d=4):
     return EncodedSequence(x_e=Tensor(np.zeros((n_sub, d))), n_sub=n_sub)
+
+
+# -- oracles ---------------------------------------------------------------------
+
+
+def s2s_row(model, enc, prefix):
+    """Full-prefix decoder oracle: the last row of decode_logprobs."""
+    with T.no_grad():
+        return model.decode_logprobs(enc, [SOS_EOS_ID] + list(prefix)).data[-1]
+
+
+def lm_row(lm, prefix):
+    """Full-prefix LM oracle: the last row of full_logprobs."""
+    with T.no_grad():
+        return lm.full_logprobs([SOS_EOS_ID] + list(prefix)).data[-1]
+
+
+def scalar_extend(u, r_n_prev, r_b_prev, last, token):
+    """One-label CTC prefix extension, one frame and one label at a time
+    (last is None for the empty prefix); returns (psi, r_n, r_b)."""
+    n = u.shape[0]
+    r_n = np.full(n, -np.inf)
+    r_b = np.full(n, -np.inf)
+    terms = np.full(n, -np.inf)
+    for t in range(n):
+        if t == 0:
+            phi = 0.0 if last is None else -np.inf
+            prev_n = prev_b = -np.inf
+        else:
+            phi = r_b_prev[t - 1]
+            if token != last:
+                phi = np.logaddexp(phi, r_n_prev[t - 1])
+            prev_n, prev_b = r_n[t - 1], r_b[t - 1]
+        r_n[t] = np.logaddexp(prev_n, phi) + u[t, token]
+        r_b[t] = np.logaddexp(prev_b, r_n[t - 1] if t else -np.inf) \
+            + u[t, BLANK_ID]
+        terms[t] = phi + u[t, token]
+    m = terms.max()
+    psi = float(m + np.log(np.exp(terms - m).sum())) if np.isfinite(m) \
+        else -np.inf
+    return psi, r_n, r_b
+
+
+def scalar_chain(u, labels):
+    """The scalar extension chained over labels: (psi, r_n, r_b, last)."""
+    r_n = np.full(u.shape[0], -np.inf)
+    r_b = np.cumsum(u[:, BLANK_ID])
+    psi, last = 0.0, None
+    for tok in labels:
+        psi, r_n, r_b = scalar_extend(u, r_n, r_b, last, tok)
+        last = tok
+    return psi, r_n, r_b, last
+
+
+def chain_score(u, labels):
+    """Scalar-chain CTC oracle: (prefix score, complete-labeling score)."""
+    psi, r_n, r_b, _ = scalar_chain(u, labels)
+    return psi, float(np.logaddexp(r_n[-1], r_b[-1]))
+
+
+def scorer_chain(scorer, labels):
+    """The vectorised scorer driven one label at a time."""
+    state = scorer.initial_state()
+    psi = 0.0
+    for tok in labels:
+        ext = scorer.extend(state)
+        psi = float(ext.psi[0, tok])
+        state = ext.select([0], [tok])
+    return psi, state
 
 
 # -- CTC prefix scorer ---------------------------------------------------------
@@ -58,15 +142,14 @@ def table_enc(n_sub, d=4):
 
 def test_prefix_score_single_frame():
     u = rand_logprobs(0, 1, 4)
-    scorer = CtcPrefixScorer(u)
-    psi, _ = scorer.extend(scorer.initial_state(), 2)
+    psi, _ = scorer_chain(CtcPrefixScorer(u), [2])
     assert abs(psi - u[0, 2]) < 1e-12
 
 
 def test_prefix_finish_empty_is_all_blank():
     u = rand_logprobs(1, 5, 3)
     scorer = CtcPrefixScorer(u)
-    assert abs(scorer.finish(scorer.initial_state()) - u[:, 0].sum()) < 1e-12
+    assert abs(scorer.finish(scorer.initial_state())[0] - u[:, 0].sum()) < 1e-12
 
 
 @pytest.mark.parametrize("seed", range(50))
@@ -80,10 +163,8 @@ def test_prefix_chain_matches_full_ctc(seed):
         if ctc_min_frames(target) <= n:
             break
     scorer = CtcPrefixScorer(u)
-    state = scorer.initial_state()
-    for tok in target:
-        _, state = scorer.extend(state, tok)
-    got = scorer.finish(state)
+    _, state = scorer_chain(scorer, target)
+    got = scorer.finish(state)[0]
     want = ctc_log_likelihood(Tensor(u), target).item()
     assert abs(got - want) < 1e-9
 
@@ -94,27 +175,87 @@ def test_prefix_impossible_goes_neg_inf_without_nan():
     state = scorer.initial_state()
     psis = []
     for tok in [1, 2, 3]:
-        psi, state = scorer.extend(state, tok)
-        psis.append(psi)
+        ext = scorer.extend(state)
+        assert not np.any(np.isnan(ext.psi))
+        psis.append(ext.psi[0, tok])
+        state = ext.select([0], [tok])
     assert np.isneginf(psis[-1])
     assert not np.any(np.isnan(state.r_n)) and not np.any(np.isnan(state.r_b))
 
 
-def test_prefix_blank_extension_rejected():
+def test_prefix_blank_column_is_impossible():
     scorer = CtcPrefixScorer(rand_logprobs(3, 3, 4))
-    with pytest.raises(DataError):
-        scorer.extend(scorer.initial_state(), 0)
+    ext = scorer.extend(scorer.initial_state())
+    assert np.isneginf(ext.psi[:, 0]).all()
+    assert np.isfinite(ext.psi[:, 1:]).all()
 
 
 def test_prefix_scores_decrease_monotonically():
     u = rand_logprobs(4, 6, 5)
     scorer = CtcPrefixScorer(u)
-    state = scorer.initial_state()
     prev = 0.0
-    for tok in [1, 3, 4]:
-        psi, state = scorer.extend(state, tok)
+    for n in range(1, 4):
+        psi, _ = scorer_chain(scorer, [1, 3, 4][:n])
         assert psi <= prev + 1e-12
         prev = psi
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_vectorised_extend_matches_scalar_chain(seed):
+    # a batch of prefixes, among them the empty one, repeated last labels
+    # and prefixes too long for the frames; every (prefix, label) cell
+    # against the scalar one-label oracle
+    rng = np.random.default_rng(500 + seed)
+    n, v = int(rng.integers(1, 7)), int(rng.integers(3, 6))
+    u = rand_logprobs(600 + seed, n, v)
+    prefixes = [[]]
+    for _ in range(5):
+        length = int(rng.integers(1, 5))
+        p = [int(rng.integers(1, v)) for _ in range(length)]
+        prefixes.append(p + p[-1:])          # ends on a repeat
+        prefixes.append(p)
+    prefixes.append([1] * (n + 1))           # needs 2n + 1 frames
+    scorer = CtcPrefixScorer(u)
+    states = [scorer_chain(scorer, p)[1] for p in prefixes]
+    batch = CtcPrefixState(
+        r_n=np.concatenate([s.r_n for s in states], axis=1),
+        r_b=np.concatenate([s.r_b for s in states], axis=1),
+        last=np.concatenate([s.last for s in states]))
+    ext = scorer.extend(batch)
+    assert ext.psi.shape == (len(prefixes), v)
+    assert not np.isnan(ext.psi).any()
+    assert not np.isnan(ext.r_n).any() and not np.isnan(ext.r_b).any()
+    assert np.isneginf(ext.psi[-1]).all()
+    for b, p in enumerate(prefixes):
+        _, r_n, r_b, last = scalar_chain(u, p)
+        want_finish = np.logaddexp(r_n[-1], r_b[-1])
+        got_finish = scorer.finish(batch)[b]
+        assert np.isneginf(got_finish) == np.isneginf(want_finish)
+        if np.isfinite(want_finish):
+            assert abs(got_finish - want_finish) < 1e-9
+        for tok in range(1, v):
+            psi, want_n, want_b = scalar_extend(u, r_n, r_b, last, tok)
+            for got, want in ((ext.psi[b, tok], psi),
+                              (ext.r_n[:, b, tok], want_n),
+                              (ext.r_b[:, b, tok], want_b)):
+                got, want = np.asarray(got), np.asarray(want)
+                np.testing.assert_array_equal(np.isneginf(got),
+                                              np.isneginf(want))
+                fin = np.isfinite(want)
+                assert np.abs(got[fin] - want[fin]).max(initial=0.0) < 1e-9
+
+
+def test_extension_select_repeats_and_reorders_rows():
+    u = rand_logprobs(7, 5, 5)
+    scorer = CtcPrefixScorer(u)
+    ext = scorer.extend(scorer.initial_state())
+    state = ext.select([0, 0, 0], [3, 1, 3])
+    ext2 = scorer.extend(state)
+    np.testing.assert_array_equal(ext2.psi[0], ext2.psi[2])
+    for b, first in enumerate([3, 1, 3]):
+        for tok in (1, 3, 4):
+            want, _ = chain_score(u, [first, tok])
+            assert abs(ext2.psi[b, tok] - want) < 1e-9
 
 
 # -- ranking and scores ---------------------------------------------------------
@@ -161,9 +302,9 @@ def test_beam_config_validation():
 
 
 def enumerate_best(enc, model, lm, cfg, max_len, expand):
-    """Explicit scoring of every candidate ending in eos within budget."""
-    scorer = CtcPrefixScorer(model.ctc_logprobs(enc).data) \
-        if model.config.uses_ctc else None
+    """Explicit scoring of every candidate ending in eos within budget,
+    from the full-prefix decoder and LM rows and the scalar CTC chain."""
+    u = model.ctc_logprobs(enc).data if model.config.uses_ctc else None
     rows = []
     for length in range(max_len):
         for toks in itertools.product(expand, repeat=length):
@@ -172,20 +313,55 @@ def enumerate_best(enc, model, lm, cfg, max_len, expand):
             for i in range(length + 1):
                 prefix = list(toks[:i])
                 step = toks[i] if i < length else SOS_EOS_ID
-                s2s += float(model.next_token_logprobs(enc, prefix)[step])
+                s2s += float(s2s_row(model, enc, prefix)[step])
                 if lm is not None and cfg.gamma:
-                    lmp += float(lm.next_logprobs(prefix)[step])
-            ctc = 0.0
-            if scorer is not None:
-                state = scorer.initial_state()
-                for tok in toks:
-                    _, state = scorer.extend(state, tok)
-                ctc = scorer.finish(state)
+                    lmp += float(lm_row(lm, prefix)[step])
+            ctc = chain_score(u, toks)[1] if u is not None else 0.0
             comb = combined_score(s2s, ctc, lmp, cfg,
                                   model.config.uses_ctc)
             rows.append((comb, toks))
     rows.sort(key=lambda r: (-r[0], len(r[1]), r[1]))
     return rows[0]
+
+
+def reference_beam(enc, model, lm, cfg):
+    """The beam one hypothesis and one token at a time, scored from the
+    oracles; returns the ranked n-best as (tokens, combined) pairs."""
+    vocab = model.config.vocab_size
+    use_ctc = model.config.uses_ctc
+    use_lm = lm is not None and cfg.gamma != 0.0
+    u = model.ctc_logprobs(enc).data if use_ctc else None
+    live = [((), 0.0, 0.0)]                       # (tokens, s2s, lm)
+    finished = []
+    for _ in range(int(np.ceil(cfg.max_len_ratio * enc.n_sub))):
+        cands = []
+        for toks, s2s, lmp in live:
+            row = s2s_row(model, enc, toks)
+            lrow = lm_row(lm, toks) if use_lm else None
+            for tok in range(vocab):
+                if tok == BLANK_ID:
+                    continue
+                new_s2s = s2s + float(row[tok])
+                new_lm = lmp + float(lrow[tok]) if use_lm else 0.0
+                done = tok == SOS_EOS_ID
+                new_toks = toks if done else toks + (tok,)
+                ctc = 0.0
+                if use_ctc:
+                    psi, fin = chain_score(u, new_toks)
+                    ctc = fin if done else psi
+                comb = combined_score(new_s2s, ctc, new_lm, cfg, use_ctc)
+                cands.append((comb, new_toks, done, new_s2s, new_lm))
+        cands.sort(key=lambda c: (-c[0], len(c[1]), c[1]))
+        live = []
+        for comb, toks, done, s2s, lmp in cands[:cfg.beam_size]:
+            if done:
+                finished.append((toks, comb))
+            else:
+                live.append((toks, s2s, lmp))
+        if not live:
+            break
+    finished.sort(key=lambda f: (-f[1], len(f[0]), f[0]))
+    return finished[:cfg.beam_size]
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -250,18 +426,49 @@ def test_extension_never_raises_combined():
     x = np.random.default_rng(10).standard_normal((12, 6))
     with T.Graph(seed=0):
         enc = model.encode(Tensor(x))
-        scorer = CtcPrefixScorer(model.ctc_logprobs(enc).data)
-        state = scorer.initial_state()
+        u = model.ctc_logprobs(enc).data
         s2s = 0.0
         prev_comb = 0.0
         prefix = []
         for tok in [1, 3, 1]:
-            s2s += float(model.next_token_logprobs(enc, prefix)[tok])
-            ctc, state = scorer.extend(state, tok)
+            s2s += float(s2s_row(model, enc, prefix)[tok])
+            prefix.append(tok)
+            ctc, _ = chain_score(u, prefix)
             comb = combined_score(s2s, ctc, 0.0, cfg, True)
             assert comb <= prev_comb + 1e-12
             prev_comb = comb
-            prefix.append(tok)
+
+
+def _tiny_rnn_model(seed, vocab=5, feat=6, alpha=0.5):
+    cfg = ModelConfig(task="asr", body="rnn", vocab_size=vocab, feat_dim=feat,
+                      e=1, d=2, d_att=8, dropout_rate=0.0, alpha=alpha,
+                      seed=seed)
+    return build_model(cfg)
+
+
+@pytest.mark.parametrize("body", ["transformer", "rnn"])
+@pytest.mark.parametrize("with_lm", [False, True])
+@pytest.mark.parametrize("beam", [1, 2, 4, 8])
+def test_beam_nbest_matches_reference_beam(body, with_lm, beam):
+    for seed in range(3):
+        model = (tiny_model(seed) if body == "transformer"
+                 else _tiny_rnn_model(seed))
+        model.eval()
+        lm = RnnLm(5, d_lm=8, seed=10 + seed) if with_lm else None
+        cfg = BeamConfig(beam_size=beam, lam=0.6, gamma=0.4)
+        x = np.random.default_rng(40 + seed).standard_normal((20, 6))
+        with T.Graph(seed=0):
+            enc = model.encode(Tensor(x))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                out = beam_search(enc, model, lm=lm, config=cfg)
+            want = reference_beam(enc, model, lm, cfg)
+        if not want:
+            assert out.no_finished
+            continue
+        assert [h.tokens for h in out.nbest] == [w[0] for w in want]
+        for hyp, (_, comb) in zip(out.nbest, want):
+            assert abs(hyp.combined - comb) < 1e-9
 
 
 def test_greedy_matches_table_argmax():
@@ -300,6 +507,29 @@ def test_no_finished_returns_best_live_with_flag():
     assert len(out.best.tokens) == 2
 
 
+def test_search_stats_on_table_paths():
+    rows = np.full((4, 4), -8.0)
+    rows[0, 3] = 0.0
+    rows[1, 1] = 0.0
+    rows[2, SOS_EOS_ID] = 0.0
+    out = beam_search(table_enc(6), TableModel(rows),
+                      config=BeamConfig(beam_size=1, lam=1.0, gamma=0.0))
+    # three steps of one hypothesis by the three non-blank tokens; eos
+    # retires the only hypothesis at the third
+    assert (out.stats.steps, out.stats.scored) == (3, 9)
+    assert (out.stats.finished, out.stats.live) == (1, 0)
+
+
+def test_search_stats_without_finish():
+    rows = np.full((1, 4), 0.0)
+    rows[0, SOS_EOS_ID] = -50.0
+    cfg = BeamConfig(beam_size=2, lam=1.0, gamma=0.0, max_len_ratio=0.5)
+    with pytest.warns(UserWarning):
+        out = beam_search(table_enc(4), TableModel(rows), config=cfg)
+    assert (out.stats.steps, out.stats.scored) == (2, 3 + 6)
+    assert (out.stats.finished, out.stats.live) == (0, 2)
+
+
 def test_empty_encoding_rejected():
     model = tiny_model(41)
     enc = EncodedSequence(x_e=Tensor(np.zeros((0, 8))), n_sub=0)
@@ -328,17 +558,35 @@ def test_nbest_is_sorted_and_bounded():
 
 def test_lm_rows_normalize():
     lm = RnnLm(7, d_lm=8, seed=5)
-    lp = lm.next_logprobs([3, 4])
-    assert abs(np.exp(lp).sum() - 1.0) < 1e-9
+    state = lm.init_state()
+    for tok in (SOS_EOS_ID, 3, 4):
+        lp, state = lm.step(state, [tok])
+    assert abs(np.exp(lp[0]).sum() - 1.0) < 1e-9
 
 
 def test_lm_zeroed_head_is_uniform():
     lm = RnnLm(6, d_lm=8, seed=6)
     lm.out.weight.data[:] = 0.0
     lm.out.bias.data[:] = 0.0
-    assert abs(lm_score(lm, [1], 3) - (-np.log(6.0))) < 1e-12
+    lp, state = lm.step(lm.init_state(), [SOS_EOS_ID])
+    lp, _ = lm.step(state, [1])
+    assert abs(lp[0, 3] - (-np.log(6.0))) < 1e-12
 
 
-def test_lm_score_indexes_next_logprobs():
-    lm = RnnLm(6, d_lm=8, seed=7)
-    assert lm_score(lm, [2, 3], 4) == float(lm.next_logprobs([2, 3])[4])
+def test_lm_step_rows_match_full_logprobs():
+    lm = RnnLm(7, d_lm=8, seed=8)
+    prefixes = [(3, 4, 5, 6), (6, 6, 3, 1), (4, 3, 5, 5)]
+    state = lm.init_state().select([0, 0, 0])
+    last = [SOS_EOS_ID] * 3
+    for i in range(5):
+        lp, state = lm.step(state, last)
+        for b, p in enumerate(prefixes):
+            np.testing.assert_allclose(lp[b], lm_row(lm, p[:i]),
+                                       rtol=0, atol=1e-9)
+        if i == 4:
+            break
+        # pruning reorders rows and repeats some
+        order = ([2, 0, 1], [1, 1, 0], [2, 0, 1], [0, 2, 2])[i]
+        state = state.select(order)
+        prefixes = [prefixes[j] for j in order]
+        last = [p[i] for p in prefixes]

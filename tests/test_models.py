@@ -329,13 +329,55 @@ def test_body_swap_keeps_interface_shapes():
     assert shapes["transformer"] == shapes["rnn"]
 
 
-def test_next_token_logprobs_is_last_row():
-    model = S2SModel(toy_cfg())
-    model.eval()
-    enc = model.encode(feats(8, seed=35))
-    row = model.next_token_logprobs(enc, [3, 4])
-    full = model.decode_logprobs(enc, [SOS_EOS_ID, 3, 4]).data
-    np.testing.assert_array_equal(row, full[-1])
+def _step_through(model, enc, prefixes, orders):
+    """Step a batch of hypotheses along their prefixes, reordering rows
+    with orders[i] after step i; yields (rows, prefixes consumed)."""
+    state = model.init_state(enc).select([0] * len(prefixes))
+    last = [SOS_EOS_ID] * len(prefixes)
+    for i in range(len(prefixes[0]) + 1):
+        rows, state = model.step(state, last)
+        yield rows, [p[:i] for p in prefixes]
+        if i == len(prefixes[0]):
+            return
+        order = orders[i % len(orders)]
+        state = state.select(order)
+        prefixes = [prefixes[j] for j in order]
+        last = [p[i] for p in prefixes]
+
+
+def test_step_rows_are_last_decode_rows():
+    # every body and normalization, three hypotheses five tokens deep,
+    # rows reordered and repeated between steps as pruning does
+    cases = [dict(body="rnn", d=2)]
+    cases += [dict(normalize=n, src_residual=r, d=2, d_head=3)
+              for n in ("pre", "post", "none")
+              for r in ("paper", "conventional")]
+    prefixes = [(3, 4, 4, 5, 6), (6, 6, 3, 1, 4), (4, 3, 5, 5, 3)]
+    orders = ([2, 0, 1], [1, 1, 0], [0, 2, 2])
+    for i, kw in enumerate(cases):
+        model = S2SModel(toy_cfg(**kw, seed=40 + i))
+        model.eval()
+        enc = model.encode(feats(13, seed=35 + i))
+        steps = 0
+        for rows, consumed in _step_through(model, enc, prefixes, orders):
+            assert rows.shape == (3, 7)
+            for row, p in zip(rows, consumed):
+                full = model.decode_logprobs(enc, [SOS_EOS_ID] + list(p)).data
+                np.testing.assert_allclose(row, full[-1], rtol=0, atol=1e-9)
+            steps += 1
+        assert steps == 6
+
+
+def test_step_leaves_its_input_state_unchanged():
+    for body in ("transformer", "rnn"):
+        model = S2SModel(toy_cfg(body=body))
+        model.eval()
+        enc = model.encode(feats(9, seed=36))
+        state = model.init_state(enc)
+        _, state = model.step(state, [SOS_EOS_ID])
+        again, _ = model.step(state, [3])
+        other, _ = model.step(state, [3])
+        np.testing.assert_array_equal(again, other)
 
 
 # ------------------------------------------------------------- config

@@ -25,6 +25,49 @@ def test_matmul_matches_numpy():
     np.testing.assert_allclose(out.data, a.data @ b.data, rtol=0, atol=0)
 
 
+@pytest.mark.parametrize("a_shape,b_shape", [
+    ((2, 3, 4), (4, 5)),            # rows of a batch times one matrix
+    ((2, 3, 4), (2, 4, 5)),         # one matrix per batch entry
+    ((2, 3, 1, 4), (3, 4, 2)),      # b broadcast over a's leading axis
+    ((1, 3, 4), (2, 1, 4, 2)),      # both operands broadcast
+])
+def test_batched_matmul_matches_numpy_and_grad_checks(a_shape, b_shape):
+    a, b = rnd(a_shape, 40), rnd(b_shape, 41)
+    out = a @ b
+    want = np.matmul(a.data, b.data)
+    assert out.shape == want.shape
+    np.testing.assert_allclose(out.data, want, rtol=1e-13, atol=1e-13)
+    assert grad_check(lambda a, b: (T.tanh(a @ b)).sum(), [a, b]) < 1e-6
+
+
+def test_batched_matmul_rejects_mismatched_axes():
+    with pytest.raises(DimensionError):
+        _ = rnd((2, 3, 4), 42) @ rnd((3, 4, 5), 43)
+    with pytest.raises(DimensionError):
+        _ = rnd((2, 3, 4), 42) @ rnd((2, 3, 5), 44)
+    with pytest.raises(DimensionError):
+        _ = rnd((4,), 42) @ rnd((4, 5), 45)
+
+
+def test_transpose_swaps_last_axes_or_permutes():
+    x = rnd((2, 3, 4), 46)
+    np.testing.assert_array_equal(x.T.data, np.swapaxes(x.data, -1, -2))
+    np.testing.assert_array_equal(T.transpose(x, (1, 0, 2)).data,
+                                  x.data.transpose(1, 0, 2))
+    w = Tensor(np.random.default_rng(47).standard_normal((3, 2, 4)))
+    f = lambda x: (T.transpose(x, (1, 2, 0)) * T.transpose(w, (0, 2, 1))).sum()
+    assert grad_check(f, [x]) < 1e-6
+    with pytest.raises(DimensionError):
+        T.transpose(x, (0, 0, 1))
+
+
+def test_leading_axis_broadcast_add_and_mul_grad_check():
+    a, b = rnd((2, 1, 4), 48), rnd((3, 4), 49)
+    np.testing.assert_array_equal((a + b).data, a.data + b.data)
+    assert grad_check(lambda a, b: T.tanh(a + b).sum(), [a, b]) < 1e-6
+    assert grad_check(lambda a, b: T.tanh(a * b).sum(), [a, b]) < 1e-6
+
+
 def test_softmax_against_extended_precision():
     # Oracle: 50-digit arithmetic, independent of the implementation.
     mp.dps = 50
