@@ -15,6 +15,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from . import attention as A
 from . import tensor as T
 from .config import (dump_experiment_config, load_experiment_config,
                      load_toy_spec)
@@ -90,8 +91,10 @@ def cmd_train(args) -> int:
         fh.write(dump_experiment_config(cfg))
     vocab.save(os.path.join(args.out, "vocab.txt"))
     result = train_loop(model, train_utts, dev_utts, cfg.train, args.out)
+    dev = result.dev_losses
     print(f"trained {len(result.ckpt_paths)} epochs; "
-          f"dev loss {result.dev_losses[0]:.4f} -> {result.dev_losses[-1]:.4f}")
+          + (f"dev loss {dev[0]:.4f} -> {dev[-1]:.4f}" if dev
+             else "no dev split, so no dev loss"))
     if result.stopped_early:
         print("stopped early")
     print(f"averaged checkpoint: {result.avg_path}")
@@ -210,6 +213,11 @@ def cmd_synth(args) -> int:
     if not tokens:
         raise DataError("empty input text")
     ids = vocab.encode(tokens)
+    # one decoder step per r frames, each at its own positional row
+    max_ok = A.MAX_PE_LEN * model.config.reduction_factor
+    if not 1 <= args.max_frames <= max_ok:
+        raise ConfigError(f"--max-frames must lie in [1, {max_ok}], "
+                          f"got {args.max_frames}")
     frames, reason = model.infer(ids, eos_threshold=args.eos_threshold,
                                  max_frames=args.max_frames,
                                  seed=cfg.model.seed)

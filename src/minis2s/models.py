@@ -16,7 +16,8 @@ hypothesis rows and returns (B, V) next-token log-probabilities, and
 `state.select(rows)` keeps, reorders or repeats rows after pruning. A
 step computes only the new position: the LSTM decoder carries (h, c) per
 layer, and the Transformer decoder caches each layer's self-attention
-keys and values.
+keys and values. TtsModel.infer drives the same body steppers, one
+frame group per step.
 """
 
 from __future__ import annotations
@@ -781,12 +782,6 @@ class TtsModel(Module):
             prev[j] = padded[j * r - 1]
         return prev
 
-    def _run_decoder(self, enc: EncodedSequence, frames_in: np.ndarray,
-                     records: Optional[DecoderRecords]) -> Tensor:
-        y0 = self.prenet(Tensor(frames_in))
-        y0 = A.scaled_positional_encoding(y0, self.dec_alpha)
-        return self.dec_body(y0, enc.x_e, records=records)
-
     def forward_teacher(self, enc: EncodedSequence,
                         target_feats: np.ndarray) -> TtsForward:
         r = self.config.reduction_factor
@@ -795,7 +790,9 @@ class TtsModel(Module):
         n_pad = padded.shape[0]
         n_steps = n_pad // r
         records = DecoderRecords()
-        y_d = self._run_decoder(enc, self._decoder_inputs(padded), records)
+        y0 = self.prenet(Tensor(self._decoder_inputs(padded)))
+        y0 = A.scaled_positional_encoding(y0, self.dec_alpha)
+        y_d = self.dec_body(y0, enc.x_e, records=records)
         coarse = self.feat_head(y_d).reshape(n_pad, feat_dim)
         eos_logits = self.eos_head(y_d).reshape(n_steps)
         refined = coarse + self.postnet(coarse)
@@ -807,32 +804,36 @@ class TtsModel(Module):
         """Autoregressive generation; returns (frames, stop reason), where
         the reason is "eos" or "cap".
 
-        Each step recomputes the decoder over the whole refined prefix
-        (naive quadratic recompute) and feeds the refined frames back
-        through the Prenet. The Prenet may keep its dropout on here, so
-        the pass runs under its own seeded Graph for reproducibility.
+        Each step feeds the last coarse (pre-postnet) frame back through
+        the Prenet and advances the cached decoder body by one position,
+        emitting r coarse frames and an EOS logit, so cost is linear in
+        frames. The postnet runs once over all coarse frames at the end:
+        the output equals forward_teacher's refined frames over the
+        generated coarse frames. The Prenet may keep its dropout on here,
+        so the pass runs under its own seeded Graph for reproducibility.
         """
         r = self.config.reduction_factor
         feat_dim = self.config.feat_dim
         max_steps = max(1, -(-max_frames // r))
-        refined = np.zeros((0, feat_dim))
+        prev = np.zeros((1, feat_dim))
+        groups = []
         reason = "cap"
         with T.no_grad(), T.Graph(seed=seed):
             enc = self.encode(token_ids)
+            state = self.dec_body.init_state(enc.x_e)
             for step in range(max_steps):
-                prev = np.zeros((step + 1, feat_dim))
-                for j in range(1, step + 1):
-                    prev[j] = refined[j * r - 1]
-                y_d = self._run_decoder(enc, prev, records=None)
-                coarse = self.feat_head(y_d).reshape((step + 1) * r, feat_dim)
-                refined = (coarse + self.postnet(coarse)).data
-                eos_logit = float(self.eos_head(y_d).data[step, 0])
-                if _sigmoid_scalar(eos_logit) > eos_threshold:
+                y0 = self.prenet(Tensor(prev)) + self.dec_alpha * Tensor(
+                    A.positional_rows(step + 1, self.config.d_att)[step:])
+                y_d, state = self.dec_body.step(state, y0)
+                groups.append(self.feat_head(y_d).data.reshape(r, feat_dim))
+                prev = groups[-1][-1:]
+                if _sigmoid_scalar(float(self.eos_head(y_d).data[0, 0])) \
+                        > eos_threshold:
                     reason = "eos"
                     break
-        if reason == "cap":
-            refined = refined[:max_frames]
-        return refined, reason
+            coarse = Tensor(np.concatenate(groups))
+            refined = (coarse + self.postnet(coarse)).data
+        return refined[:max_frames], reason
 
     def guided_attention_records(self, records: DecoderRecords,
                                  n_layers: int = 2, n_heads: int = 2

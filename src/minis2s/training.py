@@ -16,13 +16,14 @@ import struct
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
 from . import losses as L
 from . import tensor as T
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericError
 from .models import SOS_EOS_ID, build_model
 from .tensor import Tensor, backward
 
@@ -293,11 +294,10 @@ class TrainResult:
     stopped_early: bool = False
 
 
-def _asr_utt_loss(model, utt, n_tokens_total: int) -> L.LossReport:
-    """Joint loss for one utterance, normalized by the batch token count.
-
-    Returns the Tensor on report.loss (not a dataclass field; attached
-    dynamically to keep LossReport serialization-plain)."""
+def _asr_utt_loss(model, utt, n_tokens_total: int
+                  ) -> Tuple[Tensor, L.LossReport]:
+    """Joint loss for one utterance, normalized by the batch token count,
+    and its report."""
     cfg = model.config
     ys = list(utt.tokens)
     enc = model.encode(Tensor(utt.feats))
@@ -313,12 +313,20 @@ def _asr_utt_loss(model, utt, n_tokens_total: int) -> L.LossReport:
         loss = ce
         report.components = {"s2s": ce.item(), "ctc": 0.0}
     report.total = loss.item()
-    report.loss = loss
-    return report
+    return loss, report
+
+
+def tts_denominators(model, utts: Sequence) -> Tuple[int, int]:
+    """Batch-global TTS loss denominators: the feature elements and the
+    decoder steps of every utterance padded to a multiple of r."""
+    padded = [model.pad_target(np.asarray(u.feats)) for u in utts]
+    r = model.config.reduction_factor
+    return (sum(p.size for p in padded),
+            sum(p.shape[0] // r for p in padded))
 
 
 def _tts_utt_loss(model, utt, n_elems_total: int, n_steps_total: int,
-                  n_utts: int) -> L.LossReport:
+                  n_utts: int) -> Tuple[Tensor, L.LossReport]:
     target = np.asarray(utt.feats, dtype=np.float64)
     padded = model.pad_target(target)
     enc = model.encode(list(utt.tokens))
@@ -335,8 +343,7 @@ def _tts_utt_loss(model, utt, n_elems_total: int, n_steps_total: int,
         components={"l1": l1.item(), "bce": bce.item(),
                     "guided": guided.item()},
         n_frames=int(target.shape[0]))
-    report.loss = loss
-    return report
+    return loss, report
 
 
 def make_batches(dataset: Sequence, batch_size: int, rng) -> List[List]:
@@ -365,18 +372,14 @@ def evaluate_dev(model, dev_set: Sequence) -> float:
     total = 0.0
     with T.no_grad(), T.Graph(seed=0):
         if is_tts:
-            n_elems = sum(model.pad_target(np.asarray(u.feats)).size
-                          for u in dev_set)
-            n_steps = sum(model.pad_target(np.asarray(u.feats)).shape[0]
-                          // model.config.reduction_factor for u in dev_set)
+            n_elems, n_steps = tts_denominators(model, dev_set)
             for u in dev_set:
-                rep = _tts_utt_loss(model, u, n_elems, n_steps, len(dev_set))
-                total += rep.total
+                total += _tts_utt_loss(model, u, n_elems, n_steps,
+                                       len(dev_set))[1].total
         else:
             n_tok = sum(len(u.tokens) + 1 for u in dev_set)
             for u in dev_set:
-                rep = _asr_utt_loss(model, u, n_tok)
-                total += rep.total
+                total += _asr_utt_loss(model, u, n_tok)[1].total
     model.train()
     return total
 
@@ -414,11 +417,7 @@ def train_loop(model, train_set: Sequence, dev_set: Sequence,
                 t0 = time.perf_counter()
                 model.zero_grad()
                 if is_tts:
-                    n_elems = sum(model.pad_target(np.asarray(u.feats)).size
-                                  for u in batch)
-                    n_steps = sum(
-                        model.pad_target(np.asarray(u.feats)).shape[0]
-                        // model.config.reduction_factor for u in batch)
+                    n_elems, n_steps = tts_denominators(model, batch)
                 else:
                     n_tok = sum(len(u.tokens) + 1 for u in batch)
                 sums: Dict[str, float] = {"total": 0.0, "s2s": 0.0,
@@ -434,15 +433,20 @@ def train_loop(model, train_set: Sequence, dev_set: Sequence,
                                 seed=tcfg.seed * 31 + step * 7 + i)
                             utt = type(utt)(utt.utt_id, feats, utt.tokens)
                         if is_tts:
-                            rep = _tts_utt_loss(model, utt, n_elems,
-                                                n_steps, len(batch))
+                            loss, rep = _tts_utt_loss(model, utt, n_elems,
+                                                      n_steps, len(batch))
                         else:
-                            rep = _asr_utt_loss(model, utt, n_tok)
-                        backward(rep.loss)
+                            loss, rep = _asr_utt_loss(model, utt, n_tok)
+                        backward(loss)
                         sums["total"] += rep.total
                         for k, v in rep.components.items():
                             sums[k] += v
                 gnorm = grad_norm(params)
+                if not (math.isfinite(sums["total"])
+                        and math.isfinite(gnorm)):
+                    raise NumericError(
+                        f"epoch {epoch} step {step}: loss {sums['total']!r} "
+                        f"or gradient norm {gnorm!r} is not finite")
                 if tcfg.optimizer == "adam":
                     lr = noam_lr(opt.t + 1, model.config.d_att,
                                  tcfg.warmup_steps, tcfg.noam_k)

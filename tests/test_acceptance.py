@@ -45,7 +45,7 @@ from minis2s.tensor import Tensor, grad_check
 from minis2s.training import (Adam, _asr_utt_loss, _tts_utt_loss,
                               accumulate_gradients, evaluate_dev,
                               load_checkpoint, load_into_model, noam_lr,
-                              train_loop)
+                              train_loop, tts_denominators)
 
 from test_decoding import enumerate_best, tiny_model
 
@@ -432,20 +432,18 @@ def _loss_closures(model, utts, split, kind: str):
     if kind == "asr":
         n_tok = sum(len(u.tokens) + 1 for u in utts)
     else:
-        n_elems = sum(model.pad_target(np.asarray(u.feats)).size
-                      for u in utts)
-        n_steps = sum(model.pad_target(np.asarray(u.feats)).shape[0]
-                      // model.config.reduction_factor for u in utts)
+        n_elems, n_steps = tts_denominators(model, utts)
 
     def make(group):
         def run():
             total = None
             for u in group:
                 if kind == "asr":
-                    rep = _asr_utt_loss(model, u, n_tok)
+                    loss = _asr_utt_loss(model, u, n_tok)[0]
                 else:
-                    rep = _tts_utt_loss(model, u, n_elems, n_steps, len(utts))
-                total = rep.loss if total is None else total + rep.loss
+                    loss = _tts_utt_loss(model, u, n_elems, n_steps,
+                                         len(utts))[0]
+                total = loss if total is None else total + loss
             return total
         return run
 
@@ -567,7 +565,7 @@ def _tts_dev_l1_guided(model, dev):
     attention over the selected heads."""
     model.eval()
     from minis2s import losses as L
-    n_elems = sum(model.pad_target(np.asarray(u.feats)).size for u in dev)
+    n_elems = tts_denominators(model, dev)[0]
     l1_total = 0.0
     guided_total = 0.0
     with T.no_grad(), T.Graph(seed=0):

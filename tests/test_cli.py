@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from minis2s import cli
 from minis2s.cli import main
 from minis2s.data import read_feature_file
 from minis2s.training import load_checkpoint
@@ -374,3 +375,49 @@ def test_bad_env_seed_in_toy_spec_exits_one(tmp_path, monkeypatch, capsys):
     assert main(["gen-data", "--spec", str(spec),
                  "--out", str(tmp_path / "d")]) == 1
     assert "S2S_SEED" in capsys.readouterr().err
+
+
+def test_train_without_dev_split_exits_zero(tmp_path, capsys):
+    (tmp_path / "toy.cfg").write_text(TOY.replace("n_dev = 2", "n_dev = 0"),
+                                      encoding="utf-8")
+    (tmp_path / "exp.cfg").write_text(EXP.replace("epochs = 2", "epochs = 1"),
+                                      encoding="utf-8")
+    assert main(["gen-data", "--spec", str(tmp_path / "toy.cfg"),
+                 "--out", str(tmp_path / "data")]) == 0
+    assert main(["train", "--config", str(tmp_path / "exp.cfg"),
+                 "--data", str(tmp_path / "data"),
+                 "--out", str(tmp_path / "run")]) == 0
+    assert "no dev split" in capsys.readouterr().out
+    assert (tmp_path / "run" / "avg.esc").is_file()
+
+
+@pytest.mark.parametrize("max_frames", ["0", "-3", str(4096 * 2 + 1)])
+def test_synth_rejects_max_frames_out_of_range(tts_workspace, tmp_path,
+                                               capsys, max_frames):
+    # 4096 positional rows at r = 2 cover 8192 frames
+    out = tmp_path / "x.esf"
+    capsys.readouterr()
+    rc = main(["synth", "--ckpt", str(tts_workspace / "run" / "avg.esc"),
+               "--text", "a b", "--out", str(out), "--max-frames", max_frames])
+    assert rc == 1
+    assert "--max-frames" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_finite_training_exits_three(workspace, tmp_path, monkeypatch,
+                                         capsys):
+    build = cli.build_model
+
+    def poisoned(cfg):
+        model = build(cfg)
+        model.dec_post.weight.data[0, 0] = np.nan
+        return model
+
+    monkeypatch.setattr(cli, "build_model", poisoned)
+    run = tmp_path / "run"
+    (tmp_path / "exp.cfg").write_text(EXP, encoding="utf-8")
+    capsys.readouterr()
+    assert main(["train", "--config", str(tmp_path / "exp.cfg"),
+                 "--data", str(workspace / "data"), "--out", str(run)]) == 3
+    assert "epoch 1 step 1" in capsys.readouterr().err
+    assert not list(run.glob("*.esc"))

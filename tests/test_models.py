@@ -489,6 +489,52 @@ def test_tts_infer_thresholds():
     assert reason == "cap" and out.shape[0] == 8
 
 
+def _spy_infer(model, monkeypatch, **kw):
+    """infer with the postnet's input (the generated coarse frames), the
+    prenet's inputs and the decoder body's step inputs captured."""
+    seen = {"postnet": [], "prenet": [], "body": []}
+    for name, owner, attr in (("postnet", model.postnet, "forward"),
+                              ("prenet", model.prenet, "forward"),
+                              ("body", model.dec_body, "step")):
+        def spy(*args, _real=getattr(owner, attr), _seen=seen[name]):
+            _seen.append(args[-1].data.copy())
+            return _real(*args)
+        monkeypatch.setattr(owner, attr, spy)
+    out, reason = model.infer([3, 4, 5], **kw)
+    monkeypatch.undo()
+    return out, reason, seen
+
+
+@pytest.mark.parametrize("body,normalize", [
+    ("transformer", "pre"), ("transformer", "post"), ("transformer", "none"),
+    ("rnn", "pre")])
+@pytest.mark.parametrize("threshold,max_frames,n_steps", [
+    (1.0, 7, 4),    # cap; r=2 does not divide 7
+    (0.0, 7, 1)])   # EOS at step 0
+def test_tts_infer_equals_teacher_forcing_on_its_coarse_frames(
+        monkeypatch, body, normalize, threshold, max_frames, n_steps):
+    model = TtsModel(tts_cfg(body=body, normalize=normalize,
+                             prenet_dropout_rate=0.5,
+                             prenet_dropout_at_infer=False))
+    model.eval()
+    out, reason, seen = _spy_infer(model, monkeypatch,
+                                   eos_threshold=threshold,
+                                   max_frames=max_frames)
+    assert reason == ("cap" if threshold == 1.0 else "eos")
+    # work: one postnet pass over every coarse frame, one new row per step
+    assert len(seen["postnet"]) == 1
+    coarse = seen["postnet"][0]
+    assert coarse.shape == (2 * n_steps, 5)
+    assert [x.shape[0] for x in seen["prenet"]] == [1] * n_steps
+    assert [y.shape[0] for y in seen["body"]] == [1] * n_steps
+    # oracle: teacher forcing on the generated coarse frames reproduces them
+    fwd = model.forward_teacher(model.encode([3, 4, 5]), coarse)
+    np.testing.assert_allclose(fwd.coarse.data, coarse, rtol=0, atol=1e-9)
+    assert out.shape == (min(max_frames, 2 * n_steps), 5)
+    np.testing.assert_allclose(out, fwd.refined.data[:max_frames],
+                               rtol=0, atol=1e-9)
+
+
 def test_tts_teacher_grad():
     model = TtsModel(tts_cfg(d=1, postnet_layers=2))
     model.eval()

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from minis2s import tensor as T
-from minis2s.errors import ConfigError, DataError
+from minis2s.errors import ConfigError, DataError, NumericError
 from minis2s.losses import s2s_cross_entropy
 from minis2s.models import SOS_EOS_ID, ModelConfig, RnnLm, build_model
 from minis2s.tensor import Tensor, backward
@@ -22,7 +22,7 @@ from minis2s.training import (Adadelta, Adam, Checkpoint, EarlyStopping,
                               average_checkpoints, evaluate_dev, grad_norm,
                               load_checkpoint, load_into_model, noam_lr,
                               save_checkpoint, spec_augment, train_lm,
-                              train_loop)
+                              train_loop, tts_denominators)
 
 Utt = namedtuple("Utt", "utt_id feats tokens")
 
@@ -392,12 +392,16 @@ def test_train_loop_byte_identical_reruns(tmp_path):
         open(outs[1].avg_path, "rb").read()
 
 
+def tts_cfg():
+    return ModelConfig(task="tts", body="transformer", vocab_size=5,
+                       feat_dim=6, e=1, d=2, d_att=16, d_ff=32, d_head=2,
+                       dropout_rate=0.0, alpha=1.0, reduction_factor=2,
+                       prenet_units=8, postnet_layers=3,
+                       prenet_dropout_rate=0.0, seed=2)
+
+
 def test_train_loop_tts_smoke(tmp_path):
-    cfg = ModelConfig(task="tts", body="transformer", vocab_size=5, feat_dim=6,
-                      e=1, d=2, d_att=16, d_ff=32, d_head=2, dropout_rate=0.0,
-                      alpha=1.0, reduction_factor=2, prenet_units=8,
-                      postnet_layers=3, prenet_dropout_rate=0.0, seed=2)
-    model = build_model(cfg)
+    model = build_model(tts_cfg())
     utts = tts_utts(4)
     tcfg = TrainConfig(epochs=2, batch_size=2, optimizer="adam", seed=1)
     res = train_loop(model, utts, utts[:2], tcfg, str(tmp_path / "tts"))
@@ -427,6 +431,28 @@ def test_train_loop_empty_data_rejected(tmp_path):
     model = build_model(asr_cfg())
     with pytest.raises(DataError):
         train_loop(model, [], [], TrainConfig(epochs=1), str(tmp_path / "x"))
+
+
+@pytest.mark.parametrize("task", ["asr", "tts"])
+def test_train_loop_non_finite_stops_before_any_checkpoint(tmp_path, task):
+    if task == "asr":
+        model, utts = build_model(asr_cfg()), toy_utts(4)
+        poisoned = model.dec_post.weight
+    else:
+        model, utts = build_model(tts_cfg()), tts_utts(4)
+        poisoned = model.feat_head.weight
+    poisoned.data[0, 0] = np.nan
+    out = tmp_path / "nan"
+    with pytest.raises(NumericError, match="epoch 1 step 1"):
+        train_loop(model, utts, utts[:2], TrainConfig(epochs=2, batch_size=2),
+                   str(out))
+    assert not list(out.glob("*.esc"))
+
+
+def test_tts_denominators_pad_to_the_reduction_factor():
+    model = build_model(tts_cfg())             # r = 2, feat_dim 6
+    utts = [Utt("a", np.ones((5, 6)), [3]), Utt("b", np.ones((4, 6)), [4])]
+    assert tts_denominators(model, utts) == ((6 + 4) * 6, 3 + 2)
 
 
 def test_train_config_validation():
