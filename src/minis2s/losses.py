@@ -11,15 +11,13 @@ denominator either way.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from . import tensor as T
 from .errors import DimensionError, ImpossibleAlignmentError
 from .tensor import Tensor
-
-LOG_ZERO = -1e30  # stand-in for log 0 inside the DP lattice
 
 
 @dataclass
@@ -66,17 +64,11 @@ def ctc_min_frames(targets: Sequence[int]) -> int:
     return len(targets) + repeats
 
 
-def _logsumexp(*vals: float) -> float:
-    m = max(vals)
-    if m <= LOG_ZERO:
-        return LOG_ZERO
-    return m + np.log(sum(np.exp(v - m) for v in vals))
-
-
 def ctc_log_likelihood(log_probs: Tensor, targets: Sequence[int],
                        blank: int = 0) -> Tensor:
     """log p(targets | frames) marginalized over all blank-augmented
-    monotonic alignments; the standard log-space forward algorithm.
+    monotonic alignments; the log-space forward algorithm of Graves et
+    al. (2006), vectorized over the states of each frame.
 
     `log_probs` rows are per-frame log distributions over the vocabulary
     with the blank at index `blank`. The backward pass distributes the
@@ -98,55 +90,43 @@ def ctc_log_likelihood(log_probs: Tensor, targets: Sequence[int],
     if n_frames == 0:
         return Tensor(np.asarray(0.0))  # empty target over zero frames
 
-    z = expand_with_blanks(targets, blank)
+    z = np.asarray(expand_with_blanks(targets, blank))
     s_len = len(z)
+    uz = u[:, z]                        # (frames, states)
+    # state s may also be entered from s - 2, skipping a blank, unless it
+    # is a blank itself or repeats the label two states back; the skip
+    # term adds 0 where allowed and -inf where not
+    skip = np.full(s_len, -np.inf)
+    skip[2:][(z[2:] != blank) & (z[2:] != z[:-2])] = 0.0
 
-    alpha = np.full((n_frames, s_len), LOG_ZERO)
-    alpha[0, 0] = u[0, z[0]]
-    if s_len > 1:
-        alpha[0, 1] = u[0, z[1]]
+    # two -inf columns pad the state axis, before it for alpha and after
+    # it for beta, so the s - 1, s - 2 (s + 1, s + 2) neighbours are slices
+    a = np.full((n_frames, s_len + 2), -np.inf)
+    a[0, 2:4] = uz[0, :2]
     for t in range(1, n_frames):
-        for s in range(s_len):
-            best = alpha[t - 1, s]
-            if s >= 1:
-                best = _logsumexp(best, alpha[t - 1, s - 1])
-            if s >= 2 and z[s] != blank and z[s] != z[s - 2]:
-                best = _logsumexp(best, alpha[t - 1, s - 2])
-            alpha[t, s] = best + u[t, z[s]] if best > LOG_ZERO else LOG_ZERO
+        p = a[t - 1]
+        a[t, 2:] = np.logaddexp(np.logaddexp(p[2:], p[1:-1]),
+                                p[:-2] + skip) + uz[t]
+    alpha = a[:, 2:]
+    logp = float(np.logaddexp.reduce(alpha[-1, -2:]))
 
-    tail = (alpha[n_frames - 1, s_len - 1],)
-    if s_len > 1:
-        tail = tail + (alpha[n_frames - 1, s_len - 2],)
-    logp = _logsumexp(*tail)
-
-    beta = np.full((n_frames, s_len), LOG_ZERO)
-    beta[n_frames - 1, s_len - 1] = u[n_frames - 1, z[s_len - 1]]
-    if s_len > 1:
-        beta[n_frames - 1, s_len - 2] = u[n_frames - 1, z[s_len - 2]]
+    skip_on = np.full(s_len, -np.inf)   # state s may move on to s + 2
+    skip_on[:-2] = skip[2:]
+    b = np.full((n_frames, s_len + 2), -np.inf)
+    b[-1, max(s_len - 2, 0):s_len] = uz[-1, -2:]
     for t in range(n_frames - 2, -1, -1):
-        for s in range(s_len - 1, -1, -1):
-            best = beta[t + 1, s]
-            if s + 1 < s_len:
-                best = _logsumexp(best, beta[t + 1, s + 1])
-            if s + 2 < s_len and z[s + 2] != blank and z[s + 2] != z[s]:
-                best = _logsumexp(best, beta[t + 1, s + 2])
-            beta[t, s] = best + u[t, z[s]] if best > LOG_ZERO else LOG_ZERO
+        nx = b[t + 1]
+        b[t, :-2] = np.logaddexp(np.logaddexp(nx[:-2], nx[1:-1]),
+                                 nx[2:] + skip_on) + uz[t]
+    beta = b[:, :-2]
 
-    def bwd(g, log_probs=log_probs, alpha=alpha, beta=beta, u=u, z=z,
-            logp=logp, n_frames=n_frames, vocab=vocab):
+    def bwd(g, log_probs=log_probs):
         if not log_probs.requires_grad:
             return
+        # alpha and beta both include u[t, z[s]]; remove one copy
+        post = np.exp(alpha + beta - uz - logp)
         grad = np.zeros((n_frames, vocab))
-        for t in range(n_frames):
-            per_symbol: Dict[int, float] = {}
-            for s, k in enumerate(z):
-                if alpha[t, s] <= LOG_ZERO or beta[t, s] <= LOG_ZERO:
-                    continue
-                v = alpha[t, s] + beta[t, s]
-                per_symbol[k] = _logsumexp(per_symbol[k], v) if k in per_symbol else v
-            for k, v in per_symbol.items():
-                # alpha and beta both include u[t, k]; remove one copy
-                grad[t, k] = np.exp(v - u[t, k] - logp)
+        np.add.at(grad, (slice(None), z), post)
         log_probs._accumulate(float(g) * grad)
 
     return T.from_op(np.asarray(logp), (log_probs,), bwd)

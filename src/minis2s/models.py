@@ -18,6 +18,11 @@ step computes only the new position: the LSTM decoder carries (h, c) per
 layer, and the Transformer decoder caches each layer's self-attention
 keys and values. TtsModel.infer drives the same body steppers, one
 frame group per step.
+
+Recurrent layers are fused tape nodes: each direction of a BLSTM layer
+and the LM's teacher-forced pass record one node for the whole sequence
+(nn.LSTM), and each LSTM decoder or LM step one node per cell
+(nn.LSTMCell), whose [h | c] output is sliced into h and c.
 """
 
 from __future__ import annotations

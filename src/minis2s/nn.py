@@ -202,7 +202,9 @@ class FeedForward(Module):
 
 
 class LSTMCell(Module):
-    """Gate order i, f, g, o in the fused weight matrices."""
+    """One LSTM step for B rows, fused into a single tape node
+    (tensor.lstm_cell). Gate order i, f, g, o in the fused weight
+    matrices."""
 
     def __init__(self, d_in: int, d_hidden: int, rng: np.random.Generator):
         super().__init__()
@@ -213,19 +215,17 @@ class LSTMCell(Module):
 
     def forward(self, x: Tensor, h: Tensor, c: Tensor) -> Tuple[Tensor, Tensor]:
         d = self.d_hidden
-        gates = x @ self.w_ih + h @ self.w_hh + self.bias
-        i = T.sigmoid(gates[:, 0:d])
-        f = T.sigmoid(gates[:, d:2 * d])
-        g = T.tanh(gates[:, 2 * d:3 * d])
-        o = T.sigmoid(gates[:, 3 * d:4 * d])
-        c_new = f * c + i * g
-        h_new = o * T.tanh(c_new)
-        return h_new, c_new
+        hc = T.lstm_cell(x, h, c, self.w_ih, self.w_hh, self.bias)
+        return hc[:, :d], hc[:, d:]
 
 
 class LSTM(Module):
     """Single-direction LSTM over a (t, d_in) sequence; returns (t, d_hidden).
 
+    The whole scan is one fused tape node (tensor.lstm_scan): the input
+    projection runs once for the sequence and the recurrence loops in
+    numpy. The weights live in `cell` (gate order i, f, g, o), so the
+    parameters are named cell.w_ih, cell.w_hh and cell.bias.
     `reverse=True` scans right to left and emits outputs back in input
     order, which is the backward half of a BLSTM.
     """
@@ -238,12 +238,5 @@ class LSTM(Module):
         self.d_hidden = d_hidden
 
     def forward(self, x: Tensor) -> Tensor:
-        t = x.shape[0]
-        h = Tensor(np.zeros((1, self.d_hidden)))
-        c = Tensor(np.zeros((1, self.d_hidden)))
-        steps = range(t - 1, -1, -1) if self.reverse else range(t)
-        outs: List[Optional[Tensor]] = [None] * t
-        for i in steps:
-            h, c = self.cell(x[i:i + 1], h, c)
-            outs[i] = h
-        return T.concat(outs, axis=0)
+        cell = self.cell
+        return T.lstm_scan(x, cell.w_ih, cell.w_hh, cell.bias, self.reverse)

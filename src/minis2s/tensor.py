@@ -131,8 +131,13 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # a private copy, never an alias: one g may reach several
+            # operands (_add hands the same array to both). C order keeps
+            # a transposed g from changing later reductions' summation
+            # order, so gradients stay bit-identical to zeros-plus-add.
+            self.grad = np.array(g, dtype=np.float64, order="C")
+        else:
+            self.grad += g
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -426,10 +431,14 @@ def tanh(a: Tensor) -> Tensor:
     return _result(y, (a,), bwd)
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function without overflow: exp only of -|x|."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
-    y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                 np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    y = _sigmoid(a.data)
 
     def bwd(g, a=a, y=y):
         if a.requires_grad:
@@ -756,6 +765,140 @@ def pick(x: Tensor, ids: Sequence[int]) -> Tensor:
             x._accumulate(gx)
 
     return _result(data, (x,), bwd)
+
+
+# -- fused LSTM recurrence ---------------------------------------------------
+#
+# Gate order i, f, g, o in the fused (d_in, 4d) input and (d, 4d) recurrent
+# weights. The helpers take one row or a (B, 4d) block alike; lstm_scan and
+# lstm_cell both run on them, so the two ops share one set of gate math.
+
+
+def _lstm_step(z: np.ndarray, c_prev: np.ndarray):
+    """One step from gate pre-activations z (..., 4d) and the previous cell
+    c_prev (..., d): returns h, c, the gate activations (sigmoid on i, f, o,
+    tanh on g) and tanh(c), the last two for the backward."""
+    d = c_prev.shape[-1]
+    act = _sigmoid(z)
+    act[..., 2 * d:3 * d] = np.tanh(z[..., 2 * d:3 * d])
+    c = act[..., d:2 * d] * c_prev + act[..., :d] * act[..., 2 * d:3 * d]
+    tc = np.tanh(c)
+    return act[..., 3 * d:] * tc, c, act, tc
+
+
+def _lstm_back_factors(act: np.ndarray, tc: np.ndarray, c_prev: np.ndarray):
+    """The parts of the backward that need no upstream gradient, for any
+    number of steps at once: the (..., 4d) factor m with
+    dz = [dc, dc, dc, dh] * m, the factor o * tanh'(c) that moves dh into
+    dc, and the forget gate f that carries dc to the previous step."""
+    d = tc.shape[-1]
+    i, f, g, o = (act[..., :d], act[..., d:2 * d], act[..., 2 * d:3 * d],
+                  act[..., 3 * d:])
+    deriv = act * (1.0 - act)
+    deriv[..., 2 * d:3 * d] = 1.0 - g * g
+    m = np.concatenate([g, c_prev, i, tc], axis=-1) * deriv
+    return m, o * (1.0 - tc * tc), f
+
+
+def _lstm_step_back(dh: np.ndarray, dc: np.ndarray, m: np.ndarray,
+                    ot: np.ndarray, f: np.ndarray):
+    """Backward through one _lstm_step: dL/dh and dL/dc of its outputs give
+    dL/dz of its pre-activations and dL/dc_prev."""
+    dc = dc + dh * ot
+    return np.concatenate([dc, dc, dc, dh], axis=-1) * m, dc * f
+
+
+def _lstm_check(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> int:
+    d = w_hh.shape[0]
+    if (x.ndim != 2 or w_ih.shape != (x.shape[1], 4 * d)
+            or w_hh.shape != (d, 4 * d) or bias.shape != (4 * d,)):
+        raise DimensionError(f"lstm shapes disagree: x {x.shape}, w_ih "
+                             f"{w_ih.shape}, w_hh {w_hh.shape}, "
+                             f"bias {bias.shape}")
+    return d
+
+
+def lstm_scan(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor,
+              reverse: bool = False) -> Tensor:
+    """An LSTM over a (t, d_in) sequence from the zero state, recorded as
+    one tape node; returns the (t, d) hidden states in input order.
+
+    The input projection x @ w_ih + bias runs once for the whole sequence
+    and a numpy loop carries the recurrence; `reverse` scans right to left.
+    The backward is hand-written BPTT: per-step gate gradients dZ, then
+    dW_ih = x^T dZ, dW_hh = H_prev^T dZ, db = sum dZ and dx = dZ W_ih^T.
+    """
+    d = _lstm_check(x, w_ih, w_hh, bias)
+    n = x.shape[0]
+    xw = x.data @ w_ih.data + bias.data
+    if reverse:
+        xw = xw[::-1]
+    w = w_hh.data
+    # scan order; row k + 1 of hs and cs is the state after step k
+    hs = np.zeros((n + 1, d))
+    cs = np.zeros((n + 1, d))
+    act = np.empty((n, 4 * d))
+    tc = np.empty((n, d))
+    for k in range(n):
+        hs[k + 1], cs[k + 1], act[k], tc[k] = _lstm_step(xw[k] + hs[k] @ w,
+                                                         cs[k])
+
+    def bwd(g, x=x, w_ih=w_ih, w_hh=w_hh, bias=bias):
+        m, ot, f = _lstm_back_factors(act, tc, cs[:-1])
+        if reverse:
+            g = g[::-1]
+        dz = np.empty((n, 4 * d))
+        dh = np.zeros(d)
+        dc = np.zeros(d)
+        w_t = w.T
+        for k in range(n - 1, -1, -1):
+            dz[k], dc = _lstm_step_back(g[k] + dh, dc, m[k], ot[k], f[k])
+            dh = dz[k] @ w_t
+        if w_hh.requires_grad:
+            w_hh._accumulate(hs[:-1].T @ dz)
+        if reverse:
+            dz = np.ascontiguousarray(dz[::-1])     # back to input order
+        if x.requires_grad:
+            x._accumulate(dz @ w_ih.data.T)
+        if w_ih.requires_grad:
+            w_ih._accumulate(x.data.T @ dz)
+        if bias.requires_grad:
+            bias._accumulate(dz.sum(axis=0))
+
+    return _result(hs[:0:-1] if reverse else hs[1:], (x, w_ih, w_hh, bias),
+                   bwd)
+
+
+def lstm_cell(x: Tensor, h: Tensor, c: Tensor, w_ih: Tensor, w_hh: Tensor,
+              bias: Tensor) -> Tensor:
+    """One LSTM step for B rows, recorded as one tape node: input x
+    (B, d_in) and state h, c (B, d) give the new state as [h | c], (B, 2d).
+    """
+    d = _lstm_check(x, w_ih, w_hh, bias)
+    if h.shape != (x.shape[0], d) or c.shape != h.shape:
+        raise DimensionError(f"lstm state shapes {h.shape}/{c.shape} do not "
+                             f"fit {x.shape[0]} rows of width {d}")
+    z = x.data @ w_ih.data + h.data @ w_hh.data + bias.data
+    h_new, c_new, act, tc = _lstm_step(z, c.data)
+
+    def bwd(g, x=x, h=h, c=c, w_ih=w_ih, w_hh=w_hh, bias=bias):
+        dz, dc = _lstm_step_back(g[:, :d], g[:, d:],
+                                 *_lstm_back_factors(act, tc, c.data))
+        if x.requires_grad:
+            x._accumulate(dz @ w_ih.data.T)
+        if h.requires_grad:
+            h._accumulate(dz @ w_hh.data.T)
+        if c.requires_grad:
+            c._accumulate(dc)
+        if w_ih.requires_grad:
+            w_ih._accumulate(x.data.T @ dz)
+        if w_hh.requires_grad:
+            w_hh._accumulate(h.data.T @ dz)
+        if bias.requires_grad:
+            bias._accumulate(dz.sum(axis=0))
+
+    return _result(np.concatenate([h_new, c_new], axis=1),
+                   (x, h, c, w_ih, w_hh, bias), bwd)
 
 
 def from_op(data: np.ndarray, parents: Sequence[Tensor],

@@ -24,7 +24,7 @@ import numpy as np
 from . import losses as L
 from . import tensor as T
 from .errors import ConfigError, DataError, NumericError
-from .models import SOS_EOS_ID, build_model
+from .models import SOS_EOS_ID, build_model, subsample_length
 from .tensor import Tensor, backward
 
 CKPT_MAGIC = b"ESC1"
@@ -361,6 +361,33 @@ def _utt_length(utt) -> int:
     return len(feats) if feats is not None else len(utt.tokens)
 
 
+def _check_lengths(model, utts: Sequence, split: str) -> None:
+    """Refuse ASR/ST utterances the model cannot train on before any
+    work starts: fewer frames than the speech front end needs or, with a
+    CTC head, fewer subsampled frames than the CTC target needs. Raises
+    one DataError naming the split and the first few utterance ids."""
+    cfg = model.config
+    if cfg.task == "tts":
+        return
+    min_frames = model.enc_pre.MIN_FRAMES
+    bad = []
+    for u in utts:
+        n = len(u.feats)
+        if n < min_frames:
+            bad.append(f"{u.utt_id} ({n} frames)")
+        elif cfg.uses_ctc:
+            n_sub = subsample_length(n, cfg.enc_pre)
+            need = L.ctc_min_frames(u.tokens)
+            if n_sub < need:
+                bad.append(f"{u.utt_id} ({n_sub} frames after subsampling, "
+                           f"its CTC target needs {need})")
+    if bad:
+        raise DataError(
+            f"{split} split: {len(bad)} utterance(s) too short to train on "
+            f"(the front end needs >= {min_frames} frames), first few: "
+            + ", ".join(bad[:5]))
+
+
 def _fmt(x: float) -> str:
     return repr(float(x))
 
@@ -392,6 +419,8 @@ def train_loop(model, train_set: Sequence, dev_set: Sequence,
     tcfg.validate()
     if not train_set:
         raise DataError("empty training set")
+    _check_lengths(model, train_set, "train")
+    _check_lengths(model, dev_set, "dev")
     os.makedirs(out_dir, exist_ok=True)
     is_tts = model.config.task == "tts"
     params = model.parameters()

@@ -40,7 +40,7 @@ from minis2s.losses import ctc_log_likelihood, ctc_min_frames
 from minis2s.metrics import bleu, cer, wer
 from minis2s.models import (SOS_EOS_ID, DecoderRecords, ModelConfig, S2SModel,
                             TtsModel, build_model)
-from minis2s.nn import LSTM
+from minis2s.nn import LSTM, LSTMCell
 from minis2s.tensor import Tensor, grad_check
 from minis2s.training import (Adam, _asr_utt_loss, _tts_utt_loss,
                               accumulate_gradients, evaluate_dev,
@@ -202,6 +202,19 @@ def _op_suite(seed: int):
     lx = rnd((4, 4))
     case("lstm", lambda lx, *ps: T.tanh(lstm(lx)).sum(),
          [lx] + lstm.parameters(), max_coords=4, rng=seed)
+    rlstm = LSTM(4, 5, np.random.default_rng(seed + 1), reverse=True)
+    rx = rnd((4, 4))
+    case("lstm-reverse", lambda rx, *ps: T.tanh(rlstm(rx)).sum(),
+         [rx] + rlstm.parameters(), max_coords=4, rng=seed)
+    cell = LSTMCell(4, 5, np.random.default_rng(seed + 2))
+    cx, ch, cc = rnd((3, 4)), rnd((3, 5)), rnd((3, 5))
+
+    def cell_loss(cx, ch, cc, *ps):
+        h, c = cell(cx, ch, cc)
+        return T.tanh(h).sum() + (c * c).sum()
+
+    case("lstm-cell", cell_loss, [cx, ch, cc] + cell.parameters(),
+         max_coords=4, rng=seed)
     return cases
 
 

@@ -391,6 +391,22 @@ def test_train_without_dev_split_exits_zero(tmp_path, capsys):
     assert (tmp_path / "run" / "avg.esc").is_file()
 
 
+def test_train_names_too_short_utterances_and_exits_two(tmp_path, capsys):
+    # one token of two frames per utterance: under the front end's 4
+    (tmp_path / "toy.cfg").write_text(
+        TOY + "utt_len_range = 1:1\nproto_len_range = 2:2\n", encoding="utf-8")
+    (tmp_path / "exp.cfg").write_text(EXP, encoding="utf-8")
+    assert main(["gen-data", "--spec", str(tmp_path / "toy.cfg"),
+                 "--out", str(tmp_path / "data")]) == 0
+    capsys.readouterr()
+    assert main(["train", "--config", str(tmp_path / "exp.cfg"),
+                 "--data", str(tmp_path / "data"),
+                 "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "train split" in err and "asr-train-0000 (2 frames)" in err
+    assert not (tmp_path / "run" / "log.csv").exists()
+
+
 @pytest.mark.parametrize("max_frames", ["0", "-3", str(4096 * 2 + 1)])
 def test_synth_rejects_max_frames_out_of_range(tts_workspace, tmp_path,
                                                capsys, max_frames):

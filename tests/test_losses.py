@@ -203,6 +203,80 @@ def test_ctc_gradient_with_repeat_label():
     assert grad_check(f, [x]) < 1e-5
 
 
+LOG_ZERO = -1e30
+
+
+def _logsumexp(*vals):
+    m = max(vals)
+    if m <= LOG_ZERO:
+        return LOG_ZERO
+    return m + np.log(sum(np.exp(v - m) for v in vals))
+
+
+def scalar_ctc(u, targets, blank=0):
+    """The CTC forward-backward one (frame, state) cell at a time:
+    returns log p and d log p / d u."""
+    n_frames, vocab = u.shape
+    z = expand_with_blanks(targets, blank)
+    s_len = len(z)
+    alpha = np.full((n_frames, s_len), LOG_ZERO)
+    alpha[0, 0] = u[0, z[0]]
+    if s_len > 1:
+        alpha[0, 1] = u[0, z[1]]
+    for t in range(1, n_frames):
+        for s in range(s_len):
+            best = alpha[t - 1, s]
+            if s >= 1:
+                best = _logsumexp(best, alpha[t - 1, s - 1])
+            if s >= 2 and z[s] != blank and z[s] != z[s - 2]:
+                best = _logsumexp(best, alpha[t - 1, s - 2])
+            alpha[t, s] = best + u[t, z[s]] if best > LOG_ZERO else LOG_ZERO
+    tail = (alpha[-1, -1],) + ((alpha[-1, -2],) if s_len > 1 else ())
+    logp = _logsumexp(*tail)
+    beta = np.full((n_frames, s_len), LOG_ZERO)
+    beta[-1, -1] = u[-1, z[-1]]
+    if s_len > 1:
+        beta[-1, -2] = u[-1, z[-2]]
+    for t in range(n_frames - 2, -1, -1):
+        for s in range(s_len - 1, -1, -1):
+            best = beta[t + 1, s]
+            if s + 1 < s_len:
+                best = _logsumexp(best, beta[t + 1, s + 1])
+            if s + 2 < s_len and z[s + 2] != blank and z[s + 2] != z[s]:
+                best = _logsumexp(best, beta[t + 1, s + 2])
+            beta[t, s] = best + u[t, z[s]] if best > LOG_ZERO else LOG_ZERO
+    grad = np.zeros((n_frames, vocab))
+    for t in range(n_frames):
+        per_symbol = {}
+        for s, k in enumerate(z):
+            if alpha[t, s] <= LOG_ZERO or beta[t, s] <= LOG_ZERO:
+                continue
+            v = alpha[t, s] + beta[t, s]
+            per_symbol[k] = _logsumexp(per_symbol[k], v) if k in per_symbol else v
+        for k, v in per_symbol.items():
+            grad[t, k] = np.exp(v - u[t, k] - logp)
+    return logp, grad
+
+
+@pytest.mark.parametrize("case", range(40))
+def test_ctc_matches_scalar_recursion(case):
+    """The state-vectorized recursions against the scalar loops, on
+    targets with repeats, on tight (minimum-length) and on long inputs."""
+    rng = np.random.default_rng(500 + case)
+    v = int(rng.integers(2, 7))
+    target = [int(rng.integers(1, v)) for _ in range(int(rng.integers(0, 6)))]
+    n = ctc_min_frames(target) + int(rng.integers(0, 12))
+    if n == 0:
+        n = 1
+    u = Tensor(T.log_softmax(Tensor(rng.standard_normal((n, v)) * 2)).data,
+               requires_grad=True)
+    want_logp, want_grad = scalar_ctc(u.data, target)
+    logp = ctc_log_likelihood(u, target)
+    backward(logp)
+    assert abs(logp.item() - want_logp) < 1e-12
+    np.testing.assert_allclose(u.grad, want_grad, rtol=0, atol=1e-12)
+
+
 # -- joint --------------------------------------------------------------------
 
 

@@ -387,6 +387,21 @@ def test_diamond_graph_accumulates_once_per_path():
     np.testing.assert_allclose(x.grad, 4.0 * x.data, rtol=1e-15)
 
 
+def test_first_gradient_write_is_a_private_copy():
+    # _add hands one array to both operands; z, made before y, reaches a
+    # after y has, so an aliased first write would leak z's part into b
+    a, b = rnd((2, 3), 46), rnd((2, 3), 47)
+    z = a * Tensor(np.full((2, 3), 3.0))
+    y = a + b
+    backward(y.sum() + z.sum())
+    np.testing.assert_array_equal(a.grad, np.full((2, 3), 4.0))
+    np.testing.assert_array_equal(b.grad, np.ones((2, 3)))
+    # a transposed gradient is stored C-ordered
+    m = rnd((3, 2), 48)
+    backward(T.transpose(m).sum())
+    assert m.grad.flags["C_CONTIGUOUS"]
+
+
 def test_no_grad_builds_no_tape():
     x = rnd((3,), 40)
     with no_grad():

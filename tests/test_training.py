@@ -433,6 +433,31 @@ def test_train_loop_empty_data_rejected(tmp_path):
         train_loop(model, [], [], TrainConfig(epochs=1), str(tmp_path / "x"))
 
 
+@pytest.mark.parametrize("alpha", [0.7, 1.0])
+def test_train_loop_names_too_short_utterances_first(tmp_path, alpha):
+    rng = np.random.default_rng(1)
+    utts = toy_utts(4)
+    # 3 frames is under the front end's 4; 12 frames subsample to 3, one
+    # short of what 4 labels need under CTC
+    short = Utt("short-frames", rng.standard_normal((3, 8)), [3])
+    tight = Utt("short-for-ctc", rng.standard_normal((12, 8)), [3, 4, 3, 4])
+    out = tmp_path / "run"
+    model = build_model(asr_cfg(alpha=alpha))
+    with pytest.raises(DataError) as err:
+        train_loop(model, utts + [short, tight], utts[:2],
+                   TrainConfig(epochs=1, batch_size=2), str(out))
+    msg = str(err.value)
+    assert msg.startswith("train split")
+    assert "short-frames (3 frames)" in msg
+    # without a CTC head the 12-frame utterance trains fine
+    assert ("short-for-ctc" in msg) == (alpha < 1.0)
+    assert not out.exists()
+
+    with pytest.raises(DataError, match="dev split.*short-frames"):
+        train_loop(model, utts, [short], TrainConfig(epochs=1), str(out))
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("task", ["asr", "tts"])
 def test_train_loop_non_finite_stops_before_any_checkpoint(tmp_path, task):
     if task == "asr":
