@@ -2,3 +2,8 @@
 .PHONY: check
 check:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -q --continue-on-collection-errors
+
+# The size measure of ROADMAP.md: total lines of src/minis2s/*.py.
+.PHONY: lines
+lines:
+	@cat src/minis2s/*.py | wc -l

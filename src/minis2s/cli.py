@@ -25,8 +25,9 @@ from .decoding import beam_search
 from .errors import ConfigError, DataError, NumericError
 from .metrics import bleu, cer, wer
 from .models import RnnLm, build_model
-from .training import (LOG_COLUMNS, average_checkpoints, load_checkpoint,
-                       load_into_model, save_checkpoint, train_lm, train_loop)
+from .training import (LOG_COLUMNS, average_checkpoints, check_lengths,
+                       load_checkpoint, load_into_model, save_checkpoint,
+                       train_lm, train_loop)
 
 
 def _emit(lines: List[str], out_path: Optional[str]) -> None:
@@ -107,7 +108,7 @@ def _load_model_from(ckpt_path: str, config_override: Optional[str]):
     cfg_path = config_override or os.path.join(ckpt_dir, "model.cfg")
     cfg = load_experiment_config(cfg_path)
     model = build_model(cfg.model)
-    load_into_model(model, load_checkpoint(ckpt_path))
+    load_into_model(model, load_checkpoint(ckpt_path), ckpt_path)
     model.eval()
     vocab_path = os.path.join(ckpt_dir, "vocab.txt")
     vocab = Vocab.load(vocab_path) if os.path.isfile(vocab_path) else None
@@ -121,7 +122,7 @@ def _load_lm(path: str) -> RnnLm:
         raise DataError(f"{path} is not a language model checkpoint")
     vocab_size, d_lm = ckpt.params["embed.table"].shape
     lm = RnnLm(int(vocab_size), d_lm=int(d_lm), seed=0)
-    load_into_model(lm, ckpt)
+    load_into_model(lm, ckpt, path)
     lm.eval()
     return lm
 
@@ -142,6 +143,7 @@ def cmd_decode(args) -> int:
     cfg.beam.validate()
     lm = _load_lm(args.lm) if args.lm else None
     utts, _ = load_dataset(args.data, args.split, vocab=vocab)
+    check_lengths(model, utts, args.split, training=False)
     lines = []
     for utt in utts:
         with T.no_grad(), T.Graph(seed=0):

@@ -238,18 +238,6 @@ def gen_toy(spec: ToySpec) -> Dict[str, List[Utterance]]:
     return splits
 
 
-def gen_toy_asr(spec: ToySpec) -> Dict[str, List[Utterance]]:
-    return gen_toy(ToySpec(**{**spec.__dict__, "task": "asr"}))
-
-
-def gen_toy_st(spec: ToySpec) -> Dict[str, List[Utterance]]:
-    return gen_toy(ToySpec(**{**spec.__dict__, "task": "st"}))
-
-
-def gen_toy_tts(spec: ToySpec) -> Dict[str, List[Utterance]]:
-    return gen_toy(ToySpec(**{**spec.__dict__, "task": "tts"}))
-
-
 # -- dataset directories -----------------------------------------------------
 
 

@@ -1,6 +1,6 @@
 """Search-time inference: hybrid beam search over the attention
 decoder with incremental CTC prefix scoring and optional recurrent-LM
-fusion, plus a greedy baseline.
+fusion.
 
 Scores combine as lambda * log p_s2s + (1 - lambda) * log p_ctc
 + gamma * log p_lm; models without a CTC head drop the middle term
@@ -307,24 +307,3 @@ def beam_search(enc, model, lm=None, config: Optional[BeamConfig] = None) -> Bea
     pool = rank_hypotheses(live, config)
     return BeamResult(best=pool[0], nbest=pool[:config.beam_size],
                       no_finished=True, stats=stats)
-
-
-def greedy_decode(enc, model, max_len: Optional[int] = None) -> List[int]:
-    """Argmax token per step until eos; diagnostic baseline."""
-    n_sub = enc.x_e.shape[0]
-    if n_sub == 0:
-        raise DataError("cannot decode an empty encoded sequence")
-    if max_len is None:
-        max_len = n_sub
-    state = model.init_state(enc)
-    tokens: List[int] = []
-    last = SOS_EOS_ID
-    for _ in range(max_len):
-        rows, state = model.step(state, [last])
-        row = np.array(rows[0], copy=True)
-        row[BLANK_ID] = -np.inf
-        last = int(row.argmax())
-        if last == SOS_EOS_ID:
-            break
-        tokens.append(last)
-    return tokens

@@ -15,14 +15,19 @@ state, `step(state, last_tokens)` consumes one token for each of B
 hypothesis rows and returns (B, V) next-token log-probabilities, and
 `state.select(rows)` keeps, reorders or repeats rows after pruning. A
 step computes only the new position: the LSTM decoder carries (h, c) per
-layer, and the Transformer decoder caches each layer's self-attention
-keys and values. TtsModel.infer drives the same body steppers, one
-frame group per step.
+layer, and the Transformer decoder caches each layer's projected
+self-attention keys and values. TtsModel.infer drives the same body
+steppers, one frame group per step.
 
-Recurrent layers are fused tape nodes: each direction of a BLSTM layer
-and the LM's teacher-forced pass record one node for the whole sequence
-(nn.LSTM), and each LSTM decoder or LM step one node per cell
-(nn.LSTMCell), whose [h | c] output is sliced into h and c.
+Fused tape nodes: each direction of a BLSTM layer and the LM's
+teacher-forced pass record one node for the whole sequence (nn.LSTM),
+and each LSTM decoder or LM step one node per cell (nn.LSTMCell), whose
+[h | c] output is sliced into h and c. Every multi-head attention, in
+training, search and synthesis alike, is attention.multi_head_attention:
+three projections, two head-batched nodes and the output projection.
+Its weights, (H, n_q, n_k), are an ordinary tape tensor, so the
+source-attention records in DecoderRecords carry the guided-attention
+loss's gradient.
 """
 
 from __future__ import annotations
@@ -36,7 +41,8 @@ from . import attention as A
 from . import tensor as T
 from .errors import ConfigError, DataError, DimensionError
 from .nn import (Conv1d, Conv2d, Dropout, Embedding, FeedForward, LayerNorm,
-                 Linear, LSTM, LSTMCell, Module, ModuleList)
+                 Linear, LSTM, LSTMCell, Module, ModuleList,
+                 MultiHeadAttention)
 from .tensor import Tensor
 
 BLANK_ID = 0
@@ -111,9 +117,10 @@ class EncodedSequence:
 
 @dataclass
 class DecoderRecords:
-    """Attention matrices captured per decoder layer during one forward."""
-    self_att: List[A.AttentionRecord] = field(default_factory=list)
-    src_att: List[A.AttentionRecord] = field(default_factory=list)
+    """Source-attention weights of one forward, one (H, n_dec, n_enc)
+    tape tensor per decoder layer; the LSTM decoder's single head gives
+    (1, n_dec, n_enc)."""
+    src_att: List[Tensor] = field(default_factory=list)
 
 
 def conv_len(n: int, kernel: int = 3, stride: int = 2, padding: int = 1) -> int:
@@ -266,7 +273,6 @@ class TransformerEncoderLayer(Module):
     def __init__(self, d_att: int, d_ff: int, d_head: int, dropout_rate: float,
                  normalize: str, rng: np.random.Generator):
         super().__init__()
-        from .nn import MultiHeadAttention
         self.normalize = normalize
         self.mha = MultiHeadAttention(d_att, d_head, rng)
         self.ff = FeedForward(d_att, d_ff, rng)
@@ -278,13 +284,13 @@ class TransformerEncoderLayer(Module):
     def forward(self, x: Tensor, mask: Optional[np.ndarray]) -> Tensor:
         if self.normalize == "pre":
             h = self.ln1(x)
-            x = x + self.drop(self.mha(h, h, h, mask=mask))
+            x = x + self.drop(self.mha(h, h, h, mask)[0])
             x = x + self.drop(self.ff(self.ln2(x)))
         elif self.normalize == "post":
-            x = self.ln1(x + self.drop(self.mha(x, x, x, mask=mask)))
+            x = self.ln1(x + self.drop(self.mha(x, x, x, mask)[0]))
             x = self.ln2(x + self.drop(self.ff(x)))
         else:
-            x = x + self.drop(self.mha(x, x, x, mask=mask))
+            x = x + self.drop(self.mha(x, x, x, mask)[0])
             x = x + self.drop(self.ff(x))
         return x
 
@@ -346,7 +352,6 @@ class TransformerDecoderLayer(Module):
     def __init__(self, d_att: int, d_ff: int, d_head: int, dropout_rate: float,
                  normalize: str, src_residual: str, rng: np.random.Generator):
         super().__init__()
-        from .nn import MultiHeadAttention
         self.normalize = normalize
         self.src_residual = src_residual
         self.self_mha = MultiHeadAttention(d_att, d_head, rng)
@@ -358,72 +363,81 @@ class TransformerDecoderLayer(Module):
             self.ln2 = LayerNorm(d_att)
             self.ln3 = LayerNorm(d_att)
 
-    def forward(self, y: Tensor, x_e: Tensor, mask: np.ndarray,
-                rec_self: Optional[A.AttentionRecord],
-                rec_src: Optional[A.AttentionRecord]) -> Tensor:
+    def forward(self, y: Tensor, x_e: Tensor, mask: np.ndarray
+                ) -> Tuple[Tensor, Tensor]:
+        """The layer's output and its source-attention weights, (H, n_dec,
+        n_enc)."""
         return self._sublayers(
-            y, lambda h: self.self_mha(h, h, h, mask=mask, record=rec_self),
-            lambda q: self.src_mha(q, x_e, x_e, record=rec_src))
+            y, lambda h: self.self_mha(h, h, h, mask),
+            lambda q: self.src_mha(q, x_e, x_e))
 
     def init_cache(self, x_e: Tensor) -> "DecoderLayerCache":
-        self_heads = A.FusedHeads(self.self_mha.weights)
-        src_heads = A.FusedHeads(self.src_mha.weights)
-        src_k, src_v = src_heads.keys_values(x_e)
-        d = x_e.shape[1]
-        empty = Tensor(np.zeros((1, self_heads.n_heads, 0, d)))
-        return DecoderLayerCache(self_heads, src_heads, src_k, src_v,
+        src = self.src_mha
+        empty = Tensor(np.zeros((1, 0, self.self_mha.wk.shape[1])))
+        return DecoderLayerCache(src_k=x_e @ src.wk, src_v=x_e @ src.wv,
                                  keys=empty, values=empty)
 
     def step(self, y: Tensor, cache: "DecoderLayerCache"
              ) -> Tuple[Tensor, "DecoderLayerCache"]:
         """The layer's output at the next position of each row of y,
         (B, d_att), attending over the cached earlier positions."""
+        b, d = y.shape
         grown = []
 
-        def self_att(h: Tensor) -> Tensor:
-            k, v = cache.self_heads.keys_values(h.reshape(h.shape[0], 1,
-                                                          h.shape[1]))
-            keys = T.concat([cache.keys, k], axis=2)
-            values = T.concat([cache.values, v], axis=2)
-            grown.extend((keys, values))
-            return cache.self_heads.attend(h, keys, values)
+        def attend(mha, rows: Tensor, keys: Tensor, values: Tensor):
+            # one query row per hypothesis, (B, 1, d_att)
+            out, w = A.multi_head_attention(rows, keys, values, mha.wq, None,
+                                            None, mha.w_head, mha.n_heads)
+            return out.reshape(b, d), w
 
-        out = self._sublayers(
+        def self_att(h: Tensor):
+            rows = h.reshape(b, 1, d)
+            mha = self.self_mha
+            keys = T.concat([cache.keys, rows @ mha.wk], axis=1)
+            values = T.concat([cache.values, rows @ mha.wv], axis=1)
+            grown.extend((keys, values))
+            return attend(mha, rows, keys, values)
+
+        out, _ = self._sublayers(
             y, self_att,
-            lambda q: cache.src_heads.attend(q, cache.src_k, cache.src_v))
+            lambda q: attend(self.src_mha, q.reshape(b, 1, d), cache.src_k,
+                             cache.src_v))
         return out, replace(cache, keys=grown[0], values=grown[1])
 
-    def _sublayers(self, y: Tensor, self_att, src_att) -> Tensor:
+    def _sublayers(self, y: Tensor, self_att, src_att
+                   ) -> Tuple[Tensor, Tensor]:
         """Residual, normalization and feed-forward wiring around the two
-        attentions; self_att(h) and src_att(q) give their outputs."""
+        attentions; self_att(h) and src_att(q) give (output, weights).
+        Returns the layer output and the source-attention weights."""
         if self.normalize == "pre":
             h = self.ln1(y)
-            y1 = y + self.drop(self_att(h))
-            q = self.ln2(y1)
+            y1 = y + self.drop(self_att(h)[0])
+            src, w = src_att(self.ln2(y1))
             base = y if self.src_residual == "paper" else y1
-            y2 = base + self.drop(src_att(q))
+            y2 = base + self.drop(src)
             y3 = y2 + self.drop(self.ff(self.ln3(y2)))
         elif self.normalize == "post":
-            y1 = self.ln1(y + self.drop(self_att(y)))
+            y1 = self.ln1(y + self.drop(self_att(y)[0]))
+            src, w = src_att(y1)
             base = y if self.src_residual == "paper" else y1
-            y2 = self.ln2(base + self.drop(src_att(y1)))
+            y2 = self.ln2(base + self.drop(src))
             y3 = self.ln3(y2 + self.drop(self.ff(y2)))
         else:
-            y1 = y + self.drop(self_att(y))
+            y1 = y + self.drop(self_att(y)[0])
+            src, w = src_att(y1)
             base = y if self.src_residual == "paper" else y1
-            y2 = base + self.drop(src_att(y1))
+            y2 = base + self.drop(src)
             y3 = y2 + self.drop(self.ff(y2))
-        return y3
+        return y3, w
 
 
 @dataclass
 class DecoderLayerCache:
-    """Search-time cache of one Transformer decoder layer: the fused
-    projections and source keys and values, fixed per utterance, and the
-    self-attention keys and values of every position consumed so far,
-    (B, H, t, d_att) with one row per hypothesis."""
-    self_heads: A.FusedHeads
-    src_heads: A.FusedHeads
+    """Search-time cache of one Transformer decoder layer: the projected
+    source keys and values, (n_enc, H*d_att), computed once per utterance
+    and shared by every row, and the projected self-attention keys and
+    values of every position consumed so far, (B, t, H*d_att) with one
+    row per hypothesis."""
     src_k: Tensor
     src_v: Tensor
     keys: Tensor
@@ -451,13 +465,9 @@ class TransformerDecoderBody(Module):
         mask = A.causal_mask(t)
         y = y0
         for layer in self.layers:
-            rec_self = rec_src = None
+            y, w = layer(y, x_e, mask)
             if records is not None:
-                rec_self = A.AttentionRecord()
-                rec_src = A.AttentionRecord()
-                records.self_att.append(rec_self)
-                records.src_att.append(rec_src)
-            y = layer(y, x_e, mask, rec_self, rec_src)
+                records.src_att.append(w)
         if self.final_ln is not None:
             y = self.final_ln(y)
         return y
@@ -550,9 +560,8 @@ class LstmDecoderBody(Module):
             outs.append(out)
             alphas.append(alpha)
         if records is not None:
-            rec = A.AttentionRecord()
-            rec.weights.append(T.concat(alphas, axis=0))
-            records.src_att.append(rec)
+            weights = T.concat(alphas, axis=0)
+            records.src_att.append(weights.reshape((1,) + weights.shape))
         return T.concat(outs, axis=0)
 
     def init_state(self, x_e: Tensor) -> LstmDecoderState:
@@ -844,11 +853,10 @@ class TtsModel(Module):
                                  n_layers: int = 2, n_heads: int = 2
                                  ) -> List[Tensor]:
         """Default selection for the guided attention loss: up to n_heads
-        heads from each of the last n_layers source-attention records."""
-        selected = []
-        for rec in records.src_att[-n_layers:]:
-            selected.extend(rec.weights[:n_heads])
-        return selected
+        heads, each an (n_dec, n_enc) matrix, from each of the last
+        n_layers source-attention records."""
+        return [w[h] for w in records.src_att[-n_layers:]
+                for h in range(min(n_heads, w.shape[0]))]
 
 
 def _sigmoid_scalar(z: float) -> float:

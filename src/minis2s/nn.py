@@ -40,10 +40,6 @@ class Module:
             self._modules[name] = value
         object.__setattr__(self, name, value)
 
-    def register_parameter(self, name: str, tensor: Tensor) -> Tensor:
-        self._parameters[name] = tensor
-        return tensor
-
     def named_parameters(self, prefix: str = "") -> Iterator[Tuple[str, Tensor]]:
         for name, p in self._parameters.items():
             yield prefix + name, p
@@ -164,29 +160,30 @@ class Conv2d(Module):
 
 
 class MultiHeadAttention(Module):
-    """Owns the per-head projections; forward defers to the functional op."""
+    """Owns the projections of H heads of full width d_att: wq, wk and wv,
+    (d_att, H*d_att) with head h in columns h*d_att:(h+1)*d_att, and
+    w_head, (H*d_att, d_att). forward returns (output, weights) from
+    attention.multi_head_attention.
 
-    def __init__(self, d_att: int, d_head: int, rng: np.random.Generator,
-                 mask_mode: str = "none"):
+    The glorot draws run per head (q, k, v of head 0, then of head 1,
+    ...) before w_head, so a seed gives the same values it gave when
+    each head had its own parameters.
+    """
+
+    def __init__(self, d_att: int, d_head: int, rng: np.random.Generator):
         super().__init__()
-        self.config = A.AttentionConfig(d_att=d_att, d_head=d_head, mask_mode=mask_mode)
-        wq, wk, wv = [], [], []
-        for h in range(d_head):
-            wq.append(self.register_parameter(
-                f"wq.{h}", glorot(rng, (d_att, d_att), d_att, d_att)))
-            wk.append(self.register_parameter(
-                f"wk.{h}", glorot(rng, (d_att, d_att), d_att, d_att)))
-            wv.append(self.register_parameter(
-                f"wv.{h}", glorot(rng, (d_att, d_att), d_att, d_att)))
-        w_head = glorot(rng, (d_att * d_head, d_att), d_att * d_head, d_att)
-        self.register_parameter("w_head", w_head)
-        self.weights = A.MhaWeights(wq=wq, wk=wk, wv=wv, w_head=w_head)
+        self.n_heads = d_head
+        per_head = [[glorot(rng, (d_att, d_att), d_att, d_att).data
+                     for _ in range(3)] for _ in range(d_head)]
+        self.wq, self.wk, self.wv = (
+            Tensor(np.concatenate(ws, axis=1), requires_grad=True)
+            for ws in zip(*per_head))
+        self.w_head = glorot(rng, (d_att * d_head, d_att), d_att * d_head, d_att)
 
     def forward(self, q: Tensor, k: Tensor, v: Tensor,
-                mask: Optional[np.ndarray] = None,
-                record: Optional[A.AttentionRecord] = None) -> Tensor:
-        return A.multi_head_attention(q, k, v, self.config, self.weights,
-                                      mask=mask, record=record)
+                mask: Optional[np.ndarray] = None) -> Tuple[Tensor, Tensor]:
+        return A.multi_head_attention(q, k, v, self.wq, self.wk, self.wv,
+                                      self.w_head, self.n_heads, mask)
 
 
 class FeedForward(Module):

@@ -340,33 +340,24 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result(data, (a, b), bwd_batched)
 
 
-def transpose(a: Tensor, axes: Optional[Sequence[int]] = None) -> Tensor:
-    """Swap the last two axes, or permute the axes as np.transpose does."""
-    if axes is None:
-        if a.ndim < 2:
-            raise DimensionError(f"transpose needs rank >= 2, got {a.shape}")
-        # a swap is its own inverse
-        axes = inverse = tuple(range(a.ndim - 2)) + (a.ndim - 1, a.ndim - 2)
-    else:
-        axes = tuple(axes)
-        if sorted(axes) != list(range(a.ndim)):
-            raise DimensionError(f"axes {axes} do not permute a "
-                                 f"rank-{a.ndim} tensor")
-        inverse = tuple(int(i) for i in np.argsort(axes))
+def transpose(a: Tensor) -> Tensor:
+    """Swap the last two axes."""
+    if a.ndim < 2:
+        raise DimensionError(f"transpose needs rank >= 2, got {a.shape}")
 
-    def bwd(g, a=a, inverse=inverse):
+    def bwd(g, a=a):
         if a.requires_grad:
-            a._accumulate(g.transpose(inverse))
+            a._accumulate(np.swapaxes(g, -1, -2))
 
-    return _result(a.data.transpose(axes).copy(), (a,), bwd)
+    return _result(np.swapaxes(a.data, -1, -2).copy(), (a,), bwd)
 
 
 def _slice(a: Tensor, idx) -> Tensor:
-    """Basic slicing (slices and tuples of slices); keeps dimensionality."""
-    if isinstance(idx, slice):
+    """Basic indexing by slices and integers; an integer drops its axis."""
+    if not isinstance(idx, tuple):
         idx = (idx,)
-    if not isinstance(idx, tuple) or not all(isinstance(s, slice) for s in idx):
-        raise DimensionError("only slice indexing is supported")
+    if not all(isinstance(s, (slice, int)) for s in idx):
+        raise DimensionError("only slice and integer indexing is supported")
     data = a.data[idx].copy()
 
     def bwd(g, a=a, idx=idx):
@@ -899,6 +890,111 @@ def lstm_cell(x: Tensor, h: Tensor, c: Tensor, w_ih: Tensor, w_hh: Tensor,
 
     return _result(np.concatenate([h_new, c_new], axis=1),
                    (x, h, c, w_ih, w_hh, bias), bwd)
+
+
+# -- head-batched attention ---------------------------------------------------
+#
+# Queries, keys and values travel as (..., n, H*d) rows with the heads side
+# by side; inside the ops the heads become a batch axis, (..., H, n, d), and
+# leading axes broadcast as in np.matmul.
+
+MASK_BIAS = -1e9
+
+
+def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
+    # (..., n, H*d) -> (..., H, n, d), a view
+    return np.swapaxes(x.reshape(x.shape[:-1] + (n_heads, -1)), -2, -3)
+
+
+def _merge_heads(x: np.ndarray) -> np.ndarray:
+    # (..., H, n, d) -> (..., n, H*d)
+    x = np.swapaxes(x, -2, -3)
+    return x.reshape(x.shape[:-2] + (-1,))
+
+
+def _heads_check(a: Tensor, n_heads: int, what: str) -> None:
+    if a.ndim < 2 or a.shape[-1] % n_heads:
+        raise DimensionError(f"{what} of shape {a.shape} do not split into "
+                             f"{n_heads} heads")
+
+
+def attention_weights(q: Tensor, k: Tensor, n_heads: int,
+                      mask: Optional[np.ndarray] = None) -> Tensor:
+    """Per-head attention weights softmax(q_h k_h^T / sqrt(d) + bias) of
+    queries (..., n_q, H*d) over keys (..., n_k, H*d), as (..., H, n_q,
+    n_k), recorded as one tape node.
+
+    A mask is a boolean array broadcastable to the weights, True where a
+    query may see a key. Disallowed pairs get a MASK_BIAS additive bias
+    before the softmax and are forced to exactly 0.0 after it, so masking
+    holds bit-exactly whatever the scale of the scores.
+    """
+    _heads_check(q, n_heads, "queries")
+    _heads_check(k, n_heads, "keys")
+    if q.shape[-1] != k.shape[-1]:
+        raise DimensionError(f"query width {q.shape[-1]} != key width "
+                             f"{k.shape[-1]}")
+    qh, kh = _split_heads(q.data, n_heads), _split_heads(k.data, n_heads)
+    scale = 1.0 / np.sqrt(qh.shape[-1])
+    try:
+        s = np.matmul(qh, np.swapaxes(kh, -1, -2)) * scale
+    except ValueError:
+        raise DimensionError(f"query and key batch axes disagree: {q.shape} "
+                             f"and {k.shape}") from None
+    if mask is not None:
+        try:
+            fits = np.broadcast_shapes(mask.shape, s.shape) == s.shape
+        except ValueError:
+            fits = False
+        if not fits:
+            raise DimensionError(f"mask shape {mask.shape} does not fit "
+                                 f"weights {s.shape}")
+        s = s + np.where(mask, 0.0, MASK_BIAS)
+    y = np.exp(s - s.max(axis=-1, keepdims=True))
+    y /= y.sum(axis=-1, keepdims=True)
+    w = y if mask is None else y * mask
+
+    def bwd(g, q=q, k=k):
+        if mask is not None:
+            g = g * mask
+        ds = y * (g - (g * y).sum(axis=-1, keepdims=True)) * scale
+        if q.requires_grad:
+            q._accumulate(_reduce_to(_merge_heads(np.matmul(ds, kh)), q.shape))
+        if k.requires_grad:
+            k._accumulate(_reduce_to(
+                _merge_heads(np.matmul(np.swapaxes(ds, -1, -2), qh)), k.shape))
+
+    return _result(w, (q, k), bwd)
+
+
+def mix_heads(w: Tensor, v: Tensor) -> Tensor:
+    """Per-head weighted sums of values (..., n_k, H*d) under weights
+    (..., H, n_q, n_k), heads merged back to (..., n_q, H*d); one node."""
+    if w.ndim < 3:
+        raise DimensionError(f"weights of shape {w.shape} have no head axis")
+    n_heads = w.shape[-3]
+    _heads_check(v, n_heads, "values")
+    vh = _split_heads(v.data, n_heads)
+    if vh.shape[-2] != w.shape[-1]:
+        raise DimensionError(f"weights over {w.shape[-1]} keys cannot mix "
+                             f"{vh.shape[-2]} values")
+    try:
+        out = _merge_heads(np.matmul(w.data, vh))
+    except ValueError:
+        raise DimensionError(f"weight and value batch axes disagree: "
+                             f"{w.shape} and {v.shape}") from None
+
+    def bwd(g, w=w, v=v):
+        gh = _split_heads(g, n_heads)
+        if w.requires_grad:
+            w._accumulate(_reduce_to(np.matmul(gh, np.swapaxes(vh, -1, -2)),
+                                     w.shape))
+        if v.requires_grad:
+            v._accumulate(_reduce_to(
+                _merge_heads(np.matmul(np.swapaxes(w.data, -1, -2), gh)),
+                v.shape))
+
+    return _result(out, (w, v), bwd)
 
 
 def from_op(data: np.ndarray, parents: Sequence[Tensor],

@@ -199,16 +199,21 @@ def average_checkpoints(paths: Sequence[str]) -> Checkpoint:
     return Checkpoint(params=out, epoch=max(c.epoch for c in ckpts))
 
 
-def load_into_model(model, ckpt: Checkpoint) -> None:
+def load_into_model(model, ckpt: Checkpoint, path: str = "checkpoint") -> None:
+    """Copy a checkpoint's values into the model's parameters; a name or
+    shape mismatch raises DataError naming `path` and the first few keys."""
     have = dict(model.named_parameters())
     if set(have) != set(ckpt.params):
-        missing = sorted(set(have) ^ set(ckpt.params))
-        raise DataError(f"checkpoint/model parameter mismatch: {missing[:4]}")
+        extra = [n for n in ckpt.params if n not in have]
+        missing = [n for n in have if n not in ckpt.params]
+        raise DataError(f"{path}: checkpoint/model parameter mismatch: "
+                        f"{len(extra)} not in the model {extra[:3]}, "
+                        f"{len(missing)} missing {missing[:3]}")
     for name, p in have.items():
         value = ckpt.params[name]
         if p.data.shape != value.shape:
-            raise DataError(f"{name}: shape {value.shape} does not match "
-                            f"model {p.data.shape}")
+            raise DataError(f"{path}: {name}: shape {value.shape} does not "
+                            f"match model {p.data.shape}")
         p.data[...] = value
 
 
@@ -361,11 +366,13 @@ def _utt_length(utt) -> int:
     return len(feats) if feats is not None else len(utt.tokens)
 
 
-def _check_lengths(model, utts: Sequence, split: str) -> None:
-    """Refuse ASR/ST utterances the model cannot train on before any
-    work starts: fewer frames than the speech front end needs or, with a
-    CTC head, fewer subsampled frames than the CTC target needs. Raises
-    one DataError naming the split and the first few utterance ids."""
+def check_lengths(model, utts: Sequence, split: str,
+                  training: bool = True) -> None:
+    """Refuse ASR/ST utterances the model cannot take before any work
+    starts: fewer frames than the speech front end needs or, when
+    training a model with a CTC head, fewer subsampled frames than the
+    CTC target needs (decoding never reads the targets). Raises one
+    DataError naming the split and the first few utterance ids."""
     cfg = model.config
     if cfg.task == "tts":
         return
@@ -375,7 +382,7 @@ def _check_lengths(model, utts: Sequence, split: str) -> None:
         n = len(u.feats)
         if n < min_frames:
             bad.append(f"{u.utt_id} ({n} frames)")
-        elif cfg.uses_ctc:
+        elif training and cfg.uses_ctc:
             n_sub = subsample_length(n, cfg.enc_pre)
             need = L.ctc_min_frames(u.tokens)
             if n_sub < need:
@@ -383,7 +390,8 @@ def _check_lengths(model, utts: Sequence, split: str) -> None:
                            f"its CTC target needs {need})")
     if bad:
         raise DataError(
-            f"{split} split: {len(bad)} utterance(s) too short to train on "
+            f"{split} split: {len(bad)} utterance(s) too short to "
+            f"{'train on' if training else 'decode'} "
             f"(the front end needs >= {min_frames} frames), first few: "
             + ", ".join(bad[:5]))
 
@@ -419,8 +427,8 @@ def train_loop(model, train_set: Sequence, dev_set: Sequence,
     tcfg.validate()
     if not train_set:
         raise DataError("empty training set")
-    _check_lengths(model, train_set, "train")
-    _check_lengths(model, dev_set, "dev")
+    check_lengths(model, train_set, "train")
+    check_lengths(model, dev_set, "dev")
     os.makedirs(out_dir, exist_ok=True)
     is_tts = model.config.task == "tts"
     params = model.parameters()

@@ -29,9 +29,7 @@ import pytest
 from mpmath import mp
 
 from minis2s import tensor as T
-from minis2s.attention import (AttentionConfig, MhaWeights, dot_attention,
-                               multi_head_attention,
-                               scaled_positional_encoding)
+from minis2s.attention import multi_head_attention, scaled_positional_encoding
 from minis2s.config import experiment_from_items
 from minis2s.data import ToySpec, Utterance, gen_toy, toy_vocab
 from minis2s.decoding import BeamConfig, CtcPrefixScorer, beam_search
@@ -47,6 +45,7 @@ from minis2s.training import (Adam, _asr_utt_loss, _tts_utt_loss,
                               load_checkpoint, load_into_model, noam_lr,
                               train_loop, tts_denominators)
 
+from test_attention import dot_attention
 from test_decoding import enumerate_best, tiny_model
 
 
@@ -184,16 +183,17 @@ def _op_suite(seed: int):
     case("dot-attention-masked",
          lambda q, kk, v: (dot_attention(q, kk, v, mask=mask)
                            * q[:, :6]).sum(), [q, kk, v])
-    d_att, d_head = 6, 2
-    mw = MhaWeights(wq=[rnd((6, 6)) for _ in range(2)],
-                    wk=[rnd((6, 6)) for _ in range(2)],
-                    wv=[rnd((6, 6)) for _ in range(2)],
-                    w_head=rnd((12, 6)))
+    # per-head (6, 6) draws in their old order, laid side by side
+    per_head = [rnd((6, 6)).data for _ in range(6)]
+    wq, wk, wv = (Tensor(np.concatenate(per_head[i:i + 2], axis=1),
+                         requires_grad=True) for i in (0, 2, 4))
+    w_head = rnd((12, 6))
     y = rnd((4, 6))
-    acfg = AttentionConfig(d_att=d_att, d_head=d_head, mask_mode="causal")
     case("multi-head-attention-causal",
-         lambda y, *ws: (multi_head_attention(y, y, y, acfg, mw) * y).sum(),
-         [y] + mw.wq + mw.wk + mw.wv + [mw.w_head], max_coords=4, rng=seed)
+         lambda y, *ws: (multi_head_attention(y, y, y, *ws, 2,
+                                              np.tril(np.ones((4, 4), bool)))[0]
+                         * y).sum(),
+         [y, wq, wk, wv, w_head], max_coords=4, rng=seed)
     pe_x, alpha = rnd((5, 8)), rnd(())
     case("scaled-positional-encoding",
          lambda pe_x, alpha: (scaled_positional_encoding(pe_x, alpha)
@@ -215,6 +215,19 @@ def _op_suite(seed: int):
 
     case("lstm-cell", cell_loss, [cx, ch, cc] + cell.parameters(),
          max_coords=4, rng=seed)
+    # two heads of width 3 over a batch of 2, per-row key counts as a mask
+    hq, hk, hv = rnd((2, 3, 6)), rnd((2, 4, 6)), rnd((2, 4, 6))
+    h_mask = np.ones((2, 1, 3, 4), dtype=bool)
+    h_mask[1, :, :, 2:] = False
+    h_mask[0, :, 0, 3] = False
+    h_r = rnd((2, 2, 3, 4)).data
+
+    def heads_loss(hq, hk, hv):
+        w = T.attention_weights(hq, hk, 2, h_mask)
+        return (T.tanh(T.mix_heads(w, hv)).sum()
+                + (w * Tensor(h_r)).sum())
+
+    case("heads-attention", heads_loss, [hq, hk, hv], max_coords=4, rng=seed)
     return cases
 
 
@@ -258,7 +271,7 @@ def test_a01_gradient_suite():
             recs = DecoderRecords()
             lp = model.decode_logprobs(enc, ys, records=recs)
             ctc = model.ctc_logprobs(enc)
-            att = recs.src_att[-1].weights[0]
+            att = recs.src_att[-1][0]
             return (T.pick(lp, [3, 5, SOS_EOS_ID]).sum() + (ctc * R).sum()
                     + (att * R2).sum())
 

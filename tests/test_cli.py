@@ -9,7 +9,7 @@ import pytest
 from minis2s import cli
 from minis2s.cli import main
 from minis2s.data import read_feature_file
-from minis2s.training import load_checkpoint
+from minis2s.training import load_checkpoint, save_checkpoint
 
 TOY = """
 task = asr
@@ -405,6 +405,46 @@ def test_train_names_too_short_utterances_and_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "train split" in err and "asr-train-0000 (2 frames)" in err
     assert not (tmp_path / "run" / "log.csv").exists()
+
+
+def test_decode_names_too_short_utterance_and_split(workspace, tmp_path,
+                                                   capsys):
+    # the workspace model on a corpus of two-frame utterances
+    (tmp_path / "toy.cfg").write_text(
+        TOY + "utt_len_range = 1:1\nproto_len_range = 2:2\n", encoding="utf-8")
+    assert main(["gen-data", "--spec", str(tmp_path / "toy.cfg"),
+                 "--out", str(tmp_path / "data")]) == 0
+    capsys.readouterr()
+    assert main(["decode", "--ckpt", str(workspace / "run" / "avg.esc"),
+                 "--data", str(tmp_path / "data"), "--split", "test"]) == 2
+    err = capsys.readouterr().err
+    assert "test split" in err and "asr-test-0000 (2 frames)" in err
+    assert "Traceback" not in err
+
+
+def test_decode_names_checkpoint_with_per_head_parameters(workspace, tmp_path,
+                                                         capsys):
+    # a checkpoint from before the heads were stored side by side: one
+    # (d, d) block per head, named wq.0, wq.1, ...
+    old = {}
+    for name, value in load_checkpoint(
+            str(workspace / "run" / "avg.esc")).params.items():
+        if name.rsplit(".", 1)[-1] in ("wq", "wk", "wv"):
+            d = value.shape[0]
+            for h in range(value.shape[1] // d):
+                old[f"{name}.{h}"] = value[:, h * d:(h + 1) * d]
+        else:
+            old[name] = value
+    save_checkpoint(str(tmp_path / "old.esc"), old)
+    for f in ("model.cfg", "vocab.txt"):
+        (tmp_path / f).write_bytes((workspace / "run" / f).read_bytes())
+    capsys.readouterr()
+    assert main(["decode", "--ckpt", str(tmp_path / "old.esc"),
+                 "--data", str(workspace / "data")]) == 2
+    err = capsys.readouterr().err
+    assert str(tmp_path / "old.esc") in err
+    assert "enc_body.layers.0.mha.wq.0" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("max_frames", ["0", "-3", str(4096 * 2 + 1)])

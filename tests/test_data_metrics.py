@@ -1,11 +1,12 @@
 """Data formats, toy generators, and metric tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from minis2s.data import (RESERVED_TOKENS, ToySpec, Utterance, Vocab,
-                          bigram_swap, gen_toy, gen_toy_asr, gen_toy_st,
-                          gen_toy_tts, load_dataset, read_feature_file,
+                          bigram_swap, gen_toy, load_dataset, read_feature_file,
                           read_manifest, read_transcripts, save_dataset,
                           toy_vocab, write_feature_file, write_manifest,
                           write_transcripts, _prototypes)
@@ -181,16 +182,17 @@ def test_gen_toy_ctc_feasible_after_subsampling():
 
 
 def test_st_shares_features_with_asr():
-    asr = gen_toy_asr(small_spec())
-    st = gen_toy_st(small_spec())
+    asr = gen_toy(replace(small_spec(), task="asr"))
+    st = gen_toy(replace(small_spec(), task="st"))
     for ua, us in zip(asr["train"], st["train"]):
         assert np.array_equal(ua.feats, us.feats)
         assert us.tokens == bigram_swap(ua.tokens)
 
 
 def test_gen_helpers_set_task():
-    assert gen_toy_tts(small_spec())["train"][0].utt_id.startswith("tts-")
-    assert gen_toy_st(small_spec())["train"][0].utt_id.startswith("st-")
+    for task in ("asr", "st", "tts"):
+        utt = gen_toy(replace(small_spec(), task=task))["train"][0]
+        assert utt.utt_id.startswith(f"{task}-")
 
 
 def test_bigram_swap_properties():

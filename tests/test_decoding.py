@@ -18,7 +18,7 @@ import pytest
 from minis2s import tensor as T
 from minis2s.decoding import (BeamConfig, BeamResult, CtcPrefixScorer,
                               CtcPrefixState, Hypothesis, beam_search, combined_score,
-                              greedy_decode, rank_hypotheses)
+                              rank_hypotheses)
 from minis2s.errors import ConfigError, DataError, ImpossibleAlignmentError
 from minis2s.losses import ctc_log_likelihood, ctc_min_frames
 from minis2s.models import (BLANK_ID, SOS_EOS_ID, EncodedSequence,
@@ -469,6 +469,25 @@ def test_beam_nbest_matches_reference_beam(body, with_lm, beam):
         assert [h.tokens for h in out.nbest] == [w[0] for w in want]
         for hyp, (_, comb) in zip(out.nbest, want):
             assert abs(hyp.combined - comb) < 1e-9
+
+
+def greedy_decode(enc, model, max_len=None):
+    """Argmax token per step until eos: the beam-1 oracle."""
+    n_sub = enc.x_e.shape[0]
+    if n_sub == 0:
+        raise DataError("cannot decode an empty encoded sequence")
+    state = model.init_state(enc)
+    tokens = []
+    last = SOS_EOS_ID
+    for _ in range(n_sub if max_len is None else max_len):
+        rows, state = model.step(state, [last])
+        row = np.array(rows[0], copy=True)
+        row[BLANK_ID] = -np.inf
+        last = int(row.argmax())
+        if last == SOS_EOS_ID:
+            break
+        tokens.append(last)
+    return tokens
 
 
 def test_greedy_matches_table_argmax():

@@ -8,6 +8,7 @@ from mpmath import mp
 
 from minis2s import attention as A
 from minis2s import tensor as T
+from minis2s.config import experiment_from_items
 from minis2s.errors import ConfigError, DataError
 from minis2s.models import (BLANK_ID, SOS_EOS_ID, BlstmEncoderBody,
                             ConvSubsampler, DecoderRecords, LstmDecoderBody,
@@ -162,14 +163,13 @@ def test_decoder_zero_query_source_attention_is_uniform():
     layer = TransformerDecoderLayer(4, 8, 1, 0.0, "none", "paper", rng)
     layer.eval()
     # zero query projection forces uniform weights over encoder rows
-    layer.src_mha.weights.wq[0].data[:] = 0.0
-    layer.src_mha.weights.wv[0].data[:] = np.eye(4)
-    layer.src_mha.weights.w_head.data[:] = np.eye(4)
+    layer.src_mha.wq.data[:] = 0.0
+    layer.src_mha.wv.data[:] = np.eye(4)
+    layer.src_mha.w_head.data[:] = np.eye(4)
     x_e = feats(5, dim=4, seed=16)
     y = feats(3, dim=4, seed=17)
-    rec_src = A.AttentionRecord()
-    layer(y, x_e, A.causal_mask(3), None, rec_src)
-    w = rec_src.weights[0].data
+    _, weights = layer(y, x_e, A.causal_mask(3))
+    w = weights.data[0]
     np.testing.assert_allclose(w, np.full((3, 5), 0.2), rtol=0, atol=1e-12)
 
 
@@ -206,14 +206,14 @@ def test_lstm_decoder_attention_normalized_and_single_frame():
     recs = DecoderRecords()
     out = body(y0, x_e, records=recs)
     assert out.shape == (4, 6)
-    w = recs.src_att[0].weights[0].data
-    assert w.shape == (4, 5)
+    assert recs.src_att[0].shape == (1, 4, 5)
+    w = recs.src_att[0].data[0]
     np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-9)
 
     one = Tensor(x_e.data[2:3].copy())
     recs1 = DecoderRecords()
     body(y0, one, records=recs1)
-    np.testing.assert_allclose(recs1.src_att[0].weights[0].data, 1.0, atol=0)
+    np.testing.assert_allclose(recs1.src_att[0].data, 1.0, atol=0)
 
 
 def test_lstm_decoder_grad():
@@ -281,7 +281,7 @@ def test_end_to_end_asr_grad_both_bodies():
             recs = DecoderRecords()
             lp = model.decode_logprobs(enc, ys, records=recs)
             ctc = model.ctc_logprobs(enc)
-            att = recs.src_att[-1].weights[0]
+            att = recs.src_att[-1][0]
             return (T.pick(lp, [3, 5, SOS_EOS_ID]).sum() + (ctc * R).sum()
                     + (att * R2).sum())
 
@@ -378,6 +378,37 @@ def test_step_leaves_its_input_state_unchanged():
         again, _ = model.step(state, [3])
         other, _ = model.step(state, [3])
         np.testing.assert_array_equal(again, other)
+
+
+def test_mha_init_keeps_per_head_glorot_order():
+    # q, k, v of head 0, then of head 1, ..., then w_head: the draws of
+    # one (d, d) parameter per head, laid side by side
+    d, h = 4, 3
+    mha = MultiHeadAttention(d, h, np.random.default_rng(5))
+    rng = np.random.default_rng(5)
+    s = np.sqrt(6.0 / (2 * d))
+    blocks = [[rng.uniform(-s, s, (d, d)) for _ in range(3)] for _ in range(h)]
+    s_head = np.sqrt(6.0 / (h * d + d))
+    w_head = rng.uniform(-s_head, s_head, (h * d, d))
+    for i, name in enumerate(("wq", "wk", "wv")):
+        want = np.concatenate([b[i] for b in blocks], axis=1)
+        assert np.array_equal(getattr(mha, name).data, want)
+    assert np.array_equal(mha.w_head.data, w_head)
+    assert [n for n, _ in mha.named_parameters()] == ["wq", "wk", "wv",
+                                                      "w_head"]
+
+
+def test_transformer_toy_forward_tape_ops():
+    # 60 frames and 6 tokens through encoder and decoder; each of the
+    # six attentions records three projections, the two head-batched
+    # ops and the output projection
+    cfg = experiment_from_items({"preset": "transformer-toy"}).model
+    cfg.vocab_size, cfg.feat_dim = 12, 8
+    model = build_model(cfg)
+    with T.Graph() as g:
+        enc = model.encode(feats(60, dim=8, seed=50))
+        model.decode_logprobs(enc, [SOS_EOS_ID, 3, 4, 5, 6, 7])
+    assert g.op_count <= 110, g.op_count
 
 
 # ------------------------------------------------------------- config
