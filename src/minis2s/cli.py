@@ -21,13 +21,17 @@ from .config import (dump_experiment_config, load_experiment_config,
                      load_toy_spec)
 from .data import (Vocab, gen_toy, load_dataset, save_dataset, toy_vocab,
                    write_feature_file)
-from .decoding import beam_search
+from .decoding import batch_beam_search
 from .errors import ConfigError, DataError, NumericError
 from .metrics import bleu, cer, wer
 from .models import RnnLm, build_model
 from .training import (LOG_COLUMNS, average_checkpoints, check_lengths,
                        load_checkpoint, load_into_model, save_checkpoint,
                        train_lm, train_loop)
+
+# The hypothesis rows one batched decode step covers, at most: decode
+# searches groups of SEARCH_ROWS // beam utterances together.
+SEARCH_ROWS = 256
 
 
 def _emit(lines: List[str], out_path: Optional[str]) -> None:
@@ -144,11 +148,21 @@ def cmd_decode(args) -> int:
     lm = _load_lm(args.lm) if args.lm else None
     utts, _ = load_dataset(args.data, args.split, vocab=vocab)
     check_lengths(model, utts, args.split, training=False)
-    lines = []
-    for utt in utts:
+    # length-sorted groups, so padding stays short; each group is one
+    # batched search
+    group = max(1, SEARCH_ROWS // cfg.beam.beam_size)
+    order = sorted(range(len(utts)), key=lambda i: utts[i].feats.shape[0])
+    results = [None] * len(utts)
+    for start in range(0, len(order), group):
+        idx = order[start:start + group]
         with T.no_grad(), T.Graph(seed=0):
-            enc = model.encode(T.Tensor(utt.feats))
-            result = beam_search(enc, model, lm=lm, config=cfg.beam)
+            encs = [model.encode(T.Tensor(utts[i].feats)) for i in idx]
+            found = batch_beam_search(encs, model, lm=lm, config=cfg.beam,
+                                      ids=[utts[i].utt_id for i in idx])
+        for i, result in zip(idx, found):
+            results[i] = result
+    lines = []
+    for utt, result in zip(utts, results):
         ranked = result.nbest[:args.nbest] if args.nbest > 1 else [result.best]
         for hyp in ranked:
             text = " ".join(vocab.decode(list(hyp.tokens)))

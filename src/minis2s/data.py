@@ -12,13 +12,13 @@ from __future__ import annotations
 import os
 import string
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .models import BLANK_ID, N_RESERVED, SOS_EOS_ID, UNK_ID
+from .models import N_RESERVED, UNK_ID
 
 FEAT_MAGIC = b"ESF1"
 RESERVED_TOKENS = ["<blank>", "<unk>", "<sos/eos>"]

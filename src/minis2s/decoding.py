@@ -7,10 +7,15 @@ Scores combine as lambda * log p_s2s + (1 - lambda) * log p_ctc
 (lambda acts as 1). All scoring is in log space; impossible CTC
 prefixes carry -inf without ever producing NaN.
 
-The search is incremental and batched. The decoder and the LM carry a
-cached state with one row per live hypothesis (`init_state`, `step`,
-`select`), so each beam step makes one decoder call, one LM call and one
-CTC call, each covering every live hypothesis and every token.
+The search is incremental and batched over hypotheses and utterances.
+The decoder and the LM carry a cached state with one row per live
+hypothesis of every utterance in a group (`init_state`, `step`,
+`select`), and the CTC scorer holds the group's posteriors padded to the
+longest, so each beam step makes one decoder call, one LM call and one
+CTC call, each covering every live hypothesis and every token. Pruning,
+the finished pool, the length budget and the statistics stay per
+utterance: batch_beam_search gives each utterance the result a search of
+it alone gives, and beam_search is its one-utterance case.
 """
 
 from __future__ import annotations
@@ -48,11 +53,13 @@ class CtcPrefixState:
     """Forward variables of a batch of prefixes, one column per prefix:
     the per-frame log-probability of having emitted the prefix with the
     last symbol non-blank (r_n) or with trailing blanks (r_b), both
-    (frames, B), and each prefix's last label (-1 for the empty one)."""
+    (frames, B), each prefix's last label (-1 for the empty one) and the
+    utterance it belongs to."""
 
     r_n: np.ndarray
     r_b: np.ndarray
     last: np.ndarray
+    utt: np.ndarray
 
 
 @dataclass
@@ -60,47 +67,63 @@ class CtcExtensions:
     """Every one-label extension of a batch of prefixes: psi[b, c] is the
     total prefix log-probability of prefix b followed by label c (-inf in
     the blank column), r_n and r_b their (frames, B, V) forward
-    variables."""
+    variables, utt each prefix's utterance."""
 
     psi: np.ndarray
     r_n: np.ndarray
     r_b: np.ndarray
+    utt: np.ndarray
 
     def select(self, rows, labels) -> CtcPrefixState:
         """The state of the extensions (rows[i], labels[i])."""
         rows = np.asarray(rows, dtype=np.int64)
         labels = np.asarray(labels, dtype=np.int64)
         return CtcPrefixState(r_n=self.r_n[:, rows, labels],
-                              r_b=self.r_b[:, rows, labels], last=labels)
+                              r_b=self.r_b[:, rows, labels], last=labels,
+                              utt=self.utt[rows])
 
 
 class CtcPrefixScorer:
-    """Incremental prefix scoring over fixed per-frame CTC posteriors.
+    """Incremental prefix scoring over fixed per-frame CTC posteriors of
+    one utterance, (frames, V), or of N utterances padded to the longest,
+    (n_max, N, V) with their frame counts in `lengths`.
 
     extend() scores every one-label extension of every prefix in a batch
     with one loop over frames; finish() scores each prefix as the
-    complete labeling (the eos case)."""
+    complete labeling (the eos case). A prefix sees only its own
+    utterance's frames: its psi sums over them alone and finish reads its
+    last one."""
 
-    def __init__(self, log_probs: np.ndarray, blank: int = BLANK_ID):
-        log_probs = np.asarray(log_probs, dtype=np.float64)
-        if log_probs.ndim != 2 or log_probs.shape[0] < 1:
-            raise DataError(f"CTC posteriors must be (frames, vocab), "
-                            f"got {log_probs.shape}")
-        self.u = log_probs
+    def __init__(self, log_probs: np.ndarray,
+                 lengths: Optional[Sequence[int]] = None,
+                 blank: int = BLANK_ID):
+        u = np.asarray(log_probs, dtype=np.float64)
+        if u.ndim == 2:
+            u = u[:, None, :]
+        if u.ndim != 3 or u.shape[0] < 1:
+            raise DataError(f"CTC posteriors must be (frames, vocab) or "
+                            f"(frames, utterances, vocab), got {u.shape}")
+        n_max = u.shape[0]
+        self.lengths = np.asarray([n_max] * u.shape[1] if lengths is None
+                                  else lengths)
+        # frames past an utterance's end: zeros keep the recursions finite,
+        # and psi leaves them out
+        self.pad = np.arange(n_max)[:, None] >= self.lengths
+        self.u = np.where(self.pad[:, :, None], 0.0, u)
         self.blank = blank
 
     def initial_state(self) -> CtcPrefixState:
-        """The empty prefix, as a batch of one."""
-        n = self.u.shape[0]
-        r_b = np.cumsum(self.u[:, self.blank])[:, None]
-        r_n = np.full((n, 1), -np.inf)
+        """The empty prefix of every utterance, one column each."""
+        n_utt = self.u.shape[1]
+        r_b = np.cumsum(self.u[:, :, self.blank], axis=0)
+        r_n = np.full(r_b.shape, -np.inf)
         return CtcPrefixState(r_n=r_n, r_b=r_b,
-                              last=np.full(1, -1, dtype=np.int64))
+                              last=np.full(n_utt, -1, dtype=np.int64),
+                              utt=np.arange(n_utt))
 
     def extend(self, state: CtcPrefixState) -> CtcExtensions:
-        u = self.u
-        n, vocab = u.shape
-        batch = state.last.shape[0]
+        u = self.u[:, state.utt]             # (frames, B, V), row by row
+        n, batch, vocab = u.shape
         # phi[t, b, c]: mass of prefix b up to frame t-1 that label c may
         # follow; a repeat of the last label needs a blank in between
         r_sum = np.logaddexp(state.r_b, state.r_n)
@@ -114,20 +137,25 @@ class CtcPrefixScorer:
         r_b = np.empty((n, batch, vocab))
         r_n[0] = phi[0] + u[0]
         r_b[0] = -np.inf
+        u_blank = u[:, :, self.blank, None]
         for t in range(1, n):
             r_n[t] = np.logaddexp(r_n[t - 1], phi[t]) + u[t]
-            r_b[t] = np.logaddexp(r_b[t - 1], r_n[t - 1]) + u[t, self.blank]
-        terms = phi + u[:, None, :]
+            r_b[t] = np.logaddexp(r_b[t - 1], r_n[t - 1]) + u_blank[t]
+        terms = phi + u
+        terms[self.pad[:, state.utt]] = -np.inf
         m = terms.max(axis=0)
         safe = np.where(np.isfinite(m), m, 0.0)
         with np.errstate(divide="ignore"):
             psi = safe + np.log(np.exp(terms - safe).sum(axis=0))
         psi[:, self.blank] = -np.inf
-        return CtcExtensions(psi=psi, r_n=r_n, r_b=r_b)
+        return CtcExtensions(psi=psi, r_n=r_n, r_b=r_b, utt=state.utt)
 
     def finish(self, state: CtcPrefixState) -> np.ndarray:
-        """log-probability that the complete labeling equals each prefix."""
-        return np.logaddexp(state.r_n[-1], state.r_b[-1])
+        """log-probability that the complete labeling equals each prefix,
+        read at the last frame of the prefix's utterance."""
+        last = self.lengths[state.utt] - 1
+        cols = np.arange(last.shape[0])
+        return np.logaddexp(state.r_n[last, cols], state.r_b[last, cols])
 
 
 @dataclass
@@ -216,39 +244,62 @@ def _prune(rank: np.ndarray, prefixes: List[Tuple[int, ...]],
 
 
 def beam_search(enc, model, lm=None, config: Optional[BeamConfig] = None) -> BeamResult:
-    """Breadth-synchronous beam search over decoder steps.
+    """Beam search over one utterance: batch_beam_search with N = 1."""
+    return batch_beam_search([enc], model, lm=lm, config=config)[0]
+
+
+def batch_beam_search(encs: Sequence, model, lm=None,
+                      config: Optional[BeamConfig] = None,
+                      ids: Optional[Sequence[str]] = None) -> List[BeamResult]:
+    """Breadth-synchronous beam search over decoder steps for N utterances
+    at once; one BeamResult per encoding, in order.
 
     Every live hypothesis is expanded with every vocabulary token
     except the blank; extensions ending on eos move to the finished
-    pool with the CTC termination score. Runs until all beams finish
-    or ceil(max_len_ratio * n_sub) steps elapse.
+    pool with the CTC termination score. An utterance searches until all
+    its beams finish or ceil(max_len_ratio * n_sub) steps elapse, then
+    drops its rows; pruning, the finished pool, SearchStats and the
+    fallback to the best unfinished hypothesis are its own, so each
+    result equals a search of that utterance alone. An utterance that
+    ends with nothing finished raises one UserWarning, naming ids[i]
+    when ids are given.
 
     `model` and `lm` are steppers: `init_state`, then per beam step
     `step(state, last_tokens)` -> ((B, V) log-probabilities, state) over
-    the B live hypotheses, and `state.select(rows)` after pruning.
+    the B live hypotheses of every utterance, and `state.select(rows)`
+    after pruning. A beam step makes one call of each, and one CTC
+    extend, over all rows.
     """
     config = config or BeamConfig()
     config.validate()
-    n_sub = enc.x_e.shape[0]
-    if n_sub == 0:
+    n_subs = [enc.x_e.shape[0] for enc in encs]
+    if not n_subs or min(n_subs) == 0:
         raise DataError("cannot decode an empty encoded sequence")
-    max_len = math.ceil(config.max_len_ratio * n_sub)
+    max_lens = [math.ceil(config.max_len_ratio * n) for n in n_subs]
     vocab = model.config.vocab_size
     use_ctc = bool(getattr(model.config, "uses_ctc", False))
     use_lm = lm is not None and config.gamma != 0.0
+    n_utt = len(encs)
 
-    scorer = CtcPrefixScorer(model.ctc_logprobs(enc).data) if use_ctc else None
-    ctc_state = scorer.initial_state() if use_ctc else None
-    dec_state = model.init_state(enc)
-    lm_state = lm.init_state() if use_lm else None
+    if use_ctc:
+        u = np.zeros((max(n_subs), n_utt, vocab))
+        for i, enc in enumerate(encs):
+            u[:n_subs[i], i] = model.ctc_logprobs(enc).data
+        scorer = CtcPrefixScorer(u, n_subs)
+        ctc_state = scorer.initial_state()
+    dec_state = model.init_state(encs)
+    lm_state = lm.init_state().select([0] * n_utt) if use_lm else None
     is_eos = np.arange(vocab) == SOS_EOS_ID
 
-    # the live hypotheses, one row each
-    prefixes: List[Tuple[int, ...]] = [(SOS_EOS_ID,)]
-    s2s = ctc = lmp = comb = np.zeros(1)
-    finished: List[Hypothesis] = []
-    stats = SearchStats()
-    for _ in range(max_len):
+    # the live hypotheses, one row each, grouped by utterance in order:
+    # owner[r] is row r's utterance
+    owner = np.arange(n_utt)
+    prefixes: List[Tuple[int, ...]] = [(SOS_EOS_ID,)] * n_utt
+    s2s = lmp = np.zeros(n_utt)
+    finished: List[List[Hypothesis]] = [[] for _ in encs]
+    unfinished: List[List[Hypothesis]] = [[] for _ in encs]
+    stats = [SearchStats() for _ in encs]
+    for step in range(max(max_lens)):
         last = [p[-1] for p in prefixes]
         rows_s2s, dec_state = model.step(dec_state, last)
         cand_s2s = s2s[:, None] + rows_s2s
@@ -264,46 +315,58 @@ def beam_search(enc, model, lm=None, config: Optional[BeamConfig] = None) -> Bea
         cand = combined_score(cand_s2s, cand_ctc, cand_lm, config, use_ctc)
         rank = cand
         if config.length_penalty:
-            n_tok = len(prefixes[0]) - 1
-            rank = cand + config.length_penalty * np.where(is_eos, n_tok,
-                                                           n_tok + 1)
-        stats.steps += 1
-        stats.scored += len(prefixes) * (vocab - 1)
+            rank = cand + config.length_penalty * np.where(is_eos, step,
+                                                           step + 1)
+
+        def hyp(b: int, tok: int) -> Hypothesis:
+            return Hypothesis(prefix=prefixes[b] + (tok,),
+                              log_s2s=float(cand_s2s[b, tok]),
+                              log_ctc=float(cand_ctc[b, tok]),
+                              log_lm=float(cand_lm[b, tok]),
+                              combined=float(cand[b, tok]),
+                              finished=tok == SOS_EOS_ID)
+
         # eos extensions compete with the rest for beam slots; the
-        # survivors that finished retire to the pool
+        # survivors that finished retire to the pool. An utterance out of
+        # survivors or of steps drops its rows.
         rows, toks = [], []
-        for b, tok in _prune(rank, prefixes, config.beam_size):
-            if tok == SOS_EOS_ID:
-                finished.append(Hypothesis(
-                    prefix=prefixes[b] + (tok,),
-                    log_s2s=float(cand_s2s[b, tok]),
-                    log_ctc=float(cand_ctc[b, tok]),
-                    log_lm=float(cand_lm[b, tok]),
-                    combined=float(cand[b, tok]), finished=True))
+        cuts = np.flatnonzero(np.diff(owner)) + 1
+        for lo, hi in zip([0, *cuts], [*cuts, len(owner)]):
+            i = int(owner[lo])
+            stats[i].steps += 1
+            stats[i].scored += (hi - lo) * (vocab - 1)
+            kept = []
+            for b, tok in _prune(rank[lo:hi], prefixes[lo:hi],
+                                 config.beam_size):
+                if tok == SOS_EOS_ID:
+                    finished[i].append(hyp(lo + b, tok))
+                else:
+                    kept.append((lo + b, tok))
+            if step + 1 < max_lens[i]:
+                rows += [b for b, _ in kept]
+                toks += [tok for _, tok in kept]
             else:
-                rows.append(b)
-                toks.append(tok)
-        prefixes = [prefixes[b] + (tok,) for b, tok in zip(rows, toks)]
-        if not prefixes:
+                unfinished[i] = [hyp(b, tok) for b, tok in kept]
+        if not rows:
             break
-        s2s, ctc, lmp, comb = (a[rows, toks] for a in
-                               (cand_s2s, cand_ctc, cand_lm, cand))
+        owner = owner[rows]
+        prefixes = [prefixes[b] + (tok,) for b, tok in zip(rows, toks)]
+        s2s, lmp = cand_s2s[rows, toks], cand_lm[rows, toks]
         dec_state = dec_state.select(rows)
         if use_lm:
             lm_state = lm_state.select(rows)
         if use_ctc:
             ctc_state = ext.select(rows, toks)
 
-    stats.finished, stats.live = len(finished), len(prefixes)
-    if finished:
-        pool = rank_hypotheses(finished, config)
-        return BeamResult(best=pool[0], nbest=pool[:config.beam_size],
-                          stats=stats)
-    warnings.warn("no hypothesis finished within the length budget; "
-                  "returning the best unfinished one")
-    live = [Hypothesis(prefix=p, log_s2s=float(s2s[i]), log_ctc=float(ctc[i]),
-                       log_lm=float(lmp[i]), combined=float(comb[i]))
-            for i, p in enumerate(prefixes)]
-    pool = rank_hypotheses(live, config)
-    return BeamResult(best=pool[0], nbest=pool[:config.beam_size],
-                      no_finished=True, stats=stats)
+    results = []
+    for i in range(n_utt):
+        stats[i].finished, stats[i].live = len(finished[i]), len(unfinished[i])
+        pool = rank_hypotheses(finished[i] or unfinished[i], config)
+        if not finished[i]:
+            who = f"{ids[i]}: " if ids is not None else ""
+            warnings.warn(f"{who}no hypothesis finished within the length "
+                          "budget; returning the best unfinished one")
+        results.append(BeamResult(best=pool[0], nbest=pool[:config.beam_size],
+                                  no_finished=not finished[i],
+                                  stats=stats[i]))
+    return results

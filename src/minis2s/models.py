@@ -11,13 +11,18 @@ re-zeroed stage by stage and attention masks hide padded keys, so a
 padded run equals the unpadded run on the real frames.
 
 Search: S2SModel and RnnLm are steppers. `init_state` starts a cached
-state, `step(state, last_tokens)` consumes one token for each of B
-hypothesis rows and returns (B, V) next-token log-probabilities, and
-`state.select(rows)` keeps, reorders or repeats rows after pruning. A
-step computes only the new position: the LSTM decoder carries (h, c) per
-layer, and the Transformer decoder caches each layer's projected
-self-attention keys and values. TtsModel.infer drives the same body
-steppers, one frame group per step.
+state, for S2SModel one row per encoding of N utterances,
+`step(state, last_tokens)` consumes one token for each of B hypothesis
+rows and returns (B, V) next-token log-probabilities, and
+`state.select(rows)` keeps, reorders or repeats rows after pruning; each
+row keeps its utterance. A step computes only the new position: the LSTM
+decoder carries (h, c) per layer, and the Transformer decoder caches each
+layer's projected self-attention keys and values. The source side is
+held once per utterance, padded to the longest under a key mask (the
+Transformer's projected source keys and values, the LSTM attention's
+encoder projection), and each utterance's rows attend over it as one
+block. TtsModel.infer drives the same body steppers, one utterance and
+one frame group per step.
 
 Fused tape nodes: each direction of a BLSTM layer and the LM's
 teacher-forced pass record one node for the whole sequence (nn.LSTM),
@@ -39,7 +44,7 @@ import numpy as np
 
 from . import attention as A
 from . import tensor as T
-from .errors import ConfigError, DataError, DimensionError
+from .errors import ConfigError, DataError
 from .nn import (Conv1d, Conv2d, Dropout, Embedding, FeedForward, LayerNorm,
                  Linear, LSTM, LSTMCell, Module, ModuleList,
                  MultiHeadAttention)
@@ -121,6 +126,22 @@ class DecoderRecords:
     tape tensor per decoder layer; the LSTM decoder's single head gives
     (1, n_dec, n_enc)."""
     src_att: List[Tensor] = field(default_factory=list)
+
+
+def pad_encodings(encs: Sequence[EncodedSequence]
+                  ) -> Tuple[Tensor, Optional[np.ndarray]]:
+    """The encoder outputs of N utterances as one (N, n_max, d_att) buffer,
+    zero past each utterance's end, and the (N, n_max) key mask, True on
+    real frames; the mask is None when no utterance is padded."""
+    lens = [enc.x_e.shape[0] for enc in encs]
+    n_max = max(lens)
+    x = np.zeros((len(encs), n_max, encs[0].x_e.shape[1]))
+    for i, enc in enumerate(encs):
+        x[i, :lens[i]] = enc.x_e.data
+    key_ok = None
+    if min(lens) < n_max:
+        key_ok = np.arange(n_max) < np.array(lens)[:, None]
+    return Tensor(x), key_ok
 
 
 def conv_len(n: int, kernel: int = 3, stride: int = 2, padding: int = 1) -> int:
@@ -372,36 +393,43 @@ class TransformerDecoderLayer(Module):
             lambda q: self.src_mha(q, x_e, x_e))
 
     def init_cache(self, x_e: Tensor) -> "DecoderLayerCache":
+        """The cache of N rows, one per utterance of the padded (N, n_enc,
+        d_att) encoder outputs x_e, that have consumed nothing."""
         src = self.src_mha
-        empty = Tensor(np.zeros((1, 0, self.self_mha.wk.shape[1])))
+        empty = Tensor(np.zeros((x_e.shape[0], 0, self.self_mha.wk.shape[1])))
         return DecoderLayerCache(src_k=x_e @ src.wk, src_v=x_e @ src.wv,
                                  keys=empty, values=empty)
 
-    def step(self, y: Tensor, cache: "DecoderLayerCache"
+    def step(self, y: Tensor, cache: "DecoderLayerCache",
+             groups: "_RowGroups", src_mask: Optional[np.ndarray] = None
              ) -> Tuple[Tensor, "DecoderLayerCache"]:
         """The layer's output at the next position of each row of y,
-        (B, d_att), attending over the cached earlier positions."""
+        (B, d_att), attending over the cached earlier positions and over
+        the source frames of the row's utterance, under src_mask (N, 1, 1,
+        n_enc)."""
         b, d = y.shape
         grown = []
 
-        def attend(mha, rows: Tensor, keys: Tensor, values: Tensor):
-            # one query row per hypothesis, (B, 1, d_att)
-            out, w = A.multi_head_attention(rows, keys, values, mha.wq, None,
-                                            None, mha.w_head, mha.n_heads)
-            return out.reshape(b, d), w
+        def src_att(q: Tensor):
+            # each utterance's rows query its source as one (S, d_att) block
+            mha = self.src_mha
+            out, w = A.multi_head_attention(
+                groups.blocks(q), cache.src_k, cache.src_v, mha.wq, None,
+                None, mha.w_head, mha.n_heads, src_mask)
+            return groups.rows(out), w
 
         def self_att(h: Tensor):
+            # one query row per hypothesis, (B, 1, d_att)
             rows = h.reshape(b, 1, d)
             mha = self.self_mha
             keys = T.concat([cache.keys, rows @ mha.wk], axis=1)
             values = T.concat([cache.values, rows @ mha.wv], axis=1)
             grown.extend((keys, values))
-            return attend(mha, rows, keys, values)
+            out, w = A.multi_head_attention(rows, keys, values, mha.wq, None,
+                                            None, mha.w_head, mha.n_heads)
+            return out.reshape(b, d), w
 
-        out, _ = self._sublayers(
-            y, self_att,
-            lambda q: attend(self.src_mha, q.reshape(b, 1, d), cache.src_k,
-                             cache.src_v))
+        out, _ = self._sublayers(y, self_att, src_att)
         return out, replace(cache, keys=grown[0], values=grown[1])
 
     def _sublayers(self, y: Tensor, self_att, src_att
@@ -434,10 +462,10 @@ class TransformerDecoderLayer(Module):
 @dataclass
 class DecoderLayerCache:
     """Search-time cache of one Transformer decoder layer: the projected
-    source keys and values, (n_enc, H*d_att), computed once per utterance
-    and shared by every row, and the projected self-attention keys and
-    values of every position consumed so far, (B, t, H*d_att) with one
-    row per hypothesis."""
+    source keys and values, (N, n_enc, H*d_att), computed once per
+    utterance and padded to the longest, and the projected self-attention
+    keys and values of every position consumed so far, (B, t, H*d_att)
+    with one row per hypothesis."""
     src_k: Tensor
     src_v: Tensor
     keys: Tensor
@@ -472,29 +500,37 @@ class TransformerDecoderBody(Module):
             y = self.final_ln(y)
         return y
 
-    def init_state(self, x_e: Tensor) -> "TransformerDecoderState":
-        return TransformerDecoderState([layer.init_cache(x_e)
-                                        for layer in self.layers])
+    def init_state(self, x_e: Tensor, key_ok: Optional[np.ndarray] = None
+                   ) -> "TransformerDecoderState":
+        """One row per utterance of the padded (N, n_enc, d_att) encoder
+        outputs, key_ok (N, n_enc) marking real frames (None: all are)."""
+        return TransformerDecoderState(
+            [layer.init_cache(x_e) for layer in self.layers],
+            _RowGroups(np.arange(x_e.shape[0]), x_e.shape[0]), key_ok)
 
     def step(self, state: "TransformerDecoderState", y: Tensor
              ) -> Tuple[Tensor, "TransformerDecoderState"]:
         """Output rows (B, d_att) at the next position; forward's last
         row for each row's prefix."""
+        mask = None if state.key_ok is None else state.key_ok[:, None, None]
         caches = []
         for layer, cache in zip(self.layers, state.layers):
-            y, cache = layer.step(y, cache)
+            y, cache = layer.step(y, cache, state.groups, mask)
             caches.append(cache)
         if self.final_ln is not None:
             y = self.final_ln(y)
-        return y, TransformerDecoderState(caches)
+        return y, replace(state, layers=caches)
 
 
 @dataclass
 class TransformerDecoderState:
     layers: List[DecoderLayerCache]
+    groups: "_RowGroups"             # each row's utterance
+    key_ok: Optional[np.ndarray]     # (N, n_enc) real source frames, or None
 
     def select(self, rows: Sequence[int]) -> "TransformerDecoderState":
-        return TransformerDecoderState([c.select(rows) for c in self.layers])
+        return replace(self, layers=[c.select(rows) for c in self.layers],
+                       groups=self.groups.select(rows))
 
 
 class AdditiveAttention(Module):
@@ -510,29 +546,43 @@ class AdditiveAttention(Module):
     def precompute(self, x_e: Tensor) -> Tensor:
         return self.w_enc(x_e)
 
-    def forward(self, enc_proj: Tensor, x_e: Tensor, state: Tensor
-                ) -> Tuple[Tensor, Tensor]:
-        """Context (B, d_att) and weights (B, n_k) for decoder states
-        (B, d_att), one row per hypothesis."""
-        b, d = state.shape
-        shift = self.w_state(state).reshape(b, 1, d)
-        scores = self.v(T.tanh(enc_proj + shift))   # (B, n_k, 1)
-        alpha = T.softmax(scores.reshape(b, enc_proj.shape[0]))
-        ctx = alpha @ x_e
-        return ctx, alpha
+    def forward(self, enc_proj: Tensor, x_e: Tensor, state: Tensor,
+                key_ok: Optional[np.ndarray] = None) -> Tuple[Tensor, Tensor]:
+        """Context (..., B, d_att) and weights (..., B, n_k) for decoder
+        states (..., B, d_att), one row per hypothesis, over encoder
+        outputs x_e (..., n_k, d_att) with their projection enc_proj
+        broadcasting to (..., B, n_k, d_att): one (n_k, d_att) output for
+        every row, or in search one per utterance, (N, n_k, d_att), with
+        rows laid out (N, S, d_att) and key_ok (N, 1, n_k) marking real
+        frames (None: all are)."""
+        *lead, b, d = state.shape
+        shift = self.w_state(state).reshape(*lead, b, 1, d)
+        scores = self.v(T.tanh(enc_proj + shift))   # (..., B, n_k, 1)
+        scores = scores.reshape(scores.shape[:-1])
+        if key_ok is not None:
+            scores = scores + Tensor(np.where(key_ok, 0.0, T.MASK_BIAS))
+        alpha = T.softmax(scores)
+        return alpha @ x_e, alpha
 
 
 @dataclass
 class LstmDecoderState:
     """Encoder output and its attention projection, fixed per utterance,
-    and per layer the (h, c) rows, one per hypothesis."""
+    and per layer the (h, c) rows, one per hypothesis. A teacher-forced
+    forward has one (n_enc, d_att) output and no groups; search has N
+    outputs padded to (N, n_enc, d_att), their projection as (N, 1,
+    n_enc, d_att), key_ok (N, 1, n_enc) marking real frames (None: all
+    are), and groups giving each row's utterance."""
     x_e: Tensor
     enc_proj: Tensor
+    groups: Optional["_RowGroups"]
+    key_ok: Optional[np.ndarray]
     h: List[Tensor]
     c: List[Tensor]
 
     def select(self, rows: Sequence[int]) -> "LstmDecoderState":
-        return replace(self, h=[_take_rows(t, rows) for t in self.h],
+        return replace(self, groups=self.groups.select(rows),
+                       h=[_take_rows(t, rows) for t in self.h],
                        c=[_take_rows(t, rows) for t in self.c])
 
 
@@ -552,7 +602,7 @@ class LstmDecoderBody(Module):
 
     def forward(self, y0: Tensor, x_e: Tensor,
                 records: Optional[DecoderRecords] = None) -> Tensor:
-        state = self.init_state(x_e)
+        state = self._start(x_e, self.attention.precompute(x_e), None, None)
         outs = []
         alphas = []
         for step in range(y0.shape[0]):
@@ -564,10 +614,21 @@ class LstmDecoderBody(Module):
             records.src_att.append(weights.reshape((1,) + weights.shape))
         return T.concat(outs, axis=0)
 
-    def init_state(self, x_e: Tensor) -> LstmDecoderState:
-        zeros = [Tensor(np.zeros((1, self.d_att))) for _ in self.cells]
-        return LstmDecoderState(x_e, self.attention.precompute(x_e),
-                                h=zeros, c=list(zeros))
+    def init_state(self, x_e: Tensor, key_ok: Optional[np.ndarray] = None
+                   ) -> LstmDecoderState:
+        """Search rows that have consumed nothing, one per utterance of the
+        padded (N, n_enc, d_att) encoder outputs; key_ok (N, n_enc) marks
+        real frames (None: all are)."""
+        n_utt, n_enc, d = x_e.shape
+        enc_proj = self.attention.precompute(x_e).reshape(n_utt, 1, n_enc, d)
+        return self._start(x_e, enc_proj, _RowGroups(np.arange(n_utt), n_utt),
+                           None if key_ok is None else key_ok[:, None])
+
+    def _start(self, x_e, enc_proj, groups, key_ok) -> LstmDecoderState:
+        rows = 1 if groups is None else len(groups.utt)
+        zeros = [Tensor(np.zeros((rows, self.d_att))) for _ in self.cells]
+        return LstmDecoderState(x_e, enc_proj, groups, key_ok, h=zeros,
+                                c=list(zeros))
 
     def step(self, state: LstmDecoderState, y: Tensor
              ) -> Tuple[Tensor, LstmDecoderState]:
@@ -576,7 +637,15 @@ class LstmDecoderBody(Module):
         return out, state
 
     def _step(self, state: LstmDecoderState, y: Tensor):
-        ctx, alpha = self.attention(state.enc_proj, state.x_e, state.h[-1])
+        groups = state.groups
+        if groups is None:
+            ctx, alpha = self.attention(state.enc_proj, state.x_e, state.h[-1])
+        else:
+            # search: each utterance's rows attend over it as one block
+            ctx, alpha = self.attention(state.enc_proj, state.x_e,
+                                        groups.blocks(state.h[-1]),
+                                        state.key_ok)
+            ctx = groups.rows(ctx)
         inp = T.concat([y, ctx], axis=1)
         hs, cs = [], []
         for cell, h, c in zip(self.cells, state.h, state.c):
@@ -585,7 +654,35 @@ class LstmDecoderBody(Module):
             cs.append(c)
             inp = h
         out = T.tanh(self.out(T.concat([hs[-1], ctx], axis=1)))
-        return out, LstmDecoderState(state.x_e, state.enc_proj, hs, cs), alpha
+        return out, replace(state, h=hs, c=cs), alpha
+
+
+class _RowGroups:
+    """The rows of a search state laid out by utterance: row b is slot[b]
+    of utterance utt[b]'s block in (N, S, d), S the most rows one
+    utterance has. No gradient."""
+
+    def __init__(self, utt: np.ndarray, n_utt: int):
+        order = np.argsort(utt, kind="stable")
+        counts = np.bincount(utt, minlength=n_utt)
+        self.slot = np.empty_like(utt)
+        self.slot[order] = (np.arange(len(utt))
+                            - np.repeat(np.cumsum(counts) - counts, counts))
+        self.utt = utt
+        self.shape = (n_utt, int(counts.max()))
+
+    def select(self, rows: Sequence[int]) -> "_RowGroups":
+        return _RowGroups(self.utt[rows], self.shape[0])
+
+    def blocks(self, x: Tensor) -> Tensor:
+        """(B, d) rows -> (N, S, d) blocks, zero in unused slots."""
+        out = np.zeros(self.shape + x.shape[1:])
+        out[self.utt, self.slot] = x.data
+        return Tensor(out)
+
+    def rows(self, x: Tensor) -> Tensor:
+        """(N, S, d) blocks -> their (B, d) rows."""
+        return Tensor(x.data[self.utt, self.slot])
 
 
 def _take_rows(t: Tensor, rows: Sequence[int]) -> Tensor:
@@ -645,11 +742,13 @@ class S2SModel(Module):
             raise ConfigError("this model has no CTC head")
         return T.log_softmax(self.ctc_post(enc.x_e))
 
-    def init_state(self, enc: EncodedSequence) -> "DecoderState":
-        """Search state of one hypothesis that has consumed nothing yet;
-        the first step consumes the start-of-sequence id."""
+    def init_state(self, encs: Sequence[EncodedSequence]) -> "DecoderState":
+        """Search state of N hypotheses, row i over encs[i], that have
+        consumed nothing yet; the first step consumes the start-of-sequence
+        id. The encoder outputs are padded to the longest and masked."""
         with T.no_grad():
-            return DecoderState(0, self.dec_body.init_state(enc.x_e))
+            return DecoderState(0, self.dec_body.init_state(
+                *pad_encodings(encs)))
 
     def step(self, state: "DecoderState", last_tokens
              ) -> Tuple[np.ndarray, "DecoderState"]:
@@ -834,7 +933,7 @@ class TtsModel(Module):
         reason = "cap"
         with T.no_grad(), T.Graph(seed=seed):
             enc = self.encode(token_ids)
-            state = self.dec_body.init_state(enc.x_e)
+            state = self.dec_body.init_state(*pad_encodings([enc]))
             for step in range(max_steps):
                 y0 = self.prenet(Tensor(prev)) + self.dec_alpha * Tensor(
                     A.positional_rows(step + 1, self.config.d_att)[step:])

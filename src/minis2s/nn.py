@@ -16,7 +16,6 @@ import numpy as np
 
 from . import attention as A
 from . import tensor as T
-from .errors import DimensionError
 from .tensor import Tensor
 
 

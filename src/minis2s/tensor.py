@@ -12,7 +12,7 @@ entered as a context manager around a forward pass.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -306,23 +306,42 @@ def _scale(a: Tensor, c) -> Tensor:
     return _result(a.data * c, (a,), bwd)
 
 
+def _weight_grad(x: np.ndarray, dz: np.ndarray) -> np.ndarray:
+    """x^T dz, the weight gradient of rows x (n, k) whose outputs got dz.
+    One row makes it an outer product, which np.multiply forms faster than
+    a K = 1 gemm; each entry is a single product either way, so the two
+    agree bit for bit."""
+    return np.multiply(x.T, dz) if x.shape[0] == 1 else x.T @ dz
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product with np.matmul semantics for operands of rank >= 2:
-    leading axes are batch axes and broadcast against each other."""
+    leading axes are batch axes and broadcast against each other.
+
+    Against a 2-D b, a's leading axes fold into rows: one gemm forward and
+    one per gradient, however many batch axes a has."""
     ad, bd = a.data, b.data
     if ad.ndim < 2 or bd.ndim < 2:
         raise DimensionError(f"matmul needs operands of rank >= 2, "
                              f"got {a.shape} @ {b.shape}")
     if ad.shape[-1] != bd.shape[-2]:
         raise DimensionError(f"matmul inner dims disagree: {a.shape} @ {b.shape}")
-    if ad.ndim == 2 and bd.ndim == 2:
-        def bwd(g, a=a, b=b):
-            if a.requires_grad:
-                a._accumulate(g @ b.data.T)
-            if b.requires_grad:
-                b._accumulate(a.data.T @ g)
+    if bd.ndim == 2:
+        fold = ad.ndim > 2
+        rows = ad.reshape(-1, ad.shape[-1]) if fold else ad
 
-        return _result(ad @ bd, (a, b), bwd)
+        def bwd(g, a=a, b=b):
+            if fold:
+                g = g.reshape(-1, g.shape[-1])
+            if a.requires_grad:
+                da = g @ b.data.T
+                a._accumulate(da.reshape(a.shape) if fold else da)
+            if b.requires_grad:
+                b._accumulate(_weight_grad(rows, g))
+
+        out = rows @ bd
+        return _result(out.reshape(ad.shape[:-1] + bd.shape[1:]) if fold
+                       else out, (a, b), bwd)
     try:
         data = np.matmul(ad, bd)
     except ValueError:
@@ -882,9 +901,9 @@ def lstm_cell(x: Tensor, h: Tensor, c: Tensor, w_ih: Tensor, w_hh: Tensor,
         if c.requires_grad:
             c._accumulate(dc)
         if w_ih.requires_grad:
-            w_ih._accumulate(x.data.T @ dz)
+            w_ih._accumulate(_weight_grad(x.data, dz))
         if w_hh.requires_grad:
-            w_hh._accumulate(h.data.T @ dz)
+            w_hh._accumulate(_weight_grad(h.data, dz))
         if bias.requires_grad:
             bias._accumulate(dz.sum(axis=0))
 

@@ -15,7 +15,7 @@ import os
 import struct
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Tuple)
 
@@ -24,7 +24,7 @@ import numpy as np
 from . import losses as L
 from . import tensor as T
 from .errors import ConfigError, DataError, NumericError
-from .models import SOS_EOS_ID, build_model, subsample_length
+from .models import SOS_EOS_ID, subsample_length
 from .tensor import Tensor, backward
 
 CKPT_MAGIC = b"ESC1"

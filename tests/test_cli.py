@@ -2,6 +2,8 @@
 through main() so the exit code mapping is exercised too."""
 
 import os
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -165,6 +167,48 @@ def test_decode_is_deterministic(workspace, tmp_path):
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_decode_warns_once_per_unfinished_utterance(workspace, tmp_path):
+    # a one-step length budget leaves every beam unfinished
+    cfg = (workspace / "run" / "model.cfg").read_text(encoding="utf-8")
+    cfg = re.sub(r"max_len_ratio = .*", "max_len_ratio = 0.01", cfg)
+    (tmp_path / "short.cfg").write_text(cfg, encoding="utf-8")
+    hyp = tmp_path / "hyp.tsv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["decode", "--ckpt", str(workspace / "run" / "avg.esc"),
+                   "--config", str(tmp_path / "short.cfg"),
+                   "--data", str(workspace / "data"), "--split", "test",
+                   "--beam", "2", "--out", str(hyp)])
+    assert rc == 0
+    unfinished = [str(w.message) for w in caught
+                  if "no hypothesis finished" in str(w.message)]
+    assert sorted(m.split(":")[0] for m in unfinished) == [
+        "asr-test-0000", "asr-test-0001"]
+    lines = hyp.read_text(encoding="utf-8").splitlines()
+    assert [line.split("\t")[0] for line in lines] == [
+        "asr-test-0000", "asr-test-0001"]
+
+
+def test_decode_groups_do_not_change_hypotheses(workspace, tmp_path,
+                                                monkeypatch):
+    # one utterance per search against the whole split in one search:
+    # the same lines in split order, scores within 1e-9
+    args = ["decode", "--ckpt", str(workspace / "run" / "avg.esc"),
+            "--data", str(workspace / "data"), "--split", "dev",
+            "--beam", "4", "--nbest", "4"]
+    assert main(args + ["--out", str(tmp_path / "all.tsv")]) == 0
+    monkeypatch.setattr(cli, "SEARCH_ROWS", 4)
+    assert main(args + ["--out", str(tmp_path / "one.tsv")]) == 0
+    rows = [[line.split("\t") for line in
+             (tmp_path / name).read_text(encoding="utf-8").splitlines()]
+            for name in ("all.tsv", "one.tsv")]
+    assert len(rows[0]) == len(rows[1]) > 2
+    for a, b in zip(*rows):
+        assert a[:2] == b[:2]
+        assert abs(float(a[2]) - float(b[2])) < 1e-9
+    assert [r[0] for r in rows[0]][0] == "asr-dev-0000"
 
 
 def test_eval_all_metrics(workspace, capsys):

@@ -17,8 +17,8 @@ import pytest
 
 from minis2s import tensor as T
 from minis2s.decoding import (BeamConfig, BeamResult, CtcPrefixScorer,
-                              CtcPrefixState, Hypothesis, beam_search, combined_score,
-                              rank_hypotheses)
+                              CtcPrefixState, Hypothesis, batch_beam_search,
+                              beam_search, combined_score, rank_hypotheses)
 from minis2s.errors import ConfigError, DataError, ImpossibleAlignmentError
 from minis2s.losses import ctc_log_likelihood, ctc_min_frames
 from minis2s.models import (BLANK_ID, SOS_EOS_ID, EncodedSequence,
@@ -55,7 +55,7 @@ class TableModel:
         self.config = types.SimpleNamespace(
             vocab_size=self.rows.shape[1], uses_ctc=False)
 
-    def init_state(self, enc):
+    def init_state(self, encs):
         return TableState(0)
 
     def step(self, state, last_tokens):
@@ -220,7 +220,8 @@ def test_vectorised_extend_matches_scalar_chain(seed):
     batch = CtcPrefixState(
         r_n=np.concatenate([s.r_n for s in states], axis=1),
         r_b=np.concatenate([s.r_b for s in states], axis=1),
-        last=np.concatenate([s.last for s in states]))
+        last=np.concatenate([s.last for s in states]),
+        utt=np.concatenate([s.utt for s in states]))
     ext = scorer.extend(batch)
     assert ext.psi.shape == (len(prefixes), v)
     assert not np.isnan(ext.psi).any()
@@ -256,6 +257,61 @@ def test_extension_select_repeats_and_reorders_rows():
         for tok in (1, 3, 4):
             want, _ = chain_score(u, [first, tok])
             assert abs(ext2.psi[b, tok] - want) < 1e-9
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_padded_extend_and_finish_match_scalar_oracle(seed):
+    # three utterances of different frame counts padded to the longest,
+    # NaN in the padding; prefixes of every utterance in one batch, each
+    # against the scalar oracle over its own utterance's frames only
+    rng = np.random.default_rng(700 + seed)
+    v = int(rng.integers(3, 6))
+    lengths = [int(n) for n in rng.permutation([2, 5, 7])]
+    us = [rand_logprobs(800 + 10 * seed + i, n, v)
+          for i, n in enumerate(lengths)]
+    padded = np.full((max(lengths), len(us), v), np.nan)
+    for i, u in enumerate(us):
+        padded[:len(u), i] = u
+    scorer = CtcPrefixScorer(padded, lengths)
+    start = scorer.initial_state()
+    cases = []                               # (utterance, prefix)
+    for i in (2, 0, 1, 0):
+        cases.append((i, []))
+        p = [int(rng.integers(1, v)) for _ in range(int(rng.integers(1, 4)))]
+        cases += [(i, p), (i, p + p[-1:])]
+    cases.append((1, [1] * 5))               # too long for its frames
+    states = []
+    for i, p in cases:
+        state = CtcPrefixState(r_n=start.r_n[:, [i]], r_b=start.r_b[:, [i]],
+                               last=start.last[[i]], utt=start.utt[[i]])
+        for tok in p:
+            state = scorer.extend(state).select([0], [tok])
+        states.append(state)
+    batch = CtcPrefixState(
+        *(np.concatenate([getattr(s, f) for s in states], axis=-1)
+          for f in ("r_n", "r_b", "last", "utt")))
+    ext = scorer.extend(batch)
+    finish = scorer.finish(batch)
+    for arr in (ext.psi, ext.r_n, ext.r_b, finish):
+        assert not np.isnan(arr).any()
+    for b, (i, p) in enumerate(cases):
+        u, n = us[i], lengths[i]
+        _, r_n, r_b, last = scalar_chain(u, p)
+        want_finish = np.logaddexp(r_n[-1], r_b[-1])
+        assert np.isneginf(finish[b]) == np.isneginf(want_finish)
+        if np.isfinite(want_finish):
+            assert abs(finish[b] - want_finish) < 1e-9
+        assert np.isneginf(ext.psi[b, BLANK_ID])
+        for tok in range(1, v):
+            psi, want_n, want_b = scalar_extend(u, r_n, r_b, last, tok)
+            for got, want in ((ext.psi[b, tok], psi),
+                              (ext.r_n[:n, b, tok], want_n),
+                              (ext.r_b[:n, b, tok], want_b)):
+                got, want = np.asarray(got), np.asarray(want)
+                np.testing.assert_array_equal(np.isneginf(got),
+                                              np.isneginf(want))
+                fin = np.isfinite(want)
+                assert np.abs(got[fin] - want[fin]).max(initial=0.0) < 1e-9
 
 
 # -- ranking and scores ---------------------------------------------------------
@@ -471,12 +527,99 @@ def test_beam_nbest_matches_reference_beam(body, with_lm, beam):
             assert abs(hyp.combined - comb) < 1e-9
 
 
+def _encode_all(model, frame_counts, seed):
+    rng = np.random.default_rng(seed)
+    with T.no_grad(), T.Graph(seed=0):
+        return [model.encode(Tensor(rng.standard_normal((n, 6))))
+                for n in frame_counts]
+
+
+def _same_result(got, want):
+    assert [h.tokens for h in got.nbest] == [h.tokens for h in want.nbest]
+    for g, w in zip(got.nbest, want.nbest):
+        for part in ("log_s2s", "log_ctc", "log_lm", "combined"):
+            assert abs(getattr(g, part) - getattr(w, part)) < 1e-9
+        assert g.finished == w.finished
+    assert got.best.tokens == want.best.tokens
+    assert got.no_finished == want.no_finished
+    assert got.stats == want.stats
+
+
+@pytest.mark.parametrize("body", ["transformer", "rnn"])
+@pytest.mark.parametrize("with_lm", [False, True])
+def test_batched_search_equals_search_one_by_one(body, with_lm):
+    # five utterances of 1 to 8 encoded frames, so of 1 to 8 steps'
+    # budget, searched as one batch and one at a time; with and without a
+    # CTC head, beams 1, 4 and 8
+    frames = [13, 4, 30, 21, 7]
+    ids = [f"utt{i}" for i in range(len(frames))]
+    mixed = 0
+    for alpha in (0.5, 1.0):
+        for beam in (1, 4, 8):
+            model = (tiny_model(7, vocab=10, alpha=alpha)
+                     if body == "transformer"
+                     else _tiny_rnn_model(7, vocab=10, alpha=alpha))
+            model.eval()
+            lm = RnnLm(10, d_lm=8, seed=2) if with_lm else None
+            cfg = BeamConfig(beam_size=beam, lam=0.6, gamma=0.4)
+            encs = _encode_all(model, frames, seed=5)
+            assert len({enc.n_sub for enc in encs}) == len(frames)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                batched = batch_beam_search(encs, model, lm=lm, config=cfg,
+                                            ids=ids)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                alone = [beam_search(enc, model, lm=lm, config=cfg)
+                         for enc in encs]
+            for got, want in zip(batched, alone):
+                _same_result(got, want)
+            # one warning per unfinished utterance, naming it
+            unfinished = [i for i, r in zip(ids, batched) if r.no_finished]
+            assert sorted(str(w.message).split(":")[0] for w in caught) \
+                == unfinished
+            mixed += 0 < len(unfinished) < len(frames)
+    # some batch held finished and unfinished utterances side by side
+    assert mixed
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_batched_beam_matches_exhaustive_enumeration(seed):
+    # the A4 cases, each searched in a group with two more utterances, of
+    # 3 and 4 encoded frames; every result is its own utterance's argmax
+    model = tiny_model(seed)
+    cfg = BeamConfig(beam_size=256, lam=0.7, gamma=0.0, max_len_ratio=1.0)
+    x = np.random.default_rng(3000 + seed).standard_normal((16, 6))
+    with T.no_grad(), T.Graph(seed=0):
+        encs = [model.encode(Tensor(x))]
+    encs += _encode_all(model, [12, 14], seed=2000 + seed)
+    assert [enc.n_sub for enc in encs] == [4, 3, 4]
+    with T.Graph(seed=0):
+        found = batch_beam_search(encs, model, config=cfg)
+        for enc, out in zip(encs, found):
+            want_comb, want_toks = enumerate_best(
+                enc, model, None, cfg, enc.n_sub, expand=(1, 3, 4))
+            assert out.best.tokens == want_toks
+            assert abs(out.best.combined - want_comb) < 1e-9
+            assert not out.no_finished
+
+
+def test_batched_search_rejects_an_empty_encoding():
+    model = tiny_model(41)
+    encs = _encode_all(model, [12], seed=1)
+    encs.append(EncodedSequence(x_e=Tensor(np.zeros((0, 8))), n_sub=0))
+    with pytest.raises(DataError):
+        batch_beam_search(encs, model)
+    with pytest.raises(DataError):
+        batch_beam_search([], model)
+
+
 def greedy_decode(enc, model, max_len=None):
     """Argmax token per step until eos: the beam-1 oracle."""
     n_sub = enc.x_e.shape[0]
     if n_sub == 0:
         raise DataError("cannot decode an empty encoded sequence")
-    state = model.init_state(enc)
+    state = model.init_state([enc])
     tokens = []
     last = SOS_EOS_ID
     for _ in range(n_sub if max_len is None else max_len):

@@ -1,0 +1,64 @@
+"""Source hygiene: every name a module of minis2s imports is used in it.
+
+The scan is syntactic: an import binds a name, and the name must appear
+elsewhere in the module as a load (a bare name or the root of an
+attribute chain) or inside a string annotation. `__init__.py` is exempt,
+because its imports are the package's re-exports.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "minis2s"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def imported_names(tree: ast.Module):
+    """(name, line) of every binding made by a top-level or nested import,
+    __future__ imports aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                yield name, node.lineno
+
+
+def used_names(tree: ast.Module):
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            # string annotations, e.g. "Optional[Tensor]"
+            try:
+                inner = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            used.update(n.id for n in ast.walk(inner)
+                        if isinstance(n, ast.Name))
+    return used
+
+
+def test_scan_finds_modules():
+    assert len(MODULES) >= 10
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    used = used_names(tree)
+    unused = [f"{path.name}:{line} {name}"
+              for name, line in imported_names(tree) if name not in used]
+    assert not unused, f"imported but never used: {unused}"
+
+
+def test_scan_flags_an_unused_import():
+    tree = ast.parse("import os\nfrom typing import List, Optional\n"
+                     "x: 'Optional[int]' = None\n")
+    used = used_names(tree)
+    assert [n for n, _ in imported_names(tree) if n not in used] == [
+        "os", "List"]

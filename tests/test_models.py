@@ -332,7 +332,7 @@ def test_body_swap_keeps_interface_shapes():
 def _step_through(model, enc, prefixes, orders):
     """Step a batch of hypotheses along their prefixes, reordering rows
     with orders[i] after step i; yields (rows, prefixes consumed)."""
-    state = model.init_state(enc).select([0] * len(prefixes))
+    state = model.init_state([enc]).select([0] * len(prefixes))
     last = [SOS_EOS_ID] * len(prefixes)
     for i in range(len(prefixes[0]) + 1):
         rows, state = model.step(state, last)
@@ -373,7 +373,7 @@ def test_step_leaves_its_input_state_unchanged():
         model = S2SModel(toy_cfg(body=body))
         model.eval()
         enc = model.encode(feats(9, seed=36))
-        state = model.init_state(enc)
+        state = model.init_state([enc])
         _, state = model.step(state, [SOS_EOS_ID])
         again, _ = model.step(state, [3])
         other, _ = model.step(state, [3])

@@ -40,6 +40,43 @@ def test_batched_matmul_matches_numpy_and_grad_checks(a_shape, b_shape):
     assert grad_check(lambda a, b: (T.tanh(a @ b)).sum(), [a, b]) < 1e-6
 
 
+@pytest.mark.parametrize("a_shape", [(5, 1, 4), (2, 3, 4), (2, 1, 3, 4),
+                                     (1, 4), (0, 2, 4)])
+def test_matmul_folds_leading_axes_against_a_matrix(a_shape):
+    # against a 2-D b the leading axes fold into rows of one gemm; the
+    # forward and both gradients agree with np.matmul and the per-batch
+    # products summed over the batch
+    a, b = rnd(a_shape, 60), rnd((4, 3), 61)
+    g = np.random.default_rng(62).standard_normal(a_shape[:-1] + (3,))
+    out = a @ b
+    np.testing.assert_allclose(out.data, np.matmul(a.data, b.data),
+                               rtol=0, atol=1e-12)
+    backward((out * Tensor(g)).sum())
+    want_a = np.matmul(g, b.data.T)
+    want_b = np.matmul(np.swapaxes(a.data, -1, -2), g)
+    want_b = want_b.reshape(-1, 4, 3).sum(axis=0)
+    assert a.grad.shape == a.shape and b.grad.shape == b.shape
+    np.testing.assert_allclose(a.grad, want_a, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(b.grad, want_b, rtol=0, atol=1e-12)
+
+
+def test_matmul_folded_grad_checks():
+    a, b = rnd((2, 3, 4), 63), rnd((4, 5), 64)
+    assert grad_check(lambda a, b: (T.tanh(a @ b)).sum(), [a, b]) < 1e-6
+
+
+@pytest.mark.parametrize("d,k", [(128, 256), (7, 13), (1, 1)])
+def test_one_row_weight_gradient_equals_gemm_bit_for_bit(d, k):
+    # an outer product by np.multiply; every entry is one product, so it
+    # is the K = 1 gemm's result exactly
+    rng = np.random.default_rng(d + k)
+    x, dz = rng.standard_normal((1, d)), rng.standard_normal((1, k))
+    assert np.array_equal(T._weight_grad(x, dz), x.T @ dz)
+    a, b = Tensor(x, requires_grad=True), rnd((d, k), 65)
+    backward((a @ b * Tensor(dz)).sum())
+    assert np.array_equal(b.grad, x.T @ dz)
+
+
 def test_batched_matmul_rejects_mismatched_axes():
     with pytest.raises(DimensionError):
         _ = rnd((2, 3, 4), 42) @ rnd((3, 4, 5), 43)
