@@ -53,8 +53,9 @@ class CtcPrefixState:
     """Forward variables of a batch of prefixes, one column per prefix:
     the per-frame log-probability of having emitted the prefix with the
     last symbol non-blank (r_n) or with trailing blanks (r_b), both
-    (frames, B), each prefix's last label (-1 for the empty one) and the
-    utterance it belongs to."""
+    (frames, B) over at least the frames of each prefix's utterance, each
+    prefix's last label (-1 for the empty one) and the utterance it
+    belongs to."""
 
     r_n: np.ndarray
     r_b: np.ndarray
@@ -89,10 +90,10 @@ class CtcPrefixScorer:
     (n_max, N, V) with their frame counts in `lengths`.
 
     extend() scores every one-label extension of every prefix in a batch
-    with one loop over frames; finish() scores each prefix as the
-    complete labeling (the eos case). A prefix sees only its own
-    utterance's frames: its psi sums over them alone and finish reads its
-    last one."""
+    with one loop over the frames of the longest utterance among them;
+    finish() scores each prefix as the complete labeling (the eos case).
+    A prefix sees only its own utterance's frames: its psi sums over them
+    alone and finish reads its last one."""
 
     def __init__(self, log_probs: np.ndarray,
                  lengths: Optional[Sequence[int]] = None,
@@ -122,15 +123,18 @@ class CtcPrefixScorer:
                               utt=np.arange(n_utt))
 
     def extend(self, state: CtcPrefixState) -> CtcExtensions:
-        u = self.u[:, state.utt]             # (frames, B, V), row by row
-        n, batch, vocab = u.shape
+        # only the frames of the longest utterance with a prefix here
+        n = int(self.lengths[state.utt].max())
+        u = self.u[:n, state.utt]            # (frames, B, V), row by row
+        _, batch, vocab = u.shape
+        r_b_in = state.r_b[:n]
         # phi[t, b, c]: mass of prefix b up to frame t-1 that label c may
         # follow; a repeat of the last label needs a blank in between
-        r_sum = np.logaddexp(state.r_b, state.r_n)
+        r_sum = np.logaddexp(r_b_in, state.r_n[:n])
         phi = np.empty((n, batch, vocab))
         phi[1:] = r_sum[:-1, :, None]
         rows = np.flatnonzero(state.last >= 0)
-        phi[1:, rows, state.last[rows]] = state.r_b[:-1, rows]
+        phi[1:, rows, state.last[rows]] = r_b_in[:-1, rows]
         # at frame 0 the new label is the first emission overall
         phi[0] = np.where(state.last < 0, 0.0, -np.inf)[:, None]
         r_n = np.empty((n, batch, vocab))
@@ -142,7 +146,7 @@ class CtcPrefixScorer:
             r_n[t] = np.logaddexp(r_n[t - 1], phi[t]) + u[t]
             r_b[t] = np.logaddexp(r_b[t - 1], r_n[t - 1]) + u_blank[t]
         terms = phi + u
-        terms[self.pad[:, state.utt]] = -np.inf
+        terms[self.pad[:n, state.utt]] = -np.inf
         m = terms.max(axis=0)
         safe = np.where(np.isfinite(m), m, 0.0)
         with np.errstate(divide="ignore"):

@@ -21,8 +21,11 @@ layer's projected self-attention keys and values. The source side is
 held once per utterance, padded to the longest under a key mask (the
 Transformer's projected source keys and values, the LSTM attention's
 encoder projection), and each utterance's rows attend over it as one
-block. TtsModel.infer drives the same body steppers, one utterance and
-one frame group per step.
+block. An utterance whose rows select drops leaves the state with its
+source side, which is then cut to the longest utterance left. The LSTM
+decoder's teacher-forced forward runs the same step on one utterance
+with one row. TtsModel.infer drives the same body steppers, one
+utterance and one frame group per step.
 
 Fused tape nodes: each direction of a BLSTM layer and the LM's
 teacher-forced pass record one node for the whole sequence (nn.LSTM),
@@ -129,19 +132,14 @@ class DecoderRecords:
 
 
 def pad_encodings(encs: Sequence[EncodedSequence]
-                  ) -> Tuple[Tensor, Optional[np.ndarray]]:
+                  ) -> Tuple[Tensor, np.ndarray]:
     """The encoder outputs of N utterances as one (N, n_max, d_att) buffer,
-    zero past each utterance's end, and the (N, n_max) key mask, True on
-    real frames; the mask is None when no utterance is padded."""
-    lens = [enc.x_e.shape[0] for enc in encs]
-    n_max = max(lens)
-    x = np.zeros((len(encs), n_max, encs[0].x_e.shape[1]))
+    zero past each utterance's end, and their frame counts."""
+    lens = np.array([enc.x_e.shape[0] for enc in encs])
+    x = np.zeros((len(encs), lens.max(), encs[0].x_e.shape[1]))
     for i, enc in enumerate(encs):
         x[i, :lens[i]] = enc.x_e.data
-    key_ok = None
-    if min(lens) < n_max:
-        key_ok = np.arange(n_max) < np.array(lens)[:, None]
-    return Tensor(x), key_ok
+    return Tensor(x), lens
 
 
 def conv_len(n: int, kernel: int = 3, stride: int = 2, padding: int = 1) -> int:
@@ -406,7 +404,7 @@ class TransformerDecoderLayer(Module):
         """The layer's output at the next position of each row of y,
         (B, d_att), attending over the cached earlier positions and over
         the source frames of the row's utterance, under src_mask (N, 1, 1,
-        n_enc)."""
+        n_enc) (None: every frame is real)."""
         b, d = y.shape
         grown = []
 
@@ -471,9 +469,12 @@ class DecoderLayerCache:
     keys: Tensor
     values: Tensor
 
-    def select(self, rows: Sequence[int]) -> "DecoderLayerCache":
-        return replace(self, keys=_take_rows(self.keys, rows),
-                       values=_take_rows(self.values, rows))
+    def select(self, rows: Sequence[int], groups: "_RowGroups"
+               ) -> "DecoderLayerCache":
+        """The cache of the given rows, whose layout is groups."""
+        return DecoderLayerCache(groups.cut(self.src_k), groups.cut(self.src_v),
+                                 _take_rows(self.keys, rows),
+                                 _take_rows(self.values, rows))
 
 
 class TransformerDecoderBody(Module):
@@ -500,19 +501,20 @@ class TransformerDecoderBody(Module):
             y = self.final_ln(y)
         return y
 
-    def init_state(self, x_e: Tensor, key_ok: Optional[np.ndarray] = None
+    def init_state(self, x_e: Tensor, lens: np.ndarray
                    ) -> "TransformerDecoderState":
         """One row per utterance of the padded (N, n_enc, d_att) encoder
-        outputs, key_ok (N, n_enc) marking real frames (None: all are)."""
+        outputs, utterance i holding lens[i] real frames."""
         return TransformerDecoderState(
             [layer.init_cache(x_e) for layer in self.layers],
-            _RowGroups(np.arange(x_e.shape[0]), x_e.shape[0]), key_ok)
+            _RowGroups.start(x_e, lens))
 
     def step(self, state: "TransformerDecoderState", y: Tensor
              ) -> Tuple[Tensor, "TransformerDecoderState"]:
         """Output rows (B, d_att) at the next position; forward's last
         row for each row's prefix."""
-        mask = None if state.key_ok is None else state.key_ok[:, None, None]
+        key_ok = state.groups.key_ok
+        mask = None if key_ok is None else key_ok[:, None, None]
         caches = []
         for layer, cache in zip(self.layers, state.layers):
             y, cache = layer.step(y, cache, state.groups, mask)
@@ -525,12 +527,12 @@ class TransformerDecoderBody(Module):
 @dataclass
 class TransformerDecoderState:
     layers: List[DecoderLayerCache]
-    groups: "_RowGroups"             # each row's utterance
-    key_ok: Optional[np.ndarray]     # (N, n_enc) real source frames, or None
+    groups: "_RowGroups"             # each row's utterance and its frames
 
     def select(self, rows: Sequence[int]) -> "TransformerDecoderState":
-        return replace(self, layers=[c.select(rows) for c in self.layers],
-                       groups=self.groups.select(rows))
+        groups = self.groups.select(rows)
+        return TransformerDecoderState(
+            [c.select(rows, groups) for c in self.layers], groups)
 
 
 class AdditiveAttention(Module):
@@ -548,48 +550,47 @@ class AdditiveAttention(Module):
 
     def forward(self, enc_proj: Tensor, x_e: Tensor, state: Tensor,
                 key_ok: Optional[np.ndarray] = None) -> Tuple[Tensor, Tensor]:
-        """Context (..., B, d_att) and weights (..., B, n_k) for decoder
-        states (..., B, d_att), one row per hypothesis, over encoder
-        outputs x_e (..., n_k, d_att) with their projection enc_proj
-        broadcasting to (..., B, n_k, d_att): one (n_k, d_att) output for
-        every row, or in search one per utterance, (N, n_k, d_att), with
-        rows laid out (N, S, d_att) and key_ok (N, 1, n_k) marking real
-        frames (None: all are)."""
-        *lead, b, d = state.shape
-        shift = self.w_state(state).reshape(*lead, b, 1, d)
-        scores = self.v(T.tanh(enc_proj + shift))   # (..., B, n_k, 1)
+        """Context (N, S, d_att) and weights (N, S, n_k) for decoder states
+        (N, S, d_att), S rows attending over each of N utterances: their
+        encoder outputs x_e (N, n_k, d_att), or (n_k, d_att) when N is 1,
+        the projection enc_proj (N, 1, n_k, d_att) and key_ok (N, n_k)
+        marking real frames (None: all are)."""
+        n, s, d = state.shape
+        shift = self.w_state(state).reshape(n, s, 1, d)
+        scores = self.v(T.tanh(enc_proj + shift))   # (N, S, n_k, 1)
         scores = scores.reshape(scores.shape[:-1])
         if key_ok is not None:
-            scores = scores + Tensor(np.where(key_ok, 0.0, T.MASK_BIAS))
+            scores = scores + Tensor(np.where(key_ok[:, None], 0.0,
+                                              T.MASK_BIAS))
         alpha = T.softmax(scores)
         return alpha @ x_e, alpha
 
 
 @dataclass
 class LstmDecoderState:
-    """Encoder output and its attention projection, fixed per utterance,
-    and per layer the (h, c) rows, one per hypothesis. A teacher-forced
-    forward has one (n_enc, d_att) output and no groups; search has N
-    outputs padded to (N, n_enc, d_att), their projection as (N, 1,
-    n_enc, d_att), key_ok (N, 1, n_enc) marking real frames (None: all
-    are), and groups giving each row's utterance."""
+    """Per utterance the encoder output, (N, n_enc, d_att) padded to the
+    longest or one utterance's (n_enc, d_att), and its attention
+    projection, (N, 1, n_enc, d_att); per layer the (h, c) rows, one per
+    hypothesis; groups gives each row's utterance and each utterance's
+    frames."""
     x_e: Tensor
     enc_proj: Tensor
-    groups: Optional["_RowGroups"]
-    key_ok: Optional[np.ndarray]
+    groups: "_RowGroups"
     h: List[Tensor]
     c: List[Tensor]
 
     def select(self, rows: Sequence[int]) -> "LstmDecoderState":
-        return replace(self, groups=self.groups.select(rows),
-                       h=[_take_rows(t, rows) for t in self.h],
-                       c=[_take_rows(t, rows) for t in self.c])
+        groups = self.groups.select(rows)
+        return LstmDecoderState(groups.cut(self.x_e), groups.cut(self.enc_proj),
+                                groups, h=[_take_rows(t, rows) for t in self.h],
+                                c=[_take_rows(t, rows) for t in self.c])
 
 
 class LstmDecoderBody(Module):
     """Unidirectional LSTM stack; every step attends over the encoder
     output, and the context vector rides along with the token embedding.
-    Teacher forcing and search run the same step."""
+    Teacher forcing and search run the same step: a teacher-forced
+    forward is one utterance with one row."""
 
     def __init__(self, d: int, d_att: int, rng: np.random.Generator):
         super().__init__()
@@ -602,7 +603,9 @@ class LstmDecoderBody(Module):
 
     def forward(self, y0: Tensor, x_e: Tensor,
                 records: Optional[DecoderRecords] = None) -> Tensor:
-        state = self._start(x_e, self.attention.precompute(x_e), None, None)
+        # x_e goes in unreshaped, so the gradient terms of every step add
+        # straight into it, in tape order with its other users' terms
+        state = self.init_state(x_e)
         outs = []
         alphas = []
         for step in range(y0.shape[0]):
@@ -610,25 +613,21 @@ class LstmDecoderBody(Module):
             outs.append(out)
             alphas.append(alpha)
         if records is not None:
-            weights = T.concat(alphas, axis=0)
-            records.src_att.append(weights.reshape((1,) + weights.shape))
+            records.src_att.append(T.concat(alphas, axis=1))
         return T.concat(outs, axis=0)
 
-    def init_state(self, x_e: Tensor, key_ok: Optional[np.ndarray] = None
+    def init_state(self, x_e: Tensor, lens: Optional[np.ndarray] = None
                    ) -> LstmDecoderState:
-        """Search rows that have consumed nothing, one per utterance of the
-        padded (N, n_enc, d_att) encoder outputs; key_ok (N, n_enc) marks
-        real frames (None: all are)."""
-        n_utt, n_enc, d = x_e.shape
+        """Rows that have consumed nothing, one per utterance of the padded
+        (N, n_enc, d_att) encoder outputs, utterance i holding lens[i]
+        real frames (None: all n_enc); one utterance may come as its
+        (n_enc, d_att) output."""
+        n_utt = 1 if x_e.ndim == 2 else x_e.shape[0]
+        n_enc, d = x_e.shape[-2:]
         enc_proj = self.attention.precompute(x_e).reshape(n_utt, 1, n_enc, d)
-        return self._start(x_e, enc_proj, _RowGroups(np.arange(n_utt), n_utt),
-                           None if key_ok is None else key_ok[:, None])
-
-    def _start(self, x_e, enc_proj, groups, key_ok) -> LstmDecoderState:
-        rows = 1 if groups is None else len(groups.utt)
-        zeros = [Tensor(np.zeros((rows, self.d_att))) for _ in self.cells]
-        return LstmDecoderState(x_e, enc_proj, groups, key_ok, h=zeros,
-                                c=list(zeros))
+        zeros = [Tensor(np.zeros((n_utt, self.d_att))) for _ in self.cells]
+        return LstmDecoderState(x_e, enc_proj, _RowGroups.start(x_e, lens),
+                                h=zeros, c=list(zeros))
 
     def step(self, state: LstmDecoderState, y: Tensor
              ) -> Tuple[Tensor, LstmDecoderState]:
@@ -637,15 +636,11 @@ class LstmDecoderBody(Module):
         return out, state
 
     def _step(self, state: LstmDecoderState, y: Tensor):
+        # each utterance's rows attend over its frames as one block
         groups = state.groups
-        if groups is None:
-            ctx, alpha = self.attention(state.enc_proj, state.x_e, state.h[-1])
-        else:
-            # search: each utterance's rows attend over it as one block
-            ctx, alpha = self.attention(state.enc_proj, state.x_e,
-                                        groups.blocks(state.h[-1]),
-                                        state.key_ok)
-            ctx = groups.rows(ctx)
+        ctx, alpha = self.attention(state.enc_proj, state.x_e,
+                                    groups.blocks(state.h[-1]), groups.key_ok)
+        ctx = groups.rows(ctx)
         inp = T.concat([y, ctx], axis=1)
         hs, cs = [], []
         for cell, h, c in zip(self.cells, state.h, state.c):
@@ -658,31 +653,61 @@ class LstmDecoderBody(Module):
 
 
 class _RowGroups:
-    """The rows of a search state laid out by utterance: row b is slot[b]
-    of utterance utt[b]'s block in (N, S, d), S the most rows one
-    utterance has. No gradient."""
+    """The rows of a decoder state laid out by utterance, and each
+    utterance's source frame count lens. Row b is slot[b] of utterance
+    utt[b]'s block in (N, S, d), S the most rows one utterance has;
+    key_ok (N, n_max) marks real source frames, None when no utterance
+    is padded. After select, kept holds the indices, before it, of the
+    utterances that still have rows (None when all do)."""
 
-    def __init__(self, utt: np.ndarray, n_utt: int):
+    def __init__(self, utt: np.ndarray, lens: np.ndarray,
+                 kept: Optional[np.ndarray] = None):
+        counts = np.bincount(utt, minlength=len(lens))
         order = np.argsort(utt, kind="stable")
-        counts = np.bincount(utt, minlength=n_utt)
         self.slot = np.empty_like(utt)
         self.slot[order] = (np.arange(len(utt))
                             - np.repeat(np.cumsum(counts) - counts, counts))
-        self.utt = utt
-        self.shape = (n_utt, int(counts.max()))
+        self.utt, self.lens, self.kept = utt, lens, kept
+        self.shape = (len(lens), int(counts.max()))
+        # the row in each block slot; unused slots repeat row 0, and rows()
+        # never reads what they give
+        self.where = np.zeros(self.shape, dtype=np.int64)
+        self.where[utt, self.slot] = np.arange(len(utt))
+        n_max = int(lens.max())
+        self.key_ok = (None if lens.min() == n_max
+                       else np.arange(n_max) < lens[:, None])
+
+    @staticmethod
+    def start(x_e: Tensor, lens: Optional[np.ndarray]) -> "_RowGroups":
+        """One row per utterance of the padded encoder outputs x_e, (N,
+        n_enc, d_att) or one utterance's (n_enc, d_att)."""
+        n_utt = 1 if x_e.ndim == 2 else x_e.shape[0]
+        n_enc = x_e.shape[-2]
+        return _RowGroups(np.arange(n_utt),
+                          np.full(n_utt, n_enc) if lens is None else lens)
 
     def select(self, rows: Sequence[int]) -> "_RowGroups":
-        return _RowGroups(self.utt[rows], self.shape[0])
+        """The layout of the given rows; utterances left without rows
+        drop out and the rest are renumbered in order."""
+        kept, utt = np.unique(self.utt[rows], return_inverse=True)
+        return _RowGroups(utt, self.lens[kept],
+                          None if len(kept) == len(self.lens) else kept)
+
+    def cut(self, t: Tensor) -> Tensor:
+        """A per-utterance source tensor of the layout before select,
+        (N, ..., n_enc, d), cut to the utterances kept and to the longest
+        of their frames; no gradient."""
+        if self.kept is None:
+            return t
+        return Tensor(t.data[self.kept, ..., :int(self.lens.max()), :])
 
     def blocks(self, x: Tensor) -> Tensor:
-        """(B, d) rows -> (N, S, d) blocks, zero in unused slots."""
-        out = np.zeros(self.shape + x.shape[1:])
-        out[self.utt, self.slot] = x.data
-        return Tensor(out)
+        """(B, d) rows -> (N, S, d) blocks."""
+        return x[self.where]
 
     def rows(self, x: Tensor) -> Tensor:
         """(N, S, d) blocks -> their (B, d) rows."""
-        return Tensor(x.data[self.utt, self.slot])
+        return x[self.utt, self.slot]
 
 
 def _take_rows(t: Tensor, rows: Sequence[int]) -> Tensor:

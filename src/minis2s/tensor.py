@@ -372,17 +372,25 @@ def transpose(a: Tensor) -> Tensor:
 
 
 def _slice(a: Tensor, idx) -> Tensor:
-    """Basic indexing by slices and integers; an integer drops its axis."""
+    """Indexing by slices, integers and integer arrays; an integer drops
+    its axis, and integer arrays gather (numpy's advanced indexing), the
+    gradient of a repeated entry adding up."""
     if not isinstance(idx, tuple):
         idx = (idx,)
-    if not all(isinstance(s, (slice, int)) for s in idx):
-        raise DimensionError("only slice and integer indexing is supported")
-    data = a.data[idx].copy()
+    if not all(isinstance(s, (slice, int)) or (isinstance(s, np.ndarray)
+               and s.dtype.kind in "iu") for s in idx):
+        raise DimensionError("only slice, integer and integer-array "
+                             "indexing is supported")
+    gather = any(isinstance(s, np.ndarray) for s in idx)
+    data = a.data[idx] if gather else a.data[idx].copy()
 
     def bwd(g, a=a, idx=idx):
         if a.requires_grad:
             full = np.zeros_like(a.data)
-            full[idx] = g
+            if gather:
+                np.add.at(full, idx, g)
+            else:
+                full[idx] = g
             a._accumulate(full)
 
     return _result(data, (a,), bwd)

@@ -287,9 +287,21 @@ def test_padded_extend_and_finish_match_scalar_oracle(seed):
         for tok in p:
             state = scorer.extend(state).select([0], [tok])
         states.append(state)
+    # a state of one utterance's prefixes holds only that utterance's
+    # frames; -inf fills the rest of the batch's frames
+    n_max = max(lengths)
+
+    def frames(r):
+        return np.pad(r, ((0, n_max - len(r)), (0, 0)),
+                      constant_values=-np.inf)
+
     batch = CtcPrefixState(
-        *(np.concatenate([getattr(s, f) for s in states], axis=-1)
-          for f in ("r_n", "r_b", "last", "utt")))
+        *(np.concatenate([frames(getattr(s, f)) for s in states], axis=-1)
+          for f in ("r_n", "r_b")),
+        *(np.concatenate([getattr(s, f) for s in states])
+          for f in ("last", "utt")))
+    assert all(len(s.r_n) == lengths[i] for s, (i, p) in zip(states, cases)
+               if p)
     ext = scorer.extend(batch)
     finish = scorer.finish(batch)
     for arr in (ext.psi, ext.r_n, ext.r_b, finish):

@@ -380,6 +380,30 @@ def test_step_leaves_its_input_state_unchanged():
         np.testing.assert_array_equal(again, other)
 
 
+
+def test_ended_utterance_leaves_the_state():
+    # three utterances, the longest in the middle: once its rows are gone
+    # the source side holds the other two, cut to the longer of them, and
+    # their rows, out of utterance order, step as in a state started on
+    # those two alone
+    for body in ("transformer", "rnn"):
+        model = S2SModel(toy_cfg(body=body, d=2))
+        model.eval()
+        encs = [model.encode(feats(n, seed=37 + n)) for n in (9, 21, 13)]
+        state = model.init_state(encs).select([0, 0, 1, 2, 2])
+        _, state = model.step(state, [SOS_EOS_ID] * 5)
+        state = state.select([3, 0, 4, 1])
+        ref = model.init_state([encs[0], encs[2]]).select([0, 0, 1, 1])
+        _, ref = model.step(ref, [SOS_EOS_ID] * 4)
+        ref = ref.select([2, 0, 3, 1])
+        source = (state.body.layers[0].src_k if body == "transformer"
+                  else state.body.x_e)
+        assert source.shape[:2] == (2, encs[2].n_sub)
+        for tokens in ([3, 4, 5, 6], [6, 6, 3, 3]):
+            rows, state = model.step(state, tokens)
+            want, ref = model.step(ref, tokens)
+            np.testing.assert_allclose(rows, want, rtol=0, atol=1e-12)
+
 def test_mha_init_keeps_per_head_glorot_order():
     # q, k, v of head 0, then of head 1, ..., then w_head: the draws of
     # one (d, d) parameter per head, laid side by side

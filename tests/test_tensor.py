@@ -243,6 +243,16 @@ def test_reshape_concat_slice_transpose_roundtrip():
     np.testing.assert_array_equal(both.data[4:], x.data)
 
 
+
+def test_integer_array_index_gathers_and_sums_repeated_gradients():
+    x = rnd((4, 3, 2), 15)
+    rows, cols = np.array([[3, 0], [3, 1]]), np.array([[2, 2], [2, 0]])
+    np.testing.assert_array_equal(x[rows, cols].data, x.data[rows, cols])
+    # (3, 2) is gathered twice, so its gradient is the sum of two terms
+    assert grad_check(lambda t: T.tanh(t[rows, cols]).sum(), [x]) < 1e-6
+    with pytest.raises(DimensionError):
+        x[np.array([0.5])]
+
 def test_broadcast_rules():
     a = rnd((3, 4), 13)
     v = rnd((4,), 14)
