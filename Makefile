@@ -1,7 +1,8 @@
-# Tier-1 check: the whole test suite, run the way ROADMAP.md gives it.
+# Tier-1 check: the whole test suite, run the way ROADMAP.md gives it,
+# then the ten slowest tests.
 .PHONY: check
 check:
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -q --continue-on-collection-errors
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -q --continue-on-collection-errors --durations=10
 
 # The size measure of ROADMAP.md: total lines of src/minis2s/*.py.
 .PHONY: lines

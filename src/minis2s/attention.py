@@ -83,8 +83,8 @@ def positional_rows(n: int, d: int) -> np.ndarray:
 
 
 def add_positional_encoding(x: Tensor) -> Tensor:
-    """x + PE[:len(x)]."""
-    n, d = x.shape
+    """x + PE[:n] for x (n, d), or every row of a batch (B, n, d)."""
+    n, d = x.shape[-2:]
     return x + Tensor(positional_rows(n, d))
 
 

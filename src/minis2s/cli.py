@@ -24,7 +24,7 @@ from .data import (Vocab, gen_toy, load_dataset, save_dataset, toy_vocab,
 from .decoding import batch_beam_search
 from .errors import ConfigError, DataError, NumericError
 from .metrics import bleu, cer, wer
-from .models import RnnLm, build_model
+from .models import RnnLm, build_model, pad_sequences
 from .training import (LOG_COLUMNS, average_checkpoints, check_lengths,
                        load_checkpoint, load_into_model, save_checkpoint,
                        train_lm, train_loop)
@@ -149,15 +149,16 @@ def cmd_decode(args) -> int:
     utts, _ = load_dataset(args.data, args.split, vocab=vocab)
     check_lengths(model, utts, args.split, training=False)
     # length-sorted groups, so padding stays short; each group is one
-    # batched search
+    # padded encode and one batched search
     group = max(1, SEARCH_ROWS // cfg.beam.beam_size)
     order = sorted(range(len(utts)), key=lambda i: utts[i].feats.shape[0])
     results = [None] * len(utts)
     for start in range(0, len(order), group):
         idx = order[start:start + group]
         with T.no_grad(), T.Graph(seed=0):
-            encs = [model.encode(T.Tensor(utts[i].feats)) for i in idx]
-            found = batch_beam_search(encs, model, lm=lm, config=cfg.beam,
+            enc = model.encode(*pad_sequences([utts[i].feats for i in idx]))
+            found = batch_beam_search(enc.utterances(), model, lm=lm,
+                                      config=cfg.beam,
                                       ids=[utts[i].utt_id for i in idx])
         for i, result in zip(idx, found):
             results[i] = result

@@ -33,19 +33,34 @@ class LossReport:
         return self.components.get(name, 0.0)
 
 
-def s2s_cross_entropy(log_probs: Tensor, targets: Sequence[int],
+def s2s_cross_entropy(log_probs: Tensor, targets: Sequence,
                       denom: Optional[float] = None) -> Tensor:
     """Mean negative log-probability of the target tokens.
 
     `targets` must end with the end-of-sequence token; `denom` replaces
-    the per-utterance length as the normalizer when accumulating.
+    the target count as the normalizer when accumulating. A padded batch
+    of log_probs, (B, n_max, V), takes one target sequence per row, read
+    from the row's first rows; the rest are padding and play no part.
     """
-    targets = list(targets)
-    if log_probs.shape[0] != len(targets):
-        raise DimensionError(f"{log_probs.shape[0]} prediction rows for "
-                             f"{len(targets)} targets")
-    denom = float(len(targets)) if denom is None else float(denom)
-    return -T.pick(log_probs, targets).sum() / denom
+    if log_probs.ndim == 3:
+        lens = [len(ys) for ys in targets]
+        if len(lens) != log_probs.shape[0] or max(lens) > log_probs.shape[1]:
+            raise DimensionError(f"{log_probs.shape[:2]} prediction rows for "
+                                 f"target lengths {lens}")
+        rows = np.repeat(np.arange(len(lens)), lens)
+        steps = np.concatenate([np.arange(n) for n in lens])
+        picked = log_probs[rows, steps,
+                           np.concatenate([np.asarray(ys, dtype=np.int64)
+                                           for ys in targets])]
+    else:
+        targets = list(targets)
+        lens = [len(targets)]
+        if log_probs.shape[0] != len(targets):
+            raise DimensionError(f"{log_probs.shape[0]} prediction rows for "
+                                 f"{len(targets)} targets")
+        picked = T.pick(log_probs, targets)
+    denom = float(sum(lens)) if denom is None else float(denom)
+    return -picked.sum() / denom
 
 
 def expand_with_blanks(targets: Sequence[int], blank: int = 0) -> List[int]:
@@ -64,72 +79,99 @@ def ctc_min_frames(targets: Sequence[int]) -> int:
     return len(targets) + repeats
 
 
-def ctc_log_likelihood(log_probs: Tensor, targets: Sequence[int],
-                       blank: int = 0) -> Tensor:
+def ctc_log_likelihood(log_probs: Tensor, targets: Sequence,
+                       blank: int = 0, frames=None) -> Tensor:
     """log p(targets | frames) marginalized over all blank-augmented
     monotonic alignments; the log-space forward algorithm of Graves et
     al. (2006), vectorized over the states of each frame.
 
     `log_probs` rows are per-frame log distributions over the vocabulary
-    with the blank at index `blank`. The backward pass distributes the
-    gradient by alignment posteriors (forward-backward), hand-derived
-    for this op.
+    with the blank at index `blank`: (n_frames, V) for one utterance,
+    whose label sequence `targets` is, gives a scalar. A padded batch,
+    (B, n_max, V), takes one label sequence per row and each row's frame
+    count in `frames` (None: n_max) and gives the (B,) log-likelihoods,
+    each over its own frames and labels alone: the recursions run over
+    every row at once, states past a row's labels stay at -inf, and the
+    backward recursion starts at each row's own last frame. The backward
+    pass distributes the gradient by alignment posteriors
+    (forward-backward), hand-derived for this op.
     """
-    targets = [int(y) for y in targets]
-    u = log_probs.data
-    n_frames, vocab = u.shape
-    for y in targets:
-        if not 0 <= y < vocab:
-            raise IndexError(f"target id {y} outside vocabulary of {vocab}")
-        if y == blank:
-            raise DimensionError("blank cannot appear in a CTC target")
-    if ctc_min_frames(targets) > n_frames:
-        raise ImpossibleAlignmentError(
-            f"target of {len(targets)} labels needs at least "
-            f"{ctc_min_frames(targets)} frames, got {n_frames}")
-    if n_frames == 0:
+    one = log_probs.ndim == 2
+    u = log_probs.data[None] if one else log_probs.data
+    n_b, n_max, vocab = u.shape
+    targets = [[int(y) for y in ys] for ys in ([targets] if one else targets)]
+    frames = np.full(n_b, n_max) if frames is None else np.reshape(frames, n_b)
+    if len(targets) != n_b:
+        raise DimensionError(f"{len(targets)} targets for {n_b} rows")
+    for ys, n_frames in zip(targets, frames):
+        for y in ys:
+            if not 0 <= y < vocab:
+                raise IndexError(f"target id {y} outside vocabulary of {vocab}")
+            if y == blank:
+                raise DimensionError("blank cannot appear in a CTC target")
+        if ctc_min_frames(ys) > n_frames:
+            raise ImpossibleAlignmentError(
+                f"target of {len(ys)} labels needs at least "
+                f"{ctc_min_frames(ys)} frames, got {n_frames}")
+    if n_max == 0:
         return Tensor(np.asarray(0.0))  # empty target over zero frames
 
-    z = np.asarray(expand_with_blanks(targets, blank))
-    s_len = len(z)
-    uz = u[:, z]                        # (frames, states)
+    s_lens = np.array([2 * len(ys) + 1 for ys in targets])
+    s_max = int(s_lens.max())
+    rows = np.arange(n_b)
+    z = np.full((n_b, s_max), blank)
+    for b, ys in enumerate(targets):
+        z[b, :s_lens[b]] = expand_with_blanks(ys, blank)
+    state_ok = np.arange(s_max) < s_lens[:, None]
+    # (frames, B, states); states past a row's labels can never be entered
+    uz = np.where(state_ok, u[rows[:, None], :, z].transpose(2, 0, 1), -np.inf)
     # state s may also be entered from s - 2, skipping a blank, unless it
     # is a blank itself or repeats the label two states back; the skip
     # term adds 0 where allowed and -inf where not
-    skip = np.full(s_len, -np.inf)
-    skip[2:][(z[2:] != blank) & (z[2:] != z[:-2])] = 0.0
+    skip = np.full((n_b, s_max), -np.inf)
+    skip[:, 2:][(z[:, 2:] != blank) & (z[:, 2:] != z[:, :-2])] = 0.0
 
     # two -inf columns pad the state axis, before it for alpha and after
     # it for beta, so the s - 1, s - 2 (s + 1, s + 2) neighbours are slices
-    a = np.full((n_frames, s_len + 2), -np.inf)
-    a[0, 2:4] = uz[0, :2]
-    for t in range(1, n_frames):
+    a = np.full((n_max, n_b, s_max + 2), -np.inf)
+    a[0, :, 2:4] = uz[0, :, :2]
+    for t in range(1, n_max):
         p = a[t - 1]
-        a[t, 2:] = np.logaddexp(np.logaddexp(p[2:], p[1:-1]),
-                                p[:-2] + skip) + uz[t]
-    alpha = a[:, 2:]
-    logp = float(np.logaddexp.reduce(alpha[-1, -2:]))
+        a[t, :, 2:] = np.logaddexp(np.logaddexp(p[:, 2:], p[:, 1:-1]),
+                                   p[:, :-2] + skip) + uz[t]
+    alpha = a[:, :, 2:]
+    # a complete labeling ends in the last label or the blank after it
+    last = frames - 1
+    end = alpha[last, rows]
+    second = np.where(s_lens > 1, end[rows, np.maximum(s_lens - 2, 0)], -np.inf)
+    logp = np.logaddexp(end[rows, s_lens - 1], second)
 
-    skip_on = np.full(s_len, -np.inf)   # state s may move on to s + 2
-    skip_on[:-2] = skip[2:]
-    b = np.full((n_frames, s_len + 2), -np.inf)
-    b[-1, max(s_len - 2, 0):s_len] = uz[-1, -2:]
-    for t in range(n_frames - 2, -1, -1):
-        nx = b[t + 1]
-        b[t, :-2] = np.logaddexp(np.logaddexp(nx[:-2], nx[1:-1]),
-                                 nx[2:] + skip_on) + uz[t]
-    beta = b[:, :-2]
+    skip_on = np.full((n_b, s_max), -np.inf)   # state s may move on to s + 2
+    skip_on[:, :-2] = skip[:, 2:]
+    finals = (np.arange(s_max) >= s_lens[:, None] - 2) & state_ok
+    # frame n_max stays at -inf: a row's recursion starts at its last frame
+    b_pad = np.full((n_max + 1, n_b, s_max + 2), -np.inf)
+    for t in range(n_max - 1, -1, -1):
+        nx = b_pad[t + 1]
+        b_pad[t, :, :-2] = np.logaddexp(
+            np.logaddexp(nx[:, :-2], nx[:, 1:-1]), nx[:, 2:] + skip_on) + uz[t]
+        ends = last == t
+        if ends.any():
+            b_pad[t, ends, :-2] = np.where(finals[ends], uz[t, ends], -np.inf)
+    beta = b_pad[:n_max, :, :-2]
 
     def bwd(g, log_probs=log_probs):
         if not log_probs.requires_grad:
             return
-        # alpha and beta both include u[t, z[s]]; remove one copy
-        post = np.exp(alpha + beta - uz - logp)
-        grad = np.zeros((n_frames, vocab))
-        np.add.at(grad, (slice(None), z), post)
-        log_probs._accumulate(float(g) * grad)
+        # alpha and beta both include u[t, z[s]]; remove one copy (states
+        # past a row's labels have alpha = beta = -inf and add nothing)
+        post = np.exp(alpha + beta - np.where(state_ok, uz, 0.0) - logp[:, None])
+        grad = np.zeros((n_max, n_b, vocab))
+        np.add.at(grad, (slice(None), rows[:, None], z), post)
+        grad *= np.reshape(g, n_b)[:, None]
+        log_probs._accumulate(grad.transpose(1, 0, 2).reshape(log_probs.shape))
 
-    return T.from_op(np.asarray(logp), (log_probs,), bwd)
+    return T.from_op(np.asarray(logp[0] if one else logp), (log_probs,), bwd)
 
 
 def joint_asr_loss(s2s_nll: Tensor, ctc_nll: Optional[Tensor],

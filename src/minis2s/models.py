@@ -5,10 +5,20 @@ DecBody -> DecPost. Speech input goes through a subsampling front end,
 text input through an embedding; the bodies are swappable between a
 Transformer and an RNN without changing any interface shape.
 
-Padded batches: every forward that takes sequences accepts the true
-length next to the (possibly padded) buffer. Convolution tails are
-re-zeroed stage by stage and attention masks hide padded keys, so a
-padded run equals the unpadded run on the real frames.
+Padded batches: the ASR/ST forward takes one utterance, (n, d) rows,
+or a batch of B utterances padded to the longest, (B, n_max, d) with a
+leading batch axis and each row's true length beside it; training and
+decoding both encode a batch in one pass. Each row's convolution tail
+is re-zeroed stage by stage at its own length, key-padding masks hide
+its padded frames from every attention (the encoder's self-attention,
+the decoder's source attention, the LSTM decoder's additive attention),
+and each BLSTM direction scans only its real frames, the reverse one
+starting at the row's own last frame. The decoder teacher-forces every
+row's targets at once (the Transformer under the causal mask, the LSTM
+one step of every row at a time), so positions past a short row's end
+never reach its real ones. Each row of a padded batch thus
+equals the unpadded run of its utterance on the real frames; outputs
+past a row's end are left as they come and the losses never read them.
 
 Search: S2SModel and RnnLm are steppers. `init_state` starts a cached
 state, for S2SModel one row per encoding of N utterances,
@@ -23,9 +33,9 @@ Transformer's projected source keys and values, the LSTM attention's
 encoder projection), and each utterance's rows attend over it as one
 block. An utterance whose rows select drops leaves the state with its
 source side, which is then cut to the longest utterance left. The LSTM
-decoder's teacher-forced forward runs the same step on one utterance
-with one row. TtsModel.infer drives the same body steppers, one
-utterance and one frame group per step.
+decoder's teacher-forced forward runs the same step with one row per
+utterance. TtsModel.infer drives the same body steppers, one utterance
+and one frame group per step.
 
 Fused tape nodes: each direction of a BLSTM layer and the LM's
 teacher-forced pass record one node for the whole sequence (nn.LSTM),
@@ -41,7 +51,7 @@ loss's gradient.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -119,8 +129,17 @@ class ModelConfig:
 
 @dataclass
 class EncodedSequence:
-    x_e: Tensor          # n_sub x d_att
-    n_sub: int
+    """Encoder output of one utterance, x_e (n_sub, d_att), or of a padded
+    batch, x_e (B, n_max, d_att) with row b's frame count n_sub[b]; frames
+    past a row's count hold no meaning."""
+    x_e: Tensor
+    n_sub: Union[int, np.ndarray]
+
+    def utterances(self) -> List["EncodedSequence"]:
+        """Each row of a batch cut to its own frames, as one utterance's
+        encoding; no gradient."""
+        return [EncodedSequence(Tensor(self.x_e.data[b, :n]), int(n))
+                for b, n in enumerate(self.n_sub)]
 
 
 @dataclass
@@ -131,15 +150,26 @@ class DecoderRecords:
     src_att: List[Tensor] = field(default_factory=list)
 
 
-def pad_encodings(encs: Sequence[EncodedSequence]
-                  ) -> Tuple[Tensor, np.ndarray]:
-    """The encoder outputs of N utterances as one (N, n_max, d_att) buffer,
-    zero past each utterance's end, and their frame counts."""
-    lens = np.array([enc.x_e.shape[0] for enc in encs])
-    x = np.zeros((len(encs), lens.max(), encs[0].x_e.shape[1]))
-    for i, enc in enumerate(encs):
-        x[i, :lens[i]] = enc.x_e.data
-    return Tensor(x), lens
+def pad_sequences(seqs: Sequence[np.ndarray]) -> Tuple[Tensor, np.ndarray]:
+    """N (n_i, d) arrays as one (N, n_max, d) batch, zero past each one's
+    end, and their lengths: speech frames as S2SModel.encode takes them,
+    or encoder outputs as the decoder states take them."""
+    lens = np.array([len(x) for x in seqs])
+    out = np.zeros((len(seqs), lens.max(), np.shape(seqs[0])[1]))
+    for i, x in enumerate(seqs):
+        out[i, :lens[i]] = x
+    return Tensor(out), lens
+
+
+def _key_mask(n_buf: int, lens) -> Optional[np.ndarray]:
+    """Key-padding mask of keys 0..n_buf-1 for rows holding lens real keys
+    each (a count, or one per row of a batch), shaped to broadcast over
+    the (..., H, n_q, n_k) attention weights; None when nothing is
+    padded."""
+    lens = np.asarray(lens)
+    if lens.min() >= n_buf:
+        return None
+    return (np.arange(n_buf) < lens[..., None])[..., None, None, :]
 
 
 def conv_len(n: int, kernel: int = 3, stride: int = 2, padding: int = 1) -> int:
@@ -152,20 +182,36 @@ def subsample_length(n: int, mode: str = "conv") -> int:
     return n // 2 // 2
 
 
-def _zero_tail(x: Tensor, n_true: int) -> Tensor:
-    """Kill activations in padded rows so later stages see clean zeros."""
-    if n_true >= x.shape[0]:
+def _zero_tail(x: Tensor, lens) -> Tensor:
+    """Kill activations past each row's length so later stages see clean
+    zeros. The frame axis is x's second to last; lens is one count, or
+    one per row of the batch axis in front (channel axes may lie
+    between)."""
+    n = x.shape[-2]
+    lens = np.asarray(lens)
+    if lens.min() >= n:
         return x
-    mask = np.zeros(x.shape)
-    mask[:n_true] = 1.0
-    return x * Tensor(mask)
+    keep = np.arange(n) < lens[..., None]
+    keep = keep.reshape(lens.shape + (1,) * (x.ndim - 2 - lens.ndim) + (n, 1))
+    return x * Tensor(keep.astype(np.float64))
+
+
+def _front_end_lens(x: Tensor, lens, min_frames: int, what: str) -> np.ndarray:
+    lens = np.full(x.shape[:-2], x.shape[-2]) if lens is None \
+        else np.asarray(lens)
+    if lens.min() < min_frames:
+        raise DataError(f"input of {int(lens.min())} frames is too short for "
+                        f"{what} (need >= {min_frames})")
+    return lens
 
 
 # ------------------------------------------------------------- front ends
 
 
 class ConvSubsampler(Module):
-    """Two stride-2 kernel-3 convolutions with ReLU, then projection + PE.
+    """Two stride-2 kernel-3 convolutions with ReLU, then projection + PE,
+    over one utterance's (n, feat_dim) frames or a padded (B, n_max,
+    feat_dim) batch, zero past each row's lens frames.
 
     Quarters the frame count: n -> ceil(n/2) -> ceil(ceil(n/2)/2).
     """
@@ -180,12 +226,11 @@ class ConvSubsampler(Module):
         self.proj = Linear(d_att, d_att, rng)
         self.drop = Dropout(dropout_rate)
 
-    def forward(self, x: Tensor, n_true: int) -> Tuple[Tensor, int]:
-        if n_true < self.MIN_FRAMES:
-            raise DataError(f"input of {n_true} frames is too short for two "
-                            f"stride-2 stages (need >= {self.MIN_FRAMES})")
+    def forward(self, x: Tensor, lens=None) -> Tuple[Tensor, np.ndarray]:
+        lens = _front_end_lens(x, lens, self.MIN_FRAMES,
+                               "two stride-2 stages")
         h = T.relu(self.conv1(x))
-        len1 = conv_len(n_true)
+        len1 = conv_len(lens)
         h = _zero_tail(h, len1)
         h = T.relu(self.conv2(h))
         len2 = conv_len(len1)
@@ -198,7 +243,8 @@ class VggSubsampler(Module):
     """VGG-style alternative: two conv2d blocks with max pooling.
 
     Frame count drops to floor(n/4); the feature axis is pooled the same
-    way and flattened into channels before the projection.
+    way and flattened into channels before the projection. Takes what
+    ConvSubsampler takes.
     """
 
     MIN_FRAMES = 4
@@ -218,37 +264,29 @@ class VggSubsampler(Module):
         self.proj = Linear(c2 * (feat_dim // 4), d_att, rng)
         self.drop = Dropout(dropout_rate)
 
-    def _block(self, x: Tensor, conv_a: Conv2d, conv_b: Conv2d,
-               n_true: int) -> Tuple[Tensor, int]:
-        h = T.relu(conv_a(x))
-        h = self._zero_rows(h, n_true)
-        h = T.relu(conv_b(h))
-        h = self._zero_rows(h, n_true)
-        h = T.max_pool2d(h, 2)
-        return h, n_true // 2
-
     @staticmethod
-    def _zero_rows(x: Tensor, n_true: int) -> Tensor:
-        if n_true >= x.shape[1]:
-            return x
-        mask = np.zeros(x.shape)
-        mask[:, :n_true] = 1.0
-        return x * Tensor(mask)
+    def _block(x: Tensor, conv_a: Conv2d, conv_b: Conv2d,
+               lens: np.ndarray) -> Tuple[Tensor, np.ndarray]:
+        # conv_b reads conv_a's frames one past the end, so they are zeroed;
+        # a pooled frame within the halved length reads real frames only,
+        # so the pooled tail is zeroed once
+        h = _zero_tail(T.relu(conv_a(x)), lens)
+        h = T.max_pool2d(T.relu(conv_b(h)), 2)
+        return _zero_tail(h, lens // 2), lens // 2
 
-    def forward(self, x: Tensor, n_true: int) -> Tuple[Tensor, int]:
-        if n_true < self.MIN_FRAMES:
-            raise DataError(f"input of {n_true} frames is too short for two "
-                            f"pooling stages (need >= {self.MIN_FRAMES})")
-        n, feat = x.shape
-        img = x.reshape(1, n, feat)
-        h, len1 = self._block(img, self.conv1a, self.conv1b, n_true)
+    def forward(self, x: Tensor, lens=None) -> Tuple[Tensor, np.ndarray]:
+        lens = _front_end_lens(x, lens, self.MIN_FRAMES, "two pooling stages")
+        img = x.reshape(x.shape[:-2] + (1,) + x.shape[-2:])
+        h, len1 = self._block(img, self.conv1a, self.conv1b, lens)
         h, len2 = self._block(h, self.conv2a, self.conv2b, len1)
-        h = self._zero_rows(h, len2)
-        # (c2, t, f) -> (t, c2*f) as channel-blocked columns
-        t4, f4 = h.shape[1], h.shape[2]
-        planes = [h[c:c + 1].reshape(t4, f4) for c in range(self.c2)]
-        flat = T.concat(planes, axis=1)
-        out = self.drop(A.add_positional_encoding(self.proj(flat)))
+        # (..., c2, t, f) -> (..., t, c2*f) as channel-blocked columns, one
+        # gather
+        t4, f4 = h.shape[-2:]
+        col = np.arange(self.c2 * f4)
+        idx = (col // f4, np.arange(t4)[:, None], col % f4)
+        if h.ndim == 4:
+            idx = (np.arange(h.shape[0])[:, None, None],) + idx
+        out = self.drop(A.add_positional_encoding(self.proj(h[idx])))
         return out, len2
 
 
@@ -267,8 +305,10 @@ class TokenFrontEnd(Module):
         self.alpha = Tensor(1.0, requires_grad=True) if scaled_pe else None
 
     def forward(self, ids) -> Tensor:
+        """(n, d_att) rows for a sequence of ids, or (B, n, d_att) for a
+        (B, n) array of them."""
         y = self.embed(list(ids)) * self.scale
-        if y.shape[0] == 0:
+        if y.shape[-2] == 0:
             return y
         if self.alpha is not None:
             y = A.scaled_positional_encoding(y, self.alpha)
@@ -324,19 +364,17 @@ class TransformerEncoderBody(Module):
             for _ in range(e)])
         self.final_ln = LayerNorm(d_att) if normalize == "pre" else None
 
-    def forward(self, x0: Tensor, n_true: int) -> Tensor:
-        n_buf = x0.shape[0]
-        mask = None
-        if n_true < n_buf:
-            key_ok = np.zeros(n_buf, dtype=bool)
-            key_ok[:n_true] = True
-            mask = np.tile(key_ok, (n_buf, 1))
+    def forward(self, x0: Tensor, lens=None) -> Tensor:
+        """Encoder output of a (n, d_att) sequence or a padded (B, n, d_att)
+        batch whose rows hold lens real frames (None: all n); every frame
+        attends to its row's real frames only."""
+        mask = None if lens is None else _key_mask(x0.shape[-2], lens)
         x = x0
         for layer in self.layers:
             x = layer(x, mask)
         if self.final_ln is not None:
             x = self.final_ln(x)
-        return x[:n_true] if n_true < n_buf else x
+        return x
 
 
 class BlstmEncoderLayer(Module):
@@ -346,24 +384,25 @@ class BlstmEncoderLayer(Module):
         self.bwd = LSTM(d_in, d_att, rng, reverse=True)
         self.proj = Linear(2 * d_att, d_att, rng)
 
-    def forward(self, x: Tensor) -> Tensor:
-        both = T.concat([self.fwd(x), self.bwd(x)], axis=1)
+    def forward(self, x: Tensor, lens=None) -> Tensor:
+        both = T.concat([self.fwd(x, lens), self.bwd(x, lens)], axis=-1)
         return T.tanh(self.proj(both))
 
 
 class BlstmEncoderBody(Module):
     """Stacked bidirectional LSTM; forward/backward states concatenated
-    and projected back to d_att after every layer."""
+    and projected back to d_att after every layer. Takes what
+    TransformerEncoderBody takes."""
 
     def __init__(self, e: int, d_att: int, rng: np.random.Generator):
         super().__init__()
         self.layers = ModuleList([BlstmEncoderLayer(d_att, d_att, rng)
                                   for _ in range(e)])
 
-    def forward(self, x0: Tensor, n_true: int) -> Tensor:
-        x = x0[:n_true] if n_true < x0.shape[0] else x0
+    def forward(self, x0: Tensor, lens=None) -> Tensor:
+        x = x0
         for layer in self.layers:
-            x = layer(x)
+            x = layer(x, lens)
         return x
 
 
@@ -382,13 +421,14 @@ class TransformerDecoderLayer(Module):
             self.ln2 = LayerNorm(d_att)
             self.ln3 = LayerNorm(d_att)
 
-    def forward(self, y: Tensor, x_e: Tensor, mask: np.ndarray
+    def forward(self, y: Tensor, x_e: Tensor, mask: np.ndarray,
+                src_mask: Optional[np.ndarray] = None
                 ) -> Tuple[Tensor, Tensor]:
-        """The layer's output and its source-attention weights, (H, n_dec,
-        n_enc)."""
+        """The layer's output and its source-attention weights, (..., H,
+        n_dec, n_enc)."""
         return self._sublayers(
             y, lambda h: self.self_mha(h, h, h, mask),
-            lambda q: self.src_mha(q, x_e, x_e))
+            lambda q: self.src_mha(q, x_e, x_e, src_mask))
 
     def init_cache(self, x_e: Tensor) -> "DecoderLayerCache":
         """The cache of N rows, one per utterance of the padded (N, n_enc,
@@ -489,12 +529,17 @@ class TransformerDecoderBody(Module):
         self.final_ln = LayerNorm(d_att) if normalize == "pre" else None
 
     def forward(self, y0: Tensor, x_e: Tensor,
-                records: Optional[DecoderRecords] = None) -> Tensor:
-        t = y0.shape[0]
-        mask = A.causal_mask(t)
+                records: Optional[DecoderRecords] = None,
+                src_lens: Optional[np.ndarray] = None) -> Tensor:
+        """Teacher-forced outputs for inputs y0, (t, d_att) over one
+        encoding x_e (n_enc, d_att), or (B, t, d_att) over a padded batch
+        (B, n_enc, d_att) whose rows hold src_lens real frames."""
+        mask = A.causal_mask(y0.shape[-2])
+        src_mask = None if src_lens is None else _key_mask(x_e.shape[-2],
+                                                          src_lens)
         y = y0
         for layer in self.layers:
-            y, w = layer(y, x_e, mask)
+            y, w = layer(y, x_e, mask, src_mask)
             if records is not None:
                 records.src_att.append(w)
         if self.final_ln is not None:
@@ -549,21 +594,20 @@ class AdditiveAttention(Module):
         return self.w_enc(x_e)
 
     def forward(self, enc_proj: Tensor, x_e: Tensor, state: Tensor,
-                key_ok: Optional[np.ndarray] = None) -> Tuple[Tensor, Tensor]:
-        """Context (N, S, d_att) and weights (N, S, n_k) for decoder states
-        (N, S, d_att), S rows attending over each of N utterances: their
-        encoder outputs x_e (N, n_k, d_att), or (n_k, d_att) when N is 1,
-        the projection enc_proj (N, 1, n_k, d_att) and key_ok (N, n_k)
-        marking real frames (None: all are)."""
-        n, s, d = state.shape
-        shift = self.w_state(state).reshape(n, s, 1, d)
+                groups: "_RowGroups") -> Tuple[Tensor, Tensor]:
+        """Context rows (B, d_att) and weights (N, S, n_k) for decoder
+        state rows (B, d_att) laid out by groups, each utterance's S rows
+        attending over its encoder output: x_e (N, n_k, d_att), or
+        (n_k, d_att) when N is 1, with the projection enc_proj (N, 1, n_k,
+        d_att)."""
+        shift = groups.blocks(self.w_state(state), keep_axis=True)
         scores = self.v(T.tanh(enc_proj + shift))   # (N, S, n_k, 1)
         scores = scores.reshape(scores.shape[:-1])
-        if key_ok is not None:
-            scores = scores + Tensor(np.where(key_ok[:, None], 0.0,
+        if groups.key_ok is not None:
+            scores = scores + Tensor(np.where(groups.key_ok[:, None], 0.0,
                                               T.MASK_BIAS))
         alpha = T.softmax(scores)
-        return alpha @ x_e, alpha
+        return groups.rows(alpha @ x_e), alpha
 
 
 @dataclass
@@ -590,7 +634,7 @@ class LstmDecoderBody(Module):
     """Unidirectional LSTM stack; every step attends over the encoder
     output, and the context vector rides along with the token embedding.
     Teacher forcing and search run the same step: a teacher-forced
-    forward is one utterance with one row."""
+    forward is one row per utterance of the batch."""
 
     def __init__(self, d: int, d_att: int, rng: np.random.Generator):
         super().__init__()
@@ -602,19 +646,28 @@ class LstmDecoderBody(Module):
         self.d_att = d_att
 
     def forward(self, y0: Tensor, x_e: Tensor,
-                records: Optional[DecoderRecords] = None) -> Tensor:
+                records: Optional[DecoderRecords] = None,
+                src_lens: Optional[np.ndarray] = None) -> Tensor:
+        """Takes and returns what TransformerDecoderBody.forward does."""
         # x_e goes in unreshaped, so the gradient terms of every step add
         # straight into it, in tape order with its other users' terms
-        state = self.init_state(x_e)
+        state = self.init_state(x_e, src_lens)
+        batch = y0.ndim == 3
+        n_steps = y0.shape[-2]
         outs = []
         alphas = []
-        for step in range(y0.shape[0]):
-            out, state, alpha = self._step(state, y0[step:step + 1])
+        for step in range(n_steps):
+            out, state, alpha = self._step(
+                state, y0[:, step] if batch else y0[step:step + 1])
             outs.append(out)
             alphas.append(alpha)
         if records is not None:
             records.src_att.append(T.concat(alphas, axis=1))
-        return T.concat(outs, axis=0)
+        out = T.concat(outs, axis=0)
+        if batch:                       # step-major rows -> (B, t, d_att)
+            n_b = y0.shape[0]
+            out = out[np.arange(n_steps) * n_b + np.arange(n_b)[:, None]]
+        return out
 
     def init_state(self, x_e: Tensor, lens: Optional[np.ndarray] = None
                    ) -> LstmDecoderState:
@@ -637,10 +690,8 @@ class LstmDecoderBody(Module):
 
     def _step(self, state: LstmDecoderState, y: Tensor):
         # each utterance's rows attend over its frames as one block
-        groups = state.groups
-        ctx, alpha = self.attention(state.enc_proj, state.x_e,
-                                    groups.blocks(state.h[-1]), groups.key_ok)
-        ctx = groups.rows(ctx)
+        ctx, alpha = self.attention(state.enc_proj, state.x_e, state.h[-1],
+                                    state.groups)
         inp = T.concat([y, ctx], axis=1)
         hs, cs = [], []
         for cell, h, c in zip(self.cells, state.h, state.c):
@@ -658,7 +709,9 @@ class _RowGroups:
     utt[b]'s block in (N, S, d), S the most rows one utterance has;
     key_ok (N, n_max) marks real source frames, None when no utterance
     is padded. After select, kept holds the indices, before it, of the
-    utterances that still have rows (None when all do)."""
+    utterances that still have rows (None when all do). When each
+    utterance holds one row, in order (teacher forcing, and the first
+    search step), blocks and rows are reshapes."""
 
     def __init__(self, utt: np.ndarray, lens: np.ndarray,
                  kept: Optional[np.ndarray] = None):
@@ -676,6 +729,8 @@ class _RowGroups:
         n_max = int(lens.max())
         self.key_ok = (None if lens.min() == n_max
                        else np.arange(n_max) < lens[:, None])
+        self.one_row = (self.shape == (len(utt), 1)
+                        and bool(np.all(np.diff(utt) > 0)))
 
     @staticmethod
     def start(x_e: Tensor, lens: Optional[np.ndarray]) -> "_RowGroups":
@@ -683,8 +738,8 @@ class _RowGroups:
         n_enc, d_att) or one utterance's (n_enc, d_att)."""
         n_utt = 1 if x_e.ndim == 2 else x_e.shape[0]
         n_enc = x_e.shape[-2]
-        return _RowGroups(np.arange(n_utt),
-                          np.full(n_utt, n_enc) if lens is None else lens)
+        return _RowGroups(np.arange(n_utt), np.full(n_utt, n_enc)
+                          if lens is None else np.reshape(lens, n_utt))
 
     def select(self, rows: Sequence[int]) -> "_RowGroups":
         """The layout of the given rows; utterances left without rows
@@ -701,12 +756,16 @@ class _RowGroups:
             return t
         return Tensor(t.data[self.kept, ..., :int(self.lens.max()), :])
 
-    def blocks(self, x: Tensor) -> Tensor:
-        """(B, d) rows -> (N, S, d) blocks."""
-        return x[self.where]
+    def blocks(self, x: Tensor, keep_axis: bool = False) -> Tensor:
+        """(B, d) rows -> (N, S, d) blocks, or (N, S, 1, d) with keep_axis."""
+        if self.one_row:
+            return x.reshape(self.shape + (1,) * keep_axis + x.shape[-1:])
+        return x[self.where[..., None] if keep_axis else self.where]
 
     def rows(self, x: Tensor) -> Tensor:
         """(N, S, d) blocks -> their (B, d) rows."""
+        if self.one_row:
+            return x.reshape(self.shape[0], x.shape[-1])
         return x[self.utt, self.slot]
 
 
@@ -748,18 +807,30 @@ class S2SModel(Module):
         self.ctc_post = (Linear(config.d_att, config.vocab_size, rng)
                          if config.uses_ctc else None)
 
-    def encode(self, x: Tensor, n_true: Optional[int] = None) -> EncodedSequence:
-        n_true = x.shape[0] if n_true is None else n_true
-        x0, n_sub = self.enc_pre(x, n_true)
+    def encode(self, x: Tensor, lens=None) -> EncodedSequence:
+        """Encode one utterance's (n, feat_dim) frames, or a padded (B,
+        n_max, feat_dim) batch, zero past row b's lens[b] frames (None:
+        every row is n_max long; pad_sequences builds both), in one pass
+        of the front end and the body."""
+        x0, n_sub = self.enc_pre(x, lens)
         x_e = self.enc_body(x0, n_sub)
-        return EncodedSequence(x_e=x_e, n_sub=n_sub)
+        return EncodedSequence(x_e=x_e,
+                               n_sub=int(n_sub) if x.ndim == 2 else n_sub)
 
     def decode_logprobs(self, enc: EncodedSequence, ys_in,
                         records: Optional[DecoderRecords] = None) -> Tensor:
-        """Log-probabilities for each next token given the prefix so far;
-        ys_in starts with the start-of-sequence id."""
-        y0 = self.dec_pre(ys_in)
-        y_d = self.dec_body(y0, enc.x_e, records=records)
+        """Log-probabilities for each next token given the prefix so far,
+        (n, V) for one encoding and its input ids, which start with the
+        start-of-sequence id. For a batch, ys_in holds one such sequence
+        per row, and the (B, n_max, V) rows past a sequence's end hold no
+        meaning."""
+        ids = ys_in
+        if enc.x_e.ndim == 3:            # one row per sequence, eos-padded
+            ids = np.full((len(ys_in), max(map(len, ys_in))), SOS_EOS_ID)
+            for b, ys in enumerate(ys_in):
+                ids[b, :len(ys)] = ys
+        y_d = self.dec_body(self.dec_pre(ids), enc.x_e, records=records,
+                            src_lens=enc.n_sub)
         return T.log_softmax(self.dec_post(y_d))
 
     def ctc_logprobs(self, enc: EncodedSequence) -> Tensor:
@@ -773,7 +844,7 @@ class S2SModel(Module):
         id. The encoder outputs are padded to the longest and masked."""
         with T.no_grad():
             return DecoderState(0, self.dec_body.init_state(
-                *pad_encodings(encs)))
+                *pad_sequences([enc.x_e.data for enc in encs])))
 
     def step(self, state: "DecoderState", last_tokens
              ) -> Tuple[np.ndarray, "DecoderState"]:
@@ -958,7 +1029,7 @@ class TtsModel(Module):
         reason = "cap"
         with T.no_grad(), T.Graph(seed=seed):
             enc = self.encode(token_ids)
-            state = self.dec_body.init_state(*pad_encodings([enc]))
+            state = self.dec_body.init_state(*pad_sequences([enc.x_e.data]))
             for step in range(max_steps):
                 y0 = self.prenet(Tensor(prev)) + self.dec_alpha * Tensor(
                     A.positional_rows(step + 1, self.config.d_att)[step:])

@@ -216,14 +216,16 @@ class LSTMCell(Module):
 
 
 class LSTM(Module):
-    """Single-direction LSTM over a (t, d_in) sequence; returns (t, d_hidden).
+    """Single-direction LSTM over a (t, d_in) sequence, or over the rows of
+    a padded (B, t, d_in) batch with per-row lengths; returns (t, d_hidden)
+    or (B, t, d_hidden).
 
     The whole scan is one fused tape node (tensor.lstm_scan): the input
-    projection runs once for the sequence and the recurrence loops in
+    projection runs once for the batch and the recurrence loops in
     numpy. The weights live in `cell` (gate order i, f, g, o), so the
     parameters are named cell.w_ih, cell.w_hh and cell.bias.
     `reverse=True` scans right to left and emits outputs back in input
-    order, which is the backward half of a BLSTM.
+    order, each row from its own last step: the backward half of a BLSTM.
     """
 
     def __init__(self, d_in: int, d_hidden: int, rng: np.random.Generator,
@@ -233,6 +235,7 @@ class LSTM(Module):
         self.reverse = reverse
         self.d_hidden = d_hidden
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor, lens=None) -> Tensor:
         cell = self.cell
-        return T.lstm_scan(x, cell.w_ih, cell.w_hh, cell.bias, self.reverse)
+        return T.lstm_scan(x, cell.w_ih, cell.w_hh, cell.bias, self.reverse,
+                           lens)

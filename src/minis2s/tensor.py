@@ -621,13 +621,15 @@ def dropout(x: Tensor, rate: float, training: bool, rng=None) -> Tensor:
 
 def conv1d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
            stride: int = 1, padding: int = 0) -> Tensor:
-    """1-D convolution over time. x: (t, c_in), weight: (c_out, c_in, k).
+    """1-D convolution over time. x: (t, c_in), or a batch (B, t, c_in)
+    whose rows are convolved alike; weight: (c_out, c_in, k).
 
     Output length floor((t + 2*padding - k) / stride) + 1.
     """
-    if x.ndim != 2 or weight.ndim != 3:
-        raise DimensionError("conv1d expects x (t, c_in) and weight (c_out, c_in, k)")
-    t, c_in = x.shape
+    if x.ndim not in (2, 3) or weight.ndim != 3:
+        raise DimensionError("conv1d expects x (t, c_in) or (B, t, c_in) and "
+                             "weight (c_out, c_in, k)")
+    t, c_in = x.shape[-2:]
     c_out, w_cin, k = weight.shape
     if w_cin != c_in:
         raise DimensionError(f"conv1d channel mismatch: input {c_in}, weight {w_cin}")
@@ -635,10 +637,12 @@ def conv1d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     if t_out < 1:
         raise DimensionError(f"conv1d kernel {k} does not fit input of length {t} "
                              f"with padding {padding}")
-    xpad = np.pad(x.data, ((padding, padding), (0, 0))) if padding else x.data
-    # windows: (t_out, k, c_in) -> (t_out, k*c_in)
-    win = np.lib.stride_tricks.sliding_window_view(xpad, k, axis=0)[::stride]
-    cols = win.transpose(0, 2, 1).reshape(t_out, k * c_in)
+    xb = x.data.reshape(-1, t, c_in)
+    n_b = xb.shape[0]
+    xpad = np.pad(xb, ((0, 0), (padding, padding), (0, 0))) if padding else xb
+    # windows: (B, t_out, k, c_in) -> (B*t_out, k*c_in)
+    win = np.lib.stride_tricks.sliding_window_view(xpad, k, axis=1)[:, ::stride]
+    cols = win.transpose(0, 1, 3, 2).reshape(n_b * t_out, k * c_in)
     w2 = weight.data.transpose(0, 2, 1).reshape(c_out, k * c_in)
     out = cols @ w2.T
     if bias is not None:
@@ -650,27 +654,31 @@ def conv1d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
 
     def bwd(g, x=x, weight=weight, bias=bias, cols=cols, w2=w2,
             stride=stride, padding=padding, k=k, c_in=c_in, t=t, t_out=t_out):
+        g = g.reshape(n_b * t_out, c_out)
         if bias is not None and bias.requires_grad:
             bias._accumulate(g.sum(axis=0))
         if weight.requires_grad:
             gw2 = g.T @ cols
             weight._accumulate(gw2.reshape(weight.shape[0], k, c_in).transpose(0, 2, 1))
         if x.requires_grad:
-            gcols = g @ w2
-            gxpad = np.zeros((t + 2 * padding, c_in))
+            gcols = (g @ w2).reshape(n_b, t_out, k * c_in)
+            gxpad = np.zeros((n_b, t + 2 * padding, c_in))
             for kk in range(k):
-                gxpad[kk:kk + stride * t_out:stride] += gcols[:, kk * c_in:(kk + 1) * c_in]
-            x._accumulate(gxpad[padding:padding + t] if padding else gxpad)
+                gxpad[:, kk:kk + stride * t_out:stride] += \
+                    gcols[:, :, kk * c_in:(kk + 1) * c_in]
+            x._accumulate(gxpad[:, padding:padding + t].reshape(x.shape))
 
-    return _result(out, parents, bwd)
+    return _result(out.reshape(x.shape[:-2] + (t_out, c_out)), parents, bwd)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
            stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D convolution. x: (c_in, h, w), weight: (c_out, c_in, kh, kw)."""
-    if x.ndim != 3 or weight.ndim != 4:
-        raise DimensionError("conv2d expects x (c, h, w) and weight (c_out, c_in, kh, kw)")
-    c_in, h, w = x.shape
+    """2-D convolution. x: (c_in, h, w), or a batch (B, c_in, h, w) whose
+    images are convolved alike; weight: (c_out, c_in, kh, kw)."""
+    if x.ndim not in (3, 4) or weight.ndim != 4:
+        raise DimensionError("conv2d expects x (c, h, w) or (B, c, h, w) and "
+                             "weight (c_out, c_in, kh, kw)")
+    c_in, h, w = x.shape[-3:]
     c_out, w_cin, kh, kw = weight.shape
     if w_cin != c_in:
         raise DimensionError(f"conv2d channel mismatch: input {c_in}, weight {w_cin}")
@@ -678,83 +686,92 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     w_out = (w + 2 * padding - kw) // stride + 1
     if h_out < 1 or w_out < 1:
         raise DimensionError("conv2d kernel does not fit padded input")
-    xpad = np.pad(x.data, ((0, 0), (padding, padding), (padding, padding))) if padding else x.data
-    win = np.lib.stride_tricks.sliding_window_view(xpad, (kh, kw), axis=(1, 2))
-    win = win[:, ::stride, ::stride]  # (c_in, h_out, w_out, kh, kw)
-    cols = win.transpose(1, 2, 0, 3, 4).reshape(h_out * w_out, c_in * kh * kw)
+    xb = x.data.reshape(-1, c_in, h, w)
+    n_b = xb.shape[0]
+    xpad = np.pad(xb, ((0, 0), (0, 0), (padding, padding), (padding, padding))) \
+        if padding else xb
+    win = np.lib.stride_tricks.sliding_window_view(xpad, (kh, kw), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride]  # (B, c_in, h_out, w_out, kh, kw)
+    n_pix = n_b * h_out * w_out
+    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n_pix, c_in * kh * kw)
     w2 = weight.data.reshape(c_out, c_in * kh * kw)
-    out = cols @ w2.T  # (h_out*w_out, c_out)
+    out = cols @ w2.T  # (B*h_out*w_out, c_out)
     if bias is not None:
         if bias.shape != (c_out,):
             raise DimensionError("conv2d bias must have shape (c_out,)")
         out = out + bias.data
-    out = out.reshape(h_out, w_out, c_out).transpose(2, 0, 1)
+    out = out.reshape(n_b, h_out, w_out, c_out).transpose(0, 3, 1, 2)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def bwd(g, x=x, weight=weight, bias=bias, cols=cols, w2=w2, stride=stride,
             padding=padding, kh=kh, kw=kw, c_in=c_in, h=h, w=w,
             h_out=h_out, w_out=w_out):
-        gflat = g.transpose(1, 2, 0).reshape(h_out * w_out, -1)
+        gflat = g.reshape(n_b, c_out, h_out, w_out).transpose(0, 2, 3, 1) \
+            .reshape(n_pix, c_out)
         if bias is not None and bias.requires_grad:
             bias._accumulate(gflat.sum(axis=0))
         if weight.requires_grad:
             weight._accumulate((gflat.T @ cols).reshape(weight.shape))
         if x.requires_grad:
-            gcols = (gflat @ w2).reshape(h_out, w_out, c_in, kh, kw)
-            gxpad = np.zeros((c_in, h + 2 * padding, w + 2 * padding))
+            gcols = (gflat @ w2).reshape(n_b, h_out, w_out, c_in, kh, kw)
+            gxpad = np.zeros((n_b, c_in, h + 2 * padding, w + 2 * padding))
             for i in range(kh):
                 for j in range(kw):
-                    gxpad[:, i:i + stride * h_out:stride, j:j + stride * w_out:stride] += \
-                        gcols[:, :, :, i, j].transpose(2, 0, 1)
+                    gxpad[:, :, i:i + stride * h_out:stride,
+                          j:j + stride * w_out:stride] += \
+                        gcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
             if padding:
-                gxpad = gxpad[:, padding:padding + h, padding:padding + w]
-            x._accumulate(gxpad)
+                gxpad = gxpad[:, :, padding:padding + h, padding:padding + w]
+            x._accumulate(gxpad.reshape(x.shape))
 
-    return _result(out, parents, bwd)
+    return _result(out.reshape(x.shape[:-3] + (c_out, h_out, w_out)), parents,
+                   bwd)
 
 
 def max_pool2d(x: Tensor, kernel: int = 2, stride: Optional[int] = None) -> Tensor:
-    """Max pooling on (c, h, w); trailing rows/cols that do not fill a
-    window are dropped. Ties route the gradient to the first maximum."""
+    """Max pooling over the last two axes of (..., h, w); trailing rows/cols
+    that do not fill a window are dropped. Ties route the gradient to the
+    first maximum."""
     if stride is None:
         stride = kernel
     if stride != kernel:
         raise DimensionError("max_pool2d supports stride == kernel only")
-    c, h, w = x.shape
+    lead, (h, w) = x.shape[:-2], x.shape[-2:]
     h_out, w_out = h // kernel, w // kernel
     if h_out < 1 or w_out < 1:
         raise DimensionError("max_pool2d window does not fit input")
-    trimmed = x.data[:, :h_out * kernel, :w_out * kernel]
-    blocks = trimmed.reshape(c, h_out, kernel, w_out, kernel).transpose(0, 1, 3, 2, 4)
-    flat = blocks.reshape(c, h_out, w_out, kernel * kernel)
+    trimmed = x.data[..., :h_out * kernel, :w_out * kernel]
+    blocks = np.swapaxes(trimmed.reshape(lead + (h_out, kernel, w_out, kernel)),
+                         -3, -2)
+    flat = blocks.reshape(lead + (h_out, w_out, kernel * kernel))
     arg = flat.argmax(axis=-1)
     out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
 
-    def bwd(g, x=x, arg=arg, c=c, h=h, w=w, h_out=h_out, w_out=w_out, kernel=kernel):
+    def bwd(g, x=x, arg=arg, h_out=h_out, w_out=w_out, kernel=kernel):
         if x.requires_grad:
-            gflat = np.zeros((c, h_out, w_out, kernel * kernel))
+            gflat = np.zeros(lead + (h_out, w_out, kernel * kernel))
             np.put_along_axis(gflat, arg[..., None], g[..., None], axis=-1)
             gx = np.zeros_like(x.data)
-            gx[:, :h_out * kernel, :w_out * kernel] = (
-                gflat.reshape(c, h_out, w_out, kernel, kernel)
-                .transpose(0, 1, 3, 2, 4)
-                .reshape(c, h_out * kernel, w_out * kernel))
+            gx[..., :h_out * kernel, :w_out * kernel] = np.swapaxes(
+                gflat.reshape(lead + (h_out, w_out, kernel, kernel)), -3, -2
+            ).reshape(lead + (h_out * kernel, w_out * kernel))
             x._accumulate(gx)
 
     return _result(out, (x,), bwd)
 
 
 def embedding_lookup(ids: Sequence[int], table: Tensor) -> Tensor:
-    """Rows of `table` selected by integer ids; gradient scatters back."""
+    """Rows of `table` selected by integer ids, a sequence or an array of
+    any rank, giving ids.shape + (d,); the gradient scatters back."""
     idx = np.asarray(ids, dtype=np.int64)
-    if idx.ndim != 1:
-        raise DimensionError("embedding ids must be a 1-D sequence")
+    if idx.ndim < 1:
+        raise DimensionError("embedding ids must be a sequence")
     vocab = table.shape[0]
     if idx.size and (idx.min() < 0 or idx.max() >= vocab):
         bad = int(idx[(idx < 0) | (idx >= vocab)][0])
         raise IndexError(f"token id {bad} outside table of {vocab} rows")
-    data = table.data[idx].copy() if idx.size else np.zeros((0, table.shape[1]))
+    data = table.data[idx]
 
     def bwd(g, table=table, idx=idx):
         if table.requires_grad and idx.size:
@@ -826,9 +843,10 @@ def _lstm_step_back(dh: np.ndarray, dc: np.ndarray, m: np.ndarray,
     return np.concatenate([dc, dc, dc, dh], axis=-1) * m, dc * f
 
 
-def _lstm_check(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> int:
+def _lstm_check(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor,
+                ranks=(2,)) -> int:
     d = w_hh.shape[0]
-    if (x.ndim != 2 or w_ih.shape != (x.shape[1], 4 * d)
+    if (x.ndim not in ranks or w_ih.shape != (x.shape[-1], 4 * d)
             or w_hh.shape != (d, 4 * d) or bias.shape != (4 * d,)):
         raise DimensionError(f"lstm shapes disagree: x {x.shape}, w_ih "
                              f"{w_ih.shape}, w_hh {w_hh.shape}, "
@@ -837,53 +855,72 @@ def _lstm_check(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> int:
 
 
 def lstm_scan(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor,
-              reverse: bool = False) -> Tensor:
-    """An LSTM over a (t, d_in) sequence from the zero state, recorded as
-    one tape node; returns the (t, d) hidden states in input order.
+              reverse: bool = False,
+              lens: Optional[Sequence[int]] = None) -> Tensor:
+    """An LSTM over a (t, d_in) sequence, or over every row of a padded
+    (B, t, d_in) batch whose row b holds lens[b] real steps (None: all t),
+    from the zero state, recorded as one tape node; returns the hidden
+    states in input order, (t, d) or (B, t, d), zero past each row's end.
 
-    The input projection x @ w_ih + bias runs once for the whole sequence
-    and a numpy loop carries the recurrence; `reverse` scans right to left.
-    The backward is hand-written BPTT: per-step gate gradients dZ, then
-    dW_ih = x^T dZ, dW_hh = H_prev^T dZ, db = sum dZ and dx = dZ W_ih^T.
+    The input projection x @ w_ih + bias runs once for the whole batch
+    and a numpy loop carries the recurrence of every row at once.
+    `reverse` scans each row right to left from its own last real step,
+    as packed sequences do. Steps past a row's end come after all of its
+    real ones in scan order, so they never reach its outputs, and they
+    get no gradient. The backward is hand-written BPTT: per-step gate
+    gradients dZ, then dW_ih = x^T dZ, dW_hh = H_prev^T dZ, db = sum dZ
+    and dx = dZ W_ih^T.
     """
-    d = _lstm_check(x, w_ih, w_hh, bias)
-    n = x.shape[0]
-    xw = x.data @ w_ih.data + bias.data
+    d = _lstm_check(x, w_ih, w_hh, bias, ranks=(2, 3))
+    n, d_in = x.shape[-2:]
+    xb = x.data.reshape(-1, n, d_in)
+    n_b = xb.shape[0]
+    lens = np.full(n_b, n) if lens is None else np.reshape(lens, n_b)
+    # scan step k of row b reads input step pos[b, k]; real[b, k] marks the
+    # steps that lie within the row
+    pos = np.broadcast_to(np.arange(n), (n_b, n))
+    real = pos < lens[:, None]
     if reverse:
-        xw = xw[::-1]
+        pos = np.where(real, lens[:, None] - 1 - pos, pos)
+    rows = np.arange(n_b)[:, None]
+    xw = xb @ w_ih.data + bias.data
+    xw = np.ascontiguousarray(xw[rows, pos].transpose(1, 0, 2))  # (n, B, 4d)
     w = w_hh.data
-    # scan order; row k + 1 of hs and cs is the state after step k
-    hs = np.zeros((n + 1, d))
-    cs = np.zeros((n + 1, d))
-    act = np.empty((n, 4 * d))
-    tc = np.empty((n, d))
+    # row k + 1 of hs and cs is the state after scan step k
+    hs = np.zeros((n + 1, n_b, d))
+    cs = np.zeros((n + 1, n_b, d))
+    act = np.empty((n, n_b, 4 * d))
+    tc = np.empty((n, n_b, d))
     for k in range(n):
         hs[k + 1], cs[k + 1], act[k], tc[k] = _lstm_step(xw[k] + hs[k] @ w,
                                                          cs[k])
+    out = np.zeros((n_b, n, d))
+    out[rows, pos] = np.where(real[..., None], hs[1:].transpose(1, 0, 2), 0.0)
 
     def bwd(g, x=x, w_ih=w_ih, w_hh=w_hh, bias=bias):
         m, ot, f = _lstm_back_factors(act, tc, cs[:-1])
-        if reverse:
-            g = g[::-1]
-        dz = np.empty((n, 4 * d))
-        dh = np.zeros(d)
-        dc = np.zeros(d)
+        g = np.where(real[..., None], g.reshape(n_b, n, d)[rows, pos], 0.0)
+        g = g.transpose(1, 0, 2)
+        dz = np.empty((n, n_b, 4 * d))
+        dh = np.zeros((n_b, d))
+        dc = np.zeros((n_b, d))
         w_t = w.T
         for k in range(n - 1, -1, -1):
             dz[k], dc = _lstm_step_back(g[k] + dh, dc, m[k], ot[k], f[k])
             dh = dz[k] @ w_t
         if w_hh.requires_grad:
-            w_hh._accumulate(hs[:-1].T @ dz)
-        if reverse:
-            dz = np.ascontiguousarray(dz[::-1])     # back to input order
+            w_hh._accumulate(hs[:-1].reshape(-1, d).T @ dz.reshape(-1, 4 * d))
+        dz_in = np.empty((n_b, n, 4 * d))     # back to input order
+        dz_in[rows, pos] = dz.transpose(1, 0, 2)
+        dz_in = dz_in.reshape(-1, 4 * d)
         if x.requires_grad:
-            x._accumulate(dz @ w_ih.data.T)
+            x._accumulate((dz_in @ w_ih.data.T).reshape(x.shape))
         if w_ih.requires_grad:
-            w_ih._accumulate(x.data.T @ dz)
+            w_ih._accumulate(xb.reshape(-1, d_in).T @ dz_in)
         if bias.requires_grad:
-            bias._accumulate(dz.sum(axis=0))
+            bias._accumulate(dz_in.sum(axis=0))
 
-    return _result(hs[:0:-1] if reverse else hs[1:], (x, w_ih, w_hh, bias),
+    return _result(out.reshape(x.shape[:-1] + (d,)), (x, w_ih, w_hh, bias),
                    bwd)
 
 

@@ -2,6 +2,14 @@
 Adadelta, gradient accumulation, binary checkpoints with averaging,
 early stopping, feature masking, and a deterministic CSV-logged loop.
 
+An ASR/ST batch is one padded forward: its utterances' frames go in as
+one (B, n_max, feat_dim) array (models.pad_sequences), so every tape op
+of the encoder, the decoder and both losses covers the whole batch, and
+one backward follows (asr_batch_loss; the dev loss runs the same way in
+length-sorted batches). TTS still trains one utterance at a time.
+Dropout masks are drawn once per batch from the step's seeded Graph;
+feature masking is seeded per utterance, as before batching.
+
 Losses are normalized by batch-global token (ASR/ST) or element (TTS)
 counts, so splitting a batch into micro-batches accumulates to exactly
 the big-batch update.
@@ -24,12 +32,15 @@ import numpy as np
 from . import losses as L
 from . import tensor as T
 from .errors import ConfigError, DataError, NumericError
-from .models import SOS_EOS_ID, subsample_length
+from .models import SOS_EOS_ID, pad_sequences, subsample_length
 from .tensor import Tensor, backward
 
 CKPT_MAGIC = b"ESC1"
 LOG_COLUMNS = ["step", "epoch", "lr", "total", "s2s", "ctc", "l1", "bce",
                "guided", "grad_norm", "wall_ms"]
+# utterances per padded forward of the dev loss; the value moves only
+# the rounding of the sum
+DEV_BATCH = 8
 
 
 def noam_lr(step: int, d_att: int, warmup: int, k: float = 1.0) -> float:
@@ -299,19 +310,21 @@ class TrainResult:
     stopped_early: bool = False
 
 
-def _asr_utt_loss(model, utt, n_tokens_total: int
-                  ) -> Tuple[Tensor, L.LossReport]:
-    """Joint loss for one utterance, normalized by the batch token count,
-    and its report."""
+def asr_batch_loss(model, utts: Sequence, n_tokens_total: int
+                   ) -> Tuple[Tensor, L.LossReport]:
+    """Joint loss of a batch of ASR/ST utterances, one padded forward
+    normalized by the batch-global token count, and its report."""
     cfg = model.config
-    ys = list(utt.tokens)
-    enc = model.encode(Tensor(utt.feats))
-    lp = model.decode_logprobs(enc, [SOS_EOS_ID] + ys)
-    ce = L.s2s_cross_entropy(lp, ys + [SOS_EOS_ID], denom=n_tokens_total)
-    report = L.LossReport(n_tokens=len(ys) + 1)
+    ys = [list(u.tokens) for u in utts]
+    enc = model.encode(*pad_sequences([u.feats for u in utts]))
+    lp = model.decode_logprobs(enc, [[SOS_EOS_ID] + y for y in ys])
+    ce = L.s2s_cross_entropy(lp, [y + [SOS_EOS_ID] for y in ys],
+                             denom=n_tokens_total)
+    report = L.LossReport(n_tokens=sum(len(y) + 1 for y in ys))
     if cfg.uses_ctc:
-        ctc_nll = -L.ctc_log_likelihood(model.ctc_logprobs(enc), ys) \
-            / n_tokens_total
+        ll = L.ctc_log_likelihood(model.ctc_logprobs(enc), ys,
+                                  frames=enc.n_sub)
+        ctc_nll = -ll.sum() / n_tokens_total
         loss = L.joint_asr_loss(ce, ctc_nll, cfg.alpha)
         report.components = {"s2s": ce.item(), "ctc": ctc_nll.item()}
     else:
@@ -351,13 +364,15 @@ def _tts_utt_loss(model, utt, n_elems_total: int, n_steps_total: int,
     return loss, report
 
 
-def make_batches(dataset: Sequence, batch_size: int, rng) -> List[List]:
-    """Length-bucketed batches in seeded-random order."""
+def make_batches(dataset: Sequence, batch_size: int, rng=None) -> List[List]:
+    """Length-bucketed batches, in seeded-random order when an rng is
+    given and shortest first otherwise."""
     order = sorted(range(len(dataset)),
                    key=lambda i: (_utt_length(dataset[i]), i))
     batches = [[dataset[i] for i in order[lo:lo + batch_size]]
                for lo in range(0, len(order), batch_size)]
-    rng.shuffle(batches)
+    if rng is not None:
+        rng.shuffle(batches)
     return batches
 
 
@@ -401,7 +416,8 @@ def _fmt(x: float) -> str:
 
 
 def evaluate_dev(model, dev_set: Sequence) -> float:
-    """Mean per-token (ASR/ST) or per-element (TTS) dev loss."""
+    """Mean per-token (ASR/ST) or per-element (TTS) dev loss; ASR/ST runs
+    in length-sorted batches of DEV_BATCH, TTS one utterance at a time."""
     is_tts = model.config.task == "tts"
     model.eval()
     total = 0.0
@@ -413,8 +429,8 @@ def evaluate_dev(model, dev_set: Sequence) -> float:
                                        len(dev_set))[1].total
         else:
             n_tok = sum(len(u.tokens) + 1 for u in dev_set)
-            for u in dev_set:
-                total += _asr_utt_loss(model, u, n_tok)[1].total
+            for batch in make_batches(dev_set, DEV_BATCH):
+                total += asr_batch_loss(model, batch, n_tok)[1].total
     model.train()
     return total
 
@@ -460,20 +476,19 @@ def train_loop(model, train_set: Sequence, dev_set: Sequence,
                 sums: Dict[str, float] = {"total": 0.0, "s2s": 0.0,
                                           "ctc": 0.0, "l1": 0.0,
                                           "bce": 0.0, "guided": 0.0}
+                if tcfg.augment and not is_tts:
+                    batch = [type(utt)(utt.utt_id, spec_augment(
+                        utt.feats, tcfg.n_time_masks, tcfg.n_freq_masks,
+                        tcfg.max_t, tcfg.max_f,
+                        seed=tcfg.seed * 31 + step * 7 + i), utt.tokens)
+                        for i, utt in enumerate(batch)]
                 with T.Graph(seed=tcfg.seed * 999_983 + step):
-                    for i, utt in enumerate(batch):
-                        feats = np.asarray(utt.feats, dtype=np.float64)
-                        if tcfg.augment and not is_tts:
-                            feats = spec_augment(
-                                feats, tcfg.n_time_masks, tcfg.n_freq_masks,
-                                tcfg.max_t, tcfg.max_f,
-                                seed=tcfg.seed * 31 + step * 7 + i)
-                            utt = type(utt)(utt.utt_id, feats, utt.tokens)
-                        if is_tts:
-                            loss, rep = _tts_utt_loss(model, utt, n_elems,
-                                                      n_steps, len(batch))
-                        else:
-                            loss, rep = _asr_utt_loss(model, utt, n_tok)
+                    if is_tts:
+                        losses = (_tts_utt_loss(model, utt, n_elems, n_steps,
+                                                len(batch)) for utt in batch)
+                    else:
+                        losses = [asr_batch_loss(model, batch, n_tok)]
+                    for loss, rep in losses:
                         backward(loss)
                         sums["total"] += rep.total
                         for k, v in rep.components.items():

@@ -40,8 +40,8 @@ from minis2s.models import (SOS_EOS_ID, DecoderRecords, ModelConfig, S2SModel,
                             TtsModel, build_model)
 from minis2s.nn import LSTM, LSTMCell
 from minis2s.tensor import Tensor, grad_check
-from minis2s.training import (Adam, _asr_utt_loss, _tts_utt_loss,
-                              accumulate_gradients, evaluate_dev,
+from minis2s.training import (Adam, _tts_utt_loss, accumulate_gradients,
+                              asr_batch_loss, evaluate_dev,
                               load_checkpoint, load_into_model, noam_lr,
                               train_loop, tts_denominators)
 
@@ -228,6 +228,19 @@ def _op_suite(seed: int):
                 + (w * Tensor(h_r)).sum())
 
     case("heads-attention", heads_loss, [hq, hk, hv], max_coords=4, rng=seed)
+    # both directions over a padded batch of three rows with their own
+    # lengths; frames past a row's end must get no gradient
+    for reverse in (False, True):
+        plstm = LSTM(4, 5, np.random.default_rng(seed + 3 + reverse),
+                     reverse=reverse)
+        px = rnd((3, 5, 4))
+        p_r = rnd((3, 5, 5)).data
+
+        def padded_loss(px, *ps, plstm=plstm, p_r=p_r):
+            return (T.tanh(plstm(px, [5, 2, 4])) * Tensor(p_r)).sum()
+
+        case("lstm-padded" + "-reverse" * reverse, padded_loss,
+             [px] + plstm.parameters(), max_coords=4, rng=seed)
     return cases
 
 
@@ -462,13 +475,11 @@ def _loss_closures(model, utts, split, kind: str):
 
     def make(group):
         def run():
+            if kind == "asr":      # the group as one padded batch
+                return asr_batch_loss(model, group, n_tok)[0]
             total = None
             for u in group:
-                if kind == "asr":
-                    loss = _asr_utt_loss(model, u, n_tok)[0]
-                else:
-                    loss = _tts_utt_loss(model, u, n_elems, n_steps,
-                                         len(utts))[0]
+                loss = _tts_utt_loss(model, u, n_elems, n_steps, len(utts))[0]
                 total = loss if total is None else total + loss
             return total
         return run

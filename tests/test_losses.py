@@ -464,3 +464,49 @@ def test_loss_report_components():
     assert r.component("l1") == 0.0
     assert abs(r.total - (0.7 * r.component("s2s")
                           + 0.3 * r.component("ctc"))) < 1e-12
+
+
+@pytest.mark.parametrize("case", range(12))
+def test_batched_ctc_matches_rows_and_enumeration(case):
+    """Three rows of their own frame and label counts, finite garbage in
+    the padded frames: each batched log-likelihood equals the row's own
+    and the path enumeration, each row's gradient its own, and padded
+    frames get none."""
+    rng = np.random.default_rng(900 + case)
+    v = int(rng.integers(2, 5))
+    targets, frames = [], []
+    for _ in range(3):
+        target = [int(rng.integers(1, v)) for _ in range(int(rng.integers(0, 4)))]
+        while ctc_min_frames(target) > 5:
+            target.pop()
+        targets.append(target)
+        frames.append(int(rng.integers(max(1, ctc_min_frames(target)), 6)))
+    u = T.log_softmax(Tensor(rng.standard_normal((3, max(frames), v)) * 2)).data
+    lp = Tensor(u, requires_grad=True)
+    w = rng.standard_normal(3)
+    ll = ctc_log_likelihood(lp, targets, frames=frames)
+    assert ll.shape == (3,)
+    backward((ll * Tensor(w)).sum())
+    for b, (target, n) in enumerate(zip(targets, frames)):
+        row = Tensor(u[b, :n], requires_grad=True)
+        want = ctc_log_likelihood(row, target)
+        backward(want * w[b])
+        assert abs(ll.data[b] - want.item()) < 1e-12
+        assert abs(ll.data[b] - brute_ctc(u[b, :n], target)) < 1e-9
+        np.testing.assert_allclose(lp.grad[b, :n], row.grad, rtol=0, atol=1e-12)
+        assert not lp.grad[b, n:].any()
+
+
+def test_batched_cross_entropy_reads_only_real_targets():
+    rng = np.random.default_rng(12)
+    lp = T.log_softmax(Tensor(rng.standard_normal((2, 4, 5)),
+                              requires_grad=True))
+    targets = [[1, 2, 3, 4], [4, 2]]
+    got = s2s_cross_entropy(lp, targets, denom=9.0)
+    want = sum(s2s_cross_entropy(Tensor(lp.data[b, :len(t)]), t,
+                                 denom=9.0).item()
+               for b, t in enumerate(targets))
+    assert abs(got.item() - want) < 1e-12
+    assert abs(s2s_cross_entropy(lp, targets).item() - want * 9.0 / 6) < 1e-12
+    with pytest.raises(DimensionError):
+        s2s_cross_entropy(lp, [[1, 2, 3, 4, 1], [2]])

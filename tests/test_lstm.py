@@ -200,7 +200,8 @@ def test_rnn_model_matches_unfused_composition(monkeypatch):
         return T.pick(lp, [3, 5, 4, SOS_EOS_ID]).sum() + ctc.sum() * 0.1
 
     l_f, g_f = _grads(loss, params)
-    monkeypatch.setattr(nn.LSTM, "forward", lambda self, x: reference_lstm(
+    # one unpadded utterance: its length is the whole sequence
+    monkeypatch.setattr(nn.LSTM, "forward", lambda self, x, lens: reference_lstm(
         x, self.cell.w_ih, self.cell.w_hh, self.cell.bias, self.reverse))
     monkeypatch.setattr(nn.LSTMCell, "forward",
                         lambda self, x, h, c: reference_cell(
@@ -209,3 +210,35 @@ def test_rnn_model_matches_unfused_composition(monkeypatch):
     assert abs(l_f - l_r) < TOL
     for (name, _), got, want in zip(model.named_parameters(), g_f, g_r):
         np.testing.assert_allclose(got, want, rtol=0, atol=TOL, err_msg=name)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_padded_scan_matches_per_row_scans(reverse):
+    # rows of a padded batch with their own lengths, garbage in the
+    # padding: each row's outputs and gradients equal a scan of its real
+    # steps alone (the reverse one starting at its own last step), the
+    # padding's outputs are zero and it gets no gradient
+    rng = np.random.default_rng(60 + reverse)
+    lstm = nn.LSTM(3, 4, rng, reverse=reverse)
+    lens = [6, 2, 4, 1]
+    x = _leaf(rng, (4, 6, 3))
+    r = rng.standard_normal((4, 6, 4))
+    params = lstm.parameters()
+    got, got_grads = _grads(lambda: (lstm(x, lens) * Tensor(r)).sum(),
+                            [x] + params)
+    out = lstm(x, lens).data
+    want = 0.0
+    want_params = [np.zeros_like(p.data) for p in params]
+    for b, n in enumerate(lens):
+        xr = Tensor(x.data[b, :n], requires_grad=True)
+        loss, grads = _grads(lambda: (lstm(xr) * Tensor(r[b, :n])).sum(),
+                             [xr] + params)
+        want += loss
+        _assert_close(out[b, :n], lstm(xr).data)
+        assert not out[b, n:].any()
+        _assert_close(got_grads[0][b, :n], grads[0])
+        assert not got_grads[0][b, n:].any()
+        want_params = [w + g for w, g in zip(want_params, grads[1:])]
+    assert abs(got - want) < TOL
+    for g, w in zip(got_grads[1:], want_params):
+        _assert_close(g, w)

@@ -16,7 +16,7 @@ from minis2s.models import (BLANK_ID, SOS_EOS_ID, BlstmEncoderBody,
                             TokenFrontEnd, TransformerDecoderBody,
                             TransformerDecoderLayer, TransformerEncoderBody,
                             TtsModel, VggSubsampler, build_model, conv_len,
-                            subsample_length)
+                            pad_sequences, subsample_length)
 from minis2s.nn import MultiHeadAttention
 from minis2s.tensor import Tensor, grad_check
 
@@ -300,22 +300,57 @@ def test_end_to_end_decoder_causality():
 
 
 def test_padded_batch_equivalence():
+    # each row of a padded batch, front end, body, CTC head and decoder
+    # alike, equals its utterance run alone; the shortest row needs every
+    # stage's tail re-zeroed and masked
+    yss = [[SOS_EOS_ID, 3, 4, 6], [SOS_EOS_ID, 5], [SOS_EOS_ID, 6, 6, 3, 4, 5]]
     for body in ("transformer", "rnn"):
-        model = S2SModel(toy_cfg(body=body, e=1, d=1))
-        model.eval()
-        x = feats(11, seed=33)
-        pad = Tensor(np.concatenate([x.data, np.zeros((5, 5))]))
-        ys = [SOS_EOS_ID, 3, 4, 6]
-        ys_pad = ys + [SOS_EOS_ID, SOS_EOS_ID]
+        for enc_pre in ("conv", "vgg"):
+            model = S2SModel(toy_cfg(body=body, e=2, d=2, feat_dim=8,
+                                     enc_pre=enc_pre, alpha=0.5))
+            model.eval()
+            xs = [feats(n, dim=8, seed=33 + n).data for n in (13, 18, 9)]
+            batch = model.encode(*pad_sequences(xs))
+            lp = model.decode_logprobs(batch, yss).data
+            ctc = model.ctc_logprobs(batch).data
+            split = batch.utterances()
+            for b, (x, ys) in enumerate(zip(xs, yss)):
+                enc = model.encode(Tensor(x))
+                n = enc.n_sub
+                assert batch.n_sub[b] == n == subsample_length(len(x), enc_pre)
+                np.testing.assert_allclose(batch.x_e.data[b, :n], enc.x_e.data,
+                                           rtol=0, atol=1e-12)
+                assert split[b].n_sub == n
+                assert np.array_equal(split[b].x_e.data, batch.x_e.data[b, :n])
+                np.testing.assert_allclose(ctc[b, :n],
+                                           model.ctc_logprobs(enc).data,
+                                           rtol=0, atol=1e-12)
+                np.testing.assert_allclose(
+                    lp[b, :len(ys)], model.decode_logprobs(enc, ys).data,
+                    rtol=0, atol=1e-12)
 
-        enc1 = model.encode(x)
-        enc2 = model.encode(pad, n_true=11)
-        assert enc1.n_sub == enc2.n_sub == subsample_length(11)
-        assert np.max(np.abs(enc1.x_e.data - enc2.x_e.data)) < 1e-10
 
-        lp1 = model.decode_logprobs(enc1, ys).data
-        lp2 = model.decode_logprobs(enc2, ys_pad).data
-        assert np.max(np.abs(lp1 - lp2[:len(ys)])) < 1e-10
+def test_rnn_toy_decoder_tape_ops():
+    # eight teacher-forced steps of the rnn-toy LSTM decoder: every
+    # utterance holds one row, so laying its rows out as per-utterance
+    # blocks and back costs one reshape each way per step, and a batch
+    # adds only the final gather into (B, t, d_att)
+    cfg = experiment_from_items({"preset": "rnn-toy"}).model
+    cfg.vocab_size, cfg.feat_dim = 12, 8
+    model = build_model(cfg)
+    model.eval()
+    ys = [SOS_EOS_ID, 3, 4, 5, 6, 7, 8, 9]
+    enc = model.encode(feats(40, dim=8, seed=51))
+    y0 = model.dec_pre(ys)
+    with T.Graph() as g:
+        model.dec_body(y0, enc.x_e)
+    assert g.op_count == 155
+    batch = model.encode(*pad_sequences([feats(n, dim=8).data
+                                         for n in (40, 31, 22)]))
+    y0 = model.dec_pre(np.array([ys] * 3))
+    with T.Graph() as g:
+        model.dec_body(y0, batch.x_e, src_lens=batch.n_sub)
+    assert g.op_count == 156 + 8        # 8 key-mask additions
 
 
 def test_body_swap_keeps_interface_shapes():

@@ -506,3 +506,40 @@ def test_graph_counts_ops():
     with Graph(seed=0) as g:
         _ = (x * x).sum()
     assert g.op_count == 2
+
+
+def test_batched_conv_and_pool_equal_per_row():
+    # a leading batch axis convolves and pools every row alike, forward
+    # and backward; the weight gradients sum over the rows
+    rng = np.random.default_rng(70)
+    cases = [
+        (lambda x, w, b: T.conv1d(x, w, b, stride=2, padding=1),
+         (3, 7, 2), (4, 2, 3), 4),
+        (lambda x, w, b: T.conv2d(x, w, b, stride=1, padding=1),
+         (2, 2, 5, 6), (3, 2, 3, 3), 3),
+        (lambda x, w, b: T.max_pool2d(T.conv2d(x, w, b), 2),
+         (2, 1, 5, 7), (2, 1, 2, 2), 2),
+    ]
+    for op, x_shape, w_shape, c_out in cases:
+        x = Tensor(rng.standard_normal(x_shape), requires_grad=True)
+        w = Tensor(rng.standard_normal(w_shape), requires_grad=True)
+        b = Tensor(rng.standard_normal(c_out), requires_grad=True)
+        out = op(x, w, b)
+        r = rng.standard_normal(out.shape)
+        backward((out * Tensor(r)).sum())
+        gx, gw, gb = x.grad, w.grad, b.grad
+        want_w, want_b = np.zeros_like(w.data), np.zeros_like(b.data)
+        for i in range(x_shape[0]):
+            xi = Tensor(x.data[i], requires_grad=True)
+            w.grad = b.grad = None
+            oi = op(xi, w, b)
+            np.testing.assert_allclose(out.data[i], oi.data, rtol=0,
+                                       atol=1e-12)
+            backward((oi * Tensor(r[i])).sum())
+            np.testing.assert_allclose(gx[i], xi.grad, rtol=0, atol=1e-12)
+            want_w += w.grad
+            want_b += b.grad
+        np.testing.assert_allclose(gw, want_w, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(gb, want_b, rtol=0, atol=1e-12)
+        assert grad_check(lambda x, w, b: (op(x, w, b) * Tensor(r)).sum(),
+                          [x, w, b]) < 1e-6

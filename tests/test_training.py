@@ -14,12 +14,14 @@ import pytest
 
 from minis2s import tensor as T
 from minis2s.errors import ConfigError, DataError, NumericError
-from minis2s.losses import s2s_cross_entropy
+from minis2s.losses import (ctc_log_likelihood, joint_asr_loss,
+                            s2s_cross_entropy)
 from minis2s.models import SOS_EOS_ID, ModelConfig, RnnLm, build_model
 from minis2s.tensor import Tensor, backward
 from minis2s.training import (Adadelta, Adam, Checkpoint, EarlyStopping,
                               TrainConfig, accumulate_gradients,
-                              average_checkpoints, evaluate_dev, grad_norm,
+                              asr_batch_loss, average_checkpoints,
+                              evaluate_dev, grad_norm,
                               load_checkpoint, load_into_model, noam_lr,
                               save_checkpoint, spec_augment, train_lm,
                               train_loop, tts_denominators)
@@ -150,23 +152,71 @@ def test_grad_norm():
 
 
 def batch_loss_closures(model, utts, split):
-    """One closure per micro-batch, all normalized by the full-batch
-    token count."""
+    """One closure per micro-batch, each one padded batch, all normalized
+    by the full-batch token count."""
     n_tok = sum(len(u.tokens) + 1 for u in utts)
+    return [lambda group=utts[lo:hi]: asr_batch_loss(model, group, n_tok)[0]
+            for lo, hi in split]
 
-    def make(group):
-        def closure():
-            total = None
-            for u in group:
-                enc = model.encode(Tensor(u.feats))
-                lp = model.decode_logprobs(enc, [SOS_EOS_ID] + list(u.tokens))
-                ce = s2s_cross_entropy(lp, list(u.tokens) + [SOS_EOS_ID],
-                                       denom=n_tok)
-                total = ce if total is None else total + ce
-            return total
-        return closure
 
-    return [make(utts[lo:hi]) for lo, hi in split]
+def utt_loss_oracle(model, utt, n_tokens_total):
+    """The joint loss of one utterance encoded and decoded alone,
+    normalized by the batch token count: the per-utterance loss that
+    training ran before batches got a padded forward."""
+    cfg = model.config
+    ys = list(utt.tokens)
+    enc = model.encode(Tensor(utt.feats))
+    lp = model.decode_logprobs(enc, [SOS_EOS_ID] + ys)
+    ce = s2s_cross_entropy(lp, ys + [SOS_EOS_ID], denom=n_tokens_total)
+    if not cfg.uses_ctc:
+        return ce
+    ctc_nll = -ctc_log_likelihood(model.ctc_logprobs(enc), ys) / n_tokens_total
+    return joint_asr_loss(ce, ctc_nll, cfg.alpha)
+
+
+def _grads(model, make_losses):
+    model.zero_grad()
+    total = 0.0
+    with T.Graph(seed=0):
+        for loss in make_losses():
+            backward(loss)
+            total += loss.item()
+    return total, [np.zeros_like(p.data) if p.grad is None else p.grad.copy()
+                   for p in model.parameters()]
+
+
+@pytest.mark.parametrize("task", ["asr", "st"])
+@pytest.mark.parametrize("enc_pre", ["conv", "vgg"])
+@pytest.mark.parametrize("body", ["transformer", "rnn"])
+def test_batch_loss_matches_per_utterance_oracle(body, enc_pre, task):
+    # four utterances of different frame and token counts, odd frame
+    # counts included, so every row but the longest is padded
+    rng = np.random.default_rng(21)
+    utts = []
+    for i, (n_tok, extra) in enumerate([(2, 1), (4, 6), (1, 0), (3, 3)]):
+        toks = [int(rng.integers(3, 7)) for _ in range(n_tok)]
+        utts.append(Utt(f"u{i}", rng.standard_normal((8 * n_tok + 3 + extra,
+                                                        8)), toks))
+    model = build_model(asr_cfg(task=task, body=body, enc_pre=enc_pre, e=2,
+                                d=2, d_att=8, d_ff=16, vocab_size=7,
+                                alpha=0.6 if task == "asr" else 1.0))
+    n_tok = sum(len(u.tokens) + 1 for u in utts)
+    reports = []
+
+    def batch():
+        loss, report = asr_batch_loss(model, utts, n_tok)
+        reports.append(report)
+        return [loss]
+
+    got, got_grads = _grads(model, batch)
+    want, want_grads = _grads(model, lambda: [utt_loss_oracle(model, u, n_tok)
+                                              for u in utts])
+    assert abs(got - want) < 1e-10
+    assert abs(reports[0].total - got) == 0.0
+    assert reports[0].n_tokens == n_tok
+    for (name, _), g, w in zip(model.named_parameters(), got_grads,
+                               want_grads):
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-10, err_msg=name)
 
 
 @pytest.mark.parametrize("split", [
