@@ -8,3 +8,11 @@ check:
 .PHONY: lines
 lines:
 	@cat src/minis2s/*.py | wc -l
+
+# One run of a benchmark workload (train-asr, decode-asr or tts), for the
+# alternating parent/change pairs a speed claim reports.
+W ?= tts
+SEED ?= 0
+.PHONY: bench
+bench:
+	python3 perfbench/run.py --workload $(W) --seed $(SEED) --seconds 10

@@ -89,6 +89,7 @@ def add_positional_encoding(x: Tensor) -> Tensor:
 
 
 def scaled_positional_encoding(x: Tensor, alpha: Tensor) -> Tensor:
-    """x + alpha * PE[:len(x)] with a learnable scalar alpha."""
-    n, d = x.shape
+    """x + alpha * PE[:n] with a learnable scalar alpha, for x (n, d) or
+    every row of a batch (B, n, d)."""
+    n, d = x.shape[-2:]
     return x + alpha * Tensor(positional_rows(n, d))

@@ -90,6 +90,9 @@ def cmd_train(args) -> int:
     cfg.model.vocab_size = len(vocab)
     cfg.model.feat_dim = int(train_utts[0].feats.shape[1])
     model = build_model(cfg.model)
+    # refuse what the model cannot take before anything is written
+    check_lengths(model, train_utts, "train")
+    check_lengths(model, dev_utts, "dev")
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "model.cfg"), "w",
               encoding="utf-8") as fh:

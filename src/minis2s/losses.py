@@ -185,30 +185,52 @@ def joint_asr_loss(s2s_nll: Tensor, ctc_nll: Optional[Tensor],
     return s2s_nll * alpha + ctc_nll * (1.0 - alpha)
 
 
+def _real_mask(lens, n: int) -> np.ndarray:
+    """(B, n) ones on each row's first lens[b] entries, zeros after."""
+    return (np.arange(n) < np.asarray(lens)[:, None]).astype(np.float64)
+
+
 def tts_l1(coarse: Tensor, refined: Tensor, target: np.ndarray,
-           denom: Optional[float] = None) -> Tensor:
+           denom: Optional[float] = None, lens=None) -> Tensor:
     """Mean absolute error against the target frames, summed over the
-    pre-Postnet and post-Postnet predictions."""
+    pre-Postnet and post-Postnet predictions. A padded batch, (B, n_max,
+    d), reads each row's first lens[b] frames only (None: all of them);
+    the mean is over the frames read unless `denom` replaces it."""
     target = np.asarray(target, dtype=np.float64)
     if coarse.shape != target.shape or refined.shape != target.shape:
         raise DimensionError(f"prediction shapes {coarse.shape}/{refined.shape} "
                              f"do not match target {target.shape}")
-    denom = float(target.size) if denom is None else float(denom)
+    keep = None
+    n_real = target.size
+    if lens is not None:
+        keep = _real_mask(lens, target.shape[-2])[..., None]
+        n_real = int(np.sum(lens)) * target.shape[-1]
+    denom = float(n_real) if denom is None else float(denom)
     tgt = Tensor(target)
-    return ((coarse - tgt).abs().sum() + (refined - tgt).abs().sum()) / denom
+
+    def err(pred: Tensor) -> Tensor:
+        e = (pred - tgt).abs()
+        return (e if keep is None else e * Tensor(keep)).sum()
+
+    return (err(coarse) + err(refined)) / denom
 
 
-def weighted_bce(eos_logits: Tensor, eos_targets: Sequence[float],
+def weighted_bce(eos_logits: Tensor, eos_targets,
                  pos_weight: float = 5.0,
-                 denom: Optional[float] = None) -> Tensor:
+                 denom: Optional[float] = None, lens=None) -> Tensor:
     """Binary cross-entropy on the stop flag with positives up-weighted,
-    computed through log-sigmoid for stability at large logits."""
-    y = np.asarray(list(eos_targets), dtype=np.float64)
+    computed through log-sigmoid for stability at large logits. A padded
+    batch of logits, (B, S_max), with targets of the same shape, reads
+    each row's first lens[b] steps only (None: all of them); the mean is
+    over the steps read unless `denom` replaces it."""
+    y = np.asarray(eos_targets, dtype=np.float64)
     if eos_logits.shape != y.shape:
         raise DimensionError(f"{eos_logits.shape} logits for {y.shape} targets")
-    denom = float(y.size) if denom is None else float(denom)
-    pos = T.log_sigmoid(eos_logits) * Tensor(pos_weight * y)
-    neg = T.log_sigmoid(-eos_logits) * Tensor(1.0 - y)
+    keep = 1.0 if lens is None else _real_mask(lens, y.shape[-1])
+    n_real = y.size if lens is None else int(np.sum(lens))
+    denom = float(n_real) if denom is None else float(denom)
+    pos = T.log_sigmoid(eos_logits) * Tensor(pos_weight * y * keep)
+    neg = T.log_sigmoid(-eos_logits) * Tensor((1.0 - y) * keep)
     return -(pos + neg).sum() / denom
 
 
@@ -220,25 +242,29 @@ def guided_attention_weight(n_dec: int, n_enc: int, g: float = 0.4) -> np.ndarra
     return 1.0 - np.exp(-((u - t) ** 2) / (2.0 * g * g))
 
 
-def guided_attention_loss(matrices: Sequence[Tensor], g: float = 0.4) -> Tensor:
-    """Average over the selected heads of the per-row penalty mass.
+def guided_attention_loss(att: Tensor, n_dec=None, n_enc=None,
+                          g: float = 0.4) -> Tensor:
+    """Per-row penalty mass averaged over the selected heads, summed over
+    the utterances of a batch.
 
-    Each attention row is a distribution, so the per-head value is
-    sum(A * W) / n_rows: the expected penalty under the attention,
-    averaged over decoder steps.
+    att holds K selected heads of B utterances, (B, K, S_max, n_max);
+    utterance b reads its first n_dec[b] decoder steps and n_enc[b]
+    encoder positions (None: all of them). Each attention row is a
+    distribution, so a head's value sum(A * W) / n_dec is the expected
+    penalty under the attention, averaged over decoder steps. The whole
+    batch is one product with a (B, 1, S_max, n_max) weight whose row b
+    holds W / n_dec[b] and is zero elsewhere.
     """
-    matrices = list(matrices)
-    if not matrices:
-        raise DimensionError("guided attention needs at least one matrix")
-    per_head = []
-    for a in matrices:
-        n_dec, n_enc = a.shape
-        w = guided_attention_weight(n_dec, n_enc, g)
-        per_head.append((a * Tensor(w)).sum() / n_dec)
-    total = per_head[0]
-    for v in per_head[1:]:
-        total = total + v
-    return total / len(per_head)
+    if att.ndim != 4 or att.shape[1] == 0:
+        raise DimensionError(f"guided attention needs (B, K >= 1, n_dec, "
+                             f"n_enc) heads, got {att.shape}")
+    n_b, n_heads, s_max, n_max = att.shape
+    n_dec = np.full(n_b, s_max) if n_dec is None else n_dec
+    n_enc = np.full(n_b, n_max) if n_enc is None else n_enc
+    w = np.zeros((n_b, 1, s_max, n_max))
+    for b, (s, n) in enumerate(zip(n_dec, n_enc)):
+        w[b, 0, :s, :n] = guided_attention_weight(s, n, g) / s
+    return (att * Tensor(w)).sum() / n_heads
 
 
 def tts_total_loss(l1: Tensor, bce: Tensor, guided: Optional[Tensor]) -> Tensor:

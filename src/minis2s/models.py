@@ -8,17 +8,21 @@ Transformer and an RNN without changing any interface shape.
 Padded batches: the ASR/ST forward takes one utterance, (n, d) rows,
 or a batch of B utterances padded to the longest, (B, n_max, d) with a
 leading batch axis and each row's true length beside it; training and
-decoding both encode a batch in one pass. Each row's convolution tail
-is re-zeroed stage by stage at its own length, key-padding masks hide
-its padded frames from every attention (the encoder's self-attention,
-the decoder's source attention, the LSTM decoder's additive attention),
-and each BLSTM direction scans only its real frames, the reverse one
+decoding both encode a batch in one pass. The TTS forward takes a batch
+only (one utterance is a batch of one): texts as a padded (B, n_max) id
+array, targets as a padded (B, N_max, feat_dim) array. Each row's
+convolution tail (the speech front ends', the Postnet's) is re-zeroed
+stage by stage at its own length, key-padding masks hide its padded
+frames from every attention (the encoder's self-attention, the
+decoder's source attention, the LSTM decoder's additive attention), and
+each BLSTM direction scans only its real frames, the reverse one
 starting at the row's own last frame. The decoder teacher-forces every
 row's targets at once (the Transformer under the causal mask, the LSTM
 one step of every row at a time), so positions past a short row's end
-never reach its real ones. Each row of a padded batch thus
-equals the unpadded run of its utterance on the real frames; outputs
-past a row's end are left as they come and the losses never read them.
+never reach its real ones. Each row of a padded batch thus equals the
+unpadded run of its utterance on the real frames; outputs past a row's
+end are left as they come (the Postnet's are zero) and the losses never
+read them.
 
 Search: S2SModel and RnnLm are steppers. `init_state` starts a cached
 state, for S2SModel one row per encoding of N utterances,
@@ -144,9 +148,10 @@ class EncodedSequence:
 
 @dataclass
 class DecoderRecords:
-    """Source-attention weights of one forward, one (H, n_dec, n_enc)
-    tape tensor per decoder layer; the LSTM decoder's single head gives
-    (1, n_dec, n_enc)."""
+    """Source-attention weights of one forward, one tape tensor per
+    decoder layer: (H, n_dec, n_enc) for one utterance, (B, H, n_dec,
+    n_enc) for a padded batch. The LSTM decoder's single head gives H =
+    1 in both."""
     src_att: List[Tensor] = field(default_factory=list)
 
 
@@ -159,6 +164,16 @@ def pad_sequences(seqs: Sequence[np.ndarray]) -> Tuple[Tensor, np.ndarray]:
     for i, x in enumerate(seqs):
         out[i, :lens[i]] = x
     return Tensor(out), lens
+
+
+def _pad_ids(seqs: Sequence[Sequence[int]]) -> Tuple[np.ndarray, np.ndarray]:
+    """N id sequences as one (N, n_max) array, filled with the
+    end-of-sequence id past each one's end, and their lengths."""
+    lens = np.array([len(ys) for ys in seqs])
+    ids = np.full((len(seqs), lens.max()), SOS_EOS_ID)
+    for i, ys in enumerate(seqs):
+        ids[i, :lens[i]] = ys
+    return ids, lens
 
 
 def _key_mask(n_buf: int, lens) -> Optional[np.ndarray]:
@@ -661,8 +676,11 @@ class LstmDecoderBody(Module):
                 state, y0[:, step] if batch else y0[step:step + 1])
             outs.append(out)
             alphas.append(alpha)
-        if records is not None:
-            records.src_att.append(T.concat(alphas, axis=1))
+        if records is not None:         # (N, t, n_enc), a head axis per row
+            att = T.concat(alphas, axis=1)
+            records.src_att.append(att.reshape((att.shape[0], 1)
+                                               + att.shape[1:])
+                                   if batch else att)
         out = T.concat(outs, axis=0)
         if batch:                       # step-major rows -> (B, t, d_att)
             n_b = y0.shape[0]
@@ -824,11 +842,7 @@ class S2SModel(Module):
         start-of-sequence id. For a batch, ys_in holds one such sequence
         per row, and the (B, n_max, V) rows past a sequence's end hold no
         meaning."""
-        ids = ys_in
-        if enc.x_e.ndim == 3:            # one row per sequence, eos-padded
-            ids = np.full((len(ys_in), max(map(len, ys_in))), SOS_EOS_ID)
-            for b, ys in enumerate(ys_in):
-                ids[b, :len(ys)] = ys
+        ids = _pad_ids(ys_in)[0] if enc.x_e.ndim == 3 else ys_in
         y_d = self.dec_body(self.dec_pre(ids), enc.x_e, records=records,
                             src_lens=enc.n_sub)
         return T.log_softmax(self.dec_post(y_d))
@@ -872,12 +886,16 @@ class DecoderState:
 
 @dataclass
 class TtsForward:
-    coarse: Tensor        # n_pad x feat_dim (frame rate)
-    refined: Tensor       # n_pad x feat_dim
-    eos_logits: Tensor    # n_steps (decoder rate)
+    """Teacher-forced outputs of a batch of B utterances. Row b's first
+    n_pad[b] frames and n_steps[b] steps are real; the rest are padding
+    and hold no meaning (the postnet's output is zero there)."""
+    coarse: Tensor        # (B, N_max, feat_dim), frame rate
+    refined: Tensor       # (B, N_max, feat_dim)
+    eos_logits: Tensor    # (B, S_max), decoder rate
     records: DecoderRecords
-    n_pad: int
-    n_steps: int
+    target: np.ndarray    # (B, N_max, feat_dim) r-padded, zero past n_pad
+    n_pad: np.ndarray     # frames per row, a multiple of r
+    n_steps: np.ndarray   # decoder steps per row, n_pad // r
 
 
 class Prenet(Module):
@@ -922,12 +940,19 @@ class Postnet(Module):
         self.n_layers = n_layers
         self.drop = Dropout(dropout_rate)
 
-    def forward(self, y: Tensor) -> Tensor:
-        h = y
+    def forward(self, y: Tensor, lens=None) -> Tensor:
+        """The refinement of coarse frames y, (n, feat_dim) or a padded (B,
+        n_max, feat_dim) batch whose row b holds lens[b] real frames
+        (None: all). Every layer's input and output are re-zeroed past
+        each row's end, so each kernel-5 window reads what the row's
+        unpadded run reads, and the output is zero past the end."""
+        lens = y.shape[-2] if lens is None else lens
+        h = _zero_tail(y, lens)
         for i, conv in enumerate(self.convs):
             h = conv(h)
             if i < self.n_layers - 1:
                 h = self.drop(T.tanh(self.norms[i](h)))
+            h = _zero_tail(h, lens)
         return h
 
 
@@ -964,13 +989,16 @@ class TtsModel(Module):
         self.postnet = Postnet(config.feat_dim, config.d_att,
                                config.postnet_layers, config.dropout_rate, rng)
 
-    def encode(self, token_ids) -> EncodedSequence:
-        ids = list(token_ids)
-        if not ids:
+    def encode(self, token_seqs) -> EncodedSequence:
+        """Encode a batch of token-id sequences in one pass, padded to the
+        longest: x_e (B, n_max, d_att), row b holding n_sub[b] real
+        positions, whose keys alone the encoder attends to (a BLSTM scans
+        them alone)."""
+        ids, lens = _pad_ids(token_seqs)
+        if lens.min() == 0:
             raise DataError("empty text input")
-        x0 = self.enc_pre(ids)
-        x_e = self.enc_body(x0, len(ids))
-        return EncodedSequence(x_e=x_e, n_sub=len(ids))
+        return EncodedSequence(x_e=self.enc_body(self.enc_pre(ids), lens),
+                               n_sub=lens)
 
     def pad_target(self, feats: np.ndarray) -> np.ndarray:
         """Repeat the final frame until the length divides r."""
@@ -981,32 +1009,34 @@ class TtsModel(Module):
             feats = np.concatenate([feats, np.tile(feats[-1:], (rem, 1))])
         return feats
 
-    def _decoder_inputs(self, padded: np.ndarray) -> np.ndarray:
-        """Teacher forcing: step j consumes the last frame of group j-1;
-        step 0 consumes zeros."""
-        r = self.config.reduction_factor
-        n_steps = padded.shape[0] // r
-        prev = np.zeros((n_steps, padded.shape[1]))
-        for j in range(1, n_steps):
-            prev[j] = padded[j * r - 1]
-        return prev
-
     def forward_teacher(self, enc: EncodedSequence,
-                        target_feats: np.ndarray) -> TtsForward:
+                        targets: Sequence[np.ndarray]) -> TtsForward:
+        """Teacher-forced forward of a batch: targets holds one (n_b,
+        feat_dim) array per row of the encoded batch enc, each padded to a
+        multiple of r (pad_target). Decoder step j of a row consumes the
+        last frame of its group j-1 (step 0 zeros), all rows at once: the
+        Transformer under the causal mask, the LSTM one step of every row
+        at a time, so a short row's padded steps never reach its real
+        ones. The postnet reads each row's real frames only."""
         r = self.config.reduction_factor
-        feat_dim = self.config.feat_dim
-        padded = self.pad_target(np.asarray(target_feats, dtype=np.float64))
-        n_pad = padded.shape[0]
-        n_steps = n_pad // r
+        target, n_pad = pad_sequences(
+            [self.pad_target(np.asarray(t, dtype=np.float64))
+             for t in targets])
+        target = target.data
+        n_b, n_max, feat_dim = target.shape
+        s_max = n_max // r
+        prev = np.zeros((n_b, s_max, feat_dim))
+        prev[:, 1:] = target[:, r - 1:(s_max - 1) * r:r]
         records = DecoderRecords()
-        y0 = self.prenet(Tensor(self._decoder_inputs(padded)))
+        y0 = self.prenet(Tensor(prev))
         y0 = A.scaled_positional_encoding(y0, self.dec_alpha)
-        y_d = self.dec_body(y0, enc.x_e, records=records)
-        coarse = self.feat_head(y_d).reshape(n_pad, feat_dim)
-        eos_logits = self.eos_head(y_d).reshape(n_steps)
-        refined = coarse + self.postnet(coarse)
+        y_d = self.dec_body(y0, enc.x_e, records=records, src_lens=enc.n_sub)
+        coarse = self.feat_head(y_d).reshape(n_b, n_max, feat_dim)
+        eos_logits = self.eos_head(y_d).reshape(n_b, s_max)
+        refined = coarse + self.postnet(coarse, n_pad)
         return TtsForward(coarse=coarse, refined=refined, eos_logits=eos_logits,
-                          records=records, n_pad=n_pad, n_steps=n_steps)
+                          records=records, target=target, n_pad=n_pad,
+                          n_steps=n_pad // r)
 
     def infer(self, token_ids, eos_threshold: float = 0.5,
               max_frames: int = 400, seed: int = 0) -> Tuple[np.ndarray, str]:
@@ -1028,8 +1058,8 @@ class TtsModel(Module):
         groups = []
         reason = "cap"
         with T.no_grad(), T.Graph(seed=seed):
-            enc = self.encode(token_ids)
-            state = self.dec_body.init_state(*pad_sequences([enc.x_e.data]))
+            enc = self.encode([token_ids])
+            state = self.dec_body.init_state(enc.x_e, enc.n_sub)
             for step in range(max_steps):
                 y0 = self.prenet(Tensor(prev)) + self.dec_alpha * Tensor(
                     A.positional_rows(step + 1, self.config.d_att)[step:])
@@ -1046,12 +1076,13 @@ class TtsModel(Module):
 
     def guided_attention_records(self, records: DecoderRecords,
                                  n_layers: int = 2, n_heads: int = 2
-                                 ) -> List[Tensor]:
-        """Default selection for the guided attention loss: up to n_heads
-        heads, each an (n_dec, n_enc) matrix, from each of the last
-        n_layers source-attention records."""
-        return [w[h] for w in records.src_att[-n_layers:]
-                for h in range(min(n_heads, w.shape[0]))]
+                                 ) -> Tensor:
+        """Default selection for the guided attention loss: the first
+        n_heads heads of each of the last n_layers source-attention
+        records of a batch, side by side as (B, K, n_dec, n_enc)."""
+        picked = [w if w.shape[1] <= n_heads else w[:, :n_heads]
+                  for w in records.src_att[-n_layers:]]
+        return picked[0] if len(picked) == 1 else T.concat(picked, axis=1)
 
 
 def _sigmoid_scalar(z: float) -> float:

@@ -607,13 +607,13 @@ def dropout(x: Tensor, rate: float, training: bool, rng=None) -> Tensor:
         rng = np.random.default_rng(rng)
     keep = rng.random(x.shape) >= rate
     scale = 1.0 / (1.0 - rate)
-    factor = keep * scale
 
-    def bwd(g, x=x, factor=factor):
+    # the tape keeps the boolean mask, an eighth of the float factor
+    def bwd(g, x=x, keep=keep, scale=scale):
         if x.requires_grad:
-            x._accumulate(g * factor)
+            x._accumulate(g * (keep * scale))
 
-    return _result(x.data * factor, (x,), bwd)
+    return _result(x.data * (keep * scale), (x,), bwd)
 
 
 # -- convolution, pooling, embedding ------------------------------------------
@@ -637,14 +637,21 @@ def conv1d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     if t_out < 1:
         raise DimensionError(f"conv1d kernel {k} does not fit input of length {t} "
                              f"with padding {padding}")
-    xb = x.data.reshape(-1, t, c_in)
-    n_b = xb.shape[0]
-    xpad = np.pad(xb, ((0, 0), (padding, padding), (0, 0))) if padding else xb
-    # windows: (B, t_out, k, c_in) -> (B*t_out, k*c_in)
-    win = np.lib.stride_tricks.sliding_window_view(xpad, k, axis=1)[:, ::stride]
-    cols = win.transpose(0, 1, 3, 2).reshape(n_b * t_out, k * c_in)
+    n_b = x.size // (t * c_in)
+
+    def columns() -> np.ndarray:
+        # windows: (B, t_out, k, c_in) -> (B*t_out, k*c_in); k times x's
+        # size, so the backward rebuilds them instead of the tape keeping
+        # them
+        xb = x.data.reshape(n_b, t, c_in)
+        xpad = np.pad(xb, ((0, 0), (padding, padding), (0, 0))) \
+            if padding else xb
+        win = np.lib.stride_tricks.sliding_window_view(xpad, k, axis=1)
+        return win[:, ::stride].transpose(0, 1, 3, 2).reshape(n_b * t_out,
+                                                               k * c_in)
+
     w2 = weight.data.transpose(0, 2, 1).reshape(c_out, k * c_in)
-    out = cols @ w2.T
+    out = columns() @ w2.T
     if bias is not None:
         if bias.shape != (c_out,):
             raise DimensionError("conv1d bias must have shape (c_out,)")
@@ -652,13 +659,13 @@ def conv1d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
-    def bwd(g, x=x, weight=weight, bias=bias, cols=cols, w2=w2,
+    def bwd(g, x=x, weight=weight, bias=bias, w2=w2,
             stride=stride, padding=padding, k=k, c_in=c_in, t=t, t_out=t_out):
         g = g.reshape(n_b * t_out, c_out)
         if bias is not None and bias.requires_grad:
             bias._accumulate(g.sum(axis=0))
         if weight.requires_grad:
-            gw2 = g.T @ cols
+            gw2 = g.T @ columns()
             weight._accumulate(gw2.reshape(weight.shape[0], k, c_in).transpose(0, 2, 1))
         if x.requires_grad:
             gcols = (g @ w2).reshape(n_b, t_out, k * c_in)
@@ -1071,11 +1078,22 @@ def from_op(data: np.ndarray, parents: Sequence[Tensor],
 # -- backward pass and gradient checking --------------------------------------
 
 
+def _spent(g: np.ndarray) -> None:
+    """The backward of an op result whose tape a backward has spent."""
+    raise RuntimeError("this tensor's tape was spent by an earlier "
+                       "backward; rebuild the graph")
+
+
 def backward(loss: Tensor) -> None:
-    """Populate `.grad` on every requires_grad ancestor of a scalar loss.
+    """Populate `.grad` on every requires_grad leaf under a scalar loss.
 
     A second call on the same loss raises; gradients from separate losses
-    accumulate, which is what gradient accumulation relies on.
+    accumulate into the leaves, which is what gradient accumulation relies
+    on. The tape is spent as it runs: once an op's backward has run, its
+    result drops its gradient and its parents, so memory falls during the
+    pass instead of holding every intermediate gradient on top of the
+    forward's tape until the end. A later loss built on a spent result
+    cannot reach the leaves through it, so its backward raises.
     """
     if loss.data.size != 1:
         raise DimensionError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -1093,14 +1111,21 @@ def backward(loss: Tensor) -> None:
         node = stack.pop()
         if node._id in seen:
             continue
+        if node._backward is _spent:
+            _spent(None)
         seen[node._id] = node
         stack.extend(p for p in node._parents if p.requires_grad)
     order = sorted(seen.values(), key=lambda t: t._id, reverse=True)
+    del seen, node
 
     loss._accumulate(np.ones_like(loss.data))
-    for node in order:
-        if node._backward is not None and node.grad is not None:
+    for i in range(len(order)):
+        node, order[i] = order[i], None
+        if node._backward is None:
+            continue
+        if node.grad is not None:
             node._backward(node.grad)
+        node.grad, node._backward, node._parents = None, _spent, ()
 
 
 def grad_check(f: Callable[..., Tensor], xs: Sequence[Tensor], h: float = 1e-5,

@@ -2,13 +2,15 @@
 Adadelta, gradient accumulation, binary checkpoints with averaging,
 early stopping, feature masking, and a deterministic CSV-logged loop.
 
-An ASR/ST batch is one padded forward: its utterances' frames go in as
-one (B, n_max, feat_dim) array (models.pad_sequences), so every tape op
-of the encoder, the decoder and both losses covers the whole batch, and
-one backward follows (asr_batch_loss; the dev loss runs the same way in
-length-sorted batches). TTS still trains one utterance at a time.
-Dropout masks are drawn once per batch from the step's seeded Graph;
-feature masking is seeded per utterance, as before batching.
+A batch is one padded forward and one backward, for every task: an
+ASR/ST batch's frames go in as one (B, n_max, feat_dim) array
+(models.pad_sequences, asr_batch_loss), a TTS batch's texts as one (B,
+n_max) id array and its targets as one (B, N_max, feat_dim) array
+(tts_batch_loss), so every tape op of the encoder, the decoder and the
+losses covers the whole batch. The dev loss runs the same way in
+length-sorted batches of DEV_BATCH. Dropout masks are drawn once per
+batch from the step's seeded Graph; feature masking is seeded per
+utterance, as before batching.
 
 Losses are normalized by batch-global token (ASR/ST) or element (TTS)
 counts, so splitting a batch into micro-batches accumulates to exactly
@@ -24,7 +26,7 @@ import struct
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
+from typing import (Callable, Iterable, List, Mapping, Optional,
                     Sequence, Tuple)
 
 import numpy as np
@@ -39,7 +41,8 @@ CKPT_MAGIC = b"ESC1"
 LOG_COLUMNS = ["step", "epoch", "lr", "total", "s2s", "ctc", "l1", "bce",
                "guided", "grad_norm", "wall_ms"]
 # utterances per padded forward of the dev loss; the value moves only
-# the rounding of the sum
+# the rounding of the sum, except where a TTS Prenet keeps its dropout
+# at inference (tts-toy): there it also moves the masks drawn
 DEV_BATCH = 8
 
 
@@ -343,24 +346,29 @@ def tts_denominators(model, utts: Sequence) -> Tuple[int, int]:
             sum(p.shape[0] // r for p in padded))
 
 
-def _tts_utt_loss(model, utt, n_elems_total: int, n_steps_total: int,
-                  n_utts: int) -> Tuple[Tensor, L.LossReport]:
-    target = np.asarray(utt.feats, dtype=np.float64)
-    padded = model.pad_target(target)
-    enc = model.encode(list(utt.tokens))
-    fwd = model.forward_teacher(enc, target)
-    l1 = L.tts_l1(fwd.coarse, fwd.refined, padded, denom=n_elems_total)
-    eos_y = np.zeros(fwd.n_steps)
-    eos_y[-1] = 1.0
-    bce = L.weighted_bce(fwd.eos_logits, eos_y, denom=n_steps_total)
-    guided = L.guided_attention_loss(model.guided_attention_records(fwd.records))
+def tts_batch_loss(model, utts: Sequence, n_elems_total: int,
+                   n_steps_total: int, n_utts: int
+                   ) -> Tuple[Tensor, L.LossReport]:
+    """TTS loss of a batch, one padded forward: L1 over each row's real
+    frames and BCE over its real steps, normalized by the batch-global
+    counts of tts_denominators, plus each utterance's guided-attention
+    loss over n_utts; and its report."""
+    enc = model.encode([u.tokens for u in utts])
+    fwd = model.forward_teacher(enc, [u.feats for u in utts])
+    l1 = L.tts_l1(fwd.coarse, fwd.refined, fwd.target, denom=n_elems_total,
+                  lens=fwd.n_pad)
+    eos_y = np.arange(fwd.eos_logits.shape[1]) == fwd.n_steps[:, None] - 1
+    bce = L.weighted_bce(fwd.eos_logits, eos_y, denom=n_steps_total,
+                         lens=fwd.n_steps)
+    guided = L.guided_attention_loss(
+        model.guided_attention_records(fwd.records), fwd.n_steps, enc.n_sub)
     guided = guided / n_utts
     loss = L.tts_total_loss(l1, bce, guided)
     report = L.LossReport(
         total=loss.item(),
         components={"l1": l1.item(), "bce": bce.item(),
                     "guided": guided.item()},
-        n_frames=int(target.shape[0]))
+        n_frames=sum(len(u.feats) for u in utts))
     return loss, report
 
 
@@ -383,19 +391,25 @@ def _utt_length(utt) -> int:
 
 def check_lengths(model, utts: Sequence, split: str,
                   training: bool = True) -> None:
-    """Refuse ASR/ST utterances the model cannot take before any work
-    starts: fewer frames than the speech front end needs or, when
-    training a model with a CTC head, fewer subsampled frames than the
-    CTC target needs (decoding never reads the targets). Raises one
-    DataError naming the split and the first few utterance ids."""
+    """Refuse utterances the model cannot take before any work starts:
+    frames of another feature dimension than the model's; for ASR/ST,
+    fewer frames than the speech front end needs or, when training a
+    model with a CTC head, fewer subsampled frames than the CTC target
+    needs (decoding never reads the targets); for TTS, an empty text or
+    an empty target. Raises one DataError naming the split, the count
+    and the first few utterance ids."""
     cfg = model.config
-    if cfg.task == "tts":
-        return
-    min_frames = model.enc_pre.MIN_FRAMES
+    tts = cfg.task == "tts"
+    min_frames = 1 if tts else model.enc_pre.MIN_FRAMES
     bad = []
     for u in utts:
-        n = len(u.feats)
-        if n < min_frames:
+        n, dim = np.shape(u.feats)
+        if dim != cfg.feat_dim:
+            bad.append(f"{u.utt_id} (feature dimension {dim}, the model's "
+                       f"is {cfg.feat_dim})")
+        elif tts and not len(u.tokens):
+            bad.append(f"{u.utt_id} (no tokens)")
+        elif n < min_frames:
             bad.append(f"{u.utt_id} ({n} frames)")
         elif training and cfg.uses_ctc:
             n_sub = subsample_length(n, cfg.enc_pre)
@@ -404,10 +418,11 @@ def check_lengths(model, utts: Sequence, split: str,
                 bad.append(f"{u.utt_id} ({n_sub} frames after subsampling, "
                            f"its CTC target needs {need})")
     if bad:
+        need = ("at least one token and one frame" if tts else
+                f"the front end needs >= {min_frames} frames")
         raise DataError(
-            f"{split} split: {len(bad)} utterance(s) too short to "
-            f"{'train on' if training else 'decode'} "
-            f"(the front end needs >= {min_frames} frames), first few: "
+            f"{split} split: {len(bad)} utterance(s) the model cannot "
+            f"{'train on' if training else 'decode'} ({need}), first few: "
             + ", ".join(bad[:5]))
 
 
@@ -416,30 +431,36 @@ def _fmt(x: float) -> str:
 
 
 def evaluate_dev(model, dev_set: Sequence) -> float:
-    """Mean per-token (ASR/ST) or per-element (TTS) dev loss; ASR/ST runs
-    in length-sorted batches of DEV_BATCH, TTS one utterance at a time."""
-    is_tts = model.config.task == "tts"
+    """Mean per-token (ASR/ST) or per-element (TTS) dev loss, run in
+    length-sorted batches of DEV_BATCH."""
+    batch_loss = _batch_loss_fn(model, dev_set)
     model.eval()
     total = 0.0
     with T.no_grad(), T.Graph(seed=0):
-        if is_tts:
-            n_elems, n_steps = tts_denominators(model, dev_set)
-            for u in dev_set:
-                total += _tts_utt_loss(model, u, n_elems, n_steps,
-                                       len(dev_set))[1].total
-        else:
-            n_tok = sum(len(u.tokens) + 1 for u in dev_set)
-            for batch in make_batches(dev_set, DEV_BATCH):
-                total += asr_batch_loss(model, batch, n_tok)[1].total
+        for batch in make_batches(dev_set, DEV_BATCH):
+            total += batch_loss(batch)[1].total
     model.train()
     return total
 
 
+def _batch_loss_fn(model, utts: Sequence
+                   ) -> Callable[[Sequence], Tuple[Tensor, L.LossReport]]:
+    """The loss of a batch of some of utts, normalized by utts' batch-global
+    denominators."""
+    if model.config.task == "tts":
+        n_elems, n_steps = tts_denominators(model, utts)
+        return lambda batch: tts_batch_loss(model, batch, n_elems, n_steps,
+                                            len(utts))
+    n_tok = sum(len(u.tokens) + 1 for u in utts)
+    return lambda batch: asr_batch_loss(model, batch, n_tok)
+
+
 def train_loop(model, train_set: Sequence, dev_set: Sequence,
                tcfg: TrainConfig, out_dir: str) -> TrainResult:
-    """Deterministic epoch loop: bucketed batches, accumulation,
-    per-step CSV logging, a checkpoint per epoch, and a final
-    parameter average over the last keep_last checkpoints."""
+    """Deterministic epoch loop: bucketed batches, each one padded
+    forward and one backward, per-step CSV logging, a checkpoint per
+    epoch, and a final parameter average over the last keep_last
+    checkpoints."""
     tcfg.validate()
     if not train_set:
         raise DataError("empty training set")
@@ -469,13 +490,6 @@ def train_loop(model, train_set: Sequence, dev_set: Sequence,
                 step += 1
                 t0 = time.perf_counter()
                 model.zero_grad()
-                if is_tts:
-                    n_elems, n_steps = tts_denominators(model, batch)
-                else:
-                    n_tok = sum(len(u.tokens) + 1 for u in batch)
-                sums: Dict[str, float] = {"total": 0.0, "s2s": 0.0,
-                                          "ctc": 0.0, "l1": 0.0,
-                                          "bce": 0.0, "guided": 0.0}
                 if tcfg.augment and not is_tts:
                     batch = [type(utt)(utt.utt_id, spec_augment(
                         utt.feats, tcfg.n_time_masks, tcfg.n_freq_masks,
@@ -483,21 +497,12 @@ def train_loop(model, train_set: Sequence, dev_set: Sequence,
                         seed=tcfg.seed * 31 + step * 7 + i), utt.tokens)
                         for i, utt in enumerate(batch)]
                 with T.Graph(seed=tcfg.seed * 999_983 + step):
-                    if is_tts:
-                        losses = (_tts_utt_loss(model, utt, n_elems, n_steps,
-                                                len(batch)) for utt in batch)
-                    else:
-                        losses = [asr_batch_loss(model, batch, n_tok)]
-                    for loss, rep in losses:
-                        backward(loss)
-                        sums["total"] += rep.total
-                        for k, v in rep.components.items():
-                            sums[k] += v
+                    loss, rep = _batch_loss_fn(model, batch)(batch)
+                    backward(loss)
                 gnorm = grad_norm(params)
-                if not (math.isfinite(sums["total"])
-                        and math.isfinite(gnorm)):
+                if not (math.isfinite(rep.total) and math.isfinite(gnorm)):
                     raise NumericError(
-                        f"epoch {epoch} step {step}: loss {sums['total']!r} "
+                        f"epoch {epoch} step {step}: loss {rep.total!r} "
                         f"or gradient norm {gnorm!r} is not finite")
                 if tcfg.optimizer == "adam":
                     lr = noam_lr(opt.t + 1, model.config.d_att,
@@ -508,10 +513,10 @@ def train_loop(model, train_set: Sequence, dev_set: Sequence,
                     opt.step(lr)
                 wall = int((time.perf_counter() - t0) * 1000) \
                     if tcfg.log_timing else 0
-                writer.writerow([step, epoch, _fmt(lr), _fmt(sums["total"]),
-                                 _fmt(sums["s2s"]), _fmt(sums["ctc"]),
-                                 _fmt(sums["l1"]), _fmt(sums["bce"]),
-                                 _fmt(sums["guided"]), _fmt(gnorm), wall])
+                writer.writerow(
+                    [step, epoch, _fmt(lr), _fmt(rep.total)]
+                    + [_fmt(rep.component(k)) for k in LOG_COLUMNS[4:9]]
+                    + [_fmt(gnorm), wall])
             path = os.path.join(out_dir, f"ckpt-{epoch:03d}.esc")
             save_checkpoint(path, model, epoch=epoch)
             ckpt_paths.append(path)

@@ -40,10 +40,10 @@ from minis2s.models import (SOS_EOS_ID, DecoderRecords, ModelConfig, S2SModel,
                             TtsModel, build_model)
 from minis2s.nn import LSTM, LSTMCell
 from minis2s.tensor import Tensor, grad_check
-from minis2s.training import (Adam, _tts_utt_loss, accumulate_gradients,
-                              asr_batch_loss, evaluate_dev,
-                              load_checkpoint, load_into_model, noam_lr,
-                              train_loop, tts_denominators)
+from minis2s.training import (Adam, accumulate_gradients, asr_batch_loss,
+                              evaluate_dev, load_checkpoint, load_into_model,
+                              noam_lr, train_loop, tts_batch_loss,
+                              tts_denominators)
 
 from test_attention import dot_attention
 from test_decoding import enumerate_best, tiny_model
@@ -303,8 +303,8 @@ def test_a01_gradient_suite():
         target = np.random.default_rng(seed).standard_normal((4, 5))
 
         def f_tts(*_):
-            enc = tts.encode([3, 5])
-            fb = tts.forward_teacher(enc, target)
+            enc = tts.encode([[3, 5]])
+            fb = tts.forward_teacher(enc, [target])
             return (fb.refined.abs().sum() + fb.coarse.abs().sum()
                     + T.sigmoid(fb.eos_logits).sum())
 
@@ -474,14 +474,11 @@ def _loss_closures(model, utts, split, kind: str):
         n_elems, n_steps = tts_denominators(model, utts)
 
     def make(group):
-        def run():
-            if kind == "asr":      # the group as one padded batch
+        def run():                 # the group as one padded batch
+            if kind == "asr":
                 return asr_batch_loss(model, group, n_tok)[0]
-            total = None
-            for u in group:
-                loss = _tts_utt_loss(model, u, n_elems, n_steps, len(utts))[0]
-                total = loss if total is None else total + loss
-            return total
+            return tts_batch_loss(model, group, n_elems, n_steps,
+                                  len(utts))[0]
         return run
 
     return [make(utts[lo:hi]) for lo, hi in split]
@@ -603,20 +600,15 @@ def _tts_dev_l1_guided(model, dev):
     model.eval()
     from minis2s import losses as L
     n_elems = tts_denominators(model, dev)[0]
-    l1_total = 0.0
-    guided_total = 0.0
-    with T.no_grad(), T.Graph(seed=0):
-        for u in dev:
-            target = np.asarray(u.feats, dtype=np.float64)
-            enc = model.encode(list(u.tokens))
-            fwd = model.forward_teacher(enc, target)
-            l1 = L.tts_l1(fwd.coarse, fwd.refined, model.pad_target(target),
-                          denom=n_elems)
-            guided = L.guided_attention_loss(
-                model.guided_attention_records(fwd.records))
-            l1_total += l1.item()
-            guided_total += guided.item() / len(dev)
-    return l1_total, guided_total
+    with T.no_grad(), T.Graph(seed=0):     # the split as one padded batch
+        enc = model.encode([u.tokens for u in dev])
+        fwd = model.forward_teacher(enc, [u.feats for u in dev])
+        l1 = L.tts_l1(fwd.coarse, fwd.refined, fwd.target, denom=n_elems,
+                      lens=fwd.n_pad)
+        guided = L.guided_attention_loss(
+            model.guided_attention_records(fwd.records), fwd.n_steps,
+            enc.n_sub)
+    return l1.item(), guided.item() / len(dev)
 
 
 def test_a08_toy_tts_convergence(tmp_path):

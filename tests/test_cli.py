@@ -10,7 +10,7 @@ import pytest
 
 from minis2s import cli
 from minis2s.cli import main
-from minis2s.data import read_feature_file
+from minis2s.data import read_feature_file, write_feature_file
 from minis2s.training import load_checkpoint, save_checkpoint
 
 TOY = """
@@ -521,3 +521,78 @@ def test_non_finite_training_exits_three(workspace, tmp_path, monkeypatch,
                  "--data", str(workspace / "data"), "--out", str(run)]) == 3
     assert "epoch 1 step 1" in capsys.readouterr().err
     assert not list(run.glob("*.esc"))
+
+
+def _rewrite_utterance(data, split, utt_id, feats=None, text=None):
+    """Give one utterance of a saved corpus other frames or another text."""
+    if feats is not None:
+        write_feature_file(str(data / split / "feats" / f"{utt_id}.esf"),
+                           feats)
+    if text is not None:
+        path = data / split / "transcripts.tsv"
+        lines = [f"{utt_id}\t{text}" if line.split("\t")[0] == utt_id
+                 else line for line in path.read_text().splitlines()]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _assert_refused(capsys, rc, run, *wanted):
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    for text in wanted:
+        assert text in err, err
+    assert "Traceback" not in err
+    assert not run.exists() or not list(run.glob("*.esc"))
+
+
+@pytest.mark.parametrize("split,utt,feats,text,reason", [
+    ("train", "tts-train-0002", np.zeros((0, 16)), None, "(0 frames)"),
+    ("dev", "tts-dev-0001", None, "", "(no tokens)"),
+    ("train", "tts-train-0004", np.ones((9, 15)), None,
+     "(feature dimension 15, the model's is 16)"),
+])
+def test_train_names_tts_utterances_it_cannot_take(tmp_path, capsys, split,
+                                                   utt, feats, text, reason):
+    (tmp_path / "toy.cfg").write_text(TTS_TOY, encoding="utf-8")
+    (tmp_path / "exp.cfg").write_text(TTS_EXP, encoding="utf-8")
+    data, run = tmp_path / "data", tmp_path / "run"
+    assert main(["gen-data", "--spec", str(tmp_path / "toy.cfg"),
+                 "--out", str(data)]) == 0
+    _rewrite_utterance(data, split, utt, feats, text)
+    capsys.readouterr()
+    rc = main(["train", "--config", str(tmp_path / "exp.cfg"),
+               "--data", str(data), "--out", str(run)])
+    _assert_refused(capsys, rc, run, f"{split} split: 1 utterance(s)",
+                    f"{utt} {reason}")
+    assert not run.exists()
+
+
+def test_train_names_asr_utterance_of_another_feature_dimension(tmp_path,
+                                                                capsys):
+    (tmp_path / "toy.cfg").write_text(TOY, encoding="utf-8")
+    (tmp_path / "exp.cfg").write_text(EXP, encoding="utf-8")
+    data, run = tmp_path / "data", tmp_path / "run"
+    assert main(["gen-data", "--spec", str(tmp_path / "toy.cfg"),
+                 "--out", str(data)]) == 0
+    _rewrite_utterance(data, "dev", "asr-dev-0001", np.ones((30, 12)))
+    capsys.readouterr()
+    rc = main(["train", "--config", str(tmp_path / "exp.cfg"),
+               "--data", str(data), "--out", str(run)])
+    _assert_refused(capsys, rc, run, "dev split: 1 utterance(s)",
+                    "asr-dev-0001 (feature dimension 12, the model's is 16)")
+    assert not run.exists()
+
+
+def test_decode_names_utterances_of_another_feature_dimension(workspace,
+                                                              tmp_path,
+                                                              capsys):
+    # the workspace model (16-dim features) on a 12-dim corpus
+    (tmp_path / "toy.cfg").write_text(TOY + "feat_dim = 12\n",
+                                      encoding="utf-8")
+    assert main(["gen-data", "--spec", str(tmp_path / "toy.cfg"),
+                 "--out", str(tmp_path / "data")]) == 0
+    capsys.readouterr()
+    rc = main(["decode", "--ckpt", str(workspace / "run" / "avg.esc"),
+               "--data", str(tmp_path / "data"), "--split", "test"])
+    _assert_refused(capsys, rc, tmp_path, "test split: 2 utterance(s)",
+                    "asr-test-0000 (feature dimension 12, the model's is 16)",
+                    "asr-test-0001")

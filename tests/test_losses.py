@@ -326,6 +326,17 @@ def test_tts_l1_shape_mismatch():
                np.zeros((2, 4)))
 
 
+def test_tts_l1_reads_real_frames_of_a_padded_batch():
+    rng = np.random.default_rng(19)
+    lens = [3, 1, 2]
+    target = rng.standard_normal((3, 3, 4))
+    c = Tensor(rng.standard_normal((3, 3, 4)))
+    r = Tensor(rng.standard_normal((3, 3, 4)))
+    want = sum(np.abs(x.data[b, :n] - target[b, :n]).sum()
+               for x in (c, r) for b, n in enumerate(lens)) / (6 * 4)
+    assert abs(tts_l1(c, r, target, lens=lens).item() - want) < 1e-12
+
+
 def test_tts_l1_gradient():
     rng = np.random.default_rng(13)
     target = rng.standard_normal((3, 2))
@@ -377,6 +388,16 @@ def test_bce_shape_mismatch():
         weighted_bce(Tensor(np.zeros(3)), [1.0, 0.0])
 
 
+def test_bce_reads_real_steps_of_a_padded_batch():
+    rng = np.random.default_rng(20)
+    z = rng.standard_normal((2, 4))
+    y = np.array([[0.0, 0.0, 1.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
+    got = weighted_bce(Tensor(z), y, lens=[3, 1]).item()
+    want = (weighted_bce(Tensor(z[0, :3]), y[0, :3], denom=4).item()
+            + weighted_bce(Tensor(z[1, :1]), y[1, :1], denom=4).item())
+    assert abs(got - want) < 1e-12
+
+
 def test_bce_gradient():
     rng = np.random.default_rng(15)
     y = (rng.random(5) > 0.6).astype(float)
@@ -397,50 +418,69 @@ def test_guided_weight_diagonal_zero():
     assert np.all(w >= 0.0) and np.all(w < 1.0)
 
 
+def heads(*mats) -> Tensor:
+    """Attention matrices of one utterance as its (1, K, n_dec, n_enc)
+    selected heads."""
+    return Tensor(np.stack(mats)[None])
+
+
 def test_guided_antidiagonal_2x2():
-    a = Tensor(np.asarray([[0.0, 1.0], [1.0, 0.0]]))
-    loss = guided_attention_loss([a])
+    loss = guided_attention_loss(heads([[0.0, 1.0], [1.0, 0.0]]))
     assert abs(loss.item() - 0.5421666382283857391) < 1e-12
 
 
 def test_guided_diagonal_is_zero():
-    a = Tensor(np.eye(5))
-    assert guided_attention_loss([a]).item() == 0.0
+    assert guided_attention_loss(heads(np.eye(5))).item() == 0.0
 
 
 def test_guided_uniform_exceeds_diagonal():
     n = 6
-    uniform = guided_attention_loss([Tensor(np.full((n, n), 1.0 / n))]).item()
-    diag = guided_attention_loss([Tensor(np.eye(n))]).item()
+    uniform = guided_attention_loss(heads(np.full((n, n), 1.0 / n))).item()
+    diag = guided_attention_loss(heads(np.eye(n))).item()
     assert uniform > diag
 
 
 def test_guided_head_average():
     rng = np.random.default_rng(16)
-    a = Tensor(rng.random((3, 5)))
-    b = Tensor(rng.random((3, 5)))
-    la = guided_attention_loss([a]).item()
-    lb = guided_attention_loss([b]).item()
-    both = guided_attention_loss([a, b]).item()
+    a = rng.random((3, 5))
+    b = rng.random((3, 5))
+    la = guided_attention_loss(heads(a)).item()
+    lb = guided_attention_loss(heads(b)).item()
+    both = guided_attention_loss(heads(a, b)).item()
     assert abs(both - 0.5 * (la + lb)) < 1e-12
 
 
+def test_guided_batch_sums_utterances_on_their_own_sizes():
+    # a padded batch: each utterance reads its own steps and positions,
+    # normalized by its own step count, whatever the padding holds
+    rng = np.random.default_rng(18)
+    sizes = [(3, 5), (2, 2), (4, 3)]
+    mats = [rng.random((2, s, n)) for s, n in sizes]
+    batch = rng.random((3, 2, 4, 5))
+    for b, m in enumerate(mats):
+        batch[b, :, :m.shape[1], :m.shape[2]] = m
+    got = guided_attention_loss(Tensor(batch), [s for s, _ in sizes],
+                                [n for _, n in sizes]).item()
+    want = sum(guided_attention_loss(Tensor(m[None])).item() for m in mats)
+    assert abs(got - want) < 1e-12
+
+
 def test_guided_sharper_g_penalizes_more():
-    a = Tensor(np.full((4, 4), 0.25))
-    assert (guided_attention_loss([a], g=0.2).item()
-            > guided_attention_loss([a], g=0.4).item())
+    a = heads(np.full((4, 4), 0.25))
+    assert (guided_attention_loss(a, g=0.2).item()
+            > guided_attention_loss(a, g=0.4).item())
 
 
 def test_guided_empty_selection_rejected():
     with pytest.raises(DimensionError):
-        guided_attention_loss([])
+        guided_attention_loss(Tensor(np.zeros((1, 0, 2, 2))))
 
 
 def test_guided_gradient():
     rng = np.random.default_rng(17)
 
     def f(logits):
-        return guided_attention_loss([T.softmax(logits)])
+        return guided_attention_loss(T.softmax(logits).reshape(1, 1, 3, 4))
 
     x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
     assert grad_check(f, [x]) < 1e-6

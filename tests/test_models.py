@@ -541,33 +541,101 @@ def test_postnet_zero_final_layer_keeps_coarse():
     last = model.postnet.convs[-1]
     last.weight.data[:] = 0.0
     last.bias.data[:] = 0.0
-    enc = model.encode([3, 4, 5])
-    fb = model.forward_teacher(enc, np.random.default_rng(40).standard_normal((4, 5)))
+    enc = model.encode([[3, 4, 5]])
+    fb = model.forward_teacher(
+        enc, [np.random.default_rng(40).standard_normal((4, 5))])
     np.testing.assert_array_equal(fb.refined.data, fb.coarse.data)
+
+
+def _postnet_batch(lens, seed=0):
+    """Padded (B, n_max, 5) coarse frames whose padding holds noise, so a
+    stage that reads past a row's end shows, and the rows alone."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((len(lens), max(lens), 5))
+    return x, [x[b, :n].copy() for b, n in enumerate(lens)]
+
+
+def test_postnet_padded_rows_equal_unpadded_runs():
+    # every layer's input and output are re-zeroed past a row's end: with
+    # the padding full of noise, each row equals its run alone followed by
+    # zeros, and no padded frame gets a gradient
+    post = Postnet(5, 8, 3, 0.0, np.random.default_rng(43))
+    post.eval()
+    lens = [7, 2, 5, 1]
+    x, rows = _postnet_batch(lens, seed=44)
+    weights = np.random.default_rng(45).standard_normal(x.shape)
+    xb = Tensor(x, requires_grad=True)
+    T.backward((post(xb, np.array(lens)) * Tensor(weights)).sum())
+    out = post(Tensor(x), np.array(lens)).data
+    for b, (n, row) in enumerate(zip(lens, rows)):
+        xr = Tensor(row, requires_grad=True)
+        alone = post(xr)
+        np.testing.assert_allclose(out[b, :n], alone.data, rtol=0, atol=1e-12)
+        assert not out[b, n:].any()
+        T.backward((alone * Tensor(weights[b, :n])).sum())
+        np.testing.assert_allclose(xb.grad[b, :n], xr.grad, rtol=0,
+                                   atol=1e-12)
+        assert not xb.grad[b, n:].any()
+
+
+@pytest.mark.parametrize("body", ["transformer", "rnn"])
+def test_forward_teacher_padded_rows_equal_unpadded_runs(body):
+    # texts and targets of different lengths, r = 2 with odd frame counts:
+    # each row's real frames, steps and attention equal its run alone
+    model = TtsModel(tts_cfg(body=body, e=2, d=2))
+    model.eval()
+    rng = np.random.default_rng(46)
+    texts = [[3, 4, 5, 6], [5], [6, 3, 4], [4, 4]]
+    targets = [rng.standard_normal((n, 5)) for n in (9, 4, 13, 1)]
+    enc = model.encode(texts)
+    fwd = model.forward_teacher(enc, targets)
+    assert list(enc.n_sub) == [4, 1, 3, 2]
+    assert list(fwd.n_pad) == [10, 4, 14, 2]
+    assert list(fwd.n_steps) == [5, 2, 7, 1]
+    assert fwd.coarse.shape == fwd.target.shape == (4, 14, 5)
+    for b, (text, target) in enumerate(zip(texts, targets)):
+        alone = model.forward_teacher(model.encode([text]), [target])
+        n, s, k = fwd.n_pad[b], fwd.n_steps[b], len(text)
+        np.testing.assert_array_equal(fwd.target[b, :n], alone.target[0])
+        assert not fwd.target[b, n:].any()
+        for got, want in ((fwd.coarse, alone.coarse),
+                          (fwd.refined, alone.refined)):
+            np.testing.assert_allclose(got.data[b, :n], want.data[0], rtol=0,
+                                       atol=1e-12)
+        np.testing.assert_allclose(fwd.eos_logits.data[b, :s],
+                                   alone.eos_logits.data[0], rtol=0,
+                                   atol=1e-12)
+        for w, w_alone in zip(fwd.records.src_att, alone.records.src_att):
+            np.testing.assert_allclose(w.data[b, :, :s, :k], w_alone.data[0],
+                                       rtol=0, atol=1e-12)
+            assert not w.data[b, :, :s, k:].any()
 
 
 def test_reduction_factor_padding_arithmetic():
     model = TtsModel(tts_cfg(reduction_factor=2))
     model.eval()
     target = np.random.default_rng(41).standard_normal((5, 5))
-    enc = model.encode([3, 4])
-    fb = model.forward_teacher(enc, target)
-    assert fb.n_pad == 6 and fb.n_steps == 3
-    assert fb.coarse.shape == (6, 5)
-    assert fb.eos_logits.shape == (3,)
+    enc = model.encode([[3, 4]])
+    fb = model.forward_teacher(enc, [target])
+    assert list(fb.n_pad) == [6] and list(fb.n_steps) == [3]
+    assert fb.coarse.shape == (1, 6, 5)
+    assert fb.eos_logits.shape == (1, 3)
     padded = model.pad_target(target)
     np.testing.assert_array_equal(padded[5], target[4])
+    np.testing.assert_array_equal(fb.target[0], padded)
 
     r1 = TtsModel(tts_cfg(reduction_factor=1))
     r1.eval()
-    fb1 = r1.forward_teacher(r1.encode([3]), target)
-    assert fb1.n_pad == 5 and fb1.n_steps == 5
+    fb1 = r1.forward_teacher(r1.encode([[3]]), [target])
+    assert list(fb1.n_pad) == [5] and list(fb1.n_steps) == [5]
 
 
 def test_tts_empty_text_rejected():
     model = TtsModel(tts_cfg())
     with pytest.raises(DataError):
-        model.encode([])
+        model.encode([[]])
+    with pytest.raises(DataError):
+        model.encode([[3], []])
 
 
 def test_tts_infer_thresholds():
@@ -618,10 +686,10 @@ def test_tts_infer_equals_teacher_forcing_on_its_coarse_frames(
     assert [x.shape[0] for x in seen["prenet"]] == [1] * n_steps
     assert [y.shape[0] for y in seen["body"]] == [1] * n_steps
     # oracle: teacher forcing on the generated coarse frames reproduces them
-    fwd = model.forward_teacher(model.encode([3, 4, 5]), coarse)
-    np.testing.assert_allclose(fwd.coarse.data, coarse, rtol=0, atol=1e-9)
+    fwd = model.forward_teacher(model.encode([[3, 4, 5]]), [coarse])
+    np.testing.assert_allclose(fwd.coarse.data[0], coarse, rtol=0, atol=1e-9)
     assert out.shape == (min(max_frames, 2 * n_steps), 5)
-    np.testing.assert_allclose(out, fwd.refined.data[:max_frames],
+    np.testing.assert_allclose(out, fwd.refined.data[0, :max_frames],
                                rtol=0, atol=1e-9)
 
 
@@ -635,8 +703,8 @@ def test_tts_teacher_grad():
     target = np.random.default_rng(42).standard_normal((4, 5))
 
     def f(*_):
-        enc = model.encode([3, 5])
-        fb = model.forward_teacher(enc, target)
+        enc = model.encode([[3, 5]])
+        fb = model.forward_teacher(enc, [target])
         return (fb.refined.abs().sum() + fb.coarse.abs().sum()
                 + T.sigmoid(fb.eos_logits).sum())
 
@@ -647,9 +715,17 @@ def test_tts_teacher_grad():
 def test_tts_guided_attention_selection():
     model = TtsModel(tts_cfg(d=3, d_head=2))
     model.eval()
-    enc = model.encode([3, 4, 5])
-    fb = model.forward_teacher(enc, np.zeros((4, 5)))
+    enc = model.encode([[3, 4, 5]])
+    fb = model.forward_teacher(enc, [np.zeros((4, 5))])
     sel = model.guided_attention_records(fb.records)
-    assert len(sel) == 4  # 2 heads x last 2 layers
-    for w in sel:
-        assert w.shape == (2, 3)  # decoder steps x encoder positions
+    # 2 heads x last 2 layers, decoder steps x encoder positions
+    assert sel.shape == (1, 4, 2, 3)
+    np.testing.assert_array_equal(
+        sel.data[0], np.concatenate([w.data[0] for w in fb.records.src_att[1:]]))
+
+    rnn = TtsModel(tts_cfg(body="rnn", d=2))
+    rnn.eval()
+    fb = rnn.forward_teacher(rnn.encode([[3, 4, 5], [4]]),
+                             [np.zeros((4, 5)), np.zeros((2, 5))])
+    # one record of the LSTM decoder's single head
+    assert rnn.guided_attention_records(fb.records).shape == (2, 1, 2, 3)

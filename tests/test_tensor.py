@@ -421,6 +421,19 @@ def test_backward_accumulates_across_losses():
     np.testing.assert_allclose(x.grad, g1 + 2.0 * x.data, rtol=1e-15)
 
 
+def test_backward_spends_the_tape():
+    # an op result gives up its gradient and parents once its backward has
+    # run; a later loss on it cannot reach the leaves, and says so
+    x = rnd((3,), 40)
+    h = x * 3.0
+    backward((h * h).sum())
+    np.testing.assert_allclose(x.grad, 18.0 * x.data, rtol=1e-15)
+    assert h.grad is None and h._parents == ()
+    with pytest.raises(RuntimeError, match="spent"):
+        backward(h.sum())
+    np.testing.assert_allclose(x.grad, 18.0 * x.data, rtol=1e-15)
+
+
 def test_backward_needs_scalar():
     x = rnd((3,), 38)
     with pytest.raises(DimensionError):

@@ -13,18 +13,21 @@ import numpy as np
 import pytest
 
 from minis2s import tensor as T
+from minis2s.config import experiment_from_items
+from minis2s.data import ToySpec, gen_toy, toy_vocab
 from minis2s.errors import ConfigError, DataError, NumericError
-from minis2s.losses import (ctc_log_likelihood, joint_asr_loss,
-                            s2s_cross_entropy)
+from minis2s.losses import (ctc_log_likelihood, guided_attention_weight,
+                            joint_asr_loss, s2s_cross_entropy, tts_l1,
+                            weighted_bce)
 from minis2s.models import SOS_EOS_ID, ModelConfig, RnnLm, build_model
 from minis2s.tensor import Tensor, backward
-from minis2s.training import (Adadelta, Adam, Checkpoint, EarlyStopping,
-                              TrainConfig, accumulate_gradients,
-                              asr_batch_loss, average_checkpoints,
-                              evaluate_dev, grad_norm,
+from minis2s.training import (DEV_BATCH, Adadelta, Adam, Checkpoint,
+                              EarlyStopping, TrainConfig,
+                              accumulate_gradients, asr_batch_loss,
+                              average_checkpoints, evaluate_dev, grad_norm,
                               load_checkpoint, load_into_model, noam_lr,
                               save_checkpoint, spec_augment, train_lm,
-                              train_loop, tts_denominators)
+                              train_loop, tts_batch_loss, tts_denominators)
 
 Utt = namedtuple("Utt", "utt_id feats tokens")
 
@@ -214,6 +217,62 @@ def test_batch_loss_matches_per_utterance_oracle(body, enc_pre, task):
     assert abs(got - want) < 1e-10
     assert abs(reports[0].total - got) == 0.0
     assert reports[0].n_tokens == n_tok
+    for (name, _), g, w in zip(model.named_parameters(), got_grads,
+                               want_grads):
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-10, err_msg=name)
+
+
+def _tts_utt_loss(model, utt, n_elems_total, n_steps_total, n_utts):
+    """The TTS loss of one utterance run alone (a batch of one, so nothing
+    is padded), normalized by the batch-global counts: the per-utterance
+    loss that training ran before batches got a padded forward. Its
+    guided term is the per-head formula, head by head."""
+    enc = model.encode([utt.tokens])
+    fwd = model.forward_teacher(enc, [utt.feats])
+    l1 = tts_l1(fwd.coarse, fwd.refined, model.pad_target(utt.feats)[None],
+                denom=n_elems_total)
+    eos_y = np.zeros(fwd.eos_logits.shape)
+    eos_y[0, -1] = 1.0
+    bce = weighted_bce(fwd.eos_logits, eos_y, denom=n_steps_total)
+    sel = model.guided_attention_records(fwd.records)
+    n_dec, n_enc = sel.shape[2:]
+    w = Tensor(guided_attention_weight(n_dec, n_enc))
+    per_head = [(sel[0, k] * w).sum() / n_dec for k in range(sel.shape[1])]
+    guided = sum(per_head[1:], per_head[0]) / len(per_head)
+    return l1 + bce + guided / n_utts
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("normalize", ["pre", "post", "none"])
+@pytest.mark.parametrize("body", ["transformer", "rnn"])
+def test_tts_batch_loss_matches_per_utterance_oracle(body, normalize, r):
+    # four utterances of different token and frame counts, frame counts
+    # that r does not divide included, so every row but the longest is
+    # padded on both sides
+    rng = np.random.default_rng(22)
+    utts = [Utt(f"t{i}", rng.standard_normal((n_frames, 6)),
+                [int(t) for t in rng.integers(3, 7, n_tok)])
+            for i, (n_tok, n_frames) in enumerate([(2, 7), (5, 12), (1, 3),
+                                                   (3, 9)])]
+    model = build_model(ModelConfig(
+        task="tts", body=body, normalize=normalize, vocab_size=7, feat_dim=6,
+        e=2, d=2, d_att=8, d_ff=16, d_head=2, dropout_rate=0.0, alpha=1.0,
+        reduction_factor=r, prenet_units=8, postnet_layers=3,
+        prenet_dropout_rate=0.0, seed=3))
+    n_elems, n_steps = tts_denominators(model, utts)
+    reports = []
+
+    def batch():
+        loss, report = tts_batch_loss(model, utts, n_elems, n_steps, 4)
+        reports.append(report)
+        return [loss]
+
+    got, got_grads = _grads(model, batch)
+    want, want_grads = _grads(model, lambda: [
+        _tts_utt_loss(model, u, n_elems, n_steps, 4) for u in utts])
+    assert abs(got - want) < 1e-10
+    assert reports[0].total == got
+    assert reports[0].n_frames == 7 + 12 + 3 + 9
     for (name, _), g, w in zip(model.named_parameters(), got_grads,
                                want_grads):
         np.testing.assert_allclose(g, w, rtol=0, atol=1e-10, err_msg=name)
@@ -442,6 +501,27 @@ def test_train_loop_byte_identical_reruns(tmp_path):
         open(outs[1].avg_path, "rb").read()
 
 
+def test_train_loop_tts_toy_byte_identical_reruns(tmp_path):
+    # tts-toy, dropout and prenet dropout on, one epoch on a small corpus:
+    # the log and every checkpoint repeat byte for byte
+    cfg = experiment_from_items({"preset": "tts-toy", "epochs": "1",
+                                 "d_att": "16", "d_ff": "32",
+                                 "prenet_units": "16"})
+    spec = ToySpec(task="tts", n_train=20, n_dev=5, n_test=0, seed=1)
+    splits = gen_toy(spec)
+    cfg.model.vocab_size = len(toy_vocab(spec))
+    cfg.model.feat_dim = int(splits["train"][0].feats.shape[1])
+    dirs = [tmp_path / run for run in ("a", "b")]
+    for out in dirs:
+        train_loop(build_model(cfg.model), splits["train"], splits["dev"],
+                   cfg.train, str(out))
+    names = sorted(p.name for p in dirs[0].iterdir())
+    assert names == sorted(p.name for p in dirs[1].iterdir())
+    assert {"log.csv", "ckpt-001.esc", "avg.esc"} <= set(names)
+    for name in names:
+        assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+
+
 def tts_cfg():
     return ModelConfig(task="tts", body="transformer", vocab_size=5,
                        feat_dim=6, e=1, d=2, d_att=16, d_ff=32, d_head=2,
@@ -567,3 +647,24 @@ def test_evaluate_dev_matches_manual_mean():
                                         denom=n_tok).item()
     got = evaluate_dev(model, utts)
     assert abs(got - manual) < 1e-12
+
+    # TTS: one utterance, and nine, a full DEV_BATCH and a partial one
+    spec = ToySpec(task="tts", vocab_size=4, n_train=9, n_dev=0, n_test=0,
+                   seed=4)
+    corpus = gen_toy(spec)["train"]
+    model = build_model(ModelConfig(
+        task="tts", vocab_size=len(toy_vocab(spec)),
+        feat_dim=corpus[0].feats.shape[1], e=1, d=2, d_att=16, d_ff=32,
+        d_head=2, dropout_rate=0.1, alpha=1.0, reduction_factor=2,
+        prenet_units=8, postnet_layers=3, prenet_dropout_rate=0.5,
+        prenet_dropout_at_infer=False, seed=2))
+    assert DEV_BATCH < len(corpus) < 2 * DEV_BATCH
+    for dev in (corpus[:1], corpus):
+        model.eval()
+        n_elems, n_steps = tts_denominators(model, dev)
+        with T.no_grad(), T.Graph(seed=0):
+            manual = sum(_tts_utt_loss(model, u, n_elems, n_steps,
+                                       len(dev)).item() for u in dev)
+        model.train()
+        assert abs(evaluate_dev(model, dev) - manual) < 1e-12
+        assert model.training
