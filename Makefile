@@ -16,3 +16,12 @@ SEED ?= 0
 .PHONY: bench
 bench:
 	python3 perfbench/run.py --workload $(W) --seed $(SEED) --seconds 10
+
+# Alternating benchmark pairs of commit REF against this checkout on
+# workload W, seeds 1..N: every run, each side's median and quartiles per
+# end-to-end metric, and the pairs this checkout wins.
+REF ?= HEAD
+N ?= 10
+.PHONY: pairs
+pairs:
+	python3 tools/pairs.py --ref $(REF) --workload $(W) --pairs $(N)

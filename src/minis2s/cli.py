@@ -135,6 +135,8 @@ def _load_lm(path: str) -> RnnLm:
 
 
 def cmd_decode(args) -> int:
+    if args.nbest < 1:
+        raise ConfigError(f"--nbest must be at least 1, got {args.nbest}")
     model, cfg, vocab = _load_model_from(args.ckpt, args.config)
     if model.config.task == "tts":
         raise ConfigError("decode handles recognition and translation; "
@@ -150,6 +152,9 @@ def cmd_decode(args) -> int:
     cfg.beam.validate()
     lm = _load_lm(args.lm) if args.lm else None
     utts, _ = load_dataset(args.data, args.split, vocab=vocab)
+    if not utts:
+        raise DataError(f"{args.split} split of {args.data} holds no "
+                        "utterances")
     check_lengths(model, utts, args.split, training=False)
     # length-sorted groups, so padding stays short; each group is one
     # padded encode and one batched search
@@ -301,7 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, default=None,
                    help="language model fusion weight")
     p.add_argument("--lm", default=None, help="language model checkpoint")
-    p.add_argument("--nbest", type=int, default=1)
+    p.add_argument("--nbest", type=int, default=1,
+                   help="hypotheses written per utterance, best first; "
+                   "at least 1, and capped at the beam size")
     p.add_argument("--out", default=None, help="hypothesis file (stdout "
                    "when omitted)")
     p.set_defaults(func=cmd_decode)

@@ -12,10 +12,20 @@ The decoder and the LM carry a cached state with one row per live
 hypothesis of every utterance in a group (`init_state`, `step`,
 `select`), and the CTC scorer holds the group's posteriors padded to the
 longest, so each beam step makes one decoder call, one LM call and one
-CTC call, each covering every live hypothesis and every token. Pruning,
-the finished pool, the length budget and the statistics stay per
-utterance: batch_beam_search gives each utterance the result a search of
-it alone gives, and beam_search is its one-utterance case.
+CTC call, each covering every live hypothesis and every token. The
+Transformer decoder's cache is copied once per step: select composes
+row maps, and the next step gathers the kept rows and the new position
+into one buffer. Pruning, the finished pool, the length budget and the
+statistics stay per utterance: batch_beam_search gives each utterance
+the result a search of it alone gives, and beam_search is its
+one-utterance case.
+
+An utterance retires early once it is settled: every candidate of a
+step scores -inf and its finished pool holds at least beam_size
+hypotheses. Its result cannot change after that: -inf is absorbing, and
+every later hypothesis is longer than all in the pool, so it ranks after
+them with or without a length penalty. Without a CTC head no score is
+-inf, so nothing retires.
 """
 
 from __future__ import annotations
@@ -209,7 +219,7 @@ def rank_hypotheses(hyps: Sequence[Hypothesis],
 @dataclass
 class SearchStats:
     """What one beam search did; diagnostics only, never written out."""
-    steps: int = 0       # beam steps run
+    steps: int = 0       # beam steps run, until the utterance retired
     scored: int = 0      # (hypothesis, token) pairs scored
     finished: int = 0    # hypotheses in the finished pool at exit
     live: int = 0        # unfinished hypotheses left at exit
@@ -261,12 +271,13 @@ def batch_beam_search(encs: Sequence, model, lm=None,
     Every live hypothesis is expanded with every vocabulary token
     except the blank; extensions ending on eos move to the finished
     pool with the CTC termination score. An utterance searches until all
-    its beams finish or ceil(max_len_ratio * n_sub) steps elapse, then
-    drops its rows; pruning, the finished pool, SearchStats and the
-    fallback to the best unfinished hypothesis are its own, so each
-    result equals a search of that utterance alone. An utterance that
-    ends with nothing finished raises one UserWarning, naming ids[i]
-    when ids are given.
+    its beams finish, ceil(max_len_ratio * n_sub) steps elapse or it is
+    settled (every candidate scores -inf with at least beam_size
+    hypotheses finished), then drops its rows; pruning, the finished
+    pool, SearchStats and the fallback to the best unfinished hypothesis
+    are its own, so each result equals a search of that utterance alone.
+    An utterance that ends with nothing finished raises one UserWarning,
+    naming ids[i] when ids are given.
 
     `model` and `lm` are steppers: `init_state`, then per beam step
     `step(state, last_tokens)` -> ((B, V) log-probabilities, state) over
@@ -294,6 +305,7 @@ def batch_beam_search(encs: Sequence, model, lm=None,
     dec_state = model.init_state(encs)
     lm_state = lm.init_state().select([0] * n_utt) if use_lm else None
     is_eos = np.arange(vocab) == SOS_EOS_ID
+    nonblank = np.arange(vocab) != BLANK_ID
 
     # the live hypotheses, one row each, grouped by utterance in order:
     # owner[r] is row r's utterance
@@ -331,8 +343,9 @@ def batch_beam_search(encs: Sequence, model, lm=None,
                               finished=tok == SOS_EOS_ID)
 
         # eos extensions compete with the rest for beam slots; the
-        # survivors that finished retire to the pool. An utterance out of
-        # survivors or of steps drops its rows.
+        # survivors that finished retire to the pool. An utterance drops
+        # its rows when it is out of survivors or of steps, or settled:
+        # every cell scores -inf and the pool holds a full n-best.
         rows, toks = [], []
         cuts = np.flatnonzero(np.diff(owner)) + 1
         for lo, hi in zip([0, *cuts], [*cuts, len(owner)]):
@@ -346,11 +359,12 @@ def batch_beam_search(encs: Sequence, model, lm=None,
                     finished[i].append(hyp(lo + b, tok))
                 else:
                     kept.append((lo + b, tok))
-            if step + 1 < max_lens[i]:
+            if step + 1 == max_lens[i]:
+                unfinished[i] = [hyp(b, tok) for b, tok in kept]
+            elif not (len(finished[i]) >= config.beam_size
+                      and np.all(rank[lo:hi, nonblank] == -np.inf)):
                 rows += [b for b, _ in kept]
                 toks += [tok for _, tok in kept]
-            else:
-                unfinished[i] = [hyp(b, tok) for b, tok in kept]
         if not rows:
             break
         owner = owner[rows]

@@ -449,7 +449,7 @@ class TransformerDecoderLayer(Module):
         """The cache of N rows, one per utterance of the padded (N, n_enc,
         d_att) encoder outputs x_e, that have consumed nothing."""
         src = self.src_mha
-        empty = Tensor(np.zeros((x_e.shape[0], 0, self.self_mha.wk.shape[1])))
+        empty = np.zeros((0, x_e.shape[0], self.self_mha.wk.shape[1]))
         return DecoderLayerCache(src_k=x_e @ src.wk, src_v=x_e @ src.wv,
                                  keys=empty, values=empty)
 
@@ -459,7 +459,8 @@ class TransformerDecoderLayer(Module):
         """The layer's output at the next position of each row of y,
         (B, d_att), attending over the cached earlier positions and over
         the source frames of the row's utterance, under src_mask (N, 1, 1,
-        n_enc) (None: every frame is real)."""
+        n_enc) (None: every frame is real). Search-time only: the cache
+        carries no tape, so callers run it under no_grad."""
         b, d = y.shape
         grown = []
 
@@ -475,15 +476,16 @@ class TransformerDecoderLayer(Module):
             # one query row per hypothesis, (B, 1, d_att)
             rows = h.reshape(b, 1, d)
             mha = self.self_mha
-            keys = T.concat([cache.keys, rows @ mha.wk], axis=1)
-            values = T.concat([cache.values, rows @ mha.wv], axis=1)
-            grown.extend((keys, values))
+            grown.append(cache.grow(rows @ mha.wk, rows @ mha.wv))
+            # the time-major buffers seen as (B, t+1, H*d_att), uncopied
+            keys, values = (T.constant_view(np.swapaxes(a, 0, 1))
+                            for a in (grown[0].keys, grown[0].values))
             out, w = A.multi_head_attention(rows, keys, values, mha.wq, None,
                                             None, mha.w_head, mha.n_heads)
             return out.reshape(b, d), w
 
         out, _ = self._sublayers(y, self_att, src_att)
-        return out, replace(cache, keys=grown[0], values=grown[1])
+        return out, grown[0]
 
     def _sublayers(self, y: Tensor, self_att, src_att
                    ) -> Tuple[Tensor, Tensor]:
@@ -517,19 +519,46 @@ class DecoderLayerCache:
     """Search-time cache of one Transformer decoder layer: the projected
     source keys and values, (N, n_enc, H*d_att), computed once per
     utterance and padded to the longest, and the projected self-attention
-    keys and values of every position consumed so far, (B, t, H*d_att)
-    with one row per hypothesis."""
+    keys and values of every position consumed so far, held time-major,
+    (t, B', H*d_att). Row b of the cache is column rows[b] of keys and
+    values (rows None: column b). select only composes row maps; grow
+    gathers the kept columns and the new position into one fresh buffer,
+    so each step copies the cache once. Time-major, the gathered earlier
+    positions fill one contiguous block of that buffer, which np.take
+    writes in place; a (B, t+1) buffer's first t positions are strided,
+    and np.take would go through a temporary."""
     src_k: Tensor
     src_v: Tensor
-    keys: Tensor
-    values: Tensor
+    keys: np.ndarray
+    values: np.ndarray
+    rows: Optional[np.ndarray] = None
 
     def select(self, rows: Sequence[int], groups: "_RowGroups"
                ) -> "DecoderLayerCache":
         """The cache of the given rows, whose layout is groups."""
+        rows = np.asarray(rows, dtype=np.int64)
+        if self.rows is not None:
+            rows = self.rows[rows]
         return DecoderLayerCache(groups.cut(self.src_k), groups.cut(self.src_v),
-                                 _take_rows(self.keys, rows),
-                                 _take_rows(self.values, rows))
+                                 self.keys, self.values, rows)
+
+    def grow(self, k: Tensor, v: Tensor) -> "DecoderLayerCache":
+        """The cache with one more position, whose projected keys and
+        values k and v hold one (1, H*d_att) row per cache row."""
+        return replace(self, keys=self._grown(self.keys, k),
+                       values=self._grown(self.values, v), rows=None)
+
+    def _grown(self, past: np.ndarray, new: Tensor) -> np.ndarray:
+        t, (b, _, width) = past.shape[0], new.shape
+        out = np.empty((t + 1, b, width))
+        if self.rows is None:
+            out[:t] = past
+        else:
+            # the default mode="raise" also goes through a temporary; the
+            # row maps hold valid indices only
+            np.take(past, self.rows, axis=1, out=out[:t], mode="clip")
+        out[t] = new.data[:, 0]
+        return out
 
 
 class TransformerDecoderBody(Module):

@@ -214,6 +214,16 @@ class Tensor:
         backward(self)
 
 
+def constant_view(data: np.ndarray) -> Tensor:
+    """A constant over a float64 array as it lies in memory. Tensor()
+    copies a strided array to C order; a search cache kept in another
+    layout hands its (B, t, d) view here instead, to be read without a
+    copy under no_grad."""
+    out = Tensor(np.empty(0))
+    out.data = data
+    return out
+
+
 def _result(data: np.ndarray, parents: Sequence[Tensor],
             bwd: Optional[Callable[[np.ndarray], None]]) -> Tensor:
     """Wrap an op result, recording the tape node only when gradients flow."""

@@ -159,6 +159,38 @@ def test_decode_nbest(workspace):
         assert scores == sorted(scores, reverse=True)
 
 
+@pytest.mark.parametrize("nbest", ["0", "-2"])
+def test_decode_rejects_nbest_below_one(workspace, tmp_path, capsys, nbest):
+    hyp = tmp_path / "hyp.tsv"
+    capsys.readouterr()
+    rc = main(["decode", "--ckpt", str(workspace / "run" / "avg.esc"),
+               "--data", str(workspace / "data"), "--nbest", nbest,
+               "--out", str(hyp)])
+    assert rc == 1
+    assert "--nbest" in capsys.readouterr().err
+    assert not hyp.exists()
+    # the help says how long the list can be
+    assert main(["decode", "--help"]) == 0
+    assert "capped at the beam size" in " ".join(
+        capsys.readouterr().out.split())
+
+
+def test_decode_on_an_empty_split_exits_two(workspace, tmp_path, capsys):
+    (tmp_path / "toy.cfg").write_text(TOY.replace("n_test = 2", "n_test = 0"),
+                                      encoding="utf-8")
+    data = tmp_path / "data"
+    assert main(["gen-data", "--spec", str(tmp_path / "toy.cfg"),
+                 "--out", str(data)]) == 0
+    hyp = tmp_path / "hyp.tsv"
+    capsys.readouterr()
+    rc = main(["decode", "--ckpt", str(workspace / "run" / "avg.esc"),
+               "--data", str(data), "--split", "test", "--out", str(hyp)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "test split" in err and str(data) in err
+    assert not hyp.exists()
+
+
 def test_decode_is_deterministic(workspace, tmp_path):
     a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
     args = ["decode", "--ckpt", str(workspace / "run" / "avg.esc"),

@@ -68,6 +68,32 @@ def table_enc(n_sub, d=4):
     return EncodedSequence(x_e=Tensor(np.zeros((n_sub, d))), n_sub=n_sub)
 
 
+class CtcTableModel(TableModel):
+    """TableModel with a CTC head: an encoding's x_e, (n_sub, V),
+    log-normalized, is its CTC posteriors, so every prefix longer than
+    its frames allow scores -inf. decode_logprobs gives the step rows
+    for the full-prefix oracle."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.config.uses_ctc = True
+
+    def ctc_logprobs(self, enc):
+        return T.log_softmax(enc.x_e)
+
+    def decode_logprobs(self, enc, ys_in):
+        state, rows = self.init_state([enc]), []
+        for tok in ys_in:
+            row, state = self.step(state, [tok])
+            rows.append(row[0])
+        return Tensor(np.array(rows))
+
+
+def ctc_table_enc(n_sub, vocab, seed):
+    x = np.random.default_rng(seed).standard_normal((n_sub, vocab))
+    return EncodedSequence(x_e=Tensor(x), n_sub=n_sub)
+
+
 # -- oracles ---------------------------------------------------------------------
 
 
@@ -369,9 +395,19 @@ def test_beam_config_validation():
 # -- beam search ----------------------------------------------------------------
 
 
+def rank_key(comb, toks, cfg):
+    """rank_hypotheses' order: length-penalized score, length, tokens."""
+    return (-(comb + cfg.length_penalty * len(toks)), len(toks), toks)
+
+
 def enumerate_best(enc, model, lm, cfg, max_len, expand):
+    return enumerate_ranked(enc, model, lm, cfg, max_len, expand)[0]
+
+
+def enumerate_ranked(enc, model, lm, cfg, max_len, expand):
     """Explicit scoring of every candidate ending in eos within budget,
-    from the full-prefix decoder and LM rows and the scalar CTC chain."""
+    from the full-prefix decoder and LM rows and the scalar CTC chain;
+    (combined, tokens) pairs, best first."""
     u = model.ctc_logprobs(enc).data if model.config.uses_ctc else None
     rows = []
     for length in range(max_len):
@@ -388,20 +424,24 @@ def enumerate_best(enc, model, lm, cfg, max_len, expand):
             comb = combined_score(s2s, ctc, lmp, cfg,
                                   model.config.uses_ctc)
             rows.append((comb, toks))
-    rows.sort(key=lambda r: (-r[0], len(r[1]), r[1]))
-    return rows[0]
+    rows.sort(key=lambda r: rank_key(*r, cfg))
+    return rows
 
 
 def reference_beam(enc, model, lm, cfg):
     """The beam one hypothesis and one token at a time, scored from the
-    oracles; returns the ranked n-best as (tokens, combined) pairs."""
+    oracles, stepping until nothing is live or the budget is spent.
+    Returns the ranked n-best as (tokens, combined) pairs, and the first
+    step at which the utterance was settled (every candidate -inf with
+    beam_size hypotheses finished), None if it never was."""
     vocab = model.config.vocab_size
     use_ctc = model.config.uses_ctc
     use_lm = lm is not None and cfg.gamma != 0.0
     u = model.ctc_logprobs(enc).data if use_ctc else None
     live = [((), 0.0, 0.0)]                       # (tokens, s2s, lm)
     finished = []
-    for _ in range(int(np.ceil(cfg.max_len_ratio * enc.n_sub))):
+    settled = None
+    for step in range(int(np.ceil(cfg.max_len_ratio * enc.n_sub))):
         cands = []
         for toks, s2s, lmp in live:
             row = s2s_row(model, enc, toks)
@@ -419,17 +459,20 @@ def reference_beam(enc, model, lm, cfg):
                     ctc = fin if done else psi
                 comb = combined_score(new_s2s, ctc, new_lm, cfg, use_ctc)
                 cands.append((comb, new_toks, done, new_s2s, new_lm))
-        cands.sort(key=lambda c: (-c[0], len(c[1]), c[1]))
+        cands.sort(key=lambda c: rank_key(c[0], c[1], cfg))
         live = []
         for comb, toks, done, s2s, lmp in cands[:cfg.beam_size]:
             if done:
                 finished.append((toks, comb))
             else:
                 live.append((toks, s2s, lmp))
+        if settled is None and len(finished) >= cfg.beam_size \
+                and all(c[0] == -np.inf for c in cands):
+            settled = step
         if not live:
             break
-    finished.sort(key=lambda f: (-f[1], len(f[0]), f[0]))
-    return finished[:cfg.beam_size]
+    finished.sort(key=lambda f: rank_key(f[1], f[0], cfg))
+    return finished[:cfg.beam_size], settled
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -530,7 +573,7 @@ def test_beam_nbest_matches_reference_beam(body, with_lm, beam):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 out = beam_search(enc, model, lm=lm, config=cfg)
-            want = reference_beam(enc, model, lm, cfg)
+            want, _ = reference_beam(enc, model, lm, cfg)
         if not want:
             assert out.no_finished
             continue
@@ -550,7 +593,8 @@ def _same_result(got, want):
     assert [h.tokens for h in got.nbest] == [h.tokens for h in want.nbest]
     for g, w in zip(got.nbest, want.nbest):
         for part in ("log_s2s", "log_ctc", "log_lm", "combined"):
-            assert abs(getattr(g, part) - getattr(w, part)) < 1e-9
+            a, b = getattr(g, part), getattr(w, part)
+            assert a == b or abs(a - b) < 1e-9
         assert g.finished == w.finished
     assert got.best.tokens == want.best.tokens
     assert got.no_finished == want.no_finished
@@ -702,6 +746,81 @@ def test_search_stats_without_finish():
         out = beam_search(table_enc(4), TableModel(rows), config=cfg)
     assert (out.stats.steps, out.stats.scored) == (2, 3 + 6)
     assert (out.stats.finished, out.stats.live) == (0, 2)
+
+
+# -- retirement of settled utterances ------------------------------------------
+
+CTC_TABLE = np.random.default_rng(0).standard_normal((4, 5))
+
+
+def _same_nbest(nbest, want):
+    """nbest equals (tokens, combined) pairs, -inf scores included."""
+    assert [h.tokens for h in nbest] == [toks for toks, _ in want]
+    for hyp, (_, comb) in zip(nbest, want):
+        assert hyp.combined == comb or abs(hyp.combined - comb) < 1e-9
+
+
+@pytest.mark.parametrize("length_penalty", [0.0, 1.5])
+def test_settled_utterance_retires_with_the_full_search_nbest(length_penalty):
+    # two frames allow two tokens at most, under a six-step budget: from
+    # step 3 every candidate scores -inf and the 16 slots of the pool are
+    # full, so the search stops there with what searching on would give
+    model = CtcTableModel(CTC_TABLE)
+    cfg = BeamConfig(beam_size=16, lam=0.5, gamma=0.0, max_len_ratio=3.0,
+                     length_penalty=length_penalty)
+    enc = ctc_table_enc(2, 5, seed=1)
+    out = beam_search(enc, model, config=cfg)
+    want, settled = reference_beam(enc, model, None, cfg)
+    assert settled == 3
+    assert out.stats.steps == settled + 1
+    _same_nbest(out.nbest, want)
+    ranked = enumerate_ranked(enc, model, None, cfg, 6, expand=(1, 3, 4))
+    _same_nbest(out.nbest, [(toks, comb) for comb, toks in ranked[:16]])
+    assert out.best is out.nbest[0] and not out.no_finished
+    # ten finite hypotheses, then the -inf tail
+    assert sum(np.isfinite(h.combined) for h in out.nbest) == 10
+
+
+@pytest.mark.parametrize("length_penalty", [0.0, 1.5])
+def test_utterance_short_of_a_full_pool_runs_to_its_budget(length_penalty):
+    # one frame allows one token: every candidate scores -inf from step 2
+    # on, but 64 slots do not fill before the last of five steps
+    model = CtcTableModel(CTC_TABLE)
+    cfg = BeamConfig(beam_size=64, lam=0.5, gamma=0.0, max_len_ratio=5.0,
+                     length_penalty=length_penalty)
+    enc = ctc_table_enc(1, 5, seed=2)
+    out = beam_search(enc, model, config=cfg)
+    want, settled = reference_beam(enc, model, None, cfg)
+    # the pool may fill at the last step, where the budget ends it anyway
+    assert settled in (None, 4)
+    assert out.stats.steps == 5
+    _same_nbest(out.nbest, want)
+    assert sum(np.isfinite(h.combined) for h in out.nbest) == 4
+    assert out.nbest[-1].combined == -np.inf
+
+
+def test_batched_retirement_equals_search_one_by_one():
+    # utterances of one to three frames under budgets of three to nine
+    # steps, some settling early and some not, searched as one batch and
+    # one at a time
+    model = CtcTableModel(CTC_TABLE)
+    encs = [ctc_table_enc(n, 5, seed=10 + i)
+            for i, n in enumerate([2, 1, 3, 2, 1])]
+    early = late = 0
+    for beam in (4, 16, 64):
+        for length_penalty in (0.0, 1.5):
+            cfg = BeamConfig(beam_size=beam, lam=0.5, gamma=0.0,
+                             max_len_ratio=3.0, length_penalty=length_penalty)
+            batched = batch_beam_search(encs, model, config=cfg)
+            for enc, got in zip(encs, batched):
+                _same_result(got, beam_search(enc, model, config=cfg))
+                want, settled = reference_beam(enc, model, None, cfg)
+                _same_nbest(got.nbest, want)
+                if settled is not None and settled + 1 < 3 * enc.n_sub:
+                    assert got.stats.steps == settled + 1
+                    early += 1
+                late += got.stats.steps == 3 * enc.n_sub
+    assert early and late
 
 
 def test_empty_encoding_rejected():

@@ -439,6 +439,50 @@ def test_ended_utterance_leaves_the_state():
             want, ref = model.step(ref, tokens)
             np.testing.assert_allclose(rows, want, rtol=0, atol=1e-12)
 
+
+def test_search_cache_grows_as_concat_then_take():
+    # three utterances; between steps, selects reorder, repeat and drop
+    # rows and drop whole utterances (the second, then the third), and
+    # twice come two in a row, so row maps compose. After every step each
+    # layer's keys and values equal, bit for bit, a reference that
+    # concatenates the new position and then gathers the selected rows,
+    # and each row is the last row of decode_logprobs over its prefix
+    model = S2SModel(toy_cfg(d=2, d_head=3, seed=44))
+    model.eval()
+    encs = [model.encode(feats(n, seed=60 + n)) for n in (9, 21, 13)]
+    plan = [([[0, 0, 1, 1, 2, 2]], [3, 4, 5, 6, 3, 4]),
+            ([[5, 1, 1, 4, 0], [0, 2, 3, 3, 4, 1]], [6, 5, 5, 3, 4, 6]),
+            ([[1, 4, 5]], [3, 4, 5]),
+            ([[2, 0], [1, 1, 0]], [4, 6, 5])]
+    state = model.init_state(encs)
+    hyps = [(u, ()) for u in range(3)]           # (utterance, prefix)
+    last = [SOS_EOS_ID] * 3
+    # (keys, values) per layer: 3 rows, 0 positions, 3 heads x d_att 8
+    ref = [(np.zeros((3, 0, 24)),) * 2] * 2
+    for step in range(len(plan) + 1):
+        rows, state = model.step(state, last)
+        caches = state.body.layers
+        ref = [(np.concatenate([k, c.keys[-1][:, None]], axis=1),
+                np.concatenate([v, c.values[-1][:, None]], axis=1))
+               for c, (k, v) in zip(caches, ref)]
+        for c, (k, v) in zip(caches, ref):
+            assert c.rows is None
+            np.testing.assert_array_equal(np.swapaxes(c.keys, 0, 1), k)
+            np.testing.assert_array_equal(np.swapaxes(c.values, 0, 1), v)
+        for row, (u, prefix) in zip(rows, hyps):
+            full = model.decode_logprobs(encs[u], [SOS_EOS_ID, *prefix]).data
+            np.testing.assert_allclose(row, full[-1], rtol=0, atol=1e-9)
+        if step == len(plan):
+            break
+        orders, last = plan[step]
+        for order in orders:
+            state = state.select(order)
+            hyps = [hyps[j] for j in order]
+            ref = [(k[order], v[order]) for k, v in ref]
+        hyps = [(u, prefix + (tok,)) for (u, prefix), tok in zip(hyps, last)]
+    assert {u for u, _ in hyps} == {0} and ref[0][0].shape[:2] == (3, 5)
+
+
 def test_mha_init_keeps_per_head_glorot_order():
     # q, k, v of head 0, then of head 1, ..., then w_head: the draws of
     # one (d, d) parameter per head, laid side by side
