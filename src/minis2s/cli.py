@@ -80,6 +80,7 @@ def _train_language_model(cfg, args) -> int:
 
 def cmd_train(args) -> int:
     cfg = load_experiment_config(args.config)
+    cfg.train.validate()
     if cfg.model.task == "lm":
         return _train_language_model(cfg, args)
     train_utts, vocab = load_dataset(args.data, "train")
@@ -165,8 +166,7 @@ def cmd_decode(args) -> int:
         idx = order[start:start + group]
         with T.no_grad(), T.Graph(seed=0):
             enc = model.encode(*pad_sequences([utts[i].feats for i in idx]))
-            found = batch_beam_search(enc.utterances(), model, lm=lm,
-                                      config=cfg.beam,
+            found = batch_beam_search(enc, model, lm=lm, config=cfg.beam,
                                       ids=[utts[i].utt_id for i in idx])
         for i, result in zip(idx, found):
             results[i] = result

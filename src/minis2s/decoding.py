@@ -8,11 +8,13 @@ Scores combine as lambda * log p_s2s + (1 - lambda) * log p_ctc
 prefixes carry -inf without ever producing NaN.
 
 The search is incremental and batched over hypotheses and utterances.
-The decoder and the LM carry a cached state with one row per live
-hypothesis of every utterance in a group (`init_state`, `step`,
-`select`), and the CTC scorer holds the group's posteriors padded to the
-longest, so each beam step makes one decoder call, one LM call and one
-CTC call, each covering every live hypothesis and every token. The
+It takes the encoder output of a padded batch of utterances, as
+S2SModel.encode gives it (one utterance is a batch of one). The decoder
+and the LM carry a cached state with one row per live hypothesis of
+every utterance in the batch (`init_state`, `step`, `select`), and the
+CTC scorer holds the batch's posteriors from one pass of the CTC head,
+so each beam step makes one decoder call, one LM call and one CTC call,
+each covering every live hypothesis and every token. The
 Transformer decoder's cache is copied once per step: select composes
 row maps, and the next step gathers the kept rows and the new position
 into one buffer. Pruning, the finished pool, the length budget and the
@@ -37,7 +39,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, DimensionError
 from .models import BLANK_ID, SOS_EOS_ID
 
 
@@ -96,8 +98,9 @@ class CtcExtensions:
 
 class CtcPrefixScorer:
     """Incremental prefix scoring over fixed per-frame CTC posteriors of
-    one utterance, (frames, V), or of N utterances padded to the longest,
-    (n_max, N, V) with their frame counts in `lengths`.
+    N utterances padded to the longest, (n_max, N, V), frames first,
+    with their frame counts in `lengths` (None: n_max each); one
+    utterance is a batch of one.
 
     extend() scores every one-label extension of every prefix in a batch
     with one loop over the frames of the longest utterance among them;
@@ -109,11 +112,9 @@ class CtcPrefixScorer:
                  lengths: Optional[Sequence[int]] = None,
                  blank: int = BLANK_ID):
         u = np.asarray(log_probs, dtype=np.float64)
-        if u.ndim == 2:
-            u = u[:, None, :]
         if u.ndim != 3 or u.shape[0] < 1:
-            raise DataError(f"CTC posteriors must be (frames, vocab) or "
-                            f"(frames, utterances, vocab), got {u.shape}")
+            raise DimensionError(f"CTC posteriors must be a padded (frames, "
+                                 f"utterances, vocab) batch, got {u.shape}")
         n_max = u.shape[0]
         self.lengths = np.asarray([n_max] * u.shape[1] if lengths is None
                                   else lengths)
@@ -258,15 +259,17 @@ def _prune(rank: np.ndarray, prefixes: List[Tuple[int, ...]],
 
 
 def beam_search(enc, model, lm=None, config: Optional[BeamConfig] = None) -> BeamResult:
-    """Beam search over one utterance: batch_beam_search with N = 1."""
-    return batch_beam_search([enc], model, lm=lm, config=config)[0]
+    """Beam search over the one utterance of an encoded batch of one:
+    batch_beam_search with N = 1."""
+    return batch_beam_search(enc, model, lm=lm, config=config)[0]
 
 
-def batch_beam_search(encs: Sequence, model, lm=None,
+def batch_beam_search(enc, model, lm=None,
                       config: Optional[BeamConfig] = None,
                       ids: Optional[Sequence[str]] = None) -> List[BeamResult]:
-    """Breadth-synchronous beam search over decoder steps for N utterances
-    at once; one BeamResult per encoding, in order.
+    """Breadth-synchronous beam search over decoder steps for the N
+    utterances of an encoded batch (an EncodedSequence: x_e (N, n_max,
+    d_att) and n_sub) at once; one BeamResult per utterance, in order.
 
     Every live hypothesis is expanded with every vocabulary token
     except the blank; extensions ending on eos move to the finished
@@ -279,30 +282,29 @@ def batch_beam_search(encs: Sequence, model, lm=None,
     An utterance that ends with nothing finished raises one UserWarning,
     naming ids[i] when ids are given.
 
-    `model` and `lm` are steppers: `init_state`, then per beam step
-    `step(state, last_tokens)` -> ((B, V) log-probabilities, state) over
-    the B live hypotheses of every utterance, and `state.select(rows)`
-    after pruning. A beam step makes one call of each, and one CTC
-    extend, over all rows.
+    `model` and `lm` are steppers: `init_state` (the model's over enc),
+    then per beam step `step(state, last_tokens)` -> ((B, V)
+    log-probabilities, state) over the B live hypotheses of every
+    utterance, and `state.select(rows)` after pruning. A beam step makes
+    one call of each, and one CTC extend, over all rows; the CTC head
+    runs once, over the whole batch.
     """
     config = config or BeamConfig()
     config.validate()
-    n_subs = [enc.x_e.shape[0] for enc in encs]
+    n_subs = [int(n) for n in enc.n_sub]
     if not n_subs or min(n_subs) == 0:
         raise DataError("cannot decode an empty encoded sequence")
     max_lens = [math.ceil(config.max_len_ratio * n) for n in n_subs]
     vocab = model.config.vocab_size
     use_ctc = bool(getattr(model.config, "uses_ctc", False))
     use_lm = lm is not None and config.gamma != 0.0
-    n_utt = len(encs)
+    n_utt = len(n_subs)
 
     if use_ctc:
-        u = np.zeros((max(n_subs), n_utt, vocab))
-        for i, enc in enumerate(encs):
-            u[:n_subs[i], i] = model.ctc_logprobs(enc).data
-        scorer = CtcPrefixScorer(u, n_subs)
+        scorer = CtcPrefixScorer(
+            np.swapaxes(model.ctc_logprobs(enc).data, 0, 1), n_subs)
         ctc_state = scorer.initial_state()
-    dec_state = model.init_state(encs)
+    dec_state = model.init_state(enc)
     lm_state = lm.init_state().select([0] * n_utt) if use_lm else None
     is_eos = np.arange(vocab) == SOS_EOS_ID
     nonblank = np.arange(vocab) != BLANK_ID
@@ -312,9 +314,9 @@ def batch_beam_search(encs: Sequence, model, lm=None,
     owner = np.arange(n_utt)
     prefixes: List[Tuple[int, ...]] = [(SOS_EOS_ID,)] * n_utt
     s2s = lmp = np.zeros(n_utt)
-    finished: List[List[Hypothesis]] = [[] for _ in encs]
-    unfinished: List[List[Hypothesis]] = [[] for _ in encs]
-    stats = [SearchStats() for _ in encs]
+    finished: List[List[Hypothesis]] = [[] for _ in range(n_utt)]
+    unfinished: List[List[Hypothesis]] = [[] for _ in range(n_utt)]
+    stats = [SearchStats() for _ in range(n_utt)]
     for step in range(max(max_lens)):
         last = [p[-1] for p in prefixes]
         rows_s2s, dec_state = model.step(dec_state, last)

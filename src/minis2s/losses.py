@@ -37,28 +37,24 @@ def s2s_cross_entropy(log_probs: Tensor, targets: Sequence,
                       denom: Optional[float] = None) -> Tensor:
     """Mean negative log-probability of the target tokens.
 
-    `targets` must end with the end-of-sequence token; `denom` replaces
-    the target count as the normalizer when accumulating. A padded batch
-    of log_probs, (B, n_max, V), takes one target sequence per row, read
-    from the row's first rows; the rest are padding and play no part.
+    log_probs is a padded batch, (B, n_max, V), and `targets` holds one
+    target sequence per row, each ending with the end-of-sequence token
+    and read from the row's first rows; the rest are padding and play no
+    part. `denom` replaces the target count as the normalizer when
+    accumulating.
     """
-    if log_probs.ndim == 3:
-        lens = [len(ys) for ys in targets]
-        if len(lens) != log_probs.shape[0] or max(lens) > log_probs.shape[1]:
-            raise DimensionError(f"{log_probs.shape[:2]} prediction rows for "
-                                 f"target lengths {lens}")
-        rows = np.repeat(np.arange(len(lens)), lens)
-        steps = np.concatenate([np.arange(n) for n in lens])
-        picked = log_probs[rows, steps,
-                           np.concatenate([np.asarray(ys, dtype=np.int64)
-                                           for ys in targets])]
-    else:
-        targets = list(targets)
-        lens = [len(targets)]
-        if log_probs.shape[0] != len(targets):
-            raise DimensionError(f"{log_probs.shape[0]} prediction rows for "
-                                 f"{len(targets)} targets")
-        picked = T.pick(log_probs, targets)
+    if log_probs.ndim != 3:
+        raise DimensionError(f"cross-entropy takes padded (B, n_max, V) "
+                             f"log-probabilities, got {log_probs.shape}")
+    lens = [len(ys) for ys in targets]
+    if len(lens) != log_probs.shape[0] or max(lens) > log_probs.shape[1]:
+        raise DimensionError(f"{log_probs.shape[:2]} prediction rows for "
+                             f"target lengths {lens}")
+    rows = np.repeat(np.arange(len(lens)), lens)
+    steps = np.concatenate([np.arange(n) for n in lens])
+    picked = log_probs[rows, steps,
+                       np.concatenate([np.asarray(ys, dtype=np.int64)
+                                       for ys in targets])]
     denom = float(sum(lens)) if denom is None else float(denom)
     return -picked.sum() / denom
 
@@ -85,21 +81,22 @@ def ctc_log_likelihood(log_probs: Tensor, targets: Sequence,
     monotonic alignments; the log-space forward algorithm of Graves et
     al. (2006), vectorized over the states of each frame.
 
-    `log_probs` rows are per-frame log distributions over the vocabulary
-    with the blank at index `blank`: (n_frames, V) for one utterance,
-    whose label sequence `targets` is, gives a scalar. A padded batch,
-    (B, n_max, V), takes one label sequence per row and each row's frame
-    count in `frames` (None: n_max) and gives the (B,) log-likelihoods,
-    each over its own frames and labels alone: the recursions run over
-    every row at once, states past a row's labels stay at -inf, and the
-    backward recursion starts at each row's own last frame. The backward
-    pass distributes the gradient by alignment posteriors
-    (forward-backward), hand-derived for this op.
+    `log_probs` is a padded batch, (B, n_max, V), of per-frame log
+    distributions over the vocabulary with the blank at index `blank`
+    (one utterance is a batch of one). It takes one label sequence per
+    row and each row's frame count in `frames` (None: n_max) and gives
+    the (B,) log-likelihoods, each over its own frames and labels alone:
+    the recursions run over every row at once, states past a row's
+    labels stay at -inf, and the backward recursion starts at each row's
+    own last frame. The backward pass distributes the gradient by
+    alignment posteriors (forward-backward), hand-derived for this op.
     """
-    one = log_probs.ndim == 2
-    u = log_probs.data[None] if one else log_probs.data
+    if log_probs.ndim != 3:
+        raise DimensionError(f"CTC takes padded (B, n_max, V) "
+                             f"log-probabilities, got {log_probs.shape}")
+    u = log_probs.data
     n_b, n_max, vocab = u.shape
-    targets = [[int(y) for y in ys] for ys in ([targets] if one else targets)]
+    targets = [[int(y) for y in ys] for ys in targets]
     frames = np.full(n_b, n_max) if frames is None else np.reshape(frames, n_b)
     if len(targets) != n_b:
         raise DimensionError(f"{len(targets)} targets for {n_b} rows")
@@ -114,7 +111,7 @@ def ctc_log_likelihood(log_probs: Tensor, targets: Sequence,
                 f"target of {len(ys)} labels needs at least "
                 f"{ctc_min_frames(ys)} frames, got {n_frames}")
     if n_max == 0:
-        return Tensor(np.asarray(0.0))  # empty target over zero frames
+        return Tensor(np.zeros(n_b))  # empty targets over zero frames
 
     s_lens = np.array([2 * len(ys) + 1 for ys in targets])
     s_max = int(s_lens.max())
@@ -171,7 +168,7 @@ def ctc_log_likelihood(log_probs: Tensor, targets: Sequence,
         grad *= np.reshape(g, n_b)[:, None]
         log_probs._accumulate(grad.transpose(1, 0, 2).reshape(log_probs.shape))
 
-    return T.from_op(np.asarray(logp[0] if one else logp), (log_probs,), bwd)
+    return T.from_op(logp, (log_probs,), bwd)
 
 
 def joint_asr_loss(s2s_nll: Tensor, ctc_nll: Optional[Tensor],

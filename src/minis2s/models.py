@@ -5,12 +5,13 @@ DecBody -> DecPost. Speech input goes through a subsampling front end,
 text input through an embedding; the bodies are swappable between a
 Transformer and an RNN without changing any interface shape.
 
-Padded batches: the ASR/ST forward takes one utterance, (n, d) rows,
-or a batch of B utterances padded to the longest, (B, n_max, d) with a
-leading batch axis and each row's true length beside it; training and
-decoding both encode a batch in one pass. The TTS forward takes a batch
-only (one utterance is a batch of one): texts as a padded (B, n_max) id
-array, targets as a padded (B, N_max, feat_dim) array. Each row's
+Padded batches: every forward takes a batch only, and one utterance is
+a batch of one. The ASR/ST forward takes B utterances' frames padded to
+the longest, (B, n_max, feat_dim) with each row's true length beside it
+(pad_sequences builds both), the TTS forward texts as a padded (B,
+n_max) id array and targets as a padded (B, N_max, feat_dim) array;
+encoder outputs, decoder outputs, log-probabilities and attention
+records all keep the leading batch axis. Each row's
 convolution tail (the speech front ends', the Postnet's) is re-zeroed
 stage by stage at its own length, key-padding masks hide its padded
 frames from every attention (the encoder's self-attention, the
@@ -25,21 +26,22 @@ end are left as they come (the Postnet's are zero) and the losses never
 read them.
 
 Search: S2SModel and RnnLm are steppers. `init_state` starts a cached
-state, for S2SModel one row per encoding of N utterances,
+state, for S2SModel one row per utterance of an encoded batch of N,
 `step(state, last_tokens)` consumes one token for each of B hypothesis
 rows and returns (B, V) next-token log-probabilities, and
 `state.select(rows)` keeps, reorders or repeats rows after pruning; each
 row keeps its utterance. A step computes only the new position: the LSTM
 decoder carries (h, c) per layer, and the Transformer decoder caches each
 layer's projected self-attention keys and values. The source side is
-held once per utterance, padded to the longest under a key mask (the
-Transformer's projected source keys and values, the LSTM attention's
-encoder projection), and each utterance's rows attend over it as one
-block. An utterance whose rows select drops leaves the state with its
-source side, which is then cut to the longest utterance left. The LSTM
+held once per utterance, as the encoded batch lays it out (padded to
+the longest, under a key mask): the Transformer's projected source keys
+and values, the LSTM attention's encoder projection. Each utterance's
+rows attend over it as one block. An utterance whose rows select drops
+leaves the state with its source side, which is then cut to the
+longest utterance left. The LSTM
 decoder's teacher-forced forward runs the same step with one row per
-utterance. TtsModel.infer drives the same body steppers, one utterance
-and one frame group per step.
+utterance. TtsModel.infer drives the same body steppers over one text,
+encoded as a batch of one, one frame group per step.
 
 Fused tape nodes: each direction of a BLSTM layer and the LM's
 teacher-forced pass record one node for the whole sequence (nn.LSTM),
@@ -55,13 +57,13 @@ loss's gradient.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import attention as A
 from . import tensor as T
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, DimensionError
 from .nn import (Conv1d, Conv2d, Dropout, Embedding, FeedForward, LayerNorm,
                  Linear, LSTM, LSTMCell, Module, ModuleList,
                  MultiHeadAttention)
@@ -106,6 +108,13 @@ class ModelConfig:
             raise ConfigError("e and d must both be >= 1")
         if self.d_head < 1:
             raise ConfigError("d_head must be >= 1")
+        if self.d_att < 1 or self.d_ff < 1:
+            raise ConfigError(f"d_att and d_ff must both be >= 1, got "
+                              f"{self.d_att} and {self.d_ff}")
+        for key in ("dropout_rate", "prenet_dropout_rate"):
+            rate = getattr(self, key)
+            if not 0.0 <= rate < 1.0:
+                raise ConfigError(f"{key} must lie in [0, 1), got {rate}")
         if self.normalize not in ("pre", "post", "none"):
             raise ConfigError(f"unknown normalize mode {self.normalize!r}")
         if self.src_residual not in ("paper", "conventional"):
@@ -133,32 +142,25 @@ class ModelConfig:
 
 @dataclass
 class EncodedSequence:
-    """Encoder output of one utterance, x_e (n_sub, d_att), or of a padded
-    batch, x_e (B, n_max, d_att) with row b's frame count n_sub[b]; frames
-    past a row's count hold no meaning."""
+    """Encoder output of a padded batch, x_e (B, n_max, d_att), with row
+    b's frame count n_sub[b]; frames past a row's count hold no
+    meaning."""
     x_e: Tensor
-    n_sub: Union[int, np.ndarray]
-
-    def utterances(self) -> List["EncodedSequence"]:
-        """Each row of a batch cut to its own frames, as one utterance's
-        encoding; no gradient."""
-        return [EncodedSequence(Tensor(self.x_e.data[b, :n]), int(n))
-                for b, n in enumerate(self.n_sub)]
+    n_sub: np.ndarray
 
 
 @dataclass
 class DecoderRecords:
-    """Source-attention weights of one forward, one tape tensor per
-    decoder layer: (H, n_dec, n_enc) for one utterance, (B, H, n_dec,
-    n_enc) for a padded batch. The LSTM decoder's single head gives H =
-    1 in both."""
+    """Source-attention weights of one forward, one (B, H, n_dec, n_enc)
+    tape tensor per decoder layer; the LSTM decoder's single head gives
+    H = 1."""
     src_att: List[Tensor] = field(default_factory=list)
 
 
 def pad_sequences(seqs: Sequence[np.ndarray]) -> Tuple[Tensor, np.ndarray]:
     """N (n_i, d) arrays as one (N, n_max, d) batch, zero past each one's
     end, and their lengths: speech frames as S2SModel.encode takes them,
-    or encoder outputs as the decoder states take them."""
+    or TTS targets as forward_teacher lays them out."""
     lens = np.array([len(x) for x in seqs])
     out = np.zeros((len(seqs), lens.max(), np.shape(seqs[0])[1]))
     for i, x in enumerate(seqs):
@@ -211,9 +213,8 @@ def _zero_tail(x: Tensor, lens) -> Tensor:
     return x * Tensor(keep.astype(np.float64))
 
 
-def _front_end_lens(x: Tensor, lens, min_frames: int, what: str) -> np.ndarray:
-    lens = np.full(x.shape[:-2], x.shape[-2]) if lens is None \
-        else np.asarray(lens)
+def _front_end_lens(lens, min_frames: int, what: str) -> np.ndarray:
+    lens = np.asarray(lens)
     if lens.min() < min_frames:
         raise DataError(f"input of {int(lens.min())} frames is too short for "
                         f"{what} (need >= {min_frames})")
@@ -225,8 +226,8 @@ def _front_end_lens(x: Tensor, lens, min_frames: int, what: str) -> np.ndarray:
 
 class ConvSubsampler(Module):
     """Two stride-2 kernel-3 convolutions with ReLU, then projection + PE,
-    over one utterance's (n, feat_dim) frames or a padded (B, n_max,
-    feat_dim) batch, zero past each row's lens frames.
+    over a padded (B, n_max, feat_dim) batch, zero past each row's lens
+    frames.
 
     Quarters the frame count: n -> ceil(n/2) -> ceil(ceil(n/2)/2).
     """
@@ -241,9 +242,8 @@ class ConvSubsampler(Module):
         self.proj = Linear(d_att, d_att, rng)
         self.drop = Dropout(dropout_rate)
 
-    def forward(self, x: Tensor, lens=None) -> Tuple[Tensor, np.ndarray]:
-        lens = _front_end_lens(x, lens, self.MIN_FRAMES,
-                               "two stride-2 stages")
+    def forward(self, x: Tensor, lens) -> Tuple[Tensor, np.ndarray]:
+        lens = _front_end_lens(lens, self.MIN_FRAMES, "two stride-2 stages")
         h = T.relu(self.conv1(x))
         len1 = conv_len(lens)
         h = _zero_tail(h, len1)
@@ -289,18 +289,17 @@ class VggSubsampler(Module):
         h = T.max_pool2d(T.relu(conv_b(h)), 2)
         return _zero_tail(h, lens // 2), lens // 2
 
-    def forward(self, x: Tensor, lens=None) -> Tuple[Tensor, np.ndarray]:
-        lens = _front_end_lens(x, lens, self.MIN_FRAMES, "two pooling stages")
+    def forward(self, x: Tensor, lens) -> Tuple[Tensor, np.ndarray]:
+        lens = _front_end_lens(lens, self.MIN_FRAMES, "two pooling stages")
         img = x.reshape(x.shape[:-2] + (1,) + x.shape[-2:])
         h, len1 = self._block(img, self.conv1a, self.conv1b, lens)
         h, len2 = self._block(h, self.conv2a, self.conv2b, len1)
-        # (..., c2, t, f) -> (..., t, c2*f) as channel-blocked columns, one
+        # (B, c2, t, f) -> (B, t, c2*f) as channel-blocked columns, one
         # gather
-        t4, f4 = h.shape[-2:]
+        n_b, _, t4, f4 = h.shape
         col = np.arange(self.c2 * f4)
-        idx = (col // f4, np.arange(t4)[:, None], col % f4)
-        if h.ndim == 4:
-            idx = (np.arange(h.shape[0])[:, None, None],) + idx
+        idx = (np.arange(n_b)[:, None, None], col // f4,
+               np.arange(t4)[:, None], col % f4)
         out = self.drop(A.add_positional_encoding(self.proj(h[idx])))
         return out, len2
 
@@ -343,6 +342,13 @@ class TokenFrontEnd(Module):
 # ------------------------------------------------------------- bodies
 
 
+def _norm(d_att: int, normalize: str):
+    """A sublayer's LayerNorm; under normalize = "none" the identity, with
+    no parameter and no tape op, so the post-norm wiring computes the
+    unnormalized residual stack."""
+    return (lambda x: x) if normalize == "none" else LayerNorm(d_att)
+
+
 class TransformerEncoderLayer(Module):
     def __init__(self, d_att: int, d_ff: int, d_head: int, dropout_rate: float,
                  normalize: str, rng: np.random.Generator):
@@ -351,21 +357,17 @@ class TransformerEncoderLayer(Module):
         self.mha = MultiHeadAttention(d_att, d_head, rng)
         self.ff = FeedForward(d_att, d_ff, rng)
         self.drop = Dropout(dropout_rate)
-        if normalize != "none":
-            self.ln1 = LayerNorm(d_att)
-            self.ln2 = LayerNorm(d_att)
+        self.ln1 = _norm(d_att, normalize)
+        self.ln2 = _norm(d_att, normalize)
 
     def forward(self, x: Tensor, mask: Optional[np.ndarray]) -> Tensor:
         if self.normalize == "pre":
             h = self.ln1(x)
             x = x + self.drop(self.mha(h, h, h, mask)[0])
             x = x + self.drop(self.ff(self.ln2(x)))
-        elif self.normalize == "post":
+        else:                           # post, or none with identity norms
             x = self.ln1(x + self.drop(self.mha(x, x, x, mask)[0]))
             x = self.ln2(x + self.drop(self.ff(x)))
-        else:
-            x = x + self.drop(self.mha(x, x, x, mask)[0])
-            x = x + self.drop(self.ff(x))
         return x
 
 
@@ -379,11 +381,11 @@ class TransformerEncoderBody(Module):
             for _ in range(e)])
         self.final_ln = LayerNorm(d_att) if normalize == "pre" else None
 
-    def forward(self, x0: Tensor, lens=None) -> Tensor:
-        """Encoder output of a (n, d_att) sequence or a padded (B, n, d_att)
-        batch whose rows hold lens real frames (None: all n); every frame
-        attends to its row's real frames only."""
-        mask = None if lens is None else _key_mask(x0.shape[-2], lens)
+    def forward(self, x0: Tensor, lens) -> Tensor:
+        """Encoder output of a padded (B, n, d_att) batch whose rows hold
+        lens real frames; every frame attends to its row's real frames
+        only."""
+        mask = _key_mask(x0.shape[-2], lens)
         x = x0
         for layer in self.layers:
             x = layer(x, mask)
@@ -399,7 +401,7 @@ class BlstmEncoderLayer(Module):
         self.bwd = LSTM(d_in, d_att, rng, reverse=True)
         self.proj = Linear(2 * d_att, d_att, rng)
 
-    def forward(self, x: Tensor, lens=None) -> Tensor:
+    def forward(self, x: Tensor, lens) -> Tensor:
         both = T.concat([self.fwd(x, lens), self.bwd(x, lens)], axis=-1)
         return T.tanh(self.proj(both))
 
@@ -414,7 +416,7 @@ class BlstmEncoderBody(Module):
         self.layers = ModuleList([BlstmEncoderLayer(d_att, d_att, rng)
                                   for _ in range(e)])
 
-    def forward(self, x0: Tensor, lens=None) -> Tensor:
+    def forward(self, x0: Tensor, lens) -> Tensor:
         x = x0
         for layer in self.layers:
             x = layer(x, lens)
@@ -431,15 +433,14 @@ class TransformerDecoderLayer(Module):
         self.src_mha = MultiHeadAttention(d_att, d_head, rng)
         self.ff = FeedForward(d_att, d_ff, rng)
         self.drop = Dropout(dropout_rate)
-        if normalize != "none":
-            self.ln1 = LayerNorm(d_att)
-            self.ln2 = LayerNorm(d_att)
-            self.ln3 = LayerNorm(d_att)
+        self.ln1 = _norm(d_att, normalize)
+        self.ln2 = _norm(d_att, normalize)
+        self.ln3 = _norm(d_att, normalize)
 
     def forward(self, y: Tensor, x_e: Tensor, mask: np.ndarray,
                 src_mask: Optional[np.ndarray] = None
                 ) -> Tuple[Tensor, Tensor]:
-        """The layer's output and its source-attention weights, (..., H,
+        """The layer's output and its source-attention weights, (B, H,
         n_dec, n_enc)."""
         return self._sublayers(
             y, lambda h: self.self_mha(h, h, h, mask),
@@ -499,18 +500,12 @@ class TransformerDecoderLayer(Module):
             base = y if self.src_residual == "paper" else y1
             y2 = base + self.drop(src)
             y3 = y2 + self.drop(self.ff(self.ln3(y2)))
-        elif self.normalize == "post":
+        else:                           # post, or none with identity norms
             y1 = self.ln1(y + self.drop(self_att(y)[0]))
             src, w = src_att(y1)
             base = y if self.src_residual == "paper" else y1
             y2 = self.ln2(base + self.drop(src))
             y3 = self.ln3(y2 + self.drop(self.ff(y2)))
-        else:
-            y1 = y + self.drop(self_att(y)[0])
-            src, w = src_att(y1)
-            base = y if self.src_residual == "paper" else y1
-            y2 = base + self.drop(src)
-            y3 = y2 + self.drop(self.ff(y2))
         return y3, w
 
 
@@ -572,15 +567,13 @@ class TransformerDecoderBody(Module):
             for _ in range(d)])
         self.final_ln = LayerNorm(d_att) if normalize == "pre" else None
 
-    def forward(self, y0: Tensor, x_e: Tensor,
-                records: Optional[DecoderRecords] = None,
-                src_lens: Optional[np.ndarray] = None) -> Tensor:
-        """Teacher-forced outputs for inputs y0, (t, d_att) over one
-        encoding x_e (n_enc, d_att), or (B, t, d_att) over a padded batch
-        (B, n_enc, d_att) whose rows hold src_lens real frames."""
+    def forward(self, y0: Tensor, x_e: Tensor, src_lens,
+                records: Optional[DecoderRecords] = None) -> Tensor:
+        """Teacher-forced outputs (B, t, d_att) for inputs y0 (B, t, d_att)
+        over a padded batch of encodings x_e (B, n_enc, d_att) whose rows
+        hold src_lens real frames."""
         mask = A.causal_mask(y0.shape[-2])
-        src_mask = None if src_lens is None else _key_mask(x_e.shape[-2],
-                                                          src_lens)
+        src_mask = _key_mask(x_e.shape[-2], src_lens)
         y = y0
         for layer in self.layers:
             y, w = layer(y, x_e, mask, src_mask)
@@ -596,7 +589,7 @@ class TransformerDecoderBody(Module):
         outputs, utterance i holding lens[i] real frames."""
         return TransformerDecoderState(
             [layer.init_cache(x_e) for layer in self.layers],
-            _RowGroups.start(x_e, lens))
+            _RowGroups.start(lens))
 
     def step(self, state: "TransformerDecoderState", y: Tensor
              ) -> Tuple[Tensor, "TransformerDecoderState"]:
@@ -641,9 +634,8 @@ class AdditiveAttention(Module):
                 groups: "_RowGroups") -> Tuple[Tensor, Tensor]:
         """Context rows (B, d_att) and weights (N, S, n_k) for decoder
         state rows (B, d_att) laid out by groups, each utterance's S rows
-        attending over its encoder output: x_e (N, n_k, d_att), or
-        (n_k, d_att) when N is 1, with the projection enc_proj (N, 1, n_k,
-        d_att)."""
+        attending over its encoder output: x_e (N, n_k, d_att), with the
+        projection enc_proj (N, 1, n_k, d_att)."""
         shift = groups.blocks(self.w_state(state), keep_axis=True)
         scores = self.v(T.tanh(enc_proj + shift))   # (N, S, n_k, 1)
         scores = scores.reshape(scores.shape[:-1])
@@ -657,10 +649,9 @@ class AdditiveAttention(Module):
 @dataclass
 class LstmDecoderState:
     """Per utterance the encoder output, (N, n_enc, d_att) padded to the
-    longest or one utterance's (n_enc, d_att), and its attention
-    projection, (N, 1, n_enc, d_att); per layer the (h, c) rows, one per
-    hypothesis; groups gives each row's utterance and each utterance's
-    frames."""
+    longest, and its attention projection, (N, 1, n_enc, d_att); per
+    layer the (h, c) rows, one per hypothesis; groups gives each row's
+    utterance and each utterance's frames."""
     x_e: Tensor
     enc_proj: Tensor
     groups: "_RowGroups"
@@ -689,44 +680,34 @@ class LstmDecoderBody(Module):
         self.out = Linear(2 * d_att, d_att, rng)
         self.d_att = d_att
 
-    def forward(self, y0: Tensor, x_e: Tensor,
-                records: Optional[DecoderRecords] = None,
-                src_lens: Optional[np.ndarray] = None) -> Tensor:
+    def forward(self, y0: Tensor, x_e: Tensor, src_lens,
+                records: Optional[DecoderRecords] = None) -> Tensor:
         """Takes and returns what TransformerDecoderBody.forward does."""
         # x_e goes in unreshaped, so the gradient terms of every step add
         # straight into it, in tape order with its other users' terms
         state = self.init_state(x_e, src_lens)
-        batch = y0.ndim == 3
-        n_steps = y0.shape[-2]
+        n_b, n_steps = y0.shape[:2]
         outs = []
         alphas = []
         for step in range(n_steps):
-            out, state, alpha = self._step(
-                state, y0[:, step] if batch else y0[step:step + 1])
+            out, state, alpha = self._step(state, y0[:, step])
             outs.append(out)
             alphas.append(alpha)
-        if records is not None:         # (N, t, n_enc), a head axis per row
+        if records is not None:         # (B, t, n_enc), a head axis per row
             att = T.concat(alphas, axis=1)
-            records.src_att.append(att.reshape((att.shape[0], 1)
-                                               + att.shape[1:])
-                                   if batch else att)
+            records.src_att.append(att.reshape((n_b, 1) + att.shape[1:]))
+        # step-major rows -> (B, t, d_att)
         out = T.concat(outs, axis=0)
-        if batch:                       # step-major rows -> (B, t, d_att)
-            n_b = y0.shape[0]
-            out = out[np.arange(n_steps) * n_b + np.arange(n_b)[:, None]]
-        return out
+        return out[np.arange(n_steps) * n_b + np.arange(n_b)[:, None]]
 
-    def init_state(self, x_e: Tensor, lens: Optional[np.ndarray] = None
-                   ) -> LstmDecoderState:
+    def init_state(self, x_e: Tensor, lens) -> LstmDecoderState:
         """Rows that have consumed nothing, one per utterance of the padded
         (N, n_enc, d_att) encoder outputs, utterance i holding lens[i]
-        real frames (None: all n_enc); one utterance may come as its
-        (n_enc, d_att) output."""
-        n_utt = 1 if x_e.ndim == 2 else x_e.shape[0]
-        n_enc, d = x_e.shape[-2:]
+        real frames."""
+        n_utt, n_enc, d = x_e.shape
         enc_proj = self.attention.precompute(x_e).reshape(n_utt, 1, n_enc, d)
         zeros = [Tensor(np.zeros((n_utt, self.d_att))) for _ in self.cells]
-        return LstmDecoderState(x_e, enc_proj, _RowGroups.start(x_e, lens),
+        return LstmDecoderState(x_e, enc_proj, _RowGroups.start(lens),
                                 h=zeros, c=list(zeros))
 
     def step(self, state: LstmDecoderState, y: Tensor
@@ -780,13 +761,10 @@ class _RowGroups:
                         and bool(np.all(np.diff(utt) > 0)))
 
     @staticmethod
-    def start(x_e: Tensor, lens: Optional[np.ndarray]) -> "_RowGroups":
-        """One row per utterance of the padded encoder outputs x_e, (N,
-        n_enc, d_att) or one utterance's (n_enc, d_att)."""
-        n_utt = 1 if x_e.ndim == 2 else x_e.shape[0]
-        n_enc = x_e.shape[-2]
-        return _RowGroups(np.arange(n_utt), np.full(n_utt, n_enc)
-                          if lens is None else np.reshape(lens, n_utt))
+    def start(lens) -> "_RowGroups":
+        """One row per utterance, utterance i holding lens[i] frames."""
+        lens = np.asarray(lens)
+        return _RowGroups(np.arange(len(lens)), lens)
 
     def select(self, rows: Sequence[int]) -> "_RowGroups":
         """The layout of the given rows; utterances left without rows
@@ -824,6 +802,21 @@ def _take_rows(t: Tensor, rows: Sequence[int]) -> Tensor:
 # ------------------------------------------------------------- task models
 
 
+def _bodies(config: ModelConfig, rng: np.random.Generator):
+    """The encoder and decoder bodies config.body names, drawn from rng in
+    that order."""
+    if config.body == "transformer":
+        return (TransformerEncoderBody(config.e, config.d_att, config.d_ff,
+                                       config.d_head, config.dropout_rate,
+                                       config.normalize, rng),
+                TransformerDecoderBody(config.d, config.d_att, config.d_ff,
+                                       config.d_head, config.dropout_rate,
+                                       config.normalize, config.src_residual,
+                                       rng))
+    return (BlstmEncoderBody(config.e, config.d_att, rng),
+            LstmDecoderBody(config.d, config.d_att, rng))
+
+
 class S2SModel(Module):
     """ASR/ST model: speech in, token log-probabilities out, with an
     optional CTC head sharing the encoder."""
@@ -838,56 +831,47 @@ class S2SModel(Module):
         sub_cls = ConvSubsampler if config.enc_pre == "conv" else VggSubsampler
         self.enc_pre = sub_cls(config.feat_dim, config.d_att,
                                config.dropout_rate, rng)
-        if config.body == "transformer":
-            self.enc_body = TransformerEncoderBody(
-                config.e, config.d_att, config.d_ff, config.d_head,
-                config.dropout_rate, config.normalize, rng)
-            self.dec_body = TransformerDecoderBody(
-                config.d, config.d_att, config.d_ff, config.d_head,
-                config.dropout_rate, config.normalize, config.src_residual, rng)
-        else:
-            self.enc_body = BlstmEncoderBody(config.e, config.d_att, rng)
-            self.dec_body = LstmDecoderBody(config.d, config.d_att, rng)
+        self.enc_body, self.dec_body = _bodies(config, rng)
         self.dec_pre = TokenFrontEnd(config.vocab_size, config.d_att,
                                      config.dropout_rate, rng)
         self.dec_post = Linear(config.d_att, config.vocab_size, rng)
         self.ctc_post = (Linear(config.d_att, config.vocab_size, rng)
                          if config.uses_ctc else None)
 
-    def encode(self, x: Tensor, lens=None) -> EncodedSequence:
-        """Encode one utterance's (n, feat_dim) frames, or a padded (B,
-        n_max, feat_dim) batch, zero past row b's lens[b] frames (None:
-        every row is n_max long; pad_sequences builds both), in one pass
-        of the front end and the body."""
+    def encode(self, x: Tensor, lens) -> EncodedSequence:
+        """Encode a padded (B, n_max, feat_dim) batch, zero past row b's
+        lens[b] frames (pad_sequences builds both; one utterance is a
+        batch of one), in one pass of the front end and the body."""
+        if x.ndim != 3:
+            raise DimensionError(f"encode takes a padded (B, n_max, feat_dim) "
+                                 f"batch, got {x.shape}")
         x0, n_sub = self.enc_pre(x, lens)
-        x_e = self.enc_body(x0, n_sub)
-        return EncodedSequence(x_e=x_e,
-                               n_sub=int(n_sub) if x.ndim == 2 else n_sub)
+        return EncodedSequence(x_e=self.enc_body(x0, n_sub), n_sub=n_sub)
 
     def decode_logprobs(self, enc: EncodedSequence, ys_in,
                         records: Optional[DecoderRecords] = None) -> Tensor:
         """Log-probabilities for each next token given the prefix so far,
-        (n, V) for one encoding and its input ids, which start with the
-        start-of-sequence id. For a batch, ys_in holds one such sequence
-        per row, and the (B, n_max, V) rows past a sequence's end hold no
-        meaning."""
-        ids = _pad_ids(ys_in)[0] if enc.x_e.ndim == 3 else ys_in
-        y_d = self.dec_body(self.dec_pre(ids), enc.x_e, records=records,
-                            src_lens=enc.n_sub)
+        (B, n_max, V): ys_in holds one sequence of input ids per row of
+        the encoded batch, each starting with the start-of-sequence id,
+        and the rows past a sequence's end hold no meaning."""
+        y_d = self.dec_body(self.dec_pre(_pad_ids(ys_in)[0]), enc.x_e,
+                            enc.n_sub, records=records)
         return T.log_softmax(self.dec_post(y_d))
 
     def ctc_logprobs(self, enc: EncodedSequence) -> Tensor:
+        """Per-frame CTC log-probabilities of an encoded batch, (B, n_max,
+        V); frames past a row's n_sub hold no meaning."""
         if self.ctc_post is None:
             raise ConfigError("this model has no CTC head")
         return T.log_softmax(self.ctc_post(enc.x_e))
 
-    def init_state(self, encs: Sequence[EncodedSequence]) -> "DecoderState":
-        """Search state of N hypotheses, row i over encs[i], that have
-        consumed nothing yet; the first step consumes the start-of-sequence
-        id. The encoder outputs are padded to the longest and masked."""
+    def init_state(self, enc: EncodedSequence) -> "DecoderState":
+        """Search state of N hypotheses, row i over row i of the encoded
+        batch, that have consumed nothing yet; the first step consumes the
+        start-of-sequence id."""
         with T.no_grad():
-            return DecoderState(0, self.dec_body.init_state(
-                *pad_sequences([enc.x_e.data for enc in encs])))
+            return DecoderState(0, self.dec_body.init_state(enc.x_e,
+                                                            enc.n_sub))
 
     def step(self, state: "DecoderState", last_tokens
              ) -> Tuple[np.ndarray, "DecoderState"]:
@@ -998,16 +982,7 @@ class TtsModel(Module):
         rng = np.random.default_rng(config.seed)
         self.enc_pre = TokenFrontEnd(config.vocab_size, config.d_att,
                                      config.dropout_rate, rng, scaled_pe=True)
-        if config.body == "transformer":
-            self.enc_body = TransformerEncoderBody(
-                config.e, config.d_att, config.d_ff, config.d_head,
-                config.dropout_rate, config.normalize, rng)
-            self.dec_body = TransformerDecoderBody(
-                config.d, config.d_att, config.d_ff, config.d_head,
-                config.dropout_rate, config.normalize, config.src_residual, rng)
-        else:
-            self.enc_body = BlstmEncoderBody(config.e, config.d_att, rng)
-            self.dec_body = LstmDecoderBody(config.d, config.d_att, rng)
+        self.enc_body, self.dec_body = _bodies(config, rng)
         self.prenet = Prenet(config.feat_dim, config.prenet_units, config.d_att,
                              config.prenet_dropout_rate,
                              config.prenet_dropout_at_infer, rng)
@@ -1059,7 +1034,7 @@ class TtsModel(Module):
         records = DecoderRecords()
         y0 = self.prenet(Tensor(prev))
         y0 = A.scaled_positional_encoding(y0, self.dec_alpha)
-        y_d = self.dec_body(y0, enc.x_e, records=records, src_lens=enc.n_sub)
+        y_d = self.dec_body(y0, enc.x_e, enc.n_sub, records=records)
         coarse = self.feat_head(y_d).reshape(n_b, n_max, feat_dim)
         eos_logits = self.eos_head(y_d).reshape(n_b, s_max)
         refined = coarse + self.postnet(coarse, n_pad)
@@ -1133,8 +1108,11 @@ class RnnLm(Module):
         self.out = Linear(d_lm, vocab_size, rng)
 
     def full_logprobs(self, ys_in) -> Tensor:
-        """(t, V) next-token log-probs for teacher-forced training."""
-        y = self.embed(list(ys_in))
+        """Teacher-forced next-token log-probs, (B, n_max, V), of B input
+        id sequences padded to the longest; the forward scan never lets a
+        row's padding reach its real positions, whose rows alone hold
+        meaning."""
+        y = self.embed(_pad_ids(ys_in)[0])
         return T.log_softmax(self.out(self.lstm(y)))
 
     def init_state(self) -> "LmState":

@@ -12,13 +12,11 @@ entered as a context manager around a forward pass.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import DimensionError, DomainError
-
-Number = Union[int, float]
 
 _state = threading.local()
 
@@ -236,10 +234,6 @@ def _result(data: np.ndarray, parents: Sequence[Tensor],
     if g is not None:
         g.op_count += 1
     return out
-
-
-def _as_array(x) -> np.ndarray:
-    return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
 
 
 def _broadcast_check(a_shape: tuple, b_shape: tuple) -> None:
@@ -797,26 +791,6 @@ def embedding_lookup(ids: Sequence[int], table: Tensor) -> Tensor:
             table._accumulate(gt)
 
     return _result(data, (table,), bwd)
-
-
-def pick(x: Tensor, ids: Sequence[int]) -> Tensor:
-    """One entry per row: out[i] = x[i, ids[i]]. Used by cross-entropy."""
-    idx = np.asarray(ids, dtype=np.int64)
-    t, v = x.shape
-    if idx.shape != (t,):
-        raise DimensionError(f"pick needs {t} ids, got {idx.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= v):
-        raise IndexError("pick id outside row width")
-    rows = np.arange(t)
-    data = x.data[rows, idx].copy()
-
-    def bwd(g, x=x, rows=rows, idx=idx):
-        if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            gx[rows, idx] = g
-            x._accumulate(gx)
-
-    return _result(data, (x,), bwd)
 
 
 # -- fused LSTM recurrence ---------------------------------------------------

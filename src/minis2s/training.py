@@ -10,7 +10,9 @@ n_max) id array and its targets as one (B, N_max, feat_dim) array
 losses covers the whole batch. The dev loss runs the same way in
 length-sorted batches of DEV_BATCH. Dropout masks are drawn once per
 batch from the step's seeded Graph; feature masking is seeded per
-utterance, as before batching.
+utterance, as before batching. The models and losses take padded
+batches only, so the fusion LM (train_lm) trains each sequence as a
+batch of one.
 
 Losses are normalized by batch-global token (ASR/ST) or element (TTS)
 counts, so splitting a batch into micro-batches accumulates to exactly
@@ -301,6 +303,14 @@ class TrainConfig:
             raise ConfigError("epochs and batch_size must be >= 1")
         if self.optimizer not in ("adam", "adadelta"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
+        if self.warmup_steps < 1 or self.keep_last < 1:
+            raise ConfigError(f"warmup_steps and keep_last must both be >= 1, "
+                              f"got {self.warmup_steps} and {self.keep_last}")
+        for key in ("noam_k", "adadelta_lr"):
+            rate = getattr(self, key)
+            if not (math.isfinite(rate) and rate > 0):
+                raise ConfigError(f"{key} must be finite and positive, got "
+                                  f"{rate}")
         return self
 
 
@@ -540,8 +550,8 @@ def train_loop(model, train_set: Sequence, dev_set: Sequence,
 
 def train_lm(lm, sequences: Sequence[Sequence[int]], epochs: int = 5,
              lr: float = 1e-2, seed: int = 0) -> List[float]:
-    """Plain cross-entropy training of the fusion LM; returns the
-    per-epoch mean loss trace."""
+    """Plain cross-entropy training of the fusion LM, one sequence per
+    step as a batch of one; returns the per-epoch mean loss trace."""
     if not sequences:
         raise DataError("empty LM training set")
     opt = Adam(lm.parameters())
@@ -555,8 +565,8 @@ def train_lm(lm, sequences: Sequence[Sequence[int]], epochs: int = 5,
             ys = list(sequences[i])
             lm.zero_grad()
             with T.Graph(seed=seed * 7919 + epoch * 613 + int(i)):
-                lp = lm.full_logprobs([SOS_EOS_ID] + ys)
-                loss = L.s2s_cross_entropy(lp, ys + [SOS_EOS_ID])
+                lp = lm.full_logprobs([[SOS_EOS_ID] + ys])
+                loss = L.s2s_cross_entropy(lp, [ys + [SOS_EOS_ID]])
                 backward(loss)
             opt.step(lr)
             total += loss.item() * (len(ys) + 1) / n_tok

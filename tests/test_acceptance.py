@@ -37,7 +37,7 @@ from minis2s.errors import ConfigError
 from minis2s.losses import ctc_log_likelihood, ctc_min_frames
 from minis2s.metrics import bleu, cer, wer
 from minis2s.models import (SOS_EOS_ID, DecoderRecords, ModelConfig, S2SModel,
-                            TtsModel, build_model)
+                            TtsModel, build_model, pad_sequences)
 from minis2s.nn import LSTM, LSTMCell
 from minis2s.tensor import Tensor, grad_check
 from minis2s.training import (Adam, accumulate_gradients, asr_batch_loss,
@@ -96,7 +96,7 @@ def _beam_cer(model, utts, vocab, bcfg) -> float:
     refs, hyps = [], []
     for u in utts:
         with T.no_grad(), T.Graph(seed=0):
-            enc = model.encode(Tensor(u.feats))
+            enc = model.encode(*pad_sequences([u.feats]))
             out = beam_search(enc, model, config=bcfg)
         hyps.append(" ".join(vocab.decode(out.best.tokens)))
         refs.append(" ".join(vocab.decode(u.tokens)))
@@ -176,7 +176,8 @@ def _op_suite(seed: int):
     case("embedding", lambda table: T.embedding_lookup([0, 2, 2, 4],
                                                        table).sum(), [table])
     pk = rnd((4, 5))
-    case("pick", lambda pk: T.pick(pk, [1, 0, 4, 2]).sum(), [pk])
+    case("gather-rows", lambda pk: pk[np.arange(4), np.array([1, 0, 4, 2])]
+         .sum(), [pk])
 
     q, kk, v = rnd((4, 6)), rnd((5, 6)), rnd((5, 6))
     mask = np.tril(np.ones((4, 5), dtype=bool))
@@ -273,20 +274,20 @@ def test_a01_gradient_suite():
         body = "transformer" if seed % 2 == 0 else "rnn"
         model = S2SModel(_asr_grad_cfg(body, seed))
         model.eval()
-        x = Tensor(np.random.default_rng(seed).standard_normal((8, 5)))
+        x = Tensor(np.random.default_rng(seed).standard_normal((1, 8, 5)))
         ys = [SOS_EOS_ID, 3, 5]
-        n_sub = model.encode(x).n_sub
+        n_sub = model.encode(x, [8]).n_sub[0]
         R = Tensor(np.random.default_rng(7).standard_normal((n_sub, 7)))
         R2 = Tensor(np.random.default_rng(8).standard_normal((3, n_sub)))
 
         def f_asr(*_):
-            enc = model.encode(x)
+            enc = model.encode(x, [8])
             recs = DecoderRecords()
-            lp = model.decode_logprobs(enc, ys, records=recs)
+            lp = model.decode_logprobs(enc, [ys], records=recs)
             ctc = model.ctc_logprobs(enc)
-            att = recs.src_att[-1][0]
-            return (T.pick(lp, [3, 5, SOS_EOS_ID]).sum() + (ctc * R).sum()
-                    + (att * R2).sum())
+            att = recs.src_att[-1][0, 0]
+            return (lp[0, np.arange(3), np.array([3, 5, SOS_EOS_ID])].sum()
+                    + (ctc * R).sum() + (att * R2).sum())
 
         err = grad_check(f_asr, model.parameters(), h=1e-4, max_coords=2,
                          rng=seed, atol=1e-7)
@@ -361,10 +362,11 @@ def test_a02_ctc_brute_force_oracle():
                 break
         u = T.log_softmax(Tensor(rng.standard_normal((n, v)))).data
         want = _brute_ctc(u, target)
-        got = ctc_log_likelihood(Tensor(u), target).item()
+        # one utterance, a batch of one: (1, T, V) rows, (T, 1, V) frames
+        got = ctc_log_likelihood(Tensor(u[None]), [target]).item()
         worst_full = max(worst_full, abs(got - want))
 
-        scorer = CtcPrefixScorer(u)
+        scorer = CtcPrefixScorer(u[:, None])
         state = scorer.initial_state()
         for tok in target:
             state = scorer.extend(state).select([0], [tok])
@@ -391,16 +393,16 @@ def test_a03_decoder_causality():
                           normalize=str(rng.choice(["pre", "post", "none"])))
         model = S2SModel(cfg)
         model.eval()
-        enc = model.encode(
-            Tensor(np.random.default_rng(100 + seed).standard_normal((12, 5))))
+        enc = model.encode(Tensor(np.random.default_rng(100 + seed)
+                                  .standard_normal((1, 12, 5))), [12])
         ys = [SOS_EOS_ID] + [int(rng.integers(3, 7)) for _ in range(6)]
-        full = model.decode_logprobs(enc, ys).data.copy()
+        full = model.decode_logprobs(enc, [ys]).data[0].copy()
         t = int(rng.integers(0, 6))
         pert = list(ys)
         for j in range(t + 1, len(ys)):
             # guaranteed-different replacement token
             pert[j] = 3 + (ys[j] - 3 + 1 + int(rng.integers(0, 3))) % 4
-        out = model.decode_logprobs(enc, pert).data
+        out = model.decode_logprobs(enc, [pert]).data[0]
         if not np.array_equal(full[:t + 1], out[:t + 1]):
             failures.append(f"seed{seed} t={t}")
     ok = not failures
@@ -420,11 +422,11 @@ def test_a04_beam_search_oracle():
         cfg = BeamConfig(beam_size=256, lam=0.7, gamma=0.0, max_len_ratio=1.0)
         x = np.random.default_rng(3000 + seed).standard_normal((16, 6))
         with T.Graph(seed=0):
-            enc = model.encode(Tensor(x))
-            assert enc.n_sub == 4  # so the length budget is max_len = 4
+            enc = model.encode(*pad_sequences([x]))
+            assert enc.n_sub[0] == 4  # so the length budget is max_len = 4
             out = beam_search(enc, model, config=cfg)
-            want_comb, want_toks = enumerate_best(enc, model, None, cfg,
-                                                  enc.n_sub, expand=(1, 3, 4))
+            want_comb, want_toks = enumerate_best(
+                enc, model, None, cfg, enc.n_sub[0], expand=(1, 3, 4))
             if (out.best.tokens != want_toks
                     or abs(out.best.combined - want_comb) >= 1e-9):
                 argmax_fail.append(f"seed{seed}")
@@ -579,7 +581,7 @@ def test_a07_toy_st_pure_attention(tmp_path):
     refs, hyps = [], []
     for u in splits["test"]:
         with T.no_grad(), T.Graph(seed=0):
-            enc = model.encode(Tensor(u.feats))
+            enc = model.encode(*pad_sequences([u.feats]))
             out = beam_search(enc, model, config=bcfg)
         hyps.append(" ".join(vocab.decode(out.best.tokens)))
         refs.append(" ".join(vocab.decode(u.tokens)))

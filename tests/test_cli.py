@@ -628,3 +628,23 @@ def test_decode_names_utterances_of_another_feature_dimension(workspace,
     _assert_refused(capsys, rc, tmp_path, "test split: 2 utterance(s)",
                     "asr-test-0000 (feature dimension 12, the model's is 16)",
                     "asr-test-0001")
+
+
+@pytest.mark.parametrize("key,value", [
+    ("d_att", "0"), ("d_att", "-4"), ("d_ff", "-1"),
+    ("dropout_rate", "1.5"), ("dropout_rate", "-0.1"),
+    ("prenet_dropout_rate", "1.0"), ("warmup_steps", "0"),
+    ("noam_k", "nan"), ("noam_k", "0"), ("adadelta_lr", "inf"),
+    ("keep_last", "0"), ("keep_last", "-1")])
+def test_train_rejects_out_of_range_settings_before_writing(
+        workspace, tmp_path, capsys, key, value):
+    # each value is refused with the key named, before --out exists
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(EXP + f"{key} = {value}\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg),
+                 "--data", str(workspace / "data"),
+                 "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()

@@ -19,14 +19,17 @@ from minis2s import tensor as T
 from minis2s.decoding import (BeamConfig, BeamResult, CtcPrefixScorer,
                               CtcPrefixState, Hypothesis, batch_beam_search,
                               beam_search, combined_score, rank_hypotheses)
-from minis2s.errors import ConfigError, DataError, ImpossibleAlignmentError
+from minis2s.errors import (ConfigError, DataError, DimensionError,
+                            ImpossibleAlignmentError)
 from minis2s.losses import ctc_log_likelihood, ctc_min_frames
 from minis2s.models import (BLANK_ID, SOS_EOS_ID, EncodedSequence,
-                            ModelConfig, RnnLm, build_model)
+                            ModelConfig, RnnLm, build_model, pad_sequences)
 from minis2s.tensor import Tensor
 
 
 def rand_logprobs(seed, t, v):
+    """One utterance's (t, v) CTC posteriors; the scorer takes them as a
+    batch of one, u[:, None]."""
     rng = np.random.default_rng(seed)
     return T.log_softmax(Tensor(rng.standard_normal((t, v)))).data
 
@@ -55,7 +58,7 @@ class TableModel:
         self.config = types.SimpleNamespace(
             vocab_size=self.rows.shape[1], uses_ctc=False)
 
-    def init_state(self, encs):
+    def init_state(self, enc):
         return TableState(0)
 
     def step(self, state, last_tokens):
@@ -65,14 +68,29 @@ class TableModel:
 
 
 def table_enc(n_sub, d=4):
-    return EncodedSequence(x_e=Tensor(np.zeros((n_sub, d))), n_sub=n_sub)
+    """An encoded batch of one utterance of n_sub frames."""
+    return EncodedSequence(x_e=Tensor(np.zeros((1, n_sub, d))),
+                           n_sub=np.array([n_sub]))
+
+
+def encode_one(model, x):
+    """The encoding of one utterance's (n, feat_dim) frames, a batch of
+    one."""
+    return model.encode(*pad_sequences([x]))
+
+
+def join(encs):
+    """Encoded batches of one utterance each as one padded batch."""
+    x_e, n_sub = pad_sequences([enc.x_e.data[0, :enc.n_sub[0]]
+                                for enc in encs])
+    return EncodedSequence(x_e=x_e, n_sub=n_sub)
 
 
 class CtcTableModel(TableModel):
-    """TableModel with a CTC head: an encoding's x_e, (n_sub, V),
+    """TableModel with a CTC head: an encoding's x_e, (B, n_sub, V),
     log-normalized, is its CTC posteriors, so every prefix longer than
     its frames allow scores -inf. decode_logprobs gives the step rows
-    for the full-prefix oracle."""
+    of a batch of one for the full-prefix oracle."""
 
     def __init__(self, rows):
         super().__init__(rows)
@@ -82,16 +100,17 @@ class CtcTableModel(TableModel):
         return T.log_softmax(enc.x_e)
 
     def decode_logprobs(self, enc, ys_in):
-        state, rows = self.init_state([enc]), []
-        for tok in ys_in:
+        (ys,) = ys_in
+        state, rows = self.init_state(enc), []
+        for tok in ys:
             row, state = self.step(state, [tok])
             rows.append(row[0])
-        return Tensor(np.array(rows))
+        return Tensor(np.array([rows]))
 
 
 def ctc_table_enc(n_sub, vocab, seed):
     x = np.random.default_rng(seed).standard_normal((n_sub, vocab))
-    return EncodedSequence(x_e=Tensor(x), n_sub=n_sub)
+    return EncodedSequence(x_e=Tensor(x[None]), n_sub=np.array([n_sub]))
 
 
 # -- oracles ---------------------------------------------------------------------
@@ -100,13 +119,14 @@ def ctc_table_enc(n_sub, vocab, seed):
 def s2s_row(model, enc, prefix):
     """Full-prefix decoder oracle: the last row of decode_logprobs."""
     with T.no_grad():
-        return model.decode_logprobs(enc, [SOS_EOS_ID] + list(prefix)).data[-1]
+        return model.decode_logprobs(enc,
+                                     [[SOS_EOS_ID] + list(prefix)]).data[0, -1]
 
 
 def lm_row(lm, prefix):
     """Full-prefix LM oracle: the last row of full_logprobs."""
     with T.no_grad():
-        return lm.full_logprobs([SOS_EOS_ID] + list(prefix)).data[-1]
+        return lm.full_logprobs([[SOS_EOS_ID] + list(prefix)]).data[0, -1]
 
 
 def scalar_extend(u, r_n_prev, r_b_prev, last, token):
@@ -168,13 +188,20 @@ def scorer_chain(scorer, labels):
 
 def test_prefix_score_single_frame():
     u = rand_logprobs(0, 1, 4)
-    psi, _ = scorer_chain(CtcPrefixScorer(u), [2])
+    psi, _ = scorer_chain(CtcPrefixScorer(u[:, None]), [2])
     assert abs(psi - u[0, 2]) < 1e-12
+
+
+def test_prefix_scorer_rejects_a_single_utterance_layout():
+    # one utterance is a batch of one, (frames, 1, V); its bare (frames, V)
+    # posteriors name the shape the scorer expects
+    with pytest.raises(DimensionError, match=r"\(frames, utterances, vocab\)"):
+        CtcPrefixScorer(rand_logprobs(0, 3, 4))
 
 
 def test_prefix_finish_empty_is_all_blank():
     u = rand_logprobs(1, 5, 3)
-    scorer = CtcPrefixScorer(u)
+    scorer = CtcPrefixScorer(u[:, None])
     assert abs(scorer.finish(scorer.initial_state())[0] - u[:, 0].sum()) < 1e-12
 
 
@@ -188,16 +215,16 @@ def test_prefix_chain_matches_full_ctc(seed):
         target = [int(rng.integers(1, v)) for _ in range(length)]
         if ctc_min_frames(target) <= n:
             break
-    scorer = CtcPrefixScorer(u)
+    scorer = CtcPrefixScorer(u[:, None])
     _, state = scorer_chain(scorer, target)
     got = scorer.finish(state)[0]
-    want = ctc_log_likelihood(Tensor(u), target).item()
+    want = ctc_log_likelihood(Tensor(u[None]), [target]).item()
     assert abs(got - want) < 1e-9
 
 
 def test_prefix_impossible_goes_neg_inf_without_nan():
     u = rand_logprobs(2, 2, 4)
-    scorer = CtcPrefixScorer(u)
+    scorer = CtcPrefixScorer(u[:, None])
     state = scorer.initial_state()
     psis = []
     for tok in [1, 2, 3]:
@@ -210,7 +237,7 @@ def test_prefix_impossible_goes_neg_inf_without_nan():
 
 
 def test_prefix_blank_column_is_impossible():
-    scorer = CtcPrefixScorer(rand_logprobs(3, 3, 4))
+    scorer = CtcPrefixScorer(rand_logprobs(3, 3, 4)[:, None])
     ext = scorer.extend(scorer.initial_state())
     assert np.isneginf(ext.psi[:, 0]).all()
     assert np.isfinite(ext.psi[:, 1:]).all()
@@ -218,7 +245,7 @@ def test_prefix_blank_column_is_impossible():
 
 def test_prefix_scores_decrease_monotonically():
     u = rand_logprobs(4, 6, 5)
-    scorer = CtcPrefixScorer(u)
+    scorer = CtcPrefixScorer(u[:, None])
     prev = 0.0
     for n in range(1, 4):
         psi, _ = scorer_chain(scorer, [1, 3, 4][:n])
@@ -241,7 +268,7 @@ def test_vectorised_extend_matches_scalar_chain(seed):
         prefixes.append(p + p[-1:])          # ends on a repeat
         prefixes.append(p)
     prefixes.append([1] * (n + 1))           # needs 2n + 1 frames
-    scorer = CtcPrefixScorer(u)
+    scorer = CtcPrefixScorer(u[:, None])
     states = [scorer_chain(scorer, p)[1] for p in prefixes]
     batch = CtcPrefixState(
         r_n=np.concatenate([s.r_n for s in states], axis=1),
@@ -274,7 +301,7 @@ def test_vectorised_extend_matches_scalar_chain(seed):
 
 def test_extension_select_repeats_and_reorders_rows():
     u = rand_logprobs(7, 5, 5)
-    scorer = CtcPrefixScorer(u)
+    scorer = CtcPrefixScorer(u[:, None])
     ext = scorer.extend(scorer.initial_state())
     state = ext.select([0, 0, 0], [3, 1, 3])
     ext2 = scorer.extend(state)
@@ -376,7 +403,7 @@ def test_combined_recomputable_from_parts():
     lm = RnnLm(5, d_lm=8, seed=1)
     x = np.random.default_rng(6).standard_normal((16, 6))
     with T.Graph(seed=0):
-        enc = model.encode(Tensor(x))
+        enc = encode_one(model, x)
         out = beam_search(enc, model, lm=lm, config=cfg)
     for hyp in out.nbest:
         want = 0.7 * hyp.log_s2s + 0.3 * hyp.log_ctc + 0.3 * hyp.log_lm
@@ -408,7 +435,7 @@ def enumerate_ranked(enc, model, lm, cfg, max_len, expand):
     """Explicit scoring of every candidate ending in eos within budget,
     from the full-prefix decoder and LM rows and the scalar CTC chain;
     (combined, tokens) pairs, best first."""
-    u = model.ctc_logprobs(enc).data if model.config.uses_ctc else None
+    u = model.ctc_logprobs(enc).data[0] if model.config.uses_ctc else None
     rows = []
     for length in range(max_len):
         for toks in itertools.product(expand, repeat=length):
@@ -437,11 +464,11 @@ def reference_beam(enc, model, lm, cfg):
     vocab = model.config.vocab_size
     use_ctc = model.config.uses_ctc
     use_lm = lm is not None and cfg.gamma != 0.0
-    u = model.ctc_logprobs(enc).data if use_ctc else None
+    u = model.ctc_logprobs(enc).data[0] if use_ctc else None
     live = [((), 0.0, 0.0)]                       # (tokens, s2s, lm)
     finished = []
     settled = None
-    for step in range(int(np.ceil(cfg.max_len_ratio * enc.n_sub))):
+    for step in range(int(np.ceil(cfg.max_len_ratio * enc.n_sub[0]))):
         cands = []
         for toks, s2s, lmp in live:
             row = s2s_row(model, enc, toks)
@@ -481,10 +508,10 @@ def test_beam_matches_exhaustive_enumeration(seed):
     cfg = BeamConfig(beam_size=256, lam=0.7, gamma=0.0, max_len_ratio=1.0)
     x = np.random.default_rng(1000 + seed).standard_normal((16, 6))
     with T.Graph(seed=0):
-        enc = model.encode(Tensor(x))
+        enc = encode_one(model, x)
         out = beam_search(enc, model, config=cfg)
-        want_comb, want_toks = enumerate_best(enc, model, None, cfg,
-                                              enc.n_sub, expand=(1, 3, 4))
+        want_comb, want_toks = enumerate_best(
+            enc, model, None, cfg, enc.n_sub[0], expand=(1, 3, 4))
     assert out.best.tokens == want_toks
     assert abs(out.best.combined - want_comb) < 1e-9
     assert not out.no_finished
@@ -496,10 +523,10 @@ def test_beam_with_lm_matches_enumeration():
     cfg = BeamConfig(beam_size=256, lam=0.7, gamma=0.3)
     x = np.random.default_rng(7).standard_normal((16, 6))
     with T.Graph(seed=0):
-        enc = model.encode(Tensor(x))
+        enc = encode_one(model, x)
         out = beam_search(enc, model, lm=lm, config=cfg)
-        want_comb, want_toks = enumerate_best(enc, model, lm, cfg,
-                                              enc.n_sub, expand=(1, 3, 4))
+        want_comb, want_toks = enumerate_best(
+            enc, model, lm, cfg, enc.n_sub[0], expand=(1, 3, 4))
     assert out.best.tokens == want_toks
     assert abs(out.best.combined - want_comb) < 1e-9
 
@@ -509,7 +536,7 @@ def test_gamma_zero_ignores_lm():
     cfg = BeamConfig(beam_size=8, gamma=0.0)
     x = np.random.default_rng(8).standard_normal((12, 6))
     with T.Graph(seed=0):
-        enc = model.encode(Tensor(x))
+        enc = encode_one(model, x)
         with_lm = beam_search(enc, model, lm=RnnLm(5, d_lm=8, seed=4),
                               config=cfg)
         without = beam_search(enc, model, lm=None, config=cfg)
@@ -521,7 +548,7 @@ def test_wider_beam_never_scores_lower():
     model = tiny_model(21)
     x = np.random.default_rng(9).standard_normal((16, 6))
     with T.Graph(seed=0):
-        enc = model.encode(Tensor(x))
+        enc = encode_one(model, x)
         best = -np.inf
         for beam in [1, 2, 4, 8]:
             cfg = BeamConfig(beam_size=beam, gamma=0.0)
@@ -536,8 +563,8 @@ def test_extension_never_raises_combined():
     cfg = BeamConfig(beam_size=4, gamma=0.0)
     x = np.random.default_rng(10).standard_normal((12, 6))
     with T.Graph(seed=0):
-        enc = model.encode(Tensor(x))
-        u = model.ctc_logprobs(enc).data
+        enc = encode_one(model, x)
+        u = model.ctc_logprobs(enc).data[0]
         s2s = 0.0
         prev_comb = 0.0
         prefix = []
@@ -569,7 +596,7 @@ def test_beam_nbest_matches_reference_beam(body, with_lm, beam):
         cfg = BeamConfig(beam_size=beam, lam=0.6, gamma=0.4)
         x = np.random.default_rng(40 + seed).standard_normal((20, 6))
         with T.Graph(seed=0):
-            enc = model.encode(Tensor(x))
+            enc = encode_one(model, x)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 out = beam_search(enc, model, lm=lm, config=cfg)
@@ -585,7 +612,7 @@ def test_beam_nbest_matches_reference_beam(body, with_lm, beam):
 def _encode_all(model, frame_counts, seed):
     rng = np.random.default_rng(seed)
     with T.no_grad(), T.Graph(seed=0):
-        return [model.encode(Tensor(rng.standard_normal((n, 6))))
+        return [encode_one(model, rng.standard_normal((n, 6)))
                 for n in frame_counts]
 
 
@@ -619,11 +646,11 @@ def test_batched_search_equals_search_one_by_one(body, with_lm):
             lm = RnnLm(10, d_lm=8, seed=2) if with_lm else None
             cfg = BeamConfig(beam_size=beam, lam=0.6, gamma=0.4)
             encs = _encode_all(model, frames, seed=5)
-            assert len({enc.n_sub for enc in encs}) == len(frames)
+            assert len({enc.n_sub[0] for enc in encs}) == len(frames)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                batched = batch_beam_search(encs, model, lm=lm, config=cfg,
-                                            ids=ids)
+                batched = batch_beam_search(join(encs), model, lm=lm,
+                                            config=cfg, ids=ids)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 alone = [beam_search(enc, model, lm=lm, config=cfg)
@@ -647,14 +674,14 @@ def test_batched_beam_matches_exhaustive_enumeration(seed):
     cfg = BeamConfig(beam_size=256, lam=0.7, gamma=0.0, max_len_ratio=1.0)
     x = np.random.default_rng(3000 + seed).standard_normal((16, 6))
     with T.no_grad(), T.Graph(seed=0):
-        encs = [model.encode(Tensor(x))]
+        encs = [encode_one(model, x)]
     encs += _encode_all(model, [12, 14], seed=2000 + seed)
-    assert [enc.n_sub for enc in encs] == [4, 3, 4]
+    assert [enc.n_sub[0] for enc in encs] == [4, 3, 4]
     with T.Graph(seed=0):
-        found = batch_beam_search(encs, model, config=cfg)
+        found = batch_beam_search(join(encs), model, config=cfg)
         for enc, out in zip(encs, found):
             want_comb, want_toks = enumerate_best(
-                enc, model, None, cfg, enc.n_sub, expand=(1, 3, 4))
+                enc, model, None, cfg, enc.n_sub[0], expand=(1, 3, 4))
             assert out.best.tokens == want_toks
             assert abs(out.best.combined - want_comb) < 1e-9
             assert not out.no_finished
@@ -662,20 +689,24 @@ def test_batched_beam_matches_exhaustive_enumeration(seed):
 
 def test_batched_search_rejects_an_empty_encoding():
     model = tiny_model(41)
-    encs = _encode_all(model, [12], seed=1)
-    encs.append(EncodedSequence(x_e=Tensor(np.zeros((0, 8))), n_sub=0))
+    (enc,) = _encode_all(model, [12], seed=1)
+    x_e = np.concatenate([enc.x_e.data, np.zeros_like(enc.x_e.data)])
     with pytest.raises(DataError):
-        batch_beam_search(encs, model)
+        batch_beam_search(EncodedSequence(x_e=Tensor(x_e),
+                                          n_sub=np.array([enc.n_sub[0], 0])),
+                          model)
     with pytest.raises(DataError):
-        batch_beam_search([], model)
+        batch_beam_search(EncodedSequence(x_e=Tensor(np.zeros((0, 0, 8))),
+                                          n_sub=np.zeros(0, dtype=int)),
+                          model)
 
 
 def greedy_decode(enc, model, max_len=None):
     """Argmax token per step until eos: the beam-1 oracle."""
-    n_sub = enc.x_e.shape[0]
+    n_sub = enc.n_sub[0]
     if n_sub == 0:
         raise DataError("cannot decode an empty encoded sequence")
-    state = model.init_state([enc])
+    state = model.init_state(enc)
     tokens = []
     last = SOS_EOS_ID
     for _ in range(n_sub if max_len is None else max_len):
@@ -811,21 +842,21 @@ def test_batched_retirement_equals_search_one_by_one():
         for length_penalty in (0.0, 1.5):
             cfg = BeamConfig(beam_size=beam, lam=0.5, gamma=0.0,
                              max_len_ratio=3.0, length_penalty=length_penalty)
-            batched = batch_beam_search(encs, model, config=cfg)
+            batched = batch_beam_search(join(encs), model, config=cfg)
             for enc, got in zip(encs, batched):
                 _same_result(got, beam_search(enc, model, config=cfg))
                 want, settled = reference_beam(enc, model, None, cfg)
                 _same_nbest(got.nbest, want)
-                if settled is not None and settled + 1 < 3 * enc.n_sub:
+                if settled is not None and settled + 1 < 3 * enc.n_sub[0]:
                     assert got.stats.steps == settled + 1
                     early += 1
-                late += got.stats.steps == 3 * enc.n_sub
+                late += got.stats.steps == 3 * enc.n_sub[0]
     assert early and late
 
 
 def test_empty_encoding_rejected():
     model = tiny_model(41)
-    enc = EncodedSequence(x_e=Tensor(np.zeros((0, 8))), n_sub=0)
+    enc = EncodedSequence(x_e=Tensor(np.zeros((1, 0, 8))), n_sub=np.array([0]))
     with pytest.raises(DataError):
         beam_search(enc, model)
     with pytest.raises(DataError):
@@ -837,7 +868,7 @@ def test_nbest_is_sorted_and_bounded():
     cfg = BeamConfig(beam_size=5, gamma=0.0)
     x = np.random.default_rng(11).standard_normal((16, 6))
     with T.Graph(seed=0):
-        enc = model.encode(Tensor(x))
+        enc = encode_one(model, x)
         out = beam_search(enc, model, config=cfg)
     assert len(out.nbest) <= 5
     scores = [h.combined for h in out.nbest]

@@ -1,9 +1,12 @@
-"""Source hygiene: every name a module of minis2s imports is used in it.
+"""Source hygiene: every name a module of minis2s imports is used in it,
+and every private top-level name it defines is referenced in it.
 
-The scan is syntactic: an import binds a name, and the name must appear
-elsewhere in the module as a load (a bare name or the root of an
-attribute chain) or inside a string annotation. `__init__.py` is exempt,
-because its imports are the package's re-exports.
+The scans are syntactic: an import binds a name, and the name must
+appear elsewhere in the module as a load (a bare name or the root of an
+attribute chain) or inside a string annotation. `__init__.py` is exempt
+from the import scan, because its imports are the package's re-exports.
+A top-level function, class or assignment whose name starts with one
+underscore is private to its module, so it must be loaded there too.
 """
 
 import ast
@@ -43,6 +46,25 @@ def used_names(tree: ast.Module):
     return used
 
 
+def private_names(tree: ast.Module):
+    """(name, line) of every top-level function, class or assigned name
+    that starts with one underscore."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                            ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node.lineno
+
+
 def test_scan_finds_modules():
     assert len(MODULES) >= 10
 
@@ -62,3 +84,23 @@ def test_scan_flags_an_unused_import():
     used = used_names(tree)
     assert [n for n, _ in imported_names(tree) if n not in used] == [
         "os", "List"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_private_names(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    used = used_names(tree)
+    unused = [f"{path.name}:{line} {name}"
+              for name, line in private_names(tree) if name not in used]
+    assert not unused, f"private but never used: {unused}"
+
+
+def test_scan_flags_an_unused_private_name():
+    tree = ast.parse("_KEEP = 1\n_DROP = 2\n__all__ = []\n"
+                     "def _used(): return _KEEP\n"
+                     "def _unused(): pass\n"
+                     "class _Hint: pass\n"
+                     "def public(x: '_Hint'): return _used()\n")
+    used = used_names(tree)
+    assert [n for n, _ in private_names(tree) if n not in used] == [
+        "_DROP", "_unused"]

@@ -28,12 +28,17 @@ def rand_logprobs(rng, t, v):
     return logits, T.log_softmax(logits)
 
 
+def one(x: Tensor) -> Tensor:
+    """One utterance's (t, V) rows as a batch of one, (1, t, V)."""
+    return x.reshape((1,) + x.shape)
+
+
 # -- cross-entropy ------------------------------------------------------------
 
 
 def test_ce_uniform_vocab4():
     lp = Tensor(np.full((3, 4), np.log(0.25)))
-    loss = s2s_cross_entropy(lp, [0, 2, 3])
+    loss = s2s_cross_entropy(one(lp), [[0, 2, 3]])
     assert abs(loss.item() - 1.3862943611198906188) < 1e-12
 
 
@@ -48,21 +53,21 @@ def test_ce_matches_extended_precision():
         lse = mp.log(mp.fsum(mp.e**z for z in zs))
         want += -(zs[y] - lse)
     want /= 3
-    got = s2s_cross_entropy(lp, targets).item()
+    got = s2s_cross_entropy(one(lp), [targets]).item()
     assert abs(got - float(want)) < 1e-12
 
 
 def test_ce_row_count_mismatch():
-    lp = Tensor(np.zeros((3, 4)))
+    lp = Tensor(np.zeros((1, 3, 4)))
     with pytest.raises(DimensionError):
-        s2s_cross_entropy(lp, [1, 2])
+        s2s_cross_entropy(lp, [[1, 2, 3, 1]])
 
 
 def test_ce_denom_replaces_length():
     rng = np.random.default_rng(1)
     _, lp = rand_logprobs(rng, 4, 6)
-    mean = s2s_cross_entropy(lp, [1, 2, 3, 2])
-    summed = s2s_cross_entropy(lp, [1, 2, 3, 2], denom=1.0)
+    mean = s2s_cross_entropy(one(lp), [[1, 2, 3, 2]])
+    summed = s2s_cross_entropy(one(lp), [[1, 2, 3, 2]], denom=1.0)
     assert abs(summed.item() - 4.0 * mean.item()) < 1e-12
 
 
@@ -70,7 +75,7 @@ def test_ce_gradient():
     rng = np.random.default_rng(2)
 
     def f(logits):
-        return s2s_cross_entropy(T.log_softmax(logits), [1, 0, 2])
+        return s2s_cross_entropy(one(T.log_softmax(logits)), [[1, 0, 2]])
 
     x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
     assert grad_check(f, [x]) < 1e-6
@@ -116,7 +121,7 @@ def test_ctc_min_frames():
 def test_ctc_single_frame_single_label():
     # one frame must emit the one label directly
     _, lp = rand_logprobs(np.random.default_rng(3), 1, 4)
-    got = ctc_log_likelihood(lp, [2]).item()
+    got = ctc_log_likelihood(one(lp), [[2]]).item()
     assert abs(got - lp.data[0, 2]) < 1e-12
 
 
@@ -125,12 +130,12 @@ def test_ctc_two_frames_hand_sum():
     u = lp.data
     want = np.log(np.exp(u[0, 1] + u[1, 1]) + np.exp(u[0, 0] + u[1, 1])
                   + np.exp(u[0, 1] + u[1, 0]))
-    assert abs(ctc_log_likelihood(lp, [1]).item() - want) < 1e-12
+    assert abs(ctc_log_likelihood(one(lp), [[1]]).item() - want) < 1e-12
 
 
 def test_ctc_empty_target_is_all_blanks():
     _, lp = rand_logprobs(np.random.default_rng(5), 4, 3)
-    got = ctc_log_likelihood(lp, []).item()
+    got = ctc_log_likelihood(one(lp), [[]]).item()
     assert abs(got - lp.data[:, 0].sum()) < 1e-12
 
 
@@ -148,38 +153,38 @@ def test_ctc_matches_path_enumeration(n_frames, target, vocab):
     _, lp = rand_logprobs(np.random.default_rng(n_frames * 7 + vocab),
                           n_frames, vocab)
     want = brute_ctc(lp.data, target)
-    got = ctc_log_likelihood(lp, target).item()
+    got = ctc_log_likelihood(one(lp), [target]).item()
     assert abs(got - want) < 1e-9
 
 
 def test_ctc_infeasible_raises():
     _, lp = rand_logprobs(np.random.default_rng(6), 2, 3)
     with pytest.raises(ImpossibleAlignmentError):
-        ctc_log_likelihood(lp, [1, 1])
+        ctc_log_likelihood(one(lp), [[1, 1]])
     with pytest.raises(ImpossibleAlignmentError):
-        ctc_log_likelihood(lp, [1, 2, 1])
+        ctc_log_likelihood(one(lp), [[1, 2, 1]])
 
 
 def test_ctc_blank_in_target_rejected():
     _, lp = rand_logprobs(np.random.default_rng(7), 4, 3)
     with pytest.raises(DimensionError):
-        ctc_log_likelihood(lp, [1, 0, 2])
+        ctc_log_likelihood(one(lp), [[1, 0, 2]])
 
 
 def test_ctc_target_outside_vocab():
     _, lp = rand_logprobs(np.random.default_rng(8), 4, 3)
     with pytest.raises(IndexError):
-        ctc_log_likelihood(lp, [3])
+        ctc_log_likelihood(one(lp), [[3]])
 
 
 def test_ctc_posterior_rows_sum_to_one():
     # d logp / d u[t, :] is the frame-t posterior over symbols
     rng = np.random.default_rng(9)
-    u = Tensor(np.log(T.softmax(Tensor(rng.standard_normal((5, 3)))).data),
+    u = Tensor(np.log(T.softmax(Tensor(rng.standard_normal((1, 5, 3)))).data),
                requires_grad=True)
-    logp = ctc_log_likelihood(u, [1, 2])
+    logp = ctc_log_likelihood(u, [[1, 2]])
     backward(logp)
-    sums = u.grad.sum(axis=1)
+    sums = u.grad[0].sum(axis=1)
     assert np.allclose(sums, 1.0, atol=1e-10)
 
 
@@ -187,7 +192,7 @@ def test_ctc_gradient_finite_differences():
     rng = np.random.default_rng(10)
 
     def f(logits):
-        return -ctc_log_likelihood(T.log_softmax(logits), [1, 2])
+        return -ctc_log_likelihood(one(T.log_softmax(logits)), [[1, 2]])
 
     x = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
     assert grad_check(f, [x]) < 1e-5
@@ -197,7 +202,7 @@ def test_ctc_gradient_with_repeat_label():
     rng = np.random.default_rng(11)
 
     def f(logits):
-        return -ctc_log_likelihood(T.log_softmax(logits), [2, 2])
+        return -ctc_log_likelihood(one(T.log_softmax(logits)), [[2, 2]])
 
     x = Tensor(rng.standard_normal((6, 3)), requires_grad=True)
     assert grad_check(f, [x]) < 1e-5
@@ -268,13 +273,13 @@ def test_ctc_matches_scalar_recursion(case):
     n = ctc_min_frames(target) + int(rng.integers(0, 12))
     if n == 0:
         n = 1
-    u = Tensor(T.log_softmax(Tensor(rng.standard_normal((n, v)) * 2)).data,
+    u = Tensor(T.log_softmax(Tensor(rng.standard_normal((1, n, v)) * 2)).data,
                requires_grad=True)
-    want_logp, want_grad = scalar_ctc(u.data, target)
-    logp = ctc_log_likelihood(u, target)
+    want_logp, want_grad = scalar_ctc(u.data[0], target)
+    logp = ctc_log_likelihood(u, [target])
     backward(logp)
     assert abs(logp.item() - want_logp) < 1e-12
-    np.testing.assert_allclose(u.grad, want_grad, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(u.grad[0], want_grad, rtol=0, atol=1e-12)
 
 
 # -- joint --------------------------------------------------------------------
@@ -528,12 +533,13 @@ def test_batched_ctc_matches_rows_and_enumeration(case):
     assert ll.shape == (3,)
     backward((ll * Tensor(w)).sum())
     for b, (target, n) in enumerate(zip(targets, frames)):
-        row = Tensor(u[b, :n], requires_grad=True)
-        want = ctc_log_likelihood(row, target)
+        row = Tensor(u[b:b + 1, :n], requires_grad=True)
+        want = ctc_log_likelihood(row, [target])
         backward(want * w[b])
         assert abs(ll.data[b] - want.item()) < 1e-12
         assert abs(ll.data[b] - brute_ctc(u[b, :n], target)) < 1e-9
-        np.testing.assert_allclose(lp.grad[b, :n], row.grad, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(lp.grad[b, :n], row.grad[0], rtol=0,
+                                   atol=1e-12)
         assert not lp.grad[b, n:].any()
 
 
@@ -543,10 +549,20 @@ def test_batched_cross_entropy_reads_only_real_targets():
                               requires_grad=True))
     targets = [[1, 2, 3, 4], [4, 2]]
     got = s2s_cross_entropy(lp, targets, denom=9.0)
-    want = sum(s2s_cross_entropy(Tensor(lp.data[b, :len(t)]), t,
+    want = sum(s2s_cross_entropy(Tensor(lp.data[b:b + 1, :len(t)]), [t],
                                  denom=9.0).item()
                for b, t in enumerate(targets))
     assert abs(got.item() - want) < 1e-12
     assert abs(s2s_cross_entropy(lp, targets).item() - want * 9.0 / 6) < 1e-12
     with pytest.raises(DimensionError):
         s2s_cross_entropy(lp, [[1, 2, 3, 4, 1], [2]])
+
+
+def test_losses_reject_a_single_utterance_layout():
+    # one utterance is a batch of one; its bare (t, V) rows name the shape
+    # the loss expects
+    _, lp = rand_logprobs(np.random.default_rng(13), 4, 3)
+    for loss, targets in ((s2s_cross_entropy, [1, 2, 1, 2]),
+                          (ctc_log_likelihood, [1, 2])):
+        with pytest.raises(DimensionError, match=r"\(B, n_max, V\)"):
+            loss(lp, targets)

@@ -189,20 +189,26 @@ def test_rnn_model_matches_unfused_composition(monkeypatch):
                       alpha=0.5, seed=4)
     model = S2SModel(cfg)
     model.eval()
-    x = Tensor(np.random.default_rng(8).standard_normal((14, 5)))
+    x = Tensor(np.random.default_rng(8).standard_normal((1, 14, 5)))
     ys = [SOS_EOS_ID, 3, 5, 4]
     params = model.parameters()
 
     def loss():
-        enc = model.encode(x)
-        lp = model.decode_logprobs(enc, ys)
+        enc = model.encode(x, [14])
+        lp = model.decode_logprobs(enc, [ys])
         ctc = model.ctc_logprobs(enc)
-        return T.pick(lp, [3, 5, 4, SOS_EOS_ID]).sum() + ctc.sum() * 0.1
+        return (lp[0, np.arange(4), np.array([3, 5, 4, SOS_EOS_ID])].sum()
+                + ctc.sum() * 0.1)
+
+    def batch_of_one_lstm(self, x, lens):
+        # one unpadded utterance, a batch of one: its length is the whole
+        # sequence
+        out = reference_lstm(x[0], self.cell.w_ih, self.cell.w_hh,
+                             self.cell.bias, self.reverse)
+        return out.reshape((1,) + out.shape)
 
     l_f, g_f = _grads(loss, params)
-    # one unpadded utterance: its length is the whole sequence
-    monkeypatch.setattr(nn.LSTM, "forward", lambda self, x, lens: reference_lstm(
-        x, self.cell.w_ih, self.cell.w_hh, self.cell.bias, self.reverse))
+    monkeypatch.setattr(nn.LSTM, "forward", batch_of_one_lstm)
     monkeypatch.setattr(nn.LSTMCell, "forward",
                         lambda self, x, h, c: reference_cell(
                             x, h, c, self.w_ih, self.w_hh, self.bias))

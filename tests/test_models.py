@@ -9,7 +9,7 @@ from mpmath import mp
 from minis2s import attention as A
 from minis2s import tensor as T
 from minis2s.config import experiment_from_items
-from minis2s.errors import ConfigError, DataError
+from minis2s.errors import ConfigError, DataError, DimensionError
 from minis2s.models import (BLANK_ID, SOS_EOS_ID, BlstmEncoderBody,
                             ConvSubsampler, DecoderRecords, LstmDecoderBody,
                             ModelConfig, Prenet, Postnet, S2SModel,
@@ -29,7 +29,18 @@ def toy_cfg(**kw) -> ModelConfig:
 
 
 def feats(n, dim=5, seed=0):
+    """One utterance's (n, dim) frames."""
     return Tensor(np.random.default_rng(seed).standard_normal((n, dim)))
+
+
+def one(x: Tensor) -> Tensor:
+    """One sequence's rows as a batch of one, (1, n, d)."""
+    return Tensor(x.data[None], requires_grad=x.requires_grad)
+
+
+def encode_one(model, x: Tensor):
+    """The encoding of one utterance, as a batch of one."""
+    return model.encode(*pad_sequences([x.data]))
 
 
 # ------------------------------------------------------------- front ends
@@ -46,22 +57,22 @@ def test_conv_subsampler_shapes_and_short_input():
     rng = np.random.default_rng(0)
     sub = ConvSubsampler(feat_dim=5, d_att=8, dropout_rate=0.0, rng=rng)
     sub.eval()
-    out, n_sub = sub(feats(100), 100)
-    assert out.shape == (25, 8) and n_sub == 25
-    out, n_sub = sub(feats(4), 4)
-    assert out.shape == (1, 8) and n_sub == 1
+    out, n_sub = sub(one(feats(100)), [100])
+    assert out.shape == (1, 25, 8) and list(n_sub) == [25]
+    out, n_sub = sub(one(feats(4)), [4])
+    assert out.shape == (1, 1, 8) and list(n_sub) == [1]
     with pytest.raises(DataError):
-        sub(feats(3), 3)
+        sub(one(feats(3)), [3])
 
 
 def test_vgg_subsampler_shapes():
     rng = np.random.default_rng(1)
     sub = VggSubsampler(feat_dim=8, d_att=8, dropout_rate=0.0, rng=rng)
     sub.eval()
-    out, n_sub = sub(feats(13, dim=8), 13)
-    assert n_sub == 3 and out.shape[0] >= 3 and out.shape[1] == 8
+    out, n_sub = sub(one(feats(13, dim=8)), [13])
+    assert list(n_sub) == [3] and out.shape[1] >= 3 and out.shape[2] == 8
     with pytest.raises(DataError):
-        sub(feats(2, dim=8), 2)
+        sub(one(feats(2, dim=8)), [2])
 
 
 def test_token_front_end_empty_oov_and_pe_difference():
@@ -83,20 +94,20 @@ def test_token_front_end_empty_oov_and_pe_difference():
 def test_transformer_encoder_zero_layers_is_identity():
     rng = np.random.default_rng(3)
     body = TransformerEncoderBody(0, 8, 16, 2, 0.0, "none", rng)
-    x = feats(5, dim=8)
-    np.testing.assert_array_equal(body(x, 5).data, x.data)
+    x = one(feats(5, dim=8))
+    np.testing.assert_array_equal(body(x, [5]).data, x.data)
 
 
 def test_transformer_encoder_shape_and_grad():
     rng = np.random.default_rng(4)
     body = TransformerEncoderBody(2, 16, 32, 2, 0.0, "pre", rng)
     body.eval()
-    x = Tensor(np.random.default_rng(5).standard_normal((5, 16)),
+    x = Tensor(np.random.default_rng(5).standard_normal((1, 5, 16)),
                requires_grad=True)
-    assert body(x, 5).shape == (5, 16)
+    assert body(x, [5]).shape == (1, 5, 16)
 
     def f(*_):
-        return T.tanh(body(x, 5)).sum()
+        return T.tanh(body(x, [5])).sum()
 
     params = [x] + body.parameters()
     assert grad_check(f, params, max_coords=3, rng=0) < 1e-5
@@ -105,9 +116,9 @@ def test_transformer_encoder_shape_and_grad():
 def test_blstm_deterministic():
     rng = np.random.default_rng(6)
     body = BlstmEncoderBody(2, 8, rng)
-    x = feats(6, dim=8)
-    a = body(x, 6).data
-    b = body(x, 6).data
+    x = one(feats(6, dim=8))
+    a = body(x, [6]).data
+    b = body(x, [6]).data
     assert np.array_equal(a, b)
 
 
@@ -124,19 +135,20 @@ def test_blstm_reversal_swaps_directions():
         w = l1.proj.weight.data
         l2.proj.weight.data[:] = np.concatenate([w[d:], w[:d]])
         l2.proj.bias.data[:] = l1.proj.bias.data
-    x = feats(5, dim=d, seed=9)
-    fwd_out = m1(x, 5).data
-    rev_out = m2(Tensor(x.data[::-1].copy()), 5).data
-    np.testing.assert_allclose(rev_out, fwd_out[::-1], rtol=1e-12, atol=1e-14)
+    x = one(feats(5, dim=d, seed=9))
+    fwd_out = m1(x, [5]).data
+    rev_out = m2(Tensor(x.data[:, ::-1].copy()), [5]).data
+    np.testing.assert_allclose(rev_out, fwd_out[:, ::-1], rtol=1e-12,
+                               atol=1e-14)
 
 
 def test_blstm_grad():
     body = BlstmEncoderBody(1, 4, np.random.default_rng(10))
-    x = Tensor(np.random.default_rng(11).standard_normal((4, 4)),
+    x = Tensor(np.random.default_rng(11).standard_normal((1, 4, 4)),
                requires_grad=True)
 
     def f(*_):
-        return body(x, 4).sum()
+        return body(x, [4]).sum()
 
     assert grad_check(f, [x] + body.parameters(), max_coords=4, rng=1) < 1e-5
 
@@ -148,14 +160,14 @@ def test_transformer_decoder_causality_bit_exact():
     rng = np.random.default_rng(12)
     body = TransformerDecoderBody(2, 8, 16, 2, 0.0, "pre", "paper", rng)
     body.eval()
-    x_e = feats(4, dim=8, seed=13)
-    y = feats(6, dim=8, seed=14)
-    base = body(y, x_e).data.copy()
+    x_e = one(feats(4, dim=8, seed=13))
+    y = one(feats(6, dim=8, seed=14))
+    base = body(y, x_e, [4]).data.copy()
     y2 = Tensor(y.data.copy())
-    y2.data[4:] += np.random.default_rng(99).standard_normal((2, 8)) * 50
-    pert = body(y2, x_e).data
-    assert np.array_equal(base[:4], pert[:4])
-    assert not np.allclose(base[4:], pert[4:])
+    y2.data[0, 4:] += np.random.default_rng(99).standard_normal((2, 8)) * 50
+    pert = body(y2, x_e, [4]).data
+    assert np.array_equal(base[:, :4], pert[:, :4])
+    assert not np.allclose(base[:, 4:], pert[:, 4:])
 
 
 def test_decoder_zero_query_source_attention_is_uniform():
@@ -166,10 +178,10 @@ def test_decoder_zero_query_source_attention_is_uniform():
     layer.src_mha.wq.data[:] = 0.0
     layer.src_mha.wv.data[:] = np.eye(4)
     layer.src_mha.w_head.data[:] = np.eye(4)
-    x_e = feats(5, dim=4, seed=16)
-    y = feats(3, dim=4, seed=17)
+    x_e = one(feats(5, dim=4, seed=16))
+    y = one(feats(3, dim=4, seed=17))
     _, weights = layer(y, x_e, A.causal_mask(3))
-    w = weights.data[0]
+    w = weights.data[0, 0]
     np.testing.assert_allclose(w, np.full((3, 5), 0.2), rtol=0, atol=1e-12)
 
 
@@ -179,21 +191,21 @@ def test_transformer_decoder_src_residual_modes_differ():
                                    rng=np.random.default_rng(18), **kw)
     conv = TransformerDecoderBody(normalize="pre", src_residual="conventional",
                                   rng=np.random.default_rng(18), **kw)
-    x_e, y = feats(4, dim=8, seed=19), feats(3, dim=8, seed=20)
-    assert not np.allclose(paper(y, x_e).data, conv(y, x_e).data)
+    x_e, y = one(feats(4, dim=8, seed=19)), one(feats(3, dim=8, seed=20))
+    assert not np.allclose(paper(y, x_e, [4]).data, conv(y, x_e, [4]).data)
 
 
 def test_transformer_decoder_grad():
     rng = np.random.default_rng(21)
     body = TransformerDecoderBody(1, 8, 16, 2, 0.0, "pre", "paper", rng)
     body.eval()
-    x_e = Tensor(np.random.default_rng(22).standard_normal((3, 8)),
+    x_e = Tensor(np.random.default_rng(22).standard_normal((1, 3, 8)),
                  requires_grad=True)
-    y = Tensor(np.random.default_rng(23).standard_normal((4, 8)),
+    y = Tensor(np.random.default_rng(23).standard_normal((1, 4, 8)),
                requires_grad=True)
 
     def f(*_):
-        return T.tanh(body(y, x_e)).sum()
+        return T.tanh(body(y, x_e, [3])).sum()
 
     assert grad_check(f, [y, x_e] + body.parameters(), max_coords=3, rng=2) < 1e-5
 
@@ -201,30 +213,30 @@ def test_transformer_decoder_grad():
 def test_lstm_decoder_attention_normalized_and_single_frame():
     rng = np.random.default_rng(24)
     body = LstmDecoderBody(2, 6, rng)
-    x_e = feats(5, dim=6, seed=25)
-    y0 = feats(4, dim=6, seed=26)
+    x_e = one(feats(5, dim=6, seed=25))
+    y0 = one(feats(4, dim=6, seed=26))
     recs = DecoderRecords()
-    out = body(y0, x_e, records=recs)
-    assert out.shape == (4, 6)
-    assert recs.src_att[0].shape == (1, 4, 5)
-    w = recs.src_att[0].data[0]
+    out = body(y0, x_e, [5], records=recs)
+    assert out.shape == (1, 4, 6)
+    assert recs.src_att[0].shape == (1, 1, 4, 5)
+    w = recs.src_att[0].data[0, 0]
     np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-9)
 
-    one = Tensor(x_e.data[2:3].copy())
+    frame = Tensor(x_e.data[:, 2:3].copy())
     recs1 = DecoderRecords()
-    body(y0, one, records=recs1)
+    body(y0, frame, [1], records=recs1)
     np.testing.assert_allclose(recs1.src_att[0].data, 1.0, atol=0)
 
 
 def test_lstm_decoder_grad():
     body = LstmDecoderBody(1, 4, np.random.default_rng(27))
-    x_e = Tensor(np.random.default_rng(28).standard_normal((3, 4)),
+    x_e = Tensor(np.random.default_rng(28).standard_normal((1, 3, 4)),
                  requires_grad=True)
-    y0 = Tensor(np.random.default_rng(29).standard_normal((3, 4)),
+    y0 = Tensor(np.random.default_rng(29).standard_normal((1, 3, 4)),
                 requires_grad=True)
 
     def f(*_):
-        return body(y0, x_e).sum()
+        return body(y0, x_e, [3]).sum()
 
     assert grad_check(f, [y0, x_e] + body.parameters(), max_coords=3, rng=3) < 1e-5
 
@@ -235,14 +247,14 @@ def test_lstm_decoder_grad():
 def test_dec_post_rows_normalized_and_uniform_when_zeroed():
     model = S2SModel(toy_cfg())
     model.eval()
-    enc = model.encode(feats(9))
-    lp = model.decode_logprobs(enc, [SOS_EOS_ID, 3, 4])
-    assert lp.shape == (3, 7)
-    np.testing.assert_allclose(np.exp(lp.data).sum(axis=1), 1.0, atol=1e-9)
+    enc = encode_one(model, feats(9))
+    lp = model.decode_logprobs(enc, [[SOS_EOS_ID, 3, 4]])
+    assert lp.shape == (1, 3, 7)
+    np.testing.assert_allclose(np.exp(lp.data).sum(axis=-1), 1.0, atol=1e-9)
 
     model.dec_post.weight.data[:] = 0.0
     model.dec_post.bias.data[:] = 0.0
-    lp = model.decode_logprobs(enc, [SOS_EOS_ID, 3])
+    lp = model.decode_logprobs(enc, [[SOS_EOS_ID, 3]])
     np.testing.assert_allclose(lp.data, -np.log(7.0), rtol=1e-12)
 
 
@@ -250,11 +262,12 @@ def test_dec_post_extended_precision():
     mp.dps = 50
     model = S2SModel(toy_cfg())
     model.eval()
-    enc = model.encode(feats(8, seed=30))
-    lp = model.decode_logprobs(enc, [SOS_EOS_ID, 3]).data
+    enc = encode_one(model, feats(8, seed=30))
+    lp = model.decode_logprobs(enc, [[SOS_EOS_ID, 3]]).data[0]
     # recompute the final log-softmax from the pre-softmax activations
-    y_d = model.dec_body(model.dec_pre([SOS_EOS_ID, 3]), enc.x_e)
-    logits = model.dec_post(y_d).data
+    y_d = model.dec_body(model.dec_pre(np.array([[SOS_EOS_ID, 3]])), enc.x_e,
+                         enc.n_sub)
+    logits = model.dec_post(y_d).data[0]
     for row in range(2):
         s = sum(mp.e ** mp.mpf(v) for v in logits[row])
         for col in range(7):
@@ -272,18 +285,18 @@ def test_end_to_end_asr_grad_both_bodies():
         model.eval()
         x = feats(8, seed=31)
         ys = [SOS_EOS_ID, 3, 5]
-        n_sub = model.encode(x).n_sub
+        n_sub = encode_one(model, x).n_sub[0]
         R = Tensor(np.random.default_rng(7).standard_normal((n_sub, 7)))
         R2 = Tensor(np.random.default_rng(8).standard_normal((3, n_sub)))
 
         def f(*_):
-            enc = model.encode(x)
+            enc = encode_one(model, x)
             recs = DecoderRecords()
-            lp = model.decode_logprobs(enc, ys, records=recs)
+            lp = model.decode_logprobs(enc, [ys], records=recs)
             ctc = model.ctc_logprobs(enc)
-            att = recs.src_att[-1][0]
-            return (T.pick(lp, [3, 5, SOS_EOS_ID]).sum() + (ctc * R).sum()
-                    + (att * R2).sum())
+            att = recs.src_att[-1][0, 0]
+            return (lp[0, np.arange(3), np.array([3, 5, SOS_EOS_ID])].sum()
+                    + (ctc * R).sum() + (att * R2).sum())
 
         err = grad_check(f, model.parameters(), h=1e-4, max_coords=2, rng=4,
                          atol=1e-7)
@@ -293,9 +306,9 @@ def test_end_to_end_asr_grad_both_bodies():
 def test_end_to_end_decoder_causality():
     model = S2SModel(toy_cfg(e=1, d=2))
     model.eval()
-    enc = model.encode(feats(10, seed=32))
-    full = model.decode_logprobs(enc, [SOS_EOS_ID, 3, 4, 5, 6]).data
-    short = model.decode_logprobs(enc, [SOS_EOS_ID, 3, 4]).data
+    enc = encode_one(model, feats(10, seed=32))
+    full = model.decode_logprobs(enc, [[SOS_EOS_ID, 3, 4, 5, 6]]).data[0]
+    short = model.decode_logprobs(enc, [[SOS_EOS_ID, 3, 4]]).data[0]
     assert np.array_equal(full[:3], short)
 
 
@@ -313,43 +326,40 @@ def test_padded_batch_equivalence():
             batch = model.encode(*pad_sequences(xs))
             lp = model.decode_logprobs(batch, yss).data
             ctc = model.ctc_logprobs(batch).data
-            split = batch.utterances()
             for b, (x, ys) in enumerate(zip(xs, yss)):
-                enc = model.encode(Tensor(x))
-                n = enc.n_sub
+                enc = encode_one(model, Tensor(x))
+                n = enc.n_sub[0]
                 assert batch.n_sub[b] == n == subsample_length(len(x), enc_pre)
-                np.testing.assert_allclose(batch.x_e.data[b, :n], enc.x_e.data,
-                                           rtol=0, atol=1e-12)
-                assert split[b].n_sub == n
-                assert np.array_equal(split[b].x_e.data, batch.x_e.data[b, :n])
+                np.testing.assert_allclose(batch.x_e.data[b, :n],
+                                           enc.x_e.data[0], rtol=0, atol=1e-12)
                 np.testing.assert_allclose(ctc[b, :n],
-                                           model.ctc_logprobs(enc).data,
+                                           model.ctc_logprobs(enc).data[0],
                                            rtol=0, atol=1e-12)
                 np.testing.assert_allclose(
-                    lp[b, :len(ys)], model.decode_logprobs(enc, ys).data,
+                    lp[b, :len(ys)], model.decode_logprobs(enc, [ys]).data[0],
                     rtol=0, atol=1e-12)
 
 
 def test_rnn_toy_decoder_tape_ops():
     # eight teacher-forced steps of the rnn-toy LSTM decoder: every
     # utterance holds one row, so laying its rows out as per-utterance
-    # blocks and back costs one reshape each way per step, and a batch
-    # adds only the final gather into (B, t, d_att)
+    # blocks and back costs one reshape each way per step, and the
+    # step-major rows take one final gather into (B, t, d_att)
     cfg = experiment_from_items({"preset": "rnn-toy"}).model
     cfg.vocab_size, cfg.feat_dim = 12, 8
     model = build_model(cfg)
     model.eval()
     ys = [SOS_EOS_ID, 3, 4, 5, 6, 7, 8, 9]
-    enc = model.encode(feats(40, dim=8, seed=51))
-    y0 = model.dec_pre(ys)
+    enc = encode_one(model, feats(40, dim=8, seed=51))
+    y0 = model.dec_pre(np.array([ys]))
     with T.Graph() as g:
-        model.dec_body(y0, enc.x_e)
-    assert g.op_count == 155
+        model.dec_body(y0, enc.x_e, enc.n_sub)
+    assert g.op_count == 156
     batch = model.encode(*pad_sequences([feats(n, dim=8).data
                                          for n in (40, 31, 22)]))
     y0 = model.dec_pre(np.array([ys] * 3))
     with T.Graph() as g:
-        model.dec_body(y0, batch.x_e, src_lens=batch.n_sub)
+        model.dec_body(y0, batch.x_e, batch.n_sub)
     assert g.op_count == 156 + 8        # 8 key-mask additions
 
 
@@ -358,8 +368,8 @@ def test_body_swap_keeps_interface_shapes():
     for body in ("transformer", "rnn"):
         model = S2SModel(toy_cfg(body=body))
         model.eval()
-        enc = model.encode(feats(9, seed=34))
-        lp = model.decode_logprobs(enc, [SOS_EOS_ID, 3])
+        enc = encode_one(model, feats(9, seed=34))
+        lp = model.decode_logprobs(enc, [[SOS_EOS_ID, 3]])
         shapes[body] = (enc.x_e.shape, lp.shape)
     assert shapes["transformer"] == shapes["rnn"]
 
@@ -367,7 +377,7 @@ def test_body_swap_keeps_interface_shapes():
 def _step_through(model, enc, prefixes, orders):
     """Step a batch of hypotheses along their prefixes, reordering rows
     with orders[i] after step i; yields (rows, prefixes consumed)."""
-    state = model.init_state([enc]).select([0] * len(prefixes))
+    state = model.init_state(enc).select([0] * len(prefixes))
     last = [SOS_EOS_ID] * len(prefixes)
     for i in range(len(prefixes[0]) + 1):
         rows, state = model.step(state, last)
@@ -392,13 +402,15 @@ def test_step_rows_are_last_decode_rows():
     for i, kw in enumerate(cases):
         model = S2SModel(toy_cfg(**kw, seed=40 + i))
         model.eval()
-        enc = model.encode(feats(13, seed=35 + i))
+        enc = encode_one(model, feats(13, seed=35 + i))
         steps = 0
         for rows, consumed in _step_through(model, enc, prefixes, orders):
             assert rows.shape == (3, 7)
             for row, p in zip(rows, consumed):
-                full = model.decode_logprobs(enc, [SOS_EOS_ID] + list(p)).data
-                np.testing.assert_allclose(row, full[-1], rtol=0, atol=1e-9)
+                full = model.decode_logprobs(enc,
+                                             [[SOS_EOS_ID] + list(p)]).data
+                np.testing.assert_allclose(row, full[0, -1], rtol=0,
+                                           atol=1e-9)
             steps += 1
         assert steps == 6
 
@@ -407,8 +419,8 @@ def test_step_leaves_its_input_state_unchanged():
     for body in ("transformer", "rnn"):
         model = S2SModel(toy_cfg(body=body))
         model.eval()
-        enc = model.encode(feats(9, seed=36))
-        state = model.init_state([enc])
+        enc = encode_one(model, feats(9, seed=36))
+        state = model.init_state(enc)
         _, state = model.step(state, [SOS_EOS_ID])
         again, _ = model.step(state, [3])
         other, _ = model.step(state, [3])
@@ -424,16 +436,18 @@ def test_ended_utterance_leaves_the_state():
     for body in ("transformer", "rnn"):
         model = S2SModel(toy_cfg(body=body, d=2))
         model.eval()
-        encs = [model.encode(feats(n, seed=37 + n)) for n in (9, 21, 13)]
-        state = model.init_state(encs).select([0, 0, 1, 2, 2])
+        xs = [feats(n, seed=37 + n).data for n in (9, 21, 13)]
+        state = model.init_state(model.encode(*pad_sequences(xs)))
+        state = state.select([0, 0, 1, 2, 2])
         _, state = model.step(state, [SOS_EOS_ID] * 5)
         state = state.select([3, 0, 4, 1])
-        ref = model.init_state([encs[0], encs[2]]).select([0, 0, 1, 1])
+        ref = model.init_state(model.encode(*pad_sequences([xs[0], xs[2]])))
+        ref = ref.select([0, 0, 1, 1])
         _, ref = model.step(ref, [SOS_EOS_ID] * 4)
         ref = ref.select([2, 0, 3, 1])
         source = (state.body.layers[0].src_k if body == "transformer"
                   else state.body.x_e)
-        assert source.shape[:2] == (2, encs[2].n_sub)
+        assert source.shape[:2] == (2, subsample_length(13))
         for tokens in ([3, 4, 5, 6], [6, 6, 3, 3]):
             rows, state = model.step(state, tokens)
             want, ref = model.step(ref, tokens)
@@ -449,12 +463,14 @@ def test_search_cache_grows_as_concat_then_take():
     # and each row is the last row of decode_logprobs over its prefix
     model = S2SModel(toy_cfg(d=2, d_head=3, seed=44))
     model.eval()
-    encs = [model.encode(feats(n, seed=60 + n)) for n in (9, 21, 13)]
+    xs = [feats(n, seed=60 + n) for n in (9, 21, 13)]
+    encs = [encode_one(model, x) for x in xs]
     plan = [([[0, 0, 1, 1, 2, 2]], [3, 4, 5, 6, 3, 4]),
             ([[5, 1, 1, 4, 0], [0, 2, 3, 3, 4, 1]], [6, 5, 5, 3, 4, 6]),
             ([[1, 4, 5]], [3, 4, 5]),
             ([[2, 0], [1, 1, 0]], [4, 6, 5])]
-    state = model.init_state(encs)
+    state = model.init_state(model.encode(*pad_sequences([x.data
+                                                          for x in xs])))
     hyps = [(u, ()) for u in range(3)]           # (utterance, prefix)
     last = [SOS_EOS_ID] * 3
     # (keys, values) per layer: 3 rows, 0 positions, 3 heads x d_att 8
@@ -470,8 +486,9 @@ def test_search_cache_grows_as_concat_then_take():
             np.testing.assert_array_equal(np.swapaxes(c.keys, 0, 1), k)
             np.testing.assert_array_equal(np.swapaxes(c.values, 0, 1), v)
         for row, (u, prefix) in zip(rows, hyps):
-            full = model.decode_logprobs(encs[u], [SOS_EOS_ID, *prefix]).data
-            np.testing.assert_allclose(row, full[-1], rtol=0, atol=1e-9)
+            full = model.decode_logprobs(encs[u],
+                                         [[SOS_EOS_ID, *prefix]]).data
+            np.testing.assert_allclose(row, full[0, -1], rtol=0, atol=1e-9)
         if step == len(plan):
             break
         orders, last = plan[step]
@@ -509,9 +526,17 @@ def test_transformer_toy_forward_tape_ops():
     cfg.vocab_size, cfg.feat_dim = 12, 8
     model = build_model(cfg)
     with T.Graph() as g:
-        enc = model.encode(feats(60, dim=8, seed=50))
-        model.decode_logprobs(enc, [SOS_EOS_ID, 3, 4, 5, 6, 7])
+        enc = encode_one(model, feats(60, dim=8, seed=50))
+        model.decode_logprobs(enc, [[SOS_EOS_ID, 3, 4, 5, 6, 7]])
     assert g.op_count <= 110, g.op_count
+
+
+def test_encode_rejects_a_single_utterance_layout():
+    # one utterance is a batch of one; its bare (n, feat_dim) frames name
+    # the shape encode expects
+    model = S2SModel(toy_cfg())
+    with pytest.raises(DimensionError, match=r"\(B, n_max, feat_dim\)"):
+        model.encode(feats(9), [9])
 
 
 # ------------------------------------------------------------- config

@@ -19,7 +19,8 @@ from minis2s.errors import ConfigError, DataError, NumericError
 from minis2s.losses import (ctc_log_likelihood, guided_attention_weight,
                             joint_asr_loss, s2s_cross_entropy, tts_l1,
                             weighted_bce)
-from minis2s.models import SOS_EOS_ID, ModelConfig, RnnLm, build_model
+from minis2s.models import (SOS_EOS_ID, ModelConfig, RnnLm, build_model,
+                            pad_sequences)
 from minis2s.tensor import Tensor, backward
 from minis2s.training import (DEV_BATCH, Adadelta, Adam, Checkpoint,
                               EarlyStopping, TrainConfig,
@@ -168,12 +169,13 @@ def utt_loss_oracle(model, utt, n_tokens_total):
     training ran before batches got a padded forward."""
     cfg = model.config
     ys = list(utt.tokens)
-    enc = model.encode(Tensor(utt.feats))
-    lp = model.decode_logprobs(enc, [SOS_EOS_ID] + ys)
-    ce = s2s_cross_entropy(lp, ys + [SOS_EOS_ID], denom=n_tokens_total)
+    enc = model.encode(*pad_sequences([utt.feats]))
+    lp = model.decode_logprobs(enc, [[SOS_EOS_ID] + ys])
+    ce = s2s_cross_entropy(lp, [ys + [SOS_EOS_ID]], denom=n_tokens_total)
     if not cfg.uses_ctc:
         return ce
-    ctc_nll = -ctc_log_likelihood(model.ctc_logprobs(enc), ys) / n_tokens_total
+    ctc_nll = (-ctc_log_likelihood(model.ctc_logprobs(enc), [ys]).sum()
+               / n_tokens_total)
     return joint_asr_loss(ce, ctc_nll, cfg.alpha)
 
 
@@ -547,11 +549,12 @@ def test_train_loop_tts_smoke(tmp_path):
 
 
 def test_train_loop_early_stop(tmp_path):
-    # dev loss cannot improve with lr 0, so patience trips immediately
+    # no dev loss improves on the last by min_delta = 1e9, so patience
+    # trips two epochs after the first
     utts = toy_utts(4)
     model = build_model(asr_cfg())
     tcfg = TrainConfig(epochs=10, batch_size=4, optimizer="adam",
-                       noam_k=0.0, seed=0, early_stop=True, patience=2)
+                       min_delta=1e9, seed=0, early_stop=True, patience=2)
     res = train_loop(model, utts, utts[:2], tcfg, str(tmp_path / "es"))
     assert res.stopped_early
     assert len(res.ckpt_paths) < 10
@@ -641,9 +644,9 @@ def test_evaluate_dev_matches_manual_mean():
     manual = 0.0
     with T.no_grad(), T.Graph(seed=0):
         for u in utts:
-            enc = model.encode(Tensor(u.feats))
-            lp = model.decode_logprobs(enc, [SOS_EOS_ID] + list(u.tokens))
-            manual += s2s_cross_entropy(lp, list(u.tokens) + [SOS_EOS_ID],
+            enc = model.encode(*pad_sequences([u.feats]))
+            lp = model.decode_logprobs(enc, [[SOS_EOS_ID] + list(u.tokens)])
+            manual += s2s_cross_entropy(lp, [list(u.tokens) + [SOS_EOS_ID]],
                                         denom=n_tok).item()
     got = evaluate_dev(model, utts)
     assert abs(got - manual) < 1e-12
