@@ -83,13 +83,13 @@ def positional_rows(n: int, d: int) -> np.ndarray:
 
 
 def add_positional_encoding(x: Tensor) -> Tensor:
-    """x + PE[:n] for x (n, d), or every row of a batch (B, n, d)."""
+    """x + PE[:n] for every row of a batch x (B, n, d)."""
     n, d = x.shape[-2:]
     return x + Tensor(positional_rows(n, d))
 
 
 def scaled_positional_encoding(x: Tensor, alpha: Tensor) -> Tensor:
-    """x + alpha * PE[:n] with a learnable scalar alpha, for x (n, d) or
-    every row of a batch (B, n, d)."""
+    """x + alpha * PE[:n] with a learnable scalar alpha, for every row of
+    a batch x (B, n, d)."""
     n, d = x.shape[-2:]
     return x + alpha * Tensor(positional_rows(n, d))

@@ -19,8 +19,8 @@ from . import attention as A
 from . import tensor as T
 from .config import (dump_experiment_config, load_experiment_config,
                      load_toy_spec)
-from .data import (Vocab, gen_toy, load_dataset, save_dataset, toy_vocab,
-                   write_feature_file)
+from .data import (Vocab, gen_toy, load_dataset, read_text, save_dataset,
+                   toy_vocab, write_feature_file)
 from .decoding import batch_beam_search
 from .errors import ConfigError, DataError, NumericError
 from .metrics import bleu, cer, wer
@@ -80,7 +80,9 @@ def _train_language_model(cfg, args) -> int:
 
 def cmd_train(args) -> int:
     cfg = load_experiment_config(args.config)
+    # model.cfg carries the beam section to decode, so it is checked too
     cfg.train.validate()
+    cfg.beam.validate()
     if cfg.model.task == "lm":
         return _train_language_model(cfg, args)
     train_utts, vocab = load_dataset(args.data, "train")
@@ -185,19 +187,17 @@ def cmd_decode(args) -> int:
 def _read_hyp_file(path: str) -> Dict[str, str]:
     _require_file(path, "transcript file")
     out: Dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, 1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) < 2:
-                raise DataError(f"{path} line {line_no}: expected "
-                                "utt_id<TAB>text")
-            if parts[0] in out:
-                raise DataError(f"{path} line {line_no}: duplicate id "
-                                f"{parts[0]!r}")
-            out[parts[0]] = parts[1]
+    for line_no, line in enumerate(read_text(path).split("\n"), 1):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) < 2:
+            raise DataError(f"{path} line {line_no}: expected "
+                            "utt_id<TAB>text")
+        if parts[0] in out:
+            raise DataError(f"{path} line {line_no}: duplicate id "
+                            f"{parts[0]!r}")
+        out[parts[0]] = parts[1]
     if not out:
         raise DataError(f"{path} holds no transcripts")
     return out
@@ -253,12 +253,11 @@ def cmd_synth(args) -> int:
 
 def cmd_report(args) -> int:
     _require_file(args.log, "training log")
-    with open(args.log, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != LOG_COLUMNS:
-            raise DataError(f"{args.log} is not a training log "
-                            f"(columns {reader.fieldnames})")
-        rows = list(reader)
+    reader = csv.DictReader(read_text(args.log).split("\n"))
+    if reader.fieldnames != LOG_COLUMNS:
+        raise DataError(f"{args.log} is not a training log "
+                        f"(columns {reader.fieldnames})")
+    rows = list(reader)
     if not rows:
         raise DataError(f"{args.log} holds no steps")
     totals = [float(r["total"]) for r in rows]

@@ -8,7 +8,7 @@ import os
 from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, Optional, Tuple
 
-from .data import ToySpec
+from .data import ToySpec, read_text
 from .decoding import BeamConfig
 from .errors import ConfigError
 from .models import ModelConfig
@@ -159,8 +159,7 @@ def experiment_from_items(items: Dict[str, str]) -> ExperimentConfig:
 def load_experiment_config(path: str) -> ExperimentConfig:
     if not os.path.exists(path):
         raise ConfigError(f"no such config file: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        items = parse_config_text(fh.read())
+    items = parse_config_text(read_text(path, ConfigError))
     cfg = experiment_from_items(items)
     seed = env_seed()
     if seed is not None:
@@ -212,8 +211,7 @@ _TOY_KEYS: Dict[str, Callable] = {
 def load_toy_spec(path: str) -> ToySpec:
     if not os.path.exists(path):
         raise ConfigError(f"no such spec file: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        items = parse_config_text(fh.read())
+    items = parse_config_text(read_text(path, ConfigError))
     kwargs = {}
     for key, value in items.items():
         if key not in _TOY_KEYS:

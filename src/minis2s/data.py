@@ -18,10 +18,19 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .models import N_RESERVED, UNK_ID
+from .reserved import N_RESERVED, RESERVED_TOKENS, UNK_ID
 
 FEAT_MAGIC = b"ESF1"
-RESERVED_TOKENS = ["<blank>", "<unk>", "<sos/eos>"]
+
+
+def read_text(path: str, error=DataError) -> str:
+    """A UTF-8 text file's contents, every line end read as a newline; a
+    file that is not UTF-8 raises `error` naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        raise error(f"{path}: not UTF-8 text") from None
 
 
 def write_feature_file(path: str, feats: np.ndarray) -> None:
@@ -84,8 +93,7 @@ class Vocab:
 
     @classmethod
     def load(cls, path: str) -> "Vocab":
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+        lines = [ln for ln in read_text(path).split("\n") if ln.strip()]
         if lines[:N_RESERVED] != RESERVED_TOKENS:
             raise DataError(f"{path}: reserved tokens malformed or missing")
         return cls(lines[N_RESERVED:])
@@ -106,15 +114,13 @@ def write_transcripts(path: str, utts: Sequence[Utterance], vocab: Vocab) -> Non
 
 def read_transcripts(path: str, vocab: Vocab) -> Dict[str, List[int]]:
     out: Dict[str, List[int]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if "\t" not in line:
-                raise DataError(f"{path}:{line_no}: expected utt_id<TAB>tokens")
-            utt_id, text = line.split("\t", 1)
-            out[utt_id] = vocab.encode(text.split())
+    for line_no, line in enumerate(read_text(path).split("\n"), 1):
+        if not line:
+            continue
+        if "\t" not in line:
+            raise DataError(f"{path}:{line_no}: expected utt_id<TAB>tokens")
+        utt_id, text = line.split("\t", 1)
+        out[utt_id] = vocab.encode(text.split())
     return out
 
 
@@ -126,15 +132,13 @@ def write_manifest(path: str, entries: Sequence[Tuple[str, str]]) -> None:
 
 def read_manifest(path: str) -> List[Tuple[str, str]]:
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataError(f"{path}:{line_no}: expected utt_id<TAB>path")
-            out.append((parts[0], parts[1]))
+    for line_no, line in enumerate(read_text(path).split("\n"), 1):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise DataError(f"{path}:{line_no}: expected utt_id<TAB>path")
+        out.append((parts[0], parts[1]))
     return out
 
 

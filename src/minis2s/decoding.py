@@ -40,7 +40,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigError, DataError, DimensionError
-from .models import BLANK_ID, SOS_EOS_ID
+from .reserved import BLANK_ID, SOS_EOS_ID
 
 
 @dataclass
@@ -56,8 +56,13 @@ class BeamConfig:
             raise ConfigError(f"beam_size must be >= 1, got {self.beam_size}")
         if not 0.0 <= self.lam <= 1.0:
             raise ConfigError(f"lam must lie in [0, 1], got {self.lam}")
-        if self.max_len_ratio <= 0:
-            raise ConfigError("max_len_ratio must be positive")
+        for key in ("gamma", "length_penalty"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite, got "
+                                  f"{getattr(self, key)}")
+        if not (math.isfinite(self.max_len_ratio) and self.max_len_ratio > 0):
+            raise ConfigError(f"max_len_ratio must be finite and positive, "
+                              f"got {self.max_len_ratio}")
 
 
 @dataclass
@@ -99,8 +104,8 @@ class CtcExtensions:
 class CtcPrefixScorer:
     """Incremental prefix scoring over fixed per-frame CTC posteriors of
     N utterances padded to the longest, (n_max, N, V), frames first,
-    with their frame counts in `lengths` (None: n_max each); one
-    utterance is a batch of one.
+    with their frame counts in `lengths`; one utterance is a batch of
+    one.
 
     extend() scores every one-label extension of every prefix in a batch
     with one loop over the frames of the longest utterance among them;
@@ -108,26 +113,21 @@ class CtcPrefixScorer:
     A prefix sees only its own utterance's frames: its psi sums over them
     alone and finish reads its last one."""
 
-    def __init__(self, log_probs: np.ndarray,
-                 lengths: Optional[Sequence[int]] = None,
-                 blank: int = BLANK_ID):
+    def __init__(self, log_probs: np.ndarray, lengths: Sequence[int]):
         u = np.asarray(log_probs, dtype=np.float64)
         if u.ndim != 3 or u.shape[0] < 1:
             raise DimensionError(f"CTC posteriors must be a padded (frames, "
                                  f"utterances, vocab) batch, got {u.shape}")
-        n_max = u.shape[0]
-        self.lengths = np.asarray([n_max] * u.shape[1] if lengths is None
-                                  else lengths)
+        self.lengths = np.asarray(lengths)
         # frames past an utterance's end: zeros keep the recursions finite,
         # and psi leaves them out
-        self.pad = np.arange(n_max)[:, None] >= self.lengths
+        self.pad = np.arange(u.shape[0])[:, None] >= self.lengths
         self.u = np.where(self.pad[:, :, None], 0.0, u)
-        self.blank = blank
 
     def initial_state(self) -> CtcPrefixState:
         """The empty prefix of every utterance, one column each."""
         n_utt = self.u.shape[1]
-        r_b = np.cumsum(self.u[:, :, self.blank], axis=0)
+        r_b = np.cumsum(self.u[:, :, BLANK_ID], axis=0)
         r_n = np.full(r_b.shape, -np.inf)
         return CtcPrefixState(r_n=r_n, r_b=r_b,
                               last=np.full(n_utt, -1, dtype=np.int64),
@@ -152,7 +152,7 @@ class CtcPrefixScorer:
         r_b = np.empty((n, batch, vocab))
         r_n[0] = phi[0] + u[0]
         r_b[0] = -np.inf
-        u_blank = u[:, :, self.blank, None]
+        u_blank = u[:, :, BLANK_ID, None]
         for t in range(1, n):
             r_n[t] = np.logaddexp(r_n[t - 1], phi[t]) + u[t]
             r_b[t] = np.logaddexp(r_b[t - 1], r_n[t - 1]) + u_blank[t]
@@ -162,7 +162,7 @@ class CtcPrefixScorer:
         safe = np.where(np.isfinite(m), m, 0.0)
         with np.errstate(divide="ignore"):
             psi = safe + np.log(np.exp(terms - safe).sum(axis=0))
-        psi[:, self.blank] = -np.inf
+        psi[:, BLANK_ID] = -np.inf
         return CtcExtensions(psi=psi, r_n=r_n, r_b=r_b, utt=state.utt)
 
     def finish(self, state: CtcPrefixState) -> np.ndarray:

@@ -1,6 +1,8 @@
 """Training objectives: token cross-entropy, CTC, the joint weighted
-loss, and the TTS composite (L1 + weighted BCE + guided attention).
+loss, and the TTS terms (L1, weighted BCE, guided attention).
 
+Every loss takes a padded batch, one utterance being a batch of one,
+with each row's real length given: a target list or a count per row.
 Every loss that normalizes accepts an optional `denom`: passing the
 batch-level token/frame count instead of the per-utterance one makes
 micro-batch gradient accumulation reproduce the big-batch update
@@ -17,6 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import DimensionError, ImpossibleAlignmentError
+from .reserved import BLANK_ID
 from .tensor import Tensor
 
 
@@ -26,8 +29,6 @@ class LossReport:
 
     total: float = 0.0
     components: Dict[str, float] = field(default_factory=dict)
-    n_tokens: int = 0
-    n_frames: int = 0
 
     def component(self, name: str) -> float:
         return self.components.get(name, 0.0)
@@ -59,11 +60,11 @@ def s2s_cross_entropy(log_probs: Tensor, targets: Sequence,
     return -picked.sum() / denom
 
 
-def expand_with_blanks(targets: Sequence[int], blank: int = 0) -> List[int]:
-    z = [blank]
+def expand_with_blanks(targets: Sequence[int]) -> List[int]:
+    z = [BLANK_ID]
     for y in targets:
         z.append(y)
-        z.append(blank)
+        z.append(BLANK_ID)
     return z
 
 
@@ -76,15 +77,15 @@ def ctc_min_frames(targets: Sequence[int]) -> int:
 
 
 def ctc_log_likelihood(log_probs: Tensor, targets: Sequence,
-                       blank: int = 0, frames=None) -> Tensor:
+                       frames: Sequence[int]) -> Tensor:
     """log p(targets | frames) marginalized over all blank-augmented
     monotonic alignments; the log-space forward algorithm of Graves et
     al. (2006), vectorized over the states of each frame.
 
     `log_probs` is a padded batch, (B, n_max, V), of per-frame log
-    distributions over the vocabulary with the blank at index `blank`
-    (one utterance is a batch of one). It takes one label sequence per
-    row and each row's frame count in `frames` (None: n_max) and gives
+    distributions over the vocabulary with the blank at BLANK_ID (one
+    utterance is a batch of one). It takes one label sequence per row
+    and each row's frame count in `frames` and gives
     the (B,) log-likelihoods, each over its own frames and labels alone:
     the recursions run over every row at once, states past a row's
     labels stay at -inf, and the backward recursion starts at each row's
@@ -97,14 +98,14 @@ def ctc_log_likelihood(log_probs: Tensor, targets: Sequence,
     u = log_probs.data
     n_b, n_max, vocab = u.shape
     targets = [[int(y) for y in ys] for ys in targets]
-    frames = np.full(n_b, n_max) if frames is None else np.reshape(frames, n_b)
+    frames = np.reshape(frames, n_b)
     if len(targets) != n_b:
         raise DimensionError(f"{len(targets)} targets for {n_b} rows")
     for ys, n_frames in zip(targets, frames):
         for y in ys:
             if not 0 <= y < vocab:
                 raise IndexError(f"target id {y} outside vocabulary of {vocab}")
-            if y == blank:
+            if y == BLANK_ID:
                 raise DimensionError("blank cannot appear in a CTC target")
         if ctc_min_frames(ys) > n_frames:
             raise ImpossibleAlignmentError(
@@ -116,9 +117,9 @@ def ctc_log_likelihood(log_probs: Tensor, targets: Sequence,
     s_lens = np.array([2 * len(ys) + 1 for ys in targets])
     s_max = int(s_lens.max())
     rows = np.arange(n_b)
-    z = np.full((n_b, s_max), blank)
+    z = np.full((n_b, s_max), BLANK_ID)
     for b, ys in enumerate(targets):
-        z[b, :s_lens[b]] = expand_with_blanks(ys, blank)
+        z[b, :s_lens[b]] = expand_with_blanks(ys)
     state_ok = np.arange(s_max) < s_lens[:, None]
     # (frames, B, states); states past a row's labels can never be entered
     uz = np.where(state_ok, u[rows[:, None], :, z].transpose(2, 0, 1), -np.inf)
@@ -126,7 +127,7 @@ def ctc_log_likelihood(log_probs: Tensor, targets: Sequence,
     # is a blank itself or repeats the label two states back; the skip
     # term adds 0 where allowed and -inf where not
     skip = np.full((n_b, s_max), -np.inf)
-    skip[:, 2:][(z[:, 2:] != blank) & (z[:, 2:] != z[:, :-2])] = 0.0
+    skip[:, 2:][(z[:, 2:] != BLANK_ID) & (z[:, 2:] != z[:, :-2])] = 0.0
 
     # two -inf columns pad the state axis, before it for alpha and after
     # it for beta, so the s - 1, s - 2 (s + 1, s + 2) neighbours are slices
@@ -171,14 +172,9 @@ def ctc_log_likelihood(log_probs: Tensor, targets: Sequence,
     return T.from_op(logp, (log_probs,), bwd)
 
 
-def joint_asr_loss(s2s_nll: Tensor, ctc_nll: Optional[Tensor],
-                   alpha: float) -> Tensor:
+def joint_asr_loss(s2s_nll: Tensor, ctc_nll: Tensor, alpha: float) -> Tensor:
     """alpha-weighted sum of the attention and CTC negative
     log-likelihoods."""
-    if ctc_nll is None:
-        if alpha != 1.0:
-            raise DimensionError("alpha < 1 requires a CTC term")
-        return s2s_nll
     return s2s_nll * alpha + ctc_nll * (1.0 - alpha)
 
 
@@ -188,43 +184,39 @@ def _real_mask(lens, n: int) -> np.ndarray:
 
 
 def tts_l1(coarse: Tensor, refined: Tensor, target: np.ndarray,
-           denom: Optional[float] = None, lens=None) -> Tensor:
+           lens: Sequence[int], denom: Optional[float] = None) -> Tensor:
     """Mean absolute error against the target frames, summed over the
-    pre-Postnet and post-Postnet predictions. A padded batch, (B, n_max,
-    d), reads each row's first lens[b] frames only (None: all of them);
-    the mean is over the frames read unless `denom` replaces it."""
+    pre-Postnet and post-Postnet predictions. Of a padded batch, (B,
+    n_max, d), it reads each row's first lens[b] frames only; the mean is
+    over the frames read unless `denom` replaces it."""
     target = np.asarray(target, dtype=np.float64)
     if coarse.shape != target.shape or refined.shape != target.shape:
         raise DimensionError(f"prediction shapes {coarse.shape}/{refined.shape} "
                              f"do not match target {target.shape}")
-    keep = None
-    n_real = target.size
-    if lens is not None:
-        keep = _real_mask(lens, target.shape[-2])[..., None]
-        n_real = int(np.sum(lens)) * target.shape[-1]
+    keep = Tensor(_real_mask(lens, target.shape[-2])[..., None])
+    n_real = int(np.sum(lens)) * target.shape[-1]
     denom = float(n_real) if denom is None else float(denom)
     tgt = Tensor(target)
 
     def err(pred: Tensor) -> Tensor:
-        e = (pred - tgt).abs()
-        return (e if keep is None else e * Tensor(keep)).sum()
+        return ((pred - tgt).abs() * keep).sum()
 
     return (err(coarse) + err(refined)) / denom
 
 
-def weighted_bce(eos_logits: Tensor, eos_targets,
+def weighted_bce(eos_logits: Tensor, eos_targets, lens: Sequence[int],
                  pos_weight: float = 5.0,
-                 denom: Optional[float] = None, lens=None) -> Tensor:
+                 denom: Optional[float] = None) -> Tensor:
     """Binary cross-entropy on the stop flag with positives up-weighted,
-    computed through log-sigmoid for stability at large logits. A padded
-    batch of logits, (B, S_max), with targets of the same shape, reads
-    each row's first lens[b] steps only (None: all of them); the mean is
-    over the steps read unless `denom` replaces it."""
+    computed through log-sigmoid for stability at large logits. Of a
+    padded batch of logits, (B, S_max), with targets of the same shape,
+    it reads each row's first lens[b] steps only; the mean is over the
+    steps read unless `denom` replaces it."""
     y = np.asarray(eos_targets, dtype=np.float64)
     if eos_logits.shape != y.shape:
         raise DimensionError(f"{eos_logits.shape} logits for {y.shape} targets")
-    keep = 1.0 if lens is None else _real_mask(lens, y.shape[-1])
-    n_real = y.size if lens is None else int(np.sum(lens))
+    keep = _real_mask(lens, y.shape[-1])
+    n_real = int(np.sum(lens))
     denom = float(n_real) if denom is None else float(denom)
     pos = T.log_sigmoid(eos_logits) * Tensor(pos_weight * y * keep)
     neg = T.log_sigmoid(-eos_logits) * Tensor((1.0 - y) * keep)
@@ -239,14 +231,14 @@ def guided_attention_weight(n_dec: int, n_enc: int, g: float = 0.4) -> np.ndarra
     return 1.0 - np.exp(-((u - t) ** 2) / (2.0 * g * g))
 
 
-def guided_attention_loss(att: Tensor, n_dec=None, n_enc=None,
-                          g: float = 0.4) -> Tensor:
+def guided_attention_loss(att: Tensor, n_dec: Sequence[int],
+                          n_enc: Sequence[int], g: float = 0.4) -> Tensor:
     """Per-row penalty mass averaged over the selected heads, summed over
     the utterances of a batch.
 
     att holds K selected heads of B utterances, (B, K, S_max, n_max);
     utterance b reads its first n_dec[b] decoder steps and n_enc[b]
-    encoder positions (None: all of them). Each attention row is a
+    encoder positions. Each attention row is a
     distribution, so a head's value sum(A * W) / n_dec is the expected
     penalty under the attention, averaged over decoder steps. The whole
     batch is one product with a (B, 1, S_max, n_max) weight whose row b
@@ -256,16 +248,8 @@ def guided_attention_loss(att: Tensor, n_dec=None, n_enc=None,
         raise DimensionError(f"guided attention needs (B, K >= 1, n_dec, "
                              f"n_enc) heads, got {att.shape}")
     n_b, n_heads, s_max, n_max = att.shape
-    n_dec = np.full(n_b, s_max) if n_dec is None else n_dec
-    n_enc = np.full(n_b, n_max) if n_enc is None else n_enc
     w = np.zeros((n_b, 1, s_max, n_max))
     for b, (s, n) in enumerate(zip(n_dec, n_enc)):
         w[b, 0, :s, :n] = guided_attention_weight(s, n, g) / s
     return (att * Tensor(w)).sum() / n_heads
 
-
-def tts_total_loss(l1: Tensor, bce: Tensor, guided: Optional[Tensor]) -> Tensor:
-    total = l1 + bce
-    if guided is not None:
-        total = total + guided
-    return total

@@ -5,25 +5,26 @@ DecBody -> DecPost. Speech input goes through a subsampling front end,
 text input through an embedding; the bodies are swappable between a
 Transformer and an RNN without changing any interface shape.
 
-Padded batches: every forward takes a batch only, and one utterance is
-a batch of one. The ASR/ST forward takes B utterances' frames padded to
+Padded batches: every forward, down to the modules and tape ops, takes
+a batch only, with every row's length given, and one utterance is a
+batch of one. The ASR/ST forward takes B utterances' frames padded to
 the longest, (B, n_max, feat_dim) with each row's true length beside it
 (pad_sequences builds both), the TTS forward texts as a padded (B,
-n_max) id array and targets as a padded (B, N_max, feat_dim) array;
-encoder outputs, decoder outputs, log-probabilities and attention
-records all keep the leading batch axis. Each row's
-convolution tail (the speech front ends', the Postnet's) is re-zeroed
-stage by stage at its own length, key-padding masks hide its padded
-frames from every attention (the encoder's self-attention, the
-decoder's source attention, the LSTM decoder's additive attention), and
-each BLSTM direction scans only its real frames, the reverse one
-starting at the row's own last frame. The decoder teacher-forces every
-row's targets at once (the Transformer under the causal mask, the LSTM
-one step of every row at a time), so positions past a short row's end
-never reach its real ones. Each row of a padded batch thus equals the
-unpadded run of its utterance on the real frames; outputs past a row's
-end are left as they come (the Postnet's are zero) and the losses never
-read them.
+n_max) id array and targets as a padded (B, N_max, feat_dim) array, the
+LM a padded (B, n_max) id array; encoder outputs, decoder outputs,
+log-probabilities and attention records all keep the leading batch
+axis. Each row's convolution tail (the speech front ends', the
+Postnet's) is re-zeroed stage by stage at its own length, key-padding
+masks hide its padded frames from every attention (the encoder's
+self-attention, the decoder's source attention, the LSTM decoder's
+additive attention), and each BLSTM direction scans only its real
+frames, the reverse one starting at the row's own last frame. The
+decoder teacher-forces every row's targets at once (the Transformer
+under the causal mask, the LSTM one step of every row at a time), so
+positions past a short row's end never reach its real ones. Each row of
+a padded batch thus equals the unpadded run of its utterance on the real
+frames; outputs past a row's end are left as they come (the Postnet's
+are zero) and the losses never read them.
 
 Search: S2SModel and RnnLm are steppers. `init_state` starts a cached
 state, for S2SModel one row per utterance of an encoded batch of N,
@@ -41,7 +42,8 @@ leaves the state with its source side, which is then cut to the
 longest utterance left. The LSTM
 decoder's teacher-forced forward runs the same step with one row per
 utterance. TtsModel.infer drives the same body steppers over one text,
-encoded as a batch of one, one frame group per step.
+encoded as a batch of one, one frame group per step, and refines the
+frames with the Postnet as a batch of one.
 
 Fused tape nodes: each direction of a BLSTM layer and the LM's
 teacher-forced pass record one node for the whole sequence (nn.LSTM),
@@ -67,12 +69,8 @@ from .errors import ConfigError, DataError, DimensionError
 from .nn import (Conv1d, Conv2d, Dropout, Embedding, FeedForward, LayerNorm,
                  Linear, LSTM, LSTMCell, Module, ModuleList,
                  MultiHeadAttention)
+from .reserved import N_RESERVED, SOS_EOS_ID
 from .tensor import Tensor
-
-BLANK_ID = 0
-UNK_ID = 1
-SOS_EOS_ID = 2
-N_RESERVED = 3
 
 
 @dataclass
@@ -179,14 +177,14 @@ def _pad_ids(seqs: Sequence[Sequence[int]]) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _key_mask(n_buf: int, lens) -> Optional[np.ndarray]:
-    """Key-padding mask of keys 0..n_buf-1 for rows holding lens real keys
-    each (a count, or one per row of a batch), shaped to broadcast over
-    the (..., H, n_q, n_k) attention weights; None when nothing is
+    """Key-padding mask of keys 0..n_buf-1 for the rows of a batch, row b
+    holding lens[b] real keys, shaped (B, 1, 1, n_buf) to broadcast over
+    the (B, H, n_q, n_k) attention weights; None when nothing is
     padded."""
     lens = np.asarray(lens)
     if lens.min() >= n_buf:
         return None
-    return (np.arange(n_buf) < lens[..., None])[..., None, None, :]
+    return (np.arange(n_buf) < lens[:, None])[:, None, None, :]
 
 
 def conv_len(n: int, kernel: int = 3, stride: int = 2, padding: int = 1) -> int:
@@ -201,15 +199,14 @@ def subsample_length(n: int, mode: str = "conv") -> int:
 
 def _zero_tail(x: Tensor, lens) -> Tensor:
     """Kill activations past each row's length so later stages see clean
-    zeros. The frame axis is x's second to last; lens is one count, or
-    one per row of the batch axis in front (channel axes may lie
-    between)."""
+    zeros. The frame axis is x's second to last, the batch axis its first
+    (channel axes may lie between), and lens holds one count per row."""
     n = x.shape[-2]
     lens = np.asarray(lens)
     if lens.min() >= n:
         return x
-    keep = np.arange(n) < lens[..., None]
-    keep = keep.reshape(lens.shape + (1,) * (x.ndim - 2 - lens.ndim) + (n, 1))
+    keep = np.arange(n) < lens[:, None]
+    keep = keep.reshape(lens.shape + (1,) * (x.ndim - 3) + (n, 1))
     return x * Tensor(keep.astype(np.float64))
 
 
@@ -318,12 +315,12 @@ class TokenFrontEnd(Module):
         self.scale = float(np.sqrt(d_att))
         self.alpha = Tensor(1.0, requires_grad=True) if scaled_pe else None
 
-    def forward(self, ids) -> Tensor:
-        """(n, d_att) rows for a sequence of ids, or (B, n, d_att) for a
-        (B, n) array of them."""
-        y = self.embed(list(ids)) * self.scale
-        if y.shape[-2] == 0:
-            return y
+    def forward(self, ids: np.ndarray) -> Tensor:
+        """(B, n, d_att) rows for a (B, n) array of ids."""
+        if np.ndim(ids) != 2:
+            raise DimensionError(f"the token front end takes a (B, n) id "
+                                 f"array, got shape {np.shape(ids)}")
+        y = self.embed(ids) * self.scale
         if self.alpha is not None:
             y = A.scaled_positional_encoding(y, self.alpha)
         else:
@@ -953,13 +950,12 @@ class Postnet(Module):
         self.n_layers = n_layers
         self.drop = Dropout(dropout_rate)
 
-    def forward(self, y: Tensor, lens=None) -> Tensor:
-        """The refinement of coarse frames y, (n, feat_dim) or a padded (B,
-        n_max, feat_dim) batch whose row b holds lens[b] real frames
-        (None: all). Every layer's input and output are re-zeroed past
-        each row's end, so each kernel-5 window reads what the row's
-        unpadded run reads, and the output is zero past the end."""
-        lens = y.shape[-2] if lens is None else lens
+    def forward(self, y: Tensor, lens) -> Tensor:
+        """The refinement of coarse frames y, a padded (B, n_max, feat_dim)
+        batch whose row b holds lens[b] real frames. Every layer's input
+        and output are re-zeroed past each row's end, so each kernel-5
+        window reads what the row's unpadded run reads, and the output is
+        zero past the end."""
         h = _zero_tail(y, lens)
         for i, conv in enumerate(self.convs):
             h = conv(h)
@@ -1050,10 +1046,11 @@ class TtsModel(Module):
         Each step feeds the last coarse (pre-postnet) frame back through
         the Prenet and advances the cached decoder body by one position,
         emitting r coarse frames and an EOS logit, so cost is linear in
-        frames. The postnet runs once over all coarse frames at the end:
-        the output equals forward_teacher's refined frames over the
-        generated coarse frames. The Prenet may keep its dropout on here,
-        so the pass runs under its own seeded Graph for reproducibility.
+        frames. The postnet runs once over all coarse frames at the end,
+        as a batch of one: the output equals forward_teacher's refined
+        frames over the generated coarse frames. The Prenet may keep its
+        dropout on here, so the pass runs under its own seeded Graph for
+        reproducibility.
         """
         r = self.config.reduction_factor
         feat_dim = self.config.feat_dim
@@ -1074,9 +1071,9 @@ class TtsModel(Module):
                         > eos_threshold:
                     reason = "eos"
                     break
-            coarse = Tensor(np.concatenate(groups))
-            refined = (coarse + self.postnet(coarse)).data
-        return refined[:max_frames], reason
+            coarse = Tensor(np.concatenate(groups)[None])
+            refined = (coarse + self.postnet(coarse, [coarse.shape[1]])).data
+        return refined[0, :max_frames], reason
 
     def guided_attention_records(self, records: DecoderRecords,
                                  n_layers: int = 2, n_heads: int = 2
@@ -1112,8 +1109,8 @@ class RnnLm(Module):
         id sequences padded to the longest; the forward scan never lets a
         row's padding reach its real positions, whose rows alone hold
         meaning."""
-        y = self.embed(_pad_ids(ys_in)[0])
-        return T.log_softmax(self.out(self.lstm(y)))
+        ids, lens = _pad_ids(ys_in)
+        return T.log_softmax(self.out(self.lstm(self.embed(ids), lens)))
 
     def init_state(self) -> "LmState":
         zero = Tensor(np.zeros((1, self.lstm.d_hidden)))

@@ -216,9 +216,9 @@ class LSTMCell(Module):
 
 
 class LSTM(Module):
-    """Single-direction LSTM over a (t, d_in) sequence, or over the rows of
-    a padded (B, t, d_in) batch with per-row lengths; returns (t, d_hidden)
-    or (B, t, d_hidden).
+    """Single-direction LSTM over the rows of a padded (B, t, d_in) batch,
+    row b holding lens[b] real steps; returns (B, t, d_hidden), zero past
+    each row's end.
 
     The whole scan is one fused tape node (tensor.lstm_scan): the input
     projection runs once for the batch and the recurrence loops in
@@ -235,7 +235,7 @@ class LSTM(Module):
         self.reverse = reverse
         self.d_hidden = d_hidden
 
-    def forward(self, x: Tensor, lens=None) -> Tensor:
+    def forward(self, x: Tensor, lens) -> Tensor:
         cell = self.cell
-        return T.lstm_scan(x, cell.w_ih, cell.w_hh, cell.bias, self.reverse,
-                           lens)
+        return T.lstm_scan(x, cell.w_ih, cell.w_hh, cell.bias, lens,
+                           self.reverse)

@@ -121,9 +121,6 @@ class Tensor:
             raise DimensionError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -178,26 +175,7 @@ class Tensor:
             shape = tuple(shape[0])
         return reshape(self, shape)
 
-    @property
-    def T(self) -> "Tensor":
-        return transpose(self)
-
-    # -- elementwise ---------------------------------------------------------
-
-    def relu(self) -> "Tensor":
-        return relu(self)
-
-    def tanh(self) -> "Tensor":
-        return tanh(self)
-
-    def sigmoid(self) -> "Tensor":
-        return sigmoid(self)
-
-    def exp(self) -> "Tensor":
-        return exp(self)
-
-    def log(self) -> "Tensor":
-        return log(self)
+    # -- reductions ----------------------------------------------------------
 
     def abs(self) -> "Tensor":
         return absval(self)
@@ -207,9 +185,6 @@ class Tensor:
 
     def mean(self) -> "Tensor":
         return tmean(self)
-
-    def backward(self) -> None:
-        backward(self)
 
 
 def constant_view(data: np.ndarray) -> Tensor:
@@ -625,15 +600,16 @@ def dropout(x: Tensor, rate: float, training: bool, rng=None) -> Tensor:
 
 def conv1d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
            stride: int = 1, padding: int = 0) -> Tensor:
-    """1-D convolution over time. x: (t, c_in), or a batch (B, t, c_in)
-    whose rows are convolved alike; weight: (c_out, c_in, k).
+    """1-D convolution over time of every row of a batch x (B, t, c_in)
+    alike; weight: (c_out, c_in, k).
 
     Output length floor((t + 2*padding - k) / stride) + 1.
     """
-    if x.ndim not in (2, 3) or weight.ndim != 3:
-        raise DimensionError("conv1d expects x (t, c_in) or (B, t, c_in) and "
-                             "weight (c_out, c_in, k)")
-    t, c_in = x.shape[-2:]
+    if x.ndim != 3 or weight.ndim != 3:
+        raise DimensionError(f"conv1d takes x (B, t, c_in) and weight "
+                             f"(c_out, c_in, k), got {x.shape} and "
+                             f"{weight.shape}")
+    n_b, t, c_in = x.shape
     c_out, w_cin, k = weight.shape
     if w_cin != c_in:
         raise DimensionError(f"conv1d channel mismatch: input {c_in}, weight {w_cin}")
@@ -641,15 +617,13 @@ def conv1d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     if t_out < 1:
         raise DimensionError(f"conv1d kernel {k} does not fit input of length {t} "
                              f"with padding {padding}")
-    n_b = x.size // (t * c_in)
 
     def columns() -> np.ndarray:
         # windows: (B, t_out, k, c_in) -> (B*t_out, k*c_in); k times x's
         # size, so the backward rebuilds them instead of the tape keeping
         # them
-        xb = x.data.reshape(n_b, t, c_in)
-        xpad = np.pad(xb, ((0, 0), (padding, padding), (0, 0))) \
-            if padding else xb
+        xpad = np.pad(x.data, ((0, 0), (padding, padding), (0, 0))) \
+            if padding else x.data
         win = np.lib.stride_tricks.sliding_window_view(xpad, k, axis=1)
         return win[:, ::stride].transpose(0, 1, 3, 2).reshape(n_b * t_out,
                                                                k * c_in)
@@ -677,19 +651,20 @@ def conv1d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
             for kk in range(k):
                 gxpad[:, kk:kk + stride * t_out:stride] += \
                     gcols[:, :, kk * c_in:(kk + 1) * c_in]
-            x._accumulate(gxpad[:, padding:padding + t].reshape(x.shape))
+            x._accumulate(gxpad[:, padding:padding + t])
 
-    return _result(out.reshape(x.shape[:-2] + (t_out, c_out)), parents, bwd)
+    return _result(out.reshape(n_b, t_out, c_out), parents, bwd)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
            stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D convolution. x: (c_in, h, w), or a batch (B, c_in, h, w) whose
-    images are convolved alike; weight: (c_out, c_in, kh, kw)."""
-    if x.ndim not in (3, 4) or weight.ndim != 4:
-        raise DimensionError("conv2d expects x (c, h, w) or (B, c, h, w) and "
-                             "weight (c_out, c_in, kh, kw)")
-    c_in, h, w = x.shape[-3:]
+    """2-D convolution of every image of a batch x (B, c_in, h, w) alike;
+    weight: (c_out, c_in, kh, kw)."""
+    if x.ndim != 4 or weight.ndim != 4:
+        raise DimensionError(f"conv2d takes x (B, c_in, h, w) and weight "
+                             f"(c_out, c_in, kh, kw), got {x.shape} and "
+                             f"{weight.shape}")
+    n_b, c_in, h, w = x.shape
     c_out, w_cin, kh, kw = weight.shape
     if w_cin != c_in:
         raise DimensionError(f"conv2d channel mismatch: input {c_in}, weight {w_cin}")
@@ -697,10 +672,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     w_out = (w + 2 * padding - kw) // stride + 1
     if h_out < 1 or w_out < 1:
         raise DimensionError("conv2d kernel does not fit padded input")
-    xb = x.data.reshape(-1, c_in, h, w)
-    n_b = xb.shape[0]
-    xpad = np.pad(xb, ((0, 0), (0, 0), (padding, padding), (padding, padding))) \
-        if padding else xb
+    xpad = np.pad(x.data, ((0, 0), (0, 0), (padding, padding),
+                           (padding, padding))) if padding else x.data
     win = np.lib.stride_tricks.sliding_window_view(xpad, (kh, kw), axis=(2, 3))
     win = win[:, :, ::stride, ::stride]  # (B, c_in, h_out, w_out, kh, kw)
     n_pix = n_b * h_out * w_out
@@ -718,8 +691,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     def bwd(g, x=x, weight=weight, bias=bias, cols=cols, w2=w2, stride=stride,
             padding=padding, kh=kh, kw=kw, c_in=c_in, h=h, w=w,
             h_out=h_out, w_out=w_out):
-        gflat = g.reshape(n_b, c_out, h_out, w_out).transpose(0, 2, 3, 1) \
-            .reshape(n_pix, c_out)
+        gflat = g.transpose(0, 2, 3, 1).reshape(n_pix, c_out)
         if bias is not None and bias.requires_grad:
             bias._accumulate(gflat.sum(axis=0))
         if weight.requires_grad:
@@ -734,10 +706,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
                         gcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
             if padding:
                 gxpad = gxpad[:, :, padding:padding + h, padding:padding + w]
-            x._accumulate(gxpad.reshape(x.shape))
+            x._accumulate(gxpad)
 
-    return _result(out.reshape(x.shape[:-3] + (c_out, h_out, w_out)), parents,
-                   bwd)
+    return _result(out, parents, bwd)
 
 
 def max_pool2d(x: Tensor, kernel: int = 2, stride: Optional[int] = None) -> Tensor:
@@ -796,8 +767,9 @@ def embedding_lookup(ids: Sequence[int], table: Tensor) -> Tensor:
 # -- fused LSTM recurrence ---------------------------------------------------
 #
 # Gate order i, f, g, o in the fused (d_in, 4d) input and (d, 4d) recurrent
-# weights. The helpers take one row or a (B, 4d) block alike; lstm_scan and
-# lstm_cell both run on them, so the two ops share one set of gate math.
+# weights. The helpers take (B, 4d) blocks of gates, one row per batch row;
+# lstm_scan and lstm_cell both run on them, so the two ops share one set of
+# gate math.
 
 
 def _lstm_step(z: np.ndarray, c_prev: np.ndarray):
@@ -834,10 +806,9 @@ def _lstm_step_back(dh: np.ndarray, dc: np.ndarray, m: np.ndarray,
     return np.concatenate([dc, dc, dc, dh], axis=-1) * m, dc * f
 
 
-def _lstm_check(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor,
-                ranks=(2,)) -> int:
+def _lstm_check(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> int:
     d = w_hh.shape[0]
-    if (x.ndim not in ranks or w_ih.shape != (x.shape[-1], 4 * d)
+    if (w_ih.shape != (x.shape[-1], 4 * d)
             or w_hh.shape != (d, 4 * d) or bias.shape != (4 * d,)):
         raise DimensionError(f"lstm shapes disagree: x {x.shape}, w_ih "
                              f"{w_ih.shape}, w_hh {w_hh.shape}, "
@@ -846,12 +817,11 @@ def _lstm_check(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor,
 
 
 def lstm_scan(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor,
-              reverse: bool = False,
-              lens: Optional[Sequence[int]] = None) -> Tensor:
-    """An LSTM over a (t, d_in) sequence, or over every row of a padded
-    (B, t, d_in) batch whose row b holds lens[b] real steps (None: all t),
-    from the zero state, recorded as one tape node; returns the hidden
-    states in input order, (t, d) or (B, t, d), zero past each row's end.
+              lens: Sequence[int], reverse: bool = False) -> Tensor:
+    """An LSTM over every row of a padded (B, t, d_in) batch whose row b
+    holds lens[b] real steps, from the zero state, recorded as one tape
+    node; returns the hidden states in input order, (B, t, d), zero past
+    each row's end.
 
     The input projection x @ w_ih + bias runs once for the whole batch
     and a numpy loop carries the recurrence of every row at once.
@@ -862,11 +832,12 @@ def lstm_scan(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor,
     gradients dZ, then dW_ih = x^T dZ, dW_hh = H_prev^T dZ, db = sum dZ
     and dx = dZ W_ih^T.
     """
-    d = _lstm_check(x, w_ih, w_hh, bias, ranks=(2, 3))
-    n, d_in = x.shape[-2:]
-    xb = x.data.reshape(-1, n, d_in)
-    n_b = xb.shape[0]
-    lens = np.full(n_b, n) if lens is None else np.reshape(lens, n_b)
+    if x.ndim != 3:
+        raise DimensionError(f"lstm_scan takes a padded (B, t, d_in) batch, "
+                             f"got {x.shape}")
+    d = _lstm_check(x, w_ih, w_hh, bias)
+    n_b, n, d_in = x.shape
+    lens = np.reshape(lens, n_b)
     # scan step k of row b reads input step pos[b, k]; real[b, k] marks the
     # steps that lie within the row
     pos = np.broadcast_to(np.arange(n), (n_b, n))
@@ -874,7 +845,7 @@ def lstm_scan(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor,
     if reverse:
         pos = np.where(real, lens[:, None] - 1 - pos, pos)
     rows = np.arange(n_b)[:, None]
-    xw = xb @ w_ih.data + bias.data
+    xw = x.data @ w_ih.data + bias.data
     xw = np.ascontiguousarray(xw[rows, pos].transpose(1, 0, 2))  # (n, B, 4d)
     w = w_hh.data
     # row k + 1 of hs and cs is the state after scan step k
@@ -890,7 +861,7 @@ def lstm_scan(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor,
 
     def bwd(g, x=x, w_ih=w_ih, w_hh=w_hh, bias=bias):
         m, ot, f = _lstm_back_factors(act, tc, cs[:-1])
-        g = np.where(real[..., None], g.reshape(n_b, n, d)[rows, pos], 0.0)
+        g = np.where(real[..., None], g[rows, pos], 0.0)
         g = g.transpose(1, 0, 2)
         dz = np.empty((n, n_b, 4 * d))
         dh = np.zeros((n_b, d))
@@ -907,12 +878,11 @@ def lstm_scan(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor,
         if x.requires_grad:
             x._accumulate((dz_in @ w_ih.data.T).reshape(x.shape))
         if w_ih.requires_grad:
-            w_ih._accumulate(xb.reshape(-1, d_in).T @ dz_in)
+            w_ih._accumulate(x.data.reshape(-1, d_in).T @ dz_in)
         if bias.requires_grad:
             bias._accumulate(dz_in.sum(axis=0))
 
-    return _result(out.reshape(x.shape[:-1] + (d,)), (x, w_ih, w_hh, bias),
-                   bwd)
+    return _result(out, (x, w_ih, w_hh, bias), bwd)
 
 
 def lstm_cell(x: Tensor, h: Tensor, c: Tensor, w_ih: Tensor, w_hh: Tensor,
@@ -921,9 +891,9 @@ def lstm_cell(x: Tensor, h: Tensor, c: Tensor, w_ih: Tensor, w_hh: Tensor,
     (B, d_in) and state h, c (B, d) give the new state as [h | c], (B, 2d).
     """
     d = _lstm_check(x, w_ih, w_hh, bias)
-    if h.shape != (x.shape[0], d) or c.shape != h.shape:
-        raise DimensionError(f"lstm state shapes {h.shape}/{c.shape} do not "
-                             f"fit {x.shape[0]} rows of width {d}")
+    if x.ndim != 2 or h.shape != (x.shape[0], d) or c.shape != h.shape:
+        raise DimensionError(f"lstm_cell takes x (B, d_in) and states (B, "
+                             f"{d}), got {x.shape}, {h.shape} and {c.shape}")
     z = x.data @ w_ih.data + h.data @ w_hh.data + bias.data
     h_new, c_new, act, tc = _lstm_step(z, c.data)
 

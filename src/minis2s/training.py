@@ -36,7 +36,8 @@ import numpy as np
 from . import losses as L
 from . import tensor as T
 from .errors import ConfigError, DataError, NumericError
-from .models import SOS_EOS_ID, pad_sequences, subsample_length
+from .models import pad_sequences, subsample_length
+from .reserved import SOS_EOS_ID
 from .tensor import Tensor, backward
 
 CKPT_MAGIC = b"ESC1"
@@ -311,6 +312,15 @@ class TrainConfig:
             if not (math.isfinite(rate) and rate > 0):
                 raise ConfigError(f"{key} must be finite and positive, got "
                                   f"{rate}")
+        for key in ("n_time_masks", "n_freq_masks", "max_t", "max_f"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be >= 0, got "
+                                  f"{getattr(self, key)}")
+        if self.patience < 1:
+            raise ConfigError(f"patience must be >= 1, got {self.patience}")
+        if not math.isfinite(self.min_delta):
+            raise ConfigError(f"min_delta must be finite, got "
+                              f"{self.min_delta}")
         return self
 
 
@@ -333,18 +343,14 @@ def asr_batch_loss(model, utts: Sequence, n_tokens_total: int
     lp = model.decode_logprobs(enc, [[SOS_EOS_ID] + y for y in ys])
     ce = L.s2s_cross_entropy(lp, [y + [SOS_EOS_ID] for y in ys],
                              denom=n_tokens_total)
-    report = L.LossReport(n_tokens=sum(len(y) + 1 for y in ys))
+    loss, ctc = ce, 0.0
     if cfg.uses_ctc:
-        ll = L.ctc_log_likelihood(model.ctc_logprobs(enc), ys,
-                                  frames=enc.n_sub)
+        ll = L.ctc_log_likelihood(model.ctc_logprobs(enc), ys, enc.n_sub)
         ctc_nll = -ll.sum() / n_tokens_total
         loss = L.joint_asr_loss(ce, ctc_nll, cfg.alpha)
-        report.components = {"s2s": ce.item(), "ctc": ctc_nll.item()}
-    else:
-        loss = ce
-        report.components = {"s2s": ce.item(), "ctc": 0.0}
-    report.total = loss.item()
-    return loss, report
+        ctc = ctc_nll.item()
+    return loss, L.LossReport(total=loss.item(),
+                              components={"s2s": ce.item(), "ctc": ctc})
 
 
 def tts_denominators(model, utts: Sequence) -> Tuple[int, int]:
@@ -365,20 +371,19 @@ def tts_batch_loss(model, utts: Sequence, n_elems_total: int,
     loss over n_utts; and its report."""
     enc = model.encode([u.tokens for u in utts])
     fwd = model.forward_teacher(enc, [u.feats for u in utts])
-    l1 = L.tts_l1(fwd.coarse, fwd.refined, fwd.target, denom=n_elems_total,
-                  lens=fwd.n_pad)
+    l1 = L.tts_l1(fwd.coarse, fwd.refined, fwd.target, fwd.n_pad,
+                  denom=n_elems_total)
     eos_y = np.arange(fwd.eos_logits.shape[1]) == fwd.n_steps[:, None] - 1
-    bce = L.weighted_bce(fwd.eos_logits, eos_y, denom=n_steps_total,
-                         lens=fwd.n_steps)
+    bce = L.weighted_bce(fwd.eos_logits, eos_y, fwd.n_steps,
+                         denom=n_steps_total)
     guided = L.guided_attention_loss(
         model.guided_attention_records(fwd.records), fwd.n_steps, enc.n_sub)
     guided = guided / n_utts
-    loss = L.tts_total_loss(l1, bce, guided)
+    loss = l1 + bce + guided
     report = L.LossReport(
         total=loss.item(),
         components={"l1": l1.item(), "bce": bce.item(),
-                    "guided": guided.item()},
-        n_frames=sum(len(u.feats) for u in utts))
+                    "guided": guided.item()})
     return loss, report
 
 

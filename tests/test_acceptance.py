@@ -36,9 +36,10 @@ from minis2s.decoding import BeamConfig, CtcPrefixScorer, beam_search
 from minis2s.errors import ConfigError
 from minis2s.losses import ctc_log_likelihood, ctc_min_frames
 from minis2s.metrics import bleu, cer, wer
-from minis2s.models import (SOS_EOS_ID, DecoderRecords, ModelConfig, S2SModel,
-                            TtsModel, build_model, pad_sequences)
+from minis2s.models import (DecoderRecords, ModelConfig, S2SModel, TtsModel,
+                            build_model, pad_sequences)
 from minis2s.nn import LSTM, LSTMCell
+from minis2s.reserved import SOS_EOS_ID
 from minis2s.tensor import Tensor, grad_check
 from minis2s.training import (Adam, accumulate_gradients, asr_batch_loss,
                               evaluate_dev, load_checkpoint, load_into_model,
@@ -162,11 +163,12 @@ def _op_suite(seed: int):
             return T.dropout(dr, 0.4, training=True).sum()
 
     case("dropout-fixed-mask", drop_fixed, [dr])
-    c1x, c1w, c1b = rnd((7, 3)), rnd((2, 3, 3)), rnd((2,))
+    # the convolutions and scans take batches: one sequence is a batch of one
+    c1x, c1w, c1b = rnd((1, 7, 3)), rnd((2, 3, 3)), rnd((2,))
     case("conv1d", lambda c1x, c1w, c1b: T.conv1d(c1x, c1w, c1b, stride=2,
                                                   padding=1).sum(),
          [c1x, c1w, c1b])
-    c2x, c2w, c2b = rnd((2, 5, 6)), rnd((3, 2, 2, 3)), rnd((3,))
+    c2x, c2w, c2b = rnd((1, 2, 5, 6)), rnd((3, 2, 2, 3)), rnd((3,))
     case("conv2d", lambda c2x, c2w, c2b: T.conv2d(c2x, c2w, c2b, stride=2,
                                                   padding=1).sum(),
          [c2x, c2w, c2b])
@@ -200,12 +202,12 @@ def _op_suite(seed: int):
          lambda pe_x, alpha: (scaled_positional_encoding(pe_x, alpha)
                               * pe_x).sum(), [pe_x, alpha])
     lstm = LSTM(4, 5, np.random.default_rng(seed))
-    lx = rnd((4, 4))
-    case("lstm", lambda lx, *ps: T.tanh(lstm(lx)).sum(),
+    lx = rnd((1, 4, 4))
+    case("lstm", lambda lx, *ps: T.tanh(lstm(lx, [4])).sum(),
          [lx] + lstm.parameters(), max_coords=4, rng=seed)
     rlstm = LSTM(4, 5, np.random.default_rng(seed + 1), reverse=True)
-    rx = rnd((4, 4))
-    case("lstm-reverse", lambda rx, *ps: T.tanh(rlstm(rx)).sum(),
+    rx = rnd((1, 4, 4))
+    case("lstm-reverse", lambda rx, *ps: T.tanh(rlstm(rx, [4])).sum(),
          [rx] + rlstm.parameters(), max_coords=4, rng=seed)
     cell = LSTMCell(4, 5, np.random.default_rng(seed + 2))
     cx, ch, cc = rnd((3, 4)), rnd((3, 5)), rnd((3, 5))
@@ -363,10 +365,10 @@ def test_a02_ctc_brute_force_oracle():
         u = T.log_softmax(Tensor(rng.standard_normal((n, v)))).data
         want = _brute_ctc(u, target)
         # one utterance, a batch of one: (1, T, V) rows, (T, 1, V) frames
-        got = ctc_log_likelihood(Tensor(u[None]), [target]).item()
+        got = ctc_log_likelihood(Tensor(u[None]), [target], [len(u)]).item()
         worst_full = max(worst_full, abs(got - want))
 
-        scorer = CtcPrefixScorer(u[:, None])
+        scorer = CtcPrefixScorer(u[:, None], [len(u)])
         state = scorer.initial_state()
         for tok in target:
             state = scorer.extend(state).select([0], [tok])

@@ -41,7 +41,7 @@ def dot_attention(xq: Tensor, xk: Tensor, xv: Tensor,
                   record: Optional[OracleRecord] = None) -> Tensor:
     """softmax(Xq Xk^T / sqrt(d)) Xv; a masked pair gets a -1e9 bias
     before the softmax and weight 0 after it."""
-    logits = (xq @ xk.T) * (1.0 / math.sqrt(xq.shape[-1]))
+    logits = (xq @ T.transpose(xk)) * (1.0 / math.sqrt(xq.shape[-1]))
     if mask is not None:
         weights = T.softmax(logits + Tensor(np.where(mask, 0.0, -1e9)))
         weights = weights * Tensor(mask.astype(np.float64))

@@ -635,7 +635,12 @@ def test_decode_names_utterances_of_another_feature_dimension(workspace,
     ("dropout_rate", "1.5"), ("dropout_rate", "-0.1"),
     ("prenet_dropout_rate", "1.0"), ("warmup_steps", "0"),
     ("noam_k", "nan"), ("noam_k", "0"), ("adadelta_lr", "inf"),
-    ("keep_last", "0"), ("keep_last", "-1")])
+    ("keep_last", "0"), ("keep_last", "-1"),
+    ("n_time_masks", "-1"), ("n_freq_masks", "-1"), ("max_t", "-1"),
+    ("max_f", "-2"), ("patience", "0"), ("min_delta", "nan"),
+    ("min_delta", "inf"), ("gamma", "nan"), ("gamma", "-inf"),
+    ("length_penalty", "nan"), ("length_penalty", "inf"),
+    ("max_len_ratio", "nan"), ("max_len_ratio", "inf")])
 def test_train_rejects_out_of_range_settings_before_writing(
         workspace, tmp_path, capsys, key, value):
     # each value is refused with the key named, before --out exists
@@ -648,3 +653,36 @@ def test_train_rejects_out_of_range_settings_before_writing(
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
     assert not (tmp_path / "run").exists()
+
+
+def test_decode_rejects_a_non_finite_gamma(workspace, tmp_path, capsys):
+    hyp = tmp_path / "hyp.tsv"
+    capsys.readouterr()
+    rc = main(["decode", "--ckpt", str(workspace / "run" / "avg.esc"),
+               "--data", str(workspace / "data"), "--gamma", "nan",
+               "--out", str(hyp)])
+    err = capsys.readouterr().err
+    assert rc == 1 and "gamma" in err and "Traceback" not in err
+    assert not hyp.exists()
+
+
+def test_files_that_are_not_utf8_are_named(workspace, tmp_path, capsys):
+    # a config holding 0xff exits 1, a vocabulary holding 0x96 exits 2;
+    # both name the file
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_bytes(EXP.encode("utf-8") + b"\xff\n")
+    capsys.readouterr()
+    rc = main(["train", "--config", str(cfg), "--data",
+               str(workspace / "data"), "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert rc == 1 and f"{cfg}: not UTF-8" in err and "Traceback" not in err
+    run = tmp_path / "copy"
+    run.mkdir()
+    for name in ("avg.esc", "model.cfg"):
+        (run / name).write_bytes((workspace / "run" / name).read_bytes())
+    (run / "vocab.txt").write_bytes(b"<blank>\n<unk>\n<sos/eos>\n\x96\n")
+    rc = main(["decode", "--ckpt", str(run / "avg.esc"),
+               "--data", str(workspace / "data")])
+    err = capsys.readouterr().err
+    assert rc == 2 and f"{run / 'vocab.txt'}: not UTF-8" in err
+    assert "Traceback" not in err

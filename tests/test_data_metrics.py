@@ -5,14 +5,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from minis2s.data import (RESERVED_TOKENS, ToySpec, Utterance, Vocab,
-                          bigram_swap, gen_toy, load_dataset, read_feature_file,
-                          read_manifest, read_transcripts, save_dataset,
-                          toy_vocab, write_feature_file, write_manifest,
+from minis2s.data import (ToySpec, Utterance, Vocab, bigram_swap, gen_toy,
+                          load_dataset, read_feature_file, read_manifest,
+                          read_transcripts, save_dataset, toy_vocab,
+                          write_feature_file, write_manifest,
                           write_transcripts, _prototypes)
 from minis2s.errors import ConfigError, DataError
 from minis2s.metrics import EditCounts, bleu, cer, edit_distance, wer
-from minis2s.models import BLANK_ID, N_RESERVED, UNK_ID, subsample_length
+from minis2s.models import subsample_length
+from minis2s.reserved import BLANK_ID, N_RESERVED, RESERVED_TOKENS, UNK_ID
 
 
 # -- feature files --------------------------------------------------------------

@@ -22,8 +22,9 @@ from minis2s.decoding import (BeamConfig, BeamResult, CtcPrefixScorer,
 from minis2s.errors import (ConfigError, DataError, DimensionError,
                             ImpossibleAlignmentError)
 from minis2s.losses import ctc_log_likelihood, ctc_min_frames
-from minis2s.models import (BLANK_ID, SOS_EOS_ID, EncodedSequence,
-                            ModelConfig, RnnLm, build_model, pad_sequences)
+from minis2s.models import (EncodedSequence, ModelConfig, RnnLm, build_model,
+                            pad_sequences)
+from minis2s.reserved import BLANK_ID, SOS_EOS_ID
 from minis2s.tensor import Tensor
 
 
@@ -188,7 +189,7 @@ def scorer_chain(scorer, labels):
 
 def test_prefix_score_single_frame():
     u = rand_logprobs(0, 1, 4)
-    psi, _ = scorer_chain(CtcPrefixScorer(u[:, None]), [2])
+    psi, _ = scorer_chain(CtcPrefixScorer(u[:, None], [len(u)]), [2])
     assert abs(psi - u[0, 2]) < 1e-12
 
 
@@ -196,12 +197,12 @@ def test_prefix_scorer_rejects_a_single_utterance_layout():
     # one utterance is a batch of one, (frames, 1, V); its bare (frames, V)
     # posteriors name the shape the scorer expects
     with pytest.raises(DimensionError, match=r"\(frames, utterances, vocab\)"):
-        CtcPrefixScorer(rand_logprobs(0, 3, 4))
+        CtcPrefixScorer(rand_logprobs(0, 3, 4), [3])
 
 
 def test_prefix_finish_empty_is_all_blank():
     u = rand_logprobs(1, 5, 3)
-    scorer = CtcPrefixScorer(u[:, None])
+    scorer = CtcPrefixScorer(u[:, None], [len(u)])
     assert abs(scorer.finish(scorer.initial_state())[0] - u[:, 0].sum()) < 1e-12
 
 
@@ -215,16 +216,16 @@ def test_prefix_chain_matches_full_ctc(seed):
         target = [int(rng.integers(1, v)) for _ in range(length)]
         if ctc_min_frames(target) <= n:
             break
-    scorer = CtcPrefixScorer(u[:, None])
+    scorer = CtcPrefixScorer(u[:, None], [len(u)])
     _, state = scorer_chain(scorer, target)
     got = scorer.finish(state)[0]
-    want = ctc_log_likelihood(Tensor(u[None]), [target]).item()
+    want = ctc_log_likelihood(Tensor(u[None]), [target], [len(u)]).item()
     assert abs(got - want) < 1e-9
 
 
 def test_prefix_impossible_goes_neg_inf_without_nan():
     u = rand_logprobs(2, 2, 4)
-    scorer = CtcPrefixScorer(u[:, None])
+    scorer = CtcPrefixScorer(u[:, None], [len(u)])
     state = scorer.initial_state()
     psis = []
     for tok in [1, 2, 3]:
@@ -237,7 +238,7 @@ def test_prefix_impossible_goes_neg_inf_without_nan():
 
 
 def test_prefix_blank_column_is_impossible():
-    scorer = CtcPrefixScorer(rand_logprobs(3, 3, 4)[:, None])
+    scorer = CtcPrefixScorer(rand_logprobs(3, 3, 4)[:, None], [3])
     ext = scorer.extend(scorer.initial_state())
     assert np.isneginf(ext.psi[:, 0]).all()
     assert np.isfinite(ext.psi[:, 1:]).all()
@@ -245,7 +246,7 @@ def test_prefix_blank_column_is_impossible():
 
 def test_prefix_scores_decrease_monotonically():
     u = rand_logprobs(4, 6, 5)
-    scorer = CtcPrefixScorer(u[:, None])
+    scorer = CtcPrefixScorer(u[:, None], [len(u)])
     prev = 0.0
     for n in range(1, 4):
         psi, _ = scorer_chain(scorer, [1, 3, 4][:n])
@@ -268,7 +269,7 @@ def test_vectorised_extend_matches_scalar_chain(seed):
         prefixes.append(p + p[-1:])          # ends on a repeat
         prefixes.append(p)
     prefixes.append([1] * (n + 1))           # needs 2n + 1 frames
-    scorer = CtcPrefixScorer(u[:, None])
+    scorer = CtcPrefixScorer(u[:, None], [len(u)])
     states = [scorer_chain(scorer, p)[1] for p in prefixes]
     batch = CtcPrefixState(
         r_n=np.concatenate([s.r_n for s in states], axis=1),
@@ -301,7 +302,7 @@ def test_vectorised_extend_matches_scalar_chain(seed):
 
 def test_extension_select_repeats_and_reorders_rows():
     u = rand_logprobs(7, 5, 5)
-    scorer = CtcPrefixScorer(u[:, None])
+    scorer = CtcPrefixScorer(u[:, None], [len(u)])
     ext = scorer.extend(scorer.initial_state())
     state = ext.select([0, 0, 0], [3, 1, 3])
     ext2 = scorer.extend(state)

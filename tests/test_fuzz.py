@@ -1,0 +1,145 @@
+"""Fuzzed readers and config parsers: whatever the bytes or text, each
+returns a value or raises DataError / ConfigError, the errors the command
+line maps to exit codes 2 and 1; never another exception. The searches
+are derandomized, so every run draws the same examples."""
+
+import struct
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from minis2s.config import experiment_from_items, parse_config_text
+from minis2s.data import (FEAT_MAGIC, ToySpec, Vocab, read_feature_file,
+                          read_manifest, read_transcripts, toy_vocab)
+from minis2s.errors import ConfigError, DataError
+from minis2s.training import CKPT_MAGIC, load_checkpoint
+
+FUZZ = settings(max_examples=500, derandomize=True, deadline=None,
+                database=None)
+
+u32 = st.integers(0, 2 ** 32 - 1)
+small = st.integers(0, 6)
+
+# a feature file: random bytes, or a well-formed header over a payload
+# that may or may not fit it
+feature_files = st.one_of(
+    st.binary(max_size=64),
+    st.builds(lambda n, d, payload: FEAT_MAGIC + struct.pack("<II", n, d)
+              + payload,
+              st.one_of(small, u32), st.one_of(small, u32),
+              st.binary(max_size=160)))
+
+
+@st.composite
+def checkpoint_files(draw):
+    """A checkpoint whose parameter records may be cut short, mislabel
+    their sizes or hold names that are not UTF-8."""
+    out = CKPT_MAGIC + struct.pack("<I", draw(st.one_of(small, u32)))
+    for _ in range(draw(st.integers(0, 3))):
+        name = draw(st.binary(max_size=6))
+        shape = draw(st.lists(small, max_size=3))
+        out += struct.pack("<H", draw(st.sampled_from([len(name), 65535])))
+        out += name + struct.pack("<B", len(shape))
+        out += b"".join(struct.pack("<I", n) for n in shape)
+        out += draw(st.binary(max_size=80))
+    cut = draw(st.integers(0, len(out)))
+    return draw(st.sampled_from([out, out[:cut], b"ESC" + out[3:cut]]))
+
+
+# line files: text with the separators the readers split on, or raw bytes
+# (0x96 and 0xff are not UTF-8)
+def pieces(*words: str, max_size: int = 30):
+    """Text strung together from the given pieces."""
+    return st.lists(st.sampled_from(words), max_size=max_size).map("".join)
+
+
+line_text = pieces(*"ab\t\n #=<>/é", "<blank>", "<unk>", "<sos/eos>")
+line_files = st.one_of(line_text.map(lambda s: s.encode("utf-8")),
+                       st.binary(max_size=60),
+                       line_text.map(lambda s: s.encode("utf-8") + b"\x96"))
+
+KEYS = ["preset", "task", "body", "e", "d_att", "dropout_rate", "alpha",
+        "lambda", "seed", "train_seed", "early_stop", "epochs", "gamma",
+        "unknown_key"]
+items = st.dictionaries(
+    st.one_of(st.sampled_from(KEYS), st.text(max_size=8)),
+    st.one_of(st.sampled_from(["1", "-3", "0.5", "nan", "inf", "true", "no",
+                               "transformer-toy", "rnn", "1e999", "0x10",
+                               "１２"]),
+              st.text(max_size=12)),
+    max_size=5)
+
+
+@pytest.fixture(scope="module")
+def path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "file"
+
+
+def _reads(reader, path, data: bytes):
+    path.write_bytes(data)
+    try:
+        reader(str(path))
+    except DataError:
+        pass
+
+
+def test_read_feature_file(path):
+    @FUZZ
+    @given(feature_files)
+    def check(data):
+        _reads(read_feature_file, path, data)
+    check()
+
+
+def test_load_checkpoint(path):
+    @FUZZ
+    @given(checkpoint_files())
+    def check(data):
+        _reads(load_checkpoint, path, data)
+    check()
+
+
+def test_vocab_load(path):
+    @FUZZ
+    @given(line_files)
+    def check(data):
+        _reads(Vocab.load, path, data)
+    check()
+
+
+def test_read_manifest(path):
+    @FUZZ
+    @given(line_files)
+    def check(data):
+        _reads(read_manifest, path, data)
+    check()
+
+
+def test_read_transcripts(path):
+    vocab = toy_vocab(ToySpec(vocab_size=2))
+
+    @FUZZ
+    @given(line_files)
+    def check(data):
+        _reads(lambda p: read_transcripts(p, vocab), path, data)
+    check()
+
+
+@FUZZ
+@given(st.one_of(pieces(*"ab=#\n\r \t1.", "preset", "==", max_size=40),
+                st.text(max_size=40)))
+def test_parse_config_text(text):
+    try:
+        parse_config_text(text)
+    except ConfigError:
+        pass
+
+
+@FUZZ
+@given(items)
+def test_experiment_from_items(items):
+    try:
+        experiment_from_items(dict(items))
+    except ConfigError:
+        pass

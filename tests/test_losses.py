@@ -16,8 +16,7 @@ from minis2s.errors import (DimensionError, ImpossibleAlignmentError)
 from minis2s.losses import (LossReport, ctc_log_likelihood, ctc_min_frames,
                             expand_with_blanks, guided_attention_loss,
                             guided_attention_weight, joint_asr_loss,
-                            s2s_cross_entropy, tts_l1, tts_total_loss,
-                            weighted_bce)
+                            s2s_cross_entropy, tts_l1, weighted_bce)
 from minis2s.tensor import Tensor, backward, grad_check
 
 mp.mp.dps = 50
@@ -121,7 +120,7 @@ def test_ctc_min_frames():
 def test_ctc_single_frame_single_label():
     # one frame must emit the one label directly
     _, lp = rand_logprobs(np.random.default_rng(3), 1, 4)
-    got = ctc_log_likelihood(one(lp), [[2]]).item()
+    got = ctc_log_likelihood(one(lp), [[2]], [1]).item()
     assert abs(got - lp.data[0, 2]) < 1e-12
 
 
@@ -130,12 +129,12 @@ def test_ctc_two_frames_hand_sum():
     u = lp.data
     want = np.log(np.exp(u[0, 1] + u[1, 1]) + np.exp(u[0, 0] + u[1, 1])
                   + np.exp(u[0, 1] + u[1, 0]))
-    assert abs(ctc_log_likelihood(one(lp), [[1]]).item() - want) < 1e-12
+    assert abs(ctc_log_likelihood(one(lp), [[1]], [2]).item() - want) < 1e-12
 
 
 def test_ctc_empty_target_is_all_blanks():
     _, lp = rand_logprobs(np.random.default_rng(5), 4, 3)
-    got = ctc_log_likelihood(one(lp), [[]]).item()
+    got = ctc_log_likelihood(one(lp), [[]], [4]).item()
     assert abs(got - lp.data[:, 0].sum()) < 1e-12
 
 
@@ -153,28 +152,28 @@ def test_ctc_matches_path_enumeration(n_frames, target, vocab):
     _, lp = rand_logprobs(np.random.default_rng(n_frames * 7 + vocab),
                           n_frames, vocab)
     want = brute_ctc(lp.data, target)
-    got = ctc_log_likelihood(one(lp), [target]).item()
+    got = ctc_log_likelihood(one(lp), [target], [n_frames]).item()
     assert abs(got - want) < 1e-9
 
 
 def test_ctc_infeasible_raises():
     _, lp = rand_logprobs(np.random.default_rng(6), 2, 3)
     with pytest.raises(ImpossibleAlignmentError):
-        ctc_log_likelihood(one(lp), [[1, 1]])
+        ctc_log_likelihood(one(lp), [[1, 1]], [2])
     with pytest.raises(ImpossibleAlignmentError):
-        ctc_log_likelihood(one(lp), [[1, 2, 1]])
+        ctc_log_likelihood(one(lp), [[1, 2, 1]], [2])
 
 
 def test_ctc_blank_in_target_rejected():
     _, lp = rand_logprobs(np.random.default_rng(7), 4, 3)
     with pytest.raises(DimensionError):
-        ctc_log_likelihood(one(lp), [[1, 0, 2]])
+        ctc_log_likelihood(one(lp), [[1, 0, 2]], [4])
 
 
 def test_ctc_target_outside_vocab():
     _, lp = rand_logprobs(np.random.default_rng(8), 4, 3)
     with pytest.raises(IndexError):
-        ctc_log_likelihood(one(lp), [[3]])
+        ctc_log_likelihood(one(lp), [[3]], [4])
 
 
 def test_ctc_posterior_rows_sum_to_one():
@@ -182,7 +181,7 @@ def test_ctc_posterior_rows_sum_to_one():
     rng = np.random.default_rng(9)
     u = Tensor(np.log(T.softmax(Tensor(rng.standard_normal((1, 5, 3)))).data),
                requires_grad=True)
-    logp = ctc_log_likelihood(u, [[1, 2]])
+    logp = ctc_log_likelihood(u, [[1, 2]], [5])
     backward(logp)
     sums = u.grad[0].sum(axis=1)
     assert np.allclose(sums, 1.0, atol=1e-10)
@@ -192,7 +191,7 @@ def test_ctc_gradient_finite_differences():
     rng = np.random.default_rng(10)
 
     def f(logits):
-        return -ctc_log_likelihood(one(T.log_softmax(logits)), [[1, 2]])
+        return -ctc_log_likelihood(one(T.log_softmax(logits)), [[1, 2]], [5])
 
     x = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
     assert grad_check(f, [x]) < 1e-5
@@ -202,7 +201,7 @@ def test_ctc_gradient_with_repeat_label():
     rng = np.random.default_rng(11)
 
     def f(logits):
-        return -ctc_log_likelihood(one(T.log_softmax(logits)), [[2, 2]])
+        return -ctc_log_likelihood(one(T.log_softmax(logits)), [[2, 2]], [6])
 
     x = Tensor(rng.standard_normal((6, 3)), requires_grad=True)
     assert grad_check(f, [x]) < 1e-5
@@ -222,7 +221,7 @@ def scalar_ctc(u, targets, blank=0):
     """The CTC forward-backward one (frame, state) cell at a time:
     returns log p and d log p / d u."""
     n_frames, vocab = u.shape
-    z = expand_with_blanks(targets, blank)
+    z = expand_with_blanks(targets)
     s_len = len(z)
     alpha = np.full((n_frames, s_len), LOG_ZERO)
     alpha[0, 0] = u[0, z[0]]
@@ -276,7 +275,7 @@ def test_ctc_matches_scalar_recursion(case):
     u = Tensor(T.log_softmax(Tensor(rng.standard_normal((1, n, v)) * 2)).data,
                requires_grad=True)
     want_logp, want_grad = scalar_ctc(u.data[0], target)
-    logp = ctc_log_likelihood(u, [target])
+    logp = ctc_log_likelihood(u, [target], [n])
     backward(logp)
     assert abs(logp.item() - want_logp) < 1e-12
     np.testing.assert_allclose(u.grad[0], want_grad, rtol=0, atol=1e-12)
@@ -298,37 +297,30 @@ def test_joint_linear_in_alpha(alpha):
     assert got == alpha * 1.75 + (1.0 - alpha) * 0.5
 
 
-def test_joint_without_ctc():
-    s2s = Tensor(np.asarray(3.0))
-    assert joint_asr_loss(s2s, None, 1.0) is s2s
-    with pytest.raises(DimensionError):
-        joint_asr_loss(s2s, None, 0.7)
-
-
 # -- TTS L1 -------------------------------------------------------------------
 
 
 def test_tts_l1_hand_value():
-    target = np.zeros((2, 3))
-    coarse = Tensor(np.full((2, 3), 0.5), requires_grad=True)
-    refined = Tensor(np.zeros((2, 3)), requires_grad=True)
-    loss = tts_l1(coarse, refined, target)
+    target = np.zeros((1, 2, 3))
+    coarse = Tensor(np.full((1, 2, 3), 0.5), requires_grad=True)
+    refined = Tensor(np.zeros((1, 2, 3)), requires_grad=True)
+    loss = tts_l1(coarse, refined, target, [2])
     assert abs(loss.item() - 0.5) < 1e-12
 
 
 def test_tts_l1_sums_both_stages():
     rng = np.random.default_rng(12)
-    target = rng.standard_normal((3, 4))
-    c = Tensor(rng.standard_normal((3, 4)))
-    r = Tensor(rng.standard_normal((3, 4)))
+    target = rng.standard_normal((3, 4))[None]
+    c = Tensor(rng.standard_normal((3, 4))[None])
+    r = Tensor(rng.standard_normal((3, 4))[None])
     want = np.abs(c.data - target).mean() + np.abs(r.data - target).mean()
-    assert abs(tts_l1(c, r, target).item() - want) < 1e-12
+    assert abs(tts_l1(c, r, target, [3]).item() - want) < 1e-12
 
 
 def test_tts_l1_shape_mismatch():
     with pytest.raises(DimensionError):
-        tts_l1(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))),
-               np.zeros((2, 4)))
+        tts_l1(Tensor(np.zeros((1, 2, 3))), Tensor(np.zeros((1, 2, 3))),
+               np.zeros((1, 2, 4)), [2])
 
 
 def test_tts_l1_reads_real_frames_of_a_padded_batch():
@@ -344,10 +336,10 @@ def test_tts_l1_reads_real_frames_of_a_padded_batch():
 
 def test_tts_l1_gradient():
     rng = np.random.default_rng(13)
-    target = rng.standard_normal((3, 2))
+    target = rng.standard_normal((3, 2))[None]
 
     def f(c, r):
-        return tts_l1(c, r, target)
+        return tts_l1(one(c), one(r), target, [3])
 
     c = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
     r = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
@@ -359,14 +351,14 @@ def test_tts_l1_gradient():
 
 def test_bce_hand_value_positive():
     # logit 0 on the stop frame, weight 5: loss is 5 log 2
-    logits = Tensor(np.zeros(1))
-    loss = weighted_bce(logits, [1.0], pos_weight=5.0)
+    logits = Tensor(np.zeros((1, 1)))
+    loss = weighted_bce(logits, [[1.0]], [1], pos_weight=5.0)
     assert abs(loss.item() - 3.4657359027997265471) < 1e-12
 
 
 def test_bce_hand_value_negative():
-    logits = Tensor(np.zeros(1))
-    loss = weighted_bce(logits, [0.0], pos_weight=5.0)
+    logits = Tensor(np.zeros((1, 1)))
+    loss = weighted_bce(logits, [[0.0]], [1], pos_weight=5.0)
     assert abs(loss.item() - np.log(2.0)) < 1e-12
 
 
@@ -376,13 +368,13 @@ def test_bce_unit_weight_matches_plain_formula():
     y = (rng.random(6) > 0.5).astype(float)
     sig = 1.0 / (1.0 + np.exp(-z))
     plain = -(y * np.log(sig) + (1.0 - y) * np.log(1.0 - sig)).mean()
-    got = weighted_bce(Tensor(z), y, pos_weight=1.0).item()
+    got = weighted_bce(Tensor(z[None]), y[None], [6], pos_weight=1.0).item()
     assert abs(got - plain) < 1e-12
 
 
 def test_bce_stable_at_extreme_logits():
-    logits = Tensor(np.asarray([1000.0, -1000.0]))
-    loss = weighted_bce(logits, [1.0, 1.0], pos_weight=5.0)
+    logits = Tensor(np.asarray([[1000.0, -1000.0]]))
+    loss = weighted_bce(logits, [[1.0, 1.0]], [2], pos_weight=5.0)
     assert np.isfinite(loss.item())
     # the missed positive at -1000 dominates: 5 * 1000 / 2 frames
     assert abs(loss.item() - 2500.0) < 1e-6
@@ -390,16 +382,16 @@ def test_bce_stable_at_extreme_logits():
 
 def test_bce_shape_mismatch():
     with pytest.raises(DimensionError):
-        weighted_bce(Tensor(np.zeros(3)), [1.0, 0.0])
+        weighted_bce(Tensor(np.zeros((1, 3))), [[1.0, 0.0]], [3])
 
 
 def test_bce_reads_real_steps_of_a_padded_batch():
     rng = np.random.default_rng(20)
     z = rng.standard_normal((2, 4))
     y = np.array([[0.0, 0.0, 1.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
-    got = weighted_bce(Tensor(z), y, lens=[3, 1]).item()
-    want = (weighted_bce(Tensor(z[0, :3]), y[0, :3], denom=4).item()
-            + weighted_bce(Tensor(z[1, :1]), y[1, :1], denom=4).item())
+    got = weighted_bce(Tensor(z), y, [3, 1]).item()
+    want = (weighted_bce(Tensor(z[:1, :3]), y[:1, :3], [3], denom=4).item()
+            + weighted_bce(Tensor(z[1:, :1]), y[1:, :1], [1], denom=4).item())
     assert abs(got - want) < 1e-12
 
 
@@ -408,7 +400,7 @@ def test_bce_gradient():
     y = (rng.random(5) > 0.6).astype(float)
 
     def f(z):
-        return weighted_bce(z, y, pos_weight=5.0)
+        return weighted_bce(z.reshape(1, 5), y[None], [5], pos_weight=5.0)
 
     z = Tensor(rng.standard_normal(5), requires_grad=True)
     assert grad_check(f, [z]) < 1e-6
@@ -429,19 +421,25 @@ def heads(*mats) -> Tensor:
     return Tensor(np.stack(mats)[None])
 
 
+def guided_one(att: Tensor, g: float = 0.4) -> Tensor:
+    """The guided-attention loss of a batch of one over all its decoder
+    steps and encoder positions."""
+    return guided_attention_loss(att, [att.shape[2]], [att.shape[3]], g)
+
+
 def test_guided_antidiagonal_2x2():
-    loss = guided_attention_loss(heads([[0.0, 1.0], [1.0, 0.0]]))
+    loss = guided_one(heads([[0.0, 1.0], [1.0, 0.0]]))
     assert abs(loss.item() - 0.5421666382283857391) < 1e-12
 
 
 def test_guided_diagonal_is_zero():
-    assert guided_attention_loss(heads(np.eye(5))).item() == 0.0
+    assert guided_one(heads(np.eye(5))).item() == 0.0
 
 
 def test_guided_uniform_exceeds_diagonal():
     n = 6
-    uniform = guided_attention_loss(heads(np.full((n, n), 1.0 / n))).item()
-    diag = guided_attention_loss(heads(np.eye(n))).item()
+    uniform = guided_one(heads(np.full((n, n), 1.0 / n))).item()
+    diag = guided_one(heads(np.eye(n))).item()
     assert uniform > diag
 
 
@@ -449,9 +447,9 @@ def test_guided_head_average():
     rng = np.random.default_rng(16)
     a = rng.random((3, 5))
     b = rng.random((3, 5))
-    la = guided_attention_loss(heads(a)).item()
-    lb = guided_attention_loss(heads(b)).item()
-    both = guided_attention_loss(heads(a, b)).item()
+    la = guided_one(heads(a)).item()
+    lb = guided_one(heads(b)).item()
+    both = guided_one(heads(a, b)).item()
     assert abs(both - 0.5 * (la + lb)) < 1e-12
 
 
@@ -466,45 +464,36 @@ def test_guided_batch_sums_utterances_on_their_own_sizes():
         batch[b, :, :m.shape[1], :m.shape[2]] = m
     got = guided_attention_loss(Tensor(batch), [s for s, _ in sizes],
                                 [n for _, n in sizes]).item()
-    want = sum(guided_attention_loss(Tensor(m[None])).item() for m in mats)
+    want = sum(guided_one(Tensor(m[None])).item() for m in mats)
     assert abs(got - want) < 1e-12
 
 
 def test_guided_sharper_g_penalizes_more():
     a = heads(np.full((4, 4), 0.25))
-    assert (guided_attention_loss(a, g=0.2).item()
-            > guided_attention_loss(a, g=0.4).item())
+    assert (guided_one(a, g=0.2).item()
+            > guided_one(a, g=0.4).item())
 
 
 def test_guided_empty_selection_rejected():
     with pytest.raises(DimensionError):
-        guided_attention_loss(Tensor(np.zeros((1, 0, 2, 2))))
+        guided_attention_loss(Tensor(np.zeros((1, 0, 2, 2))), [2], [2])
 
 
 def test_guided_gradient():
     rng = np.random.default_rng(17)
 
     def f(logits):
-        return guided_attention_loss(T.softmax(logits).reshape(1, 1, 3, 4))
+        return guided_one(T.softmax(logits).reshape(1, 1, 3, 4))
 
     x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
     assert grad_check(f, [x]) < 1e-6
 
 
-# -- composite and report ------------------------------------------------------
-
-
-def test_tts_total_sums_terms():
-    l1 = Tensor(np.asarray(1.5))
-    bce = Tensor(np.asarray(0.25))
-    guided = Tensor(np.asarray(0.125))
-    assert tts_total_loss(l1, bce, guided).item() == 1.875
-    assert tts_total_loss(l1, bce, None).item() == 1.75
+# -- report ------------------------------------------------------------------
 
 
 def test_loss_report_components():
-    r = LossReport(total=1.3, components={"s2s": 1.0, "ctc": 2.0},
-                   n_tokens=7, n_frames=40)
+    r = LossReport(total=1.3, components={"s2s": 1.0, "ctc": 2.0})
     assert r.component("s2s") == 1.0
     assert r.component("l1") == 0.0
     assert abs(r.total - (0.7 * r.component("s2s")
@@ -529,12 +518,12 @@ def test_batched_ctc_matches_rows_and_enumeration(case):
     u = T.log_softmax(Tensor(rng.standard_normal((3, max(frames), v)) * 2)).data
     lp = Tensor(u, requires_grad=True)
     w = rng.standard_normal(3)
-    ll = ctc_log_likelihood(lp, targets, frames=frames)
+    ll = ctc_log_likelihood(lp, targets, frames)
     assert ll.shape == (3,)
     backward((ll * Tensor(w)).sum())
     for b, (target, n) in enumerate(zip(targets, frames)):
         row = Tensor(u[b:b + 1, :n], requires_grad=True)
-        want = ctc_log_likelihood(row, [target])
+        want = ctc_log_likelihood(row, [target], [n])
         backward(want * w[b])
         assert abs(ll.data[b] - want.item()) < 1e-12
         assert abs(ll.data[b] - brute_ctc(u[b, :n], target)) < 1e-9
@@ -562,7 +551,7 @@ def test_losses_reject_a_single_utterance_layout():
     # one utterance is a batch of one; its bare (t, V) rows name the shape
     # the loss expects
     _, lp = rand_logprobs(np.random.default_rng(13), 4, 3)
-    for loss, targets in ((s2s_cross_entropy, [1, 2, 1, 2]),
-                          (ctc_log_likelihood, [1, 2])):
+    for loss, args in ((s2s_cross_entropy, ([1, 2, 1, 2],)),
+                       (ctc_log_likelihood, ([1, 2], [4]))):
         with pytest.raises(DimensionError, match=r"\(B, n_max, V\)"):
-            loss(lp, targets)
+            loss(lp, *args)

@@ -14,7 +14,8 @@ import pytest
 from minis2s import nn
 from minis2s import tensor as T
 from minis2s.errors import DimensionError
-from minis2s.models import SOS_EOS_ID, ModelConfig, S2SModel
+from minis2s.models import ModelConfig, S2SModel
+from minis2s.reserved import SOS_EOS_ID
 from minis2s.tensor import Graph, Tensor, backward
 
 TOL = 1e-12
@@ -67,23 +68,23 @@ def _assert_close(got, want):
 def test_lstm_scan_matches_reference(reverse, t):
     rng = np.random.default_rng(100 + t + 10 * reverse)
     d_in, d = 5, 4
-    x = _leaf(rng, (t, d_in))
+    x = _leaf(rng, (1, t, d_in))          # one sequence, a batch of one
     w_ih = _leaf(rng, (d_in, 4 * d), 0.5)
     w_hh = _leaf(rng, (d, 4 * d), 0.5)
     bias = _leaf(rng, (4 * d,), 0.5)
     weight = Tensor(rng.standard_normal((t, d)))
     leaves = [x, w_ih, w_hh, bias]
 
-    fused = T.lstm_scan(x, w_ih, w_hh, bias, reverse)
-    ref = reference_lstm(x, w_ih, w_hh, bias, reverse)
-    assert fused.shape == (t, d)
-    _assert_close(fused.data, ref.data)
+    fused = T.lstm_scan(x, w_ih, w_hh, bias, [t], reverse)
+    ref = reference_lstm(x[0], w_ih, w_hh, bias, reverse)
+    assert fused.shape == (1, t, d)
+    _assert_close(fused.data[0], ref.data)
 
     # generic weighting through a nonlinearity, so no gradient is trivial
-    l_f, g_f = _grads(lambda: (T.tanh(T.lstm_scan(x, w_ih, w_hh, bias,
+    l_f, g_f = _grads(lambda: (T.tanh(T.lstm_scan(x, w_ih, w_hh, bias, [t],
                                                   reverse)) * weight).sum(),
                       leaves)
-    l_r, g_r = _grads(lambda: (T.tanh(reference_lstm(x, w_ih, w_hh, bias,
+    l_r, g_r = _grads(lambda: (T.tanh(reference_lstm(x[0], w_ih, w_hh, bias,
                                                      reverse)) * weight).sum(),
                       leaves)
     assert abs(l_f - l_r) < TOL
@@ -99,10 +100,10 @@ def test_lstm_module_runs_the_scan_on_its_cell_weights():
         lstm = nn.LSTM(3, 4, rng, reverse=reverse)
         assert [n for n, _ in lstm.named_parameters()] == \
             ["cell.w_ih", "cell.w_hh", "cell.bias"]
-        x = Tensor(rng.standard_normal((6, 3)))
+        x = Tensor(rng.standard_normal((1, 6, 3)))
         cell = lstm.cell
-        _assert_close(lstm(x).data, reference_lstm(
-            x, cell.w_ih, cell.w_hh, cell.bias, reverse).data)
+        _assert_close(lstm(x, [6]).data[0], reference_lstm(
+            x[0], cell.w_ih, cell.w_hh, cell.bias, reverse).data)
 
 
 @pytest.mark.parametrize("b", [1, 3])
@@ -160,13 +161,13 @@ def test_lstm_cell_rows_are_independent_and_follow_reordering():
 def test_lstm_forward_is_one_tape_node():
     rng = np.random.default_rng(6)
     lstm = nn.LSTM(3, 4, rng, reverse=True)
-    x = Tensor(rng.standard_normal((9, 3)), requires_grad=True)
+    x = Tensor(rng.standard_normal((1, 9, 3)), requires_grad=True)
     with Graph(seed=0) as g:
-        out = lstm(x)
+        out = lstm(x, [9])
     assert g.op_count == 1
     assert out._parents == (x, lstm.cell.w_ih, lstm.cell.w_hh, lstm.cell.bias)
     with Graph(seed=0) as g:
-        T.lstm_cell(x[0:2], Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 4))),
+        T.lstm_cell(x[0, 0:2], Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 4))),
                     lstm.cell.w_ih, lstm.cell.w_hh, lstm.cell.bias)
     assert g.op_count == 2        # the slice of x, then the cell
 
@@ -175,7 +176,7 @@ def test_lstm_ops_reject_mismatched_shapes():
     rng = np.random.default_rng(7)
     w_ih, w_hh, bias = _leaf(rng, (3, 16)), _leaf(rng, (4, 16)), _leaf(rng, (16,))
     with pytest.raises(DimensionError):
-        T.lstm_scan(_leaf(rng, (5, 2)), w_ih, w_hh, bias)
+        T.lstm_scan(_leaf(rng, (1, 5, 2)), w_ih, w_hh, bias, [5])
     with pytest.raises(DimensionError):
         T.lstm_cell(_leaf(rng, (2, 3)), _leaf(rng, (3, 4)), _leaf(rng, (2, 4)),
                     w_ih, w_hh, bias)
@@ -236,13 +237,13 @@ def test_padded_scan_matches_per_row_scans(reverse):
     want = 0.0
     want_params = [np.zeros_like(p.data) for p in params]
     for b, n in enumerate(lens):
-        xr = Tensor(x.data[b, :n], requires_grad=True)
-        loss, grads = _grads(lambda: (lstm(xr) * Tensor(r[b, :n])).sum(),
+        xr = Tensor(x.data[b:b + 1, :n], requires_grad=True)
+        loss, grads = _grads(lambda: (lstm(xr, [n]) * Tensor(r[b, :n])).sum(),
                              [xr] + params)
         want += loss
-        _assert_close(out[b, :n], lstm(xr).data)
+        _assert_close(out[b, :n], lstm(xr, [n]).data[0])
         assert not out[b, n:].any()
-        _assert_close(got_grads[0][b, :n], grads[0])
+        _assert_close(got_grads[0][b, :n], grads[0][0])
         assert not got_grads[0][b, n:].any()
         want_params = [w + g for w, g in zip(want_params, grads[1:])]
     assert abs(got - want) < TOL

@@ -10,14 +10,14 @@ from minis2s import attention as A
 from minis2s import tensor as T
 from minis2s.config import experiment_from_items
 from minis2s.errors import ConfigError, DataError, DimensionError
-from minis2s.models import (BLANK_ID, SOS_EOS_ID, BlstmEncoderBody,
-                            ConvSubsampler, DecoderRecords, LstmDecoderBody,
-                            ModelConfig, Prenet, Postnet, S2SModel,
-                            TokenFrontEnd, TransformerDecoderBody,
+from minis2s.models import (BlstmEncoderBody, ConvSubsampler, DecoderRecords,
+                            LstmDecoderBody, ModelConfig, Prenet, Postnet,
+                            S2SModel, TokenFrontEnd, TransformerDecoderBody,
                             TransformerDecoderLayer, TransformerEncoderBody,
                             TtsModel, VggSubsampler, build_model, conv_len,
                             pad_sequences, subsample_length)
 from minis2s.nn import MultiHeadAttention
+from minis2s.reserved import BLANK_ID, SOS_EOS_ID
 from minis2s.tensor import Tensor, grad_check
 
 
@@ -79,10 +79,10 @@ def test_token_front_end_empty_oov_and_pe_difference():
     rng = np.random.default_rng(2)
     fe = TokenFrontEnd(vocab_size=7, d_att=8, dropout_rate=0.0, rng=rng)
     fe.eval()
-    assert fe([]).shape == (0, 8)
+    assert fe(np.zeros((1, 0), dtype=np.int64)).shape == (1, 0, 8)
     with pytest.raises(IndexError):
-        fe([7])
-    out = fe([4, 3, 4]).data
+        fe([[7]])
+    out = fe([[4, 3, 4]]).data[0]
     pe = A.positional_encoding(3, 8)
     np.testing.assert_allclose(out[0] - out[2], pe[0] - pe[2],
                                rtol=0, atol=1e-15)
@@ -533,10 +533,18 @@ def test_transformer_toy_forward_tape_ops():
 
 def test_encode_rejects_a_single_utterance_layout():
     # one utterance is a batch of one; its bare (n, feat_dim) frames name
-    # the shape encode expects
+    # the shape encode expects, and so do the ops and modules under it
     model = S2SModel(toy_cfg())
     with pytest.raises(DimensionError, match=r"\(B, n_max, feat_dim\)"):
         model.encode(feats(9), [9])
+    conv = model.enc_pre.conv1
+    with pytest.raises(DimensionError, match=r"\(B, t, c_in\)"):
+        T.conv1d(feats(9), conv.weight, conv.bias)
+    lstm = S2SModel(toy_cfg(body="rnn")).enc_body.layers[0].fwd
+    with pytest.raises(DimensionError, match=r"\(B, t, d_in\)"):
+        lstm(feats(9, dim=8), [9])
+    with pytest.raises(DimensionError, match=r"\(B, n\)"):
+        model.dec_pre([4, 3, 4])
 
 
 # ------------------------------------------------------------- config
@@ -637,12 +645,13 @@ def test_postnet_padded_rows_equal_unpadded_runs():
     T.backward((post(xb, np.array(lens)) * Tensor(weights)).sum())
     out = post(Tensor(x), np.array(lens)).data
     for b, (n, row) in enumerate(zip(lens, rows)):
-        xr = Tensor(row, requires_grad=True)
-        alone = post(xr)
-        np.testing.assert_allclose(out[b, :n], alone.data, rtol=0, atol=1e-12)
+        xr = Tensor(row[None], requires_grad=True)
+        alone = post(xr, [n])
+        np.testing.assert_allclose(out[b, :n], alone.data[0], rtol=0,
+                                   atol=1e-12)
         assert not out[b, n:].any()
         T.backward((alone * Tensor(weights[b, :n])).sum())
-        np.testing.assert_allclose(xb.grad[b, :n], xr.grad, rtol=0,
+        np.testing.assert_allclose(xb.grad[b, :n], xr.grad[0], rtol=0,
                                    atol=1e-12)
         assert not xb.grad[b, n:].any()
 
@@ -720,11 +729,11 @@ def _spy_infer(model, monkeypatch, **kw):
     """infer with the postnet's input (the generated coarse frames), the
     prenet's inputs and the decoder body's step inputs captured."""
     seen = {"postnet": [], "prenet": [], "body": []}
-    for name, owner, attr in (("postnet", model.postnet, "forward"),
-                              ("prenet", model.prenet, "forward"),
-                              ("body", model.dec_body, "step")):
-        def spy(*args, _real=getattr(owner, attr), _seen=seen[name]):
-            _seen.append(args[-1].data.copy())
+    for name, owner, attr, arg in (("postnet", model.postnet, "forward", 0),
+                                   ("prenet", model.prenet, "forward", 0),
+                                   ("body", model.dec_body, "step", 1)):
+        def spy(*args, _real=getattr(owner, attr), _seen=seen[name], _i=arg):
+            _seen.append(args[_i].data.copy())
             return _real(*args)
         monkeypatch.setattr(owner, attr, spy)
     out, reason = model.infer([3, 4, 5], **kw)
@@ -748,10 +757,11 @@ def test_tts_infer_equals_teacher_forcing_on_its_coarse_frames(
                                    eos_threshold=threshold,
                                    max_frames=max_frames)
     assert reason == ("cap" if threshold == 1.0 else "eos")
-    # work: one postnet pass over every coarse frame, one new row per step
+    # work: one postnet pass over every coarse frame, as a batch of one,
+    # and one new row per step
     assert len(seen["postnet"]) == 1
-    coarse = seen["postnet"][0]
-    assert coarse.shape == (2 * n_steps, 5)
+    assert seen["postnet"][0].shape == (1, 2 * n_steps, 5)
+    coarse = seen["postnet"][0][0]
     assert [x.shape[0] for x in seen["prenet"]] == [1] * n_steps
     assert [y.shape[0] for y in seen["body"]] == [1] * n_steps
     # oracle: teacher forcing on the generated coarse frames reproduces them

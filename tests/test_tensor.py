@@ -88,7 +88,8 @@ def test_batched_matmul_rejects_mismatched_axes():
 
 def test_transpose_swaps_last_axes():
     x = rnd((2, 3, 4), 46)
-    np.testing.assert_array_equal(x.T.data, np.swapaxes(x.data, -1, -2))
+    np.testing.assert_array_equal(T.transpose(x).data,
+                                  np.swapaxes(x.data, -1, -2))
     w = Tensor(np.random.default_rng(47).standard_normal((2, 4, 3)))
     f = lambda x: (T.transpose(x) * w).sum()
     assert grad_check(f, [x]) < 1e-6
@@ -150,38 +151,38 @@ def test_log_rejects_nonpositive():
 def test_conv1d_output_length_and_values():
     # length: floor((t + 2p - k)/s) + 1; t=7, k=3, s=2, p=1 -> 4
     t, c_in, c_out, k = 7, 2, 3, 3
-    x = rnd((t, c_in), 3)
+    x = rnd((1, t, c_in), 3)              # one sequence, a batch of one
     w = rnd((c_out, c_in, k), 4)
     b = rnd((c_out,), 5)
     out = T.conv1d(x, w, b, stride=2, padding=1)
-    assert out.shape == (4, c_out)
+    assert out.shape == (1, 4, c_out)
 
     # Oracle: direct loop over window positions.
-    xpad = np.pad(x.data, ((1, 1), (0, 0)))
+    xpad = np.pad(x.data[0], ((1, 1), (0, 0)))
     for i in range(4):
         for o in range(c_out):
             acc = b.data[o]
             for kk in range(k):
                 for c in range(c_in):
                     acc += xpad[i * 2 + kk, c] * w.data[o, c, kk]
-            assert abs(out.data[i, o] - acc) < 1e-12
+            assert abs(out.data[0, i, o] - acc) < 1e-12
 
 
 def test_conv1d_kernel_too_large():
     with pytest.raises(DimensionError):
-        T.conv1d(rnd((2, 3), 0), rnd((1, 3, 7), 1), stride=2, padding=1)
+        T.conv1d(rnd((1, 2, 3), 0), rnd((1, 3, 7), 1), stride=2, padding=1)
 
 
 def test_conv2d_values_against_loop():
     c_in, h, w = 2, 5, 6
     c_out, kh, kw = 3, 3, 3
-    x = rnd((c_in, h, w), 6)
+    x = rnd((1, c_in, h, w), 6)           # one image, a batch of one
     wt = rnd((c_out, c_in, kh, kw), 7)
     out = T.conv2d(x, wt, stride=2, padding=1)
     h_out = (h + 2 - kh) // 2 + 1
     w_out = (w + 2 - kw) // 2 + 1
-    assert out.shape == (c_out, h_out, w_out)
-    xpad = np.pad(x.data, ((0, 0), (1, 1), (1, 1)))
+    assert out.shape == (1, c_out, h_out, w_out)
+    xpad = np.pad(x.data[0], ((0, 0), (1, 1), (1, 1)))
     for o in range(c_out):
         for i in range(h_out):
             for j in range(w_out):
@@ -189,7 +190,7 @@ def test_conv2d_values_against_loop():
                 for c in range(c_in):
                     acc += np.sum(xpad[c, i * 2:i * 2 + kh, j * 2:j * 2 + kw]
                                   * wt.data[o, c])
-                assert abs(out.data[o, i, j] - acc) < 1e-12
+                assert abs(out.data[0, o, i, j] - acc) < 1e-12
 
 
 def test_max_pool2d_values():
@@ -227,7 +228,7 @@ def test_embedding_lookup_empty_prefix():
 def test_reshape_concat_slice_transpose_roundtrip():
     x = rnd((4, 6), 12)
     assert x.reshape(3, 8).shape == (3, 8)
-    assert x.T.shape == (6, 4)
+    assert T.transpose(x).shape == (6, 4)
     assert x[1:3].shape == (2, 6)
     assert x[:, 2:5].shape == (4, 3)
     assert x[1].shape == (6,) and x[1:3, 2].shape == (2,)
@@ -309,7 +310,7 @@ UNARY_CASES = [
     ("softmax", lambda x: (T.softmax(x) * T.softmax(x)).sum(), 2.0),
     ("log_softmax", lambda x: (T.log_softmax(x) * T.log_softmax(x)).sum(), 2.0),
     ("log_sigmoid", lambda x: T.log_sigmoid(x).sum(), 2.0),
-    ("transpose", lambda x: (x.T @ x).sum(), 1.0),
+    ("transpose", lambda x: (T.transpose(x) @ x).sum(), 1.0),
     ("reshape", lambda x: (x.reshape(x.size, 1) * x.reshape(x.size, 1)).sum(), 1.0),
     ("slice", lambda x: x[1:3, 0:2].sum(), 1.0),
     ("index", lambda x: (x[1] * x[2]).sum() + x[0, 1:3].sum(), 1.0),
@@ -366,7 +367,7 @@ def test_grad_layer_norm():
 
 
 def test_grad_conv1d():
-    x = rnd((7, 2), 29)
+    x = rnd((1, 7, 2), 29)
     w = rnd((3, 2, 3), 30)
     b = rnd((3,), 31)
 
@@ -377,7 +378,7 @@ def test_grad_conv1d():
 
 
 def test_grad_conv2d_and_pool():
-    x = rnd((2, 6, 5), 32)
+    x = rnd((1, 2, 6, 5), 32)
     w = rnd((3, 2, 3, 3), 33)
 
     def f(x, w):
@@ -518,8 +519,8 @@ def test_graph_counts_ops():
 
 
 def test_batched_conv_and_pool_equal_per_row():
-    # a leading batch axis convolves and pools every row alike, forward
-    # and backward; the weight gradients sum over the rows
+    # every row of a batch convolves and pools as a batch of one of it,
+    # forward and backward; the weight gradients sum over the rows
     rng = np.random.default_rng(70)
     cases = [
         (lambda x, w, b: T.conv1d(x, w, b, stride=2, padding=1),
@@ -539,13 +540,13 @@ def test_batched_conv_and_pool_equal_per_row():
         gx, gw, gb = x.grad, w.grad, b.grad
         want_w, want_b = np.zeros_like(w.data), np.zeros_like(b.data)
         for i in range(x_shape[0]):
-            xi = Tensor(x.data[i], requires_grad=True)
+            xi = Tensor(x.data[i:i + 1], requires_grad=True)
             w.grad = b.grad = None
             oi = op(xi, w, b)
-            np.testing.assert_allclose(out.data[i], oi.data, rtol=0,
+            np.testing.assert_allclose(out.data[i], oi.data[0], rtol=0,
                                        atol=1e-12)
             backward((oi * Tensor(r[i])).sum())
-            np.testing.assert_allclose(gx[i], xi.grad, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(gx[i], xi.grad[0], rtol=0, atol=1e-12)
             want_w += w.grad
             want_b += b.grad
         np.testing.assert_allclose(gw, want_w, rtol=0, atol=1e-12)
