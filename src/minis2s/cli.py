@@ -174,8 +174,7 @@ def cmd_decode(args) -> int:
             results[i] = result
     lines = []
     for utt, result in zip(utts, results):
-        ranked = result.nbest[:args.nbest] if args.nbest > 1 else [result.best]
-        for hyp in ranked:
+        for hyp in result.nbest[:args.nbest]:
             text = " ".join(vocab.decode(list(hyp.tokens)))
             lines.append(f"{utt.utt_id}\t{text}\t{hyp.combined!r}")
     _emit(lines, args.out)

@@ -157,7 +157,7 @@ def experiment_from_items(items: Dict[str, str]) -> ExperimentConfig:
 
 
 def load_experiment_config(path: str) -> ExperimentConfig:
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise ConfigError(f"no such config file: {path}")
     items = parse_config_text(read_text(path, ConfigError))
     cfg = experiment_from_items(items)
@@ -173,10 +173,10 @@ def env_seed() -> Optional[int]:
     raw = os.environ.get("S2S_SEED")
     if raw is None:
         return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"S2S_SEED must be an integer, got {raw!r}") from None
+    if not raw.strip().isdecimal():
+        raise ConfigError(f"S2S_SEED must be a non-negative integer, got "
+                          f"{raw!r}")
+    return int(raw)
 
 
 def dump_experiment_config(cfg: ExperimentConfig) -> str:
@@ -209,7 +209,7 @@ _TOY_KEYS: Dict[str, Callable] = {
 
 
 def load_toy_spec(path: str) -> ToySpec:
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise ConfigError(f"no such spec file: {path}")
     items = parse_config_text(read_text(path, ConfigError))
     kwargs = {}

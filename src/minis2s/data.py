@@ -9,6 +9,7 @@ feature chunk, utterances concatenate prototypes plus gaussian noise.
 
 from __future__ import annotations
 
+import math
 import os
 import string
 import struct
@@ -169,6 +170,12 @@ class ToySpec:
         if self.utt_len_range[0] < 1 \
                 or self.utt_len_range[0] > self.utt_len_range[1]:
             raise ConfigError(f"bad utt_len_range {self.utt_len_range}")
+        for key, low in (("feat_dim", 1), ("n_train", 1), ("n_dev", 0),
+                         ("n_test", 0), ("seed", 0), ("noise_std", 0)):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value >= low):
+                raise ConfigError(f"{key} must be finite and >= {low}, got "
+                                  f"{value}")
         return self
 
 

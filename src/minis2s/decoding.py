@@ -17,7 +17,9 @@ so each beam step makes one decoder call, one LM call and one CTC call,
 each covering every live hypothesis and every token. The
 Transformer decoder's cache is copied once per step: select composes
 row maps, and the next step gathers the kept rows and the new position
-into one buffer. Pruning, the finished pool, the length budget and the
+into one buffer. The live prefixes are one token array, and pruning is
+one sort over the non-blank cells of every utterance that keeps each
+one's first beam_size. The finished pool, the length budget and the
 statistics stay per utterance: batch_beam_search gives each utterance
 the result a search of it alone gives, and beam_search is its
 one-utterance case.
@@ -234,30 +236,6 @@ class BeamResult:
     stats: SearchStats = field(default_factory=SearchStats)
 
 
-def _prune(rank: np.ndarray, prefixes: List[Tuple[int, ...]],
-           k: int) -> List[Tuple[int, int]]:
-    """The k best non-blank (row, token) cells of rank (B, V), best first
-    in the order of rank_hypotheses: higher score, then the shorter and
-    then the lexicographically smaller token sequence."""
-    cols = np.array([c for c in range(rank.shape[1]) if c != BLANK_ID])
-    scores = rank[:, cols].ravel()
-    order = np.argsort(-scores, kind="stable")
-    if len(order) > k:
-        # only the cells tied with the k-th score need the full key
-        order = order[scores[order] >= scores[order[k - 1]]]
-
-    def cell(j: int) -> Tuple[int, int]:
-        row, col = divmod(int(j), len(cols))
-        return row, int(cols[col])
-
-    def key(j: int):
-        row, tok = cell(j)
-        toks = prefixes[row][1:] + (() if tok == SOS_EOS_ID else (tok,))
-        return (-scores[j], len(toks), toks)
-
-    return [cell(j) for j in sorted(order, key=key)[:k]]
-
-
 def beam_search(enc, model, lm=None, config: Optional[BeamConfig] = None) -> BeamResult:
     """Beam search over the one utterance of an encoded batch of one:
     batch_beam_search with N = 1."""
@@ -291,10 +269,10 @@ def batch_beam_search(enc, model, lm=None,
     """
     config = config or BeamConfig()
     config.validate()
-    n_subs = [int(n) for n in enc.n_sub]
-    if not n_subs or min(n_subs) == 0:
+    n_subs = np.asarray(enc.n_sub, dtype=np.int64)
+    if not len(n_subs) or n_subs.min() == 0:
         raise DataError("cannot decode an empty encoded sequence")
-    max_lens = [math.ceil(config.max_len_ratio * n) for n in n_subs]
+    max_lens = np.ceil(config.max_len_ratio * n_subs).astype(np.int64)
     vocab = model.config.vocab_size
     use_ctc = bool(getattr(model.config, "uses_ctc", False))
     use_lm = lm is not None and config.gamma != 0.0
@@ -307,18 +285,19 @@ def batch_beam_search(enc, model, lm=None,
     dec_state = model.init_state(enc)
     lm_state = lm.init_state().select([0] * n_utt) if use_lm else None
     is_eos = np.arange(vocab) == SOS_EOS_ID
-    nonblank = np.arange(vocab) != BLANK_ID
+    nonblank = np.flatnonzero(np.arange(vocab) != BLANK_ID)
 
     # the live hypotheses, one row each, grouped by utterance in order:
-    # owner[r] is row r's utterance
+    # owner[r] is row r's utterance and prefix[r] its tokens, the
+    # start-of-sequence id first
     owner = np.arange(n_utt)
-    prefixes: List[Tuple[int, ...]] = [(SOS_EOS_ID,)] * n_utt
+    prefix = np.full((n_utt, 1), SOS_EOS_ID)
     s2s = lmp = np.zeros(n_utt)
     finished: List[List[Hypothesis]] = [[] for _ in range(n_utt)]
     unfinished: List[List[Hypothesis]] = [[] for _ in range(n_utt)]
-    stats = [SearchStats() for _ in range(n_utt)]
-    for step in range(max(max_lens)):
-        last = [p[-1] for p in prefixes]
+    steps, scored, n_finished = np.zeros((3, n_utt), dtype=np.int64)
+    for step in range(int(max_lens.max())):
+        last = prefix[:, -1]
         rows_s2s, dec_state = model.step(dec_state, last)
         cand_s2s = s2s[:, None] + rows_s2s
         cand_lm = np.zeros_like(cand_s2s)
@@ -336,41 +315,49 @@ def batch_beam_search(enc, model, lm=None,
             rank = cand + config.length_penalty * np.where(is_eos, step,
                                                            step + 1)
 
-        def hyp(b: int, tok: int) -> Hypothesis:
-            return Hypothesis(prefix=prefixes[b] + (tok,),
-                              log_s2s=float(cand_s2s[b, tok]),
-                              log_ctc=float(cand_ctc[b, tok]),
-                              log_lm=float(cand_lm[b, tok]),
-                              combined=float(cand[b, tok]),
-                              finished=tok == SOS_EOS_ID)
+        # every non-blank cell, sorted by utterance and within it as
+        # rank_hypotheses ranks: higher score, then the shorter token
+        # sequence (eos adds no token), then the smaller one; each
+        # utterance keeps its first beam_size cells
+        row = np.repeat(np.arange(len(owner)), len(nonblank))
+        tok = np.tile(nonblank, len(owner))
+        score = rank[:, nonblank].ravel()
+        order = np.lexsort((tok, *prefix[row, :0:-1].T, tok != SOS_EOS_ID,
+                            -score, owner[row]))
+        ranked = owner[row[order]]
+        win = order[np.arange(len(order)) - np.searchsorted(ranked, ranked)
+                    < config.beam_size]
+        win_row, win_tok = row[win], tok[win]
+        win_utt, win_eos = owner[win_row], win_tok == SOS_EOS_ID
+        n_rows = np.bincount(owner, minlength=n_utt)
+        steps += n_rows > 0
+        scored += n_rows * len(nonblank)
+        n_finished += np.bincount(win_utt[win_eos], minlength=n_utt)
 
-        # eos extensions compete with the rest for beam slots; the
-        # survivors that finished retire to the pool. An utterance drops
-        # its rows when it is out of survivors or of steps, or settled:
-        # every cell scores -inf and the pool holds a full n-best.
-        rows, toks = [], []
-        cuts = np.flatnonzero(np.diff(owner)) + 1
-        for lo, hi in zip([0, *cuts], [*cuts, len(owner)]):
-            i = int(owner[lo])
-            stats[i].steps += 1
-            stats[i].scored += (hi - lo) * (vocab - 1)
-            kept = []
-            for b, tok in _prune(rank[lo:hi], prefixes[lo:hi],
-                                 config.beam_size):
-                if tok == SOS_EOS_ID:
-                    finished[i].append(hyp(lo + b, tok))
-                else:
-                    kept.append((lo + b, tok))
-            if step + 1 == max_lens[i]:
-                unfinished[i] = [hyp(b, tok) for b, tok in kept]
-            elif not (len(finished[i]) >= config.beam_size
-                      and np.all(rank[lo:hi, nonblank] == -np.inf)):
-                rows += [b for b, _ in kept]
-                toks += [tok for _, tok in kept]
-        if not rows:
+        # eos winners retire to the pool, and so do the other winners of an
+        # utterance at its last step. An utterance drops its rows when it
+        # is out of survivors or of steps, or settled: every cell scores
+        # -inf and the pool holds a full n-best.
+        out_of_steps = step + 1 == max_lens
+        retire = win_eos | out_of_steps[win_utt]
+        for b, t in zip(win_row[retire].tolist(), win_tok[retire].tolist()):
+            (finished if t == SOS_EOS_ID else unfinished)[owner[b]].append(
+                Hypothesis(prefix=tuple(prefix[b].tolist()) + (t,),
+                           log_s2s=float(cand_s2s[b, t]),
+                           log_ctc=float(cand_ctc[b, t]),
+                           log_lm=float(cand_lm[b, t]),
+                           combined=float(cand[b, t]),
+                           finished=t == SOS_EOS_ID))
+        n_finite = np.bincount(owner[row], weights=score > -np.inf,
+                               minlength=n_utt)
+        ends = out_of_steps | ((n_finished >= config.beam_size)
+                               & (n_finite == 0))
+        keep = ~win_eos & ~ends[win_utt]
+        if not keep.any():
             break
+        rows, toks = win_row[keep], win_tok[keep]
         owner = owner[rows]
-        prefixes = [prefixes[b] + (tok,) for b, tok in zip(rows, toks)]
+        prefix = np.column_stack((prefix[rows], toks))
         s2s, lmp = cand_s2s[rows, toks], cand_lm[rows, toks]
         dec_state = dec_state.select(rows)
         if use_lm:
@@ -380,7 +367,9 @@ def batch_beam_search(enc, model, lm=None,
 
     results = []
     for i in range(n_utt):
-        stats[i].finished, stats[i].live = len(finished[i]), len(unfinished[i])
+        stats = SearchStats(steps=int(steps[i]), scored=int(scored[i]),
+                            finished=len(finished[i]),
+                            live=len(unfinished[i]))
         pool = rank_hypotheses(finished[i] or unfinished[i], config)
         if not finished[i]:
             who = f"{ids[i]}: " if ids is not None else ""
@@ -388,5 +377,5 @@ def batch_beam_search(enc, model, lm=None,
                           "budget; returning the best unfinished one")
         results.append(BeamResult(best=pool[0], nbest=pool[:config.beam_size],
                                   no_finished=not finished[i],
-                                  stats=stats[i]))
+                                  stats=stats))
     return results

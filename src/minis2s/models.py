@@ -106,9 +106,12 @@ class ModelConfig:
             raise ConfigError("e and d must both be >= 1")
         if self.d_head < 1:
             raise ConfigError("d_head must be >= 1")
-        if self.d_att < 1 or self.d_ff < 1:
-            raise ConfigError(f"d_att and d_ff must both be >= 1, got "
-                              f"{self.d_att} and {self.d_ff}")
+        for key in ("d_att", "d_ff", "prenet_units", "postnet_layers"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1, got "
+                                  f"{getattr(self, key)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         for key in ("dropout_rate", "prenet_dropout_rate"):
             rate = getattr(self, key)
             if not 0.0 <= rate < 1.0:
@@ -1067,8 +1070,7 @@ class TtsModel(Module):
                 y_d, state = self.dec_body.step(state, y0)
                 groups.append(self.feat_head(y_d).data.reshape(r, feat_dim))
                 prev = groups[-1][-1:]
-                if _sigmoid_scalar(float(self.eos_head(y_d).data[0, 0])) \
-                        > eos_threshold:
+                if T.sigmoid(self.eos_head(y_d)).data[0, 0] > eos_threshold:
                     reason = "eos"
                     break
             coarse = Tensor(np.concatenate(groups)[None])
@@ -1084,13 +1086,6 @@ class TtsModel(Module):
         picked = [w if w.shape[1] <= n_heads else w[:, :n_heads]
                   for w in records.src_att[-n_layers:]]
         return picked[0] if len(picked) == 1 else T.concat(picked, axis=1)
-
-
-def _sigmoid_scalar(z: float) -> float:
-    if z >= 0:
-        return 1.0 / (1.0 + np.exp(-z))
-    e = np.exp(z)
-    return e / (1.0 + e)
 
 
 class RnnLm(Module):

@@ -318,6 +318,8 @@ class TrainConfig:
                                   f"{getattr(self, key)}")
         if self.patience < 1:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
+        if self.seed < 0:
+            raise ConfigError(f"train_seed must be >= 0, got {self.seed}")
         if not math.isfinite(self.min_delta):
             raise ConfigError(f"min_delta must be finite, got "
                               f"{self.min_delta}")

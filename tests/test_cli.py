@@ -55,6 +55,13 @@ seed = 3
 """
 
 
+def with_key(text, key, value):
+    """Config text with key's line, if any, replaced by `key = value`."""
+    lines = [line for line in text.splitlines()
+             if not line.startswith(f"{key} =")]
+    return "\n".join(lines + [f"{key} = {value}"]) + "\n"
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """gen-data + train once; the artifacts feed most tests below."""
@@ -444,6 +451,43 @@ def test_corrupt_epoch_sidecar_exits_two(workspace, tmp_path, capsys,
     assert f"{ckpt}.epoch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value", [
+    ("seed", "-1"), ("S2S_SEED", "-2"), ("feat_dim", "0"),
+    ("noise_std", "nan"), ("noise_std", "-0.1"), ("n_train", "-1"),
+    ("n_train", "0"), ("n_dev", "-1"), ("n_test", "-1")])
+def test_gen_data_rejects_out_of_range_spec_before_writing(
+        tmp_path, monkeypatch, capsys, key, value):
+    # each value is refused with the key named, before --out exists;
+    # S2S_SEED comes from the environment
+    spec = tmp_path / "toy.cfg"
+    if key == "S2S_SEED":
+        monkeypatch.setenv(key, value)
+        spec.write_text(TOY, encoding="utf-8")
+    else:
+        spec.write_text(with_key(TOY, key, value), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["gen-data", "--spec", str(spec),
+                 "--out", str(tmp_path / "d")]) == 1
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+    assert not (tmp_path / "d").exists()
+
+
+def test_a_directory_given_as_a_config_is_a_config_error(workspace, tmp_path,
+                                                         capsys):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    capsys.readouterr()
+    assert main(["train", "--config", str(folder),
+                 "--data", str(workspace / "data"),
+                 "--out", str(tmp_path / "run")]) == 1
+    assert main(["gen-data", "--spec", str(folder),
+                 "--out", str(tmp_path / "d")]) == 1
+    err = capsys.readouterr().err
+    assert err.count(str(folder)) == 2 and "Traceback" not in err
+    assert not (tmp_path / "run").exists() and not (tmp_path / "d").exists()
+
+
 def test_bad_env_seed_in_toy_spec_exits_one(tmp_path, monkeypatch, capsys):
     spec = tmp_path / "toy.cfg"
     spec.write_text(TOY, encoding="utf-8")
@@ -640,12 +684,13 @@ def test_decode_names_utterances_of_another_feature_dimension(workspace,
     ("max_f", "-2"), ("patience", "0"), ("min_delta", "nan"),
     ("min_delta", "inf"), ("gamma", "nan"), ("gamma", "-inf"),
     ("length_penalty", "nan"), ("length_penalty", "inf"),
-    ("max_len_ratio", "nan"), ("max_len_ratio", "inf")])
+    ("max_len_ratio", "nan"), ("max_len_ratio", "inf"), ("seed", "-3"),
+    ("train_seed", "-1"), ("prenet_units", "0"), ("postnet_layers", "0")])
 def test_train_rejects_out_of_range_settings_before_writing(
         workspace, tmp_path, capsys, key, value):
     # each value is refused with the key named, before --out exists
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text(EXP + f"{key} = {value}\n", encoding="utf-8")
+    cfg.write_text(with_key(EXP, key, value), encoding="utf-8")
     capsys.readouterr()
     assert main(["train", "--config", str(cfg),
                  "--data", str(workspace / "data"),

@@ -855,6 +855,42 @@ def test_batched_retirement_equals_search_one_by_one():
     assert early and late
 
 
+# -- exact ties at the beam cut ------------------------------------------------
+
+# tokens 3, 4 and 5 share every table entry and every CTC column, so their
+# extensions of one prefix tie exactly, and so do the prefixes they build
+# (3 4 and 4 3, say); from the third step on, eos and tokens 3 to 5 score
+# -inf
+TIE_TABLE = np.array([[0.0, -0.5, -1.0, -2.0, -2.0, -2.0, -0.5],
+                      [0.0, -2.0, -0.5, -2.0, -2.0, -2.0, -2.0],
+                      [0.0, -1.0, -np.inf, -np.inf, -np.inf, -np.inf, -0.5]])
+
+
+def tie_enc(n_sub, seed):
+    x = np.random.default_rng(seed).standard_normal((n_sub, 7))
+    x[:, 4] = x[:, 5] = x[:, 3]
+    return EncodedSequence(x_e=Tensor(x[None]), n_sub=np.array([n_sub]))
+
+
+@pytest.mark.parametrize("beam", [2, 3])
+@pytest.mark.parametrize("length_penalty", [0.0, 0.5])
+def test_exact_ties_at_the_beam_cut(beam, length_penalty):
+    # three utterances of one to three frames, searched as one batch: the
+    # cut falls inside groups of exactly tied cells, finite ones and -inf
+    # ones (prefixes longer than their frames allow), and each utterance
+    # keeps the n-best of the reference beam and of a search of it alone
+    model = CtcTableModel(TIE_TABLE)
+    encs = [tie_enc(n, seed=20 + n) for n in (1, 2, 3)]
+    cfg = BeamConfig(beam_size=beam, lam=0.5, gamma=0.0, max_len_ratio=3.0,
+                     length_penalty=length_penalty)
+    batched = batch_beam_search(join(encs), model, config=cfg)
+    for enc, got in zip(encs, batched):
+        assert not got.no_finished
+        _same_result(got, beam_search(enc, model, config=cfg))
+        want, _ = reference_beam(enc, model, None, cfg)
+        _same_nbest(got.nbest, want)
+
+
 def test_empty_encoding_rejected():
     model = tiny_model(41)
     enc = EncodedSequence(x_e=Tensor(np.zeros((1, 0, 8))), n_sub=np.array([0]))
