@@ -60,6 +60,11 @@ def cmd_gen_data(args) -> int:
 
 
 def _train_language_model(cfg, args) -> int:
+    # the LM reads only these two model keys
+    if cfg.model.d_att < 1:
+        raise ConfigError(f"d_att must be >= 1, got {cfg.model.d_att}")
+    if cfg.model.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg.model.seed}")
     utts, vocab = load_dataset(args.data, "train")
     sequences = [list(u.tokens) for u in utts]
     lm = RnnLm(len(vocab), d_lm=cfg.model.d_att, seed=cfg.model.seed)
@@ -256,20 +261,31 @@ def cmd_report(args) -> int:
     if reader.fieldnames != LOG_COLUMNS:
         raise DataError(f"{args.log} is not a training log "
                         f"(columns {reader.fieldnames})")
-    rows = list(reader)
-    if not rows:
+    steps, epochs, totals = [], [], []
+    for r in reader:
+        where = f"{args.log} line {reader.line_num}"
+        if None in r or None in r.values():
+            raise DataError(f"{where}: expected {len(LOG_COLUMNS)} fields")
+        try:
+            epochs.append(int(r["epoch"]))
+            totals.append(float(r["total"]))
+        except ValueError:
+            raise DataError(f"{where}: want a whole epoch and a numeric "
+                            f"total, got {r['epoch']!r} and {r['total']!r}") \
+                from None
+        steps.append(r["step"])
+    if not steps:
         raise DataError(f"{args.log} holds no steps")
-    totals = [float(r["total"]) for r in rows]
     best = min(range(len(totals)), key=lambda i: totals[i])
-    print(f"steps: {len(rows)}  epochs: {rows[-1]['epoch']}")
+    print(f"steps: {len(steps)}  epochs: {epochs[-1]}")
     print(f"total loss: first {totals[0]:.6f}  last {totals[-1]:.6f}  "
-          f"min {totals[best]:.6f} (step {rows[best]['step']})")
+          f"min {totals[best]:.6f} (step {steps[best]})")
     if args.per_epoch:
-        by_epoch: Dict[str, List[float]] = {}
-        for r in rows:
-            by_epoch.setdefault(r["epoch"], []).append(float(r["total"]))
+        by_epoch: Dict[int, List[float]] = {}
+        for epoch, total in zip(epochs, totals):
+            by_epoch.setdefault(epoch, []).append(total)
         print("epoch  steps  mean_total")
-        for epoch in sorted(by_epoch, key=int):
+        for epoch in sorted(by_epoch):
             vals = by_epoch[epoch]
             print(f"{epoch:>5}  {len(vals):>5}  {sum(vals)/len(vals):.6f}")
     return 0

@@ -121,6 +121,9 @@ def read_transcripts(path: str, vocab: Vocab) -> Dict[str, List[int]]:
         if "\t" not in line:
             raise DataError(f"{path}:{line_no}: expected utt_id<TAB>tokens")
         utt_id, text = line.split("\t", 1)
+        if utt_id in out:
+            raise DataError(f"{path}:{line_no}: duplicate utterance id "
+                            f"{utt_id!r}")
         out[utt_id] = vocab.encode(text.split())
     return out
 
@@ -132,15 +135,18 @@ def write_manifest(path: str, entries: Sequence[Tuple[str, str]]) -> None:
 
 
 def read_manifest(path: str) -> List[Tuple[str, str]]:
-    out = []
+    out: Dict[str, str] = {}
     for line_no, line in enumerate(read_text(path).split("\n"), 1):
         if not line:
             continue
         parts = line.split("\t")
         if len(parts) != 2:
             raise DataError(f"{path}:{line_no}: expected utt_id<TAB>path")
-        out.append((parts[0], parts[1]))
-    return out
+        if parts[0] in out:
+            raise DataError(f"{path}:{line_no}: duplicate utterance id "
+                            f"{parts[0]!r}")
+        out[parts[0]] = parts[1]
+    return list(out.items())
 
 
 # -- toy corpora ----------------------------------------------------------------

@@ -158,18 +158,16 @@ def ctc_log_likelihood(log_probs: Tensor, targets: Sequence,
             b_pad[t, ends, :-2] = np.where(finals[ends], uz[t, ends], -np.inf)
     beta = b_pad[:n_max, :, :-2]
 
-    def bwd(g, log_probs=log_probs):
-        if not log_probs.requires_grad:
-            return
+    def grad(g):
         # alpha and beta both include u[t, z[s]]; remove one copy (states
         # past a row's labels have alpha = beta = -inf and add nothing)
         post = np.exp(alpha + beta - np.where(state_ok, uz, 0.0) - logp[:, None])
-        grad = np.zeros((n_max, n_b, vocab))
-        np.add.at(grad, (slice(None), rows[:, None], z), post)
-        grad *= np.reshape(g, n_b)[:, None]
-        log_probs._accumulate(grad.transpose(1, 0, 2).reshape(log_probs.shape))
+        out = np.zeros((n_max, n_b, vocab))
+        np.add.at(out, (slice(None), rows[:, None], z), post)
+        out *= np.reshape(g, n_b)[:, None]
+        return out.transpose(1, 0, 2).reshape(log_probs.shape)
 
-    return T.from_op(logp, (log_probs,), bwd)
+    return T.from_op(log_probs, logp, grad)
 
 
 def joint_asr_loss(s2s_nll: Tensor, ctc_nll: Tensor, alpha: float) -> Tensor:

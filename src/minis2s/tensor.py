@@ -11,38 +11,27 @@ entered as a context manager around a forward pass.
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import DimensionError, DomainError
 
-_state = threading.local()
-
-
-def _graph_stack() -> list:
-    stack = getattr(_state, "graphs", None)
-    if stack is None:
-        stack = []
-        _state.graphs = stack
-    return stack
-
-
-def _grad_enabled() -> bool:
-    return getattr(_state, "grad_enabled", True)
+_graphs: list = []      # the entered Graphs, innermost last
+_grad_enabled = True    # False inside no_grad
 
 
 class no_grad:
     """Context manager that disables tape recording (decode-time speedup)."""
 
     def __enter__(self):
-        self._prev = _grad_enabled()
-        _state.grad_enabled = False
+        global _grad_enabled
+        self._prev, _grad_enabled = _grad_enabled, False
         return self
 
     def __exit__(self, *exc):
-        _state.grad_enabled = self._prev
+        global _grad_enabled
+        _grad_enabled = self._prev
         return False
 
 
@@ -51,7 +40,6 @@ class Graph:
 
     Owns the rng that feeds every stochastic op run inside it and counts the
     ops executed, so replaying with the same seed and inputs is bit-exact.
-    Confined to a single thread; independent graphs may run in parallel.
     """
 
     def __init__(self, seed: int = 0):
@@ -60,17 +48,16 @@ class Graph:
         self.op_count = 0
 
     def __enter__(self) -> "Graph":
-        _graph_stack().append(self)
+        _graphs.append(self)
         return self
 
     def __exit__(self, *exc):
-        _graph_stack().pop()
+        _graphs.pop()
         return False
 
     @staticmethod
     def current() -> Optional["Graph"]:
-        stack = _graph_stack()
-        return stack[-1] if stack else None
+        return _graphs[-1] if _graphs else None
 
 
 _tensor_counter = 0
@@ -200,7 +187,7 @@ def constant_view(data: np.ndarray) -> Tensor:
 def _result(data: np.ndarray, parents: Sequence[Tensor],
             bwd: Optional[Callable[[np.ndarray], None]]) -> Tensor:
     """Wrap an op result, recording the tape node only when gradients flow."""
-    track = _grad_enabled() and any(p.requires_grad for p in parents)
+    track = _grad_enabled and any(p.requires_grad for p in parents)
     out = Tensor(data, requires_grad=track)
     if track:
         out._parents = tuple(parents)
@@ -209,6 +196,13 @@ def _result(data: np.ndarray, parents: Sequence[Tensor],
     if g is not None:
         g.op_count += 1
     return out
+
+
+def from_op(a: Tensor, data: np.ndarray,
+            grad: Callable[[np.ndarray], np.ndarray]) -> Tensor:
+    """The result `data` of a one-input op on `a`, recorded so that the
+    backward adds grad(g) into a, g being the result's gradient."""
+    return _result(data, (a,), lambda g: a._accumulate(grad(g)))
 
 
 def _broadcast_check(a_shape: tuple, b_shape: tuple) -> None:
@@ -253,13 +247,7 @@ def _add(a: Tensor, b) -> Tensor:
                 b._accumulate(_reduce_to(g, b.shape))
 
         return _result(data, (a, b), bwd)
-    c = float(b)
-
-    def bwd_const(g, a=a):
-        if a.requires_grad:
-            a._accumulate(g)
-
-    return _result(a.data + c, (a,), bwd_const)
+    return from_op(a, a.data + float(b), lambda g: g)
 
 
 def _mul(a: Tensor, b: Tensor) -> Tensor:
@@ -277,12 +265,7 @@ def _mul(a: Tensor, b: Tensor) -> Tensor:
 
 def _scale(a: Tensor, c) -> Tensor:
     c = float(c)
-
-    def bwd(g, a=a, c=c):
-        if a.requires_grad:
-            a._accumulate(g * c)
-
-    return _result(a.data * c, (a,), bwd)
+    return from_op(a, a.data * c, lambda g: g * c)
 
 
 def _weight_grad(x: np.ndarray, dz: np.ndarray) -> np.ndarray:
@@ -342,12 +325,8 @@ def transpose(a: Tensor) -> Tensor:
     """Swap the last two axes."""
     if a.ndim < 2:
         raise DimensionError(f"transpose needs rank >= 2, got {a.shape}")
-
-    def bwd(g, a=a):
-        if a.requires_grad:
-            a._accumulate(np.swapaxes(g, -1, -2))
-
-    return _result(np.swapaxes(a.data, -1, -2).copy(), (a,), bwd)
+    return from_op(a, np.swapaxes(a.data, -1, -2).copy(),
+                   lambda g: np.swapaxes(g, -1, -2))
 
 
 def _slice(a: Tensor, idx) -> Tensor:
@@ -363,28 +342,22 @@ def _slice(a: Tensor, idx) -> Tensor:
     gather = any(isinstance(s, np.ndarray) for s in idx)
     data = a.data[idx] if gather else a.data[idx].copy()
 
-    def bwd(g, a=a, idx=idx):
-        if a.requires_grad:
-            full = np.zeros_like(a.data)
-            if gather:
-                np.add.at(full, idx, g)
-            else:
-                full[idx] = g
-            a._accumulate(full)
+    def grad(g):
+        full = np.zeros_like(a.data)
+        if gather:
+            np.add.at(full, idx, g)
+        else:
+            full[idx] = g
+        return full
 
-    return _result(data, (a,), bwd)
+    return from_op(a, data, grad)
 
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:
     if int(np.prod(shape)) != a.size:
         raise DimensionError(f"cannot reshape {a.shape} to {shape}")
-    data = a.data.reshape(shape).copy()
-
-    def bwd(g, a=a):
-        if a.requires_grad:
-            a._accumulate(g.reshape(a.shape))
-
-    return _result(data, (a,), bwd)
+    return from_op(a, a.data.reshape(shape).copy(),
+                   lambda g: g.reshape(a.shape))
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -410,22 +383,12 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
-
-    def bwd(g, a=a, mask=mask):
-        if a.requires_grad:
-            a._accumulate(g * mask)
-
-    return _result(np.where(mask, a.data, 0.0), (a,), bwd)
+    return from_op(a, np.where(mask, a.data, 0.0), lambda g: g * mask)
 
 
 def tanh(a: Tensor) -> Tensor:
     y = np.tanh(a.data)
-
-    def bwd(g, a=a, y=y):
-        if a.requires_grad:
-            a._accumulate(g * (1.0 - y * y))
-
-    return _result(y, (a,), bwd)
+    return from_op(a, y, lambda g: g * (1.0 - y * y))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -436,61 +399,34 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 def sigmoid(a: Tensor) -> Tensor:
     y = _sigmoid(a.data)
-
-    def bwd(g, a=a, y=y):
-        if a.requires_grad:
-            a._accumulate(g * y * (1.0 - y))
-
-    return _result(y, (a,), bwd)
+    return from_op(a, y, lambda g: g * y * (1.0 - y))
 
 
 def exp(a: Tensor) -> Tensor:
     y = np.exp(a.data)
-
-    def bwd(g, a=a, y=y):
-        if a.requires_grad:
-            a._accumulate(g * y)
-
-    return _result(y, (a,), bwd)
+    return from_op(a, y, lambda g: g * y)
 
 
 def log(a: Tensor) -> Tensor:
     if np.any(a.data <= 0):
         raise DomainError("log of non-positive value")
-
-    def bwd(g, a=a):
-        if a.requires_grad:
-            a._accumulate(g / a.data)
-
-    return _result(np.log(a.data), (a,), bwd)
+    return from_op(a, np.log(a.data), lambda g: g / a.data)
 
 
 def absval(a: Tensor) -> Tensor:
     sign = np.sign(a.data)
-
-    def bwd(g, a=a, sign=sign):
-        if a.requires_grad:
-            a._accumulate(g * sign)
-
-    return _result(np.abs(a.data), (a,), bwd)
+    return from_op(a, np.abs(a.data), lambda g: g * sign)
 
 
 def tsum(a: Tensor) -> Tensor:
-    def bwd(g, a=a):
-        if a.requires_grad:
-            a._accumulate(np.full_like(a.data, float(g)))
-
-    return _result(np.asarray(a.data.sum()), (a,), bwd)
+    return from_op(a, np.asarray(a.data.sum()),
+                   lambda g: np.full_like(a.data, float(g)))
 
 
 def tmean(a: Tensor) -> Tensor:
     n = a.data.size
-
-    def bwd(g, a=a, n=n):
-        if a.requires_grad:
-            a._accumulate(np.full_like(a.data, float(g) / n))
-
-    return _result(np.asarray(a.data.mean()), (a,), bwd)
+    return from_op(a, np.asarray(a.data.mean()),
+                   lambda g: np.full_like(a.data, float(g) / n))
 
 
 # -- softmax family ----------------------------------------------------------
@@ -501,25 +437,16 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     z = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(z)
     y = e / e.sum(axis=axis, keepdims=True)
-
-    def bwd(g, a=a, y=y, axis=axis):
-        if a.requires_grad:
-            dot = (g * y).sum(axis=axis, keepdims=True)
-            a._accumulate(y * (g - dot))
-
-    return _result(y, (a,), bwd)
+    return from_op(a, y, lambda g: y * (g - (g * y).sum(axis=axis,
+                                                       keepdims=True)))
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     z = a.data - a.data.max(axis=axis, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=axis, keepdims=True))
     y = z - lse
-
-    def bwd(g, a=a, y=y, axis=axis):
-        if a.requires_grad:
-            a._accumulate(g - np.exp(y) * g.sum(axis=axis, keepdims=True))
-
-    return _result(y, (a,), bwd)
+    return from_op(a, y, lambda g: g - np.exp(y) * g.sum(axis=axis,
+                                                         keepdims=True))
 
 
 def log_sigmoid(a: Tensor) -> Tensor:
@@ -527,15 +454,8 @@ def log_sigmoid(a: Tensor) -> Tensor:
     x = a.data
     y = np.where(x >= 0, -np.log1p(np.exp(-np.abs(x))),
                  x - np.log1p(np.exp(-np.abs(x))))
-
-    def bwd(g, a=a, x=x):
-        if a.requires_grad:
-            # d/dx log sigmoid(x) = sigmoid(-x)
-            s = np.where(x >= 0, np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))),
-                         1.0 / (1.0 + np.exp(-np.abs(x))))
-            a._accumulate(g * s)
-
-    return _result(y, (a,), bwd)
+    # d/dx log sigmoid(x) = sigmoid(-x)
+    return from_op(a, y, lambda g: g * _sigmoid(-x))
 
 
 # -- normalization and regularization -----------------------------------------
@@ -567,39 +487,27 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
     return _result(y, (x, gain, bias), bwd)
 
 
-def dropout(x: Tensor, rate: float, training: bool, rng=None) -> Tensor:
-    """Inverted dropout: scales survivors by 1/(1-rate) at train time.
-
-    `rng` may be a Generator, an int seed, or None to use the active
-    Graph's rng.
-    """
+def dropout(x: Tensor, rate: float, training: bool) -> Tensor:
+    """Inverted dropout: scales survivors by 1/(1-rate) at train time,
+    the mask drawn from the active Graph's rng."""
     if not 0.0 <= rate < 1.0:
         raise DomainError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return x
-    if rng is None:
-        g = Graph.current()
-        if g is None:
-            raise RuntimeError("training-mode dropout needs an active Graph or rng")
-        rng = g.rng
-    elif isinstance(rng, int):
-        rng = np.random.default_rng(rng)
-    keep = rng.random(x.shape) >= rate
+    graph = Graph.current()
+    if graph is None:
+        raise RuntimeError("training-mode dropout needs an active Graph")
+    keep = graph.rng.random(x.shape) >= rate
     scale = 1.0 / (1.0 - rate)
-
     # the tape keeps the boolean mask, an eighth of the float factor
-    def bwd(g, x=x, keep=keep, scale=scale):
-        if x.requires_grad:
-            x._accumulate(g * (keep * scale))
-
-    return _result(x.data * (keep * scale), (x,), bwd)
+    return from_op(x, x.data * (keep * scale), lambda g: g * (keep * scale))
 
 
 # -- convolution, pooling, embedding ------------------------------------------
 
 
-def conv1d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
-           stride: int = 1, padding: int = 0) -> Tensor:
+def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
+           padding: int = 0) -> Tensor:
     """1-D convolution over time of every row of a batch x (B, t, c_in)
     alike; weight: (c_out, c_in, k).
 
@@ -613,6 +521,8 @@ def conv1d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     c_out, w_cin, k = weight.shape
     if w_cin != c_in:
         raise DimensionError(f"conv1d channel mismatch: input {c_in}, weight {w_cin}")
+    if bias.shape != (c_out,):
+        raise DimensionError("conv1d bias must have shape (c_out,)")
     t_out = (t + 2 * padding - k) // stride + 1
     if t_out < 1:
         raise DimensionError(f"conv1d kernel {k} does not fit input of length {t} "
@@ -629,18 +539,12 @@ def conv1d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
                                                                k * c_in)
 
     w2 = weight.data.transpose(0, 2, 1).reshape(c_out, k * c_in)
-    out = columns() @ w2.T
-    if bias is not None:
-        if bias.shape != (c_out,):
-            raise DimensionError("conv1d bias must have shape (c_out,)")
-        out = out + bias.data
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
+    out = columns() @ w2.T + bias.data
 
     def bwd(g, x=x, weight=weight, bias=bias, w2=w2,
             stride=stride, padding=padding, k=k, c_in=c_in, t=t, t_out=t_out):
         g = g.reshape(n_b * t_out, c_out)
-        if bias is not None and bias.requires_grad:
+        if bias.requires_grad:
             bias._accumulate(g.sum(axis=0))
         if weight.requires_grad:
             gw2 = g.T @ columns()
@@ -653,11 +557,11 @@ def conv1d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
                     gcols[:, :, kk * c_in:(kk + 1) * c_in]
             x._accumulate(gxpad[:, padding:padding + t])
 
-    return _result(out.reshape(n_b, t_out, c_out), parents, bwd)
+    return _result(out.reshape(n_b, t_out, c_out), (x, weight, bias), bwd)
 
 
-def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
-           stride: int = 1, padding: int = 0) -> Tensor:
+def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
+           padding: int = 0) -> Tensor:
     """2-D convolution of every image of a batch x (B, c_in, h, w) alike;
     weight: (c_out, c_in, kh, kw)."""
     if x.ndim != 4 or weight.ndim != 4:
@@ -668,6 +572,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     c_out, w_cin, kh, kw = weight.shape
     if w_cin != c_in:
         raise DimensionError(f"conv2d channel mismatch: input {c_in}, weight {w_cin}")
+    if bias.shape != (c_out,):
+        raise DimensionError("conv2d bias must have shape (c_out,)")
     h_out = (h + 2 * padding - kh) // stride + 1
     w_out = (w + 2 * padding - kw) // stride + 1
     if h_out < 1 or w_out < 1:
@@ -679,20 +585,14 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     n_pix = n_b * h_out * w_out
     cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n_pix, c_in * kh * kw)
     w2 = weight.data.reshape(c_out, c_in * kh * kw)
-    out = cols @ w2.T  # (B*h_out*w_out, c_out)
-    if bias is not None:
-        if bias.shape != (c_out,):
-            raise DimensionError("conv2d bias must have shape (c_out,)")
-        out = out + bias.data
+    out = cols @ w2.T + bias.data  # (B*h_out*w_out, c_out)
     out = out.reshape(n_b, h_out, w_out, c_out).transpose(0, 3, 1, 2)
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
 
     def bwd(g, x=x, weight=weight, bias=bias, cols=cols, w2=w2, stride=stride,
             padding=padding, kh=kh, kw=kw, c_in=c_in, h=h, w=w,
             h_out=h_out, w_out=w_out):
         gflat = g.transpose(0, 2, 3, 1).reshape(n_pix, c_out)
-        if bias is not None and bias.requires_grad:
+        if bias.requires_grad:
             bias._accumulate(gflat.sum(axis=0))
         if weight.requires_grad:
             weight._accumulate((gflat.T @ cols).reshape(weight.shape))
@@ -708,17 +608,14 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
                 gxpad = gxpad[:, :, padding:padding + h, padding:padding + w]
             x._accumulate(gxpad)
 
-    return _result(out, parents, bwd)
+    return _result(out, (x, weight, bias), bwd)
 
 
-def max_pool2d(x: Tensor, kernel: int = 2, stride: Optional[int] = None) -> Tensor:
-    """Max pooling over the last two axes of (..., h, w); trailing rows/cols
-    that do not fill a window are dropped. Ties route the gradient to the
-    first maximum."""
-    if stride is None:
-        stride = kernel
-    if stride != kernel:
-        raise DimensionError("max_pool2d supports stride == kernel only")
+def max_pool2d(x: Tensor, kernel: int = 2) -> Tensor:
+    """Max pooling over the last two axes of (..., h, w) in windows of
+    kernel x kernel, the stride the kernel; trailing rows/cols that do
+    not fill a window are dropped. Ties route the gradient to the first
+    maximum."""
     lead, (h, w) = x.shape[:-2], x.shape[-2:]
     h_out, w_out = h // kernel, w // kernel
     if h_out < 1 or w_out < 1:
@@ -730,17 +627,16 @@ def max_pool2d(x: Tensor, kernel: int = 2, stride: Optional[int] = None) -> Tens
     arg = flat.argmax(axis=-1)
     out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
 
-    def bwd(g, x=x, arg=arg, h_out=h_out, w_out=w_out, kernel=kernel):
-        if x.requires_grad:
-            gflat = np.zeros(lead + (h_out, w_out, kernel * kernel))
-            np.put_along_axis(gflat, arg[..., None], g[..., None], axis=-1)
-            gx = np.zeros_like(x.data)
-            gx[..., :h_out * kernel, :w_out * kernel] = np.swapaxes(
-                gflat.reshape(lead + (h_out, w_out, kernel, kernel)), -3, -2
-            ).reshape(lead + (h_out * kernel, w_out * kernel))
-            x._accumulate(gx)
+    def grad(g):
+        gflat = np.zeros(lead + (h_out, w_out, kernel * kernel))
+        np.put_along_axis(gflat, arg[..., None], g[..., None], axis=-1)
+        gx = np.zeros_like(x.data)
+        gx[..., :h_out * kernel, :w_out * kernel] = np.swapaxes(
+            gflat.reshape(lead + (h_out, w_out, kernel, kernel)), -3, -2
+        ).reshape(lead + (h_out * kernel, w_out * kernel))
+        return gx
 
-    return _result(out, (x,), bwd)
+    return from_op(x, out, grad)
 
 
 def embedding_lookup(ids: Sequence[int], table: Tensor) -> Tensor:
@@ -753,15 +649,7 @@ def embedding_lookup(ids: Sequence[int], table: Tensor) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= vocab):
         bad = int(idx[(idx < 0) | (idx >= vocab)][0])
         raise IndexError(f"token id {bad} outside table of {vocab} rows")
-    data = table.data[idx]
-
-    def bwd(g, table=table, idx=idx):
-        if table.requires_grad and idx.size:
-            gt = np.zeros_like(table.data)
-            np.add.at(gt, idx, g)
-            table._accumulate(gt)
-
-    return _result(data, (table,), bwd)
+    return table[idx]
 
 
 # -- fused LSTM recurrence ---------------------------------------------------
@@ -1020,13 +908,6 @@ def mix_heads(w: Tensor, v: Tensor) -> Tensor:
                 v.shape))
 
     return _result(out, (w, v), bwd)
-
-
-def from_op(data: np.ndarray, parents: Sequence[Tensor],
-            bwd: Callable[[np.ndarray], None]) -> Tensor:
-    """Hook for modules that define their own op with a hand-written
-    backward (the CTC loss does)."""
-    return _result(data, parents, bwd)
 
 
 # -- backward pass and gradient checking --------------------------------------

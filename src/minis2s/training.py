@@ -40,7 +40,7 @@ from .models import pad_sequences, subsample_length
 from .reserved import SOS_EOS_ID
 from .tensor import Tensor, backward
 
-CKPT_MAGIC = b"ESC1"
+CKPT_MAGIC = b"ESC2"
 LOG_COLUMNS = ["step", "epoch", "lr", "total", "s2s", "ctc", "l1", "bce",
                "guided", "grad_norm", "wall_ms"]
 # utterances per padded forward of the dev loss; the value moves only
@@ -138,13 +138,16 @@ def _named_params(source) -> "OrderedDict[str, np.ndarray]":
 
 
 def save_checkpoint(path: str, source, epoch: int = 0) -> None:
-    """Binary dump: magic, u32 count, then per parameter a u16 name
-    length, the UTF-8 name, u8 rank, u32 dims, and float64 values.
-    All integers little-endian; round-trip is bit-exact."""
+    """Binary dump: magic, u32 epoch, u32 count, then per parameter a u16
+    name length, the UTF-8 name, u8 rank, u32 dims, and float64 values.
+    All integers little-endian; round-trip is bit-exact. The file is
+    written beside `path` and renamed over it, so `path` never holds a
+    partly written checkpoint."""
     params = _named_params(source)
-    with open(path, "wb") as fh:
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as fh:
         fh.write(CKPT_MAGIC)
-        fh.write(struct.pack("<I", len(params)))
+        fh.write(struct.pack("<II", epoch, len(params)))
         for name, value in params.items():
             raw = name.encode("utf-8")
             fh.write(struct.pack("<H", len(raw)))
@@ -153,9 +156,7 @@ def save_checkpoint(path: str, source, epoch: int = 0) -> None:
             for dim in value.shape:
                 fh.write(struct.pack("<I", dim))
             fh.write(np.ascontiguousarray(value, dtype="<f8").tobytes())
-    meta = path + ".epoch"
-    with open(meta, "w", encoding="utf-8") as fh:
-        fh.write(f"{epoch}\n")
+    os.replace(tmp, path)
 
 
 def load_checkpoint(path: str) -> Checkpoint:
@@ -170,7 +171,9 @@ def load_checkpoint(path: str) -> Checkpoint:
 
         magic = fh.read(4)
         if magic != CKPT_MAGIC:
-            raise DataError(f"{path}: bad checkpoint magic {magic!r}")
+            raise DataError(f"{path}: bad checkpoint magic {magic!r}, "
+                            f"expected {CKPT_MAGIC!r}")
+        (epoch,) = struct.unpack("<I", take(4, "epoch"))
         (count,) = struct.unpack("<I", take(4, "parameter count"))
         params: "OrderedDict[str, np.ndarray]" = OrderedDict()
         for i in range(count):
@@ -186,14 +189,6 @@ def load_checkpoint(path: str) -> Checkpoint:
             params[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
         if fh.read(1):
             raise DataError(f"{path}: trailing bytes after last parameter")
-    epoch = 0
-    meta = path + ".epoch"
-    if os.path.exists(meta):
-        with open(meta, "rb") as fh:
-            raw = fh.read().strip() or b"0"
-        if not raw.isdigit():
-            raise DataError(f"{meta}: epoch is not a whole number")
-        epoch = int(raw)
     return Checkpoint(params=params, epoch=epoch)
 
 

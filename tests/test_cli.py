@@ -3,6 +3,7 @@ through main() so the exit code mapping is exercised too."""
 
 import os
 import re
+import shutil
 import warnings
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from minis2s import cli
 from minis2s.cli import main
 from minis2s.data import read_feature_file, write_feature_file
-from minis2s.training import load_checkpoint, save_checkpoint
+from minis2s.training import LOG_COLUMNS, load_checkpoint, save_checkpoint
 
 TOY = """
 task = asr
@@ -313,6 +314,44 @@ def test_report_rejects_foreign_csv(tmp_path):
     assert main(["report", "--log", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("damage", ["total", "short", "epoch"])
+def test_report_names_a_malformed_row(workspace, tmp_path, capsys, damage):
+    # line 3 of a copy of the log gets a total that is not a number, ends
+    # before its total, or, read per epoch, gets an epoch that is not whole
+    lines = (workspace / "run" / "log.csv").read_text(
+        encoding="utf-8").splitlines()
+    cells = lines[2].split(",")
+    if damage == "short":
+        del cells[LOG_COLUMNS.index("total"):]
+    else:
+        cells[LOG_COLUMNS.index(damage)] = "1.5x"
+    lines[2] = ",".join(cells)
+    log = tmp_path / "log.csv"
+    log.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    argv = ["report", "--log", str(log)]
+    assert main(argv + ["--per-epoch"] * (damage == "epoch")) == 2
+    err = capsys.readouterr().err
+    assert f"data error: {log} line 3: " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["manifest.tsv", "transcripts.tsv"])
+def test_a_repeated_utterance_id_exits_two(workspace, tmp_path, capsys,
+                                           name):
+    # the split's first line again at its end: decode would write that
+    # utterance twice (manifest), or read the later transcript only
+    data = tmp_path / "data"
+    shutil.copytree(workspace / "data", data)
+    path = data / "test" / name
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(lines + lines[:1]) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["decode", "--ckpt", str(workspace / "run" / "avg.esc"),
+                 "--data", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}:{len(lines) + 1}: duplicate utterance id" in err
+
+
 def test_tts_synth_writes_features(tts_workspace, capsys):
     out = tts_workspace / "synth.esf"
     rc = main(["synth", "--ckpt", str(tts_workspace / "run" / "avg.esc"),
@@ -422,10 +461,10 @@ def test_gen_data_rejects_bad_spec(tmp_path):
 @pytest.mark.parametrize("cut", [6, 9, 12, "name"])
 def test_corrupt_checkpoint_header_exits_two(workspace, tmp_path, capsys,
                                              cut):
-    # cuts inside the count, the first name length and the first name,
-    # and a first name that is not UTF-8 (it starts at byte 10)
+    # cuts inside the epoch, inside the count and before the first name
+    # length, and a first name that is not UTF-8 (it starts at byte 14)
     raw = (workspace / "run" / "avg.esc").read_bytes()
-    raw = raw[:10] + b"\xff" + raw[11:] if cut == "name" else raw[:cut]
+    raw = raw[:14] + b"\xff" + raw[15:] if cut == "name" else raw[:cut]
     ckpt = tmp_path / "bad.esc"
     ckpt.write_bytes(raw)
     for side in ("model.cfg", "vocab.txt"):
@@ -442,13 +481,19 @@ def test_corrupt_checkpoint_header_exits_two(workspace, tmp_path, capsys,
 @pytest.mark.parametrize("sidecar", [b"x1\n", b"\xff\n"])
 def test_corrupt_epoch_sidecar_exits_two(workspace, tmp_path, capsys,
                                          sidecar):
+    # a corrupt .epoch file beside an ESC1 checkpoint (the format that kept
+    # its epoch there) or beside one cut inside its header epoch: the
+    # header is refused and the sidecar is never read
+    raw = (workspace / "run" / "avg.esc").read_bytes()
     ckpt = tmp_path / "avg.esc"
-    ckpt.write_bytes((workspace / "run" / "avg.esc").read_bytes())
     (tmp_path / "avg.esc.epoch").write_bytes(sidecar)
-    capsys.readouterr()
-    assert main(["avg-ckpt", "--out", str(tmp_path / "o.esc"),
-                 str(ckpt)]) == 2
-    assert f"{ckpt}.epoch" in capsys.readouterr().err
+    for data, why in ((b"ESC1" + raw[4:], "bad checkpoint magic b'ESC1'"),
+                      (raw[:6], "truncated epoch")):
+        ckpt.write_bytes(data)
+        capsys.readouterr()
+        assert main(["avg-ckpt", "--out", str(tmp_path / "o.esc"),
+                     str(ckpt)]) == 2
+        assert f"data error: {ckpt}: {why}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key,value", [
@@ -685,7 +730,10 @@ def test_decode_names_utterances_of_another_feature_dimension(workspace,
     ("min_delta", "inf"), ("gamma", "nan"), ("gamma", "-inf"),
     ("length_penalty", "nan"), ("length_penalty", "inf"),
     ("max_len_ratio", "nan"), ("max_len_ratio", "inf"), ("seed", "-3"),
-    ("train_seed", "-1"), ("prenet_units", "0"), ("postnet_layers", "0")])
+    ("train_seed", "-1"), ("prenet_units", "0"), ("postnet_layers", "0"),
+    # a language model reads d_att and the model seed only
+    pytest.param("d_att", "0\ntask = lm", id="lm-d_att-0"),
+    pytest.param("seed", "-3\ntrain_seed = 1\ntask = lm", id="lm-seed--3")])
 def test_train_rejects_out_of_range_settings_before_writing(
         workspace, tmp_path, capsys, key, value):
     # each value is refused with the key named, before --out exists

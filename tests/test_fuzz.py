@@ -1,7 +1,9 @@
 """Fuzzed readers and config parsers: whatever the bytes or text, each
 returns a value or raises DataError / ConfigError, the errors the command
-line maps to exit codes 2 and 1; never another exception. The searches
-are derandomized, so every run draws the same examples."""
+line maps to exit codes 2 and 1; never another exception. The command
+line itself, run on a damaged run directory, ends with an exit code,
+never a traceback. The searches are derandomized, so every run draws the
+same examples."""
 
 import struct
 
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minis2s.cli import main
 from minis2s.config import experiment_from_items, parse_config_text
 from minis2s.data import (FEAT_MAGIC, ToySpec, Vocab, read_feature_file,
                           read_manifest, read_transcripts, toy_vocab)
@@ -33,9 +36,10 @@ feature_files = st.one_of(
 
 @st.composite
 def checkpoint_files(draw):
-    """A checkpoint whose parameter records may be cut short, mislabel
-    their sizes or hold names that are not UTF-8."""
-    out = CKPT_MAGIC + struct.pack("<I", draw(st.one_of(small, u32)))
+    """A checkpoint (magic, epoch, count) whose parameter records may be
+    cut short, mislabel their sizes or hold names that are not UTF-8."""
+    out = CKPT_MAGIC + struct.pack("<II", draw(st.one_of(small, u32)),
+                                   draw(st.one_of(small, u32)))
     for _ in range(draw(st.integers(0, 3))):
         name = draw(st.binary(max_size=6))
         shape = draw(st.lists(small, max_size=3))
@@ -143,3 +147,57 @@ def test_experiment_from_items(items):
         experiment_from_items(dict(items))
     except ConfigError:
         pass
+
+
+RUN_FILES = ("avg.esc", "model.cfg", "vocab.txt")
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    """A tiny trained model (d_att 8, one layer each, two utterances per
+    split) and the bytes of the run files the damage starts from."""
+    root = tmp_path_factory.mktemp("fuzz_run")
+    (root / "toy.cfg").write_text("task = asr\nvocab_size = 3\nn_train = 2\n"
+                                  "n_dev = 0\nn_test = 2\nseed = 1\n",
+                                  encoding="utf-8")
+    (root / "exp.cfg").write_text("preset = transformer-toy\ne = 1\nd = 1\n"
+                                  "d_att = 8\nd_ff = 8\nepochs = 1\n",
+                                  encoding="utf-8")
+    assert main(["gen-data", "--spec", str(root / "toy.cfg"),
+                 "--out", str(root / "data")]) == 0
+    assert main(["train", "--config", str(root / "exp.cfg"),
+                 "--data", str(root / "data"),
+                 "--out", str(root / "run")]) == 0
+    return root, {n: (root / "run" / n).read_bytes() for n in RUN_FILES}
+
+
+# one run file cut at an offset, or a few of its bytes overwritten there.
+# Four bytes cannot join a model.cfg number to the next line's digits, so
+# no example asks for a model of millions of units: nothing bounds a
+# dimension yet, and such a model would take the host's memory.
+damage = st.tuples(st.sampled_from(RUN_FILES), st.integers(0, 2 ** 16),
+                   st.one_of(st.none(), st.binary(min_size=1, max_size=4)))
+
+
+def test_cli_on_damaged_run_directories(tiny_run, tmp_path, capsys):
+    root, files = tiny_run
+    run = tmp_path / "run"
+    run.mkdir()
+
+    @FUZZ
+    @given(damage)
+    def check(hit):
+        name, at, patch = hit
+        for other, raw in files.items():
+            (run / other).write_bytes(raw)
+        raw = files[name]
+        at %= len(raw) + 1
+        (run / name).write_bytes(raw[:at] if patch is None else
+                                 raw[:at] + patch + raw[at + len(patch):])
+        for argv in (["decode", "--ckpt", str(run / "avg.esc"),
+                      "--data", str(root / "data")],
+                     ["avg-ckpt", "--out", str(tmp_path / "avg.esc"),
+                      str(run / "avg.esc")]):
+            assert main(argv) in (0, 1, 2, 3)
+        capsys.readouterr()
+    check()

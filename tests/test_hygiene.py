@@ -104,3 +104,32 @@ def test_scan_flags_an_unused_private_name():
     used = used_names(tree)
     assert [n for n, _ in private_names(tree) if n not in used] == [
         "_DROP", "_unused"]
+
+
+def one_input_results(tree: ast.Module):
+    """(function, line) of every call `_result(data, (x,), ...)` outside
+    `from_op`: a one-input op recorded past its one recorder."""
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef) or fn.name == "from_op":
+            continue
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "_result" and len(node.args) > 1
+                    and isinstance(node.args[1], ast.Tuple)
+                    and len(node.args[1].elts) == 1):
+                yield fn.name, node.lineno
+
+
+def test_one_input_ops_record_through_from_op():
+    path = SRC / "tensor.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = [f"tensor.py:{line} {name}"
+             for name, line in one_input_results(tree)]
+    assert not found, f"one-input ops recorded outside from_op: {found}"
+
+
+def test_scan_flags_a_one_input_result():
+    tree = ast.parse("def from_op(a, d, g): return _result(d, (a,), g)\n"
+                     "def relu(a): return _result(a, (a,), None)\n"
+                     "def add(a, b): return _result(a, (a, b), None)\n")
+    assert list(one_input_results(tree)) == [("relu", 2)]

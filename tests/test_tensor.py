@@ -170,7 +170,8 @@ def test_conv1d_output_length_and_values():
 
 def test_conv1d_kernel_too_large():
     with pytest.raises(DimensionError):
-        T.conv1d(rnd((1, 2, 3), 0), rnd((1, 3, 7), 1), stride=2, padding=1)
+        T.conv1d(rnd((1, 2, 3), 0), rnd((1, 3, 7), 1), rnd((1,), 2),
+                 stride=2, padding=1)
 
 
 def test_conv2d_values_against_loop():
@@ -178,7 +179,7 @@ def test_conv2d_values_against_loop():
     c_out, kh, kw = 3, 3, 3
     x = rnd((1, c_in, h, w), 6)           # one image, a batch of one
     wt = rnd((c_out, c_in, kh, kw), 7)
-    out = T.conv2d(x, wt, stride=2, padding=1)
+    out = T.conv2d(x, wt, Tensor(np.zeros(c_out)), stride=2, padding=1)
     h_out = (h + 2 - kh) // 2 + 1
     w_out = (w + 2 - kw) // 2 + 1
     assert out.shape == (1, c_out, h_out, w_out)
@@ -288,9 +289,8 @@ def test_grad_check_detects_a_wrong_backward():
     # Sensitivity control: an op whose backward is off by 2x must fail,
     # with and without the absolute-agreement escape enabled.
     def broken_square(x):
-        def bwd(g, x=x):
-            x._accumulate(g * 4.0 * x.data)  # correct factor is 2
-        return T.from_op(np.asarray((x.data ** 2).sum()), (x,), bwd)
+        return T.from_op(x, np.asarray((x.data ** 2).sum()),
+                         lambda g: g * 4.0 * x.data)  # correct factor is 2
 
     err = grad_check(broken_square, [rnd((3,), 19)])
     assert err > 0.3
@@ -382,7 +382,8 @@ def test_grad_conv2d_and_pool():
     w = rnd((3, 2, 3, 3), 33)
 
     def f(x, w):
-        return T.max_pool2d(T.relu(T.conv2d(x, w, stride=1, padding=1)), 2).sum()
+        return T.max_pool2d(T.relu(T.conv2d(x, w, Tensor(np.zeros(3)),
+                                            stride=1, padding=1)), 2).sum()
 
     assert grad_check(f, [x, w]) < EPS
 

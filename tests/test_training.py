@@ -307,6 +307,7 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     model = build_model(asr_cfg())
     path = str(tmp_path / "m.esc")
     save_checkpoint(path, model, epoch=7)
+    assert os.listdir(tmp_path) == ["m.esc"]    # no temp or epoch file left
     ck = load_checkpoint(path)
     assert ck.epoch == 7
     for name, p in model.named_parameters():
