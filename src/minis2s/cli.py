@@ -22,7 +22,7 @@ from .config import (dump_experiment_config, load_experiment_config,
 from .data import (Vocab, gen_toy, load_dataset, read_text, save_dataset,
                    toy_vocab, write_feature_file)
 from .decoding import batch_beam_search
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, check_settings
 from .metrics import bleu, cer, wer
 from .models import RnnLm, build_model, pad_sequences
 from .training import (LOG_COLUMNS, average_checkpoints, check_lengths,
@@ -59,15 +59,25 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
+def _build(cfg_path: str, make, *args, **kwargs):
+    """make(*args, **kwargs), with a model too large to allocate refused
+    as a config error naming cfg_path; a ConfigError passes unchanged."""
+    try:
+        return make(*args, **kwargs)
+    except ConfigError:
+        raise
+    except (MemoryError, OverflowError, ValueError) as exc:
+        raise ConfigError(f"{cfg_path}: cannot build the model it "
+                          f"describes ({exc})") from None
+
+
 def _train_language_model(cfg, args) -> int:
     # the LM reads only these two model keys
-    if cfg.model.d_att < 1:
-        raise ConfigError(f"d_att must be >= 1, got {cfg.model.d_att}")
-    if cfg.model.seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {cfg.model.seed}")
+    check_settings(cfg.model, ("d_att", "seed"))
     utts, vocab = load_dataset(args.data, "train")
     sequences = [list(u.tokens) for u in utts]
-    lm = RnnLm(len(vocab), d_lm=cfg.model.d_att, seed=cfg.model.seed)
+    lm = _build(args.config, RnnLm, len(vocab), d_lm=cfg.model.d_att,
+                seed=cfg.model.seed)
     losses = train_lm(lm, sequences, epochs=cfg.train.epochs,
                       seed=cfg.train.seed)
     os.makedirs(args.out, exist_ok=True)
@@ -97,7 +107,7 @@ def cmd_train(args) -> int:
     # resolve data-dependent sizes before the snapshot is written
     cfg.model.vocab_size = len(vocab)
     cfg.model.feat_dim = int(train_utts[0].feats.shape[1])
-    model = build_model(cfg.model)
+    model = _build(args.config, build_model, cfg.model)
     # refuse what the model cannot take before anything is written
     check_lengths(model, train_utts, "train")
     check_lengths(model, dev_utts, "dev")
@@ -122,7 +132,7 @@ def _load_model_from(ckpt_path: str, config_override: Optional[str]):
     ckpt_dir = os.path.dirname(os.path.abspath(ckpt_path))
     cfg_path = config_override or os.path.join(ckpt_dir, "model.cfg")
     cfg = load_experiment_config(cfg_path)
-    model = build_model(cfg.model)
+    model = _build(cfg_path, build_model, cfg.model)
     load_into_model(model, load_checkpoint(ckpt_path), ckpt_path)
     model.eval()
     vocab_path = os.path.join(ckpt_dir, "vocab.txt")

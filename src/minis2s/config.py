@@ -10,7 +10,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 from .data import ToySpec, read_text
 from .decoding import BeamConfig
-from .errors import ConfigError
+from .errors import ConfigError, file_key
 from .models import ModelConfig
 from .training import TrainConfig
 
@@ -98,73 +98,66 @@ PRESETS: Dict[str, Callable[[], ExperimentConfig]] = {
     "tts-toy": preset_tts_toy,
 }
 
-# key -> (section attr, field name, caster); `lambda` aliases the beam
-# weight because `lam` reads poorly in a config file
-_EXPERIMENT_KEYS: Dict[str, Tuple[str, str, Callable]] = {}
+# a field's caster, by its annotation
+_CASTS: Dict[str, Callable] = {"int": int, "float": float, "bool": _bool,
+                               "str": str, "Tuple[int, int]": _int_pair}
 
 
-def _register_section(section: str, cfg_fields, casts=None):
-    casts = casts or {}
-    for f in cfg_fields:
-        caster = casts.get(f.name)
-        if caster is None:
-            if f.type in ("int",) or f.type is int:
-                caster = int
-            elif f.type in ("float",) or f.type is float:
-                caster = float
-            elif f.type in ("bool",) or f.type is bool:
-                caster = _bool
-            else:
-                caster = str
-        _EXPERIMENT_KEYS[f.name] = (section, f.name, caster)
+def _key_table(*sections: Tuple[Optional[str], type]) -> Dict[str, tuple]:
+    """Config-file key -> (caster, the (section, field) pairs it sets), for
+    each field of each (section attribute, dataclass); a None section is
+    the loaded object itself."""
+    return {file_key(f): (_CASTS[f.type], ((section, f.name),))
+            for section, cls in sections for f in fields(cls)}
 
 
-_register_section("model", fields(ModelConfig))
-_register_section("train", fields(TrainConfig))
-_register_section("beam", fields(BeamConfig))
-_EXPERIMENT_KEYS["lambda"] = ("beam", "lam", float)
-# `seed` and `epochs` style keys overlap across sections on purpose:
-# the model seed also seeds training unless train_seed is given
-_EXPERIMENT_KEYS["seed"] = ("*seed", "seed", int)
-_EXPERIMENT_KEYS["train_seed"] = ("train", "seed", int)
+EXPERIMENT_KEYS = _key_table(("model", ModelConfig), ("train", TrainConfig),
+                             ("beam", BeamConfig))
+# `lambda` aliases the beam weight because `lam` reads poorly in a config
+# file; the model seed also seeds training unless train_seed is given
+EXPERIMENT_KEYS["lambda"] = EXPERIMENT_KEYS["lam"]
+EXPERIMENT_KEYS["seed"] = (int, (("model", "seed"), ("train", "seed")))
+_TOY_KEYS = _key_table((None, ToySpec))
 
 
-def experiment_from_items(items: Dict[str, str]) -> ExperimentConfig:
-    preset = items.pop("preset", None)
-    if preset is not None:
-        if preset not in PRESETS:
-            raise ConfigError(f"unknown preset {preset!r}; "
-                              f"have {sorted(PRESETS)}")
-        cfg = PRESETS[preset]()
-    else:
-        cfg = ExperimentConfig()
+def _set_items(target, items: Dict[str, str], table: Dict[str, tuple],
+               what: str) -> None:
+    """Cast each value by its key's caster and set the fields it names."""
     for key, value in items.items():
-        if key not in _EXPERIMENT_KEYS:
-            raise ConfigError(f"unknown config key {key!r}")
-        section, name, caster = _EXPERIMENT_KEYS[key]
+        if key not in table:
+            raise ConfigError(f"unknown {what} key {key!r}")
+        caster, dests = table[key]
         try:
             typed = caster(value)
         except ConfigError:
             raise
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{key}: cannot parse {value!r} ({exc})")
-        if section == "*seed":
-            cfg.model.seed = typed
-            cfg.train.seed = typed
-        else:
-            setattr(getattr(cfg, section), name, typed)
+        for section, name in dests:
+            setattr(getattr(target, section) if section else target, name,
+                    typed)
+
+
+def _read_items(path: str, what: str) -> Dict[str, str]:
+    if not os.path.isfile(path):
+        raise ConfigError(f"no such {what} file: {path}")
+    return parse_config_text(read_text(path, ConfigError))
+
+
+def experiment_from_items(items: Dict[str, str]) -> ExperimentConfig:
+    preset = items.pop("preset", None)
+    if preset is not None and preset not in PRESETS:
+        raise ConfigError(f"unknown preset {preset!r}; have {sorted(PRESETS)}")
+    cfg = ExperimentConfig() if preset is None else PRESETS[preset]()
+    _set_items(cfg, items, EXPERIMENT_KEYS, "config")
     return cfg
 
 
 def load_experiment_config(path: str) -> ExperimentConfig:
-    if not os.path.isfile(path):
-        raise ConfigError(f"no such config file: {path}")
-    items = parse_config_text(read_text(path, ConfigError))
-    cfg = experiment_from_items(items)
+    cfg = experiment_from_items(_read_items(path, "config"))
     seed = env_seed()
     if seed is not None:
-        cfg.model.seed = seed
-        cfg.train.seed = seed
+        cfg.model.seed = cfg.train.seed = seed
     return cfg
 
 
@@ -181,48 +174,15 @@ def env_seed() -> Optional[int]:
 
 def dump_experiment_config(cfg: ExperimentConfig) -> str:
     """Serialize in a form load_experiment_config parses back."""
-    lines = []
-    for f in fields(ModelConfig):
-        lines.append(f"{f.name} = {getattr(cfg.model, f.name)}")
-    for f in fields(TrainConfig):
-        if f.name == "seed":
-            lines.append(f"train_seed = {cfg.train.seed}")
-        else:
-            lines.append(f"{f.name} = {getattr(cfg.train, f.name)}")
-    for f in fields(BeamConfig):
-        lines.append(f"{f.name} = {getattr(cfg.beam, f.name)}")
-    return "\n".join(lines) + "\n"
-
-
-_TOY_KEYS: Dict[str, Callable] = {
-    "task": str,
-    "vocab_size": int,
-    "proto_len_range": _int_pair,
-    "feat_dim": int,
-    "noise_std": float,
-    "utt_len_range": _int_pair,
-    "n_train": int,
-    "n_dev": int,
-    "n_test": int,
-    "seed": int,
-}
+    return "".join(f"{file_key(f)} = {getattr(section, f.name)}\n"
+                   for section in (cfg.model, cfg.train, cfg.beam)
+                   for f in fields(section))
 
 
 def load_toy_spec(path: str) -> ToySpec:
-    if not os.path.isfile(path):
-        raise ConfigError(f"no such spec file: {path}")
-    items = parse_config_text(read_text(path, ConfigError))
-    kwargs = {}
-    for key, value in items.items():
-        if key not in _TOY_KEYS:
-            raise ConfigError(f"unknown toy-spec key {key!r}")
-        try:
-            kwargs[key] = _TOY_KEYS[key](value)
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{key}: cannot parse {value!r} ({exc})")
+    spec = ToySpec()
+    _set_items(spec, _read_items(path, "spec"), _TOY_KEYS, "toy-spec")
     seed = env_seed()
     if seed is not None:
-        kwargs["seed"] = seed
-    return ToySpec(**kwargs).validate()
+        spec.seed = seed
+    return spec.validate()

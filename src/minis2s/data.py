@@ -9,7 +9,6 @@ feature chunk, utterances concatenate prototypes plus gaussian noise.
 
 from __future__ import annotations
 
-import math
 import os
 import string
 import struct
@@ -18,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_settings, setting
 from .reserved import N_RESERVED, RESERVED_TOKENS, UNK_ID
 
 FEAT_MAGIC = b"ESF1"
@@ -154,34 +153,23 @@ def read_manifest(path: str) -> List[Tuple[str, str]]:
 
 @dataclass
 class ToySpec:
-    task: str = "asr"                  # asr | st | tts
-    vocab_size: int = 8                # real tokens, letters a..
-    proto_len_range: Tuple[int, int] = (6, 8)
-    feat_dim: int = 16
-    noise_std: float = 0.1
-    utt_len_range: Tuple[int, int] = (3, 8)
-    n_train: int = 200
-    n_dev: int = 20
-    n_test: int = 20
-    seed: int = 0
+    task: str = setting(choices=("asr", "st", "tts"))
+    vocab_size: int = setting(8, "[1, 26]")   # real tokens, letters a..
+    proto_len_range: Tuple[int, int] = setting((6, 8), "[1, inf)")
+    feat_dim: int = setting(16, "[1, inf)")
+    noise_std: float = setting(0.1, "[0, inf)")
+    utt_len_range: Tuple[int, int] = setting((3, 8), "[1, inf)")
+    n_train: int = setting(200, "[1, inf)")
+    n_dev: int = setting(20, "[0, inf)")
+    n_test: int = setting(20, "[0, inf)")
+    seed: int = setting(0, "[0, inf)")
 
     def validate(self) -> "ToySpec":
-        if self.task not in ("asr", "st", "tts"):
-            raise ConfigError(f"unknown toy task {self.task!r}")
-        if not 1 <= self.vocab_size <= 26:
-            raise ConfigError("toy vocab_size must be in 1..26 (letters)")
-        if self.proto_len_range[0] < 1 \
-                or self.proto_len_range[0] > self.proto_len_range[1]:
-            raise ConfigError(f"bad proto_len_range {self.proto_len_range}")
-        if self.utt_len_range[0] < 1 \
-                or self.utt_len_range[0] > self.utt_len_range[1]:
-            raise ConfigError(f"bad utt_len_range {self.utt_len_range}")
-        for key, low in (("feat_dim", 1), ("n_train", 1), ("n_dev", 0),
-                         ("n_test", 0), ("seed", 0), ("noise_std", 0)):
-            value = getattr(self, key)
-            if not (math.isfinite(value) and value >= low):
-                raise ConfigError(f"{key} must be finite and >= {low}, got "
-                                  f"{value}")
+        check_settings(self)
+        for key in ("proto_len_range", "utt_len_range"):
+            lo, hi = getattr(self, key)
+            if lo > hi:
+                raise ConfigError(f"{key} = {lo}:{hi} runs backwards")
         return self
 
 

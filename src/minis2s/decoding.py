@@ -34,37 +34,26 @@ them with or without a length penalty. Without a CTC head no score is
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DimensionError
+from .errors import DataError, DimensionError, check_settings, setting
 from .reserved import BLANK_ID, SOS_EOS_ID
 
 
 @dataclass
 class BeamConfig:
-    beam_size: int = 20
-    lam: float = 0.7          # weight on the attention score; CTC gets 1 - lam
-    gamma: float = 0.3        # LM weight when an LM is supplied
-    max_len_ratio: float = 1.0
-    length_penalty: float = 0.0  # additive per-token ranking bonus, off by default
+    beam_size: int = setting(20, "[1, inf)")
+    lam: float = setting(0.7, "[0, 1]")  # attention weight; CTC gets 1 - lam
+    gamma: float = setting(0.3, "(-inf, inf)")  # LM weight, given an LM
+    max_len_ratio: float = setting(1.0, "(0, inf)")
+    length_penalty: float = setting(0.0, "(-inf, inf)")  # per-token bonus
 
     def validate(self) -> None:
-        if self.beam_size < 1:
-            raise ConfigError(f"beam_size must be >= 1, got {self.beam_size}")
-        if not 0.0 <= self.lam <= 1.0:
-            raise ConfigError(f"lam must lie in [0, 1], got {self.lam}")
-        for key in ("gamma", "length_penalty"):
-            if not math.isfinite(getattr(self, key)):
-                raise ConfigError(f"{key} must be finite, got "
-                                  f"{getattr(self, key)}")
-        if not (math.isfinite(self.max_len_ratio) and self.max_len_ratio > 0):
-            raise ConfigError(f"max_len_ratio must be finite and positive, "
-                              f"got {self.max_len_ratio}")
+        check_settings(self)
 
 
 @dataclass

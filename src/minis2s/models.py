@@ -65,7 +65,8 @@ import numpy as np
 
 from . import attention as A
 from . import tensor as T
-from .errors import ConfigError, DataError, DimensionError
+from .errors import (ConfigError, DataError, DimensionError, check_settings,
+                     setting)
 from .nn import (Conv1d, Conv2d, Dropout, Embedding, FeedForward, LayerNorm,
                  Linear, LSTM, LSTMCell, Module, ModuleList,
                  MultiHeadAttention)
@@ -75,65 +76,34 @@ from .tensor import Tensor
 
 @dataclass
 class ModelConfig:
-    task: str = "asr"                 # asr | st | tts
-    body: str = "transformer"         # transformer | rnn
-    e: int = 12                       # encoder layers
-    d: int = 6                        # decoder layers
-    d_att: int = 256
-    d_ff: int = 2048
-    d_head: int = 4
-    dropout_rate: float = 0.1
-    vocab_size: int = 0               # includes the 3 reserved ids
-    feat_dim: int = 16
-    normalize: str = "pre"            # pre | post | none
-    src_residual: str = "paper"       # paper | conventional
-    enc_pre: str = "conv"             # conv | vgg (speech front ends)
-    alpha: float = 0.7                # s2s share of the joint loss; 1.0 = no CTC
+    task: str = setting(choices=("asr", "st", "tts"))
+    body: str = setting(choices=("transformer", "rnn"))
+    e: int = setting(12, "[1, inf)")        # encoder layers
+    d: int = setting(6, "[1, inf)")         # decoder layers
+    d_att: int = setting(256, "[1, inf)")
+    d_ff: int = setting(2048, "[1, inf)")
+    d_head: int = setting(4, "[1, inf)")
+    dropout_rate: float = setting(0.1, "[0, 1)")
+    # includes the reserved ids; 0 until training reads it off the data
+    vocab_size: int = setting(0, f"[{N_RESERVED + 1}, inf)")
+    feat_dim: int = setting(16, "[1, inf)")
+    normalize: str = setting(choices=("pre", "post", "none"))
+    src_residual: str = setting(choices=("paper", "conventional"))
+    enc_pre: str = setting(choices=("conv", "vgg"))  # speech front ends
+    alpha: float = setting(0.7, "[0, 1]")  # s2s loss share; 1.0 = no CTC
     # tts
-    reduction_factor: int = 1
-    prenet_units: int = 256
-    postnet_layers: int = 5
-    prenet_dropout_rate: float = 0.5
+    reduction_factor: int = setting(1, "[1, inf)")
+    prenet_units: int = setting(256, "[1, inf)")
+    postnet_layers: int = setting(5, "[1, inf)")
+    prenet_dropout_rate: float = setting(0.5, "[0, 1)")
     prenet_dropout_at_infer: bool = True
-    seed: int = 0
+    seed: int = setting(0, "[0, inf)")
 
     def validate(self) -> "ModelConfig":
-        if self.task not in ("asr", "st", "tts"):
-            raise ConfigError(f"unknown task {self.task!r}")
-        if self.body not in ("transformer", "rnn"):
-            raise ConfigError(f"unknown body {self.body!r}")
-        if self.e < 1 or self.d < 1:
-            raise ConfigError("e and d must both be >= 1")
-        if self.d_head < 1:
-            raise ConfigError("d_head must be >= 1")
-        for key in ("d_att", "d_ff", "prenet_units", "postnet_layers"):
-            if getattr(self, key) < 1:
-                raise ConfigError(f"{key} must be >= 1, got "
-                                  f"{getattr(self, key)}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        for key in ("dropout_rate", "prenet_dropout_rate"):
-            rate = getattr(self, key)
-            if not 0.0 <= rate < 1.0:
-                raise ConfigError(f"{key} must lie in [0, 1), got {rate}")
-        if self.normalize not in ("pre", "post", "none"):
-            raise ConfigError(f"unknown normalize mode {self.normalize!r}")
-        if self.src_residual not in ("paper", "conventional"):
-            raise ConfigError(f"unknown src_residual {self.src_residual!r}")
-        if self.enc_pre not in ("conv", "vgg"):
-            raise ConfigError(f"unknown enc_pre {self.enc_pre!r}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ConfigError("alpha must lie in [0, 1]")
+        check_settings(self)
         if self.task == "st" and self.alpha != 1.0:
             raise ConfigError("st targets are not monotonic with the source; "
                               "CTC cannot be enabled (alpha must be 1.0)")
-        if self.task != "tts" and self.vocab_size < N_RESERVED + 1:
-            raise ConfigError(f"vocab_size must be at least {N_RESERVED + 1}")
-        if self.task == "tts":
-            if self.vocab_size < N_RESERVED + 1:
-                raise ConfigError("tts needs the text vocabulary size")
-            if self.reduction_factor < 1:
-                raise ConfigError("reduction_factor must be >= 1")
         return self
 
     @property

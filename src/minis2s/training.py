@@ -35,7 +35,8 @@ import numpy as np
 
 from . import losses as L
 from . import tensor as T
-from .errors import ConfigError, DataError, NumericError
+from .errors import (ConfigError, DataError, NumericError, check_settings,
+                     setting)
 from .models import pad_sequences, subsample_length
 from .reserved import SOS_EOS_ID
 from .tensor import Tensor, backward
@@ -187,6 +188,8 @@ def load_checkpoint(path: str) -> Checkpoint:
             shape = struct.unpack(f"<{rank}I", take(4 * rank, f"shape of {name}"))
             payload = take(8 * math.prod(shape), f"values for {name}")
             params[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+            if not np.isfinite(params[name]).all():
+                raise DataError(f"{path}: {name} holds a non-finite value")
         if fh.read(1):
             raise DataError(f"{path}: trailing bytes after last parameter")
     return Checkpoint(params=params, epoch=epoch)
@@ -276,48 +279,26 @@ def spec_augment(x: np.ndarray, n_time_masks: int = 2, n_freq_masks: int = 2,
 
 @dataclass
 class TrainConfig:
-    epochs: int = 15
-    batch_size: int = 8
-    optimizer: str = "adam"       # adam | adadelta
-    warmup_steps: int = 2000
-    noam_k: float = 1.0
-    adadelta_lr: float = 1.0
-    seed: int = 0
-    keep_last: int = 5            # checkpoint averaging window
+    epochs: int = setting(15, "[1, inf)")
+    batch_size: int = setting(8, "[1, inf)")
+    optimizer: str = setting(choices=("adam", "adadelta"))
+    warmup_steps: int = setting(2000, "[1, inf)")
+    noam_k: float = setting(1.0, "(0, inf)")
+    adadelta_lr: float = setting(1.0, "(0, inf)")
+    seed: int = setting(0, "[0, inf)", key="train_seed")
+    keep_last: int = setting(5, "[1, inf)")   # checkpoint averaging window
     early_stop: bool = False
-    patience: int = 3
-    min_delta: float = 1e-4
+    patience: int = setting(3, "[1, inf)")
+    min_delta: float = setting(1e-4, "(-inf, inf)")
     log_timing: bool = False      # wall_ms stays 0 unless set
     augment: bool = False
-    n_time_masks: int = 2
-    n_freq_masks: int = 2
-    max_t: int = 8
-    max_f: int = 4
+    n_time_masks: int = setting(2, "[0, inf)")
+    n_freq_masks: int = setting(2, "[0, inf)")
+    max_t: int = setting(8, "[0, inf)")
+    max_f: int = setting(4, "[0, inf)")
 
     def validate(self) -> "TrainConfig":
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("epochs and batch_size must be >= 1")
-        if self.optimizer not in ("adam", "adadelta"):
-            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-        if self.warmup_steps < 1 or self.keep_last < 1:
-            raise ConfigError(f"warmup_steps and keep_last must both be >= 1, "
-                              f"got {self.warmup_steps} and {self.keep_last}")
-        for key in ("noam_k", "adadelta_lr"):
-            rate = getattr(self, key)
-            if not (math.isfinite(rate) and rate > 0):
-                raise ConfigError(f"{key} must be finite and positive, got "
-                                  f"{rate}")
-        for key in ("n_time_masks", "n_freq_masks", "max_t", "max_f"):
-            if getattr(self, key) < 0:
-                raise ConfigError(f"{key} must be >= 0, got "
-                                  f"{getattr(self, key)}")
-        if self.patience < 1:
-            raise ConfigError(f"patience must be >= 1, got {self.patience}")
-        if self.seed < 0:
-            raise ConfigError(f"train_seed must be >= 0, got {self.seed}")
-        if not math.isfinite(self.min_delta):
-            raise ConfigError(f"min_delta must be finite, got "
-                              f"{self.min_delta}")
+        check_settings(self)
         return self
 
 

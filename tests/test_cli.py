@@ -4,6 +4,8 @@ through main() so the exit code mapping is exercised too."""
 import os
 import re
 import shutil
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -779,3 +781,77 @@ def test_files_that_are_not_utf8_are_named(workspace, tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2 and f"{run / 'vocab.txt'}: not UTF-8" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_a_non_finite_checkpoint_value_exits_two(workspace, tmp_path, capsys,
+                                                 bad):
+    # a NaN in the first front-end weight would pass a ReLU unseen, and
+    # averaging would write it on
+    ckpt = load_checkpoint(str(workspace / "run" / "avg.esc"))
+    ckpt.params["enc_pre.conv1.weight"].flat[0] = bad
+    save_checkpoint(str(tmp_path / "avg.esc"), ckpt.params, epoch=ckpt.epoch)
+    for f in ("model.cfg", "vocab.txt"):
+        (tmp_path / f).write_bytes((workspace / "run" / f).read_bytes())
+    hyp, out = tmp_path / "hyp.tsv", tmp_path / "out.esc"
+    capsys.readouterr()
+    for argv in (["decode", "--ckpt", str(tmp_path / "avg.esc"),
+                  "--data", str(workspace / "data"), "--out", str(hyp)],
+                 ["avg-ckpt", "--out", str(out), str(tmp_path / "avg.esc")]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert (f"{tmp_path / 'avg.esc'}: enc_pre.conv1.weight holds a "
+                "non-finite value") in err
+        assert "Traceback" not in err
+    assert not hyp.exists() and not out.exists()
+
+
+@pytest.mark.parametrize("d_att", [10 ** 12, 10 ** 30])
+def test_a_model_too_large_to_allocate_exits_one(workspace, tmp_path, d_att):
+    # numpy refuses both sizes outright; a child process under a 2 GB
+    # address-space limit runs decode and train, and its peak resident
+    # size shows that no memory was filled first
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(with_key((workspace / "run" / "model.cfg").read_text(
+        encoding="utf-8"), "d_att", d_att), encoding="utf-8")
+    argvs = [["decode", "--ckpt", str(workspace / "run" / "avg.esc"),
+              "--data", str(workspace / "data"), "--config", str(cfg)],
+             ["train", "--config", str(cfg), "--data",
+              str(workspace / "data"), "--out", str(tmp_path / "run")]]
+    script = ("import resource, sys\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+              "from minis2s.cli import main\n"
+              f"print([main(argv) for argv in {argvs!r}])\n"
+              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    codes, peak_kb = done.stdout.splitlines()
+    assert codes == "[1, 1]", done.stderr
+    assert done.stderr.count(f"config error: {cfg}: cannot build the model "
+                             "it describes") == 2
+    assert "Traceback" not in done.stderr
+    assert int(peak_kb) < 256 * 1024
+    assert not (tmp_path / "run").exists()
+
+
+def test_log_timing_fills_only_wall_ms(workspace, tmp_path):
+    # the workspace run is the same run with timing off
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(with_key(EXP, "log_timing", "true"), encoding="utf-8")
+    run, base = tmp_path / "run", workspace / "run"
+    assert main(["train", "--config", str(cfg), "--data",
+                 str(workspace / "data"), "--out", str(run)]) == 0
+    on, off = ([row.split(",") for row in (r / "log.csv").read_text(
+        encoding="utf-8").splitlines()] for r in (run, base))
+    wall = LOG_COLUMNS.index("wall_ms")
+    assert len(on) == len(off) > 1
+    for row_on, row_off in zip(on[1:], off[1:]):
+        assert re.fullmatch(r"\d+", row_on[wall]) and row_off[wall] == "0"
+        assert row_on[:wall] + row_on[wall + 1:] == \
+            row_off[:wall] + row_off[wall + 1:]
+    ckpts = sorted(p.name for p in base.glob("*.esc"))
+    assert ckpts == sorted(p.name for p in run.glob("*.esc"))
+    for name in ckpts:
+        assert (run / name).read_bytes() == (base / name).read_bytes()

@@ -1,9 +1,16 @@
+import math
+from dataclasses import fields
+
 import pytest
 
 from minis2s.config import (PRESETS, ExperimentConfig, dump_experiment_config,
                             experiment_from_items, load_experiment_config,
                             load_toy_spec, parse_config_text)
-from minis2s.errors import ConfigError
+from minis2s.data import ToySpec
+from minis2s.decoding import BeamConfig
+from minis2s.errors import ConfigError, file_key
+from minis2s.models import ModelConfig
+from minis2s.training import TrainConfig
 
 
 def test_parse_basic_pairs():
@@ -196,3 +203,73 @@ def test_toy_spec_env_seed(tmp_path, monkeypatch):
     path.write_text("seed = 2\n", encoding="utf-8")
     monkeypatch.setenv("S2S_SEED", "77")
     assert load_toy_spec(str(path)).seed == 77
+
+
+SECTIONS = {"model": ModelConfig, "train": TrainConfig, "beam": BeamConfig,
+            "toy": ToySpec}
+
+
+def test_every_setting_declares_its_rule():
+    for cls in SECTIONS.values():
+        for f in fields(cls):
+            if f.type in ("int", "float", "Tuple[int, int]"):
+                assert f.metadata.get("span"), (cls.__name__, f.name)
+            elif f.type == "str":
+                choices = f.metadata.get("choices")
+                assert choices and f.default == choices[0], f.name
+            else:
+                assert f.type == "bool", f.name
+    spans = {f.name: f.metadata.get("span") for f in fields(ModelConfig)}
+    assert spans["feat_dim"] == "[1, inf)"
+    assert [file_key(f) for f in fields(TrainConfig)
+            if f.name == "seed"] == ["train_seed"]
+
+
+def _ends():
+    """(section, field, value, accepted) at each declared end: the end
+    itself when closed, and the value just past it."""
+    for section, cls in SECTIONS.items():
+        for f in fields(cls):
+            span = f.metadata.get("span")
+            if not span:
+                continue
+            lo, hi = (float(end) for end in span[1:-1].split(","))
+            for end, closed, out in ((lo, span[0] == "[", -1),
+                                     (hi, span[-1] == "]", 1)):
+                if not closed:
+                    yield section, f, end, False
+                elif "int" in f.type:
+                    yield section, f, int(end), True
+                    yield section, f, int(end) + out, False
+                else:
+                    yield section, f, end, True
+                    yield section, f, math.nextafter(end, out * math.inf), \
+                        False
+
+
+def _setting_text(f, value) -> str:
+    text = repr(value)
+    return f"{text}:{text}" if f.type.startswith("Tuple") else text
+
+
+@pytest.mark.parametrize("section,f,value,accepted", [
+    pytest.param(*end, id=f"{end[0]}-{file_key(end[1])}={end[2]!r}")
+    for end in _ends()])
+def test_each_declared_end_is_refused_just_past_it(tmp_path, section, f,
+                                                   value, accepted):
+    # set through the config-file key, so TrainConfig.seed is train_seed;
+    # a refusal names that key
+    key, text = file_key(f), _setting_text(f, value)
+    try:
+        if section == "toy":
+            path = tmp_path / "toy.cfg"
+            path.write_text(f"{key} = {text}\n", encoding="utf-8")
+            load_toy_spec(str(path))
+        else:
+            cfg = experiment_from_items({"vocab_size": "8", key: text})
+            getattr(cfg, section).validate()
+    except ConfigError as exc:
+        assert not accepted, exc
+        assert str(exc).startswith(key), exc
+    else:
+        assert accepted

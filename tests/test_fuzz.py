@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minis2s.cli import main
-from minis2s.config import experiment_from_items, parse_config_text
+from minis2s.config import (EXPERIMENT_KEYS, experiment_from_items,
+                            parse_config_text)
 from minis2s.data import (FEAT_MAGIC, ToySpec, Vocab, read_feature_file,
                           read_manifest, read_transcripts, toy_vocab)
 from minis2s.errors import ConfigError, DataError
@@ -63,14 +64,13 @@ line_files = st.one_of(line_text.map(lambda s: s.encode("utf-8")),
                        st.binary(max_size=60),
                        line_text.map(lambda s: s.encode("utf-8") + b"\x96"))
 
-KEYS = ["preset", "task", "body", "e", "d_att", "dropout_rate", "alpha",
-        "lambda", "seed", "train_seed", "early_stop", "epochs", "gamma",
-        "unknown_key"]
+# every key the loader knows, so a new setting is fuzzed as it lands
+KEYS = sorted(EXPERIMENT_KEYS) + ["preset", "unknown_key"]
 items = st.dictionaries(
     st.one_of(st.sampled_from(KEYS), st.text(max_size=8)),
     st.one_of(st.sampled_from(["1", "-3", "0.5", "nan", "inf", "true", "no",
                                "transformer-toy", "rnn", "1e999", "0x10",
-                               "１２"]),
+                               "１２", "9" * 400]),
               st.text(max_size=12)),
     max_size=5)
 
@@ -143,8 +143,11 @@ def test_parse_config_text(text):
 @FUZZ
 @given(items)
 def test_experiment_from_items(items):
+    # a vocabulary size the data would give, so the model's checks run on
     try:
-        experiment_from_items(dict(items))
+        cfg = experiment_from_items({"vocab_size": "8", **items})
+        for section in (cfg.model, cfg.train, cfg.beam):
+            section.validate()
     except ConfigError:
         pass
 
