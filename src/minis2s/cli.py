@@ -19,12 +19,12 @@ from . import attention as A
 from . import tensor as T
 from .config import (dump_experiment_config, load_experiment_config,
                      load_toy_spec)
-from .data import (Vocab, gen_toy, load_dataset, read_text, save_dataset,
-                   toy_vocab, write_feature_file)
+from .data import (Vocab, gen_toy, load_dataset, read_id_lines, read_text,
+                   save_dataset, toy_vocab, write_feature_file)
 from .decoding import batch_beam_search
-from .errors import ConfigError, DataError, NumericError, check_settings
+from .errors import ConfigError, DataError, NumericError
 from .metrics import bleu, cer, wer
-from .models import RnnLm, build_model, pad_sequences
+from .models import build_model, pad_sequences
 from .training import (LOG_COLUMNS, average_checkpoints, check_lengths,
                        load_checkpoint, load_into_model, save_checkpoint,
                        train_lm, train_loop)
@@ -71,35 +71,11 @@ def _build(cfg_path: str, make, *args, **kwargs):
                           f"describes ({exc})") from None
 
 
-def _train_language_model(cfg, args) -> int:
-    # the LM reads only these two model keys
-    check_settings(cfg.model, ("d_att", "seed"))
-    utts, vocab = load_dataset(args.data, "train")
-    sequences = [list(u.tokens) for u in utts]
-    lm = _build(args.config, RnnLm, len(vocab), d_lm=cfg.model.d_att,
-                seed=cfg.model.seed)
-    losses = train_lm(lm, sequences, epochs=cfg.train.epochs,
-                      seed=cfg.train.seed)
-    os.makedirs(args.out, exist_ok=True)
-    save_checkpoint(os.path.join(args.out, "lm.esc"), lm,
-                    epoch=cfg.train.epochs)
-    vocab.save(os.path.join(args.out, "vocab.txt"))
-    with open(os.path.join(args.out, "model.cfg"), "w",
-              encoding="utf-8") as fh:
-        fh.write(dump_experiment_config(cfg))
-    print(f"lm loss: {losses[0]:.4f} -> {losses[-1]:.4f} "
-          f"over {len(losses)} epochs")
-    print(f"wrote {os.path.join(args.out, 'lm.esc')}")
-    return 0
-
-
 def cmd_train(args) -> int:
     cfg = load_experiment_config(args.config)
     # model.cfg carries the beam section to decode, so it is checked too
     cfg.train.validate()
     cfg.beam.validate()
-    if cfg.model.task == "lm":
-        return _train_language_model(cfg, args)
     train_utts, vocab = load_dataset(args.data, "train")
     dev_utts, _ = load_dataset(args.data, "dev", vocab=vocab)
     if not train_utts:
@@ -116,6 +92,15 @@ def cmd_train(args) -> int:
               encoding="utf-8") as fh:
         fh.write(dump_experiment_config(cfg))
     vocab.save(os.path.join(args.out, "vocab.txt"))
+    if cfg.model.task == "lm":
+        losses = train_lm(model, [list(u.tokens) for u in train_utts],
+                          epochs=cfg.train.epochs, seed=cfg.train.seed)
+        lm_path = os.path.join(args.out, "lm.esc")
+        save_checkpoint(lm_path, model, epoch=cfg.train.epochs)
+        print(f"lm loss: {losses[0]:.4f} -> {losses[-1]:.4f} "
+              f"over {len(losses)} epochs")
+        print(f"wrote {lm_path}")
+        return 0
     result = train_loop(model, train_utts, dev_utts, cfg.train, args.out)
     dev = result.dev_losses
     print(f"trained {len(result.ckpt_paths)} epochs; "
@@ -127,40 +112,39 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_model_from(ckpt_path: str, config_override: Optional[str]):
+def _beside(path: str, name: str) -> str:
+    """The file `name` in the directory of file `path`."""
+    return os.path.join(os.path.dirname(os.path.abspath(path)), name)
+
+
+def _load_model_from(ckpt_path: str, config_override: Optional[str] = None):
+    """The model of a run directory's checkpoint, built from the model.cfg
+    beside it (or config_override) and put in eval mode, that config, and
+    the vocab.txt beside it, which must hold vocab_size tokens."""
     _require_file(ckpt_path, "checkpoint")
-    ckpt_dir = os.path.dirname(os.path.abspath(ckpt_path))
-    cfg_path = config_override or os.path.join(ckpt_dir, "model.cfg")
+    cfg_path = config_override or _beside(ckpt_path, "model.cfg")
     cfg = load_experiment_config(cfg_path)
     model = _build(cfg_path, build_model, cfg.model)
     load_into_model(model, load_checkpoint(ckpt_path), ckpt_path)
     model.eval()
-    vocab_path = os.path.join(ckpt_dir, "vocab.txt")
-    vocab = Vocab.load(vocab_path) if os.path.isfile(vocab_path) else None
+    vocab_path = _require_file(_beside(ckpt_path, "vocab.txt"),
+                               "vocabulary beside the checkpoint")
+    vocab = Vocab.load(vocab_path)
+    if len(vocab) != cfg.model.vocab_size:
+        raise DataError(f"{vocab_path} holds {len(vocab)} tokens, but "
+                        f"{cfg_path} says vocab_size = "
+                        f"{cfg.model.vocab_size}")
     return model, cfg, vocab
-
-
-def _load_lm(path: str) -> RnnLm:
-    _require_file(path, "language model checkpoint")
-    ckpt = load_checkpoint(path)
-    if "embed.table" not in ckpt.params:
-        raise DataError(f"{path} is not a language model checkpoint")
-    vocab_size, d_lm = ckpt.params["embed.table"].shape
-    lm = RnnLm(int(vocab_size), d_lm=int(d_lm), seed=0)
-    load_into_model(lm, ckpt, path)
-    lm.eval()
-    return lm
 
 
 def cmd_decode(args) -> int:
     if args.nbest < 1:
         raise ConfigError(f"--nbest must be at least 1, got {args.nbest}")
     model, cfg, vocab = _load_model_from(args.ckpt, args.config)
-    if model.config.task == "tts":
+    if model.config.task not in ("asr", "st"):
         raise ConfigError("decode handles recognition and translation; "
-                          "use synth for tts checkpoints")
-    if vocab is None:
-        raise DataError("no vocab.txt beside the checkpoint")
+                          "use synth for tts checkpoints and --lm for "
+                          "language models")
     if args.beam is not None:
         cfg.beam.beam_size = args.beam
     if args.lam is not None:
@@ -168,7 +152,16 @@ def cmd_decode(args) -> int:
     if args.gamma is not None:
         cfg.beam.gamma = args.gamma
     cfg.beam.validate()
-    lm = _load_lm(args.lm) if args.lm else None
+    lm = None
+    if args.lm:
+        lm, _, lm_vocab = _load_model_from(args.lm)
+        if lm.config.task != "lm":
+            raise ConfigError(f"--lm {args.lm}: a run of task = "
+                              f"{lm.config.task}, not lm")
+        if lm_vocab.tokens != vocab.tokens:
+            raise DataError(f"the language model's vocabulary "
+                            f"{_beside(args.lm, 'vocab.txt')} differs from "
+                            f"the model's {_beside(args.ckpt, 'vocab.txt')}")
     utts, _ = load_dataset(args.data, args.split, vocab=vocab)
     if not utts:
         raise DataError(f"{args.split} split of {args.data} holds no "
@@ -200,18 +193,9 @@ def cmd_decode(args) -> int:
 
 def _read_hyp_file(path: str) -> Dict[str, str]:
     _require_file(path, "transcript file")
-    out: Dict[str, str] = {}
-    for line_no, line in enumerate(read_text(path).split("\n"), 1):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) < 2:
-            raise DataError(f"{path} line {line_no}: expected "
-                            "utt_id<TAB>text")
-        if parts[0] in out:
-            raise DataError(f"{path} line {line_no}: duplicate id "
-                            f"{parts[0]!r}")
-        out[parts[0]] = parts[1]
+    # the text is the second field; decode writes the score as a third
+    out = {utt_id: rest[0] for utt_id, rest
+           in read_id_lines(path, "text").items()}
     if not out:
         raise DataError(f"{path} holds no transcripts")
     return out
@@ -246,8 +230,6 @@ def cmd_synth(args) -> int:
     model, cfg, vocab = _load_model_from(args.ckpt, args.config)
     if model.config.task != "tts":
         raise ConfigError("synth needs a tts checkpoint")
-    if vocab is None:
-        raise DataError("no vocab.txt beside the checkpoint")
     tokens = args.text.split()
     if not tokens:
         raise DataError("empty input text")

@@ -106,6 +106,27 @@ class Utterance:
     tokens: List[int]
 
 
+def read_id_lines(path: str, layout: str, exact: bool = False
+                  ) -> Dict[str, List[str]]:
+    """The `utt_id<TAB>...` lines of a UTF-8 file, blank ones skipped, in
+    file order as each id's fields after it: at least one, or exactly one
+    when `exact`. A line with too few or too many fields, or a repeated
+    id, raises DataError naming the file, the line and `layout`, what
+    should follow the id."""
+    out: Dict[str, List[str]] = {}
+    for line_no, line in enumerate(read_text(path).split("\n"), 1):
+        if not line:
+            continue
+        utt_id, *rest = line.split("\t")
+        if not rest or (exact and len(rest) != 1):
+            raise DataError(f"{path}:{line_no}: expected utt_id<TAB>{layout}")
+        if utt_id in out:
+            raise DataError(f"{path}:{line_no}: duplicate utterance id "
+                            f"{utt_id!r}")
+        out[utt_id] = rest
+    return out
+
+
 def write_transcripts(path: str, utts: Sequence[Utterance], vocab: Vocab) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for u in utts:
@@ -113,18 +134,8 @@ def write_transcripts(path: str, utts: Sequence[Utterance], vocab: Vocab) -> Non
 
 
 def read_transcripts(path: str, vocab: Vocab) -> Dict[str, List[int]]:
-    out: Dict[str, List[int]] = {}
-    for line_no, line in enumerate(read_text(path).split("\n"), 1):
-        if not line:
-            continue
-        if "\t" not in line:
-            raise DataError(f"{path}:{line_no}: expected utt_id<TAB>tokens")
-        utt_id, text = line.split("\t", 1)
-        if utt_id in out:
-            raise DataError(f"{path}:{line_no}: duplicate utterance id "
-                            f"{utt_id!r}")
-        out[utt_id] = vocab.encode(text.split())
-    return out
+    return {utt_id: vocab.encode(" ".join(rest).split())
+            for utt_id, rest in read_id_lines(path, "tokens").items()}
 
 
 def write_manifest(path: str, entries: Sequence[Tuple[str, str]]) -> None:
@@ -134,18 +145,8 @@ def write_manifest(path: str, entries: Sequence[Tuple[str, str]]) -> None:
 
 
 def read_manifest(path: str) -> List[Tuple[str, str]]:
-    out: Dict[str, str] = {}
-    for line_no, line in enumerate(read_text(path).split("\n"), 1):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise DataError(f"{path}:{line_no}: expected utt_id<TAB>path")
-        if parts[0] in out:
-            raise DataError(f"{path}:{line_no}: duplicate utterance id "
-                            f"{parts[0]!r}")
-        out[parts[0]] = parts[1]
-    return list(out.items())
+    return [(utt_id, rest[0]) for utt_id, rest
+            in read_id_lines(path, "path", exact=True).items()]
 
 
 # -- toy corpora ----------------------------------------------------------------

@@ -7,7 +7,7 @@ NumericError -> 3.
 
 import math
 from dataclasses import field, fields
-from typing import Iterable, Optional, Tuple
+from typing import Tuple
 
 
 class ConfigError(ValueError):
@@ -59,12 +59,10 @@ def _inside(value, span: str) -> bool:
             and (value <= hi if span[-1] == "]" else value < hi))
 
 
-def check_settings(cfg, names: Optional[Iterable[str]] = None) -> None:
-    """Refuse the first field of dataclass `cfg` (of `names`, if given)
-    outside its declared span or choices, naming its config-file key."""
+def check_settings(cfg) -> None:
+    """Refuse the first field of dataclass `cfg` outside its declared span
+    or choices, naming its config-file key."""
     for f in fields(cfg):
-        if names is not None and f.name not in names:
-            continue
         value, span = getattr(cfg, f.name), f.metadata.get("span")
         choices = f.metadata.get("choices")
         if choices and value not in choices:

@@ -76,7 +76,7 @@ from .tensor import Tensor
 
 @dataclass
 class ModelConfig:
-    task: str = setting(choices=("asr", "st", "tts"))
+    task: str = setting(choices=("asr", "st", "tts", "lm"))
     body: str = setting(choices=("transformer", "rnn"))
     e: int = setting(12, "[1, inf)")        # encoder layers
     d: int = setting(6, "[1, inf)")         # decoder layers
@@ -1059,15 +1059,20 @@ class TtsModel(Module):
 
 
 class RnnLm(Module):
-    """Small recurrent LM over target token sequences for decode fusion."""
+    """Small recurrent LM over target token sequences for decode fusion:
+    one LSTM layer of width d_att. It reads vocab_size, d_att and seed of
+    its config and no other setting."""
 
-    def __init__(self, vocab_size: int, d_lm: int = 128, seed: int = 0):
+    def __init__(self, config: ModelConfig):
         super().__init__()
-        rng = np.random.default_rng(seed)
-        self.vocab_size = vocab_size
-        self.embed = Embedding(vocab_size, d_lm, rng)
-        self.lstm = LSTM(d_lm, d_lm, rng)
-        self.out = Linear(d_lm, vocab_size, rng)
+        config.validate()
+        if config.task != "lm":
+            raise ConfigError("RnnLm requires task=lm")
+        self.config = config
+        rng = np.random.default_rng(config.seed)
+        self.embed = Embedding(config.vocab_size, config.d_att, rng)
+        self.lstm = LSTM(config.d_att, config.d_att, rng)
+        self.out = Linear(config.d_att, config.vocab_size, rng)
 
     def full_logprobs(self, ys_in) -> Tensor:
         """Teacher-forced next-token log-probs, (B, n_max, V), of B input
@@ -1102,6 +1107,5 @@ class LmState:
 
 
 def build_model(config: ModelConfig):
-    if config.task == "tts":
-        return TtsModel(config)
-    return S2SModel(config)
+    """The model config.task names, built from config alone."""
+    return {"tts": TtsModel, "lm": RnnLm}.get(config.task, S2SModel)(config)

@@ -2,7 +2,7 @@
 Adadelta, gradient accumulation, binary checkpoints with averaging,
 early stopping, feature masking, and a deterministic CSV-logged loop.
 
-A batch is one padded forward and one backward, for every task: an
+A batch is one padded forward and one backward, for ASR, ST and TTS: an
 ASR/ST batch's frames go in as one (B, n_max, feat_dim) array
 (models.pad_sequences, asr_batch_loss), a TTS batch's texts as one (B,
 n_max) id array and its targets as one (B, N_max, feat_dim) array
@@ -10,9 +10,14 @@ n_max) id array and its targets as one (B, N_max, feat_dim) array
 losses covers the whole batch. The dev loss runs the same way in
 length-sorted batches of DEV_BATCH. Dropout masks are drawn once per
 batch from the step's seeded Graph; feature masking is seeded per
-utterance, as before batching. The models and losses take padded
-batches only, so the fusion LM (train_lm) trains each sequence as a
-batch of one.
+utterance, as before batching.
+
+The fusion LM (`task = lm`) is built, checked and snapshotted like any
+other model, but trains in its own loop, train_lm: one sequence per
+step, as a batch of one, with Adam at a fixed rate, and one checkpoint,
+lm.esc, at the end. Of the training settings it reads `epochs` and the
+seed (`train_seed`); the others are not yet applied to it, and it
+writes no log.csv and computes no dev loss.
 
 Losses are normalized by batch-global token (ASR/ST) or element (TTS)
 counts, so splitting a batch into micro-batches accumulates to exactly
@@ -389,9 +394,12 @@ def check_lengths(model, utts: Sequence, split: str,
     fewer frames than the speech front end needs or, when training a
     model with a CTC head, fewer subsampled frames than the CTC target
     needs (decoding never reads the targets); for TTS, an empty text or
-    an empty target. Raises one DataError naming the split, the count
-    and the first few utterance ids."""
+    an empty target; for the LM, which reads the tokens only, nothing.
+    Raises one DataError naming the split, the count and the first few
+    utterance ids."""
     cfg = model.config
+    if cfg.task == "lm":
+        return
     tts = cfg.task == "tts"
     min_frames = 1 if tts else model.enc_pre.MIN_FRAMES
     bad = []

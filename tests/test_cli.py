@@ -13,8 +13,11 @@ import pytest
 
 from minis2s import cli
 from minis2s.cli import main
-from minis2s.data import read_feature_file, write_feature_file
-from minis2s.training import LOG_COLUMNS, load_checkpoint, save_checkpoint
+from minis2s.config import load_experiment_config
+from minis2s.data import Vocab, read_feature_file, write_feature_file
+from minis2s.models import build_model
+from minis2s.training import (LOG_COLUMNS, load_checkpoint, load_into_model,
+                              save_checkpoint)
 
 TOY = """
 task = asr
@@ -284,6 +287,19 @@ def test_eval_rejects_mismatched_ids(workspace, tmp_path):
                  "--metric", "wer"]) == 2
 
 
+@pytest.mark.parametrize("text,line,what", [
+    ("u1\ta b\nu2\n", 2, "expected utt_id<TAB>text"),
+    ("u1\ta b\t-1.5\n\nu1\tb\n", 3, "duplicate utterance id 'u1'")])
+def test_eval_names_the_bad_hypothesis_line(workspace, tmp_path, capsys,
+                                            text, line, what):
+    hyp = tmp_path / "hyp.tsv"
+    hyp.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert main(["eval", "--ref", str(hyp), "--hyp", str(hyp),
+                 "--metric", "wer"]) == 2
+    assert f"{hyp}:{line}: {what}" in capsys.readouterr().err
+
+
 def test_avg_ckpt_matches_training_average(workspace, tmp_path):
     run = workspace / "run"
     out = tmp_path / "avg2.esc"
@@ -403,6 +419,114 @@ def test_lm_training_and_fusion(workspace, tmp_path, capsys):
                "--lm", str(lm_run / "lm.esc")])
     assert rc == 0
     assert len(capsys.readouterr().out.splitlines()) == 2
+
+
+LM_EXP = "task = lm\nd_att = 8\nepochs = 1\nseed = 2\n"
+
+
+def train_lm_run(root, data, out):
+    cfg = root / "lm.cfg"
+    cfg.write_text(LM_EXP, encoding="utf-8")
+    assert main(["train", "--config", str(cfg), "--data", str(data),
+                 "--out", str(out)]) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def lm_run(workspace):
+    """An LM run directory trained on the workspace's data."""
+    return train_lm_run(workspace, workspace / "data", workspace / "lm_run")
+
+
+def test_an_lm_run_describes_itself(lm_run):
+    # model.cfg names the vocabulary size, so it alone rebuilds the LM
+    cfg = load_experiment_config(str(lm_run / "model.cfg"))
+    assert cfg.model.task == "lm"
+    assert cfg.model.vocab_size == len(Vocab.load(str(lm_run / "vocab.txt")))
+    lm = build_model(cfg.model)
+    load_into_model(lm, load_checkpoint(str(lm_run / "lm.esc")))
+
+
+def test_two_lm_runs_with_one_seed_are_byte_identical(workspace, lm_run,
+                                                      tmp_path):
+    again = train_lm_run(tmp_path, workspace / "data", tmp_path / "lm_run")
+    for name in ("lm.esc", "model.cfg", "vocab.txt"):
+        assert (again / name).read_bytes() == (lm_run / name).read_bytes()
+
+
+@pytest.mark.parametrize("gamma", ["0.0", "0.3"])
+def test_decode_refuses_an_lm_of_another_vocabulary(workspace, tmp_path,
+                                                    capsys, gamma):
+    # six letters against the model's four: the LM's scores would not
+    # line up with the model's, whatever their weight
+    (tmp_path / "toy.cfg").write_text(with_key(TOY, "vocab_size", 6),
+                                      encoding="utf-8")
+    assert main(["gen-data", "--spec", str(tmp_path / "toy.cfg"),
+                 "--out", str(tmp_path / "data")]) == 0
+    other = train_lm_run(tmp_path, tmp_path / "data", tmp_path / "lm_run")
+    capsys.readouterr()
+    rc = main(["decode", "--ckpt", str(workspace / "run" / "avg.esc"),
+               "--data", str(workspace / "data"), "--gamma", gamma,
+               "--lm", str(other / "lm.esc")])
+    err = capsys.readouterr().err
+    assert rc == 2 and "Traceback" not in err
+    assert str(other / "vocab.txt") in err
+    assert str(workspace / "run" / "vocab.txt") in err
+    # the model's vocabulary copied beside that LM now matches, but not
+    # the LM's own size, which its model.cfg gives
+    shutil.copy(workspace / "run" / "vocab.txt", other / "vocab.txt")
+    rc = main(["decode", "--ckpt", str(workspace / "run" / "avg.esc"),
+               "--data", str(workspace / "data"), "--gamma", gamma,
+               "--lm", str(other / "lm.esc")])
+    err = capsys.readouterr().err
+    assert rc == 2 and "Traceback" not in err
+    assert f"{other / 'vocab.txt'} holds 7 tokens" in err
+    assert f"{other / 'model.cfg'} says vocab_size = 9" in err
+
+
+@pytest.mark.parametrize("missing,code", [("vocab.txt", 2), ("model.cfg", 1)])
+def test_decode_refuses_an_lm_directory_missing_a_file(
+        workspace, lm_run, tmp_path, capsys, missing, code):
+    lm = tmp_path / "lm_run"
+    shutil.copytree(lm_run, lm)
+    (lm / missing).unlink()
+    capsys.readouterr()
+    rc = main(["decode", "--ckpt", str(workspace / "run" / "avg.esc"),
+               "--data", str(workspace / "data"),
+               "--lm", str(lm / "lm.esc")])
+    err = capsys.readouterr().err
+    assert rc == code and str(lm / missing) in err
+    assert "Traceback" not in err
+
+
+def test_decode_refuses_an_lm_run_written_without_its_vocabulary_size(
+        workspace, lm_run, tmp_path, capsys):
+    # earlier LM runs recorded vocab_size = 0, which no model can have
+    lm = tmp_path / "lm_run"
+    shutil.copytree(lm_run, lm)
+    cfg = (lm / "model.cfg").read_text(encoding="utf-8")
+    (lm / "model.cfg").write_text(with_key(cfg, "vocab_size", 0),
+                                  encoding="utf-8")
+    capsys.readouterr()
+    rc = main(["decode", "--ckpt", str(workspace / "run" / "avg.esc"),
+               "--data", str(workspace / "data"),
+               "--lm", str(lm / "lm.esc")])
+    err = capsys.readouterr().err
+    assert rc == 1 and "vocab_size = 0" in err and "Traceback" not in err
+
+
+def test_decode_keeps_language_models_and_recognizers_apart(
+        workspace, lm_run, capsys):
+    capsys.readouterr()
+    rc = main(["decode", "--ckpt", str(lm_run / "lm.esc"),
+               "--data", str(workspace / "data")])
+    err = capsys.readouterr().err
+    assert rc == 1 and "decode handles recognition and translation" in err
+    rc = main(["decode", "--ckpt", str(workspace / "run" / "avg.esc"),
+               "--data", str(workspace / "data"),
+               "--lm", str(workspace / "run" / "avg.esc")])
+    err = capsys.readouterr().err
+    assert rc == 1 and "not lm" in err and "Traceback" not in err
 
 
 def test_missing_inputs_map_to_exit_codes(workspace, tmp_path):

@@ -22,7 +22,7 @@ from minis2s.decoding import (BeamConfig, BeamResult, CtcPrefixScorer,
 from minis2s.errors import (ConfigError, DataError, DimensionError,
                             ImpossibleAlignmentError)
 from minis2s.losses import ctc_log_likelihood, ctc_min_frames
-from minis2s.models import (EncodedSequence, ModelConfig, RnnLm, build_model,
+from minis2s.models import (EncodedSequence, ModelConfig, build_model,
                             pad_sequences)
 from minis2s.reserved import BLANK_ID, SOS_EOS_ID
 from minis2s.tensor import Tensor
@@ -40,6 +40,11 @@ def tiny_model(seed, vocab=5, feat=6, alpha=0.5):
                       e=1, d=1, d_att=8, d_ff=16, d_head=2,
                       dropout_rate=0.0, alpha=alpha, seed=seed)
     return build_model(cfg)
+
+
+def tiny_lm(vocab, d_att, seed):
+    return build_model(ModelConfig(task="lm", vocab_size=vocab, d_att=d_att,
+                                   seed=seed))
 
 
 class TableState:
@@ -401,7 +406,7 @@ def test_combined_zero_weight_kills_infinite_term():
 def test_combined_recomputable_from_parts():
     cfg = BeamConfig(lam=0.7, gamma=0.3)
     model = tiny_model(5)
-    lm = RnnLm(5, d_lm=8, seed=1)
+    lm = tiny_lm(5, 8, 1)
     x = np.random.default_rng(6).standard_normal((16, 6))
     with T.Graph(seed=0):
         enc = encode_one(model, x)
@@ -520,7 +525,7 @@ def test_beam_matches_exhaustive_enumeration(seed):
 
 def test_beam_with_lm_matches_enumeration():
     model = tiny_model(99)
-    lm = RnnLm(5, d_lm=8, seed=3)
+    lm = tiny_lm(5, 8, 3)
     cfg = BeamConfig(beam_size=256, lam=0.7, gamma=0.3)
     x = np.random.default_rng(7).standard_normal((16, 6))
     with T.Graph(seed=0):
@@ -538,7 +543,7 @@ def test_gamma_zero_ignores_lm():
     x = np.random.default_rng(8).standard_normal((12, 6))
     with T.Graph(seed=0):
         enc = encode_one(model, x)
-        with_lm = beam_search(enc, model, lm=RnnLm(5, d_lm=8, seed=4),
+        with_lm = beam_search(enc, model, lm=tiny_lm(5, 8, 4),
                               config=cfg)
         without = beam_search(enc, model, lm=None, config=cfg)
     assert with_lm.best.tokens == without.best.tokens
@@ -593,7 +598,7 @@ def test_beam_nbest_matches_reference_beam(body, with_lm, beam):
         model = (tiny_model(seed) if body == "transformer"
                  else _tiny_rnn_model(seed))
         model.eval()
-        lm = RnnLm(5, d_lm=8, seed=10 + seed) if with_lm else None
+        lm = tiny_lm(5, 8, 10 + seed) if with_lm else None
         cfg = BeamConfig(beam_size=beam, lam=0.6, gamma=0.4)
         x = np.random.default_rng(40 + seed).standard_normal((20, 6))
         with T.Graph(seed=0):
@@ -644,7 +649,7 @@ def test_batched_search_equals_search_one_by_one(body, with_lm):
                      if body == "transformer"
                      else _tiny_rnn_model(7, vocab=10, alpha=alpha))
             model.eval()
-            lm = RnnLm(10, d_lm=8, seed=2) if with_lm else None
+            lm = tiny_lm(10, 8, 2) if with_lm else None
             cfg = BeamConfig(beam_size=beam, lam=0.6, gamma=0.4)
             encs = _encode_all(model, frames, seed=5)
             assert len({enc.n_sub[0] for enc in encs}) == len(frames)
@@ -918,7 +923,7 @@ def test_nbest_is_sorted_and_bounded():
 
 
 def test_lm_rows_normalize():
-    lm = RnnLm(7, d_lm=8, seed=5)
+    lm = tiny_lm(7, 8, 5)
     state = lm.init_state()
     for tok in (SOS_EOS_ID, 3, 4):
         lp, state = lm.step(state, [tok])
@@ -926,7 +931,7 @@ def test_lm_rows_normalize():
 
 
 def test_lm_zeroed_head_is_uniform():
-    lm = RnnLm(6, d_lm=8, seed=6)
+    lm = tiny_lm(6, 8, 6)
     lm.out.weight.data[:] = 0.0
     lm.out.bias.data[:] = 0.0
     lp, state = lm.step(lm.init_state(), [SOS_EOS_ID])
@@ -935,7 +940,7 @@ def test_lm_zeroed_head_is_uniform():
 
 
 def test_lm_step_rows_match_full_logprobs():
-    lm = RnnLm(7, d_lm=8, seed=8)
+    lm = tiny_lm(7, 8, 8)
     prefixes = [(3, 4, 5, 6), (6, 6, 3, 1), (4, 3, 5, 5)]
     state = lm.init_state().select([0, 0, 0])
     last = [SOS_EOS_ID] * 3

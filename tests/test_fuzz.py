@@ -152,13 +152,16 @@ def test_experiment_from_items(items):
         pass
 
 
-RUN_FILES = ("avg.esc", "model.cfg", "vocab.txt")
+# the files of a model's run directory and of a fusion LM's
+RUN_FILES = ("run/avg.esc", "run/model.cfg", "run/vocab.txt",
+             "lm/lm.esc", "lm/model.cfg", "lm/vocab.txt")
 
 
 @pytest.fixture(scope="module")
 def tiny_run(tmp_path_factory):
     """A tiny trained model (d_att 8, one layer each, two utterances per
-    split) and the bytes of the run files the damage starts from."""
+    split) and LM (d_att 8), and the bytes of the run files the damage
+    starts from."""
     root = tmp_path_factory.mktemp("fuzz_run")
     (root / "toy.cfg").write_text("task = asr\nvocab_size = 3\nn_train = 2\n"
                                   "n_dev = 0\nn_test = 2\nseed = 1\n",
@@ -166,12 +169,15 @@ def tiny_run(tmp_path_factory):
     (root / "exp.cfg").write_text("preset = transformer-toy\ne = 1\nd = 1\n"
                                   "d_att = 8\nd_ff = 8\nepochs = 1\n",
                                   encoding="utf-8")
+    (root / "lm.cfg").write_text("task = lm\nd_att = 8\nepochs = 1\n",
+                                 encoding="utf-8")
     assert main(["gen-data", "--spec", str(root / "toy.cfg"),
                  "--out", str(root / "data")]) == 0
-    assert main(["train", "--config", str(root / "exp.cfg"),
-                 "--data", str(root / "data"),
-                 "--out", str(root / "run")]) == 0
-    return root, {n: (root / "run" / n).read_bytes() for n in RUN_FILES}
+    for cfg, out in (("exp.cfg", "run"), ("lm.cfg", "lm")):
+        assert main(["train", "--config", str(root / cfg),
+                     "--data", str(root / "data"),
+                     "--out", str(root / out)]) == 0
+    return root, {n: (root / n).read_bytes() for n in RUN_FILES}
 
 
 # one run file cut at an offset, or a few of its bytes overwritten there.
@@ -184,23 +190,27 @@ damage = st.tuples(st.sampled_from(RUN_FILES), st.integers(0, 2 ** 16),
 
 def test_cli_on_damaged_run_directories(tiny_run, tmp_path, capsys):
     root, files = tiny_run
-    run = tmp_path / "run"
-    run.mkdir()
+    for d in ("run", "lm"):
+        (tmp_path / d).mkdir()
+    decode = ["decode", "--ckpt", str(tmp_path / "run" / "avg.esc"),
+              "--data", str(root / "data")]
 
     @FUZZ
     @given(damage)
     def check(hit):
         name, at, patch = hit
         for other, raw in files.items():
-            (run / other).write_bytes(raw)
+            (tmp_path / other).write_bytes(raw)
         raw = files[name]
         at %= len(raw) + 1
-        (run / name).write_bytes(raw[:at] if patch is None else
-                                 raw[:at] + patch + raw[at + len(patch):])
-        for argv in (["decode", "--ckpt", str(run / "avg.esc"),
-                      "--data", str(root / "data")],
-                     ["avg-ckpt", "--out", str(tmp_path / "avg.esc"),
-                      str(run / "avg.esc")]):
+        (tmp_path / name).write_bytes(raw[:at] if patch is None else
+                                      raw[:at] + patch + raw[at + len(patch):])
+        # the model's files load first, so the LM's damage needs --lm and
+        # the model's does not
+        for argv in ([decode + ["--lm", str(tmp_path / "lm" / "lm.esc")]]
+                     if name.startswith("lm/") else
+                     [decode, ["avg-ckpt", "--out", str(tmp_path / "avg.esc"),
+                               str(tmp_path / "run" / "avg.esc")]]):
             assert main(argv) in (0, 1, 2, 3)
         capsys.readouterr()
     check()

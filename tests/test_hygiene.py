@@ -133,3 +133,36 @@ def test_scan_flags_a_one_input_result():
                      "def relu(a): return _result(a, (a,), None)\n"
                      "def add(a, b): return _result(a, (a, b), None)\n")
     assert list(one_input_results(tree)) == [("relu", 2)]
+
+
+MODEL_CLASSES = {"S2SModel", "TtsModel", "RnnLm"}
+
+
+def model_class_uses(tree: ast.Module):
+    """(name, line) of every mention of a model class, bare or as an
+    attribute, as a call or as a value handed on."""
+    for node in ast.walk(tree):
+        name = (node.id if isinstance(node, ast.Name) else
+                node.attr if isinstance(node, ast.Attribute) else
+                node.name if isinstance(node, ast.alias) else None)
+        if name in MODEL_CLASSES:
+            yield name, getattr(node, "lineno", None)
+
+
+def test_cli_builds_models_through_build_model():
+    # every model the command line makes comes from its config, as
+    # build_model reads it, so each task's run directory loads one way
+    path = SRC / "cli.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = [f"cli.py:{line} {name}" for name, line in model_class_uses(tree)]
+    assert not found, f"model classes named in cli.py: {found}"
+
+
+def test_scan_flags_a_model_class():
+    tree = ast.parse("from .models import RnnLm, build_model\n"
+                     "import minis2s.models as M\n"
+                     "a = build_model(cfg)\n"
+                     "b = make(M.TtsModel, cfg)\n"
+                     "c = S2SModel(cfg)\n")
+    assert [n for n, _ in model_class_uses(tree)] == [
+        "RnnLm", "TtsModel", "S2SModel"]

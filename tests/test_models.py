@@ -2,11 +2,16 @@
 (causality, reversal symmetry), end-to-end gradients, padded-batch
 equivalence, and config validation."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from minis2s import attention as A
+from minis2s import models
 from minis2s import tensor as T
 from minis2s.config import experiment_from_items
 from minis2s.errors import ConfigError, DataError, DimensionError
@@ -808,3 +813,55 @@ def test_tts_guided_attention_selection():
                              [np.zeros((4, 5)), np.zeros((2, 5))])
     # one record of the LSTM decoder's single head
     assert rnn.guided_attention_records(fb.records).shape == (2, 1, 2, 3)
+
+
+# ------------------------------------------------------------- lm
+
+PROPERTY = settings(max_examples=60, derandomize=True, deadline=None,
+                    database=None)
+LM_VOCAB = 7
+
+
+@st.composite
+def lm_batches(draw):
+    """B in 1-4 input id sequences, each starting with the start id: all
+    of one length, one of length 1 among the others, or any lengths."""
+    b = draw(st.integers(1, 4))
+    lens = draw(st.lists(st.integers(1, 6), min_size=b, max_size=b))
+    shape = draw(st.sampled_from(["all equal", "length 1", "any"]))
+    if shape == "all equal":
+        lens = [lens[0]] * b
+    elif shape == "length 1":
+        lens[draw(st.integers(0, b - 1))] = 1
+    tokens = st.integers(0, LM_VOCAB - 1)
+    return [[SOS_EOS_ID] + draw(st.lists(tokens, min_size=n - 1,
+                                         max_size=n - 1)) for n in lens]
+
+
+def test_lm_full_logprobs_rows_equal_single_runs_whatever_the_padding():
+    lm = build_model(ModelConfig(task="lm", vocab_size=LM_VOCAB, d_att=6,
+                                 seed=9))
+    pad_ids = models._pad_ids
+
+    @PROPERTY
+    @given(lm_batches(), st.integers(0, 2 ** 32 - 1))
+    def check(seqs, pad_seed):
+        with T.no_grad():
+            batch = lm.full_logprobs(seqs).data
+            for b, ys in enumerate(seqs):
+                np.testing.assert_allclose(
+                    batch[b, :len(ys)], lm.full_logprobs([ys]).data[0],
+                    rtol=0, atol=1e-10)
+
+            def other_padding(rows):
+                ids, lens = pad_ids(rows)
+                noise = np.random.default_rng(pad_seed).integers(
+                    0, LM_VOCAB, ids.shape)
+                past = np.arange(ids.shape[1]) >= lens[:, None]
+                return np.where(past, noise, ids), lens
+
+            with mock.patch.object(models, "_pad_ids", other_padding):
+                repadded = lm.full_logprobs(seqs).data
+        for b, ys in enumerate(seqs):
+            assert np.array_equal(repadded[b, :len(ys)], batch[b, :len(ys)])
+    check()

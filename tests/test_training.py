@@ -19,7 +19,7 @@ from minis2s.errors import ConfigError, DataError, NumericError
 from minis2s.losses import (ctc_log_likelihood, guided_attention_weight,
                             joint_asr_loss, s2s_cross_entropy, tts_l1,
                             weighted_bce)
-from minis2s.models import ModelConfig, RnnLm, build_model, pad_sequences
+from minis2s.models import ModelConfig, build_model, pad_sequences
 from minis2s.reserved import SOS_EOS_ID
 from minis2s.tensor import Tensor, backward
 from minis2s.training import (DEV_BATCH, Adadelta, Adam, Checkpoint,
@@ -630,7 +630,7 @@ def test_train_loop_with_augmentation_runs(tmp_path):
 
 
 def test_train_lm_loss_decreases():
-    lm = RnnLm(6, d_lm=12, seed=0)
+    lm = build_model(ModelConfig(task="lm", vocab_size=6, d_att=12, seed=0))
     seqs = [[3, 4, 5], [3, 4], [4, 5, 3], [5, 5, 4], [3, 3]]
     trace = train_lm(lm, seqs, epochs=4, lr=5e-3, seed=0)
     assert trace[-1] < trace[0]
