@@ -2,15 +2,17 @@
 
 Modules register parameters (and submodules) automatically on attribute
 assignment, so `named_parameters()` walks the whole model with stable
-dotted names; the checkpoint writer relies on that ordering. Weight init
-is uniform(-s, s) with s = sqrt(6 / (fan_in + fan_out)); biases start at
-zero. Every constructor that owns weights takes an explicit numpy
-Generator so that a single seed reproduces a model bit-exactly.
+dotted names; the checkpoint writer relies on that ordering, and so does
+pack_parameters, which an optimizer calls to lay the parameters out as
+views of one vector. Weight init is uniform(-s, s) with
+s = sqrt(6 / (fan_in + fan_out)); biases start at zero. Every
+constructor that owns weights takes an explicit numpy Generator so that
+a single seed reproduces a model bit-exactly.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,6 +24,29 @@ from .tensor import Tensor
 def glorot(rng: np.random.Generator, shape: tuple, fan_in: int, fan_out: int) -> Tensor:
     s = np.sqrt(6.0 / (fan_in + fan_out))
     return Tensor(rng.uniform(-s, s, size=shape), requires_grad=True)
+
+
+def flat_views(flat: np.ndarray, params: Sequence[Tensor]) -> List[np.ndarray]:
+    """Consecutive slices of the vector flat, one per parameter in order,
+    each reshaped to its parameter's shape: views, not copies."""
+    views, lo = [], 0
+    for p in params:
+        views.append(flat[lo:lo + p.size].reshape(p.shape))
+        lo += p.size
+    return views
+
+
+def pack_parameters(params: Sequence[Tensor]) -> np.ndarray:
+    """Copy the values of params, in order, into one new contiguous
+    float64 vector and make each p.data its view of it (flat_views).
+    Names, shapes and values stay as they were, so checkpoints are the
+    same bytes; from here on a write to p.data writes the vector, and a
+    write to the vector moves p.data. Returns the vector."""
+    flat = np.empty(sum(p.size for p in params))
+    for p, view in zip(params, flat_views(flat, params)):
+        view[...] = p.data
+        p.data = view
+    return flat
 
 
 class Module:

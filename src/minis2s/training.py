@@ -22,6 +22,14 @@ writes no log.csv and computes no dev loss.
 Losses are normalized by batch-global token (ASR/ST) or element (TTS)
 counts, so splitting a batch into micro-batches accumulates to exactly
 the big-batch update.
+
+Adam and Adadelta own the weights' memory: they pack the parameters,
+in named_parameters order, into one float64 vector whose views become
+each p.data (nn.pack_parameters). A step copies the gradients into one
+flat vector, takes the gradient norm as one dot product over it and
+updates in place, in cache-sized blocks of UPDATE_BLOCK floats. Weights
+and checkpoints are bit-identical to a per-array update; only the
+logged grad_norm's last bits follow the dot product's summation order.
 """
 
 from __future__ import annotations
@@ -43,6 +51,7 @@ from . import tensor as T
 from .errors import (ConfigError, DataError, NumericError, check_settings,
                      setting)
 from .models import pad_sequences, subsample_length
+from .nn import flat_views, pack_parameters
 from .reserved import SOS_EOS_ID
 from .tensor import Tensor, backward
 
@@ -62,53 +71,132 @@ def noam_lr(step: int, d_att: int, warmup: int, k: float = 1.0) -> float:
     return k * d_att ** -0.5 * min(step ** -0.5, step * warmup ** -1.5)
 
 
-class Adam:
+# Floats per block of the in-place optimizer update: a block's slices
+# of the parameter, gradient and two state vectors plus two temporaries
+# (6 x 256 KiB) stay in a 2 MiB per-core L2 cache across the update's
+# ufuncs, where whole-vector ufuncs stream every vector through the
+# outer caches once per ufunc. A transformer-toy update took 4.2 ms so,
+# 4.9 ms unblocked and 5.5 ms in 4 Ki blocks (call overhead), on a
+# 2-core Xeon. Block bounds change no result.
+UPDATE_BLOCK = 32_768
+
+
+class _FlatOptimizer:
+    """What Adam and Adadelta share: their parameters packed into one
+    vector, `flat`, a gradient vector `grad` of the same layout, the
+    step count t, and one loop over blocks of these vectors. A
+    subclass's _update(lr) changes every parameter and state element in
+    place with out= ufuncs, running per element the same operations in
+    the same order as its per-array numpy expressions, so the weights
+    are bit-identical to theirs."""
+
+    def __init__(self, params: Sequence[Tensor]):
+        self.params = list(params)
+        self.flat = pack_parameters(self.params)
+        self.grad = np.zeros_like(self.flat)
+        self._grad_views = flat_views(self.grad, self.params)
+        self._tmp = np.empty((2, min(UPDATE_BLOCK, self.flat.size)))
+        self.t = 0
+
+    def zero_grad(self) -> None:
+        for p in self.params:
+            p.grad = None
+
+    def step(self, lr: float) -> float:
+        """Copy each p.grad into `grad` (zeros where p.grad is None),
+        update the parameters at rate lr and return the gradient 2-norm,
+        one dot product over `grad`. A non-finite norm updates nothing:
+        neither the parameters nor the state, nor t."""
+        for view, p in zip(self._grad_views, self.params):
+            view[...] = 0.0 if p.grad is None else p.grad
+        norm = math.sqrt(self.grad @ self.grad)
+        if math.isfinite(norm):
+            self.t += 1
+            self._update(lr)
+        return norm
+
+    def _blocks(self, *state: np.ndarray):
+        """Block by block: the slices of the parameter vector, of the
+        gradient vector and of each state vector, then the two
+        temporaries cut to the block's length."""
+        n = self.flat.size
+        for lo in range(0, n, UPDATE_BLOCK):
+            hi = min(lo + UPDATE_BLOCK, n)
+            yield ((self.flat[lo:hi], self.grad[lo:hi])
+                   + tuple(s[lo:hi] for s in state)
+                   + tuple(tmp[:hi - lo] for tmp in self._tmp))
+
+
+class Adam(_FlatOptimizer):
+    """Adam with bias correction; m and v are flat like the parameters.
+    Per element, with c1 = 1 - beta1**t and c2 = 1 - beta2**t:
+    m = beta1*m + (1-beta1)*g, v = beta2*v + ((1-beta2)*g)*g, and
+    p -= (lr*(m/c1)) / (sqrt(v/c2) + eps), both divisions kept as
+    divisions."""
+
     def __init__(self, params: Sequence[Tensor], beta1: float = 0.9,
                  beta2: float = 0.98, eps: float = 1e-9):
-        self.params = list(params)
+        super().__init__(params)
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.t = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
 
-    def step(self, lr: float) -> None:
-        self.t += 1
+    def _update(self, lr: float) -> None:
         b1, b2 = self.beta1, self.beta2
-        for i, p in enumerate(self.params):
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1.0 - b2) * g * g
-            mhat = self.m[i] / (1.0 - b1 ** self.t)
-            vhat = self.v[i] / (1.0 - b2 ** self.t)
-            p.data -= lr * mhat / (np.sqrt(vhat) + self.eps)
+        c1, c2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
+        for p, g, m, v, a, b in self._blocks(self.m, self.v):
+            np.multiply(m, b1, out=m)
+            np.multiply(g, 1.0 - b1, out=a)
+            np.add(m, a, out=m)
+            np.multiply(v, b2, out=v)
+            np.multiply(g, 1.0 - b2, out=a)
+            np.multiply(a, g, out=a)
+            np.add(v, a, out=v)
+            np.divide(m, c1, out=a)
+            np.multiply(a, lr, out=a)
+            np.divide(v, c2, out=b)
+            np.sqrt(b, out=b)
+            np.add(b, self.eps, out=b)
+            np.divide(a, b, out=a)
+            np.subtract(p, a, out=p)
 
 
-class Adadelta:
+class Adadelta(_FlatOptimizer):
+    """Adadelta; the accumulators eg and ex are flat like the parameters.
+    Per element: eg = rho*eg + ((1-rho)*g)*g,
+    delta = (-sqrt(ex + eps) / sqrt(eg + eps)) * g,
+    ex = rho*ex + ((1-rho)*delta)*delta, and p += lr*delta."""
+
     def __init__(self, params: Sequence[Tensor], rho: float = 0.95,
                  eps: float = 1e-8):
-        self.params = list(params)
+        super().__init__(params)
         self.rho, self.eps = rho, eps
-        self.t = 0
-        self.eg = [np.zeros_like(p.data) for p in self.params]
-        self.ex = [np.zeros_like(p.data) for p in self.params]
+        self.eg = np.zeros_like(self.flat)
+        self.ex = np.zeros_like(self.flat)
 
-    def step(self, lr: float = 1.0) -> None:
-        self.t += 1
+    def step(self, lr: float = 1.0) -> float:
+        return super().step(lr)
+
+    def _update(self, lr: float) -> None:
         rho, eps = self.rho, self.eps
-        for i, p in enumerate(self.params):
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            self.eg[i] = rho * self.eg[i] + (1.0 - rho) * g * g
-            delta = -np.sqrt(self.ex[i] + eps) / np.sqrt(self.eg[i] + eps) * g
-            self.ex[i] = rho * self.ex[i] + (1.0 - rho) * delta * delta
-            p.data += lr * delta
-
-
-def grad_norm(params: Sequence[Tensor]) -> float:
-    total = 0.0
-    for p in params:
-        if p.grad is not None:
-            total += float((p.grad * p.grad).sum())
-    return math.sqrt(total)
+        for p, g, eg, ex, a, b in self._blocks(self.eg, self.ex):
+            np.multiply(eg, rho, out=eg)
+            np.multiply(g, 1.0 - rho, out=a)
+            np.multiply(a, g, out=a)
+            np.add(eg, a, out=eg)
+            np.add(ex, eps, out=a)
+            np.sqrt(a, out=a)
+            np.negative(a, out=a)
+            np.add(eg, eps, out=b)
+            np.sqrt(b, out=b)
+            np.divide(a, b, out=a)
+            np.multiply(a, g, out=a)
+            np.multiply(ex, rho, out=ex)
+            np.multiply(a, 1.0 - rho, out=b)
+            np.multiply(b, a, out=b)
+            np.add(ex, b, out=ex)
+            np.multiply(a, lr, out=a)
+            np.add(p, a, out=p)
 
 
 def accumulate_gradients(model, micro_losses: Iterable[Callable[[], Tensor]]) -> float:
@@ -469,11 +557,10 @@ def train_loop(model, train_set: Sequence, dev_set: Sequence,
     check_lengths(model, dev_set, "dev")
     os.makedirs(out_dir, exist_ok=True)
     is_tts = model.config.task == "tts"
-    params = model.parameters()
     if tcfg.optimizer == "adam":
-        opt = Adam(params)
+        opt = Adam(model.parameters())
     else:
-        opt = Adadelta(params)
+        opt = Adadelta(model.parameters())
 
     log_path = os.path.join(out_dir, "log.csv")
     stopper = EarlyStopping(tcfg.patience, tcfg.min_delta)
@@ -490,7 +577,7 @@ def train_loop(model, train_set: Sequence, dev_set: Sequence,
             for batch in make_batches(train_set, tcfg.batch_size, rng):
                 step += 1
                 t0 = time.perf_counter()
-                model.zero_grad()
+                opt.zero_grad()
                 if tcfg.augment and not is_tts:
                     batch = [type(utt)(utt.utt_id, spec_augment(
                         utt.feats, tcfg.n_time_masks, tcfg.n_freq_masks,
@@ -500,18 +587,20 @@ def train_loop(model, train_set: Sequence, dev_set: Sequence,
                 with T.Graph(seed=tcfg.seed * 999_983 + step):
                     loss, rep = _batch_loss_fn(model, batch)(batch)
                     backward(loss)
-                gnorm = grad_norm(params)
-                if not (math.isfinite(rep.total) and math.isfinite(gnorm)):
-                    raise NumericError(
-                        f"epoch {epoch} step {step}: loss {rep.total!r} "
-                        f"or gradient norm {gnorm!r} is not finite")
+                if not math.isfinite(rep.total):
+                    raise NumericError(f"epoch {epoch} step {step}: loss "
+                                       f"{rep.total!r} is not finite")
                 if tcfg.optimizer == "adam":
                     lr = noam_lr(opt.t + 1, model.config.d_att,
                                  tcfg.warmup_steps, tcfg.noam_k)
-                    opt.step(lr)
                 else:
                     lr = tcfg.adadelta_lr
-                    opt.step(lr)
+                # a non-finite gradient leaves the weights as they were
+                gnorm = opt.step(lr)
+                if not math.isfinite(gnorm):
+                    raise NumericError(f"epoch {epoch} step {step}: "
+                                       f"gradient norm {gnorm!r} is not "
+                                       "finite")
                 wall = int((time.perf_counter() - t0) * 1000) \
                     if tcfg.log_timing else 0
                 writer.writerow(
@@ -554,7 +643,7 @@ def train_lm(lm, sequences: Sequence[Sequence[int]], epochs: int = 5,
         n_tok = sum(len(s) + 1 for s in sequences)
         for i in order:
             ys = list(sequences[i])
-            lm.zero_grad()
+            opt.zero_grad()
             with T.Graph(seed=seed * 7919 + epoch * 613 + int(i)):
                 lp = lm.full_logprobs([[SOS_EOS_ID] + ys])
                 loss = L.s2s_cross_entropy(lp, [ys + [SOS_EOS_ID]])

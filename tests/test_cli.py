@@ -262,6 +262,7 @@ def test_eval_all_metrics(workspace, capsys):
         main(["decode", "--ckpt", str(workspace / "run" / "avg.esc"),
               "--data", str(workspace / "data"),
               "--split", "test", "--beam", "4", "--out", str(hyp)])
+        capsys.readouterr()     # the decode's own "decoded ..." line
     ref = str(workspace / "data" / "test" / "transcripts.tsv")
     for metric in ("wer", "cer", "bleu"):
         assert main(["eval", "--ref", ref, "--hyp", str(hyp),

@@ -6,6 +6,7 @@ the big-batch update to near machine precision.
 """
 
 import itertools
+import math
 import os
 from collections import namedtuple
 
@@ -23,9 +24,9 @@ from minis2s.models import ModelConfig, build_model, pad_sequences
 from minis2s.reserved import SOS_EOS_ID
 from minis2s.tensor import Tensor, backward
 from minis2s.training import (DEV_BATCH, Adadelta, Adam, Checkpoint,
-                              EarlyStopping, TrainConfig,
+                              UPDATE_BLOCK, EarlyStopping, TrainConfig,
                               accumulate_gradients, asr_batch_loss,
-                              average_checkpoints, evaluate_dev, grad_norm,
+                              average_checkpoints, evaluate_dev,
                               load_checkpoint, load_into_model, noam_lr,
                               save_checkpoint, spec_augment, train_lm,
                               train_loop, tts_batch_loss, tts_denominators)
@@ -148,8 +149,128 @@ def test_grad_norm():
     b = Tensor(np.asarray([4.0]), requires_grad=True)
     a.grad = np.asarray([3.0])
     b.grad = np.asarray([4.0])
-    assert abs(grad_norm([a, b]) - 5.0) < 1e-12
-    assert grad_norm([Tensor(np.ones(2), requires_grad=True)]) == 0.0
+    assert abs(Adam([a, b]).step(lr=0.1) - 5.0) < 1e-12
+    assert Adam([Tensor(np.ones(2), requires_grad=True)]).step(lr=0.1) == 0.0
+
+
+class RefAdam:
+    """The per-array Adam the flat one replaced: the reference its
+    weights and moments must match bit for bit."""
+
+    def __init__(self, params, beta1=0.9, beta2=0.98, eps=1e-9):
+        self.params = list(params)
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.t = 0
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
+
+    def step(self, lr):
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        for i, p in enumerate(self.params):
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
+            self.v[i] = b2 * self.v[i] + (1.0 - b2) * g * g
+            mhat = self.m[i] / (1.0 - b1 ** self.t)
+            vhat = self.v[i] / (1.0 - b2 ** self.t)
+            p.data -= lr * mhat / (np.sqrt(vhat) + self.eps)
+
+
+class RefAdadelta:
+    """The per-array Adadelta the flat one replaced."""
+
+    def __init__(self, params, rho=0.95, eps=1e-8):
+        self.params = list(params)
+        self.rho, self.eps = rho, eps
+        self.t = 0
+        self.eg = [np.zeros_like(p.data) for p in self.params]
+        self.ex = [np.zeros_like(p.data) for p in self.params]
+
+    def step(self, lr=1.0):
+        self.t += 1
+        rho, eps = self.rho, self.eps
+        for i, p in enumerate(self.params):
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            self.eg[i] = rho * self.eg[i] + (1.0 - rho) * g * g
+            delta = -np.sqrt(self.ex[i] + eps) / np.sqrt(self.eg[i] + eps) * g
+            self.ex[i] = rho * self.ex[i] + (1.0 - rho) * delta * delta
+            p.data += lr * delta
+
+
+# parameter shapes whose totals fall under one update block, fill exactly
+# two, and overrun two by one float; each holds a 0-d parameter
+BLOCK_CASES = {
+    "under-one-block": [(), (3, 5), (4, 2, 3)],
+    "two-blocks": [(), (3, 5), (2 * UPDATE_BLOCK - 16,)],
+    "two-blocks-plus-one": [(), (3, 5), (2 * UPDATE_BLOCK - 15,)],
+}
+
+
+@pytest.mark.parametrize("shapes", BLOCK_CASES.values(), ids=BLOCK_CASES)
+@pytest.mark.parametrize("flat_cls, ref_cls, state", [
+    (Adam, RefAdam, ("m", "v")),
+    (Adadelta, RefAdadelta, ("eg", "ex")),
+], ids=["adam", "adadelta"])
+def test_flat_optimizer_matches_per_array_reference(shapes, flat_cls,
+                                                     ref_cls, state):
+    rng = np.random.default_rng(3)
+    init = [rng.standard_normal(shape) for shape in shapes]
+    params = [Tensor(x, requires_grad=True) for x in init]
+    ref_params = [Tensor(x, requires_grad=True) for x in init]
+    opt, ref = flat_cls(params), ref_cls(ref_params)
+    for _ in range(20):
+        lr = float(rng.uniform(1e-3, 1.0))
+        for i, (p, q) in enumerate(zip(params, ref_params)):
+            # the (3, 5) parameter never gets a gradient; the others now
+            # and then none, at scales from 1e-3 to 1e2
+            if i == 1 or rng.random() < 0.25:
+                p.grad = q.grad = None
+            else:
+                g = rng.standard_normal(shapes[i]) * 10.0 ** rng.integers(-3, 3)
+                p.grad, q.grad = g, g.copy()
+        opt.step(lr)
+        ref.step(lr)
+        assert opt.t == ref.t
+        for p, q in zip(params, ref_params):
+            assert p.data.tobytes() == q.data.tobytes()
+        for name in state:
+            want = np.concatenate([np.ravel(a) for a in getattr(ref, name)])
+            assert getattr(opt, name).tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("opt_cls", [Adam, Adadelta])
+def test_optimizer_packs_parameters_into_one_vector(tmp_path, opt_cls):
+    model = build_model(asr_cfg())
+    before = [(n, p.shape) for n, p in model.named_parameters()]
+    save_checkpoint(str(tmp_path / "before.esc"), model)
+    opt = opt_cls(model.parameters())
+    assert [(n, p.shape) for n, p in model.named_parameters()] == before
+    for p in model.parameters():
+        assert p.data.flags["C_CONTIGUOUS"]
+        assert np.shares_memory(p.data, opt.flat)
+    save_checkpoint(str(tmp_path / "after.esc"), model)
+    assert ((tmp_path / "before.esc").read_bytes()
+            == (tmp_path / "after.esc").read_bytes())
+    # loading writes through the views into the vector
+    other = load_checkpoint(str(tmp_path / "before.esc"))
+    for value in other.params.values():
+        value += 1.0
+    load_into_model(model, other)
+    assert np.array_equal(opt.flat, np.concatenate(
+        [np.ravel(v) for v in other.params.values()]))
+
+
+def test_non_finite_gradient_updates_nothing():
+    p = Tensor(np.asarray([1.0, 2.0]), requires_grad=True)
+    opt = Adam([p])
+    p.grad = np.asarray([0.5, 0.5])
+    opt.step(lr=0.1)
+    data, m, v = p.data.copy(), opt.m.copy(), opt.v.copy()
+    p.grad = np.asarray([0.5, np.nan])
+    assert math.isnan(opt.step(lr=0.1))
+    assert opt.t == 1
+    for now, then in ((p.data, data), (opt.m, m), (opt.v, v)):
+        assert now.tobytes() == then.tobytes()
 
 
 # -- accumulation equivalence ----------------------------------------------------
