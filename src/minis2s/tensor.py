@@ -67,13 +67,15 @@ class Tensor:
     """A float64 n-dimensional array node in the differentiation tape.
 
     `_parents` holds the inputs of the op that produced this tensor and
-    `_backward` the closure that routes this node's gradient to them; leaves
-    have neither. Gradients accumulate into `.grad` in fixed reverse
-    creation order, which makes repeated runs bit-identical.
+    `_grads` one gradient function per input: `_grads[i](g)` is what
+    `_parents[i]` gets from this node's gradient g. Leaves have neither.
+    Gradients accumulate into `.grad` in fixed reverse creation order,
+    which makes repeated runs bit-identical. A leaf's first gradient is
+    copied into its `grad_buffer`, if set, which then becomes `.grad`.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_id",
-                 "_backward_done")
+    __slots__ = ("data", "requires_grad", "grad", "grad_buffer", "_parents",
+                 "_grads", "_id", "_backward_done")
 
     def __init__(self, data, requires_grad: bool = False):
         global _tensor_counter
@@ -83,8 +85,9 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
+        self.grad_buffer: Optional[np.ndarray] = None
         self._parents: tuple = ()
-        self._backward: Optional[Callable[[np.ndarray], None]] = None
+        self._grads: Optional[tuple] = None
         self._backward_done = False
         _tensor_counter += 1
         self._id = _tensor_counter
@@ -112,14 +115,17 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
     def _accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
+        if self.grad is not None:
+            self.grad += g
+        elif self.grad_buffer is not None:
+            np.copyto(self.grad_buffer, g)
+            self.grad = self.grad_buffer
+        else:
             # a private copy, never an alias: one g may reach several
             # operands (_add hands the same array to both). C order keeps
             # a transposed g from changing later reductions' summation
             # order, so gradients stay bit-identical to zeros-plus-add.
             self.grad = np.array(g, dtype=np.float64, order="C")
-        else:
-            self.grad += g
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -184,25 +190,37 @@ def constant_view(data: np.ndarray) -> Tensor:
     return out
 
 
+Grad = Callable[[np.ndarray], np.ndarray]
+
+
 def _result(data: np.ndarray, parents: Sequence[Tensor],
-            bwd: Optional[Callable[[np.ndarray], None]]) -> Tensor:
-    """Wrap an op result, recording the tape node only when gradients flow."""
+            grads: Sequence[Grad]) -> Tensor:
+    """Wrap an op result, recording the tape node only when gradients
+    flow: grads[i](g) is the gradient parents[i] gets from the result's
+    gradient g. backward calls it only for a parent that needs one."""
     track = _grad_enabled and any(p.requires_grad for p in parents)
     out = Tensor(data, requires_grad=track)
     if track:
         out._parents = tuple(parents)
-        out._backward = bwd
+        out._grads = tuple(grads)
     g = Graph.current()
     if g is not None:
         g.op_count += 1
     return out
 
 
-def from_op(a: Tensor, data: np.ndarray,
-            grad: Callable[[np.ndarray], np.ndarray]) -> Tensor:
+def from_op(a: Tensor, data: np.ndarray, grad: Grad) -> Tensor:
     """The result `data` of a one-input op on `a`, recorded so that the
     backward adds grad(g) into a, g being the result's gradient."""
-    return _result(data, (a,), lambda g: a._accumulate(grad(g)))
+    return _result(data, (a,), (grad,))
+
+
+def _once(f: Grad) -> Grad:
+    """f, run on the first call only; later calls return that result.
+    A node's gradient functions, which backward calls with one g, share
+    an intermediate through it: one evaluation serves every input."""
+    memo = {}
+    return lambda g: memo[0] if memo else memo.setdefault(0, f(g))
 
 
 def _broadcast_check(a_shape: tuple, b_shape: tuple) -> None:
@@ -238,29 +256,17 @@ def _reduce_to(g: np.ndarray, shape: tuple) -> np.ndarray:
 def _add(a: Tensor, b) -> Tensor:
     if isinstance(b, Tensor):
         _broadcast_check(a.shape, b.shape)
-        data = a.data + b.data
-
-        def bwd(g, a=a, b=b):
-            if a.requires_grad:
-                a._accumulate(_reduce_to(g, a.shape))
-            if b.requires_grad:
-                b._accumulate(_reduce_to(g, b.shape))
-
-        return _result(data, (a, b), bwd)
+        return _result(a.data + b.data, (a, b),
+                       (lambda g: _reduce_to(g, a.shape),
+                        lambda g: _reduce_to(g, b.shape)))
     return from_op(a, a.data + float(b), lambda g: g)
 
 
 def _mul(a: Tensor, b: Tensor) -> Tensor:
     _broadcast_check(a.shape, b.shape)
-    data = a.data * b.data
-
-    def bwd(g, a=a, b=b):
-        if a.requires_grad:
-            a._accumulate(_reduce_to(g * b.data, a.shape))
-        if b.requires_grad:
-            b._accumulate(_reduce_to(g * a.data, b.shape))
-
-    return _result(data, (a, b), bwd)
+    return _result(a.data * b.data, (a, b),
+                   (lambda g: _reduce_to(g * b.data, a.shape),
+                    lambda g: _reduce_to(g * a.data, b.shape)))
 
 
 def _scale(a: Tensor, c) -> Tensor:
@@ -288,37 +294,23 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                              f"got {a.shape} @ {b.shape}")
     if ad.shape[-1] != bd.shape[-2]:
         raise DimensionError(f"matmul inner dims disagree: {a.shape} @ {b.shape}")
+    if bd.ndim == 2 and ad.ndim == 2:
+        return _result(ad @ bd, (a, b), (lambda g: g @ b.data.T,
+                                         lambda g: _weight_grad(ad, g)))
     if bd.ndim == 2:
-        fold = ad.ndim > 2
-        rows = ad.reshape(-1, ad.shape[-1]) if fold else ad
-
-        def bwd(g, a=a, b=b):
-            if fold:
-                g = g.reshape(-1, g.shape[-1])
-            if a.requires_grad:
-                da = g @ b.data.T
-                a._accumulate(da.reshape(a.shape) if fold else da)
-            if b.requires_grad:
-                b._accumulate(_weight_grad(rows, g))
-
-        out = rows @ bd
-        return _result(out.reshape(ad.shape[:-1] + bd.shape[1:]) if fold
-                       else out, (a, b), bwd)
+        rows = ad.reshape(-1, ad.shape[-1])
+        return _result(
+            (rows @ bd).reshape(ad.shape[:-1] + bd.shape[1:]), (a, b),
+            (lambda g: (g.reshape(-1, g.shape[-1]) @ b.data.T).reshape(a.shape),
+             lambda g: _weight_grad(rows, g.reshape(-1, g.shape[-1]))))
     try:
         data = np.matmul(ad, bd)
     except ValueError:
         raise DimensionError(f"matmul batch axes disagree: {a.shape} @ {b.shape}") \
             from None
-
-    def bwd_batched(g, a=a, b=b):
-        if a.requires_grad:
-            a._accumulate(_reduce_to(np.matmul(g, np.swapaxes(b.data, -1, -2)),
-                                     a.shape))
-        if b.requires_grad:
-            b._accumulate(_reduce_to(np.matmul(np.swapaxes(a.data, -1, -2), g),
-                                     b.shape))
-
-    return _result(data, (a, b), bwd_batched)
+    return _result(data, (a, b), (
+        lambda g: _reduce_to(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape),
+        lambda g: _reduce_to(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)))
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -365,17 +357,13 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     if not tensors:
         raise DimensionError("concat of zero tensors")
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def bwd(g, tensors=tensors, offsets=offsets, axis=axis):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(lo, hi)
-                t._accumulate(g[tuple(sl)])
-
-    return _result(data, tensors, bwd)
+    offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
+    index = [slice(None)] * data.ndim
+    grads = []
+    for lo, hi in zip(offsets[:-1], offsets[1:]):
+        index[axis] = slice(lo, hi)
+        grads.append(lambda g, part=tuple(index): g[part])
+    return _result(data, tensors, grads)
 
 
 # -- elementwise nonlinearities ---------------------------------------------
@@ -473,18 +461,15 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
     xhat = xc * ivar
     y = xhat * gain.data + bias.data
 
-    def bwd(g, x=x, gain=gain, bias=bias, xhat=xhat, ivar=ivar, d=d):
-        if gain.requires_grad:
-            gain._accumulate((g * xhat).reshape(-1, d).sum(axis=0))
-        if bias.requires_grad:
-            bias._accumulate(g.reshape(-1, d).sum(axis=0))
-        if x.requires_grad:
-            gh = g * gain.data
-            m1 = gh.mean(axis=-1, keepdims=True)
-            m2 = (gh * xhat).mean(axis=-1, keepdims=True)
-            x._accumulate(ivar * (gh - m1 - xhat * m2))
+    def dx(g):
+        gh = g * gain.data
+        m1 = gh.mean(axis=-1, keepdims=True)
+        m2 = (gh * xhat).mean(axis=-1, keepdims=True)
+        return ivar * (gh - m1 - xhat * m2)
 
-    return _result(y, (x, gain, bias), bwd)
+    return _result(y, (x, gain, bias),
+                   (dx, lambda g: (g * xhat).reshape(-1, d).sum(axis=0),
+                    lambda g: g.reshape(-1, d).sum(axis=0)))
 
 
 def dropout(x: Tensor, rate: float, training: bool) -> Tensor:
@@ -541,23 +526,19 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
     w2 = weight.data.transpose(0, 2, 1).reshape(c_out, k * c_in)
     out = columns() @ w2.T + bias.data
 
-    def bwd(g, x=x, weight=weight, bias=bias, w2=w2,
-            stride=stride, padding=padding, k=k, c_in=c_in, t=t, t_out=t_out):
-        g = g.reshape(n_b * t_out, c_out)
-        if bias.requires_grad:
-            bias._accumulate(g.sum(axis=0))
-        if weight.requires_grad:
-            gw2 = g.T @ columns()
-            weight._accumulate(gw2.reshape(weight.shape[0], k, c_in).transpose(0, 2, 1))
-        if x.requires_grad:
-            gcols = (g @ w2).reshape(n_b, t_out, k * c_in)
-            gxpad = np.zeros((n_b, t + 2 * padding, c_in))
-            for kk in range(k):
-                gxpad[:, kk:kk + stride * t_out:stride] += \
-                    gcols[:, :, kk * c_in:(kk + 1) * c_in]
-            x._accumulate(gxpad[:, padding:padding + t])
+    def dx(g):
+        gcols = (g.reshape(n_b * t_out, c_out) @ w2).reshape(n_b, t_out,
+                                                              k * c_in)
+        gxpad = np.zeros((n_b, t + 2 * padding, c_in))
+        for kk in range(k):
+            gxpad[:, kk:kk + stride * t_out:stride] += \
+                gcols[:, :, kk * c_in:(kk + 1) * c_in]
+        return gxpad[:, padding:padding + t]
 
-    return _result(out.reshape(n_b, t_out, c_out), (x, weight, bias), bwd)
+    return _result(out.reshape(n_b, t_out, c_out), (x, weight, bias), (
+        dx, lambda g: (g.reshape(n_b * t_out, c_out).T @ columns()).reshape(
+            c_out, k, c_in).transpose(0, 2, 1),
+        lambda g: g.reshape(n_b * t_out, c_out).sum(axis=0)))
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
@@ -587,28 +568,23 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
     w2 = weight.data.reshape(c_out, c_in * kh * kw)
     out = cols @ w2.T + bias.data  # (B*h_out*w_out, c_out)
     out = out.reshape(n_b, h_out, w_out, c_out).transpose(0, 3, 1, 2)
+    gflat = _once(lambda g: g.transpose(0, 2, 3, 1).reshape(n_pix, c_out))
 
-    def bwd(g, x=x, weight=weight, bias=bias, cols=cols, w2=w2, stride=stride,
-            padding=padding, kh=kh, kw=kw, c_in=c_in, h=h, w=w,
-            h_out=h_out, w_out=w_out):
-        gflat = g.transpose(0, 2, 3, 1).reshape(n_pix, c_out)
-        if bias.requires_grad:
-            bias._accumulate(gflat.sum(axis=0))
-        if weight.requires_grad:
-            weight._accumulate((gflat.T @ cols).reshape(weight.shape))
-        if x.requires_grad:
-            gcols = (gflat @ w2).reshape(n_b, h_out, w_out, c_in, kh, kw)
-            gxpad = np.zeros((n_b, c_in, h + 2 * padding, w + 2 * padding))
-            for i in range(kh):
-                for j in range(kw):
-                    gxpad[:, :, i:i + stride * h_out:stride,
-                          j:j + stride * w_out:stride] += \
-                        gcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-            if padding:
-                gxpad = gxpad[:, :, padding:padding + h, padding:padding + w]
-            x._accumulate(gxpad)
+    def dx(g):
+        gcols = (gflat(g) @ w2).reshape(n_b, h_out, w_out, c_in, kh, kw)
+        gxpad = np.zeros((n_b, c_in, h + 2 * padding, w + 2 * padding))
+        for i in range(kh):
+            for j in range(kw):
+                gxpad[:, :, i:i + stride * h_out:stride,
+                      j:j + stride * w_out:stride] += \
+                    gcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
+        if padding:
+            gxpad = gxpad[:, :, padding:padding + h, padding:padding + w]
+        return gxpad
 
-    return _result(out, (x, weight, bias), bwd)
+    return _result(out, (x, weight, bias), (
+        dx, lambda g: (gflat(g).T @ cols).reshape(weight.shape),
+        lambda g: gflat(g).sum(axis=0)))
 
 
 def max_pool2d(x: Tensor, kernel: int = 2) -> Tensor:
@@ -747,7 +723,10 @@ def lstm_scan(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor,
     out = np.zeros((n_b, n, d))
     out[rows, pos] = np.where(real[..., None], hs[1:].transpose(1, 0, 2), 0.0)
 
-    def bwd(g, x=x, w_ih=w_ih, w_hh=w_hh, bias=bias):
+    @_once
+    def bptt(g):
+        # the gate gradients dz in scan order, (n*B, 4d), and in input
+        # order, dz_in
         m, ot, f = _lstm_back_factors(act, tc, cs[:-1])
         g = np.where(real[..., None], g[rows, pos], 0.0)
         g = g.transpose(1, 0, 2)
@@ -758,19 +737,15 @@ def lstm_scan(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor,
         for k in range(n - 1, -1, -1):
             dz[k], dc = _lstm_step_back(g[k] + dh, dc, m[k], ot[k], f[k])
             dh = dz[k] @ w_t
-        if w_hh.requires_grad:
-            w_hh._accumulate(hs[:-1].reshape(-1, d).T @ dz.reshape(-1, 4 * d))
-        dz_in = np.empty((n_b, n, 4 * d))     # back to input order
+        dz_in = np.empty((n_b, n, 4 * d))
         dz_in[rows, pos] = dz.transpose(1, 0, 2)
-        dz_in = dz_in.reshape(-1, 4 * d)
-        if x.requires_grad:
-            x._accumulate((dz_in @ w_ih.data.T).reshape(x.shape))
-        if w_ih.requires_grad:
-            w_ih._accumulate(x.data.reshape(-1, d_in).T @ dz_in)
-        if bias.requires_grad:
-            bias._accumulate(dz_in.sum(axis=0))
+        return dz.reshape(-1, 4 * d), dz_in.reshape(-1, 4 * d)
 
-    return _result(out, (x, w_ih, w_hh, bias), bwd)
+    return _result(out, (x, w_ih, w_hh, bias), (
+        lambda g: (bptt(g)[1] @ w_ih.data.T).reshape(x.shape),
+        lambda g: x.data.reshape(-1, d_in).T @ bptt(g)[1],
+        lambda g: hs[:-1].reshape(-1, d).T @ bptt(g)[0],
+        lambda g: bptt(g)[1].sum(axis=0)))
 
 
 def lstm_cell(x: Tensor, h: Tensor, c: Tensor, w_ih: Tensor, w_hh: Tensor,
@@ -785,24 +760,16 @@ def lstm_cell(x: Tensor, h: Tensor, c: Tensor, w_ih: Tensor, w_hh: Tensor,
     z = x.data @ w_ih.data + h.data @ w_hh.data + bias.data
     h_new, c_new, act, tc = _lstm_step(z, c.data)
 
-    def bwd(g, x=x, h=h, c=c, w_ih=w_ih, w_hh=w_hh, bias=bias):
-        dz, dc = _lstm_step_back(g[:, :d], g[:, d:],
-                                 *_lstm_back_factors(act, tc, c.data))
-        if x.requires_grad:
-            x._accumulate(dz @ w_ih.data.T)
-        if h.requires_grad:
-            h._accumulate(dz @ w_hh.data.T)
-        if c.requires_grad:
-            c._accumulate(dc)
-        if w_ih.requires_grad:
-            w_ih._accumulate(_weight_grad(x.data, dz))
-        if w_hh.requires_grad:
-            w_hh._accumulate(_weight_grad(h.data, dz))
-        if bias.requires_grad:
-            bias._accumulate(dz.sum(axis=0))
-
+    back = _once(lambda g: _lstm_step_back(
+        g[:, :d], g[:, d:], *_lstm_back_factors(act, tc, c.data)))
     return _result(np.concatenate([h_new, c_new], axis=1),
-                   (x, h, c, w_ih, w_hh, bias), bwd)
+                   (x, h, c, w_ih, w_hh, bias), (
+                       lambda g: back(g)[0] @ w_ih.data.T,
+                       lambda g: back(g)[0] @ w_hh.data.T,
+                       lambda g: back(g)[1],
+                       lambda g: _weight_grad(x.data, back(g)[0]),
+                       lambda g: _weight_grad(h.data, back(g)[0]),
+                       lambda g: back(g)[0].sum(axis=0)))
 
 
 # -- head-batched attention ---------------------------------------------------
@@ -867,17 +834,16 @@ def attention_weights(q: Tensor, k: Tensor, n_heads: int,
     y /= y.sum(axis=-1, keepdims=True)
     w = y if mask is None else y * mask
 
-    def bwd(g, q=q, k=k):
+    @_once
+    def ds(g):
         if mask is not None:
             g = g * mask
-        ds = y * (g - (g * y).sum(axis=-1, keepdims=True)) * scale
-        if q.requires_grad:
-            q._accumulate(_reduce_to(_merge_heads(np.matmul(ds, kh)), q.shape))
-        if k.requires_grad:
-            k._accumulate(_reduce_to(
-                _merge_heads(np.matmul(np.swapaxes(ds, -1, -2), qh)), k.shape))
+        return y * (g - (g * y).sum(axis=-1, keepdims=True)) * scale
 
-    return _result(w, (q, k), bwd)
+    return _result(w, (q, k), (
+        lambda g: _reduce_to(_merge_heads(np.matmul(ds(g), kh)), q.shape),
+        lambda g: _reduce_to(_merge_heads(
+            np.matmul(np.swapaxes(ds(g), -1, -2), qh)), k.shape)))
 
 
 def mix_heads(w: Tensor, v: Tensor) -> Tensor:
@@ -897,24 +863,18 @@ def mix_heads(w: Tensor, v: Tensor) -> Tensor:
         raise DimensionError(f"weight and value batch axes disagree: "
                              f"{w.shape} and {v.shape}") from None
 
-    def bwd(g, w=w, v=v):
-        gh = _split_heads(g, n_heads)
-        if w.requires_grad:
-            w._accumulate(_reduce_to(np.matmul(gh, np.swapaxes(vh, -1, -2)),
-                                     w.shape))
-        if v.requires_grad:
-            v._accumulate(_reduce_to(
-                _merge_heads(np.matmul(np.swapaxes(w.data, -1, -2), gh)),
-                v.shape))
-
-    return _result(out, (w, v), bwd)
+    return _result(out, (w, v), (
+        lambda g: _reduce_to(np.matmul(_split_heads(g, n_heads),
+                                       np.swapaxes(vh, -1, -2)), w.shape),
+        lambda g: _reduce_to(_merge_heads(np.matmul(
+            np.swapaxes(w.data, -1, -2), _split_heads(g, n_heads))), v.shape)))
 
 
 # -- backward pass and gradient checking --------------------------------------
 
 
-def _spent(g: np.ndarray) -> None:
-    """The backward of an op result whose tape a backward has spent."""
+def _spent() -> None:
+    """Raised on reaching an op result whose tape a backward has spent."""
     raise RuntimeError("this tensor's tape was spent by an earlier "
                        "backward; rebuild the graph")
 
@@ -946,8 +906,8 @@ def backward(loss: Tensor) -> None:
         node = stack.pop()
         if node._id in seen:
             continue
-        if node._backward is _spent:
-            _spent(None)
+        if node._grads is _spent:
+            _spent()
         seen[node._id] = node
         stack.extend(p for p in node._parents if p.requires_grad)
     order = sorted(seen.values(), key=lambda t: t._id, reverse=True)
@@ -956,11 +916,14 @@ def backward(loss: Tensor) -> None:
     loss._accumulate(np.ones_like(loss.data))
     for i in range(len(order)):
         node, order[i] = order[i], None
-        if node._backward is None:
+        if node._grads is None:
             continue
-        if node.grad is not None:
-            node._backward(node.grad)
-        node.grad, node._backward, node._parents = None, _spent, ()
+        g = node.grad
+        if g is not None:
+            for p, grad in zip(node._parents, node._grads):
+                if p.requires_grad:
+                    p._accumulate(grad(g))
+        node.grad, node._grads, node._parents = None, _spent, ()
 
 
 def grad_check(f: Callable[..., Tensor], xs: Sequence[Tensor], h: float = 1e-5,

@@ -17,7 +17,9 @@ other model, but trains in its own loop, train_lm: one sequence per
 step, as a batch of one, with Adam at a fixed rate, and one checkpoint,
 lm.esc, at the end. Of the training settings it reads `epochs` and the
 seed (`train_seed`); the others are not yet applied to it, and it
-writes no log.csv and computes no dev loss.
+writes no log.csv and computes no dev loss. A non-finite loss or
+gradient norm stops it with a NumericError, as it stops train_loop, so
+`train` exits 3 before lm.esc is written.
 
 Losses are normalized by batch-global token (ASR/ST) or element (TTS)
 counts, so splitting a batch into micro-batches accumulates to exactly
@@ -25,11 +27,14 @@ the big-batch update.
 
 Adam and Adadelta own the weights' memory: they pack the parameters,
 in named_parameters order, into one float64 vector whose views become
-each p.data (nn.pack_parameters). A step copies the gradients into one
-flat vector, takes the gradient norm as one dot product over it and
-updates in place, in cache-sized blocks of UPDATE_BLOCK floats. Weights
-and checkpoints are bit-identical to a per-array update; only the
-logged grad_norm's last bits follow the dot product's summation order.
+each p.data (nn.pack_parameters). Gradients live in one flat vector of
+the same layout: each p.grad_buffer is its view of it, so the backward
+writes each parameter's first gradient there and adds the rest in
+place, and a step copies nothing. A step takes the gradient norm as one
+dot product over the vector and updates in place, in cache-sized blocks
+of UPDATE_BLOCK floats. Weights and checkpoints are bit-identical to a
+per-array update; only the logged grad_norm's last bits follow the dot
+product's summation order.
 """
 
 from __future__ import annotations
@@ -83,18 +88,21 @@ UPDATE_BLOCK = 32_768
 
 class _FlatOptimizer:
     """What Adam and Adadelta share: their parameters packed into one
-    vector, `flat`, a gradient vector `grad` of the same layout, the
-    step count t, and one loop over blocks of these vectors. A
-    subclass's _update(lr) changes every parameter and state element in
-    place with out= ufuncs, running per element the same operations in
-    the same order as its per-array numpy expressions, so the weights
-    are bit-identical to theirs."""
+    vector, `flat`, a gradient vector `grad` of the same layout whose
+    views are the parameters' grad_buffers, the step count t, and one
+    loop over blocks of these vectors. A subclass's _update(lr) changes
+    every parameter and state element in place with out= ufuncs,
+    running per element the same operations in the same order as its
+    per-array numpy expressions, so the weights are bit-identical to
+    theirs."""
 
     def __init__(self, params: Sequence[Tensor]):
         self.params = list(params)
         self.flat = pack_parameters(self.params)
         self.grad = np.zeros_like(self.flat)
         self._grad_views = flat_views(self.grad, self.params)
+        for view, p in zip(self._grad_views, self.params):
+            p.grad_buffer = view
         self._tmp = np.empty((2, min(UPDATE_BLOCK, self.flat.size)))
         self.t = 0
 
@@ -103,12 +111,14 @@ class _FlatOptimizer:
             p.grad = None
 
     def step(self, lr: float) -> float:
-        """Copy each p.grad into `grad` (zeros where p.grad is None),
-        update the parameters at rate lr and return the gradient 2-norm,
-        one dot product over `grad`. A non-finite norm updates nothing:
-        neither the parameters nor the state, nor t."""
+        """Update the parameters at rate lr from `grad` and return the
+        gradient 2-norm, one dot product over it. A p.grad that is not
+        its view of `grad` (set from outside, or None for zeros) is
+        copied in first. A non-finite norm updates nothing: neither the
+        parameters nor the state, nor t."""
         for view, p in zip(self._grad_views, self.params):
-            view[...] = 0.0 if p.grad is None else p.grad
+            if p.grad is not view:
+                view[...] = 0.0 if p.grad is None else p.grad
         norm = math.sqrt(self.grad @ self.grad)
         if math.isfinite(norm):
             self.t += 1
@@ -515,6 +525,15 @@ def check_lengths(model, utts: Sequence, split: str,
             + ", ".join(bad[:5]))
 
 
+def _check_finite(value: float, what: str, epoch: int, step: int) -> float:
+    """value, or a NumericError naming the epoch and step when it is a
+    NaN or an infinity."""
+    if not math.isfinite(value):
+        raise NumericError(f"epoch {epoch} step {step}: {what} {value!r} "
+                           "is not finite")
+    return value
+
+
 def _fmt(x: float) -> str:
     return repr(float(x))
 
@@ -587,20 +606,15 @@ def train_loop(model, train_set: Sequence, dev_set: Sequence,
                 with T.Graph(seed=tcfg.seed * 999_983 + step):
                     loss, rep = _batch_loss_fn(model, batch)(batch)
                     backward(loss)
-                if not math.isfinite(rep.total):
-                    raise NumericError(f"epoch {epoch} step {step}: loss "
-                                       f"{rep.total!r} is not finite")
+                _check_finite(rep.total, "loss", epoch, step)
                 if tcfg.optimizer == "adam":
                     lr = noam_lr(opt.t + 1, model.config.d_att,
                                  tcfg.warmup_steps, tcfg.noam_k)
                 else:
                     lr = tcfg.adadelta_lr
                 # a non-finite gradient leaves the weights as they were
-                gnorm = opt.step(lr)
-                if not math.isfinite(gnorm):
-                    raise NumericError(f"epoch {epoch} step {step}: "
-                                       f"gradient norm {gnorm!r} is not "
-                                       "finite")
+                gnorm = _check_finite(opt.step(lr), "gradient norm", epoch,
+                                      step)
                 wall = int((time.perf_counter() - t0) * 1000) \
                     if tcfg.log_timing else 0
                 writer.writerow(
@@ -631,11 +645,14 @@ def train_loop(model, train_set: Sequence, dev_set: Sequence,
 def train_lm(lm, sequences: Sequence[Sequence[int]], epochs: int = 5,
              lr: float = 1e-2, seed: int = 0) -> List[float]:
     """Plain cross-entropy training of the fusion LM, one sequence per
-    step as a batch of one; returns the per-epoch mean loss trace."""
+    step as a batch of one; returns the per-epoch mean loss trace. A
+    non-finite loss or gradient norm raises NumericError naming the
+    epoch and step, as in train_loop."""
     if not sequences:
         raise DataError("empty LM training set")
     opt = Adam(lm.parameters())
     trace: List[float] = []
+    step = 0
     for epoch in range(epochs):
         rng = np.random.default_rng(seed + epoch)
         order = rng.permutation(len(sequences))
@@ -643,12 +660,14 @@ def train_lm(lm, sequences: Sequence[Sequence[int]], epochs: int = 5,
         n_tok = sum(len(s) + 1 for s in sequences)
         for i in order:
             ys = list(sequences[i])
+            step += 1
             opt.zero_grad()
             with T.Graph(seed=seed * 7919 + epoch * 613 + int(i)):
                 lp = lm.full_logprobs([[SOS_EOS_ID] + ys])
                 loss = L.s2s_cross_entropy(lp, [ys + [SOS_EOS_ID]])
                 backward(loss)
-            opt.step(lr)
+            _check_finite(loss.item(), "loss", epoch + 1, step)
+            _check_finite(opt.step(lr), "gradient norm", epoch + 1, step)
             total += loss.item() * (len(ys) + 1) / n_tok
         trace.append(total)
     return trace

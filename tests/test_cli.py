@@ -439,6 +439,24 @@ def lm_run(workspace):
     return train_lm_run(workspace, workspace / "data", workspace / "lm_run")
 
 
+def test_lm_training_exits_3_on_a_non_finite_loss(workspace, tmp_path,
+                                                  monkeypatch, capsys):
+    def poisoned(cfg):
+        model = build_model(cfg)
+        model.out.bias.data[0] = np.nan
+        return model
+
+    monkeypatch.setattr(cli, "build_model", poisoned)
+    cfg = tmp_path / "lm.cfg"
+    cfg.write_text(LM_EXP, encoding="utf-8")
+    out = tmp_path / "lm_run"
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--data",
+                 str(workspace / "data"), "--out", str(out)]) == 3
+    assert "epoch 1 step 1: loss nan is not finite" in capsys.readouterr().err
+    assert not (out / "lm.esc").exists()
+
+
 def test_an_lm_run_describes_itself(lm_run):
     # model.cfg names the vocabulary size, so it alone rebuilds the LM
     cfg = load_experiment_config(str(lm_run / "model.cfg"))

@@ -166,3 +166,75 @@ def test_scan_flags_a_model_class():
                      "c = S2SModel(cfg)\n")
     assert [n for n, _ in model_class_uses(tree)] == [
         "RnnLm", "TtsModel", "S2SModel"]
+
+
+def scoped_nodes(tree: ast.Module):
+    """(scope, node) of every node of a module, the scope being the
+    top-level function (`f`) or class method (`C.m`) that holds it,
+    nested functions included, and `<module>` for anything else."""
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef):
+            for item in top.body:
+                scope = (f"{top.name}.{item.name}"
+                         if isinstance(item, ast.FunctionDef) else "<module>")
+                yield from ((scope, node) for node in ast.walk(item))
+        else:
+            scope = (top.name if isinstance(top, ast.FunctionDef)
+                     else "<module>")
+            yield from ((scope, node) for node in ast.walk(top))
+
+
+def accumulate_calls(tree: ast.Module):
+    """(scope, line) of every call of a `._accumulate` method."""
+    for scope, node in scoped_nodes(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "_accumulate"):
+            yield scope, node.lineno
+
+
+def requires_grad_reads(tree: ast.Module):
+    """(scope, line) of every read of a `.requires_grad` attribute."""
+    for scope, node in scoped_nodes(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "requires_grad"
+                and isinstance(node.ctx, ast.Load)):
+            yield scope, node.lineno
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_backward_accumulates_gradients(path):
+    # an op hands the tape one gradient function per input, and backward
+    # alone adds the results into tensors
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = [f"{path.name}:{line} {scope}"
+             for scope, line in accumulate_calls(tree)
+             if (path.name, scope) != ("tensor.py", "backward")]
+    assert not found, f"_accumulate called outside tensor.backward: {found}"
+
+
+@pytest.mark.parametrize("name", ["tensor.py", "losses.py"])
+def test_no_op_asks_which_inputs_need_a_gradient(name):
+    # whether an input needs a gradient is backward's question (and
+    # _result's, whether to record at all), never an op's
+    path = SRC / name
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = [f"{name}:{line} {scope}"
+             for scope, line in requires_grad_reads(tree)
+             if not (name == "tensor.py" and (scope.startswith("Tensor.")
+                                              or scope in ("_result",
+                                                           "backward")))]
+    assert not found, f"ops reading requires_grad: {found}"
+
+
+def test_scan_flags_accumulate_calls_and_requires_grad_reads():
+    tree = ast.parse("class Tensor:\n"
+                     "    def __repr__(self): return str(self.requires_grad)\n"
+                     "def backward(t): t._accumulate(1)\n"
+                     "def mul(a, b):\n"
+                     "    def bwd(g):\n"
+                     "        if a.requires_grad:\n"
+                     "            a._accumulate(g)\n"
+                     "    b.requires_grad = True\n"
+                     "    return bwd\n")
+    assert list(accumulate_calls(tree)) == [("backward", 3), ("mul", 7)]
+    assert list(requires_grad_reads(tree)) == [("Tensor.__repr__", 2),
+                                               ("mul", 6)]

@@ -260,6 +260,37 @@ def test_optimizer_packs_parameters_into_one_vector(tmp_path, opt_cls):
         [np.ravel(v) for v in other.params.values()]))
 
 
+def test_backward_accumulates_into_the_flat_gradient_vector():
+    # after opt.zero_grad() and a backward every p.grad is its view of
+    # opt.grad, so the step copies nothing; the weights stay those of
+    # fresh gradient arrays under the per-array reference
+    utts = toy_utts(4)
+    n_tok = sum(len(u.tokens) + 1 for u in utts)
+    model, ref_model = build_model(asr_cfg()), build_model(asr_cfg())
+    opt, ref = Adam(model.parameters()), RefAdam(ref_model.parameters())
+    for step in range(1, 4):
+        opt.zero_grad()
+        ref_model.zero_grad()
+        for m in (model, ref_model):
+            with T.Graph(seed=step):
+                backward(asr_batch_loss(m, utts, n_tok)[0])
+        for p, q in zip(model.parameters(), ref_model.parameters()):
+            assert np.shares_memory(p.grad, opt.grad)
+            assert p.grad.tobytes() == q.grad.tobytes()
+        opt.step(1e-2)
+        ref.step(1e-2)
+        for p, q in zip(model.parameters(), ref_model.parameters()):
+            assert p.data.tobytes() == q.data.tobytes()
+    # with no backward after zero_grad the step sees zero gradients, not
+    # the last backward's, which opt.grad still holds
+    opt.zero_grad()
+    ref_model.zero_grad()
+    opt.step(1e-2)
+    ref.step(1e-2)
+    for p, q in zip(model.parameters(), ref_model.parameters()):
+        assert p.grad is None and p.data.tobytes() == q.data.tobytes()
+
+
 def test_non_finite_gradient_updates_nothing():
     p = Tensor(np.asarray([1.0, 2.0]), requires_grad=True)
     opt = Adam([p])
@@ -670,15 +701,29 @@ def test_train_loop_tts_smoke(tmp_path):
 
 
 def test_train_loop_early_stop(tmp_path):
-    # no dev loss improves on the last by min_delta = 1e9, so patience
-    # trips two epochs after the first
+    # the first dev loss sets the best and no later one improves on it
+    # by min_delta = 1e9, so patience 1 stops training after epoch 2 of 3,
+    # and avg.esc averages the two checkpoints written
     utts = toy_utts(4)
     model = build_model(asr_cfg())
-    tcfg = TrainConfig(epochs=10, batch_size=4, optimizer="adam",
-                       min_delta=1e9, seed=0, early_stop=True, patience=2)
+    tcfg = TrainConfig(epochs=3, batch_size=4, optimizer="adam",
+                       min_delta=1e9, seed=0, early_stop=True, patience=1)
     res = train_loop(model, utts, utts[:2], tcfg, str(tmp_path / "es"))
     assert res.stopped_early
-    assert len(res.ckpt_paths) < 10
+    assert [os.path.basename(p) for p in res.ckpt_paths] == [
+        "ckpt-001.esc", "ckpt-002.esc"]
+    assert sorted(os.listdir(tmp_path / "es")) == [
+        "avg.esc", "ckpt-001.esc", "ckpt-002.esc", "log.csv"]
+    assert len(res.dev_losses) == 2
+    epochs = [row.split(",")[1] for row in
+              open(res.log_path).read().strip().split("\n")[1:]]
+    assert epochs == ["1", "2"]
+    first, second = (load_checkpoint(p) for p in res.ckpt_paths)
+    avg = load_checkpoint(res.avg_path)
+    assert avg.epoch == 2
+    for name, value in avg.params.items():
+        assert np.array_equal(value, (first.params[name]
+                                      + second.params[name]) / 2)
 
 
 def test_train_loop_empty_data_rejected(tmp_path):
@@ -742,12 +787,23 @@ def test_train_config_validation():
 
 
 def test_train_loop_with_augmentation_runs(tmp_path):
-    utts = toy_utts(4)
-    model = build_model(asr_cfg())
-    tcfg = TrainConfig(epochs=1, batch_size=2, augment=True, max_t=3,
-                       max_f=2, seed=5)
-    res = train_loop(model, utts, utts[:1], tcfg, str(tmp_path / "aug"))
-    assert len(res.ckpt_paths) == 1
+    # the masks are seeded: two augmented runs repeat byte for byte and
+    # differ from a run without masks; TTS targets are never masked
+    def run(name, cfg, utts, **augment):
+        out = tmp_path / name
+        train_loop(build_model(cfg), utts, utts[:1],
+                   TrainConfig(epochs=1, batch_size=2, seed=5, **augment),
+                   str(out))
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    masks = dict(augment=True, max_t=3, max_f=2)
+    first = run("a", asr_cfg(), toy_utts(4), **masks)
+    assert set(first) == {"log.csv", "ckpt-001.esc", "avg.esc"}
+    assert run("b", asr_cfg(), toy_utts(4), **masks) == first
+    plain = run("plain", asr_cfg(), toy_utts(4))
+    assert all(first[name] != plain[name] for name in first)
+    assert (run("tts-a", tts_cfg(), tts_utts(4), **masks)
+            == run("tts-plain", tts_cfg(), tts_utts(4)))
 
 
 def test_train_lm_loss_decreases():
@@ -755,6 +811,25 @@ def test_train_lm_loss_decreases():
     seqs = [[3, 4, 5], [3, 4], [4, 5, 3], [5, 5, 4], [3, 3]]
     trace = train_lm(lm, seqs, epochs=4, lr=5e-3, seed=0)
     assert trace[-1] < trace[0]
+
+
+def test_train_lm_stops_on_a_non_finite_loss():
+    lm = build_model(ModelConfig(task="lm", vocab_size=6, d_att=12, seed=0))
+    lm.out.bias.data[0] = np.nan
+    with pytest.raises(NumericError,
+                       match="^epoch 1 step 1: loss nan is not finite$"):
+        train_lm(lm, [[3, 4, 5], [3, 4]], epochs=2)
+
+
+def test_train_lm_stops_on_a_non_finite_gradient_norm(monkeypatch):
+    # the norm is read after the step of each sequence; the fourth step
+    # is the second of epoch 2
+    norms = iter([1.0, 1.0, 1.0, math.inf])
+    monkeypatch.setattr(Adam, "step", lambda self, lr: next(norms))
+    lm = build_model(ModelConfig(task="lm", vocab_size=6, d_att=12, seed=0))
+    with pytest.raises(NumericError, match="^epoch 2 step 4: gradient norm "
+                                           "inf is not finite$"):
+        train_lm(lm, [[3, 4, 5], [3, 4]], epochs=3)
 
 
 def test_evaluate_dev_matches_manual_mean():
