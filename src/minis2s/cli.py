@@ -25,6 +25,7 @@ from .decoding import batch_beam_search
 from .errors import ConfigError, DataError, NumericError
 from .metrics import bleu, cer, wer
 from .models import build_model, pad_sequences
+from .nn import no_draw
 from .training import (LOG_COLUMNS, average_checkpoints, check_lengths,
                        load_checkpoint, load_into_model, save_checkpoint,
                        train_lm, train_loop)
@@ -120,11 +121,17 @@ def _beside(path: str, name: str) -> str:
 def _load_model_from(ckpt_path: str, config_override: Optional[str] = None):
     """The model of a run directory's checkpoint, built from the model.cfg
     beside it (or config_override) and put in eval mode, that config, and
-    the vocab.txt beside it, which must hold vocab_size tokens."""
+    the vocab.txt beside it, which must hold vocab_size tokens.
+
+    The model is built without drawing its initial weights (nn.no_draw):
+    load_into_model refuses a checkpoint that lacks a parameter or holds
+    one of another shape, and otherwise writes every parameter, so no
+    undrawn value survives."""
     _require_file(ckpt_path, "checkpoint")
     cfg_path = config_override or _beside(ckpt_path, "model.cfg")
     cfg = load_experiment_config(cfg_path)
-    model = _build(cfg_path, build_model, cfg.model)
+    with no_draw():
+        model = _build(cfg_path, build_model, cfg.model)
     load_into_model(model, load_checkpoint(ckpt_path), ckpt_path)
     model.eval()
     vocab_path = _require_file(_beside(ckpt_path, "vocab.txt"),

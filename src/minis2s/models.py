@@ -449,7 +449,7 @@ class TransformerDecoderLayer(Module):
             mha = self.self_mha
             grown.append(cache.grow(rows @ mha.wk, rows @ mha.wv))
             # the time-major buffers seen as (B, t+1, H*d_att), uncopied
-            keys, values = (T.constant_view(np.swapaxes(a, 0, 1))
+            keys, values = (T.constant_view(a.swapaxes(0, 1))
                             for a in (grown[0].keys, grown[0].values))
             out, w = A.multi_head_attention(rows, keys, values, mha.wq, None,
                                             None, mha.w_head, mha.n_heads)
@@ -510,8 +510,9 @@ class DecoderLayerCache:
     def grow(self, k: Tensor, v: Tensor) -> "DecoderLayerCache":
         """The cache with one more position, whose projected keys and
         values k and v hold one (1, H*d_att) row per cache row."""
-        return replace(self, keys=self._grown(self.keys, k),
-                       values=self._grown(self.values, v), rows=None)
+        return DecoderLayerCache(self.src_k, self.src_v,
+                                 self._grown(self.keys, k),
+                                 self._grown(self.values, v))
 
     def _grown(self, past: np.ndarray, new: Tensor) -> np.ndarray:
         t, (b, _, width) = past.shape[0], new.shape
@@ -573,7 +574,7 @@ class TransformerDecoderBody(Module):
             caches.append(cache)
         if self.final_ln is not None:
             y = self.final_ln(y)
-        return y, replace(state, layers=caches)
+        return y, TransformerDecoderState(caches, state.groups)
 
 
 @dataclass

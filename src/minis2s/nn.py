@@ -7,7 +7,8 @@ pack_parameters, which an optimizer calls to lay the parameters out as
 views of one vector. Weight init is uniform(-s, s) with
 s = sqrt(6 / (fan_in + fan_out)); biases start at zero. Every
 constructor that owns weights takes an explicit numpy Generator so that
-a single seed reproduces a model bit-exactly.
+a single seed reproduces a model bit-exactly. A model that a checkpoint
+overwrites is built under `no_draw`, which skips those draws.
 """
 
 from __future__ import annotations
@@ -21,7 +22,30 @@ from . import tensor as T
 from .tensor import Tensor
 
 
+_drawing = True     # False inside no_draw
+
+
+class no_draw:
+    """Context manager under which glorot, the one initializer that draws,
+    allocates its weights without drawing them (in the manner of
+    tensor.no_grad). For a model whose every parameter a checkpoint then
+    overwrites, as training.load_into_model does: until then its weights
+    hold whatever the allocation held."""
+
+    def __enter__(self):
+        global _drawing
+        self._prev, _drawing = _drawing, False
+        return self
+
+    def __exit__(self, *exc):
+        global _drawing
+        _drawing = self._prev
+        return False
+
+
 def glorot(rng: np.random.Generator, shape: tuple, fan_in: int, fan_out: int) -> Tensor:
+    if not _drawing:
+        return Tensor(np.empty(shape), requires_grad=True)
     s = np.sqrt(6.0 / (fan_in + fan_out))
     return Tensor(rng.uniform(-s, s, size=shape), requires_grad=True)
 

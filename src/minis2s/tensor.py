@@ -11,7 +11,8 @@ entered as a context manager around a forward pass.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+import math
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,7 +23,8 @@ _grad_enabled = True    # False inside no_grad
 
 
 class no_grad:
-    """Context manager that disables tape recording (decode-time speedup)."""
+    """Context manager that disables tape recording (decode-time speedup):
+    no op result is recorded, and no op builds a gradient function."""
 
     def __enter__(self):
         global _grad_enabled
@@ -61,14 +63,16 @@ class Graph:
 
 
 _tensor_counter = 0
+_FLOAT64 = np.dtype(np.float64)     # numpy's one native float64 dtype
 
 
 class Tensor:
     """A float64 n-dimensional array node in the differentiation tape.
 
     `_parents` holds the inputs of the op that produced this tensor and
-    `_grads` one gradient function per input: `_grads[i](g)` is what
-    `_parents[i]` gets from this node's gradient g. Leaves have neither.
+    `_grads` a function of no arguments that builds one gradient function
+    per input: `_grads()[i](g)` is what `_parents[i]` gets from this
+    node's gradient g. Leaves have neither.
     Gradients accumulate into `.grad` in fixed reverse creation order,
     which makes repeated runs bit-identical. A leaf's first gradient is
     copied into its `grad_buffer`, if set, which then becomes `.grad`.
@@ -79,10 +83,13 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         global _tensor_counter
-        arr = np.asarray(data, dtype=np.float64)
-        if not arr.flags["C_CONTIGUOUS"]:
-            arr = np.ascontiguousarray(arr)
-        self.data = arr
+        # an op's result mostly is a C-ordered float64 array already
+        if not (type(data) is np.ndarray and data.dtype is _FLOAT64
+                and data.flags.c_contiguous):
+            data = np.asarray(data, dtype=np.float64)
+            if not data.flags.c_contiguous:
+                data = np.ascontiguousarray(data)
+        self.data = data
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
         self.grad_buffer: Optional[np.ndarray] = None
@@ -191,52 +198,68 @@ def constant_view(data: np.ndarray) -> Tensor:
 
 
 Grad = Callable[[np.ndarray], np.ndarray]
+Grads = Callable[[], Tuple[Grad, ...]]
 
 
 def _result(data: np.ndarray, parents: Sequence[Tensor],
-            grads: Sequence[Grad]) -> Tensor:
+            grads: Grads) -> Tensor:
     """Wrap an op result, recording the tape node only when gradients
-    flow: grads[i](g) is the gradient parents[i] gets from the result's
-    gradient g. backward calls it only for a parent that needs one."""
-    track = _grad_enabled and any(p.requires_grad for p in parents)
-    out = Tensor(data, requires_grad=track)
-    if track:
+    flow: grads() builds one gradient function per parent, grads()[i](g)
+    being the gradient parents[i] gets from the result's gradient g. The
+    node keeps grads uncalled until backward reaches it, so an op builds
+    no gradient function under no_grad, and a node waiting on the tape
+    holds one function, not one per input. backward calls grads()[i]
+    only for a parent that needs a gradient."""
+    out = Tensor(data)
+    if _grad_enabled and any(p.requires_grad for p in parents):
+        out.requires_grad = True
         out._parents = tuple(parents)
-        out._grads = tuple(grads)
-    g = Graph.current()
-    if g is not None:
-        g.op_count += 1
+        out._grads = grads
+    if _graphs:
+        _graphs[-1].op_count += 1
     return out
 
 
 def from_op(a: Tensor, data: np.ndarray, grad: Grad) -> Tensor:
     """The result `data` of a one-input op on `a`, recorded so that the
     backward adds grad(g) into a, g being the result's gradient."""
-    return _result(data, (a,), (grad,))
+    return _result(data, (a,), lambda: (grad,))
 
 
 def _once(f: Grad) -> Grad:
     """f, run on the first call only; later calls return that result.
     A node's gradient functions, which backward calls with one g, share
-    an intermediate through it: one evaluation serves every input."""
+    an intermediate through it: one evaluation serves every input. Call
+    it inside an op's grads(), so that the memo is made only for a
+    recorded node."""
     memo = {}
     return lambda g: memo[0] if memo else memo.setdefault(0, f(g))
 
 
+def _fits(shape: tuple, target: tuple) -> bool:
+    """Whether an array of `shape` broadcasts to `target` unchanged: it
+    has no more axes, and each of its dims, aligned from the right, is 1
+    or target's."""
+    lead = len(target) - len(shape)
+    return lead >= 0 and all(n == 1 or n == t
+                             for n, t in zip(shape, target[lead:]))
+
+
 def _broadcast_check(a_shape: tuple, b_shape: tuple) -> None:
     """numpy broadcasting rules; the common pairings (identical shapes,
-    a scalar, a (d,) row vector against (n, d)) skip the general check."""
+    a scalar, a (d,) row vector against (n, d)) skip the general check,
+    which asks whether b fits the shape that takes a's dims, and b's
+    where a's are 1 or missing. a always fits that shape."""
     if a_shape == b_shape or a_shape == () or b_shape == ():
         return
     if len(a_shape) == 2 and b_shape == (a_shape[1],):
         return
     if len(b_shape) == 2 and a_shape == (b_shape[1],):
         return
-    try:
-        np.broadcast_shapes(a_shape, b_shape)
-    except ValueError:
-        raise DimensionError(f"incompatible shapes {a_shape} and {b_shape}") \
-            from None
+    n = max(len(a_shape), len(b_shape))
+    a, b = ((1,) * (n - len(s)) + s for s in (a_shape, b_shape))
+    if not _fits(b_shape, tuple(y if x == 1 else x for x, y in zip(a, b))):
+        raise DimensionError(f"incompatible shapes {a_shape} and {b_shape}")
 
 
 def _reduce_to(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -257,16 +280,16 @@ def _add(a: Tensor, b) -> Tensor:
     if isinstance(b, Tensor):
         _broadcast_check(a.shape, b.shape)
         return _result(a.data + b.data, (a, b),
-                       (lambda g: _reduce_to(g, a.shape),
-                        lambda g: _reduce_to(g, b.shape)))
+                       lambda: (lambda g: _reduce_to(g, a.shape),
+                                lambda g: _reduce_to(g, b.shape)))
     return from_op(a, a.data + float(b), lambda g: g)
 
 
 def _mul(a: Tensor, b: Tensor) -> Tensor:
     _broadcast_check(a.shape, b.shape)
     return _result(a.data * b.data, (a, b),
-                   (lambda g: _reduce_to(g * b.data, a.shape),
-                    lambda g: _reduce_to(g * a.data, b.shape)))
+                   lambda: (lambda g: _reduce_to(g * b.data, a.shape),
+                            lambda g: _reduce_to(g * a.data, b.shape)))
 
 
 def _scale(a: Tensor, c) -> Tensor:
@@ -295,30 +318,30 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if ad.shape[-1] != bd.shape[-2]:
         raise DimensionError(f"matmul inner dims disagree: {a.shape} @ {b.shape}")
     if bd.ndim == 2 and ad.ndim == 2:
-        return _result(ad @ bd, (a, b), (lambda g: g @ b.data.T,
-                                         lambda g: _weight_grad(ad, g)))
+        return _result(ad @ bd, (a, b), lambda: (
+            lambda g: g @ b.data.T, lambda g: _weight_grad(ad, g)))
     if bd.ndim == 2:
         rows = ad.reshape(-1, ad.shape[-1])
         return _result(
-            (rows @ bd).reshape(ad.shape[:-1] + bd.shape[1:]), (a, b),
-            (lambda g: (g.reshape(-1, g.shape[-1]) @ b.data.T).reshape(a.shape),
-             lambda g: _weight_grad(rows, g.reshape(-1, g.shape[-1]))))
+            (rows @ bd).reshape(ad.shape[:-1] + bd.shape[1:]), (a, b), lambda: (
+                lambda g: (g.reshape(-1, g.shape[-1]) @ b.data.T).reshape(a.shape),
+                lambda g: _weight_grad(rows, g.reshape(-1, g.shape[-1]))))
     try:
         data = np.matmul(ad, bd)
     except ValueError:
         raise DimensionError(f"matmul batch axes disagree: {a.shape} @ {b.shape}") \
             from None
-    return _result(data, (a, b), (
-        lambda g: _reduce_to(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape),
-        lambda g: _reduce_to(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)))
+    return _result(data, (a, b), lambda: (
+        lambda g: _reduce_to(np.matmul(g, b.data.swapaxes(-1, -2)), a.shape),
+        lambda g: _reduce_to(np.matmul(a.data.swapaxes(-1, -2), g), b.shape)))
 
 
 def transpose(a: Tensor) -> Tensor:
     """Swap the last two axes."""
     if a.ndim < 2:
         raise DimensionError(f"transpose needs rank >= 2, got {a.shape}")
-    return from_op(a, np.swapaxes(a.data, -1, -2).copy(),
-                   lambda g: np.swapaxes(g, -1, -2))
+    return from_op(a, a.data.swapaxes(-1, -2).copy(),
+                   lambda g: g.swapaxes(-1, -2))
 
 
 def _slice(a: Tensor, idx) -> Tensor:
@@ -346,7 +369,7 @@ def _slice(a: Tensor, idx) -> Tensor:
 
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:
-    if int(np.prod(shape)) != a.size:
+    if math.prod(shape) != a.size:
         raise DimensionError(f"cannot reshape {a.shape} to {shape}")
     return from_op(a, a.data.reshape(shape).copy(),
                    lambda g: g.reshape(a.shape))
@@ -357,12 +380,16 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     if not tensors:
         raise DimensionError("concat of zero tensors")
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
-    index = [slice(None)] * data.ndim
-    grads = []
-    for lo, hi in zip(offsets[:-1], offsets[1:]):
-        index[axis] = slice(lo, hi)
-        grads.append(lambda g, part=tuple(index): g[part])
+
+    def grads():
+        offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
+        index = [slice(None)] * data.ndim
+        out = []
+        for lo, hi in zip(offsets[:-1], offsets[1:]):
+            index[axis] = slice(lo, hi)
+            out.append(lambda g, part=tuple(index): g[part])
+        return tuple(out)
+
     return _result(data, tensors, grads)
 
 
@@ -412,8 +439,9 @@ def tsum(a: Tensor) -> Tensor:
 
 
 def tmean(a: Tensor) -> Tensor:
+    # the sum over n, as a.data.mean() computes it
     n = a.data.size
-    return from_op(a, np.asarray(a.data.mean()),
+    return from_op(a, np.asarray(a.data.sum() / n),
                    lambda g: np.full_like(a.data, float(g) / n))
 
 
@@ -450,26 +478,30 @@ def log_sigmoid(a: Tensor) -> Tensor:
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Tensor:
-    """Per-frame normalization over the last axis, then affine."""
+    """Per-frame normalization over the last axis, then affine. Each mean
+    over the axis is its sum divided by d, the same reduction and division
+    that .mean() runs behind its Python wrapper."""
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise DimensionError("layer_norm gain/bias must have shape (d,)")
-    mu = x.data.mean(axis=-1, keepdims=True)
+    mu = x.data.sum(axis=-1, keepdims=True) / d
     xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = (xc * xc).sum(axis=-1, keepdims=True) / d
     ivar = 1.0 / np.sqrt(var + eps)
     xhat = xc * ivar
     y = xhat * gain.data + bias.data
 
-    def dx(g):
-        gh = g * gain.data
-        m1 = gh.mean(axis=-1, keepdims=True)
-        m2 = (gh * xhat).mean(axis=-1, keepdims=True)
-        return ivar * (gh - m1 - xhat * m2)
+    def grads():
+        def dx(g):
+            gh = g * gain.data
+            m1 = gh.sum(axis=-1, keepdims=True) / d
+            m2 = (gh * xhat).sum(axis=-1, keepdims=True) / d
+            return ivar * (gh - m1 - xhat * m2)
 
-    return _result(y, (x, gain, bias),
-                   (dx, lambda g: (g * xhat).reshape(-1, d).sum(axis=0),
-                    lambda g: g.reshape(-1, d).sum(axis=0)))
+        return (dx, lambda g: (g * xhat).reshape(-1, d).sum(axis=0),
+                lambda g: g.reshape(-1, d).sum(axis=0))
+
+    return _result(y, (x, gain, bias), grads)
 
 
 def dropout(x: Tensor, rate: float, training: bool) -> Tensor:
@@ -526,19 +558,23 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
     w2 = weight.data.transpose(0, 2, 1).reshape(c_out, k * c_in)
     out = columns() @ w2.T + bias.data
 
-    def dx(g):
-        gcols = (g.reshape(n_b * t_out, c_out) @ w2).reshape(n_b, t_out,
-                                                              k * c_in)
-        gxpad = np.zeros((n_b, t + 2 * padding, c_in))
-        for kk in range(k):
-            gxpad[:, kk:kk + stride * t_out:stride] += \
-                gcols[:, :, kk * c_in:(kk + 1) * c_in]
-        return gxpad[:, padding:padding + t]
+    def grads():
+        def dx(g):
+            gcols = (g.reshape(n_b * t_out, c_out) @ w2).reshape(n_b, t_out,
+                                                                  k * c_in)
+            gxpad = np.zeros((n_b, t + 2 * padding, c_in))
+            for kk in range(k):
+                gxpad[:, kk:kk + stride * t_out:stride] += \
+                    gcols[:, :, kk * c_in:(kk + 1) * c_in]
+            return gxpad[:, padding:padding + t]
 
-    return _result(out.reshape(n_b, t_out, c_out), (x, weight, bias), (
-        dx, lambda g: (g.reshape(n_b * t_out, c_out).T @ columns()).reshape(
-            c_out, k, c_in).transpose(0, 2, 1),
-        lambda g: g.reshape(n_b * t_out, c_out).sum(axis=0)))
+        def dweight(g):
+            return (g.reshape(n_b * t_out, c_out).T @ columns()).reshape(
+                c_out, k, c_in).transpose(0, 2, 1)
+
+        return dx, dweight, lambda g: g.reshape(n_b * t_out, c_out).sum(axis=0)
+
+    return _result(out.reshape(n_b, t_out, c_out), (x, weight, bias), grads)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
@@ -568,23 +604,26 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
     w2 = weight.data.reshape(c_out, c_in * kh * kw)
     out = cols @ w2.T + bias.data  # (B*h_out*w_out, c_out)
     out = out.reshape(n_b, h_out, w_out, c_out).transpose(0, 3, 1, 2)
-    gflat = _once(lambda g: g.transpose(0, 2, 3, 1).reshape(n_pix, c_out))
 
-    def dx(g):
-        gcols = (gflat(g) @ w2).reshape(n_b, h_out, w_out, c_in, kh, kw)
-        gxpad = np.zeros((n_b, c_in, h + 2 * padding, w + 2 * padding))
-        for i in range(kh):
-            for j in range(kw):
-                gxpad[:, :, i:i + stride * h_out:stride,
-                      j:j + stride * w_out:stride] += \
-                    gcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-        if padding:
-            gxpad = gxpad[:, :, padding:padding + h, padding:padding + w]
-        return gxpad
+    def grads():
+        gflat = _once(lambda g: g.transpose(0, 2, 3, 1).reshape(n_pix, c_out))
 
-    return _result(out, (x, weight, bias), (
-        dx, lambda g: (gflat(g).T @ cols).reshape(weight.shape),
-        lambda g: gflat(g).sum(axis=0)))
+        def dx(g):
+            gcols = (gflat(g) @ w2).reshape(n_b, h_out, w_out, c_in, kh, kw)
+            gxpad = np.zeros((n_b, c_in, h + 2 * padding, w + 2 * padding))
+            for i in range(kh):
+                for j in range(kw):
+                    gxpad[:, :, i:i + stride * h_out:stride,
+                          j:j + stride * w_out:stride] += \
+                        gcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
+            if padding:
+                gxpad = gxpad[:, :, padding:padding + h, padding:padding + w]
+            return gxpad
+
+        return (dx, lambda g: (gflat(g).T @ cols).reshape(weight.shape),
+                lambda g: gflat(g).sum(axis=0))
+
+    return _result(out, (x, weight, bias), grads)
 
 
 def max_pool2d(x: Tensor, kernel: int = 2) -> Tensor:
@@ -597,8 +636,8 @@ def max_pool2d(x: Tensor, kernel: int = 2) -> Tensor:
     if h_out < 1 or w_out < 1:
         raise DimensionError("max_pool2d window does not fit input")
     trimmed = x.data[..., :h_out * kernel, :w_out * kernel]
-    blocks = np.swapaxes(trimmed.reshape(lead + (h_out, kernel, w_out, kernel)),
-                         -3, -2)
+    blocks = trimmed.reshape(lead + (h_out, kernel, w_out, kernel)).swapaxes(
+        -3, -2)
     flat = blocks.reshape(lead + (h_out, w_out, kernel * kernel))
     arg = flat.argmax(axis=-1)
     out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
@@ -607,9 +646,9 @@ def max_pool2d(x: Tensor, kernel: int = 2) -> Tensor:
         gflat = np.zeros(lead + (h_out, w_out, kernel * kernel))
         np.put_along_axis(gflat, arg[..., None], g[..., None], axis=-1)
         gx = np.zeros_like(x.data)
-        gx[..., :h_out * kernel, :w_out * kernel] = np.swapaxes(
-            gflat.reshape(lead + (h_out, w_out, kernel, kernel)), -3, -2
-        ).reshape(lead + (h_out * kernel, w_out * kernel))
+        gx[..., :h_out * kernel, :w_out * kernel] = gflat.reshape(
+            lead + (h_out, w_out, kernel, kernel)).swapaxes(-3, -2).reshape(
+                lead + (h_out * kernel, w_out * kernel))
         return gx
 
     return from_op(x, out, grad)
@@ -723,29 +762,31 @@ def lstm_scan(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor,
     out = np.zeros((n_b, n, d))
     out[rows, pos] = np.where(real[..., None], hs[1:].transpose(1, 0, 2), 0.0)
 
-    @_once
-    def bptt(g):
-        # the gate gradients dz in scan order, (n*B, 4d), and in input
-        # order, dz_in
-        m, ot, f = _lstm_back_factors(act, tc, cs[:-1])
-        g = np.where(real[..., None], g[rows, pos], 0.0)
-        g = g.transpose(1, 0, 2)
-        dz = np.empty((n, n_b, 4 * d))
-        dh = np.zeros((n_b, d))
-        dc = np.zeros((n_b, d))
-        w_t = w.T
-        for k in range(n - 1, -1, -1):
-            dz[k], dc = _lstm_step_back(g[k] + dh, dc, m[k], ot[k], f[k])
-            dh = dz[k] @ w_t
-        dz_in = np.empty((n_b, n, 4 * d))
-        dz_in[rows, pos] = dz.transpose(1, 0, 2)
-        return dz.reshape(-1, 4 * d), dz_in.reshape(-1, 4 * d)
+    def grads():
+        @_once
+        def bptt(g):
+            # the gate gradients dz in scan order, (n*B, 4d), and in input
+            # order, dz_in
+            m, ot, f = _lstm_back_factors(act, tc, cs[:-1])
+            g = np.where(real[..., None], g[rows, pos], 0.0)
+            g = g.transpose(1, 0, 2)
+            dz = np.empty((n, n_b, 4 * d))
+            dh = np.zeros((n_b, d))
+            dc = np.zeros((n_b, d))
+            w_t = w.T
+            for k in range(n - 1, -1, -1):
+                dz[k], dc = _lstm_step_back(g[k] + dh, dc, m[k], ot[k], f[k])
+                dh = dz[k] @ w_t
+            dz_in = np.empty((n_b, n, 4 * d))
+            dz_in[rows, pos] = dz.transpose(1, 0, 2)
+            return dz.reshape(-1, 4 * d), dz_in.reshape(-1, 4 * d)
 
-    return _result(out, (x, w_ih, w_hh, bias), (
-        lambda g: (bptt(g)[1] @ w_ih.data.T).reshape(x.shape),
-        lambda g: x.data.reshape(-1, d_in).T @ bptt(g)[1],
-        lambda g: hs[:-1].reshape(-1, d).T @ bptt(g)[0],
-        lambda g: bptt(g)[1].sum(axis=0)))
+        return (lambda g: (bptt(g)[1] @ w_ih.data.T).reshape(x.shape),
+                lambda g: x.data.reshape(-1, d_in).T @ bptt(g)[1],
+                lambda g: hs[:-1].reshape(-1, d).T @ bptt(g)[0],
+                lambda g: bptt(g)[1].sum(axis=0))
+
+    return _result(out, (x, w_ih, w_hh, bias), grads)
 
 
 def lstm_cell(x: Tensor, h: Tensor, c: Tensor, w_ih: Tensor, w_hh: Tensor,
@@ -760,16 +801,18 @@ def lstm_cell(x: Tensor, h: Tensor, c: Tensor, w_ih: Tensor, w_hh: Tensor,
     z = x.data @ w_ih.data + h.data @ w_hh.data + bias.data
     h_new, c_new, act, tc = _lstm_step(z, c.data)
 
-    back = _once(lambda g: _lstm_step_back(
-        g[:, :d], g[:, d:], *_lstm_back_factors(act, tc, c.data)))
+    def grads():
+        back = _once(lambda g: _lstm_step_back(
+            g[:, :d], g[:, d:], *_lstm_back_factors(act, tc, c.data)))
+        return (lambda g: back(g)[0] @ w_ih.data.T,
+                lambda g: back(g)[0] @ w_hh.data.T,
+                lambda g: back(g)[1],
+                lambda g: _weight_grad(x.data, back(g)[0]),
+                lambda g: _weight_grad(h.data, back(g)[0]),
+                lambda g: back(g)[0].sum(axis=0))
+
     return _result(np.concatenate([h_new, c_new], axis=1),
-                   (x, h, c, w_ih, w_hh, bias), (
-                       lambda g: back(g)[0] @ w_ih.data.T,
-                       lambda g: back(g)[0] @ w_hh.data.T,
-                       lambda g: back(g)[1],
-                       lambda g: _weight_grad(x.data, back(g)[0]),
-                       lambda g: _weight_grad(h.data, back(g)[0]),
-                       lambda g: back(g)[0].sum(axis=0)))
+                   (x, h, c, w_ih, w_hh, bias), grads)
 
 
 # -- head-batched attention ---------------------------------------------------
@@ -783,12 +826,12 @@ MASK_BIAS = -1e9
 
 def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
     # (..., n, H*d) -> (..., H, n, d), a view
-    return np.swapaxes(x.reshape(x.shape[:-1] + (n_heads, -1)), -2, -3)
+    return x.reshape(x.shape[:-1] + (n_heads, -1)).swapaxes(-2, -3)
 
 
 def _merge_heads(x: np.ndarray) -> np.ndarray:
     # (..., H, n, d) -> (..., n, H*d)
-    x = np.swapaxes(x, -2, -3)
+    x = x.swapaxes(-2, -3)
     return x.reshape(x.shape[:-2] + (-1,))
 
 
@@ -815,18 +858,15 @@ def attention_weights(q: Tensor, k: Tensor, n_heads: int,
         raise DimensionError(f"query width {q.shape[-1]} != key width "
                              f"{k.shape[-1]}")
     qh, kh = _split_heads(q.data, n_heads), _split_heads(k.data, n_heads)
-    scale = 1.0 / np.sqrt(qh.shape[-1])
+    # correctly rounded, as np.sqrt is
+    scale = 1.0 / math.sqrt(qh.shape[-1])
     try:
-        s = np.matmul(qh, np.swapaxes(kh, -1, -2)) * scale
+        s = np.matmul(qh, kh.swapaxes(-1, -2)) * scale
     except ValueError:
         raise DimensionError(f"query and key batch axes disagree: {q.shape} "
                              f"and {k.shape}") from None
     if mask is not None:
-        try:
-            fits = np.broadcast_shapes(mask.shape, s.shape) == s.shape
-        except ValueError:
-            fits = False
-        if not fits:
+        if not _fits(mask.shape, s.shape):
             raise DimensionError(f"mask shape {mask.shape} does not fit "
                                  f"weights {s.shape}")
         s = s + np.where(mask, 0.0, MASK_BIAS)
@@ -834,16 +874,19 @@ def attention_weights(q: Tensor, k: Tensor, n_heads: int,
     y /= y.sum(axis=-1, keepdims=True)
     w = y if mask is None else y * mask
 
-    @_once
-    def ds(g):
-        if mask is not None:
-            g = g * mask
-        return y * (g - (g * y).sum(axis=-1, keepdims=True)) * scale
+    def grads():
+        @_once
+        def ds(g):
+            if mask is not None:
+                g = g * mask
+            return y * (g - (g * y).sum(axis=-1, keepdims=True)) * scale
 
-    return _result(w, (q, k), (
-        lambda g: _reduce_to(_merge_heads(np.matmul(ds(g), kh)), q.shape),
-        lambda g: _reduce_to(_merge_heads(
-            np.matmul(np.swapaxes(ds(g), -1, -2), qh)), k.shape)))
+        return (lambda g: _reduce_to(_merge_heads(np.matmul(ds(g), kh)),
+                                     q.shape),
+                lambda g: _reduce_to(_merge_heads(
+                    np.matmul(ds(g).swapaxes(-1, -2), qh)), k.shape))
+
+    return _result(w, (q, k), grads)
 
 
 def mix_heads(w: Tensor, v: Tensor) -> Tensor:
@@ -863,11 +906,11 @@ def mix_heads(w: Tensor, v: Tensor) -> Tensor:
         raise DimensionError(f"weight and value batch axes disagree: "
                              f"{w.shape} and {v.shape}") from None
 
-    return _result(out, (w, v), (
+    return _result(out, (w, v), lambda: (
         lambda g: _reduce_to(np.matmul(_split_heads(g, n_heads),
-                                       np.swapaxes(vh, -1, -2)), w.shape),
+                                       vh.swapaxes(-1, -2)), w.shape),
         lambda g: _reduce_to(_merge_heads(np.matmul(
-            np.swapaxes(w.data, -1, -2), _split_heads(g, n_heads))), v.shape)))
+            w.data.swapaxes(-1, -2), _split_heads(g, n_heads))), v.shape)))
 
 
 # -- backward pass and gradient checking --------------------------------------
@@ -920,7 +963,7 @@ def backward(loss: Tensor) -> None:
             continue
         g = node.grad
         if g is not None:
-            for p, grad in zip(node._parents, node._grads):
+            for p, grad in zip(node._parents, node._grads()):
                 if p.requires_grad:
                     p._accumulate(grad(g))
         node.grad, node._grads, node._parents = None, _spent, ()

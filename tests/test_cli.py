@@ -1,6 +1,8 @@
 """End-to-end command line tests on a micro corpus. Every command runs
 through main() so the exit code mapping is exercised too."""
 
+import contextlib
+import hashlib
 import os
 import re
 import shutil
@@ -13,9 +15,10 @@ import pytest
 
 from minis2s import cli
 from minis2s.cli import main
-from minis2s.config import load_experiment_config
+from minis2s.config import experiment_from_items, load_experiment_config
 from minis2s.data import Vocab, read_feature_file, write_feature_file
 from minis2s.models import build_model
+from minis2s.nn import glorot, no_draw
 from minis2s.training import (LOG_COLUMNS, load_checkpoint, load_into_model,
                               save_checkpoint)
 
@@ -977,6 +980,89 @@ def test_a_model_too_large_to_allocate_exits_one(workspace, tmp_path, d_att):
     assert "Traceback" not in done.stderr
     assert int(peak_kb) < 256 * 1024
     assert not (tmp_path / "run").exists()
+
+
+def test_no_draw_leaves_the_generator_alone():
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with no_draw():
+        w = glorot(rng, (3, 4), 3, 4)
+    assert rng.bit_generator.state == state
+    assert w.shape == (3, 4) and w.requires_grad
+    glorot(rng, (3, 4), 3, 4)
+    assert rng.bit_generator.state != state
+
+
+def test_a_loaded_model_equals_one_built_by_drawing(workspace, tts_workspace,
+                                                    tmp_path, monkeypatch):
+    # _load_model_from builds without drawing, and the checkpoint then
+    # writes every parameter: the same model, decode and synth as a model
+    # drawn from its seed and then loaded
+    for run in (workspace / "run", tts_workspace / "run"):
+        ckpt = str(run / "avg.esc")
+        model, cfg, _ = cli._load_model_from(ckpt)
+        drawn = build_model(cfg.model)
+        load_into_model(drawn, load_checkpoint(ckpt), ckpt)
+        assert [(n, p.data.tobytes()) for n, p in model.named_parameters()] \
+            == [(n, p.data.tobytes()) for n, p in drawn.named_parameters()]
+    outputs = {}
+    for how, build in (("undrawn", no_draw), ("drawn", contextlib.nullcontext)):
+        monkeypatch.setattr(cli, "no_draw", build)
+        hyp, feats = tmp_path / f"{how}.tsv", tmp_path / f"{how}.esf"
+        assert main(["decode", "--ckpt", str(workspace / "run" / "avg.esc"),
+                     "--data", str(workspace / "data"), "--beam", "4",
+                     "--nbest", "4", "--out", str(hyp)]) == 0
+        assert main(["synth", "--ckpt", str(tts_workspace / "run" / "avg.esc"),
+                     "--text", "a b a", "--eos-threshold", "1.0",
+                     "--max-frames", "24", "--out", str(feats)]) == 0
+        outputs[how] = hyp.read_bytes(), feats.read_bytes()
+    assert outputs["undrawn"] == outputs["drawn"]
+
+
+# sha256 of the checkpoint of a fresh model of each preset, vocab_size 12
+# and feat_dim 20, as its seed's glorot draws make it
+FRESH_DIGESTS = {
+    "transformer-toy":
+        "073d772cb042e7c60de12a29b236c7ad49f17c3a66ed7c849b3560c0b7b08ebc",
+    "tts-toy":
+        "3ab38f8a57d7c7f50714b5a92684855ffa808b3b628c6e2a4101b45870720ad5",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(FRESH_DIGESTS))
+def test_a_model_built_for_training_still_draws(preset, tmp_path):
+    cfg = experiment_from_items({"preset": preset, "vocab_size": "12",
+                                 "feat_dim": "20"}).model
+    with no_draw():
+        build_model(cfg)
+    path = tmp_path / "fresh.esc"
+    save_checkpoint(str(path), build_model(cfg))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() \
+        == FRESH_DIGESTS[preset]
+
+
+def test_a_checkpoint_missing_a_parameter_exits_two(workspace, tts_workspace,
+                                                    tmp_path, capsys):
+    # the undrawn build leaves nothing to a checkpoint that lacks a name
+    for run, task, argv in (
+            (workspace / "run", "asr",
+             ["decode", "--data", str(workspace / "data")]),
+            (tts_workspace / "run", "tts", ["synth", "--text", "a b"])):
+        ckpt = load_checkpoint(str(run / "avg.esc"))
+        dropped = [n for n in ckpt.params if n.endswith(".weight")][-1]
+        del ckpt.params[dropped]
+        (tmp_path / task).mkdir()
+        path, out = tmp_path / task / "avg.esc", tmp_path / task / "out"
+        save_checkpoint(str(path), ckpt.params, epoch=ckpt.epoch)
+        for f in ("model.cfg", "vocab.txt"):
+            (tmp_path / task / f).write_bytes((run / f).read_bytes())
+        capsys.readouterr()
+        assert main(argv + ["--ckpt", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: checkpoint/model parameter mismatch" in err
+        assert f"1 missing ['{dropped}']" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 def test_log_timing_fills_only_wall_ms(workspace, tmp_path):

@@ -2,21 +2,24 @@
 returns a value or raises DataError / ConfigError, the errors the command
 line maps to exit codes 2 and 1; never another exception. The command
 line itself, run on a damaged run directory, ends with an exit code,
-never a traceback. The searches are derandomized, so every run draws the
-same examples."""
+never a traceback. The tape's broadcast rule accepts exactly the shapes
+numpy broadcasts, with numpy as the oracle. The searches are
+derandomized, so every run draws the same examples."""
 
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minis2s import tensor as T
 from minis2s.cli import main
 from minis2s.config import (EXPERIMENT_KEYS, experiment_from_items,
                             parse_config_text)
 from minis2s.data import (FEAT_MAGIC, ToySpec, Vocab, read_feature_file,
                           read_manifest, read_transcripts, toy_vocab)
-from minis2s.errors import ConfigError, DataError
+from minis2s.errors import ConfigError, DataError, DimensionError
 from minis2s.training import CKPT_MAGIC, load_checkpoint
 
 FUZZ = settings(max_examples=500, derandomize=True, deadline=None,
@@ -214,3 +217,68 @@ def test_cli_on_damaged_run_directories(tiny_run, tmp_path, capsys):
             assert main(argv) in (0, 1, 2, 3)
         capsys.readouterr()
     check()
+
+
+# -- the broadcast-fit rule against numpy ---------------------------------------
+
+
+@st.composite
+def shape_near(draw, target):
+    """A shape of up to two more or fewer axes than target, each dim, as
+    aligned from the right, 1, target's or another."""
+    target = (1, 1) + tuple(target)
+    n = draw(st.integers(max(0, len(target) - 4), len(target)))
+    return tuple(draw(st.one_of(st.just(1), st.just(t), st.integers(0, 4)))
+                 for t in target[len(target) - n:])
+
+
+@st.composite
+def mask_and_scores(draw):
+    """A mask shape and attention scores (..., H, n_q, n_k) to test it
+    against, with up to two batch axes."""
+    scores = tuple(draw(st.lists(st.integers(1, 3), min_size=3, max_size=5)))
+    return draw(shape_near(scores)), scores
+
+
+def _numpy_fits(shape, target):
+    try:
+        return np.broadcast_shapes(shape, target) == target
+    except ValueError:
+        return False
+
+
+@FUZZ
+@given(mask_and_scores())
+def test_a_mask_fits_the_weights_exactly_when_numpy_broadcasts_it_to_them(
+        case):
+    mask_shape, scores = case
+    fits = _numpy_fits(mask_shape, scores)
+    assert T._fits(mask_shape, scores) == fits
+    lead, (heads, n_q, n_k) = scores[:-3], scores[-3:]
+    q = T.Tensor(np.zeros(lead + (n_q, 2 * heads)))
+    k = T.Tensor(np.zeros(lead + (n_k, 2 * heads)))
+    mask = np.ones(mask_shape, dtype=bool)
+    if fits:
+        assert T.attention_weights(q, k, heads, mask).shape == scores
+    else:
+        with pytest.raises(DimensionError) as err:
+            T.attention_weights(q, k, heads, mask)
+        assert f"mask shape {mask_shape} does not fit weights {scores}" \
+            in str(err.value)
+
+
+@FUZZ
+@given(st.lists(st.integers(0, 3), max_size=4).map(tuple).flatmap(
+    lambda a: st.tuples(st.just(a), shape_near(a))))
+def test_operands_broadcast_exactly_when_numpy_broadcasts_them(shapes):
+    a_shape, b_shape = shapes
+    a, b = T.Tensor(np.zeros(a_shape)), T.Tensor(np.zeros(b_shape))
+    try:
+        want = np.broadcast_shapes(a_shape, b_shape)
+    except ValueError:
+        with pytest.raises(DimensionError) as err:
+            a + b
+        assert f"incompatible shapes {a_shape} and {b_shape}" \
+            in str(err.value)
+        return
+    assert (a + b).shape == (b + a).shape == want

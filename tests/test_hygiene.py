@@ -238,3 +238,41 @@ def test_scan_flags_accumulate_calls_and_requires_grad_reads():
     assert list(accumulate_calls(tree)) == [("backward", 3), ("mul", 7)]
     assert list(requires_grad_reads(tree)) == [("Tensor.__repr__", 2),
                                                ("mul", 6)]
+
+
+def numpy_wrapper_calls(tree: ast.Module):
+    """(scope, line) of every call of np.mean or any `.mean` method,
+    np.prod or np.swapaxes."""
+    for scope, node in scoped_nodes(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            f = node.func
+            if f.attr == "mean" or (isinstance(f.value, ast.Name)
+                                    and f.value.id == "np"
+                                    and f.attr in ("prod", "swapaxes")):
+                yield scope, node.lineno
+
+
+def test_tensor_ops_call_no_python_level_numpy_wrappers():
+    # np.mean (and ndarray.mean), np.prod and np.swapaxes run Python code
+    # around their one C call, which at a decoder step's (1, d_att) rows
+    # costs more than the arithmetic. Their stand-ins give the same bits:
+    # a sum divided by the count, math.prod, the ndarray.swapaxes method.
+    path = SRC / "tensor.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = [f"tensor.py:{line} {scope}"
+             for scope, line in numpy_wrapper_calls(tree)]
+    assert not found, f"numpy's Python-level wrappers called: {found}"
+
+
+def test_scan_flags_numpy_wrapper_calls():
+    tree = ast.parse("import math\n"
+                     "def f(x):\n"
+                     "    a = np.mean(x)\n"
+                     "    b = x.data.mean(axis=-1)\n"
+                     "    c = int(np.prod(x.shape))\n"
+                     "    d = np.swapaxes(x, 0, 1)\n"
+                     "    return x.swapaxes(0, 1), math.prod(x.shape), x.sum()\n"
+                     "class Tensor:\n"
+                     "    def mean(self): return tmean(self)\n")
+    assert sorted(numpy_wrapper_calls(tree)) == [("f", 3), ("f", 4), ("f", 5),
+                                                 ("f", 6)]

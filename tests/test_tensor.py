@@ -1,12 +1,16 @@
 """Engine tests: forward values against independent oracles, backward
 against central finite differences and hand-derived gradients."""
 
+import ast
+import inspect
+
 import numpy as np
 import pytest
 from mpmath import mp
 
 from minis2s import tensor as T
 from minis2s.errors import DimensionError, DomainError
+from minis2s.losses import ctc_log_likelihood
 from minis2s.tensor import Tensor, Graph, backward, grad_check, no_grad
 
 
@@ -366,6 +370,42 @@ def test_grad_layer_norm():
     assert grad_check(f, [x, g, b]) < EPS
 
 
+def _layer_norm_mean_form(x, gain, bias, g, eps=1e-12):
+    """Layer norm written with ndarray.mean, and its gradients of x, gain
+    and bias under the upstream gradient g: the reference that
+    tensor.layer_norm's sums over d must equal bit for bit."""
+    d = x.shape[-1]
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    ivar = 1.0 / np.sqrt(var + eps)
+    xhat = xc * ivar
+    gh = g * gain
+    m1 = gh.mean(axis=-1, keepdims=True)
+    m2 = (gh * xhat).mean(axis=-1, keepdims=True)
+    return (xhat * gain + bias, ivar * (gh - m1 - xhat * m2),
+            (g * xhat).reshape(-1, d).sum(axis=0),
+            g.reshape(-1, d).sum(axis=0))
+
+
+@pytest.mark.parametrize("d", [1, 5, 64, 80])
+@pytest.mark.parametrize("lead", [(3,), (2, 3), (2, 1, 3)],
+                         ids=["rank2", "rank3", "rank4"])
+def test_layer_norm_equals_the_mean_form_bit_for_bit(d, lead):
+    rng = np.random.default_rng(100 + d + len(lead))
+    shape = lead + (d,)
+    x = Tensor(rng.standard_normal(shape) * 3.0 + 0.5, requires_grad=True)
+    gain = Tensor(rng.uniform(0.5, 1.5, d), requires_grad=True)
+    bias = Tensor(rng.standard_normal(d), requires_grad=True)
+    up = rng.standard_normal(shape)
+    y = T.layer_norm(x, gain, bias)
+    # the product's gradient hands y exactly `up`
+    backward((y * Tensor(up)).sum())
+    want = _layer_norm_mean_form(x.data, gain.data, bias.data, up)
+    for got, w in zip((y.data, x.grad, gain.grad, bias.grad), want):
+        assert got.shape == w.shape and got.tobytes() == w.tobytes()
+
+
 def test_grad_conv1d():
     x = rnd((1, 7, 2), 29)
     w = rnd((3, 2, 3), 30)
@@ -467,6 +507,105 @@ def test_no_grad_builds_no_tape():
         y = (x * x).sum()
     assert not y.requires_grad
     assert y._parents == ()
+
+
+def _leaf(rng, *shape, scale=1.0, shift=0.0):
+    return Tensor(rng.standard_normal(shape) * scale + shift,
+                  requires_grad=True)
+
+
+def _log_probs(rng, *shape):
+    z = rng.standard_normal(shape)
+    z -= z.max(axis=-1, keepdims=True)
+    return Tensor(z - np.log(np.exp(z).sum(axis=-1, keepdims=True)),
+                  requires_grad=True)
+
+
+def _lstm(rng, reverse):
+    return T.lstm_scan(_leaf(rng, 3, 5, 2), _leaf(rng, 2, 12),
+                       _leaf(rng, 3, 12), _leaf(rng, 12), [5, 2, 4], reverse)
+
+
+# Small random cases of every op, by the name of the tensor.py function
+# that records it; each makes its inputs from the rng it is given.
+OP_CASES = {
+    "_add": [lambda r: _leaf(r, 2, 3) + _leaf(r, 3),
+             lambda r: _leaf(r, 2, 1, 3) + _leaf(r, 4, 1),
+             lambda r: _leaf(r, 2, 3) + 1.5],
+    "_mul": [lambda r: _leaf(r, 2, 3) * _leaf(r, 2, 1)],
+    "_scale": [lambda r: _leaf(r, 2, 3) * 0.3, lambda r: -_leaf(r, 3)],
+    "matmul": [lambda r: _leaf(r, 3, 4) @ _leaf(r, 4, 5),
+               lambda r: _leaf(r, 1, 4) @ _leaf(r, 4, 5),
+               lambda r: _leaf(r, 2, 3, 4) @ _leaf(r, 4, 5),
+               lambda r: _leaf(r, 2, 3, 4) @ _leaf(r, 2, 4, 5)],
+    "transpose": [lambda r: T.transpose(_leaf(r, 2, 3, 4))],
+    "_slice": [lambda r: _leaf(r, 4, 3)[1:3, 0],
+               lambda r: _leaf(r, 4, 3)[np.array([0, 2, 2])]],
+    "reshape": [lambda r: _leaf(r, 2, 6).reshape(3, 4)],
+    "concat": [lambda r: T.concat([_leaf(r, 2, 3), _leaf(r, 2, 1)], axis=1)],
+    "relu": [lambda r: T.relu(_leaf(r, 3, 4))],
+    "tanh": [lambda r: T.tanh(_leaf(r, 3, 4))],
+    "sigmoid": [lambda r: T.sigmoid(_leaf(r, 3, 4, scale=5.0))],
+    "exp": [lambda r: T.exp(_leaf(r, 3, 4))],
+    "log": [lambda r: T.log(T.Tensor(r.uniform(0.1, 2.0, (3, 4)),
+                                     requires_grad=True))],
+    "absval": [lambda r: T.absval(_leaf(r, 3, 4))],
+    "tsum": [lambda r: T.tsum(_leaf(r, 3, 4))],
+    "tmean": [lambda r: T.tmean(_leaf(r, 3, 7))],
+    "softmax": [lambda r: T.softmax(_leaf(r, 2, 3, 5))],
+    "log_softmax": [lambda r: T.log_softmax(_leaf(r, 2, 3, 5))],
+    "log_sigmoid": [lambda r: T.log_sigmoid(_leaf(r, 3, 4, scale=30.0))],
+    "layer_norm": [lambda r: T.layer_norm(_leaf(r, 2, 3, 5), _leaf(r, 5),
+                                          _leaf(r, 5))],
+    "dropout": [lambda r: T.dropout(_leaf(r, 4, 6), 0.4, training=True)],
+    "conv1d": [lambda r: T.conv1d(_leaf(r, 2, 7, 3), _leaf(r, 4, 3, 3),
+                                  _leaf(r, 4), stride=2, padding=1)],
+    "conv2d": [lambda r: T.conv2d(_leaf(r, 2, 2, 5, 6), _leaf(r, 3, 2, 3, 3),
+                                  _leaf(r, 3), padding=1)],
+    "max_pool2d": [lambda r: T.max_pool2d(_leaf(r, 2, 3, 5, 7), 2)],
+    "embedding_lookup": [lambda r: T.embedding_lookup([[3, 0], [3, 1]],
+                                                      _leaf(r, 4, 5))],
+    "lstm_scan": [lambda r: _lstm(r, False), lambda r: _lstm(r, True)],
+    "lstm_cell": [lambda r: T.lstm_cell(_leaf(r, 3, 2), _leaf(r, 3, 3),
+                                        _leaf(r, 3, 3), _leaf(r, 2, 12),
+                                        _leaf(r, 3, 12), _leaf(r, 12))],
+    "attention_weights": [
+        lambda r: T.attention_weights(_leaf(r, 2, 4, 6), _leaf(r, 2, 5, 6), 2),
+        lambda r: T.attention_weights(
+            _leaf(r, 2, 4, 6), _leaf(r, 2, 5, 6), 2,
+            np.arange(5) < np.array([3, 0])[:, None, None, None]),
+        lambda r: T.attention_weights(_leaf(r, 1, 5, 4), _leaf(r, 1, 5, 4),
+                                      1, np.tril(np.ones((5, 5), bool)))],
+    "mix_heads": [lambda r: T.mix_heads(T.softmax(_leaf(r, 2, 2, 4, 5)),
+                                        _leaf(r, 2, 5, 6))],
+    "ctc_log_likelihood": [lambda r: ctc_log_likelihood(
+        _log_probs(r, 2, 6, 4), [[1, 2, 2], [3]], [6, 4])],
+}
+
+
+def test_every_recording_op_has_a_case():
+    tree = ast.parse(inspect.getsource(T))
+    recording = {fn.name for fn in tree.body
+                 if isinstance(fn, ast.FunctionDef) and fn.name != "from_op"
+                 and any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                         and n.func.id in ("_result", "from_op")
+                         for n in ast.walk(fn))}
+    assert recording and recording <= set(OP_CASES)
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(make, id=f"{name}-{i}")
+    for name, makes in OP_CASES.items() for i, make in enumerate(makes)])
+def test_recording_does_not_change_the_data(make):
+    with Graph(seed=1):
+        recorded = make(np.random.default_rng(7))
+    with no_grad(), Graph(seed=1):
+        free = make(np.random.default_rng(7))
+    assert recorded.requires_grad and recorded._grads is not None
+    assert not free.requires_grad
+    assert free._parents == () and free._grads is None
+    assert recorded.shape == free.shape
+    assert recorded.data.tobytes() == free.data.tobytes()
 
 
 def test_zero_length_dims_allowed():
