@@ -25,7 +25,7 @@ from .decoding import batch_beam_search
 from .errors import ConfigError, DataError, NumericError
 from .metrics import bleu, cer, wer
 from .models import build_model, pad_sequences
-from .nn import no_draw
+from .nn import from_checkpoint
 from .training import (LOG_COLUMNS, average_checkpoints, check_lengths,
                        load_checkpoint, load_into_model, save_checkpoint,
                        train_lm, train_loop)
@@ -123,16 +123,18 @@ def _load_model_from(ckpt_path: str, config_override: Optional[str] = None):
     beside it (or config_override) and put in eval mode, that config, and
     the vocab.txt beside it, which must hold vocab_size tokens.
 
-    The model is built without drawing its initial weights (nn.no_draw):
+    The checkpoint is read first, and the model is built under
+    nn.from_checkpoint, undrawn and refused if far larger than it; then
     load_into_model refuses a checkpoint that lacks a parameter or holds
-    one of another shape, and otherwise writes every parameter, so no
-    undrawn value survives."""
+    one of another shape, or writes every parameter."""
     _require_file(ckpt_path, "checkpoint")
     cfg_path = config_override or _beside(ckpt_path, "model.cfg")
     cfg = load_experiment_config(cfg_path)
-    with no_draw():
+    ckpt = load_checkpoint(ckpt_path)
+    with from_checkpoint(sum(v.size for v in ckpt.params.values()),
+                         cfg_path, ckpt_path):
         model = _build(cfg_path, build_model, cfg.model)
-    load_into_model(model, load_checkpoint(ckpt_path), ckpt_path)
+    load_into_model(model, ckpt, ckpt_path)
     model.eval()
     vocab_path = _require_file(_beside(ckpt_path, "vocab.txt"),
                                "vocabulary beside the checkpoint")

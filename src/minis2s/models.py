@@ -69,7 +69,7 @@ from .errors import (ConfigError, DataError, DimensionError, check_settings,
                      setting)
 from .nn import (Conv1d, Conv2d, Dropout, Embedding, FeedForward, LayerNorm,
                  Linear, LSTM, LSTMCell, Module, ModuleList,
-                 MultiHeadAttention)
+                 MultiHeadAttention, parameter)
 from .reserved import N_RESERVED, SOS_EOS_ID
 from .tensor import Tensor
 
@@ -286,7 +286,7 @@ class TokenFrontEnd(Module):
         # glorot rows are tiny next to unit-amplitude PE; the usual
         # sqrt(d) factor keeps token identity visible in the sum
         self.scale = float(np.sqrt(d_att))
-        self.alpha = Tensor(1.0, requires_grad=True) if scaled_pe else None
+        self.alpha = parameter((), np.ones) if scaled_pe else None
 
     def forward(self, ids: np.ndarray) -> Tensor:
         """(B, n, d_att) rows for a (B, n) array of ids."""
@@ -956,7 +956,7 @@ class TtsModel(Module):
         self.prenet = Prenet(config.feat_dim, config.prenet_units, config.d_att,
                              config.prenet_dropout_rate,
                              config.prenet_dropout_at_infer, rng)
-        self.dec_alpha = Tensor(1.0, requires_grad=True)
+        self.dec_alpha = parameter((), np.ones)
         r = config.reduction_factor
         self.feat_head = Linear(config.d_att, config.feat_dim * r, rng)
         self.eos_head = Linear(config.d_att, 1, rng)

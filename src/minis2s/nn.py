@@ -4,50 +4,66 @@ Modules register parameters (and submodules) automatically on attribute
 assignment, so `named_parameters()` walks the whole model with stable
 dotted names; the checkpoint writer relies on that ordering, and so does
 pack_parameters, which an optimizer calls to lay the parameters out as
-views of one vector. Weight init is uniform(-s, s) with
-s = sqrt(6 / (fan_in + fan_out)); biases start at zero. Every
-constructor that owns weights takes an explicit numpy Generator so that
-a single seed reproduces a model bit-exactly. A model that a checkpoint
-overwrites is built under `no_draw`, which skips those draws.
+views of one vector. `parameter` makes every trainable tensor. Weight
+init is uniform(-s, s) with s = sqrt(6 / (fan_in + fan_out)); biases
+start at zero. Every constructor that owns weights takes an explicit
+numpy Generator so that a single seed reproduces a model bit-exactly.
+A model that a checkpoint overwrites is built under `from_checkpoint`,
+which draws nothing and refuses a model over twice its checkpoint.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import math
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import attention as A
 from . import tensor as T
+from .errors import ConfigError
 from .tensor import Tensor
 
 
-_drawing = True     # False inside no_draw
+_budget = None      # inside from_checkpoint: [elements left, error text]
 
 
-class no_draw:
-    """Context manager under which glorot, the one initializer that draws,
-    allocates its weights without drawing them (in the manner of
-    tensor.no_grad). For a model whose every parameter a checkpoint then
-    overwrites, as training.load_into_model does: until then its weights
-    hold whatever the allocation held."""
+@contextlib.contextmanager
+def from_checkpoint(total: int, cfg_path: str, ckpt_path: str):
+    """Context manager for building the model of cfg_path that the
+    checkpoint ckpt_path, of `total` values, then overwrites: `parameter`
+    draws nothing, and charges each parameter's size against twice
+    `total` before allocating it, raising ConfigError naming both files
+    past that. A model within it is built, so that load_into_model can
+    name the parameters it and the checkpoint do not share."""
+    global _budget
+    prev, _budget = _budget, [2 * total, f"{cfg_path}: cannot build the "
+                              f"model it describes (over twice the {total} "
+                              f"values {ckpt_path} holds)"]
+    try:
+        yield
+    finally:
+        _budget = prev
 
-    def __enter__(self):
-        global _drawing
-        self._prev, _drawing = _drawing, False
-        return self
 
-    def __exit__(self, *exc):
-        global _drawing
-        _drawing = self._prev
-        return False
+def parameter(shape: tuple, init) -> Tensor:
+    """The one maker of trainable tensors: init(shape), a fill such as
+    np.zeros or a draw; inside from_checkpoint, an undrawn array."""
+    if _budget is None:
+        data = init(shape)
+    elif math.prod(shape) > _budget[0]:
+        raise ConfigError(_budget[1])
+    else:
+        _budget[0] -= math.prod(shape)
+        data = np.empty(shape)
+    return Tensor(data, requires_grad=True)
 
 
 def glorot(rng: np.random.Generator, shape: tuple, fan_in: int, fan_out: int) -> Tensor:
-    if not _drawing:
-        return Tensor(np.empty(shape), requires_grad=True)
     s = np.sqrt(6.0 / (fan_in + fan_out))
-    return Tensor(rng.uniform(-s, s, size=shape), requires_grad=True)
+    return parameter(shape, functools.partial(rng.uniform, -s, s))
 
 
 def flat_views(flat: np.ndarray, params: Sequence[Tensor]) -> List[np.ndarray]:
@@ -143,7 +159,7 @@ class Linear(Module):
                  bias: bool = True):
         super().__init__()
         self.weight = glorot(rng, (d_in, d_out), d_in, d_out)
-        self.bias = Tensor(np.zeros(d_out), requires_grad=True) if bias else None
+        self.bias = parameter((d_out,), np.zeros) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
         out = x @ self.weight
@@ -155,8 +171,8 @@ class Linear(Module):
 class LayerNorm(Module):
     def __init__(self, d: int):
         super().__init__()
-        self.gain = Tensor(np.ones(d), requires_grad=True)
-        self.bias = Tensor(np.zeros(d), requires_grad=True)
+        self.gain = parameter((d,), np.ones)
+        self.bias = parameter((d,), np.zeros)
 
     def forward(self, x: Tensor) -> Tensor:
         return T.layer_norm(x, self.gain, self.bias)
@@ -187,7 +203,7 @@ class Conv1d(Module):
         self.stride = stride
         self.padding = padding
         self.weight = glorot(rng, (c_out, c_in, kernel), c_in * kernel, c_out * kernel)
-        self.bias = Tensor(np.zeros(c_out), requires_grad=True)
+        self.bias = parameter((c_out,), np.zeros)
 
     def forward(self, x: Tensor) -> Tensor:
         return T.conv1d(x, self.weight, self.bias, self.stride, self.padding)
@@ -201,7 +217,7 @@ class Conv2d(Module):
         self.padding = padding
         self.weight = glorot(rng, (c_out, c_in, kernel, kernel),
                              c_in * kernel * kernel, c_out * kernel * kernel)
-        self.bias = Tensor(np.zeros(c_out), requires_grad=True)
+        self.bias = parameter((c_out,), np.zeros)
 
     def forward(self, x: Tensor) -> Tensor:
         return T.conv2d(x, self.weight, self.bias, self.stride, self.padding)
@@ -213,19 +229,20 @@ class MultiHeadAttention(Module):
     w_head, (H*d_att, d_att). forward returns (output, weights) from
     attention.multi_head_attention.
 
-    The glorot draws run per head (q, k, v of head 0, then of head 1,
-    ...) before w_head, so a seed gives the same values it gave when
-    each head had its own parameters.
+    One draw of (H, 3, d_att, d_att) fills wq, wk and wv head by head (q,
+    k and v of head 0 first): the values of per-head glorot draws.
     """
 
     def __init__(self, d_att: int, d_head: int, rng: np.random.Generator):
         super().__init__()
         self.n_heads = d_head
-        per_head = [[glorot(rng, (d_att, d_att), d_att, d_att).data
-                     for _ in range(3)] for _ in range(d_head)]
+        s = np.sqrt(6.0 / (d_att + d_att))
+        qkv = functools.cache(
+            lambda: rng.uniform(-s, s, size=(d_head, 3, d_att, d_att))
+            .transpose(1, 2, 0, 3).reshape(3, d_att, d_head * d_att))
         self.wq, self.wk, self.wv = (
-            Tensor(np.concatenate(ws, axis=1), requires_grad=True)
-            for ws in zip(*per_head))
+            parameter((d_att, d_head * d_att), lambda _, i=i: qkv()[i])
+            for i in range(3))
         self.w_head = glorot(rng, (d_att * d_head, d_att), d_att * d_head, d_att)
 
     def forward(self, q: Tensor, k: Tensor, v: Tensor,
@@ -256,7 +273,7 @@ class LSTMCell(Module):
         self.d_hidden = d_hidden
         self.w_ih = glorot(rng, (d_in, 4 * d_hidden), d_in, 4 * d_hidden)
         self.w_hh = glorot(rng, (d_hidden, 4 * d_hidden), d_hidden, 4 * d_hidden)
-        self.bias = Tensor(np.zeros(4 * d_hidden), requires_grad=True)
+        self.bias = parameter((4 * d_hidden,), np.zeros)
 
     def forward(self, x: Tensor, h: Tensor, c: Tensor) -> Tuple[Tensor, Tensor]:
         d = self.d_hidden

@@ -265,36 +265,37 @@ def save_checkpoint(path: str, source, epoch: int = 0) -> None:
 
 def load_checkpoint(path: str) -> Checkpoint:
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
+        raw = memoryview(fh.read())
+    at = 4
 
-        def take(n: int, what: str) -> bytes:
-            raw = fh.read(n) if n <= size - fh.tell() else b""
-            if len(raw) != n:
-                raise DataError(f"{path}: truncated {what}")
-            return raw
+    def take(n: int, what: str) -> memoryview:
+        nonlocal at
+        if n > len(raw) - at:
+            raise DataError(f"{path}: truncated {what}")
+        at += n
+        return raw[at - n:at]
 
-        magic = fh.read(4)
-        if magic != CKPT_MAGIC:
-            raise DataError(f"{path}: bad checkpoint magic {magic!r}, "
-                            f"expected {CKPT_MAGIC!r}")
-        (epoch,) = struct.unpack("<I", take(4, "epoch"))
-        (count,) = struct.unpack("<I", take(4, "parameter count"))
-        params: "OrderedDict[str, np.ndarray]" = OrderedDict()
-        for i in range(count):
-            (name_len,) = struct.unpack("<H", take(2, f"header of parameter {i}"))
-            try:
-                name = take(name_len, f"name of parameter {i}").decode("utf-8")
-            except UnicodeDecodeError:
-                raise DataError(f"{path}: name of parameter {i} is not "
-                                "UTF-8") from None
-            (rank,) = struct.unpack("<B", take(1, f"rank of {name}"))
-            shape = struct.unpack(f"<{rank}I", take(4 * rank, f"shape of {name}"))
-            payload = take(8 * math.prod(shape), f"values for {name}")
-            params[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
-            if not np.isfinite(params[name]).all():
-                raise DataError(f"{path}: {name} holds a non-finite value")
-        if fh.read(1):
-            raise DataError(f"{path}: trailing bytes after last parameter")
+    if raw[:4] != CKPT_MAGIC:
+        raise DataError(f"{path}: bad checkpoint magic {bytes(raw[:4])!r}, "
+                        f"expected {CKPT_MAGIC!r}")
+    (epoch,) = struct.unpack("<I", take(4, "epoch"))
+    (count,) = struct.unpack("<I", take(4, "parameter count"))
+    params: "OrderedDict[str, np.ndarray]" = OrderedDict()
+    for i in range(count):
+        (name_len,) = struct.unpack("<H", take(2, f"header of parameter {i}"))
+        try:
+            name = str(take(name_len, f"name of parameter {i}"), "utf-8")
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: name of parameter {i} is not "
+                            "UTF-8") from None
+        (rank,) = struct.unpack("<B", take(1, f"rank of {name}"))
+        shape = struct.unpack(f"<{rank}I", take(4 * rank, f"shape of {name}"))
+        payload = take(8 * math.prod(shape), f"values for {name}")
+        params[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+        if not np.isfinite(params[name]).all():
+            raise DataError(f"{path}: {name} holds a non-finite value")
+    if at < len(raw):
+        raise DataError(f"{path}: trailing bytes after last parameter")
     return Checkpoint(params=params, epoch=epoch)
 
 

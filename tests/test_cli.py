@@ -3,6 +3,7 @@ through main() so the exit code mapping is exercised too."""
 
 import contextlib
 import hashlib
+import json
 import os
 import re
 import shutil
@@ -17,8 +18,9 @@ from minis2s import cli
 from minis2s.cli import main
 from minis2s.config import experiment_from_items, load_experiment_config
 from minis2s.data import Vocab, read_feature_file, write_feature_file
+from minis2s.errors import ConfigError
 from minis2s.models import build_model
-from minis2s.nn import glorot, no_draw
+from minis2s.nn import from_checkpoint, glorot
 from minis2s.training import (LOG_COLUMNS, load_checkpoint, load_into_model,
                               save_checkpoint)
 
@@ -952,41 +954,79 @@ def test_a_non_finite_checkpoint_value_exits_two(workspace, tmp_path, capsys,
     assert not hyp.exists() and not out.exists()
 
 
-@pytest.mark.parametrize("d_att", [10 ** 12, 10 ** 30])
-def test_a_model_too_large_to_allocate_exits_one(workspace, tmp_path, d_att):
-    # numpy refuses both sizes outright; a child process under a 2 GB
-    # address-space limit runs decode and train, and its peak resident
-    # size shows that no memory was filled first
-    cfg = tmp_path / "huge.cfg"
-    cfg.write_text(with_key((workspace / "run" / "model.cfg").read_text(
-        encoding="utf-8"), "d_att", d_att), encoding="utf-8")
-    argvs = [["decode", "--ckpt", str(workspace / "run" / "avg.esc"),
-              "--data", str(workspace / "data"), "--config", str(cfg)],
-             ["train", "--config", str(cfg), "--data",
-              str(workspace / "data"), "--out", str(tmp_path / "run")]]
-    script = ("import resource, sys\n"
+# model.cfg settings too large to allocate, and the commands each is
+# tried with: the LM reads d_att alone of these, only a tts model has a
+# postnet, and train, whose build no checkpoint bounds, runs only where
+# numpy refuses the size outright
+HUGE = [("d_att", 10 ** 12, "decode lm synth train"),
+        ("d_att", 10 ** 30, "decode lm synth train"),
+        ("d_att", 10 ** 5, "decode lm synth"),
+        ("e", 10 ** 12, "decode synth"), ("d", 10 ** 12, "decode synth"),
+        ("postnet_layers", 10 ** 12, "synth")]
+
+
+@pytest.mark.parametrize("key, value, commands", HUGE,
+                         ids=[f"{key}={value}" for key, value, _ in HUGE])
+def test_a_model_too_large_to_allocate_exits_one(
+        workspace, tts_workspace, lm_run, tmp_path, key, value, commands):
+    # a child process under a 2 GB address-space limit runs each command
+    # on a copy of its run directory whose model.cfg sets key = value; its
+    # peak resident size shows that no memory was filled first
+    data, cases = str(workspace / "data"), []
+    for cmd in commands.split():
+        copy = tmp_path / cmd
+        shutil.copytree({"lm": lm_run, "synth": tts_workspace / "run"}.get(
+            cmd, workspace / "run"), copy)
+        cfg = copy / "model.cfg"
+        cfg.write_text(with_key(cfg.read_text(encoding="utf-8"), key, value),
+                       encoding="utf-8")
+        ckpt = str(copy / ("lm.esc" if cmd == "lm" else "avg.esc"))
+        out = str(tmp_path / f"{cmd}.out")
+        argv = {"decode": ["decode", "--ckpt", ckpt, "--config", str(cfg),
+                           "--data", data],
+                "lm": ["decode", "--ckpt", str(workspace / "run" / "avg.esc"),
+                       "--data", data, "--lm", ckpt],
+                "synth": ["synth", "--ckpt", ckpt, "--text", "a b"],
+                "train": ["train", "--config", str(cfg), "--data", data]}[cmd]
+        cases.append((cmd, cfg, ckpt, out, argv + ["--out", out]))
+    argvs = [argv for *_, argv in cases]
+    script = ("import contextlib, io, json, resource\n"
               "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
               "from minis2s.cli import main\n"
-              f"print([main(argv) for argv in {argvs!r}])\n"
+              "def run(argv):\n"
+              "    with contextlib.redirect_stderr(io.StringIO()) as err:\n"
+              "        return main(argv), err.getvalue()\n"
+              f"print(json.dumps([run(argv) for argv in {argvs!r}]))\n"
               "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
     src = os.path.dirname(os.path.dirname(cli.__file__))
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == 0, done.stderr
-    codes, peak_kb = done.stdout.splitlines()
-    assert codes == "[1, 1]", done.stderr
-    assert done.stderr.count(f"config error: {cfg}: cannot build the model "
-                             "it describes") == 2
-    assert "Traceback" not in done.stderr
+    results, peak_kb = done.stdout.splitlines()[-2:]
+    for (cmd, cfg, ckpt, out, _), (code, err) in zip(cases,
+                                                    json.loads(results)):
+        assert code == 1, (cmd, err)
+        assert err.startswith(f"config error: {cfg}: cannot build the model "
+                              "it describes"), (cmd, err)
+        assert cmd == "train" or ckpt in err, (cmd, err)
+        assert "Traceback" not in err
+        assert not os.path.exists(out)
     assert int(peak_kb) < 256 * 1024
-    assert not (tmp_path / "run").exists()
 
 
 def test_no_draw_leaves_the_generator_alone():
+    # a build for a checkpoint of 10 values draws nothing, and charges
+    # each parameter against twice that before allocating it: up to there
+    # a model is built, so that the load can name the parameters that differ
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
-    with no_draw():
+    with from_checkpoint(10, "model.cfg", "avg.esc"):
         w = glorot(rng, (3, 4), 3, 4)
+        glorot(rng, (2, 4), 2, 4)
+        with pytest.raises(ConfigError, match=r"^model\.cfg: cannot build the "
+                           r"model it describes \(over twice the 10 values "
+                           r"avg\.esc holds\)$"):
+            glorot(rng, (1,), 1, 1)
     assert rng.bit_generator.state == state
     assert w.shape == (3, 4) and w.requires_grad
     glorot(rng, (3, 4), 3, 4)
@@ -1006,8 +1046,9 @@ def test_a_loaded_model_equals_one_built_by_drawing(workspace, tts_workspace,
         assert [(n, p.data.tobytes()) for n, p in model.named_parameters()] \
             == [(n, p.data.tobytes()) for n, p in drawn.named_parameters()]
     outputs = {}
-    for how, build in (("undrawn", no_draw), ("drawn", contextlib.nullcontext)):
-        monkeypatch.setattr(cli, "no_draw", build)
+    for how, build in (("undrawn", from_checkpoint),
+                       ("drawn", lambda *_: contextlib.nullcontext())):
+        monkeypatch.setattr(cli, "from_checkpoint", build)
         hyp, feats = tmp_path / f"{how}.tsv", tmp_path / f"{how}.esf"
         assert main(["decode", "--ckpt", str(workspace / "run" / "avg.esc"),
                      "--data", str(workspace / "data"), "--beam", "4",
@@ -1019,26 +1060,33 @@ def test_a_loaded_model_equals_one_built_by_drawing(workspace, tts_workspace,
     assert outputs["undrawn"] == outputs["drawn"]
 
 
-# sha256 of the checkpoint of a fresh model of each preset, vocab_size 12
+# sha256 of the checkpoint of a fresh model of each config, vocab_size 12
 # and feat_dim 20, as its seed's glorot draws make it
 FRESH_DIGESTS = {
-    "transformer-toy":
-        "073d772cb042e7c60de12a29b236c7ad49f17c3a66ed7c849b3560c0b7b08ebc",
-    "tts-toy":
-        "3ab38f8a57d7c7f50714b5a92684855ffa808b3b628c6e2a4101b45870720ad5",
+    "transformer-toy": ({"preset": "transformer-toy"},
+        "073d772cb042e7c60de12a29b236c7ad49f17c3a66ed7c849b3560c0b7b08ebc"),
+    "tts-toy": ({"preset": "tts-toy"},
+        "3ab38f8a57d7c7f50714b5a92684855ffa808b3b628c6e2a4101b45870720ad5"),
+    "rnn-toy": ({"preset": "rnn-toy"},
+        "ea685c7bf53e89b880b43c7852a11e020bfa613ece2528375e7fc4e725397171"),
+    "transformer-toy-vgg": ({"preset": "transformer-toy", "enc_pre": "vgg"},
+        "1b89d9adab320adbaa5f7f95a71c8024f8c5d2271ec10bf07357f69b9c6b4186"),
+    "lm": ({"task": "lm", "d_att": "16"},
+        "c1ba6dad63f8fb15f9850112d0fcf5779101c73dd5ea6b6bd694441ce79043a5"),
 }
 
 
 @pytest.mark.parametrize("preset", sorted(FRESH_DIGESTS))
 def test_a_model_built_for_training_still_draws(preset, tmp_path):
-    cfg = experiment_from_items({"preset": preset, "vocab_size": "12",
+    items, digest = FRESH_DIGESTS[preset]
+    cfg = experiment_from_items({**items, "vocab_size": "12",
                                  "feat_dim": "20"}).model
-    with no_draw():
+    # a build for a checkpoint, refused part way, leaves nothing behind
+    with pytest.raises(ConfigError), from_checkpoint(100, "m.cfg", "c.esc"):
         build_model(cfg)
     path = tmp_path / "fresh.esc"
     save_checkpoint(str(path), build_model(cfg))
-    assert hashlib.sha256(path.read_bytes()).hexdigest() \
-        == FRESH_DIGESTS[preset]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_a_checkpoint_missing_a_parameter_exits_two(workspace, tts_workspace,

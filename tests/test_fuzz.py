@@ -183,12 +183,11 @@ def tiny_run(tmp_path_factory):
     return root, {n: (root / n).read_bytes() for n in RUN_FILES}
 
 
-# one run file cut at an offset, or a few of its bytes overwritten there.
-# Four bytes cannot join a model.cfg number to the next line's digits, so
-# no example asks for a model of millions of units: nothing bounds a
-# dimension yet, and such a model would take the host's memory.
+# one run file cut at an offset, or up to 16 of its bytes overwritten
+# there. That may join a model.cfg number to the next line's digits: a
+# model over twice its checkpoint's values is refused before allocation.
 damage = st.tuples(st.sampled_from(RUN_FILES), st.integers(0, 2 ** 16),
-                   st.one_of(st.none(), st.binary(min_size=1, max_size=4)))
+                   st.one_of(st.none(), st.binary(min_size=1, max_size=16)))
 
 
 def test_cli_on_damaged_run_directories(tiny_run, tmp_path, capsys):

@@ -240,6 +240,41 @@ def test_scan_flags_accumulate_calls_and_requires_grad_reads():
                                                ("mul", 6)]
 
 
+def trainable_tensors(tree: ast.Module):
+    """(scope, line) of every call of Tensor, bare or as an attribute,
+    that passes requires_grad, by keyword or as its second argument."""
+    for scope, node in scoped_nodes(tree):
+        if (isinstance(node, ast.Call)
+                and "Tensor" in (getattr(node.func, "id", None),
+                                 getattr(node.func, "attr", None))
+                and (len(node.args) > 1
+                     or any(k.arg == "requires_grad" for k in node.keywords))):
+            yield scope, node.lineno
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_nn_parameter_makes_trainable_tensors(path):
+    # one point fills or draws every parameter, and charges it against
+    # the checkpoint a model is built for
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = [f"{path.name}:{line} {scope}"
+             for scope, line in trainable_tensors(tree)
+             if (path.name, scope) != ("nn.py", "parameter")]
+    assert not found, f"trainable tensors made outside nn.parameter: {found}"
+
+
+def test_scan_flags_trainable_tensors():
+    tree = ast.parse("def parameter(shape, init):\n"
+                     "    return Tensor(init(shape), requires_grad=True)\n"
+                     "class Linear:\n"
+                     "    def __init__(self):\n"
+                     "        self.b = T.Tensor(np.zeros(3), True)\n"
+                     "        self.c = Tensor(np.zeros(3))\n"
+                     "alpha = Tensor(1.0, requires_grad=True)\n")
+    assert list(trainable_tensors(tree)) == [
+        ("parameter", 2), ("Linear.__init__", 5), ("<module>", 7)]
+
+
 def numpy_wrapper_calls(tree: ast.Module):
     """(scope, line) of every call of np.mean or any `.mean` method,
     np.prod or np.swapaxes."""
