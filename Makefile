@@ -25,3 +25,9 @@ N ?= 10
 .PHONY: pairs
 pairs:
 	python3 tools/pairs.py --ref $(REF) --workload $(W) --pairs $(N)
+
+# Byte-for-byte comparison of commit REF's `decode --nbest 8` and `synth`
+# outputs against this checkout's, on checkpoints this checkout trains.
+.PHONY: same-outputs
+same-outputs:
+	python3 tools/same_outputs.py --ref $(REF)

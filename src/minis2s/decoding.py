@@ -24,12 +24,14 @@ statistics stay per utterance: batch_beam_search gives each utterance
 the result a search of it alone gives, and beam_search is its
 one-utterance case.
 
-An utterance retires early once it is settled: every candidate of a
-step scores -inf and its finished pool holds at least beam_size
-hypotheses. Its result cannot change after that: -inf is absorbing, and
-every later hypothesis is longer than all in the pool, so it ranks after
-them with or without a length penalty. Without a CTC head no score is
--inf, so nothing retires.
+An utterance retires once no live row can reach its n-best. With
+gamma >= 0 no step raises a score: decoder and LM steps add log-softmax
+values <= 0, and CTC's psi never rises with depth and bounds the finish
+score. A row's finished descendants thus rank at most its rank plus
+max(length_penalty, 0) per token the budget allows; once the pool holds
+beam_size hypotheses and every row's bound is -inf or BOUND_MARGIN =
+1e-6 (above psi's rounding, seen up to 2.8e-14) below the beam_size-th,
+the n-best is final. With gamma < 0 utterances search to their budget.
 """
 
 from __future__ import annotations
@@ -42,6 +44,8 @@ import numpy as np
 
 from .errors import DataError, DimensionError, check_settings, setting
 from .reserved import BLANK_ID, SOS_EOS_ID
+
+BOUND_MARGIN = 1e-6  # see the module docstring
 
 
 @dataclass
@@ -211,7 +215,7 @@ def rank_hypotheses(hyps: Sequence[Hypothesis],
 @dataclass
 class SearchStats:
     """What one beam search did; diagnostics only, never written out."""
-    steps: int = 0       # beam steps run, until the utterance retired
+    steps: int = 0       # steps run until the bound or the budget ended it
     scored: int = 0      # (hypothesis, token) pairs scored
     finished: int = 0    # hypotheses in the finished pool at exit
     live: int = 0        # unfinished hypotheses left at exit
@@ -241,9 +245,9 @@ def batch_beam_search(enc, model, lm=None,
     Every live hypothesis is expanded with every vocabulary token
     except the blank; extensions ending on eos move to the finished
     pool with the CTC termination score. An utterance searches until all
-    its beams finish, ceil(max_len_ratio * n_sub) steps elapse or it is
-    settled (every candidate scores -inf with at least beam_size
-    hypotheses finished), then drops its rows; pruning, the finished
+    its beams finish, ceil(max_len_ratio * n_sub) steps elapse or, with
+    gamma >= 0, no live row's score bound (module docstring) reaches its
+    full n-best, then drops its rows; pruning, the finished
     pool, SearchStats and the fallback to the best unfinished hypothesis
     are its own, so each result equals a search of that utterance alone.
     An utterance that ends with nothing finished raises one UserWarning,
@@ -325,8 +329,8 @@ def batch_beam_search(enc, model, lm=None,
 
         # eos winners retire to the pool, and so do the other winners of an
         # utterance at its last step. An utterance drops its rows when it
-        # is out of survivors or of steps, or settled: every cell scores
-        # -inf and the pool holds a full n-best.
+        # is out of survivors or of steps, or, with gamma >= 0, when no live
+        # row's bound (see the module docstring) reaches its full n-best.
         out_of_steps = step + 1 == max_lens
         retire = win_eos | out_of_steps[win_utt]
         for b, t in zip(win_row[retire].tolist(), win_tok[retire].tolist()):
@@ -337,10 +341,16 @@ def batch_beam_search(enc, model, lm=None,
                            log_lm=float(cand_lm[b, t]),
                            combined=float(cand[b, t]),
                            finished=t == SOS_EOS_ID))
-        n_finite = np.bincount(owner[row], weights=score > -np.inf,
-                               minlength=n_utt)
-        ends = out_of_steps | ((n_finished >= config.beam_size)
-                               & (n_finite == 0))
+        ends = out_of_steps.copy()
+        live_rank = np.where(win_eos, -np.inf, rank[win_row, win_tok])
+        for u in np.flatnonzero(~ends & (n_finished >= config.beam_size)
+                                & (n_rows > 0) & (config.gamma >= 0)):
+            kth = -sorted(_rank_key(h, config)[0]
+                          for h in finished[u])[config.beam_size - 1]
+            bound = (live_rank[win_utt == u].max()
+                     + max(config.length_penalty, 0.0)
+                     * (max_lens[u] - 2 - step))
+            ends[u] = bound == -np.inf or bound < kth - BOUND_MARGIN
         keep = ~win_eos & ~ends[win_utt]
         if not keep.any():
             break

@@ -8,17 +8,21 @@ and LM rows and a scalar single-token CTC chain, none of which the
 incremental search uses.
 """
 
+import functools
 import itertools
 import types
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minis2s import tensor as T
-from minis2s.decoding import (BeamConfig, BeamResult, CtcPrefixScorer,
-                              CtcPrefixState, Hypothesis, batch_beam_search,
-                              beam_search, combined_score, rank_hypotheses)
+from minis2s.decoding import (BOUND_MARGIN, BeamConfig, BeamResult,
+                              CtcPrefixScorer, CtcPrefixState, Hypothesis,
+                              batch_beam_search, beam_search, combined_score,
+                              rank_hypotheses)
 from minis2s.errors import (ConfigError, DataError, DimensionError,
                             ImpossibleAlignmentError)
 from minis2s.losses import ctc_log_likelihood, ctc_min_frames
@@ -114,8 +118,9 @@ class CtcTableModel(TableModel):
         return Tensor(np.array([rows]))
 
 
-def ctc_table_enc(n_sub, vocab, seed):
-    x = np.random.default_rng(seed).standard_normal((n_sub, vocab))
+def ctc_table_enc(n_sub, vocab, seed, scale=1.0):
+    """n_sub frames of CTC logits, the more peaked the larger scale."""
+    x = np.random.default_rng(seed).standard_normal((n_sub, vocab)) * scale
     return EncodedSequence(x_e=Tensor(x[None]), n_sub=np.array([n_sub]))
 
 
@@ -464,19 +469,23 @@ def enumerate_ranked(enc, model, lm, cfg, max_len, expand):
 def reference_beam(enc, model, lm, cfg):
     """The beam one hypothesis and one token at a time, scored from the
     oracles, stepping until nothing is live or the budget is spent.
-    Returns the ranked n-best as (tokens, combined) pairs, and the first
-    step at which the utterance was settled (every candidate -inf with
-    beam_size hypotheses finished), None if it never was."""
+    Returns the ranked n-best as (tokens, combined) pairs, and the step
+    at which the search may stop: the first at which, with gamma >= 0,
+    beam_size hypotheses are finished and every live one's bound (its
+    rank plus max(length_penalty, 0) per token it may still add) is -inf
+    or BOUND_MARGIN below the beam_size-th finished rank score; else the
+    step at which nothing was live or the budget ran out."""
     vocab = model.config.vocab_size
     use_ctc = model.config.uses_ctc
     use_lm = lm is not None and cfg.gamma != 0.0
     u = model.ctc_logprobs(enc).data[0] if use_ctc else None
-    live = [((), 0.0, 0.0)]                       # (tokens, s2s, lm)
+    max_len = int(np.ceil(cfg.max_len_ratio * enc.n_sub[0]))
+    live = [((), 0.0, 0.0, 0.0)]                  # (tokens, s2s, lm, comb)
     finished = []
-    settled = None
-    for step in range(int(np.ceil(cfg.max_len_ratio * enc.n_sub[0]))):
+    stop = None
+    for step in range(max_len):
         cands = []
-        for toks, s2s, lmp in live:
+        for toks, s2s, lmp, _ in live:
             row = s2s_row(model, enc, toks)
             lrow = lm_row(lm, toks) if use_lm else None
             for tok in range(vocab):
@@ -498,14 +507,20 @@ def reference_beam(enc, model, lm, cfg):
             if done:
                 finished.append((toks, comb))
             else:
-                live.append((toks, s2s, lmp))
-        if settled is None and len(finished) >= cfg.beam_size \
-                and all(c[0] == -np.inf for c in cands):
-            settled = step
+                live.append((toks, s2s, lmp, comb))
+        if stop is None and cfg.gamma >= 0 \
+                and len(finished) >= cfg.beam_size:
+            kth = -sorted(rank_key(comb, toks, cfg)[0]
+                          for toks, comb in finished)[cfg.beam_size - 1]
+            lp = cfg.length_penalty
+            if all(comb == -np.inf or comb + lp * len(toks)
+                   + max(lp, 0.0) * (max_len - 1 - len(toks))
+                   < kth - BOUND_MARGIN for toks, _, _, comb in live):
+                stop = step
         if not live:
             break
     finished.sort(key=lambda f: rank_key(f[1], f[0], cfg))
-    return finished[:cfg.beam_size], settled
+    return finished[:cfg.beam_size], step if stop is None else stop
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -785,7 +800,7 @@ def test_search_stats_without_finish():
     assert (out.stats.finished, out.stats.live) == (0, 2)
 
 
-# -- retirement of settled utterances ------------------------------------------
+# -- retirement by the score bound ---------------------------------------------
 
 CTC_TABLE = np.random.default_rng(0).standard_normal((4, 5))
 
@@ -801,15 +816,16 @@ def _same_nbest(nbest, want):
 def test_settled_utterance_retires_with_the_full_search_nbest(length_penalty):
     # two frames allow two tokens at most, under a six-step budget: from
     # step 3 every candidate scores -inf and the 16 slots of the pool are
-    # full, so the search stops there with what searching on would give
+    # full, so the score bound stops the search there with what searching
+    # on would give
     model = CtcTableModel(CTC_TABLE)
     cfg = BeamConfig(beam_size=16, lam=0.5, gamma=0.0, max_len_ratio=3.0,
                      length_penalty=length_penalty)
     enc = ctc_table_enc(2, 5, seed=1)
     out = beam_search(enc, model, config=cfg)
-    want, settled = reference_beam(enc, model, None, cfg)
-    assert settled == 3
-    assert out.stats.steps == settled + 1
+    want, stop = reference_beam(enc, model, None, cfg)
+    assert stop == 3
+    assert out.stats.steps == stop + 1
     _same_nbest(out.nbest, want)
     ranked = enumerate_ranked(enc, model, None, cfg, 6, expand=(1, 3, 4))
     _same_nbest(out.nbest, [(toks, comb) for comb, toks in ranked[:16]])
@@ -827,9 +843,9 @@ def test_utterance_short_of_a_full_pool_runs_to_its_budget(length_penalty):
                      length_penalty=length_penalty)
     enc = ctc_table_enc(1, 5, seed=2)
     out = beam_search(enc, model, config=cfg)
-    want, settled = reference_beam(enc, model, None, cfg)
+    want, stop = reference_beam(enc, model, None, cfg)
     # the pool may fill at the last step, where the budget ends it anyway
-    assert settled in (None, 4)
+    assert stop == 4
     assert out.stats.steps == 5
     _same_nbest(out.nbest, want)
     assert sum(np.isfinite(h.combined) for h in out.nbest) == 4
@@ -838,8 +854,8 @@ def test_utterance_short_of_a_full_pool_runs_to_its_budget(length_penalty):
 
 def test_batched_retirement_equals_search_one_by_one():
     # utterances of one to three frames under budgets of three to nine
-    # steps, some settling early and some not, searched as one batch and
-    # one at a time
+    # steps, some ended early by the score bound and some not, searched as
+    # one batch and one at a time
     model = CtcTableModel(CTC_TABLE)
     encs = [ctc_table_enc(n, 5, seed=10 + i)
             for i, n in enumerate([2, 1, 3, 2, 1])]
@@ -851,11 +867,10 @@ def test_batched_retirement_equals_search_one_by_one():
             batched = batch_beam_search(join(encs), model, config=cfg)
             for enc, got in zip(encs, batched):
                 _same_result(got, beam_search(enc, model, config=cfg))
-                want, settled = reference_beam(enc, model, None, cfg)
+                want, stop = reference_beam(enc, model, None, cfg)
                 _same_nbest(got.nbest, want)
-                if settled is not None and settled + 1 < 3 * enc.n_sub[0]:
-                    assert got.stats.steps == settled + 1
-                    early += 1
+                assert got.stats.steps == stop + 1
+                early += got.stats.steps < 3 * enc.n_sub[0]
                 late += got.stats.steps == 3 * enc.n_sub[0]
     assert early and late
 
@@ -894,6 +909,94 @@ def test_exact_ties_at_the_beam_cut(beam, length_penalty):
         _same_result(got, beam_search(enc, model, config=cfg))
         want, _ = reference_beam(enc, model, None, cfg)
         _same_nbest(got.nbest, want)
+
+
+# -- the score bound, property-checked -----------------------------------------
+
+BOUND_SEARCH = settings(max_examples=300, derandomize=True, deadline=None,
+                        database=None)
+
+
+@functools.lru_cache(maxsize=None)
+def _bound_model(body, seed, alpha):
+    if body == "table":
+        return CtcTableModel(CTC_TABLE)
+    model = (tiny_model(seed, alpha=alpha) if body == "transformer"
+             else _tiny_rnn_model(seed, alpha=alpha))
+    model.eval()
+    return model
+
+
+@st.composite
+def bound_cases(draw):
+    """A table, tiny transformer or tiny rnn model (the networks with or
+    without a CTC head), maybe an LM, one or two utterances and a beam
+    config with the bound's preconditions met or not."""
+    body = draw(st.sampled_from(("table", "transformer", "rnn")))
+    seed = draw(st.integers(0, 2))
+    model = _bound_model(body, seed, draw(st.sampled_from((0.5, 1.0))))
+    lm = tiny_lm(5, 8, seed) if draw(st.booleans()) else None
+    cfg = BeamConfig(beam_size=draw(st.integers(1, 8)),
+                     lam=draw(st.sampled_from((0.0, 0.5, 1.0))),
+                     gamma=draw(st.sampled_from((0.0, 0.4, -0.4))),
+                     max_len_ratio=draw(st.sampled_from((1.0, 1.5))),
+                     length_penalty=draw(st.sampled_from((-1.0, 0.0, 1.5))))
+    if body == "table":
+        # peaked posteriors are where psi's rounding shows
+        scale = draw(st.sampled_from((1.0, 30.0)))
+        encs = [ctc_table_enc(n, 5, draw(st.integers(0, 99)), scale)
+                for n in draw(st.lists(st.integers(1, 6), min_size=1,
+                                       max_size=2))]
+    else:
+        encs = _encode_all(model, draw(st.lists(st.integers(8, 16),
+                                                min_size=1, max_size=2)),
+                           seed=draw(st.integers(0, 99)))
+    return model, lm, encs, cfg
+
+
+def psi_overshoot(model, enc, depth=3):
+    """The most by which the search's CTC scorer puts a prefix's psi, or
+    its finish score, above its parent prefix's psi, over every prefix of
+    up to depth tokens; -inf without a CTC head."""
+    if not model.config.uses_ctc:
+        return -np.inf
+    scorer = CtcPrefixScorer(np.swapaxes(model.ctc_logprobs(enc).data, 0, 1),
+                             enc.n_sub)
+    labels = [c for c in range(model.config.vocab_size)
+              if c not in (BLANK_ID, SOS_EOS_ID)]
+    state, parent, most = scorer.initial_state(), np.zeros(1), -np.inf
+    for _ in range(depth):
+        ext = scorer.extend(state)
+        child = np.concatenate([ext.psi[:, labels],
+                                scorer.finish(state)[:, None]], axis=1)
+        live = np.isfinite(parent)
+        most = (child[live] - parent[live, None]).max(initial=most)
+        rows = np.repeat(np.arange(len(parent)), len(labels))
+        toks = np.tile(labels, len(parent))
+        state, parent = ext.select(rows, toks), ext.psi[rows, toks]
+    return most
+
+
+@BOUND_SEARCH
+@given(bound_cases())
+def test_score_bound_keeps_the_full_search_nbest(case):
+    # with gamma >= 0 the search may end an utterance before its budget,
+    # yet keeps the n-best of the reference beam, which searches to the
+    # budget; with gamma < 0 it searches to the budget or until nothing
+    # is live
+    model, lm, encs, cfg = case
+    with warnings.catch_warnings(), T.no_grad():
+        warnings.simplefilter("ignore")
+        found = batch_beam_search(join(encs), model, lm=lm, config=cfg)
+        for enc, got in zip(encs, found):
+            # the margin lies far above the rounding the draws see
+            assert psi_overshoot(model, enc) < BOUND_MARGIN / 1000
+            want, stop = reference_beam(enc, model, lm, cfg)
+            assert got.stats.steps == stop + 1
+            if not want:
+                assert got.no_finished
+                continue
+            _same_nbest(got.nbest, want)
 
 
 def test_empty_encoding_rejected():

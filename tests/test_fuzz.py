@@ -190,23 +190,36 @@ damage = st.tuples(st.sampled_from(RUN_FILES), st.integers(0, 2 ** 16),
                    st.one_of(st.none(), st.binary(min_size=1, max_size=16)))
 
 
+# one value of a model.cfg overwritten with a decimal of up to 13 digits,
+# which may take a model over its checkpoint's size. The run's beam_size
+# is left out: a huge beam grows the search's rows without bound (a FOUND
+# line of CHANGES.md).
+numbers = st.tuples(st.sampled_from(("run/model.cfg", "lm/model.cfg")),
+                    st.integers(0, 2 ** 16), st.integers(0, 10 ** 13 - 1))
+
+
+def _with_number(name: str, raw: bytes, at: int, number: int) -> bytes:
+    lines = raw.decode("utf-8").splitlines(keepends=True)
+    values = [i for i, line in enumerate(lines) if " = " in line
+              and not (name == "run/model.cfg"
+                       and line.startswith("beam_size "))]
+    i = values[at % len(values)]
+    lines[i] = f"{lines[i].split(' = ')[0]} = {number}\n"
+    return "".join(lines).encode("utf-8")
+
+
 def test_cli_on_damaged_run_directories(tiny_run, tmp_path, capsys):
     root, files = tiny_run
     for d in ("run", "lm"):
         (tmp_path / d).mkdir()
     decode = ["decode", "--ckpt", str(tmp_path / "run" / "avg.esc"),
               "--data", str(root / "data")]
+    refused = []
 
-    @FUZZ
-    @given(damage)
-    def check(hit):
-        name, at, patch = hit
+    def run_damaged(name, damaged):
         for other, raw in files.items():
             (tmp_path / other).write_bytes(raw)
-        raw = files[name]
-        at %= len(raw) + 1
-        (tmp_path / name).write_bytes(raw[:at] if patch is None else
-                                      raw[:at] + patch + raw[at + len(patch):])
+        (tmp_path / name).write_bytes(damaged)
         # the model's files load first, so the LM's damage needs --lm and
         # the model's does not
         for argv in ([decode + ["--lm", str(tmp_path / "lm" / "lm.esc")]]
@@ -214,8 +227,29 @@ def test_cli_on_damaged_run_directories(tiny_run, tmp_path, capsys):
                      [decode, ["avg-ckpt", "--out", str(tmp_path / "avg.esc"),
                                str(tmp_path / "run" / "avg.esc")]]):
             assert main(argv) in (0, 1, 2, 3)
-        capsys.readouterr()
+        refused.append("cannot build the model it describes"
+                       in capsys.readouterr().err)
+
+    @FUZZ
+    @given(damage)
+    def check(hit):
+        name, at, patch = hit
+        raw = files[name]
+        at %= len(raw) + 1
+        run_damaged(name, raw[:at] if patch is None else
+                    raw[:at] + patch + raw[at + len(patch):])
+
+    @settings(FUZZ, max_examples=200)
+    @given(numbers)
+    def check_numbers(hit):
+        name, at, number = hit
+        run_damaged(name, _with_number(name, files[name], at, number))
+
     check()
+    check_numbers()
+    # some drawn numbers reach the model build's size refusal (17 of the
+    # 200 draws)
+    assert sum(refused) > 0
 
 
 # -- the broadcast-fit rule against numpy ---------------------------------------

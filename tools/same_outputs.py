@@ -1,0 +1,143 @@
+"""Same outputs: a commit's `decode` and `synth` against this checkout's,
+on the same checkpoints.
+
+    python3 tools/same_outputs.py --ref REF [--seeds 1 3]
+
+Trains, with this checkout's code, perfbench's decode-asr set-up
+(transformer-toy, rnn-toy and a fusion LM on its fixed-shape corpus) for
+each seed, the same three models on the default toy corpus (seed 0), and
+perfbench's tts-toy run. Then runs REF, from a `git archive` copy as
+tools/pairs.py makes it, and this checkout on those checkpoints:
+
+- `decode --beam 8 --nbest 8` of both ASR models, with and without
+  `--lm`, on each test split;
+- `synth` of the tts test texts at 40 frames and of the first five at
+  320, EOS stopping off.
+
+Compares every output file byte for byte, prints one line per file, and
+exits 1 if any differs or any command fails. The temporary directory is
+removed at the end, also when a command fails.
+"""
+
+import argparse
+import filecmp
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+
+from workloads import DecodeAsr, Tts, write_text  # noqa: E402
+
+# runs each argv list of a JSON list through minis2s.cli.main, in order,
+# and exits with the first non-zero code
+RUNNER = ("import json, sys\nfrom minis2s.cli import main\n"
+          "for argv in json.load(sys.stdin):\n"
+          "    rc = main(argv)\n"
+          "    if rc:\n"
+          "        sys.exit(f'{argv[0]} exited {rc}: {argv}')\n")
+
+
+def run_all(src: str, commands) -> None:
+    """The commands as one process of the toolkit at src."""
+    subprocess.run([sys.executable, "-c", RUNNER],
+                   input=json.dumps(commands), text=True, check=True,
+                   env=dict(os.environ, PYTHONPATH=src),
+                   stdout=subprocess.DEVNULL)
+
+
+def asr_setup(root: str, seed: int, shape: str):
+    """The commands that generate a corpus and train DecodeAsr's models
+    on it under root."""
+    spec = write_text(root + ".spec", f"task = asr\nseed = {seed}\n{shape}")
+    commands = [["gen-data", "--spec", spec, "--out", f"{root}/data"]]
+    for label, cfg_text in DecodeAsr.MODELS:
+        cfg = write_text(f"{root}.{label}.cfg", cfg_text)
+        commands.append(["train", "--config", cfg, "--data", f"{root}/data",
+                         "--out", f"{root}/{label}"])
+    return commands
+
+
+def asr_outputs(root: str):
+    """(output name, argv) of every decode of the set-up under root."""
+    lm = ["--lm", f"{root}/lm/lm.esc", "--gamma", "0.3"]
+    return [(f"{os.path.basename(root)}.{label}{tag}.nbest.tsv",
+             ["decode", "--ckpt", f"{root}/{label}/avg.esc", "--data",
+              f"{root}/data", "--beam", "8", "--nbest", "8"] + extra)
+            for label in ("transformer", "rnn")
+            for tag, extra in (("", []), (".lm", lm))]
+
+
+def tts_outputs(root: str):
+    """(output name, argv) of every synth of the tts run under root."""
+    with open(f"{root}/data/test/transcripts.tsv", encoding="utf-8") as fh:
+        texts = [line.rstrip("\n").split("\t", 1) for line in fh
+                 if line.strip()]
+    return [(f"tts.{utt}.{frames}.esf",
+             ["synth", "--ckpt", f"{root}/run/avg.esc", "--text", text,
+              "--eos-threshold", "1.0", "--max-frames", str(frames)])
+            for frames, items in ((Tts.SHORT, texts),
+                                  (Tts.LONG, texts[:Tts.N_LONG]))
+            for utt, text in items]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--ref", required=True, help="commit to compare")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 3],
+                        help="decode-asr set-up seeds")
+    args = parser.parse_args(argv)
+    tmp = tempfile.mkdtemp(prefix="same-outputs-")
+    try:
+        ref = os.path.join(tmp, "ref")
+        os.mkdir(ref)
+        archive = subprocess.run(["git", "archive", args.ref], cwd=ROOT,
+                                 check=True, capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", ref], input=archive, check=True)
+        work = os.path.join(tmp, "work")
+        os.mkdir(work)
+        setup, outputs = [], []
+        corpora = [(f"seed{s}", s, DecodeAsr.SHAPE) for s in args.seeds]
+        for name, seed, shape in corpora + [("toy", 0, "")]:
+            setup += asr_setup(f"{work}/{name}", seed, shape)
+            outputs += asr_outputs(f"{work}/{name}")
+        tts = f"{work}/tts"
+        spec = write_text(tts + ".spec", "task = tts\nseed = 1\n")
+        cfg = write_text(tts + ".cfg",
+                         f"preset = tts-toy\nepochs = {Tts.EPOCHS}\n")
+        setup += [["gen-data", "--spec", spec, "--out", f"{tts}/data"],
+                  ["train", "--config", cfg, "--data", f"{tts}/data",
+                   "--out", f"{tts}/run"]]
+        print(f"training {len(setup)} set-up steps with this checkout",
+              flush=True)
+        run_all(os.path.join(ROOT, "src"), setup)
+        outputs += tts_outputs(tts)
+        for side, src in (("ref", os.path.join(ref, "src")),
+                          ("this", os.path.join(ROOT, "src"))):
+            os.mkdir(os.path.join(tmp, side + "-out"))
+            run_all(src, [cmd + ["--out", os.path.join(tmp, side + "-out",
+                                                       name)]
+                          for name, cmd in outputs])
+        differ = 0
+        for name, _ in outputs:
+            same = filecmp.cmp(os.path.join(tmp, "ref-out", name),
+                               os.path.join(tmp, "this-out", name),
+                               shallow=False)
+            differ += not same
+            print(f"{'same' if same else 'DIFFERS'}  {name}")
+    except subprocess.CalledProcessError as exc:
+        print(f"failed: {exc}", file=sys.stderr)
+        return 1
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    print(f"\n{len(outputs) - differ} of {len(outputs)} outputs of "
+          f"{args.ref} (ref) and this checkout are byte-identical")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
