@@ -27,8 +27,7 @@ def causal_mask(n: int) -> np.ndarray:
 
 
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, wq: Tensor,
-                         wk: Optional[Tensor], wv: Optional[Tensor],
-                         w_head: Tensor, n_heads: int,
+                         wk: Tensor, wv: Tensor, w_head: Tensor, n_heads: int,
                          mask: Optional[np.ndarray] = None
                          ) -> Tuple[Tensor, Tensor]:
     """Multi-head attention of queries q over keys k and values v, rows
@@ -36,11 +35,9 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, wq: Tensor,
     shape, and the weights, (..., H, n_q, n_k).
 
     wq, wk and wv are (d_att, H*d_att): each head projects to the full
-    width, and w_head (H*d_att, d_att) brings the merged heads back. With
-    wk and wv None, k and v are keys and values projected already, as a
-    search cache holds them. The tape records the projections, the two
-    head-batched ops (tensor.attention_weights, tensor.mix_heads) and the
-    output projection.
+    width, and w_head (H*d_att, d_att) brings the merged heads back. The
+    tape records the projections, the two head-batched ops
+    (tensor.attention_weights, tensor.mix_heads) and the output projection.
     """
     d = q.shape[-1]
     if wq.shape != (d, n_heads * d) or w_head.shape != (n_heads * d, d):
@@ -48,8 +45,7 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, wq: Tensor,
                              f"({d}, {n_heads * d}) and w_head "
                              f"({n_heads * d}, {d}), got {wq.shape} and "
                              f"{w_head.shape}")
-    if wk is not None:
-        k, v = k @ wk, v @ wv
+    k, v = k @ wk, v @ wv
     weights = T.attention_weights(q @ wq, k, n_heads, mask)
     return T.mix_heads(weights, v) @ w_head, weights
 

@@ -14,10 +14,11 @@ and the LM carry a cached state with one row per live hypothesis of
 every utterance in the batch (`init_state`, `step`, `select`), and the
 CTC scorer holds the batch's posteriors from one pass of the CTC head,
 so each beam step makes one decoder call, one LM call and one CTC call,
-each covering every live hypothesis and every token. The
-Transformer decoder's cache is copied once per step: select composes
-row maps, and the next step gathers the kept rows and the new position
-into one buffer. The live prefixes are one token array, and pruning is
+each covering every live hypothesis and every token. The Transformer
+decoder's step runs on plain arrays, and its cache is copied once per
+step: select composes row maps, and the step gathers the kept rows and
+the new position into one fresh buffer (synthesis selects nothing and
+appends in place). The live prefixes are one token array, and pruning is
 one sort over the non-blank cells of every utterance that keeps each
 one's first beam_size. The finished pool, the length budget and the
 statistics stay per utterance: batch_beam_search gives each utterance

@@ -48,12 +48,11 @@ frames with the Postnet as a batch of one.
 Fused tape nodes: each direction of a BLSTM layer and the LM's
 teacher-forced pass record one node for the whole sequence (nn.LSTM),
 and each LSTM decoder or LM step one node per cell (nn.LSTMCell), whose
-[h | c] output is sliced into h and c. Every multi-head attention, in
-training, search and synthesis alike, is attention.multi_head_attention:
-three projections, two head-batched nodes and the output projection.
-Its weights, (H, n_q, n_k), are an ordinary tape tensor, so the
-source-attention records in DecoderRecords carry the guided-attention
-loss's gradient.
+[h | c] output is sliced into h and c. Every multi-head attention of a
+forward is attention.multi_head_attention: three projections, two
+head-batched nodes and the output projection; its weights, (H, n_q,
+n_k), carry the guided-attention loss's gradient. The Transformer
+decoder's step runs the same kernels on plain arrays and records nothing.
 """
 
 from __future__ import annotations
@@ -414,89 +413,119 @@ class TransformerDecoderLayer(Module):
         n_dec, n_enc)."""
         return self._sublayers(
             y, lambda h: self.self_mha(h, h, h, mask),
-            lambda q: self.src_mha(q, x_e, x_e, src_mask))
+            lambda q: self.src_mha(q, x_e, x_e, src_mask), self.ff,
+            (self.ln1, self.ln2, self.ln3))
 
     def init_cache(self, x_e: Tensor) -> "DecoderLayerCache":
         """The cache of N rows, one per utterance of the padded (N, n_enc,
         d_att) encoder outputs x_e, that have consumed nothing."""
         src = self.src_mha
-        empty = np.zeros((0, x_e.shape[0], self.self_mha.wk.shape[1]))
-        return DecoderLayerCache(src_k=x_e @ src.wk, src_v=x_e @ src.wv,
-                                 keys=empty, values=empty)
+        return DecoderLayerCache(
+            src_k=x_e @ src.wk, src_v=x_e @ src.wv, t=0,
+            past=_Positions(0, (x_e.shape[0], self.self_mha.wk.shape[1])))
 
-    def step(self, y: Tensor, cache: "DecoderLayerCache",
+    def step(self, y: np.ndarray, cache: "DecoderLayerCache",
              groups: "_RowGroups", src_mask: Optional[np.ndarray] = None
-             ) -> Tuple[Tensor, "DecoderLayerCache"]:
+             ) -> Tuple[np.ndarray, "DecoderLayerCache"]:
         """The layer's output at the next position of each row of y,
         (B, d_att), attending over the cached earlier positions and over
         the source frames of the row's utterance, under src_mask (N, 1, 1,
-        n_enc) (None: every frame is real). Search-time only: the cache
-        carries no tape, so callers run it under no_grad."""
-        b, d = y.shape
+        n_enc) (None: every frame is real). Plain arrays through forward's
+        kernels, no tape op; a layer that would draw dropout masks raises."""
+        if self.drop.training and self.drop.rate > 0:
+            raise RuntimeError("a decoder step has no dropout: use eval mode")
         grown = []
 
-        def src_att(q: Tensor):
+        def src_att(q: np.ndarray):
             # each utterance's rows query its source as one (S, d_att) block
-            mha = self.src_mha
-            out, w = A.multi_head_attention(
-                groups.blocks(q), cache.src_k, cache.src_v, mha.wq, None,
-                None, mha.w_head, mha.n_heads, src_mask)
+            out, w = _attend(self.src_mha, groups.blocks(q), cache.src_k.data,
+                             cache.src_v.data, src_mask)
             return groups.rows(out), w
 
-        def self_att(h: Tensor):
-            # one query row per hypothesis, (B, 1, d_att)
-            rows = h.reshape(b, 1, d)
+        def self_att(h: np.ndarray):
             mha = self.self_mha
-            grown.append(cache.grow(rows @ mha.wk, rows @ mha.wv))
-            # the time-major buffers seen as (B, t+1, H*d_att), uncopied
-            keys, values = (T.constant_view(a.swapaxes(0, 1))
-                            for a in (grown[0].keys, grown[0].values))
-            out, w = A.multi_head_attention(rows, keys, values, mha.wq, None,
-                                            None, mha.w_head, mha.n_heads)
-            return out.reshape(b, d), w
+            grown.append(cache.grow(T.matmul_kernel(h, mha.wk.data),
+                                    T.matmul_kernel(h, mha.wv.data)))
+            # a query row per hypothesis over (B, t+1, H*d_att) views
+            out, w = _attend(mha, h[:, None], grown[0].keys.swapaxes(0, 1),
+                             grown[0].values.swapaxes(0, 1), None)
+            return out[:, 0], w
 
-        out, _ = self._sublayers(y, self_att, src_att)
+        l1, l2 = self.ff.lin1, self.ff.lin2
+        out, _ = self._sublayers(
+            y, self_att, src_att, lambda x: T.matmul_kernel(T.relu_kernel(
+                T.matmul_kernel(x, l1.weight.data) + l1.bias.data),
+                l2.weight.data) + l2.bias.data,
+            [_array_norm(n) for n in (self.ln1, self.ln2, self.ln3)])
         return out, grown[0]
 
-    def _sublayers(self, y: Tensor, self_att, src_att
-                   ) -> Tuple[Tensor, Tensor]:
-        """Residual, normalization and feed-forward wiring around the two
-        attentions; self_att(h) and src_att(q) give (output, weights).
-        Returns the layer output and the source-attention weights."""
+    def _sublayers(self, y, self_att, src_att, ff, norms):
+        """Residual, normalization, dropout and feed-forward wiring around
+        the two attentions, for Tensors and plain arrays alike: self_att(h)
+        and src_att(q) give (output, weights), ff and the norms map rows to
+        rows. Returns the layer output and the source-attention weights."""
+        ln1, ln2, ln3 = norms
         if self.normalize == "pre":
-            h = self.ln1(y)
+            h = ln1(y)
             y1 = y + self.drop(self_att(h)[0])
-            src, w = src_att(self.ln2(y1))
+            src, w = src_att(ln2(y1))
             base = y if self.src_residual == "paper" else y1
             y2 = base + self.drop(src)
-            y3 = y2 + self.drop(self.ff(self.ln3(y2)))
+            y3 = y2 + self.drop(ff(ln3(y2)))
         else:                           # post, or none with identity norms
-            y1 = self.ln1(y + self.drop(self_att(y)[0]))
+            y1 = ln1(y + self.drop(self_att(y)[0]))
             src, w = src_att(y1)
             base = y if self.src_residual == "paper" else y1
-            y2 = self.ln2(base + self.drop(src))
-            y3 = self.ln3(y2 + self.drop(self.ff(y2)))
+            y2 = ln2(base + self.drop(src))
+            y3 = ln3(y2 + self.drop(ff(y2)))
         return y3, w
+
+
+def _attend(mha: MultiHeadAttention, q: np.ndarray, k: np.ndarray,
+            v: np.ndarray, mask: Optional[np.ndarray]):
+    """mha's multi_head_attention on plain arrays, k and v projected."""
+    w = T.attention_weights_kernel(T.matmul_kernel(q, mha.wq.data), k,
+                                   mha.n_heads, mask)[0]
+    return T.matmul_kernel(T.mix_heads_kernel(w, v), mha.w_head.data), w
+
+
+def _array_norm(norm):
+    """A LayerNorm on plain arrays; normalize = "none"'s identity as is."""
+    if not isinstance(norm, LayerNorm):
+        return norm
+    return lambda x: T.layer_norm_kernel(x, norm.gain.data, norm.bias.data)[0]
+
+
+class _Positions:
+    """Time-major keys and values, (capacity,) + rows each, rows being
+    (B, H*d_att), that caches share; the first `used` are written."""
+
+    def __init__(self, capacity: int, rows: tuple):
+        self.keys = np.empty((capacity,) + rows)
+        self.values = np.empty((capacity,) + rows)
+        self.used = 0
 
 
 @dataclass
 class DecoderLayerCache:
     """Search-time cache of one Transformer decoder layer: the projected
     source keys and values, (N, n_enc, H*d_att), computed once per
-    utterance and padded to the longest, and the projected self-attention
-    keys and values of every position consumed so far, held time-major,
-    (t, B', H*d_att). Row b of the cache is column rows[b] of keys and
-    values (rows None: column b). select only composes row maps; grow
-    gathers the kept columns and the new position into one fresh buffer,
-    so each step copies the cache once. Time-major, the gathered earlier
-    positions fill one contiguous block of that buffer, which np.take
-    writes in place; a (B, t+1) buffer's first t positions are strided,
-    and np.take would go through a temporary."""
+    utterance and padded to the longest, and `keys` and `values`, the
+    projected self-attention keys and values of the t positions consumed
+    so far, (t, B', H*d_att) views of `past`; row b of the cache is
+    column rows[b] of them (rows None: column b). select only composes
+    row maps. grow appends in place when rows is None and no step has
+    written past t (every synthesis step), doubling a full buffer; else
+    (after a select, or a second step from one state) it gathers into a
+    fresh buffer of exact size, whose first t positions np.take fills."""
     src_k: Tensor
     src_v: Tensor
-    keys: np.ndarray
-    values: np.ndarray
+    past: _Positions
+    t: int
     rows: Optional[np.ndarray] = None
+
+    keys = property(lambda self: self.past.keys[:self.t])
+    values = property(lambda self: self.past.values[:self.t])
 
     def select(self, rows: Sequence[int], groups: "_RowGroups"
                ) -> "DecoderLayerCache":
@@ -505,26 +534,21 @@ class DecoderLayerCache:
         if self.rows is not None:
             rows = self.rows[rows]
         return DecoderLayerCache(groups.cut(self.src_k), groups.cut(self.src_v),
-                                 self.keys, self.values, rows)
+                                 self.past, self.t, rows)
 
-    def grow(self, k: Tensor, v: Tensor) -> "DecoderLayerCache":
+    def grow(self, k: np.ndarray, v: np.ndarray) -> "DecoderLayerCache":
         """The cache with one more position, whose projected keys and
-        values k and v hold one (1, H*d_att) row per cache row."""
-        return DecoderLayerCache(self.src_k, self.src_v,
-                                 self._grown(self.keys, k),
-                                 self._grown(self.values, v))
-
-    def _grown(self, past: np.ndarray, new: Tensor) -> np.ndarray:
-        t, (b, _, width) = past.shape[0], new.shape
-        out = np.empty((t + 1, b, width))
-        if self.rows is None:
-            out[:t] = past
-        else:
-            # the default mode="raise" also goes through a temporary; the
-            # row maps hold valid indices only
-            np.take(past, self.rows, axis=1, out=out[:t], mode="clip")
-        out[t] = new.data[:, 0]
-        return out
+        values k and v, (B, H*d_att), hold one row per cache row."""
+        past, t = self.past, self.t
+        append = self.rows is None and past.used == t
+        if not append or t == len(past.keys):
+            past = _Positions(max(16, 2 * t) if append else t + 1, k.shape)
+            # mode="raise" would go through a temporary; rows are valid
+            rows = np.arange(len(k)) if self.rows is None else self.rows
+            for old, new in ((self.keys, past.keys), (self.values, past.values)):
+                np.take(old, rows, axis=1, out=new[:t], mode="clip")
+        past.keys[t], past.values[t], past.used = k, v, t + 1
+        return DecoderLayerCache(self.src_k, self.src_v, past, t + 1)
 
 
 class TransformerDecoderBody(Module):
@@ -565,16 +589,16 @@ class TransformerDecoderBody(Module):
     def step(self, state: "TransformerDecoderState", y: Tensor
              ) -> Tuple[Tensor, "TransformerDecoderState"]:
         """Output rows (B, d_att) at the next position; forward's last
-        row for each row's prefix."""
+        row for each row's prefix, with no tape op."""
         key_ok = state.groups.key_ok
         mask = None if key_ok is None else key_ok[:, None, None]
-        caches = []
+        h, caches = y.data, []
         for layer, cache in zip(self.layers, state.layers):
-            y, cache = layer.step(y, cache, state.groups, mask)
+            h, cache = layer.step(h, cache, state.groups, mask)
             caches.append(cache)
         if self.final_ln is not None:
-            y = self.final_ln(y)
-        return y, TransformerDecoderState(caches, state.groups)
+            h = _array_norm(self.final_ln)(h)
+        return Tensor(h), TransformerDecoderState(caches, state.groups)
 
 
 @dataclass

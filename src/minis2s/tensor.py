@@ -187,16 +187,6 @@ class Tensor:
         return tmean(self)
 
 
-def constant_view(data: np.ndarray) -> Tensor:
-    """A constant over a float64 array as it lies in memory. Tensor()
-    copies a strided array to C order; a search cache kept in another
-    layout hands its (B, t, d) view here instead, to be read without a
-    copy under no_grad."""
-    out = Tensor(np.empty(0))
-    out.data = data
-    return out
-
-
 Grad = Callable[[np.ndarray], np.ndarray]
 Grads = Callable[[], Tuple[Grad, ...]]
 
@@ -305,27 +295,31 @@ def _weight_grad(x: np.ndarray, dz: np.ndarray) -> np.ndarray:
     return np.multiply(x.T, dz) if x.shape[0] == 1 else x.T @ dz
 
 
+def matmul_kernel(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x @ w for a 2-D w, x's leading axes folded into one gemm (a 3-D @
+    runs one per leading index, which can change the last bits)."""
+    if x.ndim == 2:
+        return x @ w
+    return (x.reshape(-1, x.shape[-1]) @ w).reshape(x.shape[:-1] + w.shape[1:])
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product with np.matmul semantics for operands of rank >= 2:
     leading axes are batch axes and broadcast against each other.
 
-    Against a 2-D b, a's leading axes fold into rows: one gemm forward and
-    one per gradient, however many batch axes a has."""
+    Against a 2-D b, a's leading axes fold into rows: one gemm forward
+    (matmul_kernel) and one per gradient, however many batch axes a has."""
     ad, bd = a.data, b.data
     if ad.ndim < 2 or bd.ndim < 2:
         raise DimensionError(f"matmul needs operands of rank >= 2, "
                              f"got {a.shape} @ {b.shape}")
     if ad.shape[-1] != bd.shape[-2]:
         raise DimensionError(f"matmul inner dims disagree: {a.shape} @ {b.shape}")
-    if bd.ndim == 2 and ad.ndim == 2:
-        return _result(ad @ bd, (a, b), lambda: (
-            lambda g: g @ b.data.T, lambda g: _weight_grad(ad, g)))
     if bd.ndim == 2:
-        rows = ad.reshape(-1, ad.shape[-1])
-        return _result(
-            (rows @ bd).reshape(ad.shape[:-1] + bd.shape[1:]), (a, b), lambda: (
-                lambda g: (g.reshape(-1, g.shape[-1]) @ b.data.T).reshape(a.shape),
-                lambda g: _weight_grad(rows, g.reshape(-1, g.shape[-1]))))
+        return _result(matmul_kernel(ad, bd), (a, b), lambda: (
+            lambda g: (g.reshape(-1, g.shape[-1]) @ b.data.T).reshape(a.shape),
+            lambda g: _weight_grad(ad.reshape(-1, ad.shape[-1]),
+                                   g.reshape(-1, g.shape[-1]))))
     try:
         data = np.matmul(ad, bd)
     except ValueError:
@@ -396,9 +390,16 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 # -- elementwise nonlinearities ---------------------------------------------
 
 
+def relu_kernel(x: np.ndarray) -> np.ndarray:
+    """The bits of np.where(x > 0, x, 0.0), without its branch per element."""
+    y = np.fmax(x, 0.0)
+    y += 0.0        # -0.0 + 0.0 is +0.0
+    return y
+
+
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-    return from_op(a, np.where(mask, a.data, 0.0), lambda g: g * mask)
+    y = relu_kernel(a.data)
+    return from_op(a, y, lambda g: g * (y > 0))
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -409,7 +410,8 @@ def tanh(a: Tensor) -> Tensor:
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function without overflow: exp only of -|x|."""
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    # np.where(x >= 0, 1.0, e) without its branch per element, as e <= 1
+    return np.maximum(e, x >= 0) / (1.0 + e)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -477,19 +479,26 @@ def log_sigmoid(a: Tensor) -> Tensor:
 # -- normalization and regularization -----------------------------------------
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Tensor:
-    """Per-frame normalization over the last axis, then affine. Each mean
-    over the axis is its sum divided by d, the same reduction and division
-    that .mean() runs behind its Python wrapper."""
+def layer_norm_kernel(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+                      eps: float = 1e-12):
+    """Per-frame normalization over the last axis, then affine, and the
+    normalized x and inverse deviation the backward reads. Each mean over
+    the axis is its sum divided by d, as .mean() computes it."""
     d = x.shape[-1]
-    if gain.shape != (d,) or bias.shape != (d,):
-        raise DimensionError("layer_norm gain/bias must have shape (d,)")
-    mu = x.data.sum(axis=-1, keepdims=True) / d
-    xc = x.data - mu
+    mu = x.sum(axis=-1, keepdims=True) / d
+    xc = x - mu
     var = (xc * xc).sum(axis=-1, keepdims=True) / d
     ivar = 1.0 / np.sqrt(var + eps)
     xhat = xc * ivar
-    y = xhat * gain.data + bias.data
+    return xhat * gain + bias, xhat, ivar
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Tensor:
+    """layer_norm_kernel, recorded as one tape node."""
+    d = x.shape[-1]
+    if gain.shape != (d,) or bias.shape != (d,):
+        raise DimensionError("layer_norm gain/bias must have shape (d,)")
+    y, xhat, ivar = layer_norm_kernel(x.data, gain.data, bias.data, eps)
 
     def grads():
         def dx(g):
@@ -841,30 +850,21 @@ def _heads_check(a: Tensor, n_heads: int, what: str) -> None:
                              f"{n_heads} heads")
 
 
-def attention_weights(q: Tensor, k: Tensor, n_heads: int,
-                      mask: Optional[np.ndarray] = None) -> Tensor:
+def attention_weights_kernel(q: np.ndarray, k: np.ndarray, n_heads: int,
+                             mask: Optional[np.ndarray] = None):
     """Per-head attention weights softmax(q_h k_h^T / sqrt(d) + bias) of
     queries (..., n_q, H*d) over keys (..., n_k, H*d), as (..., H, n_q,
-    n_k), recorded as one tape node.
+    n_k), and the unmasked softmax, heads and scale the backward reads.
 
     A mask is a boolean array broadcastable to the weights, True where a
     query may see a key. Disallowed pairs get a MASK_BIAS additive bias
     before the softmax and are forced to exactly 0.0 after it, so masking
     holds bit-exactly whatever the scale of the scores.
     """
-    _heads_check(q, n_heads, "queries")
-    _heads_check(k, n_heads, "keys")
-    if q.shape[-1] != k.shape[-1]:
-        raise DimensionError(f"query width {q.shape[-1]} != key width "
-                             f"{k.shape[-1]}")
-    qh, kh = _split_heads(q.data, n_heads), _split_heads(k.data, n_heads)
+    qh, kh = _split_heads(q, n_heads), _split_heads(k, n_heads)
     # correctly rounded, as np.sqrt is
     scale = 1.0 / math.sqrt(qh.shape[-1])
-    try:
-        s = np.matmul(qh, kh.swapaxes(-1, -2)) * scale
-    except ValueError:
-        raise DimensionError(f"query and key batch axes disagree: {q.shape} "
-                             f"and {k.shape}") from None
+    s = np.matmul(qh, kh.swapaxes(-1, -2)) * scale
     if mask is not None:
         if not _fits(mask.shape, s.shape):
             raise DimensionError(f"mask shape {mask.shape} does not fit "
@@ -872,7 +872,23 @@ def attention_weights(q: Tensor, k: Tensor, n_heads: int,
         s = s + np.where(mask, 0.0, MASK_BIAS)
     y = np.exp(s - s.max(axis=-1, keepdims=True))
     y /= y.sum(axis=-1, keepdims=True)
-    w = y if mask is None else y * mask
+    return (y if mask is None else y * mask), y, qh, kh, scale
+
+
+def attention_weights(q: Tensor, k: Tensor, n_heads: int,
+                      mask: Optional[np.ndarray] = None) -> Tensor:
+    """attention_weights_kernel's weights, recorded as one tape node."""
+    _heads_check(q, n_heads, "queries")
+    _heads_check(k, n_heads, "keys")
+    if q.shape[-1] != k.shape[-1]:
+        raise DimensionError(f"query width {q.shape[-1]} != key width "
+                             f"{k.shape[-1]}")
+    try:
+        w, y, qh, kh, scale = attention_weights_kernel(q.data, k.data,
+                                                       n_heads, mask)
+    except ValueError:
+        raise DimensionError(f"query and key batch axes disagree: {q.shape} "
+                             f"and {k.shape}") from None
 
     def grads():
         @_once
@@ -889,26 +905,29 @@ def attention_weights(q: Tensor, k: Tensor, n_heads: int,
     return _result(w, (q, k), grads)
 
 
-def mix_heads(w: Tensor, v: Tensor) -> Tensor:
+def mix_heads_kernel(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Per-head weighted sums of values (..., n_k, H*d) under weights
-    (..., H, n_q, n_k), heads merged back to (..., n_q, H*d); one node."""
+    (..., H, n_q, n_k), heads merged back to (..., n_q, H*d)."""
+    return _merge_heads(np.matmul(w, _split_heads(v, w.shape[-3])))
+
+
+def mix_heads(w: Tensor, v: Tensor) -> Tensor:
+    """mix_heads_kernel, recorded as one tape node."""
     if w.ndim < 3:
         raise DimensionError(f"weights of shape {w.shape} have no head axis")
     n_heads = w.shape[-3]
     _heads_check(v, n_heads, "values")
-    vh = _split_heads(v.data, n_heads)
-    if vh.shape[-2] != w.shape[-1]:
+    if v.shape[-2] != w.shape[-1]:
         raise DimensionError(f"weights over {w.shape[-1]} keys cannot mix "
-                             f"{vh.shape[-2]} values")
+                             f"{v.shape[-2]} values")
     try:
-        out = _merge_heads(np.matmul(w.data, vh))
+        out = mix_heads_kernel(w.data, v.data)
     except ValueError:
         raise DimensionError(f"weight and value batch axes disagree: "
                              f"{w.shape} and {v.shape}") from None
-
     return _result(out, (w, v), lambda: (
-        lambda g: _reduce_to(np.matmul(_split_heads(g, n_heads),
-                                       vh.swapaxes(-1, -2)), w.shape),
+        lambda g: _reduce_to(np.matmul(_split_heads(g, n_heads), _split_heads(
+            v.data, n_heads).swapaxes(-1, -2)), w.shape),
         lambda g: _reduce_to(_merge_heads(np.matmul(
             w.data.swapaxes(-1, -2), _split_heads(g, n_heads))), v.shape)))
 

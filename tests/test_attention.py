@@ -402,9 +402,9 @@ def test_fused_path_matches_per_head_oracle(case):
 
 
 def test_fused_heads_attend_equals_multi_head_attention():
-    # the search step: one query row per hypothesis over keys and values
-    # projected once and held per row, here after a select that reorders
-    # and repeats rows, and over source keys shared by every row
+    # the search step's shape: one query row per hypothesis over keys and
+    # values held per row, here after a select that reorders and repeats
+    # rows, and over source keys shared by every row
     d, h, t = 4, 3, 5
     w = random_weights(d, h, 65)
     history = np.random.default_rng(66).standard_normal((2, t, d))
@@ -413,8 +413,7 @@ def test_fused_heads_attend_equals_multi_head_attention():
 
     def fused(rows, prefixes, wq, wk, wv, w_head):
         out, weights = multi_head_attention(
-            rows.reshape(3, 1, d), prefixes @ wk, prefixes @ wv, wq, None,
-            None, w_head, h)
+            rows.reshape(3, 1, d), prefixes, prefixes, wq, wk, wv, w_head, h)
         return out.reshape(3, d), weights
 
     def oracle(rows, prefixes, rec):
@@ -434,8 +433,8 @@ def test_fused_heads_attend_equals_multi_head_attention():
 
     src = rnd((6, d), 68)
     wq, wk, wv, w_head = w.fused()
-    got, _ = multi_head_attention(rows.reshape(3, 1, d), src @ wk, src @ wv,
-                                  wq, None, None, w_head, h)
+    got, _ = multi_head_attention(rows.reshape(3, 1, d), src, src,
+                                  wq, wk, wv, w_head, h)
     want = per_head_attention(rows, src, src, w)
     np.testing.assert_allclose(got.data.reshape(3, d), want.data,
                                rtol=0, atol=1e-12)

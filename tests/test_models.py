@@ -505,6 +505,78 @@ def test_search_cache_grows_as_concat_then_take():
     assert {u for u, _ in hyps} == {0} and ref[0][0].shape[:2] == (3, 5)
 
 
+def test_synthesis_step_appends_in_place_and_keeps_earlier_states():
+    # one row and no row map, as in every synthesis step: a state stepped
+    # twice with different inputs, once with room in its buffer and once
+    # when the buffer doubles, gives two results that each equal a fresh
+    # run's outputs, keys and values bit for bit, the first intact after
+    # the second step
+    model = S2SModel(toy_cfg(d=2, d_head=3, seed=45))
+    model.eval()
+    body = model.dec_body
+    enc = encode_one(model, feats(9, seed=46))
+    rng = np.random.default_rng(47)
+    ys = [Tensor(rng.standard_normal((1, 8))) for _ in range(40)]
+
+    def run(inputs):
+        state = body.init_state(enc.x_e, enc.n_sub)
+        for y in inputs:
+            out, state = body.step(state, y)
+        return out.data, state
+
+    cap = len(run(ys[:1])[1].layers[0].past.keys)
+    assert 1 < cap < 38
+    for n in (cap - 1, cap):
+        _, state = run(ys[:n])
+        first, after_first = body.step(state, ys[n])
+        second, after_second = body.step(state, ys[n + 1])
+        in_place = after_first.layers[0].past is state.layers[0].past
+        assert in_place == (n < cap)
+        for out, after, y in ((first, after_first, ys[n]),
+                              (second, after_second, ys[n + 1])):
+            want, ref = run(ys[:n] + [y])
+            np.testing.assert_array_equal(out.data, want)
+            for c, r in zip(after.layers, ref.layers):
+                assert c.t == n + 1
+                np.testing.assert_array_equal(c.keys, r.keys)
+                np.testing.assert_array_equal(c.values, r.values)
+
+
+@pytest.mark.parametrize("normalize", ["pre", "post", "none"])
+@pytest.mark.parametrize("src_residual", ["paper", "conventional"])
+def test_transformer_decoder_step_records_no_tape_op(normalize, src_residual):
+    # the body steps on plain arrays: no tape op even with gradients
+    # enabled, for one row per utterance and for rows gathered into
+    # blocks over a padded source
+    model = S2SModel(toy_cfg(d=2, normalize=normalize,
+                             src_residual=src_residual, seed=48))
+    model.eval()
+    body = model.dec_body
+    enc = model.encode(*pad_sequences([feats(n, seed=49 + n).data
+                                       for n in (9, 14)]))
+    rng = np.random.default_rng(50)
+    for rows in (None, [0, 1, 1, 0]):
+        state = body.init_state(enc.x_e, enc.n_sub)
+        if rows is not None:
+            state = state.select(rows)
+        b = 2 if rows is None else len(rows)
+        with T.Graph() as g:
+            for _ in range(3):
+                _, state = body.step(state, Tensor(rng.standard_normal((b, 8))))
+        assert g.op_count == 0
+
+
+def test_transformer_decoder_step_refuses_training_mode_dropout():
+    model = S2SModel(toy_cfg(dropout_rate=0.1))
+    model.eval()
+    enc = encode_one(model, feats(9, seed=51))
+    model.train()
+    with T.no_grad(), T.Graph():
+        state = model.dec_body.init_state(enc.x_e, enc.n_sub)
+        with pytest.raises(RuntimeError, match="eval mode"):
+            model.dec_body.step(state, Tensor(np.zeros((1, 8))))
+
+
 def test_mha_init_keeps_per_head_glorot_order():
     # q, k, v of head 0, then of head 1, ..., then w_head: the draws of
     # one (d, d) parameter per head, laid side by side

@@ -145,6 +145,35 @@ def test_sigmoid_and_log_sigmoid_extremes():
     np.testing.assert_allclose(ls[1], np.log(0.5), rtol=1e-15)
 
 
+def test_relu_and_sigmoid_keep_the_bits_of_their_where_forms():
+    # relu and sigmoid run without a data-dependent branch per element
+    # (np.fmax, np.maximum); on signed zeros, NaNs, infinities,
+    # subnormals and random data they give the bits of the np.where
+    # forms they replace, and relu's gradient keeps the x > 0 mask
+    special = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf,
+                        5e-324, -5e-324, 2.2e-308, -2.2e-308, 1.0, -1.0,
+                        745.0, -745.0, 800.0, -800.0])
+    noise = np.random.default_rng(7).standard_normal(4000) * 30.0
+
+    def same_bits(a, b):
+        return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+    # a ufunc's SIMD loop and its scalar remainder can treat a signed
+    # zero differently, so each special value also fills arrays of 1 to
+    # 33 elements
+    cases = [np.concatenate([special, noise])]
+    cases += [np.full(n, v) for v in special for n in range(1, 34)]
+    for x in cases:
+        a = Tensor(x, requires_grad=True)
+        y = T.relu(a)
+        assert same_bits(y.data, np.where(x > 0, x, 0.0))
+        backward(T.tsum(y))
+        assert same_bits(a.grad, np.ones_like(x) * (x > 0))
+        e = np.exp(-np.abs(x))
+        assert same_bits(T.sigmoid(Tensor(x)).data,
+                         np.where(x >= 0, 1.0, e) / (1.0 + e))
+
+
 def test_log_rejects_nonpositive():
     with pytest.raises(DomainError):
         T.log(Tensor([1.0, 0.0]))

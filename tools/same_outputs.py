@@ -11,8 +11,8 @@ tools/pairs.py makes it, and this checkout on those checkpoints:
 
 - `decode --beam 8 --nbest 8` of both ASR models, with and without
   `--lm`, on each test split;
-- `synth` of the tts test texts at 40 frames and of the first five at
-  320, EOS stopping off.
+- `synth` of the tts test texts at 40 frames, of the first five at 320
+  and of the first at 4,000 (LONGEST), EOS stopping off.
 
 Compares every output file byte for byte, prints one line per file, and
 exits 1 if any differs or any command fails. The temporary directory is
@@ -32,6 +32,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 from workloads import DecodeAsr, Tts, write_text  # noqa: E402
+
+# frames of the one long synth, whose decoder steps attend over 2,000
+# cached positions at tts-toy's r = 2
+LONGEST = 4000
 
 # runs each argv list of a JSON list through minis2s.cli.main, in order,
 # and exits with the first non-zero code
@@ -81,7 +85,8 @@ def tts_outputs(root: str):
              ["synth", "--ckpt", f"{root}/run/avg.esc", "--text", text,
               "--eos-threshold", "1.0", "--max-frames", str(frames)])
             for frames, items in ((Tts.SHORT, texts),
-                                  (Tts.LONG, texts[:Tts.N_LONG]))
+                                  (Tts.LONG, texts[:Tts.N_LONG]),
+                                  (LONGEST, texts[:1]))
             for utt, text in items]
 
 
