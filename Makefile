@@ -9,6 +9,12 @@ check:
 lines:
 	@cat src/minis2s/*.py | wc -l
 
+# The same lines split into docstring, comment, blank and code lines, from
+# each module's AST and tokens: the code-line delta ROADMAP.md asks for.
+.PHONY: code-lines
+code-lines:
+	@python3 tools/code_lines.py
+
 # One run of a benchmark workload (train-asr, decode-asr or tts), for the
 # alternating parent/change pairs a speed claim reports.
 W ?= tts
@@ -26,8 +32,9 @@ N ?= 10
 pairs:
 	python3 tools/pairs.py --ref $(REF) --workload $(W) --pairs $(N)
 
-# Byte-for-byte comparison of commit REF's `decode --nbest 8` and `synth`
-# outputs against this checkout's, on checkpoints this checkout trains.
+# Byte-for-byte comparison of commit REF's training artifacts (log.csv and
+# checkpoints) against this checkout's, and of its `decode --nbest 8` and
+# `synth` outputs, on checkpoints this checkout trains.
 .PHONY: same-outputs
 same-outputs:
 	python3 tools/same_outputs.py --ref $(REF)

@@ -185,8 +185,18 @@ def cmd_decode(args) -> int:
         idx = order[start:start + group]
         with T.no_grad(), T.Graph(seed=0):
             enc = model.encode(*pad_sequences([utts[i].feats for i in idx]))
-            found = batch_beam_search(enc, model, lm=lm, config=cfg.beam,
-                                      ids=[utts[i].utt_id for i in idx])
+            try:
+                found = batch_beam_search(enc, model, lm=lm, config=cfg.beam,
+                                          ids=[utts[i].utt_id for i in idx])
+            except MemoryError as exc:
+                # a beam keeps up to beam_size rows per utterance, so a
+                # huge one multiplies the live rows until an allocation
+                # fails
+                where = ("--beam" if args.beam is not None else
+                         args.config or _beside(args.ckpt, "model.cfg"))
+                raise ConfigError(f"beam_size = {cfg.beam.beam_size} (set "
+                                  f"by {where}) holds more hypotheses than "
+                                  f"memory does ({exc})") from None
         for i, result in zip(idx, found):
             results[i] = result
     lines = []

@@ -10,20 +10,20 @@ prefixes carry -inf without ever producing NaN.
 The search is incremental and batched over hypotheses and utterances.
 It takes the encoder output of a padded batch of utterances, as
 S2SModel.encode gives it (one utterance is a batch of one). The decoder
-and the LM carry a cached state with one row per live hypothesis of
-every utterance in the batch (`init_state`, `step`, `select`), and the
-CTC scorer holds the batch's posteriors from one pass of the CTC head,
-so each beam step makes one decoder call, one LM call and one CTC call,
-each covering every live hypothesis and every token. The Transformer
-decoder's step runs on plain arrays, and its cache is copied once per
-step: select composes row maps, and the step gathers the kept rows and
-the new position into one fresh buffer (synthesis selects nothing and
-appends in place). The live prefixes are one token array, and pruning is
-one sort over the non-blank cells of every utterance that keeps each
-one's first beam_size. The finished pool, the length budget and the
-statistics stay per utterance: batch_beam_search gives each utterance
-the result a search of it alone gives, and beam_search is its
-one-utterance case.
+and the LM each carry one models.SearchState with one row per live
+hypothesis of every utterance in the batch (`init_state`, `step`,
+`select`), and the CTC scorer holds the batch's posteriors from one pass
+of the CTC head, so each beam step makes one decoder call, one LM call
+and one CTC call, each covering every live hypothesis and every token.
+The Transformer decoder's step runs on plain arrays, and its cache is
+copied once per step: select gathers the kept rows into a buffer with
+room for one more position, and the step appends the new position there
+(synthesis selects nothing and appends in place). The live prefixes are
+one token array, and pruning is one sort over the non-blank cells of
+every utterance that keeps each one's first beam_size. The finished
+pool, the length budget and the statistics stay per utterance:
+batch_beam_search gives each utterance the result a search of it alone
+gives, and beam_search is its one-utterance case.
 
 An utterance retires once no live row can reach its n-best. With
 gamma >= 0 no step raises a score: decoder and LM steps add log-softmax

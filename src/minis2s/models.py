@@ -26,24 +26,25 @@ a padded batch thus equals the unpadded run of its utterance on the real
 frames; outputs past a row's end are left as they come (the Postnet's
 are zero) and the losses never read them.
 
-Search: S2SModel and RnnLm are steppers. `init_state` starts a cached
-state, for S2SModel one row per utterance of an encoded batch of N,
+Search: S2SModel, both decoder bodies and RnnLm are steppers, and one
+SearchState is the state of every one of them. `init_state` starts it,
+for S2SModel one row per utterance of an encoded batch of N,
 `step(state, last_tokens)` consumes one token for each of B hypothesis
 rows and returns (B, V) next-token log-probabilities, and
 `state.select(rows)` keeps, reorders or repeats rows after pruning; each
-row keeps its utterance. A step computes only the new position: the LSTM
-decoder carries (h, c) per layer, and the Transformer decoder caches each
-layer's projected self-attention keys and values. The source side is
-held once per utterance, as the encoded batch lays it out (padded to
-the longest, under a key mask): the Transformer's projected source keys
-and values, the LSTM attention's encoder projection. Each utterance's
-rows attend over it as one block. An utterance whose rows select drops
-leaves the state with its source side, which is then cut to the
-longest utterance left. The LSTM
-decoder's teacher-forced forward runs the same step with one row per
-utterance. TtsModel.infer drives the same body steppers over one text,
-encoded as a batch of one, one frame group per step, and refines the
-frames with the Postnet as a batch of one.
+row keeps its utterance. select gathers the kept rows once, and a step
+computes only the new position and appends it: the LSTM decoder carries
+(h, c) per layer, and the Transformer decoder caches each layer's
+projected self-attention keys and values. The source side is held once
+per utterance, as the encoded batch lays it out (padded to the longest,
+under a key mask): the Transformer's projected source keys and values,
+the LSTM attention's encoder projection. Each utterance's rows attend
+over it as one block. An utterance whose rows select drops leaves the
+state with its source side, which is then cut to the longest utterance
+left. The LSTM decoder's teacher-forced forward runs the same step with
+one row per utterance. TtsModel.infer drives the same body steppers over
+one text, encoded as a batch of one, one frame group per step, and
+refines the frames with the Postnet as a batch of one.
 
 Fused tape nodes: each direction of a BLSTM layer and the LM's
 teacher-forced pass record one node for the whole sequence (nn.LSTM),
@@ -57,7 +58,7 @@ decoder's step runs the same kernels on plain arrays and records nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -416,30 +417,25 @@ class TransformerDecoderLayer(Module):
             lambda q: self.src_mha(q, x_e, x_e, src_mask), self.ff,
             (self.ln1, self.ln2, self.ln3))
 
-    def init_cache(self, x_e: Tensor) -> "DecoderLayerCache":
-        """The cache of N rows, one per utterance of the padded (N, n_enc,
-        d_att) encoder outputs x_e, that have consumed nothing."""
-        src = self.src_mha
-        return DecoderLayerCache(
-            src_k=x_e @ src.wk, src_v=x_e @ src.wv, t=0,
-            past=_Positions(0, (x_e.shape[0], self.self_mha.wk.shape[1])))
-
     def step(self, y: np.ndarray, cache: "DecoderLayerCache",
-             groups: "_RowGroups", src_mask: Optional[np.ndarray] = None
+             src_k: np.ndarray, src_v: np.ndarray, groups: "_RowGroups",
+             src_mask: Optional[np.ndarray] = None
              ) -> Tuple[np.ndarray, "DecoderLayerCache"]:
         """The layer's output at the next position of each row of y,
         (B, d_att), attending over the cached earlier positions and over
-        the source frames of the row's utterance, under src_mask (N, 1, 1,
-        n_enc) (None: every frame is real). Plain arrays through forward's
-        kernels, no tape op; a layer that would draw dropout masks raises."""
+        the source frames of the row's utterance, whose projected keys and
+        values src_k and src_v are (N, n_enc, H*d_att), under src_mask (N,
+        1, 1, n_enc) (None: every frame is real). Plain arrays through
+        forward's kernels, no tape op; a layer that would draw dropout
+        masks raises."""
         if self.drop.training and self.drop.rate > 0:
             raise RuntimeError("a decoder step has no dropout: use eval mode")
         grown = []
 
         def src_att(q: np.ndarray):
             # each utterance's rows query its source as one (S, d_att) block
-            out, w = _attend(self.src_mha, groups.blocks(q), cache.src_k.data,
-                             cache.src_v.data, src_mask)
+            out, w = _attend(self.src_mha, groups.blocks(q), src_k, src_v,
+                             src_mask)
             return groups.rows(out), w
 
         def self_att(h: np.ndarray):
@@ -508,47 +504,38 @@ class _Positions:
 
 @dataclass
 class DecoderLayerCache:
-    """Search-time cache of one Transformer decoder layer: the projected
-    source keys and values, (N, n_enc, H*d_att), computed once per
-    utterance and padded to the longest, and `keys` and `values`, the
-    projected self-attention keys and values of the t positions consumed
-    so far, (t, B', H*d_att) views of `past`; row b of the cache is
-    column rows[b] of them (rows None: column b). select only composes
-    row maps. grow appends in place when rows is None and no step has
-    written past t (every synthesis step), doubling a full buffer; else
-    (after a select, or a second step from one state) it gathers into a
-    fresh buffer of exact size, whose first t positions np.take fills."""
-    src_k: Tensor
-    src_v: Tensor
+    """Search-time cache of one Transformer decoder layer: `keys` and
+    `values`, the projected self-attention keys and values of the t
+    positions consumed so far, (t, B, H*d_att) views of `past`, a column
+    per row. cache[rows] gathers the given rows once, into a buffer with
+    room for one more position. grow appends in place when no step has
+    written past t (every synthesis step, and the first step after a
+    select), doubling a full buffer; else (a second step from one state)
+    it copies the t positions into a fresh buffer of exact size."""
     past: _Positions
     t: int
-    rows: Optional[np.ndarray] = None
 
     keys = property(lambda self: self.past.keys[:self.t])
     values = property(lambda self: self.past.values[:self.t])
 
-    def select(self, rows: Sequence[int], groups: "_RowGroups"
-               ) -> "DecoderLayerCache":
-        """The cache of the given rows, whose layout is groups."""
-        rows = np.asarray(rows, dtype=np.int64)
-        if self.rows is not None:
-            rows = self.rows[rows]
-        return DecoderLayerCache(groups.cut(self.src_k), groups.cut(self.src_v),
-                                 self.past, self.t, rows)
+    def __getitem__(self, rows: np.ndarray) -> "DecoderLayerCache":
+        past = _Positions(self.t + 1, (len(rows), self.past.keys.shape[-1]))
+        # mode="raise" would go through a temporary; rows are valid
+        for old, new in ((self.keys, past.keys), (self.values, past.values)):
+            np.take(old, rows, axis=1, out=new[:self.t], mode="clip")
+        past.used = self.t
+        return DecoderLayerCache(past, self.t)
 
     def grow(self, k: np.ndarray, v: np.ndarray) -> "DecoderLayerCache":
         """The cache with one more position, whose projected keys and
         values k and v, (B, H*d_att), hold one row per cache row."""
         past, t = self.past, self.t
-        append = self.rows is None and past.used == t
-        if not append or t == len(past.keys):
-            past = _Positions(max(16, 2 * t) if append else t + 1, k.shape)
-            # mode="raise" would go through a temporary; rows are valid
-            rows = np.arange(len(k)) if self.rows is None else self.rows
-            for old, new in ((self.keys, past.keys), (self.values, past.values)):
-                np.take(old, rows, axis=1, out=new[:t], mode="clip")
+        if past.used != t or t == len(past.keys):
+            past = _Positions(max(16, 2 * t) if past.used == t else t + 1,
+                              k.shape)
+            past.keys[:t], past.values[:t] = self.keys, self.values
         past.keys[t], past.values[t], past.used = k, v, t + 1
-        return DecoderLayerCache(self.src_k, self.src_v, past, t + 1)
+        return DecoderLayerCache(past, t + 1)
 
 
 class TransformerDecoderBody(Module):
@@ -578,38 +565,32 @@ class TransformerDecoderBody(Module):
             y = self.final_ln(y)
         return y
 
-    def init_state(self, x_e: Tensor, lens: np.ndarray
-                   ) -> "TransformerDecoderState":
+    def init_state(self, x_e: Tensor, lens: np.ndarray) -> "SearchState":
         """One row per utterance of the padded (N, n_enc, d_att) encoder
-        outputs, utterance i holding lens[i] real frames."""
-        return TransformerDecoderState(
-            [layer.init_cache(x_e) for layer in self.layers],
-            _RowGroups.start(lens))
+        outputs, utterance i holding lens[i] real frames: an empty cache
+        per layer, and each layer's projected source keys and values."""
+        past = (x_e.shape[0], self.layers[0].self_mha.wk.shape[1])
+        return SearchState(
+            [DecoderLayerCache(_Positions(0, past), 0) for _ in self.layers],
+            [x_e @ w for layer in self.layers
+             for w in (layer.src_mha.wk, layer.src_mha.wv)],
+            _RowGroups.start(lens), 0)
 
-    def step(self, state: "TransformerDecoderState", y: Tensor
-             ) -> Tuple[Tensor, "TransformerDecoderState"]:
+    def step(self, state: "SearchState", y: Tensor
+             ) -> Tuple[Tensor, "SearchState"]:
         """Output rows (B, d_att) at the next position; forward's last
         row for each row's prefix, with no tape op."""
         key_ok = state.groups.key_ok
         mask = None if key_ok is None else key_ok[:, None, None]
-        h, caches = y.data, []
-        for layer, cache in zip(self.layers, state.layers):
-            h, cache = layer.step(h, cache, state.groups, mask)
+        h, caches, src = y.data, [], state.source
+        for layer, cache, k, v in zip(self.layers, state.rows, src[0::2],
+                                      src[1::2]):
+            h, cache = layer.step(h, cache, k.data, v.data, state.groups, mask)
             caches.append(cache)
         if self.final_ln is not None:
             h = _array_norm(self.final_ln)(h)
-        return Tensor(h), TransformerDecoderState(caches, state.groups)
-
-
-@dataclass
-class TransformerDecoderState:
-    layers: List[DecoderLayerCache]
-    groups: "_RowGroups"             # each row's utterance and its frames
-
-    def select(self, rows: Sequence[int]) -> "TransformerDecoderState":
-        groups = self.groups.select(rows)
-        return TransformerDecoderState(
-            [c.select(rows, groups) for c in self.layers], groups)
+        return Tensor(h), SearchState(caches, src, state.groups,
+                                      state.pos + 1)
 
 
 class AdditiveAttention(Module):
@@ -639,25 +620,6 @@ class AdditiveAttention(Module):
                                               T.MASK_BIAS))
         alpha = T.softmax(scores)
         return groups.rows(alpha @ x_e), alpha
-
-
-@dataclass
-class LstmDecoderState:
-    """Per utterance the encoder output, (N, n_enc, d_att) padded to the
-    longest, and its attention projection, (N, 1, n_enc, d_att); per
-    layer the (h, c) rows, one per hypothesis; groups gives each row's
-    utterance and each utterance's frames."""
-    x_e: Tensor
-    enc_proj: Tensor
-    groups: "_RowGroups"
-    h: List[Tensor]
-    c: List[Tensor]
-
-    def select(self, rows: Sequence[int]) -> "LstmDecoderState":
-        groups = self.groups.select(rows)
-        return LstmDecoderState(groups.cut(self.x_e), groups.cut(self.enc_proj),
-                                groups, h=[_take_rows(t, rows) for t in self.h],
-                                c=[_take_rows(t, rows) for t in self.c])
 
 
 class LstmDecoderBody(Module):
@@ -695,35 +657,66 @@ class LstmDecoderBody(Module):
         out = T.concat(outs, axis=0)
         return out[np.arange(n_steps) * n_b + np.arange(n_b)[:, None]]
 
-    def init_state(self, x_e: Tensor, lens) -> LstmDecoderState:
+    def init_state(self, x_e: Tensor, lens) -> "SearchState":
         """Rows that have consumed nothing, one per utterance of the padded
         (N, n_enc, d_att) encoder outputs, utterance i holding lens[i]
-        real frames."""
+        real frames: each layer's h, then each layer's c, and as the
+        source x_e and its attention projection, (N, 1, n_enc, d_att)."""
         n_utt, n_enc, d = x_e.shape
         enc_proj = self.attention.precompute(x_e).reshape(n_utt, 1, n_enc, d)
         zeros = [Tensor(np.zeros((n_utt, self.d_att))) for _ in self.cells]
-        return LstmDecoderState(x_e, enc_proj, _RowGroups.start(lens),
-                                h=zeros, c=list(zeros))
+        return SearchState(zeros + zeros, [x_e, enc_proj],
+                           _RowGroups.start(lens), 0)
 
-    def step(self, state: LstmDecoderState, y: Tensor
-             ) -> Tuple[Tensor, LstmDecoderState]:
+    def step(self, state: "SearchState", y: Tensor
+             ) -> Tuple[Tensor, "SearchState"]:
         """Output rows (B, d_att) for input rows y (B, d_att)."""
         out, state, _ = self._step(state, y)
         return out, state
 
-    def _step(self, state: LstmDecoderState, y: Tensor):
+    def _step(self, state: "SearchState", y: Tensor):
+        n = len(self.cells)
+        x_e, enc_proj = state.source
         # each utterance's rows attend over its frames as one block
-        ctx, alpha = self.attention(state.enc_proj, state.x_e, state.h[-1],
+        ctx, alpha = self.attention(enc_proj, x_e, state.rows[n - 1],
                                     state.groups)
         inp = T.concat([y, ctx], axis=1)
         hs, cs = [], []
-        for cell, h, c in zip(self.cells, state.h, state.c):
+        for cell, h, c in zip(self.cells, state.rows[:n], state.rows[n:]):
             h, c = cell(inp, h, c)
             hs.append(h)
             cs.append(c)
             inp = h
         out = T.tanh(self.out(T.concat([hs[-1], ctx], axis=1)))
-        return out, replace(state, h=hs, c=cs), alpha
+        return out, SearchState(hs + cs, state.source, state.groups,
+                                state.pos + 1), alpha
+
+
+@dataclass
+class SearchState:
+    """The state of every stepper (S2SModel, either decoder body, RnnLm)
+    over B hypothesis rows. `rows` holds per-row values that x[rows]
+    gathers: each LSTM layer's h, then each layer's c, or one
+    DecoderLayerCache per Transformer layer. `source` holds per-utterance
+    tensors that groups.cut trims: each Transformer layer's projected
+    source keys and values, or the LSTM decoder's encoder output and its
+    attention projection. `groups` gives each row's utterance and each
+    utterance's frames (None for the LM, which reads no source), and
+    `pos` the tokens each row has consumed."""
+    rows: list
+    source: list
+    groups: Optional["_RowGroups"]
+    pos: int
+
+    def select(self, rows: Sequence[int]) -> "SearchState":
+        """The state of the given rows, kept, reordered or repeated after
+        pruning, each gathered once; an utterance left without rows
+        leaves the source."""
+        rows = np.asarray(rows, dtype=np.int64)
+        groups = None if self.groups is None else self.groups.select(rows)
+        return SearchState([x[rows] for x in self.rows],
+                           [groups.cut(s) for s in self.source], groups,
+                           self.pos)
 
 
 class _RowGroups:
@@ -787,11 +780,6 @@ class _RowGroups:
         if self.one_row:
             return x.reshape(self.shape[0], x.shape[-1])
         return x[self.utt, self.slot]
-
-
-def _take_rows(t: Tensor, rows: Sequence[int]) -> Tensor:
-    """Rows of a search-time state (repeats allowed); no gradient."""
-    return Tensor(t.data[rows])
 
 
 # ------------------------------------------------------------- task models
@@ -860,36 +848,23 @@ class S2SModel(Module):
             raise ConfigError("this model has no CTC head")
         return T.log_softmax(self.ctc_post(enc.x_e))
 
-    def init_state(self, enc: EncodedSequence) -> "DecoderState":
+    def init_state(self, enc: EncodedSequence) -> SearchState:
         """Search state of N hypotheses, row i over row i of the encoded
         batch, that have consumed nothing yet; the first step consumes the
         start-of-sequence id."""
         with T.no_grad():
-            return DecoderState(0, self.dec_body.init_state(enc.x_e,
-                                                            enc.n_sub))
+            return self.dec_body.init_state(enc.x_e, enc.n_sub)
 
-    def step(self, state: "DecoderState", last_tokens
-             ) -> Tuple[np.ndarray, "DecoderState"]:
+    def step(self, state: SearchState, last_tokens
+             ) -> Tuple[np.ndarray, SearchState]:
         """Consume one token per hypothesis row: returns the (B, V)
         next-token log-probabilities, row b equal to the last row of
         decode_logprobs over row b's prefix, and the grown state."""
         with T.no_grad():
             y = self.dec_pre.step(last_tokens, state.pos)
-            y_d, body = self.dec_body.step(state.body, y)
+            y_d, state = self.dec_body.step(state, y)
             lp = T.log_softmax(self.dec_post(y_d))
-        return lp.data, DecoderState(state.pos + 1, body)
-
-
-@dataclass
-class DecoderState:
-    """Search state of a batch of hypotheses: the number of tokens each
-    has consumed and the decoder body's per-row cache. select(rows)
-    reorders or repeats rows after the beam is pruned."""
-    pos: int
-    body: object
-
-    def select(self, rows: Sequence[int]) -> "DecoderState":
-        return DecoderState(self.pos, self.body.select(rows))
+        return lp.data, state
 
 
 @dataclass
@@ -1107,28 +1082,19 @@ class RnnLm(Module):
         ids, lens = _pad_ids(ys_in)
         return T.log_softmax(self.out(self.lstm(self.embed(ids), lens)))
 
-    def init_state(self) -> "LmState":
+    def init_state(self) -> SearchState:
+        """One row, (h, c) zero, that has consumed nothing."""
         zero = Tensor(np.zeros((1, self.lstm.d_hidden)))
-        return LmState(h=zero, c=zero)
+        return SearchState([zero, zero], [], None, 0)
 
-    def step(self, state: "LmState", last_tokens
-             ) -> Tuple[np.ndarray, "LmState"]:
+    def step(self, state: SearchState, last_tokens
+             ) -> Tuple[np.ndarray, SearchState]:
         """Consume one token per row; the (B, V) rows equal the last row
         of full_logprobs over each row's prefix."""
         with T.no_grad():
-            h, c = self.lstm.cell(self.embed(list(last_tokens)),
-                                  state.h, state.c)
+            h, c = self.lstm.cell(self.embed(list(last_tokens)), *state.rows)
             lp = T.log_softmax(self.out(h))
-        return lp.data, LmState(h, c)
-
-
-@dataclass
-class LmState:
-    h: Tensor
-    c: Tensor
-
-    def select(self, rows: Sequence[int]) -> "LmState":
-        return LmState(_take_rows(self.h, rows), _take_rows(self.c, rows))
+        return lp.data, SearchState([h, c], [], None, state.pos + 1)
 
 
 def build_model(config: ModelConfig):

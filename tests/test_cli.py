@@ -1014,6 +1014,42 @@ def test_a_model_too_large_to_allocate_exits_one(
     assert int(peak_kb) < 256 * 1024
 
 
+def test_a_beam_too_large_to_search_exits_one(workspace, tmp_path):
+    # a child process under a 2 GB address-space limit decodes with a huge
+    # beam, set once in a model.cfg and once by --beam: the live rows
+    # multiply every step until an allocation fails, and decode refuses
+    # the beam, naming where it was set
+    huge = 9999999999999
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text(with_key((workspace / "run" / "model.cfg").read_text(
+        encoding="utf-8"), "beam_size", huge), encoding="utf-8")
+    decode = ["decode", "--ckpt", str(workspace / "run" / "avg.esc"),
+              "--data", str(workspace / "data")]
+    cases = [(str(cfg), decode + ["--config", str(cfg)]),
+             ("--beam", decode + ["--beam", str(huge)])]
+    argvs = [argv + ["--out", str(tmp_path / f"{i}.out")]
+             for i, (_, argv) in enumerate(cases)]
+    script = ("import contextlib, io, json, resource\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+              "from minis2s.cli import main\n"
+              "def run(argv):\n"
+              "    with contextlib.redirect_stderr(io.StringIO()) as err:\n"
+              "        return main(argv), err.getvalue()\n"
+              f"print(json.dumps([run(argv) for argv in {argvs!r}]))\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    for i, ((where, _), (code, err)) in enumerate(
+            zip(cases, json.loads(done.stdout.splitlines()[-1]))):
+        assert code == 1, err
+        assert err.startswith(f"config error: beam_size = {huge} (set by "
+                              f"{where}) holds more hypotheses than memory "
+                              "does"), err
+        assert "Traceback" not in err
+        assert not (tmp_path / f"{i}.out").exists()
+
+
 def test_no_draw_leaves_the_generator_alone():
     # a build for a checkpoint of 10 values draws nothing, and charges
     # each parameter against twice that before allocating it: up to there

@@ -192,8 +192,10 @@ damage = st.tuples(st.sampled_from(RUN_FILES), st.integers(0, 2 ** 16),
 
 # one value of a model.cfg overwritten with a decimal of up to 13 digits,
 # which may take a model over its checkpoint's size. The run's beam_size
-# is left out: a huge beam grows the search's rows without bound (a FOUND
-# line of CHANGES.md).
+# is left out: a huge beam multiplies the search's rows until an
+# allocation fails, and this target runs in process, under no memory
+# limit. test_cli.py's test_a_beam_too_large_to_search_exits_one checks
+# that refusal in a memory-limited child.
 numbers = st.tuples(st.sampled_from(("run/model.cfg", "lm/model.cfg")),
                     st.integers(0, 2 ** 16), st.integers(0, 10 ** 13 - 1))
 

@@ -311,3 +311,33 @@ def test_scan_flags_numpy_wrapper_calls():
                      "    def mean(self): return tmean(self)\n")
     assert sorted(numpy_wrapper_calls(tree)) == [("f", 3), ("f", 4), ("f", 5),
                                                  ("f", 6)]
+
+
+def select_methods(tree: ast.Module):
+    """(class, line) of every method named `select`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and item.name == "select"):
+                    yield node.name, item.lineno
+
+
+def test_one_search_state_selects_rows():
+    # every stepper's state is a SearchState, whose select is the one
+    # way to keep, reorder or repeat rows; _RowGroups.select lays the
+    # kept rows out by utterance for it
+    path = SRC / "models.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert sorted(name for name, _ in select_methods(tree)) == [
+        "SearchState", "_RowGroups"]
+
+
+def test_scan_flags_select_methods():
+    tree = ast.parse("class SearchState:\n"
+                     "    def select(self, rows): pass\n"
+                     "class Cache:\n"
+                     "    def grow(self): pass\n"
+                     "    def select(self, rows): pass\n"
+                     "def select(rows): pass\n")
+    assert list(select_methods(tree)) == [("SearchState", 2), ("Cache", 5)]

@@ -450,8 +450,8 @@ def test_ended_utterance_leaves_the_state():
         ref = ref.select([0, 0, 1, 1])
         _, ref = model.step(ref, [SOS_EOS_ID] * 4)
         ref = ref.select([2, 0, 3, 1])
-        source = (state.body.layers[0].src_k if body == "transformer"
-                  else state.body.x_e)
+        # each Transformer layer's source keys first, or the LSTM's x_e
+        source = state.source[0]
         assert source.shape[:2] == (2, subsample_length(13))
         for tokens in ([3, 4, 5, 6], [6, 6, 3, 3]):
             rows, state = model.step(state, tokens)
@@ -462,8 +462,8 @@ def test_ended_utterance_leaves_the_state():
 def test_search_cache_grows_as_concat_then_take():
     # three utterances; between steps, selects reorder, repeat and drop
     # rows and drop whole utterances (the second, then the third), and
-    # twice come two in a row, so row maps compose. After every step each
-    # layer's keys and values equal, bit for bit, a reference that
+    # twice come two in a row, each gathering its rows. After every step
+    # each layer's keys and values equal, bit for bit, a reference that
     # concatenates the new position and then gathers the selected rows,
     # and each row is the last row of decode_logprobs over its prefix
     model = S2SModel(toy_cfg(d=2, d_head=3, seed=44))
@@ -482,12 +482,11 @@ def test_search_cache_grows_as_concat_then_take():
     ref = [(np.zeros((3, 0, 24)),) * 2] * 2
     for step in range(len(plan) + 1):
         rows, state = model.step(state, last)
-        caches = state.body.layers
+        caches = state.rows
         ref = [(np.concatenate([k, c.keys[-1][:, None]], axis=1),
                 np.concatenate([v, c.values[-1][:, None]], axis=1))
                for c, (k, v) in zip(caches, ref)]
         for c, (k, v) in zip(caches, ref):
-            assert c.rows is None
             np.testing.assert_array_equal(np.swapaxes(c.keys, 0, 1), k)
             np.testing.assert_array_equal(np.swapaxes(c.values, 0, 1), v)
         for row, (u, prefix) in zip(rows, hyps):
@@ -505,8 +504,99 @@ def test_search_cache_grows_as_concat_then_take():
     assert {u for u, _ in hyps} == {0} and ref[0][0].shape[:2] == (3, 5)
 
 
+# the steppers whose one SearchState the property below drives: the
+# Transformer body under each normalization and source residual, the rnn
+# body, and the LM
+STEPPERS = ([dict(normalize=n, src_residual=r)
+             for n in ("pre", "post", "none")
+             for r in ("paper", "conventional")] + [dict(body="rnn"), "lm"])
+
+
+@st.composite
+def search_plans(draw):
+    """A stepper, 1-3 utterances of unequal frame counts, and per step the
+    row maps applied before it (repeating, reordering and dropping rows,
+    and so whole utterances) and the token each row then consumes; the
+    first step consumes the start id."""
+    case = draw(st.integers(0, len(STEPPERS) - 1))
+    lens = draw(st.lists(st.integers(4, 24), min_size=1, max_size=3,
+                         unique=True))
+    b, plan = len(lens), []
+    for i in range(draw(st.integers(1, 4))):
+        orders = []
+        for _ in range(draw(st.integers(0, 2))):
+            orders.append(draw(st.lists(st.integers(0, b - 1), min_size=1,
+                                        max_size=6)))
+            b = len(orders[-1])
+        tokens = st.just(SOS_EOS_ID) if i == 0 else st.integers(0, 6)
+        plan.append((orders, draw(st.lists(tokens, min_size=b, max_size=b))))
+    return case, lens, plan
+
+
+def test_search_state_select_keeps_every_stepper_exact():
+    # every step's rows are the last rows of the teacher-forced pass over
+    # each row's prefix, the source holds the utterances left, and the
+    # Transformer's keys and values equal a concatenate-then-take
+    # reference bit for bit
+    models_ = {}
+
+    def stepper(case):
+        if case not in models_:
+            kw = STEPPERS[case]
+            models_[case] = (build_model(ModelConfig(
+                task="lm", vocab_size=7, d_att=6, seed=52)) if kw == "lm"
+                else S2SModel(toy_cfg(**kw, d=2, d_head=3, seed=53)))
+            models_[case].eval()
+        return models_[case]
+
+    @settings(PROPERTY, max_examples=150)
+    @given(search_plans())
+    def check(plan):
+        case, lens, steps = plan
+        model, kw = stepper(case), STEPPERS[case]
+        xs = [feats(n, seed=54 + n).data for n in lens]
+        if kw == "lm":
+            state = model.init_state().select([0] * len(xs))
+            full = lambda u, ys: model.full_logprobs([ys])
+        else:
+            state = model.init_state(model.encode(*pad_sequences(xs)))
+            encs = [model.encode(*pad_sequences([x])) for x in xs]
+            full = lambda u, ys: model.decode_logprobs(encs[u], [ys])
+        hyps = [(u, ()) for u in range(len(xs))]       # (utterance, prefix)
+        # the Transformer's keys and values per layer, (B, t, H*d_att)
+        ref = (None if kw == "lm" or "body" in kw
+               else [(np.zeros((len(xs), 0, 24)),) * 2] * 2)
+        for orders, tokens in steps:
+            for order in orders:
+                state = state.select(order)
+                hyps = [hyps[j] for j in order]
+                if ref is not None:
+                    ref = [(k[order], v[order]) for k, v in ref]
+            rows, state = model.step(state, tokens)
+            hyps = [(u, p + (tok,)) for (u, p), tok in zip(hyps, tokens)]
+            if state.source:
+                # the source holds the utterances with rows, cut to the
+                # longest of them
+                live = {u for u, _ in hyps}
+                assert state.source[0].shape[:2] == (len(live), max(
+                    subsample_length(lens[u]) for u in live))
+            with T.no_grad():
+                for row, (u, prefix) in zip(rows, hyps):
+                    np.testing.assert_allclose(
+                        row, full(u, list(prefix)).data[0, -1], rtol=0,
+                        atol=1e-9)
+            if ref is not None:
+                ref = [(np.concatenate([k, c.keys[-1][:, None]], axis=1),
+                        np.concatenate([v, c.values[-1][:, None]], axis=1))
+                       for c, (k, v) in zip(state.rows, ref)]
+                for c, (k, v) in zip(state.rows, ref):
+                    assert np.array_equal(np.swapaxes(c.keys, 0, 1), k)
+                    assert np.array_equal(np.swapaxes(c.values, 0, 1), v)
+    check()
+
+
 def test_synthesis_step_appends_in_place_and_keeps_earlier_states():
-    # one row and no row map, as in every synthesis step: a state stepped
+    # one row and no select, as in every synthesis step: a state stepped
     # twice with different inputs, once with room in its buffer and once
     # when the buffer doubles, gives two results that each equal a fresh
     # run's outputs, keys and values bit for bit, the first intact after
@@ -524,19 +614,19 @@ def test_synthesis_step_appends_in_place_and_keeps_earlier_states():
             out, state = body.step(state, y)
         return out.data, state
 
-    cap = len(run(ys[:1])[1].layers[0].past.keys)
+    cap = len(run(ys[:1])[1].rows[0].past.keys)
     assert 1 < cap < 38
     for n in (cap - 1, cap):
         _, state = run(ys[:n])
         first, after_first = body.step(state, ys[n])
         second, after_second = body.step(state, ys[n + 1])
-        in_place = after_first.layers[0].past is state.layers[0].past
+        in_place = after_first.rows[0].past is state.rows[0].past
         assert in_place == (n < cap)
         for out, after, y in ((first, after_first, ys[n]),
                               (second, after_second, ys[n + 1])):
             want, ref = run(ys[:n] + [y])
             np.testing.assert_array_equal(out.data, want)
-            for c, r in zip(after.layers, ref.layers):
+            for c, r in zip(after.rows, ref.rows):
                 assert c.t == n + 1
                 np.testing.assert_array_equal(c.keys, r.keys)
                 np.testing.assert_array_equal(c.values, r.values)

@@ -1,26 +1,30 @@
-"""Same outputs: a commit's `decode` and `synth` against this checkout's,
-on the same checkpoints.
+"""Same outputs: a commit's training, `decode` and `synth` against this
+checkout's.
 
     python3 tools/same_outputs.py --ref REF [--seeds 1 3]
 
-Trains, with this checkout's code, perfbench's decode-asr set-up
+Generates the corpora and trains perfbench's decode-asr set-up
 (transformer-toy, rnn-toy and a fusion LM on its fixed-shape corpus) for
 each seed, the same three models on the default toy corpus (seed 0), and
-perfbench's tts-toy run. Then runs REF, from a `git archive` copy as
-tools/pairs.py makes it, and this checkout on those checkpoints:
+perfbench's tts-toy run, once with this checkout's code and once with
+REF's, from a `git archive` copy as tools/pairs.py makes it. Every
+training artifact (TRAINED: `log.csv`, `ckpt-*.esc`, `avg.esc`,
+`lm.esc`) of the two trees is compared. Then REF and this checkout both
+run, on this checkout's checkpoints:
 
 - `decode --beam 8 --nbest 8` of both ASR models, with and without
   `--lm`, on each test split;
 - `synth` of the tts test texts at 40 frames, of the first five at 320
   and of the first at 4,000 (LONGEST), EOS stopping off.
 
-Compares every output file byte for byte, prints one line per file, and
-exits 1 if any differs or any command fails. The temporary directory is
-removed at the end, also when a command fails.
+Compares every file byte for byte, prints one line per file, and exits 1
+if any differs or is missing on one side, or any command fails. The
+temporary directory is removed at the end, also when a command fails.
 """
 
 import argparse
 import filecmp
+import fnmatch
 import json
 import os
 import shutil
@@ -32,6 +36,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 from workloads import DecodeAsr, Tts, write_text  # noqa: E402
+
+# the training artifacts compared, as file name patterns
+TRAINED = ("log.csv", "ckpt-*.esc", "avg.esc", "lm.esc")
 
 # frames of the one long synth, whose decoder steps attend over 2,000
 # cached positions at tts-toy's r = 2
@@ -90,6 +97,43 @@ def tts_outputs(root: str):
             for utt, text in items]
 
 
+def setup(work: str, seeds):
+    """The commands that generate every corpus and train every model
+    under work, and the (output name, argv) of every decode of them."""
+    commands, outputs = [], []
+    corpora = [(f"seed{s}", s, DecodeAsr.SHAPE) for s in seeds]
+    for name, seed, shape in corpora + [("toy", 0, "")]:
+        commands += asr_setup(f"{work}/{name}", seed, shape)
+        outputs += asr_outputs(f"{work}/{name}")
+    tts = f"{work}/tts"
+    spec = write_text(tts + ".spec", "task = tts\nseed = 1\n")
+    cfg = write_text(tts + ".cfg",
+                     f"preset = tts-toy\nepochs = {Tts.EPOCHS}\n")
+    commands += [["gen-data", "--spec", spec, "--out", f"{tts}/data"],
+                 ["train", "--config", cfg, "--data", f"{tts}/data",
+                  "--out", f"{tts}/run"]]
+    return commands, outputs
+
+
+def trained(work: str):
+    """The path, relative to work, of every training artifact under it."""
+    return {os.path.relpath(os.path.join(top, name), work)
+            for top, _, names in os.walk(work) for name in names
+            if any(fnmatch.fnmatch(name, p) for p in TRAINED)}
+
+
+def compare(pairs) -> int:
+    """Prints a line per (name, ref path, this path); the count that
+    differ or are missing on one side."""
+    differ = 0
+    for name, ref, this in pairs:
+        same = (os.path.isfile(ref) and os.path.isfile(this)
+                and filecmp.cmp(ref, this, shallow=False))
+        differ += not same
+        print(f"{'same' if same else 'DIFFERS'}  {name}")
+    return differ
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--ref", required=True, help="commit to compare")
@@ -103,44 +147,38 @@ def main(argv=None) -> int:
         archive = subprocess.run(["git", "archive", args.ref], cwd=ROOT,
                                  check=True, capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", ref], input=archive, check=True)
-        work = os.path.join(tmp, "work")
-        os.mkdir(work)
-        setup, outputs = [], []
-        corpora = [(f"seed{s}", s, DecodeAsr.SHAPE) for s in args.seeds]
-        for name, seed, shape in corpora + [("toy", 0, "")]:
-            setup += asr_setup(f"{work}/{name}", seed, shape)
-            outputs += asr_outputs(f"{work}/{name}")
-        tts = f"{work}/tts"
-        spec = write_text(tts + ".spec", "task = tts\nseed = 1\n")
-        cfg = write_text(tts + ".cfg",
-                         f"preset = tts-toy\nepochs = {Tts.EPOCHS}\n")
-        setup += [["gen-data", "--spec", spec, "--out", f"{tts}/data"],
-                  ["train", "--config", cfg, "--data", f"{tts}/data",
-                   "--out", f"{tts}/run"]]
-        print(f"training {len(setup)} set-up steps with this checkout",
-              flush=True)
-        run_all(os.path.join(ROOT, "src"), setup)
-        outputs += tts_outputs(tts)
+        work, ref_work = os.path.join(tmp, "work"), os.path.join(tmp,
+                                                                 "ref-work")
+        # this checkout's set-up comes last, so its decodes are the ones
+        # both sides run
+        for side, root, src in (("ref", ref_work, os.path.join(ref, "src")),
+                                ("this", work, os.path.join(ROOT, "src"))):
+            os.mkdir(root)
+            commands, outputs = setup(root, args.seeds)
+            print(f"training {len(commands)} set-up steps with {side}",
+                  flush=True)
+            run_all(src, commands)
+        outputs += tts_outputs(f"{work}/tts")
         for side, src in (("ref", os.path.join(ref, "src")),
                           ("this", os.path.join(ROOT, "src"))):
             os.mkdir(os.path.join(tmp, side + "-out"))
             run_all(src, [cmd + ["--out", os.path.join(tmp, side + "-out",
                                                        name)]
                           for name, cmd in outputs])
-        differ = 0
-        for name, _ in outputs:
-            same = filecmp.cmp(os.path.join(tmp, "ref-out", name),
-                               os.path.join(tmp, "this-out", name),
-                               shallow=False)
-            differ += not same
-            print(f"{'same' if same else 'DIFFERS'}  {name}")
+        names = sorted(trained(work) | trained(ref_work))
+        files = ([(n, os.path.join(ref_work, n), os.path.join(work, n))
+                  for n in names]
+                 + [(n, os.path.join(tmp, "ref-out", n),
+                     os.path.join(tmp, "this-out", n)) for n, _ in outputs])
+        differ = compare(files)
     except subprocess.CalledProcessError as exc:
         print(f"failed: {exc}", file=sys.stderr)
         return 1
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
-    print(f"\n{len(outputs) - differ} of {len(outputs)} outputs of "
-          f"{args.ref} (ref) and this checkout are byte-identical")
+    print(f"\n{len(files) - differ} of {len(files)} files of {args.ref} "
+          f"(ref) and this checkout ({len(names)} trained, "
+          f"{len(outputs)} decoded or synthesized) are byte-identical")
     return 1 if differ else 0
 
 
