@@ -38,3 +38,9 @@ pairs:
 .PHONY: same-outputs
 same-outputs:
 	python3 tools/same_outputs.py --ref $(REF)
+
+# The functions and lines of src/minis2s that small copies of the
+# benchmark's commands never run, traced per line.
+.PHONY: traffic
+traffic:
+	python3 tools/traffic.py

@@ -1,67 +1,28 @@
-"""Evaluation metrics: Levenshtein error counts, corpus WER/CER, and
-corpus BLEU with add-1 smoothing above unigrams."""
+"""Evaluation metrics: the Levenshtein distance, corpus WER/CER (summed
+distances over summed reference lengths), and corpus BLEU with add-1
+smoothing above unigrams."""
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from .errors import DataError
 
 
-@dataclass
-class EditCounts:
-    sub: int = 0
-    ins: int = 0
-    dele: int = 0
-
-    @property
-    def errors(self) -> int:
-        return self.sub + self.ins + self.dele
-
-
-def edit_distance(ref: Sequence, hyp: Sequence) -> EditCounts:
-    """Unit-cost Levenshtein alignment with the operation breakdown.
-
-    The pair is canonicalized before the DP, so swapping the arguments
-    swaps ins with dele exactly and keeps sub, regardless of how the
-    DP breaks ties.
-    """
-    if (len(hyp), [str(t) for t in hyp]) < (len(ref), [str(t) for t in ref]):
-        counts = _edit_dp(hyp, ref)
-        return EditCounts(sub=counts.sub, ins=counts.dele, dele=counts.ins)
-    return _edit_dp(ref, hyp)
-
-
-def _edit_dp(ref: Sequence, hyp: Sequence) -> EditCounts:
-    # ties prefer match/substitution, then deletion, then insertion
-    n, m = len(ref), len(hyp)
-    # dp[i][j] = (total, sub, ins, dele) for ref[:i] vs hyp[:j]
-    dp: List[List[Tuple[int, int, int, int]]] = \
-        [[(0, 0, 0, 0)] * (m + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        dp[i][0] = (i, 0, 0, i)
-    for j in range(1, m + 1):
-        dp[0][j] = (j, 0, j, 0)
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            t, s, a, d = dp[i - 1][j - 1]
-            if ref[i - 1] == hyp[j - 1]:
-                best = (t, s, a, d)
-            else:
-                best = (t + 1, s + 1, a, d)
-            t, s, a, d = dp[i - 1][j]
-            if t + 1 < best[0]:
-                best = (t + 1, s, a, d + 1)
-            t, s, a, d = dp[i][j - 1]
-            if t + 1 < best[0]:
-                best = (t + 1, s, a + 1, d)
-            dp[i][j] = best
-    total, s, a, d = dp[n][m]
-    assert total == s + a + d
-    return EditCounts(sub=s, ins=a, dele=d)
+def edit_distance(ref: Sequence, hyp: Sequence) -> int:
+    """Unit-cost Levenshtein distance: the fewest substitutions,
+    insertions and deletions that turn ref into hyp. One DP row, updated
+    in place: before row[j] is overwritten it holds the distance of
+    ref[:i-1] to hyp[:j], and `diag` that of ref[:i-1] to hyp[:j-1]."""
+    row = list(range(len(hyp) + 1))
+    for i, r in enumerate(ref, 1):
+        diag, row[0] = row[0], i
+        for j, h in enumerate(hyp, 1):
+            diag, row[j] = row[j], min(diag + (r != h), row[j] + 1,
+                                       row[j - 1] + 1)
+    return row[-1]
 
 
 def _as_units(entry, char_level: bool) -> List:
@@ -82,7 +43,7 @@ def _corpus_rate(refs: Sequence, hyps: Sequence, char_level: bool) -> float:
     for ref, hyp in zip(refs, hyps):
         r = _as_units(ref, char_level)
         h = _as_units(hyp, char_level)
-        total_err += edit_distance(r, h).errors
+        total_err += edit_distance(r, h)
         total_len += len(r)
     if total_len == 0:
         raise DataError("empty reference corpus")
@@ -90,7 +51,7 @@ def _corpus_rate(refs: Sequence, hyps: Sequence, char_level: bool) -> float:
 
 
 def wer(refs: Sequence, hyps: Sequence) -> float:
-    """Corpus rate over word tokens: summed errors / summed ref lengths."""
+    """Corpus rate over word tokens: summed distances / summed ref lengths."""
     return _corpus_rate(refs, hyps, char_level=False)
 
 

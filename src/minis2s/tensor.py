@@ -235,23 +235,6 @@ def _fits(shape: tuple, target: tuple) -> bool:
                              for n, t in zip(shape, target[lead:]))
 
 
-def _broadcast_check(a_shape: tuple, b_shape: tuple) -> None:
-    """numpy broadcasting rules; the common pairings (identical shapes,
-    a scalar, a (d,) row vector against (n, d)) skip the general check,
-    which asks whether b fits the shape that takes a's dims, and b's
-    where a's are 1 or missing. a always fits that shape."""
-    if a_shape == b_shape or a_shape == () or b_shape == ():
-        return
-    if len(a_shape) == 2 and b_shape == (a_shape[1],):
-        return
-    if len(b_shape) == 2 and a_shape == (b_shape[1],):
-        return
-    n = max(len(a_shape), len(b_shape))
-    a, b = ((1,) * (n - len(s)) + s for s in (a_shape, b_shape))
-    if not _fits(b_shape, tuple(y if x == 1 else x for x, y in zip(a, b))):
-        raise DimensionError(f"incompatible shapes {a_shape} and {b_shape}")
-
-
 def _reduce_to(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a broadcast gradient back down to the operand's shape."""
     if g.shape == shape:
@@ -266,18 +249,29 @@ def _reduce_to(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.sum(axis=axes).reshape(shape)
 
 
+def _broadcast(op, a: Tensor, b: Tensor) -> np.ndarray:
+    """op(a, b) on the arrays under numpy's broadcasting; shapes it cannot
+    broadcast raise DimensionError."""
+    try:
+        return op(a.data, b.data)
+    except ValueError:
+        raise DimensionError(f"incompatible shapes {a.shape} and {b.shape}") \
+            from None
+
+
 def _add(a: Tensor, b) -> Tensor:
+    """a + b: a tensor b broadcasts as numpy does, a number adds to every
+    entry."""
     if isinstance(b, Tensor):
-        _broadcast_check(a.shape, b.shape)
-        return _result(a.data + b.data, (a, b),
+        return _result(_broadcast(np.add, a, b), (a, b),
                        lambda: (lambda g: _reduce_to(g, a.shape),
                                 lambda g: _reduce_to(g, b.shape)))
     return from_op(a, a.data + float(b), lambda g: g)
 
 
 def _mul(a: Tensor, b: Tensor) -> Tensor:
-    _broadcast_check(a.shape, b.shape)
-    return _result(a.data * b.data, (a, b),
+    """Elementwise a * b, broadcast as numpy does."""
+    return _result(_broadcast(np.multiply, a, b), (a, b),
                    lambda: (lambda g: _reduce_to(g * b.data, a.shape),
                             lambda g: _reduce_to(g * a.data, b.shape)))
 
@@ -285,14 +279,6 @@ def _mul(a: Tensor, b: Tensor) -> Tensor:
 def _scale(a: Tensor, c) -> Tensor:
     c = float(c)
     return from_op(a, a.data * c, lambda g: g * c)
-
-
-def _weight_grad(x: np.ndarray, dz: np.ndarray) -> np.ndarray:
-    """x^T dz, the weight gradient of rows x (n, k) whose outputs got dz.
-    One row makes it an outer product, which np.multiply forms faster than
-    a K = 1 gemm; each entry is a single product either way, so the two
-    agree bit for bit."""
-    return np.multiply(x.T, dz) if x.shape[0] == 1 else x.T @ dz
 
 
 def matmul_kernel(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -318,8 +304,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if bd.ndim == 2:
         return _result(matmul_kernel(ad, bd), (a, b), lambda: (
             lambda g: (g.reshape(-1, g.shape[-1]) @ b.data.T).reshape(a.shape),
-            lambda g: _weight_grad(ad.reshape(-1, ad.shape[-1]),
-                                   g.reshape(-1, g.shape[-1]))))
+            lambda g: (ad.reshape(-1, ad.shape[-1]).T
+                       @ g.reshape(-1, g.shape[-1]))))
     try:
         data = np.matmul(ad, bd)
     except ValueError:
@@ -816,8 +802,8 @@ def lstm_cell(x: Tensor, h: Tensor, c: Tensor, w_ih: Tensor, w_hh: Tensor,
         return (lambda g: back(g)[0] @ w_ih.data.T,
                 lambda g: back(g)[0] @ w_hh.data.T,
                 lambda g: back(g)[1],
-                lambda g: _weight_grad(x.data, back(g)[0]),
-                lambda g: _weight_grad(h.data, back(g)[0]),
+                lambda g: x.data.T @ back(g)[0],
+                lambda g: h.data.T @ back(g)[0],
                 lambda g: back(g)[0].sum(axis=0))
 
     return _result(np.concatenate([h_new, c_new], axis=1),

@@ -303,17 +303,24 @@ def average_checkpoints(paths: Sequence[str]) -> Checkpoint:
     """Arithmetic mean per parameter; optimizer state plays no part.
 
     Inputs are canonicalized by path so any permutation of the same
-    files produces bit-identical output.
+    files produces bit-identical output. Checkpoints whose parameter
+    names or shapes disagree raise DataError naming both files.
     """
     if not paths:
         raise DataError("no checkpoints to average")
-    ckpts = [load_checkpoint(p) for p in sorted(paths)]
-    names = list(ckpts[0].params)
-    for c in ckpts[1:]:
-        if list(c.params) != names:
-            raise DataError("checkpoints disagree on parameter names")
+    paths = sorted(paths)
+    ckpts = [load_checkpoint(p) for p in paths]
+    first = ckpts[0].params
+    for path, c in zip(paths[1:], ckpts[1:]):
+        if list(c.params) != list(first):
+            raise DataError(f"checkpoints {paths[0]} and {path} disagree on "
+                            f"parameter names")
+        for name, value in c.params.items():
+            if value.shape != first[name].shape:
+                raise DataError(f"{name}: shape {first[name].shape} in "
+                                f"{paths[0]}, {value.shape} in {path}")
     out: "OrderedDict[str, np.ndarray]" = OrderedDict()
-    for name in names:
+    for name in first:
         out[name] = np.stack([c.params[name] for c in ckpts]).mean(axis=0)
     return Checkpoint(params=out, epoch=max(c.epoch for c in ckpts))
 

@@ -318,6 +318,24 @@ def test_avg_ckpt_matches_training_average(workspace, tmp_path):
     assert set(a.params) == set(b.params)
 
 
+@pytest.mark.parametrize("b_params", [{"w": np.zeros((3, 2))},
+                                      {"v": np.zeros((2, 3))}])
+def test_avg_ckpt_refuses_disagreeing_checkpoints(tmp_path, capsys,
+                                                  b_params):
+    a, b, out = tmp_path / "a.esc", tmp_path / "b.esc", tmp_path / "o.esc"
+    save_checkpoint(str(a), {"w": np.zeros((2, 3))})
+    save_checkpoint(str(b), b_params)
+    capsys.readouterr()
+    assert main(["avg-ckpt", "--out", str(out), str(b), str(a)]) == 2
+    err = capsys.readouterr().err
+    assert "data error: " in err and str(a) in err and str(b) in err
+    if "w" in b_params:
+        assert "w: shape (2, 3)" in err and "(3, 2)" in err
+    else:
+        assert "disagree on parameter names" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_report_summary(workspace, capsys):
     assert main(["report", "--log", str(workspace / "run" / "log.csv")]) == 0
     out = capsys.readouterr().out

@@ -1,9 +1,12 @@
 """Data formats, toy generators, and metric tests."""
 
+import functools
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minis2s.data import (ToySpec, Utterance, Vocab, bigram_swap, gen_toy,
                           load_dataset, read_feature_file, read_manifest,
@@ -11,7 +14,7 @@ from minis2s.data import (ToySpec, Utterance, Vocab, bigram_swap, gen_toy,
                           write_feature_file, write_manifest,
                           write_transcripts, _prototypes)
 from minis2s.errors import ConfigError, DataError
-from minis2s.metrics import EditCounts, bleu, cer, edit_distance, wer
+from minis2s.metrics import bleu, cer, edit_distance, wer
 from minis2s.models import subsample_length
 from minis2s.reserved import BLANK_ID, N_RESERVED, RESERVED_TOKENS, UNK_ID
 
@@ -232,20 +235,16 @@ def test_load_dataset_missing_split(tmp_path):
 
 
 def test_edit_identical():
-    c = edit_distance(list("abc"), list("abc"))
-    assert (c.sub, c.ins, c.dele) == (0, 0, 0)
+    assert edit_distance(list("abc"), list("abc")) == 0
 
 
 def test_edit_single_substitution():
-    c = edit_distance("a b c".split(), "a x c".split())
-    assert (c.sub, c.ins, c.dele) == (1, 0, 0)
+    assert edit_distance("a b c".split(), "a x c".split()) == 1
 
 
 def test_edit_pure_deletion_and_insertion():
-    c = edit_distance(["a"], [])
-    assert (c.sub, c.ins, c.dele) == (0, 0, 1)
-    c = edit_distance([], ["a"])
-    assert (c.sub, c.ins, c.dele) == (0, 1, 0)
+    assert edit_distance(["a"], []) == 1
+    assert edit_distance([], ["a"]) == 1
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -253,12 +252,32 @@ def test_edit_swap_symmetry(seed):
     rng = np.random.default_rng(seed)
     ref = [int(t) for t in rng.integers(0, 4, size=rng.integers(0, 9))]
     hyp = [int(t) for t in rng.integers(0, 4, size=rng.integers(0, 9))]
-    a = edit_distance(ref, hyp)
-    b = edit_distance(hyp, ref)
-    assert a.sub == b.sub
-    assert a.ins == b.dele
-    assert a.dele == b.ins
-    assert a.errors == b.errors
+    assert edit_distance(ref, hyp) == edit_distance(hyp, ref)
+
+
+def _levenshtein(a: tuple, b: tuple) -> int:
+    """The distance by its recursive definition, memoised: drop a's last
+    unit, b's last unit, or both (at cost 1 unless they are equal)."""
+    @functools.lru_cache(maxsize=None)
+    def d(i, j):
+        if i == 0 or j == 0:
+            return i + j
+        return min(d(i - 1, j) + 1, d(i, j - 1) + 1,
+                   d(i - 1, j - 1) + (a[i - 1] != b[j - 1]))
+    return d(len(a), len(b))
+
+
+units = st.lists(st.integers(0, 3), max_size=9)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(units, units)
+def test_edit_distance_is_the_levenshtein_distance(ref, hyp):
+    got = edit_distance(ref, hyp)
+    assert got == _levenshtein(tuple(ref), tuple(hyp))
+    assert got == edit_distance(hyp, ref)
+    assert (got == 0) == (ref == hyp)
+    assert got <= max(len(ref), len(hyp))
 
 
 def test_wer_hand_cases():

@@ -6,6 +6,7 @@ never a traceback. The tape's broadcast rule accepts exactly the shapes
 numpy broadcasts, with numpy as the oracle. The searches are
 derandomized, so every run draws the same examples."""
 
+import operator
 import struct
 
 import numpy as np
@@ -311,9 +312,11 @@ def test_operands_broadcast_exactly_when_numpy_broadcasts_them(shapes):
     try:
         want = np.broadcast_shapes(a_shape, b_shape)
     except ValueError:
-        with pytest.raises(DimensionError) as err:
-            a + b
-        assert f"incompatible shapes {a_shape} and {b_shape}" \
-            in str(err.value)
+        for op in (operator.add, operator.mul):
+            with pytest.raises(DimensionError) as err:
+                op(a, b)
+            assert f"incompatible shapes {a_shape} and {b_shape}" \
+                in str(err.value)
         return
     assert (a + b).shape == (b + a).shape == want
+    assert (a * b).shape == (b * a).shape == want
