@@ -25,7 +25,8 @@ bench:
 
 # Alternating benchmark pairs of commit REF against this checkout on
 # workload W, seeds 1..N: every run, each side's median and quartiles per
-# end-to-end metric, and the pairs this checkout wins.
+# end-to-end metric, and the pairs this checkout wins; the same record goes
+# to BENCH_$(W).json at the checkout root.
 REF ?= HEAD
 N ?= 10
 .PHONY: pairs

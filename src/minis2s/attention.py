@@ -1,5 +1,7 @@
 """Multi-head attention, causal masking and sinusoidal positional
-encodings.
+encodings. add_positional_encoding is the one positional add of every
+forward and every search or synthesis step: plain, or scaled by a
+learnable alpha, from any start position.
 
 Masking convention: a mask is a boolean array, (n_q, n_k) or anything
 that broadcasts to the (..., H, n_q, n_k) weights, where True marks an
@@ -68,24 +70,17 @@ def positional_encoding(max_len: int, d_att: int) -> np.ndarray:
 _pe_cache: dict = {}
 
 
-def positional_rows(n: int, d: int) -> np.ndarray:
-    """PE[:n] for width d, from a table cached per width."""
-    if n > MAX_PE_LEN:
-        raise DimensionError(f"sequence of {n} frames exceeds the positional "
-                             f"encoding cap of {MAX_PE_LEN}")
+def add_positional_encoding(x: Tensor, alpha: Optional[Tensor] = None,
+                            start: int = 0) -> Tensor:
+    """x + PE[start:start+n], or x + alpha * PE[start:start+n] with a
+    learnable scalar alpha, for every row of a batch x (B, n, d): the
+    rows a forward gives positions start.. of its sequences. The table is
+    built once per width d."""
+    n, d = x.shape[-2:]
+    if start + n > MAX_PE_LEN:
+        raise DimensionError(f"sequence of {start + n} frames exceeds the "
+                             f"positional encoding cap of {MAX_PE_LEN}")
     if d not in _pe_cache:
         _pe_cache[d] = positional_encoding(MAX_PE_LEN, d)
-    return _pe_cache[d][:n]
-
-
-def add_positional_encoding(x: Tensor) -> Tensor:
-    """x + PE[:n] for every row of a batch x (B, n, d)."""
-    n, d = x.shape[-2:]
-    return x + Tensor(positional_rows(n, d))
-
-
-def scaled_positional_encoding(x: Tensor, alpha: Tensor) -> Tensor:
-    """x + alpha * PE[:n] with a learnable scalar alpha, for every row of
-    a batch x (B, n, d)."""
-    n, d = x.shape[-2:]
-    return x + alpha * Tensor(positional_rows(n, d))
+    pe = Tensor(_pe_cache[d][start:start + n])
+    return x + (pe if alpha is None else alpha * pe)

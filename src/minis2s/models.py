@@ -33,18 +33,19 @@ for S2SModel one row per utterance of an encoded batch of N,
 rows and returns (B, V) next-token log-probabilities, and
 `state.select(rows)` keeps, reorders or repeats rows after pruning; each
 row keeps its utterance. select gathers the kept rows once, and a step
-computes only the new position and appends it: the LSTM decoder carries
-(h, c) per layer, and the Transformer decoder caches each layer's
-projected self-attention keys and values. The source side is held once
-per utterance, as the encoded batch lays it out (padded to the longest,
-under a key mask): the Transformer's projected source keys and values,
-the LSTM attention's encoder projection. Each utterance's rows attend
-over it as one block. An utterance whose rows select drops leaves the
-state with its source side, which is then cut to the longest utterance
-left. The LSTM decoder's teacher-forced forward runs the same step with
-one row per utterance. TtsModel.infer drives the same body steppers over
-one text, encoded as a batch of one, one frame group per step, and
-refines the frames with the Postnet as a batch of one.
+computes only the new position (the token front end's forward at the
+state's position) and appends it: the LSTM decoder carries (h, c) per
+layer, the Transformer decoder each layer's self-attention keys and
+values. The source side is held once per utterance, as the encoded batch
+lays it out (padded to the longest, under a key mask): the Transformer's
+projected source keys and values, the LSTM attention's encoder
+projection. Each utterance's rows attend over it as one block. An
+utterance whose rows select drops leaves the state with its source side,
+which is then cut to the longest utterance left. The LSTM decoder's
+teacher-forced forward runs the same step with one row per utterance.
+TtsModel.infer drives the same body steppers over one text, encoded as a
+batch of one, one frame group per step, and refines the frames with the
+Postnet as a batch of one.
 
 Fused tape nodes: each direction of a BLSTM layer and the LM's
 teacher-forced pass record one node for the whole sequence (nn.LSTM),
@@ -58,7 +59,7 @@ decoder's step runs the same kernels on plain arrays and records nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -118,14 +119,6 @@ class EncodedSequence:
     meaning."""
     x_e: Tensor
     n_sub: np.ndarray
-
-
-@dataclass
-class DecoderRecords:
-    """Source-attention weights of one forward, one (B, H, n_dec, n_enc)
-    tape tensor per decoder layer; the LSTM decoder's single head gives
-    H = 1."""
-    src_att: List[Tensor] = field(default_factory=list)
 
 
 def pad_sequences(seqs: Sequence[np.ndarray]) -> Tuple[Tensor, np.ndarray]:
@@ -288,25 +281,14 @@ class TokenFrontEnd(Module):
         self.scale = float(np.sqrt(d_att))
         self.alpha = parameter((), np.ones) if scaled_pe else None
 
-    def forward(self, ids: np.ndarray) -> Tensor:
-        """(B, n, d_att) rows for a (B, n) array of ids."""
+    def forward(self, ids: np.ndarray, start: int = 0) -> Tensor:
+        """(B, n, d_att) rows for a (B, n) array of ids at positions
+        start..start+n-1; a search step is one id per row."""
         if np.ndim(ids) != 2:
             raise DimensionError(f"the token front end takes a (B, n) id "
                                  f"array, got shape {np.shape(ids)}")
         y = self.embed(ids) * self.scale
-        if self.alpha is not None:
-            y = A.scaled_positional_encoding(y, self.alpha)
-        else:
-            y = A.add_positional_encoding(y)
-        return self.drop(y)
-
-    def step(self, ids, pos: int) -> Tensor:
-        """One row per id, every row at position pos: the rows forward
-        gives position pos of each id's sequence."""
-        y = self.embed(list(ids)) * self.scale
-        pe = Tensor(A.positional_rows(pos + 1, y.shape[1])[pos])
-        y = y + (self.alpha * pe if self.alpha is not None else pe)
-        return self.drop(y)
+        return self.drop(A.add_positional_encoding(y, self.alpha, start))
 
 
 # ------------------------------------------------------------- bodies
@@ -550,17 +532,18 @@ class TransformerDecoderBody(Module):
         self.final_ln = LayerNorm(d_att) if normalize == "pre" else None
 
     def forward(self, y0: Tensor, x_e: Tensor, src_lens,
-                records: Optional[DecoderRecords] = None) -> Tensor:
+                records: Optional[list] = None) -> Tensor:
         """Teacher-forced outputs (B, t, d_att) for inputs y0 (B, t, d_att)
         over a padded batch of encodings x_e (B, n_enc, d_att) whose rows
-        hold src_lens real frames."""
+        hold src_lens real frames. Given a list records, each layer
+        appends its (B, H, t, n_enc) source-attention weights to it."""
         mask = A.causal_mask(y0.shape[-2])
         src_mask = _key_mask(x_e.shape[-2], src_lens)
         y = y0
         for layer in self.layers:
             y, w = layer(y, x_e, mask, src_mask)
             if records is not None:
-                records.src_att.append(w)
+                records.append(w)
         if self.final_ln is not None:
             y = self.final_ln(y)
         return y
@@ -638,8 +621,9 @@ class LstmDecoderBody(Module):
         self.d_att = d_att
 
     def forward(self, y0: Tensor, x_e: Tensor, src_lens,
-                records: Optional[DecoderRecords] = None) -> Tensor:
-        """Takes and returns what TransformerDecoderBody.forward does."""
+                records: Optional[list] = None) -> Tensor:
+        """Takes and returns what TransformerDecoderBody.forward does; its
+        one attention appends one record, H = 1."""
         # x_e goes in unreshaped, so the gradient terms of every step add
         # straight into it, in tape order with its other users' terms
         state = self.init_state(x_e, src_lens)
@@ -652,7 +636,7 @@ class LstmDecoderBody(Module):
             alphas.append(alpha)
         if records is not None:         # (B, t, n_enc), a head axis per row
             att = T.concat(alphas, axis=1)
-            records.src_att.append(att.reshape((n_b, 1) + att.shape[1:]))
+            records.append(att.reshape((n_b, 1) + att.shape[1:]))
         # step-major rows -> (B, t, d_att)
         out = T.concat(outs, axis=0)
         return out[np.arange(n_steps) * n_b + np.arange(n_b)[:, None]]
@@ -832,7 +816,7 @@ class S2SModel(Module):
         return EncodedSequence(x_e=self.enc_body(x0, n_sub), n_sub=n_sub)
 
     def decode_logprobs(self, enc: EncodedSequence, ys_in,
-                        records: Optional[DecoderRecords] = None) -> Tensor:
+                        records: Optional[list] = None) -> Tensor:
         """Log-probabilities for each next token given the prefix so far,
         (B, n_max, V): ys_in holds one sequence of input ids per row of
         the encoded batch, each starting with the start-of-sequence id,
@@ -861,8 +845,8 @@ class S2SModel(Module):
         next-token log-probabilities, row b equal to the last row of
         decode_logprobs over row b's prefix, and the grown state."""
         with T.no_grad():
-            y = self.dec_pre.step(last_tokens, state.pos)
-            y_d, state = self.dec_body.step(state, y)
+            y = self.dec_pre(np.asarray(last_tokens)[:, None], state.pos)
+            y_d, state = self.dec_body.step(state, y[:, 0])
             lp = T.log_softmax(self.dec_post(y_d))
         return lp.data, state
 
@@ -875,7 +859,7 @@ class TtsForward:
     coarse: Tensor        # (B, N_max, feat_dim), frame rate
     refined: Tensor       # (B, N_max, feat_dim)
     eos_logits: Tensor    # (B, S_max), decoder rate
-    records: DecoderRecords
+    records: List[Tensor]  # per layer, (B, H, S_max, n_enc) source attention
     target: np.ndarray    # (B, N_max, feat_dim) r-padded, zero past n_pad
     n_pad: np.ndarray     # frames per row, a multiple of r
     n_steps: np.ndarray   # decoder steps per row, n_pad // r
@@ -912,14 +896,14 @@ class Postnet(Module):
     def __init__(self, feat_dim: int, channels: int, n_layers: int,
                  dropout_rate: float, rng: np.random.Generator):
         super().__init__()
-        convs, norms = [], []
+        convs = []
         for i in range(n_layers):
             c_in = feat_dim if i == 0 else channels
             c_out = feat_dim if i == n_layers - 1 else channels
             convs.append(Conv1d(c_in, c_out, 5, rng, stride=1, padding=2))
-            norms.append(LayerNorm(c_out) if i < n_layers - 1 else None)
         self.convs = ModuleList(convs)
-        self.norms = ModuleList([n for n in norms if n is not None])
+        self.norms = ModuleList([LayerNorm(channels)
+                                 for _ in range(n_layers - 1)])
         self.n_layers = n_layers
         self.drop = Dropout(dropout_rate)
 
@@ -1000,9 +984,9 @@ class TtsModel(Module):
         s_max = n_max // r
         prev = np.zeros((n_b, s_max, feat_dim))
         prev[:, 1:] = target[:, r - 1:(s_max - 1) * r:r]
-        records = DecoderRecords()
+        records = []
         y0 = self.prenet(Tensor(prev))
-        y0 = A.scaled_positional_encoding(y0, self.dec_alpha)
+        y0 = A.add_positional_encoding(y0, self.dec_alpha)
         y_d = self.dec_body(y0, enc.x_e, enc.n_sub, records=records)
         coarse = self.feat_head(y_d).reshape(n_b, n_max, feat_dim)
         eos_logits = self.eos_head(y_d).reshape(n_b, s_max)
@@ -1035,8 +1019,8 @@ class TtsModel(Module):
             enc = self.encode([token_ids])
             state = self.dec_body.init_state(enc.x_e, enc.n_sub)
             for step in range(max_steps):
-                y0 = self.prenet(Tensor(prev)) + self.dec_alpha * Tensor(
-                    A.positional_rows(step + 1, self.config.d_att)[step:])
+                y0 = A.add_positional_encoding(self.prenet(Tensor(prev)),
+                                               self.dec_alpha, start=step)
                 y_d, state = self.dec_body.step(state, y0)
                 groups.append(self.feat_head(y_d).data.reshape(r, feat_dim))
                 prev = groups[-1][-1:]
@@ -1047,14 +1031,14 @@ class TtsModel(Module):
             refined = (coarse + self.postnet(coarse, [coarse.shape[1]])).data
         return refined[0, :max_frames], reason
 
-    def guided_attention_records(self, records: DecoderRecords,
+    def guided_attention_records(self, records: List[Tensor],
                                  n_layers: int = 2, n_heads: int = 2
                                  ) -> Tensor:
         """Default selection for the guided attention loss: the first
         n_heads heads of each of the last n_layers source-attention
         records of a batch, side by side as (B, K, n_dec, n_enc)."""
         picked = [w if w.shape[1] <= n_heads else w[:, :n_heads]
-                  for w in records.src_att[-n_layers:]]
+                  for w in records[-n_layers:]]
         return picked[0] if len(picked) == 1 else T.concat(picked, axis=1)
 
 

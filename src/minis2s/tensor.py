@@ -139,14 +139,8 @@ class Tensor:
     def __add__(self, other):
         return _add(self, other)
 
-    def __radd__(self, other):
-        return _add(self, other)
-
     def __sub__(self, other):
         return _add(self, _scale(other, -1.0) if isinstance(other, Tensor) else -other)
-
-    def __rsub__(self, other):
-        return _add(_scale(self, -1.0), other)
 
     def __neg__(self):
         return _scale(self, -1.0)
@@ -155,9 +149,6 @@ class Tensor:
         if isinstance(other, Tensor):
             return _mul(self, other)
         return _scale(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
 
     def __truediv__(self, other):
         if isinstance(other, Tensor):

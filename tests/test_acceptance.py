@@ -29,15 +29,15 @@ import pytest
 from mpmath import mp
 
 from minis2s import tensor as T
-from minis2s.attention import multi_head_attention, scaled_positional_encoding
+from minis2s.attention import add_positional_encoding, multi_head_attention
 from minis2s.config import experiment_from_items
 from minis2s.data import ToySpec, Utterance, gen_toy, toy_vocab
 from minis2s.decoding import BeamConfig, CtcPrefixScorer, beam_search
 from minis2s.errors import ConfigError
 from minis2s.losses import ctc_log_likelihood, ctc_min_frames
 from minis2s.metrics import bleu, cer, wer
-from minis2s.models import (DecoderRecords, ModelConfig, S2SModel, TtsModel,
-                            build_model, pad_sequences)
+from minis2s.models import (ModelConfig, S2SModel, TtsModel, build_model,
+                            pad_sequences)
 from minis2s.nn import LSTM, LSTMCell
 from minis2s.reserved import SOS_EOS_ID
 from minis2s.tensor import Tensor, grad_check
@@ -199,7 +199,7 @@ def _op_suite(seed: int):
          [y, wq, wk, wv, w_head], max_coords=4, rng=seed)
     pe_x, alpha = rnd((5, 8)), rnd(())
     case("scaled-positional-encoding",
-         lambda pe_x, alpha: (scaled_positional_encoding(pe_x, alpha)
+         lambda pe_x, alpha: (add_positional_encoding(pe_x, alpha)
                               * pe_x).sum(), [pe_x, alpha])
     lstm = LSTM(4, 5, np.random.default_rng(seed))
     lx = rnd((1, 4, 4))
@@ -284,10 +284,10 @@ def test_a01_gradient_suite():
 
         def f_asr(*_):
             enc = model.encode(x, [8])
-            recs = DecoderRecords()
+            recs = []
             lp = model.decode_logprobs(enc, [ys], records=recs)
             ctc = model.ctc_logprobs(enc)
-            att = recs.src_att[-1][0, 0]
+            att = recs[-1][0, 0]
             return (lp[0, np.arange(3), np.array([3, 5, SOS_EOS_ID])].sum()
                     + (ctc * R).sum() + (att * R2).sum())
 

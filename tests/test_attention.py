@@ -12,8 +12,8 @@ from mpmath import mp
 
 from minis2s import attention as A
 from minis2s import tensor as T
-from minis2s.attention import (causal_mask, multi_head_attention,
-                               positional_encoding, scaled_positional_encoding)
+from minis2s.attention import (add_positional_encoding, causal_mask,
+                               multi_head_attention, positional_encoding)
 from minis2s.errors import DimensionError
 from minis2s.tensor import Tensor, backward, grad_check
 
@@ -477,11 +477,30 @@ def test_pe_cap_enforced():
         A.add_positional_encoding(Tensor(np.zeros((4097, 8))))
 
 
+@pytest.mark.parametrize("alpha", [None, 0.6])
+def test_pe_start_offsets_the_rows(alpha):
+    """A slice of x added from position a equals rows a:b of the add over
+    all of x, bit for bit."""
+    x = rnd((3, 12, 6), 41).data
+    alpha = None if alpha is None else Tensor(alpha)
+    full = add_positional_encoding(Tensor(x), alpha).data
+    for a, b in ((0, 5), (1, 2), (7, 12)):
+        part = add_positional_encoding(Tensor(x[:, a:b]), alpha, start=a)
+        np.testing.assert_array_equal(part.data, full[:, a:b])
+
+
+def test_pe_cap_counts_the_start():
+    add_positional_encoding(Tensor(np.zeros((1, 2, 8))), start=4094)
+    for n, start in ((1, 4096), (2, 4095)):
+        with pytest.raises(DimensionError, match="4097"):
+            add_positional_encoding(Tensor(np.zeros((1, n, 8))), start=start)
+
+
 def test_scaled_pe_alpha_zero_and_one():
     x = rnd((7, 6), 39)
-    zero = scaled_positional_encoding(x, Tensor(0.0))
+    zero = add_positional_encoding(x, Tensor(0.0))
     np.testing.assert_array_equal(zero.data, x.data)
-    one = scaled_positional_encoding(x, Tensor(1.0))
+    one = add_positional_encoding(x, Tensor(1.0))
     np.testing.assert_allclose(one.data, A.add_positional_encoding(x).data,
                                rtol=0, atol=0)
 
@@ -491,7 +510,7 @@ def test_scaled_pe_alpha_gets_gradient():
     alpha = Tensor(1.0, requires_grad=True)
 
     def f(x, alpha):
-        y = scaled_positional_encoding(x, alpha)
+        y = add_positional_encoding(x, alpha)
         return (y * y).sum()
 
     assert grad_check(f, [x, alpha]) < 1e-5

@@ -15,9 +15,9 @@ from minis2s import models
 from minis2s import tensor as T
 from minis2s.config import experiment_from_items
 from minis2s.errors import ConfigError, DataError, DimensionError
-from minis2s.models import (BlstmEncoderBody, ConvSubsampler, DecoderRecords,
-                            LstmDecoderBody, ModelConfig, Prenet, Postnet,
-                            S2SModel, TokenFrontEnd, TransformerDecoderBody,
+from minis2s.models import (BlstmEncoderBody, ConvSubsampler, LstmDecoderBody,
+                            ModelConfig, Prenet, Postnet, S2SModel,
+                            TokenFrontEnd, TransformerDecoderBody,
                             TransformerDecoderLayer, TransformerEncoderBody,
                             TtsModel, VggSubsampler, build_model, conv_len,
                             pad_sequences, subsample_length)
@@ -91,6 +91,20 @@ def test_token_front_end_empty_oov_and_pe_difference():
     pe = A.positional_encoding(3, 8)
     np.testing.assert_allclose(out[0] - out[2], pe[0] - pe[2],
                                rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("scaled_pe", [False, True])
+def test_token_front_end_start_offsets_the_positions(scaled_pe):
+    fe = TokenFrontEnd(vocab_size=9, d_att=8, dropout_rate=0.0,
+                       rng=np.random.default_rng(3), scaled_pe=scaled_pe)
+    fe.eval()
+    if scaled_pe:
+        fe.alpha.data[...] = 0.6
+    ids = np.random.default_rng(4).integers(0, 9, size=(3, 10))
+    full = fe(ids).data
+    for a, b in ((0, 4), (1, 2), (7, 10)):
+        np.testing.assert_array_equal(fe(ids[:, a:b], a).data,
+                                      full[:, a:b])
 
 
 # ------------------------------------------------------------- enc bodies
@@ -220,17 +234,17 @@ def test_lstm_decoder_attention_normalized_and_single_frame():
     body = LstmDecoderBody(2, 6, rng)
     x_e = one(feats(5, dim=6, seed=25))
     y0 = one(feats(4, dim=6, seed=26))
-    recs = DecoderRecords()
+    recs = []
     out = body(y0, x_e, [5], records=recs)
     assert out.shape == (1, 4, 6)
-    assert recs.src_att[0].shape == (1, 1, 4, 5)
-    w = recs.src_att[0].data[0, 0]
+    assert recs[0].shape == (1, 1, 4, 5)
+    w = recs[0].data[0, 0]
     np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-9)
 
     frame = Tensor(x_e.data[:, 2:3].copy())
-    recs1 = DecoderRecords()
+    recs1 = []
     body(y0, frame, [1], records=recs1)
-    np.testing.assert_allclose(recs1.src_att[0].data, 1.0, atol=0)
+    np.testing.assert_allclose(recs1[0].data, 1.0, atol=0)
 
 
 def test_lstm_decoder_grad():
@@ -296,10 +310,10 @@ def test_end_to_end_asr_grad_both_bodies():
 
         def f(*_):
             enc = encode_one(model, x)
-            recs = DecoderRecords()
+            recs = []
             lp = model.decode_logprobs(enc, [ys], records=recs)
             ctc = model.ctc_logprobs(enc)
-            att = recs.src_att[-1][0, 0]
+            att = recs[-1][0, 0]
             return (lp[0, np.arange(3), np.array([3, 5, SOS_EOS_ID])].sum()
                     + (ctc * R).sum() + (att * R2).sum())
 
@@ -850,7 +864,7 @@ def test_forward_teacher_padded_rows_equal_unpadded_runs(body):
         np.testing.assert_allclose(fwd.eos_logits.data[b, :s],
                                    alone.eos_logits.data[0], rtol=0,
                                    atol=1e-12)
-        for w, w_alone in zip(fwd.records.src_att, alone.records.src_att):
+        for w, w_alone in zip(fwd.records, alone.records):
             np.testing.assert_allclose(w.data[b, :, :s, :k], w_alone.data[0],
                                        rtol=0, atol=1e-12)
             assert not w.data[b, :, :s, k:].any()
@@ -967,7 +981,7 @@ def test_tts_guided_attention_selection():
     # 2 heads x last 2 layers, decoder steps x encoder positions
     assert sel.shape == (1, 4, 2, 3)
     np.testing.assert_array_equal(
-        sel.data[0], np.concatenate([w.data[0] for w in fb.records.src_att[1:]]))
+        sel.data[0], np.concatenate([w.data[0] for w in fb.records[1:]]))
 
     rnn = TtsModel(tts_cfg(body="rnn", d=2))
     rnn.eval()

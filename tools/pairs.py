@@ -12,6 +12,10 @@ end-to-end metric that BENCHMARK.json declares, and the pairs the
 checkout wins on each (ties count for neither side). The temporary
 directory is removed at the end, also when a run fails.
 
+A finished campaign also writes BENCH_<workload>.json at the checkout
+root (see `campaign_record`): both commits, every run in the order it
+ran, each side's perfbench environment, and the summary printed here.
+
 The two copies differ in their code alone: run from the checkout itself,
 the parent's own code read slower than from an archive of it. Both
 sides also start from the same bytecode state: each gets a fresh
@@ -60,9 +64,10 @@ def copy_checkout(dst: str) -> None:
 
 
 def bench(root: str, env: dict, workload: str, seed: int,
-          seconds: int) -> dict:
-    """One benchmark run in the copy at root: its result object,
-    whose metrics map each name to {"value": ..., "unit": ...}."""
+          seconds: int) -> tuple:
+    """One benchmark run in the copy at root: its result object, whose
+    metrics map each name to {"value": ..., "unit": ...}, and the
+    environment perfbench reported (Python, numpy, BLAS, nproc)."""
     run = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds)],
@@ -71,7 +76,13 @@ def bench(root: str, env: dict, workload: str, seed: int,
     if run.returncode != 0 or not lines:
         raise RuntimeError(f"perfbench in {root} (seed {seed}) exited "
                            f"{run.returncode}: {run.stderr.strip()}")
-    return json.loads(lines[-1])
+    tag = "perfbench env "
+    bench_env = json.loads(next(x for x in lines
+                                if x.startswith(tag))[len(tag):])
+    # the copies are no git checkouts, and the seed is kept per run
+    for key in ("commit", "seed"):
+        bench_env.pop(key, None)
+    return json.loads(lines[-1]), bench_env
 
 
 def quartiles(values):
@@ -80,6 +91,42 @@ def quartiles(values):
         return (values[0],) * 3
     q1, q2, q3 = statistics.quantiles(values, n=4)
     return q1, q2, q3
+
+
+def campaign_record(workload: str, commits: dict, dirty: bool,
+                    run_seconds, envs: dict, runs: list,
+                    metrics: dict) -> dict:
+    """The BENCH_<workload>.json object of a campaign. commits maps "ref"
+    and "this" to commit ids, dirty says whether the checkout differed
+    from its commit, envs maps each side to its perfbench environment,
+    runs lists every run as {"order", "seed", "side", "correct",
+    "metrics"} in the order they ran, and metrics maps each end-to-end
+    name to "lower" or "higher", the better direction. The summary
+    gives per metric each side's median and quartiles and the pairs
+    (same seed) each side wins; ties count for neither."""
+    summary = {}
+    for name, better in metrics.items():
+        by_side = {side: {r["seed"]: r["metrics"][name] for r in runs
+                          if r["side"] == side} for side in ("ref", "this")}
+        seeds = sorted(set(by_side["ref"]) & set(by_side["this"]))
+        sign = 1 if better == "higher" else -1
+        diffs = [sign * (by_side["this"][s] - by_side["ref"][s])
+                 for s in seeds]
+        summary[name] = {"better": better,
+                         "pairs": len(seeds),
+                         "wins": {"ref": sum(d < 0 for d in diffs),
+                                  "this": sum(d > 0 for d in diffs)}}
+        for side, values in by_side.items():
+            q1, q2, q3 = quartiles(list(values.values()))
+            summary[name][side] = {"median": q2, "q1": q1, "q3": q3}
+    return {"workload": workload, "commits": commits, "dirty": dirty,
+            "run_seconds": run_seconds, "env": envs, "runs": runs,
+            "summary": summary}
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True,
+                          capture_output=True, text=True).stdout.strip()
 
 
 def main(argv=None) -> int:
@@ -94,9 +141,13 @@ def main(argv=None) -> int:
         spec = json.load(fh)
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
 
+    commits = {"ref": git("rev-parse", f"{args.ref}^{{commit}}"),
+               "this": git("rev-parse", "HEAD")}
+    # the files a campaign writes do not count as a change
+    dirty = bool(git("status", "--porcelain", "--", ".", ":!BENCH_*.json"))
     tmp = tempfile.mkdtemp(prefix="pairs-")
     roots = {side: os.path.join(tmp, side) for side in ("ref", "this")}
-    runs = {"ref": [], "this": []}
+    runs, bench_envs = [], {}
     try:
         os.mkdir(roots["ref"])
         archive = subprocess.run(["git", "archive", args.ref], cwd=ROOT,
@@ -109,27 +160,34 @@ def main(argv=None) -> int:
         for seed in range(1, args.pairs + 1):
             order = ["ref", "this"] if seed % 2 else ["this", "ref"]
             for side in order:
-                result = bench(roots[side], envs[side], args.workload, seed,
-                               spec["run_seconds"])
+                result, bench_envs[side] = bench(
+                    roots[side], envs[side], args.workload, seed,
+                    spec["run_seconds"])
                 values = {k: result["metrics"][k]["value"] for k in metrics}
-                runs[side].append(values)
+                runs.append({"order": len(runs) + 1, "seed": seed,
+                             "side": side, "correct": result["correct"],
+                             "metrics": values})
                 print(f"seed {seed} {side:4} correct={result['correct']} "
                       + " ".join(f"{k}={v:.4g}" for k, v in values.items()),
                       flush=True)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
+    record = campaign_record(args.workload, commits, dirty,
+                             spec["run_seconds"], bench_envs, runs, metrics)
+    path = os.path.join(ROOT, f"BENCH_{args.workload}.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=1, sort_keys=True)
+        fh.write("\n")
     print(f"\n{args.workload}: {args.ref} (ref) against this checkout, "
           f"{args.pairs} pairs; median [q1, q3]")
-    for name, better in metrics.items():
-        ref = [r[name] for r in runs["ref"]]
-        this = [r[name] for r in runs["this"]]
-        sign = 1 if better == "higher" else -1
-        wins = sum(sign * (b - a) > 0 for a, b in zip(ref, this))
-        (r1, r2, r3), (t1, t2, t3) = quartiles(ref), quartiles(this)
-        print(f"{name:24} ref {r2:.4g} [{r1:.4g}, {r3:.4g}]  "
-              f"this {t2:.4g} [{t1:.4g}, {t3:.4g}]  "
-              f"this better in {wins}/{args.pairs}")
+    for name, m in record["summary"].items():
+        r, t = m["ref"], m["this"]
+        print(f"{name:24} ref {r['median']:.4g} [{r['q1']:.4g}, "
+              f"{r['q3']:.4g}]  this {t['median']:.4g} [{t['q1']:.4g}, "
+              f"{t['q3']:.4g}]  this better in {m['wins']['this']}/"
+              f"{args.pairs}")
+    print(f"wrote {path}")
     return 0
 
 
