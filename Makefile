@@ -10,10 +10,11 @@ lines:
 	@cat src/minis2s/*.py | wc -l
 
 # The same lines split into docstring, comment, blank and code lines, from
-# each module's AST and tokens: the code-line delta ROADMAP.md asks for.
+# each module's AST and tokens, for commit REF's committed modules and for
+# this checkout's, with each delta: the deltas ROADMAP.md asks for.
 .PHONY: code-lines
 code-lines:
-	@python3 tools/code_lines.py
+	@python3 tools/code_lines.py --ref $(REF)
 
 # One run of a benchmark workload (train-asr, decode-asr or tts), for the
 # alternating parent/change pairs a speed claim reports.

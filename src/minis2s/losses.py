@@ -12,8 +12,7 @@ denominator either way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -21,17 +20,6 @@ from . import tensor as T
 from .errors import DimensionError, ImpossibleAlignmentError
 from .reserved import BLANK_ID
 from .tensor import Tensor
-
-
-@dataclass
-class LossReport:
-    """Per-step loss bookkeeping written to the training log."""
-
-    total: float = 0.0
-    components: Dict[str, float] = field(default_factory=dict)
-
-    def component(self, name: str) -> float:
-        return self.components.get(name, 0.0)
 
 
 def s2s_cross_entropy(log_probs: Tensor, targets: Sequence,

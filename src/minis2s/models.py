@@ -294,11 +294,24 @@ class TokenFrontEnd(Module):
 # ------------------------------------------------------------- bodies
 
 
-def _norm(d_att: int, normalize: str):
-    """A sublayer's LayerNorm; under normalize = "none" the identity, with
+def _norm(d_att: int, normalize: str, final: bool = False):
+    """A sublayer's LayerNorm, or with final the one after a body's last
+    layer, which pre-norm alone has. Where there is none (a sublayer's
+    under normalize = "none", a final one unless "pre") the identity, with
     no parameter and no tape op, so the post-norm wiring computes the
     unnormalized residual stack."""
-    return (lambda x: x) if normalize == "none" else LayerNorm(d_att)
+    on = normalize == "pre" if final else normalize != "none"
+    return LayerNorm(d_att) if on else (lambda x: x)
+
+
+def _residual(layer, x, f, norm, base=None):
+    """One residual sublayer of a Transformer layer around f, for Tensors
+    and plain arrays alike: base + drop(f(norm(x))) under normalize =
+    "pre", else norm(base + drop(f(x))); base is x unless given."""
+    base = x if base is None else base
+    if layer.normalize == "pre":
+        return base + layer.drop(f(norm(x)))
+    return norm(base + layer.drop(f(x)))
 
 
 class TransformerEncoderLayer(Module):
@@ -313,14 +326,8 @@ class TransformerEncoderLayer(Module):
         self.ln2 = _norm(d_att, normalize)
 
     def forward(self, x: Tensor, mask: Optional[np.ndarray]) -> Tensor:
-        if self.normalize == "pre":
-            h = self.ln1(x)
-            x = x + self.drop(self.mha(h, h, h, mask)[0])
-            x = x + self.drop(self.ff(self.ln2(x)))
-        else:                           # post, or none with identity norms
-            x = self.ln1(x + self.drop(self.mha(x, x, x, mask)[0]))
-            x = self.ln2(x + self.drop(self.ff(x)))
-        return x
+        x = _residual(self, x, lambda h: self.mha(h, h, h, mask)[0], self.ln1)
+        return _residual(self, x, self.ff, self.ln2)
 
 
 class TransformerEncoderBody(Module):
@@ -331,7 +338,7 @@ class TransformerEncoderBody(Module):
             TransformerEncoderLayer(d_att, d_ff, d_head, dropout_rate,
                                     normalize, rng)
             for _ in range(e)])
-        self.final_ln = LayerNorm(d_att) if normalize == "pre" else None
+        self.final_ln = _norm(d_att, normalize, final=True)
 
     def forward(self, x0: Tensor, lens) -> Tensor:
         """Encoder output of a padded (B, n, d_att) batch whose rows hold
@@ -341,9 +348,7 @@ class TransformerEncoderBody(Module):
         x = x0
         for layer in self.layers:
             x = layer(x, mask)
-        if self.final_ln is not None:
-            x = self.final_ln(x)
-        return x
+        return self.final_ln(x)
 
 
 class BlstmEncoderLayer(Module):
@@ -400,16 +405,14 @@ class TransformerDecoderLayer(Module):
             (self.ln1, self.ln2, self.ln3))
 
     def step(self, y: np.ndarray, cache: "DecoderLayerCache",
-             src_k: np.ndarray, src_v: np.ndarray, groups: "_RowGroups",
-             src_mask: Optional[np.ndarray] = None
+             src_k: np.ndarray, src_v: np.ndarray, groups: "_RowGroups"
              ) -> Tuple[np.ndarray, "DecoderLayerCache"]:
         """The layer's output at the next position of each row of y,
         (B, d_att), attending over the cached earlier positions and over
-        the source frames of the row's utterance, whose projected keys and
-        values src_k and src_v are (N, n_enc, H*d_att), under src_mask (N,
-        1, 1, n_enc) (None: every frame is real). Plain arrays through
-        forward's kernels, no tape op; a layer that would draw dropout
-        masks raises."""
+        the real source frames (groups.key_ok) of the row's utterance,
+        whose projected keys and values src_k and src_v are (N, n_enc,
+        H*d_att). Plain arrays through forward's kernels, no tape op; a
+        layer that would draw dropout masks raises."""
         if self.drop.training and self.drop.rate > 0:
             raise RuntimeError("a decoder step has no dropout: use eval mode")
         grown = []
@@ -417,7 +420,7 @@ class TransformerDecoderLayer(Module):
         def src_att(q: np.ndarray):
             # each utterance's rows query its source as one (S, d_att) block
             out, w = _attend(self.src_mha, groups.blocks(q), src_k, src_v,
-                             src_mask)
+                             groups.key_ok)
             return groups.rows(out), w
 
         def self_att(h: np.ndarray):
@@ -438,25 +441,24 @@ class TransformerDecoderLayer(Module):
         return out, grown[0]
 
     def _sublayers(self, y, self_att, src_att, ff, norms):
-        """Residual, normalization, dropout and feed-forward wiring around
-        the two attentions, for Tensors and plain arrays alike: self_att(h)
-        and src_att(q) give (output, weights), ff and the norms map rows to
-        rows. Returns the layer output and the source-attention weights."""
+        """The three residual sublayers around the two attentions and the
+        feed-forward, for Tensors and plain arrays alike: self_att(h) and
+        src_att(q) give (output, weights), ff and the norms map rows to
+        rows. The source sublayer's residual adds the layer input y
+        (src_residual = "paper") or the self-attention sublayer's output.
+        Returns the layer output and the source-attention weights."""
         ln1, ln2, ln3 = norms
-        if self.normalize == "pre":
-            h = ln1(y)
-            y1 = y + self.drop(self_att(h)[0])
-            src, w = src_att(ln2(y1))
-            base = y if self.src_residual == "paper" else y1
-            y2 = base + self.drop(src)
-            y3 = y2 + self.drop(ff(ln3(y2)))
-        else:                           # post, or none with identity norms
-            y1 = ln1(y + self.drop(self_att(y)[0]))
-            src, w = src_att(y1)
-            base = y if self.src_residual == "paper" else y1
-            y2 = ln2(base + self.drop(src))
-            y3 = ln3(y2 + self.drop(ff(y2)))
-        return y3, w
+        weights = []
+
+        def src(q):
+            out, w = src_att(q)
+            weights.append(w)
+            return out
+
+        y1 = _residual(self, y, lambda h: self_att(h)[0], ln1)
+        y2 = _residual(self, y1, src, ln2,
+                       y if self.src_residual == "paper" else y1)
+        return _residual(self, y2, ff, ln3), weights[0]
 
 
 def _attend(mha: MultiHeadAttention, q: np.ndarray, k: np.ndarray,
@@ -529,7 +531,7 @@ class TransformerDecoderBody(Module):
             TransformerDecoderLayer(d_att, d_ff, d_head, dropout_rate,
                                     normalize, src_residual, rng)
             for _ in range(d)])
-        self.final_ln = LayerNorm(d_att) if normalize == "pre" else None
+        self.final_ln = _norm(d_att, normalize, final=True)
 
     def forward(self, y0: Tensor, x_e: Tensor, src_lens,
                 records: Optional[list] = None) -> Tensor:
@@ -544,9 +546,7 @@ class TransformerDecoderBody(Module):
             y, w = layer(y, x_e, mask, src_mask)
             if records is not None:
                 records.append(w)
-        if self.final_ln is not None:
-            y = self.final_ln(y)
-        return y
+        return self.final_ln(y)
 
     def init_state(self, x_e: Tensor, lens: np.ndarray) -> "SearchState":
         """One row per utterance of the padded (N, n_enc, d_att) encoder
@@ -563,17 +563,13 @@ class TransformerDecoderBody(Module):
              ) -> Tuple[Tensor, "SearchState"]:
         """Output rows (B, d_att) at the next position; forward's last
         row for each row's prefix, with no tape op."""
-        key_ok = state.groups.key_ok
-        mask = None if key_ok is None else key_ok[:, None, None]
         h, caches, src = y.data, [], state.source
         for layer, cache, k, v in zip(self.layers, state.rows, src[0::2],
                                       src[1::2]):
-            h, cache = layer.step(h, cache, k.data, v.data, state.groups, mask)
+            h, cache = layer.step(h, cache, k.data, v.data, state.groups)
             caches.append(cache)
-        if self.final_ln is not None:
-            h = _array_norm(self.final_ln)(h)
-        return Tensor(h), SearchState(caches, src, state.groups,
-                                      state.pos + 1)
+        return Tensor(_array_norm(self.final_ln)(h)), SearchState(
+            caches, src, state.groups, state.pos + 1)
 
 
 class AdditiveAttention(Module):
@@ -599,7 +595,7 @@ class AdditiveAttention(Module):
         scores = self.v(T.tanh(enc_proj + shift))   # (N, S, n_k, 1)
         scores = scores.reshape(scores.shape[:-1])
         if groups.key_ok is not None:
-            scores = scores + Tensor(np.where(groups.key_ok[:, None], 0.0,
+            scores = scores + Tensor(np.where(groups.key_ok[:, 0], 0.0,
                                               T.MASK_BIAS))
         alpha = T.softmax(scores)
         return groups.rows(alpha @ x_e), alpha
@@ -628,12 +624,10 @@ class LstmDecoderBody(Module):
         # straight into it, in tape order with its other users' terms
         state = self.init_state(x_e, src_lens)
         n_b, n_steps = y0.shape[:2]
-        outs = []
-        alphas = []
+        outs, alphas = [], []
         for step in range(n_steps):
-            out, state, alpha = self._step(state, y0[:, step])
+            out, state = self.step(state, y0[:, step], alphas)
             outs.append(out)
-            alphas.append(alpha)
         if records is not None:         # (B, t, n_enc), a head axis per row
             att = T.concat(alphas, axis=1)
             records.append(att.reshape((n_b, 1) + att.shape[1:]))
@@ -652,13 +646,11 @@ class LstmDecoderBody(Module):
         return SearchState(zeros + zeros, [x_e, enc_proj],
                            _RowGroups.start(lens), 0)
 
-    def step(self, state: "SearchState", y: Tensor
-             ) -> Tuple[Tensor, "SearchState"]:
-        """Output rows (B, d_att) for input rows y (B, d_att)."""
-        out, state, _ = self._step(state, y)
-        return out, state
-
-    def _step(self, state: "SearchState", y: Tensor):
+    def step(self, state: "SearchState", y: Tensor,
+             alphas: Optional[list] = None) -> Tuple[Tensor, "SearchState"]:
+        """Output rows (B, d_att) for input rows y (B, d_att), and the
+        state one position on. Given a list alphas, appends the step's
+        attention weights, (N, S, n_enc), to it."""
         n = len(self.cells)
         x_e, enc_proj = state.source
         # each utterance's rows attend over its frames as one block
@@ -672,8 +664,10 @@ class LstmDecoderBody(Module):
             cs.append(c)
             inp = h
         out = T.tanh(self.out(T.concat([hs[-1], ctx], axis=1)))
+        if alphas is not None:
+            alphas.append(alpha)
         return out, SearchState(hs + cs, state.source, state.groups,
-                                state.pos + 1), alpha
+                                state.pos + 1)
 
 
 @dataclass
@@ -707,11 +701,11 @@ class _RowGroups:
     """The rows of a decoder state laid out by utterance, and each
     utterance's source frame count lens. Row b is slot[b] of utterance
     utt[b]'s block in (N, S, d), S the most rows one utterance has;
-    key_ok (N, n_max) marks real source frames, None when no utterance
-    is padded. After select, kept holds the indices, before it, of the
-    utterances that still have rows (None when all do). When each
-    utterance holds one row, in order (teacher forcing, and the first
-    search step), blocks and rows are reshapes."""
+    key_ok, _key_mask's (N, 1, 1, n_max), marks real source frames, None
+    when no utterance is padded. After select, kept holds the indices,
+    before it, of the utterances that still have rows (None when all
+    do). When each utterance holds one row, in order (teacher forcing,
+    and the first search step), blocks and rows are reshapes."""
 
     def __init__(self, utt: np.ndarray, lens: np.ndarray,
                  kept: Optional[np.ndarray] = None):
@@ -726,9 +720,7 @@ class _RowGroups:
         # never reads what they give
         self.where = np.zeros(self.shape, dtype=np.int64)
         self.where[utt, self.slot] = np.arange(len(utt))
-        n_max = int(lens.max())
-        self.key_ok = (None if lens.min() == n_max
-                       else np.arange(n_max) < lens[:, None])
+        self.key_ok = _key_mask(int(lens.max()), lens)
         self.one_row = (self.shape == (len(utt), 1)
                         and bool(np.all(np.diff(utt) > 0)))
 

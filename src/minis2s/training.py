@@ -2,15 +2,15 @@
 Adadelta, gradient accumulation, binary checkpoints with averaging,
 early stopping, feature masking, and a deterministic CSV-logged loop.
 
-A batch is one padded forward and one backward, for ASR, ST and TTS: an
-ASR/ST batch's frames go in as one (B, n_max, feat_dim) array
-(models.pad_sequences, asr_batch_loss), a TTS batch's texts as one (B,
-n_max) id array and its targets as one (B, N_max, feat_dim) array
-(tts_batch_loss), so every tape op of the encoder, the decoder and the
-losses covers the whole batch. The dev loss runs the same way in
-length-sorted batches of DEV_BATCH. Dropout masks are drawn once per
-batch from the step's seeded Graph; feature masking is seeded per
-utterance, as before batching.
+A batch is one padded forward and one backward, for ASR, ST and TTS,
+and batch_loss(model, batch, whole) is the one loss call: an ASR/ST
+batch's frames go in as one (B, n_max, feat_dim) array
+(models.pad_sequences), a TTS batch's texts as one (B, n_max) id array
+and its targets as one (B, N_max, feat_dim) array, so every tape op of
+the encoder, the decoder and the losses covers the whole batch. The dev
+loss runs the same way in length-sorted batches of DEV_BATCH. Dropout
+masks are drawn once per batch from the step's seeded Graph; feature
+masking is seeded per utterance, as before batching.
 
 The fusion LM (`task = lm`) is built, checked and snapshotted like any
 other model, but trains in its own loop, train_lm: one sequence per
@@ -21,9 +21,10 @@ writes no log.csv and computes no dev loss. A non-finite loss or
 gradient norm stops it with a NumericError, as it stops train_loop, so
 `train` exits 3 before lm.esc is written.
 
-Losses are normalized by batch-global token (ASR/ST) or element (TTS)
-counts, so splitting a batch into micro-batches accumulates to exactly
-the big-batch update.
+batch_loss normalizes by the token (ASR/ST) or element and step (TTS)
+counts of `whole`: the batch itself in train_loop, the dev set in
+evaluate_dev, or the big batch whose micro-batches accumulate, so that
+splitting a batch accumulates to exactly the big-batch update.
 
 Adam and Adadelta own the weights' memory: they pack the parameters,
 in named_parameters order, into one float64 vector whose views become
@@ -46,7 +47,7 @@ import struct
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import (Callable, Iterable, List, Mapping, Optional,
+from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Tuple)
 
 import numpy as np
@@ -422,75 +423,58 @@ class TrainResult:
     stopped_early: bool = False
 
 
-def asr_batch_loss(model, utts: Sequence, n_tokens_total: int
-                   ) -> Tuple[Tensor, L.LossReport]:
-    """Joint loss of a batch of ASR/ST utterances, one padded forward
-    normalized by the batch-global token count, and its report."""
+def batch_loss(model, batch: Sequence, whole: Sequence
+               ) -> Tuple[Tensor, Dict[str, float]]:
+    """The loss of batch, one padded forward, normalized by the counts of
+    whole: the batch itself, or the set or big batch it is part of, so
+    that the losses of a split sum to whole's. Returns the loss and its
+    log columns (LOG_COLUMNS' s2s to guided) as floats.
+
+    ASR/ST: the joint loss over whole's target tokens, the end of
+    sequence counted. TTS: L1 over whole's feature elements and BCE over
+    its decoder steps, an utterance of n frames counting ceil(n/r) steps
+    of r frames, plus the guided-attention loss per utterance of whole."""
     cfg = model.config
-    ys = [list(u.tokens) for u in utts]
-    enc = model.encode(*pad_sequences([u.feats for u in utts]))
-    lp = model.decode_logprobs(enc, [[SOS_EOS_ID] + y for y in ys])
-    ce = L.s2s_cross_entropy(lp, [y + [SOS_EOS_ID] for y in ys],
-                             denom=n_tokens_total)
-    loss, ctc = ce, 0.0
-    if cfg.uses_ctc:
-        ll = L.ctc_log_likelihood(model.ctc_logprobs(enc), ys, enc.n_sub)
-        ctc_nll = -ll.sum() / n_tokens_total
-        loss = L.joint_asr_loss(ce, ctc_nll, cfg.alpha)
-        ctc = ctc_nll.item()
-    return loss, L.LossReport(total=loss.item(),
-                              components={"s2s": ce.item(), "ctc": ctc})
-
-
-def tts_denominators(model, utts: Sequence) -> Tuple[int, int]:
-    """Batch-global TTS loss denominators: the feature elements and the
-    decoder steps of every utterance padded to a multiple of r."""
-    padded = [model.pad_target(np.asarray(u.feats)) for u in utts]
-    r = model.config.reduction_factor
-    return (sum(p.size for p in padded),
-            sum(p.shape[0] // r for p in padded))
-
-
-def tts_batch_loss(model, utts: Sequence, n_elems_total: int,
-                   n_steps_total: int, n_utts: int
-                   ) -> Tuple[Tensor, L.LossReport]:
-    """TTS loss of a batch, one padded forward: L1 over each row's real
-    frames and BCE over its real steps, normalized by the batch-global
-    counts of tts_denominators, plus each utterance's guided-attention
-    loss over n_utts; and its report."""
-    enc = model.encode([u.tokens for u in utts])
-    fwd = model.forward_teacher(enc, [u.feats for u in utts])
-    l1 = L.tts_l1(fwd.coarse, fwd.refined, fwd.target, fwd.n_pad,
-                  denom=n_elems_total)
-    eos_y = np.arange(fwd.eos_logits.shape[1]) == fwd.n_steps[:, None] - 1
-    bce = L.weighted_bce(fwd.eos_logits, eos_y, fwd.n_steps,
-                         denom=n_steps_total)
-    guided = L.guided_attention_loss(
-        model.guided_attention_records(fwd.records), fwd.n_steps, enc.n_sub)
-    guided = guided / n_utts
-    loss = l1 + bce + guided
-    report = L.LossReport(
-        total=loss.item(),
-        components={"l1": l1.item(), "bce": bce.item(),
-                    "guided": guided.item()})
-    return loss, report
+    if cfg.task == "tts":
+        r = cfg.reduction_factor
+        n_steps = sum(-(-len(u.feats) // r) for u in whole)
+        enc = model.encode([u.tokens for u in batch])
+        fwd = model.forward_teacher(enc, [u.feats for u in batch])
+        l1 = L.tts_l1(fwd.coarse, fwd.refined, fwd.target, fwd.n_pad,
+                      denom=n_steps * r * cfg.feat_dim)
+        eos_y = np.arange(fwd.eos_logits.shape[1]) == fwd.n_steps[:, None] - 1
+        bce = L.weighted_bce(fwd.eos_logits, eos_y, fwd.n_steps,
+                             denom=n_steps)
+        guided = L.guided_attention_loss(
+            model.guided_attention_records(fwd.records), fwd.n_steps,
+            enc.n_sub) / len(whole)
+        parts = {"l1": l1, "bce": bce, "guided": guided}
+        loss = l1 + bce + guided
+    else:
+        n_tokens = sum(len(u.tokens) + 1 for u in whole)
+        ys = [list(u.tokens) for u in batch]
+        enc = model.encode(*pad_sequences([u.feats for u in batch]))
+        lp = model.decode_logprobs(enc, [[SOS_EOS_ID] + y for y in ys])
+        parts = {"s2s": L.s2s_cross_entropy(
+            lp, [y + [SOS_EOS_ID] for y in ys], denom=n_tokens)}
+        loss = parts["s2s"]
+        if cfg.uses_ctc:
+            ll = L.ctc_log_likelihood(model.ctc_logprobs(enc), ys, enc.n_sub)
+            parts["ctc"] = -ll.sum() / n_tokens
+            loss = L.joint_asr_loss(loss, parts["ctc"], cfg.alpha)
+    return loss, {k: v.item() for k, v in parts.items()}
 
 
 def make_batches(dataset: Sequence, batch_size: int, rng=None) -> List[List]:
-    """Length-bucketed batches, in seeded-random order when an rng is
-    given and shortest first otherwise."""
+    """Length-bucketed batches, by frame count, in seeded-random order
+    when an rng is given and shortest first otherwise."""
     order = sorted(range(len(dataset)),
-                   key=lambda i: (_utt_length(dataset[i]), i))
+                   key=lambda i: (len(dataset[i].feats), i))
     batches = [[dataset[i] for i in order[lo:lo + batch_size]]
                for lo in range(0, len(order), batch_size)]
     if rng is not None:
         rng.shuffle(batches)
     return batches
-
-
-def _utt_length(utt) -> int:
-    feats = getattr(utt, "feats", None)
-    return len(feats) if feats is not None else len(utt.tokens)
 
 
 def check_lengths(model, utts: Sequence, split: str,
@@ -549,26 +533,13 @@ def _fmt(x: float) -> str:
 def evaluate_dev(model, dev_set: Sequence) -> float:
     """Mean per-token (ASR/ST) or per-element (TTS) dev loss, run in
     length-sorted batches of DEV_BATCH."""
-    batch_loss = _batch_loss_fn(model, dev_set)
     model.eval()
     total = 0.0
     with T.no_grad(), T.Graph(seed=0):
         for batch in make_batches(dev_set, DEV_BATCH):
-            total += batch_loss(batch)[1].total
+            total += batch_loss(model, batch, dev_set)[0].item()
     model.train()
     return total
-
-
-def _batch_loss_fn(model, utts: Sequence
-                   ) -> Callable[[Sequence], Tuple[Tensor, L.LossReport]]:
-    """The loss of a batch of some of utts, normalized by utts' batch-global
-    denominators."""
-    if model.config.task == "tts":
-        n_elems, n_steps = tts_denominators(model, utts)
-        return lambda batch: tts_batch_loss(model, batch, n_elems, n_steps,
-                                            len(utts))
-    n_tok = sum(len(u.tokens) + 1 for u in utts)
-    return lambda batch: asr_batch_loss(model, batch, n_tok)
 
 
 def train_loop(model, train_set: Sequence, dev_set: Sequence,
@@ -612,9 +583,9 @@ def train_loop(model, train_set: Sequence, dev_set: Sequence,
                         seed=tcfg.seed * 31 + step * 7 + i), utt.tokens)
                         for i, utt in enumerate(batch)]
                 with T.Graph(seed=tcfg.seed * 999_983 + step):
-                    loss, rep = _batch_loss_fn(model, batch)(batch)
+                    loss, parts = batch_loss(model, batch, batch)
                     backward(loss)
-                _check_finite(rep.total, "loss", epoch, step)
+                _check_finite(loss.item(), "loss", epoch, step)
                 if tcfg.optimizer == "adam":
                     lr = noam_lr(opt.t + 1, model.config.d_att,
                                  tcfg.warmup_steps, tcfg.noam_k)
@@ -626,8 +597,8 @@ def train_loop(model, train_set: Sequence, dev_set: Sequence,
                 wall = int((time.perf_counter() - t0) * 1000) \
                     if tcfg.log_timing else 0
                 writer.writerow(
-                    [step, epoch, _fmt(lr), _fmt(rep.total)]
-                    + [_fmt(rep.component(k)) for k in LOG_COLUMNS[4:9]]
+                    [step, epoch, _fmt(lr), _fmt(loss.item())]
+                    + [_fmt(parts.get(k, 0.0)) for k in LOG_COLUMNS[4:9]]
                     + [_fmt(gnorm), wall])
             path = os.path.join(out_dir, f"ckpt-{epoch:03d}.esc")
             save_checkpoint(path, model, epoch=epoch)

@@ -41,10 +41,9 @@ from minis2s.models import (ModelConfig, S2SModel, TtsModel, build_model,
 from minis2s.nn import LSTM, LSTMCell
 from minis2s.reserved import SOS_EOS_ID
 from minis2s.tensor import Tensor, grad_check
-from minis2s.training import (Adam, accumulate_gradients, asr_batch_loss,
+from minis2s.training import (Adam, accumulate_gradients, batch_loss,
                               evaluate_dev, load_checkpoint, load_into_model,
-                              noam_lr, train_loop, tts_batch_loss,
-                              tts_denominators)
+                              noam_lr, train_loop)
 
 from test_attention import dot_attention
 from test_decoding import enumerate_best, tiny_model
@@ -471,21 +470,10 @@ def _accum_utts(kind: str, n=4):
     return utts
 
 
-def _loss_closures(model, utts, split, kind: str):
-    if kind == "asr":
-        n_tok = sum(len(u.tokens) + 1 for u in utts)
-    else:
-        n_elems, n_steps = tts_denominators(model, utts)
-
-    def make(group):
-        def run():                 # the group as one padded batch
-            if kind == "asr":
-                return asr_batch_loss(model, group, n_tok)[0]
-            return tts_batch_loss(model, group, n_elems, n_steps,
-                                  len(utts))[0]
-        return run
-
-    return [make(utts[lo:hi]) for lo, hi in split]
+def _loss_closures(model, utts, split):
+    # each group as one padded batch, normalized by the counts of all
+    return [lambda group=utts[lo:hi]: batch_loss(model, group, utts)[0]
+            for lo, hi in split]
 
 
 def test_a05_accumulation_equivalence():
@@ -506,11 +494,11 @@ def test_a05_accumulation_equivalence():
         utts = _accum_utts(kind)
         with T.Graph(seed=0):
             loss_big = accumulate_gradients(
-                big, _loss_closures(big, utts, [(0, 4)], kind))
+                big, _loss_closures(big, utts, [(0, 4)]))
         with T.Graph(seed=0):
             loss_micro = accumulate_gradients(
                 micro, _loss_closures(micro, utts,
-                                      [(0, 1), (1, 2), (2, 3), (3, 4)], kind))
+                                      [(0, 1), (1, 2), (2, 3), (3, 4)]))
         Adam(big.parameters()).step(lr=0.01)
         Adam(micro.parameters()).step(lr=0.01)
         loss_diff = abs(loss_big - loss_micro)
@@ -602,17 +590,9 @@ def _tts_dev_l1_guided(model, dev):
     """Dev L1 summed with per-element normalization, plus mean guided
     attention over the selected heads."""
     model.eval()
-    from minis2s import losses as L
-    n_elems = tts_denominators(model, dev)[0]
     with T.no_grad(), T.Graph(seed=0):     # the split as one padded batch
-        enc = model.encode([u.tokens for u in dev])
-        fwd = model.forward_teacher(enc, [u.feats for u in dev])
-        l1 = L.tts_l1(fwd.coarse, fwd.refined, fwd.target, denom=n_elems,
-                      lens=fwd.n_pad)
-        guided = L.guided_attention_loss(
-            model.guided_attention_records(fwd.records), fwd.n_steps,
-            enc.n_sub)
-    return l1.item(), guided.item() / len(dev)
+        parts = batch_loss(model, dev, dev)[1]
+    return parts["l1"], parts["guided"]
 
 
 def test_a08_toy_tts_convergence(tmp_path):

@@ -10,10 +10,12 @@ import itertools
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minis2s import tensor as T
 from minis2s.errors import (DimensionError, ImpossibleAlignmentError)
-from minis2s.losses import (LossReport, ctc_log_likelihood, ctc_min_frames,
+from minis2s.losses import (ctc_log_likelihood, ctc_min_frames,
                             expand_with_blanks, guided_attention_loss,
                             guided_attention_weight, joint_asr_loss,
                             s2s_cross_entropy, tts_l1, weighted_bce)
@@ -489,15 +491,120 @@ def test_guided_gradient():
     assert grad_check(f, [x]) < 1e-6
 
 
-# -- report ------------------------------------------------------------------
+# -- padded batches -------------------------------------------------------------
 
 
-def test_loss_report_components():
-    r = LossReport(total=1.3, components={"s2s": 1.0, "ctc": 2.0})
-    assert r.component("s2s") == 1.0
-    assert r.component("l1") == 0.0
-    assert abs(r.total - (0.7 * r.component("s2s")
-                          + 0.3 * r.component("ctc"))) < 1e-12
+@st.composite
+def row_lengths(draw):
+    """1-4 row lengths: all equal, one long, all 1, or any mix."""
+    n_b = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["equal", "one long", "ones", "mixed"]))
+    if kind == "equal":
+        return [draw(st.integers(1, 4))] * n_b
+    if kind == "ones":
+        return [1] * n_b
+    if kind == "mixed":
+        return draw(st.lists(st.integers(1, 4), min_size=n_b, max_size=n_b))
+    lens = [draw(st.integers(1, 2))] * n_b
+    lens[draw(st.integers(0, n_b - 1))] = draw(st.integers(4, 6))
+    return lens
+
+
+def pad_rows(rows, fill=None):
+    """Per-row arrays, ragged on any axis, as one batch: zeros past each
+    row's end, or draws from the generator fill."""
+    shape = (len(rows),) + tuple(max(r.shape[i] for r in rows)
+                                 for i in range(rows[0].ndim))
+    out = np.zeros(shape) if fill is None else 3 * fill.standard_normal(shape)
+    for b, r in enumerate(rows):
+        out[(b,) + tuple(slice(0, n) for n in r.shape)] = r
+    return out
+
+
+def log_softmax_rows(rng, n, v):
+    x = rng.standard_normal((n, v))
+    return x - np.log(np.exp(x).sum(axis=-1, keepdims=True))
+
+
+def batched_case(loss, lens, rng):
+    """(rows, call): the per-row inputs of one loss over rows of the
+    given lengths, and call(tensors, idx), the loss of rows idx from
+    their padded tensors. The scalar losses share one denominator, so a
+    batch's value is the sum of its rows'."""
+    n_b, v = len(lens), 5
+    if loss == "s2s_cross_entropy":
+        ids = [list(rng.integers(0, v, n)) for n in lens]
+        rows = [[log_softmax_rows(rng, n, v)] for n in lens]
+        return rows, lambda x, idx: s2s_cross_entropy(
+            x[0], [ids[b] for b in idx], denom=7.0)
+    if loss == "ctc_log_likelihood":
+        ids = [list(rng.integers(1, v, n)) for n in lens]
+        frames = [ctc_min_frames(y) + int(rng.integers(0, 3)) for y in ids]
+        rows = [[log_softmax_rows(rng, n, v)] for n in frames]
+        return rows, lambda x, idx: ctc_log_likelihood(
+            x[0], [ids[b] for b in idx], [frames[b] for b in idx])
+    if loss == "tts_l1":
+        rows = [[rng.standard_normal((n, 3)) for _ in range(3)]
+                for n in lens]
+        return rows, lambda x, idx: tts_l1(
+            x[0], x[1], x[2].data, [lens[b] for b in idx], denom=7.0)
+    if loss == "weighted_bce":
+        rows = [[rng.standard_normal(n), (np.arange(n) == n - 1) * 1.0]
+                for n in lens]
+        return rows, lambda x, idx: weighted_bce(
+            x[0], x[1].data, [lens[b] for b in idx], denom=7.0)
+    n_enc = [int(rng.integers(1, 5)) for _ in range(n_b)]
+    att = [np.exp(rng.standard_normal((2, s, n)))
+           for s, n in zip(lens, n_enc)]
+    rows = [[a / a.sum(axis=-1, keepdims=True)] for a in att]
+    return rows, lambda x, idx: guided_attention_loss(
+        x[0], [lens[b] for b in idx], [n_enc[b] for b in idx])
+
+
+def run_case(call, rows, idx, fill=None):
+    """The loss of rows idx, padded (zeros, or draws from fill), and the
+    gradient of its sum with respect to each padded input."""
+    xs = [Tensor(pad_rows([rows[b][i] for b in idx], fill),
+                 requires_grad=True) for i in range(len(rows[0]))]
+    out = call(xs, idx)
+    backward(out.sum())
+    return out.data, [np.zeros_like(x.data) if x.grad is None else x.grad
+                      for x in xs]
+
+
+LOSSES = ["s2s_cross_entropy", "ctc_log_likelihood", "tts_l1",
+          "weighted_bce", "guided_attention_loss"]
+
+
+@pytest.mark.parametrize("loss", LOSSES)
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(lens=row_lengths(), seed=st.integers(0, 2 ** 16))
+def test_padded_batch_rows_equal_batches_of_one(loss, lens, seed):
+    # each row of a padded batch gives what the row gives alone (CTC's
+    # value per row, the sum of the scalar losses) and gets the
+    # gradient it gets alone; padded entries get none, and refilling
+    # the padding with other values changes no output and no gradient
+    rng = np.random.default_rng(seed)
+    rows, call = batched_case(loss, lens, rng)
+    idx = list(range(len(lens)))
+    out, grads = run_case(call, rows, idx)
+    singles = [run_case(call, rows, [b]) for b in idx]
+    want = (np.concatenate([o for o, _ in singles]) if out.ndim
+            else sum(float(o) for o, _ in singles))
+    np.testing.assert_allclose(out, want, rtol=0, atol=1e-10)
+    for i, g in enumerate(grads):
+        padded = np.ones(g.shape, dtype=bool)
+        for b in idx:
+            real = (b,) + tuple(slice(0, n) for n in rows[b][i].shape)
+            padded[real] = False
+            np.testing.assert_allclose(g[real], singles[b][1][i][0],
+                                       rtol=0, atol=1e-10)
+        assert not g[padded].any()
+    refilled, refilled_grads = run_case(call, rows, idx,
+                                        np.random.default_rng(seed + 1))
+    np.testing.assert_array_equal(refilled, out)
+    for g, h in zip(grads, refilled_grads):
+        np.testing.assert_array_equal(g, h)
 
 
 @pytest.mark.parametrize("case", range(12))

@@ -19,9 +19,10 @@ from minis2s.models import (BlstmEncoderBody, ConvSubsampler, LstmDecoderBody,
                             ModelConfig, Prenet, Postnet, S2SModel,
                             TokenFrontEnd, TransformerDecoderBody,
                             TransformerDecoderLayer, TransformerEncoderBody,
-                            TtsModel, VggSubsampler, build_model, conv_len,
-                            pad_sequences, subsample_length)
-from minis2s.nn import MultiHeadAttention
+                            TransformerEncoderLayer, TtsModel, VggSubsampler,
+                            build_model, conv_len, pad_sequences,
+                            subsample_length)
+from minis2s.nn import LayerNorm, MultiHeadAttention
 from minis2s.reserved import BLANK_ID, SOS_EOS_ID
 from minis2s.tensor import Tensor, grad_check
 
@@ -212,6 +213,107 @@ def test_transformer_decoder_src_residual_modes_differ():
                                   rng=np.random.default_rng(18), **kw)
     x_e, y = one(feats(4, dim=8, seed=19)), one(feats(3, dim=8, seed=20))
     assert not np.allclose(paper(y, x_e, [4]).data, conv(y, x_e, [4]).data)
+
+
+# the sublayer wiring written out in NumPy, one row sequence at a time
+
+
+def np_norm(ln, x):
+    """A LayerNorm, or normalize = "none"'s identity."""
+    if not isinstance(ln, LayerNorm):
+        return x
+    xc = x - x.mean(axis=-1, keepdims=True)
+    sd = np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-12)
+    return xc / sd * ln.gain.data + ln.bias.data
+
+
+def np_mha(mha, q, kv, causal=False):
+    """Multi-head attention of q (n_q, d) over kv (n_k, d), head by head;
+    every head projects to the full width d."""
+    d, heads = q.shape[-1], []
+    for h in range(mha.n_heads):
+        cols = slice(h * d, (h + 1) * d)
+        s = (q @ mha.wq.data[:, cols]) @ (kv @ mha.wk.data[:, cols]).T
+        s = s / np.sqrt(d)
+        if causal:
+            s = np.where(np.tril(np.ones(s.shape, dtype=bool)), s, -np.inf)
+        w = np.exp(s - s.max(axis=-1, keepdims=True))
+        heads.append(w / w.sum(axis=-1, keepdims=True)
+                     @ (kv @ mha.wv.data[:, cols]))
+    return np.concatenate(heads, axis=-1) @ mha.w_head.data
+
+
+def np_ff(ff, x):
+    h = np.maximum(x @ ff.lin1.weight.data + ff.lin1.bias.data, 0.0)
+    return h @ ff.lin2.weight.data + ff.lin2.bias.data
+
+
+def np_encoder_layer(layer, x, normalize):
+    att = lambda h: np_mha(layer.mha, h, h)               # noqa: E731
+    if normalize == "pre":
+        x = x + att(np_norm(layer.ln1, x))
+        return x + np_ff(layer.ff, np_norm(layer.ln2, x))
+    x = np_norm(layer.ln1, x + att(x))
+    return np_norm(layer.ln2, x + np_ff(layer.ff, x))
+
+
+def np_decoder_layer(layer, y, x_e, normalize, src_residual):
+    self_att = lambda h: np_mha(layer.self_mha, h, h, True)  # noqa: E731
+    src_att = lambda q: np_mha(layer.src_mha, q, x_e)        # noqa: E731
+    if normalize == "pre":
+        y1 = y + self_att(np_norm(layer.ln1, y))
+        y2 = (y if src_residual == "paper" else y1) + src_att(
+            np_norm(layer.ln2, y1))
+        return y2 + np_ff(layer.ff, np_norm(layer.ln3, y2))
+    y1 = np_norm(layer.ln1, y + self_att(y))
+    y2 = np_norm(layer.ln2, (y if src_residual == "paper" else y1)
+                 + src_att(y1))
+    return np_norm(layer.ln3, y2 + np_ff(layer.ff, y2))
+
+
+def _randomize_norms(module, rng):
+    for name, p in module.named_parameters():
+        if ".ln" in "." + name or name.startswith("final_ln"):
+            p.data[...] = rng.standard_normal(p.shape)
+
+
+@pytest.mark.parametrize("normalize", ["pre", "post", "none"])
+@pytest.mark.parametrize("src_residual", ["paper", "conventional"])
+def test_transformer_sublayer_wiring_matches_numpy(normalize, src_residual):
+    # dropout 0 and every LayerNorm's gain and bias drawn at random: the
+    # encoder layer's and the decoder layer's forward, and the decoder
+    # body's array step (final norm included), over two padded rows,
+    # each equal per row to the written-out wiring of its real frames
+    rng = np.random.default_rng(60)
+    lens = [5, 3]
+    x = rng.standard_normal((2, 5, 8))
+    enc = TransformerEncoderLayer(8, 16, 2, 0.0, normalize, rng)
+    body = TransformerDecoderBody(1, 8, 16, 2, 0.0, normalize, src_residual,
+                                  rng)
+    for module in (enc, body):
+        _randomize_norms(module, rng)
+        module.eval()
+    got = enc(Tensor(x), models._key_mask(5, lens)).data
+    for b, n in enumerate(lens):
+        np.testing.assert_allclose(got[b, :n], np_encoder_layer(
+            enc, x[b, :n], normalize), rtol=0, atol=1e-12)
+
+    layer = body.layers[0]
+    y = rng.standard_normal((2, 4, 8))
+    got = layer(Tensor(y), Tensor(x), A.causal_mask(4),
+                models._key_mask(5, lens))[0].data
+    want = [np_decoder_layer(layer, y[b], x[b, :n], normalize, src_residual)
+            for b, n in enumerate(lens)]
+    for b in range(2):
+        np.testing.assert_allclose(got[b], want[b], rtol=0, atol=1e-12)
+
+    state = body.init_state(Tensor(x), np.array(lens))
+    for t in range(4):
+        out, state = body.step(state, Tensor(y[:, t]))
+        for b in range(2):
+            np.testing.assert_allclose(
+                out.data[b], np_norm(body.final_ln, want[b][t])
+                if normalize == "pre" else want[b][t], rtol=0, atol=1e-12)
 
 
 def test_transformer_decoder_grad():

@@ -12,24 +12,25 @@ from collections import namedtuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minis2s import tensor as T
 from minis2s.config import experiment_from_items
 from minis2s.data import ToySpec, gen_toy, toy_vocab
 from minis2s.errors import ConfigError, DataError, NumericError
-from minis2s.losses import (ctc_log_likelihood, guided_attention_weight,
-                            joint_asr_loss, s2s_cross_entropy, tts_l1,
-                            weighted_bce)
+from minis2s.losses import (ctc_log_likelihood, ctc_min_frames,
+                            guided_attention_weight, joint_asr_loss,
+                            s2s_cross_entropy, tts_l1, weighted_bce)
 from minis2s.models import ModelConfig, build_model, pad_sequences
 from minis2s.reserved import SOS_EOS_ID
 from minis2s.tensor import Tensor, backward
 from minis2s.training import (DEV_BATCH, Adadelta, Adam, Checkpoint,
                               UPDATE_BLOCK, EarlyStopping, TrainConfig,
-                              accumulate_gradients, asr_batch_loss,
-                              average_checkpoints, evaluate_dev,
-                              load_checkpoint, load_into_model, noam_lr,
-                              save_checkpoint, spec_augment, train_lm,
-                              train_loop, tts_batch_loss, tts_denominators)
+                              accumulate_gradients, average_checkpoints,
+                              batch_loss, evaluate_dev, load_checkpoint,
+                              load_into_model, noam_lr, save_checkpoint,
+                              spec_augment, train_lm, train_loop)
 
 Utt = namedtuple("Utt", "utt_id feats tokens")
 
@@ -61,6 +62,15 @@ def tts_utts(n=4, seed=0, feat=6):
     seqs = [[3, 4], [4, 3], [3], [4]][:n]
     return [Utt(f"t{i:02d}", np.concatenate([protos[t] for t in s]), s)
             for i, s in enumerate(seqs)]
+
+
+def tts_counts(model, utts):
+    """The feature elements and decoder steps of utts, each target padded
+    to a multiple of r by the model's own pad_target."""
+    padded = [model.pad_target(np.asarray(u.feats)) for u in utts]
+    r = model.config.reduction_factor
+    return (sum(p.size for p in padded),
+            sum(p.shape[0] // r for p in padded))
 
 
 # -- schedule -------------------------------------------------------------------
@@ -265,7 +275,6 @@ def test_backward_accumulates_into_the_flat_gradient_vector():
     # opt.grad, so the step copies nothing; the weights stay those of
     # fresh gradient arrays under the per-array reference
     utts = toy_utts(4)
-    n_tok = sum(len(u.tokens) + 1 for u in utts)
     model, ref_model = build_model(asr_cfg()), build_model(asr_cfg())
     opt, ref = Adam(model.parameters()), RefAdam(ref_model.parameters())
     for step in range(1, 4):
@@ -273,7 +282,7 @@ def test_backward_accumulates_into_the_flat_gradient_vector():
         ref_model.zero_grad()
         for m in (model, ref_model):
             with T.Graph(seed=step):
-                backward(asr_batch_loss(m, utts, n_tok)[0])
+                backward(batch_loss(m, utts, utts)[0])
         for p, q in zip(model.parameters(), ref_model.parameters()):
             assert np.shares_memory(p.grad, opt.grad)
             assert p.grad.tobytes() == q.grad.tobytes()
@@ -310,8 +319,7 @@ def test_non_finite_gradient_updates_nothing():
 def batch_loss_closures(model, utts, split):
     """One closure per micro-batch, each one padded batch, all normalized
     by the full-batch token count."""
-    n_tok = sum(len(u.tokens) + 1 for u in utts)
-    return [lambda group=utts[lo:hi]: asr_batch_loss(model, group, n_tok)[0]
+    return [lambda group=utts[lo:hi]: batch_loss(model, group, utts)[0]
             for lo, hi in split]
 
 
@@ -358,18 +366,22 @@ def test_batch_loss_matches_per_utterance_oracle(body, enc_pre, task):
                                 d=2, d_att=8, d_ff=16, vocab_size=7,
                                 alpha=0.6 if task == "asr" else 1.0))
     n_tok = sum(len(u.tokens) + 1 for u in utts)
-    reports = []
+    parts = []
 
     def batch():
-        loss, report = asr_batch_loss(model, utts, n_tok)
-        reports.append(report)
+        loss, logged = batch_loss(model, utts, utts)
+        parts.append(logged)
         return [loss]
 
     got, got_grads = _grads(model, batch)
     want, want_grads = _grads(model, lambda: [utt_loss_oracle(model, u, n_tok)
                                               for u in utts])
     assert abs(got - want) < 1e-10
-    assert abs(reports[0].total - got) == 0.0
+    # the logged columns combine into the loss; st logs no ctc column
+    alpha = model.config.alpha
+    assert set(parts[0]) == ({"s2s", "ctc"} if task == "asr" else {"s2s"})
+    assert abs(alpha * parts[0]["s2s"] + (1 - alpha) * parts[0].get("ctc", 0)
+               - got) < 1e-12
     for (name, _), g, w in zip(model.named_parameters(), got_grads,
                                want_grads):
         np.testing.assert_allclose(g, w, rtol=0, atol=1e-10, err_msg=name)
@@ -413,19 +425,19 @@ def test_tts_batch_loss_matches_per_utterance_oracle(body, normalize, r):
         e=2, d=2, d_att=8, d_ff=16, d_head=2, dropout_rate=0.0, alpha=1.0,
         reduction_factor=r, prenet_units=8, postnet_layers=3,
         prenet_dropout_rate=0.0, seed=3))
-    n_elems, n_steps = tts_denominators(model, utts)
-    reports = []
+    n_elems, n_steps = tts_counts(model, utts)
+    parts = []
 
     def batch():
-        loss, report = tts_batch_loss(model, utts, n_elems, n_steps, 4)
-        reports.append(report)
+        loss, logged = batch_loss(model, utts, utts)
+        parts.append(logged)
         return [loss]
 
     got, got_grads = _grads(model, batch)
     want, want_grads = _grads(model, lambda: [
         _tts_utt_loss(model, u, n_elems, n_steps, 4) for u in utts])
     assert abs(got - want) < 1e-10
-    assert reports[0].total == got
+    assert abs(sum(parts[0].values()) - got) < 1e-12
     for (name, _), g, w in zip(model.named_parameters(), got_grads,
                                want_grads):
         np.testing.assert_allclose(g, w, rtol=0, atol=1e-10, err_msg=name)
@@ -450,6 +462,95 @@ def test_accumulation_matches_big_batch(split):
     opt_b.step(lr=0.01)
     for pa, pb in zip(big.parameters(), micro.parameters()):
         assert np.max(np.abs(pa.data - pb.data)) < 1e-10
+
+
+@st.composite
+def split_batches(draw):
+    """1-4 utterance lengths (all equal, one long, or all 1), a split of
+    them into contiguous micro-batches, and a seed for their values."""
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["equal", "one long", "ones"]))
+    lens = [1 if kind == "ones" else draw(st.integers(1, 3))] * n
+    if kind == "one long":
+        lens[draw(st.integers(0, n - 1))] = draw(st.integers(5, 7))
+    cuts = draw(st.sets(st.integers(1, n - 1))) if n > 1 else set()
+    bounds = [0, *sorted(cuts), n]
+    return lens, list(zip(bounds, bounds[1:])), draw(st.integers(0, 2 ** 16))
+
+
+SPLIT_MODELS = {"asr": asr_cfg(vocab_size=5, d_att=8, d_ff=16, seed=3)}
+for _r in (1, 2):
+    SPLIT_MODELS[f"tts-r{_r}"] = ModelConfig(
+        task="tts", vocab_size=5, feat_dim=6, e=1, d=1, d_att=8, d_ff=16,
+        d_head=2, dropout_rate=0.0, alpha=1.0, reduction_factor=_r,
+        prenet_units=8, postnet_layers=2, prenet_dropout_rate=0.0, seed=4)
+
+
+def split_utts(task, lens, seed):
+    """ASR: lens tokens and 4 frames per CTC frame the tokens need, plus
+    up to 3; TTS: 1-3 tokens and lens frames."""
+    rng = np.random.default_rng(seed)
+    utts = []
+    for i, n in enumerate(lens):
+        if task == "asr":
+            toks = [int(t) for t in rng.integers(3, 5, n)]
+            frames = 4 * ctc_min_frames(toks) + int(rng.integers(0, 4))
+            utts.append(Utt(f"u{i}", rng.standard_normal((frames, 8)), toks))
+        else:
+            toks = [int(t) for t in rng.integers(3, 5, rng.integers(1, 4))]
+            utts.append(Utt(f"u{i}", rng.standard_normal((n, 6)), toks))
+    return utts
+
+
+@pytest.mark.parametrize("task", sorted(SPLIT_MODELS))
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(case=split_batches())
+def test_batch_loss_split_sums_to_the_whole(task, case):
+    # micro-batches normalized by the whole batch's counts sum to its
+    # loss and gradients; normalized by itself, each logged column is
+    # the loss function's own mean over the rows it reads
+    lens, split, seed = case
+    utts = split_utts(task, lens, seed)
+    model = build_model(SPLIT_MODELS[task])
+    logged = []
+
+    def whole():
+        loss, parts = batch_loss(model, utts, utts)
+        logged.append(parts)
+        return loss
+
+    def grads():
+        return [np.zeros_like(p.data) if p.grad is None else p.grad.copy()
+                for p in model.parameters()]
+
+    loss = accumulate_gradients(model, [whole])
+    want = grads()
+    got = accumulate_gradients(model, [
+        lambda group=utts[lo:hi]: batch_loss(model, group, utts)[0]
+        for lo, hi in split])
+    assert abs(got - loss) < 1e-12
+    for g, w in zip(grads(), want):
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-10)
+
+    with T.no_grad():
+        if task == "asr":
+            enc = model.encode(*pad_sequences([u.feats for u in utts]))
+            lp = model.decode_logprobs(
+                enc, [[SOS_EOS_ID] + u.tokens for u in utts])
+            means = {"s2s": s2s_cross_entropy(
+                lp, [u.tokens + [SOS_EOS_ID] for u in utts])}
+        else:
+            fwd = model.forward_teacher(model.encode([u.tokens
+                                                      for u in utts]),
+                                        [u.feats for u in utts])
+            eos_y = (np.arange(fwd.eos_logits.shape[1])
+                     == fwd.n_steps[:, None] - 1)
+            means = {"l1": tts_l1(fwd.coarse, fwd.refined, fwd.target,
+                                  fwd.n_pad),
+                     "bce": weighted_bce(fwd.eos_logits, eos_y,
+                                         fwd.n_steps)}
+    for name, mean in means.items():
+        assert logged[0][name] == pytest.approx(mean.item(), rel=1e-12)
 
 
 # -- checkpoints ----------------------------------------------------------------
@@ -774,9 +875,22 @@ def test_train_loop_non_finite_stops_before_any_checkpoint(tmp_path, task):
 
 
 def test_tts_denominators_pad_to_the_reduction_factor():
+    # batch_loss normalizes L1 by (6 + 4) * 6 elements and BCE by 3 + 2
+    # steps: 5 frames count as 6 at r = 2
     model = build_model(tts_cfg())             # r = 2, feat_dim 6
+    model.eval()
     utts = [Utt("a", np.ones((5, 6)), [3]), Utt("b", np.ones((4, 6)), [4])]
-    assert tts_denominators(model, utts) == ((6 + 4) * 6, 3 + 2)
+    with T.no_grad(), T.Graph(seed=0):
+        parts = batch_loss(model, utts, utts)[1]
+    with T.no_grad(), T.Graph(seed=0):
+        fwd = model.forward_teacher(model.encode([u.tokens for u in utts]),
+                                    [u.feats for u in utts])
+        eos_y = np.zeros(fwd.eos_logits.shape)
+        eos_y[[0, 1], [2, 1]] = 1.0
+        l1 = tts_l1(fwd.coarse, fwd.refined, fwd.target, [6, 4], denom=1)
+        bce = weighted_bce(fwd.eos_logits, eos_y, [3, 2], denom=1)
+    assert parts["l1"] * (6 + 4) * 6 == pytest.approx(l1.item(), rel=1e-12)
+    assert parts["bce"] * (3 + 2) == pytest.approx(bce.item(), rel=1e-12)
 
 
 def test_train_config_validation():
@@ -860,7 +974,7 @@ def test_evaluate_dev_matches_manual_mean():
     assert DEV_BATCH < len(corpus) < 2 * DEV_BATCH
     for dev in (corpus[:1], corpus):
         model.eval()
-        n_elems, n_steps = tts_denominators(model, dev)
+        n_elems, n_steps = tts_counts(model, dev)
         with T.no_grad(), T.Graph(seed=0):
             manual = sum(_tts_utt_loss(model, u, n_elems, n_steps,
                                        len(dev)).item() for u in dev)

@@ -1,20 +1,24 @@
 """Code lines: the lines of src/minis2s/*.py by kind.
 
-    python3 tools/code_lines.py
+    python3 tools/code_lines.py [--ref REF]
 
 Prints, summed over the package's modules, the total line count (what
 `make lines` counts) and its split into docstring, comment, blank and
-code lines. A docstring line lies in the docstring of a module, class
+code lines. With --ref it prints them for commit REF's committed modules
+(read with `git show REF:path`) beside this checkout's modules as they
+are on disk, and each delta, this checkout's count less REF's. A docstring line lies in the docstring of a module, class
 or function, as the AST places it; a comment line holds a comment token
 and no code token; a blank line holds neither; every other line is code,
 so a line of code with a trailing comment is code, and so is each line
 of a multi-line string that is not a docstring.
 """
 
+import argparse
 import ast
 import glob
 import io
 import os
+import subprocess
 import sys
 import tokenize
 
@@ -54,16 +58,47 @@ def count(text: str) -> dict:
     return counts
 
 
-def main() -> int:
+def tally(texts) -> dict:
+    """The total and each kind's line count over the modules' sources."""
     total = dict.fromkeys(KINDS, 0)
-    for path in sorted(glob.glob(os.path.join(ROOT, "src", "minis2s",
+    for text in texts:
+        for kind, n in count(text).items():
+            total[kind] += n
+    return {"total": sum(total.values()), **total}
+
+
+def checkout_texts(root: str):
+    """The sources of the checkout's modules, as they are on disk."""
+    for path in sorted(glob.glob(os.path.join(root, "src", "minis2s",
                                               "*.py"))):
         with open(path, encoding="utf-8") as fh:
-            for kind, n in count(fh.read()).items():
-                total[kind] += n
-    print(f"{'total':<10} {sum(total.values()):>6}")
-    for kind in KINDS:
-        print(f"{kind:<10} {total[kind]:>6}")
+            yield fh.read()
+
+
+def committed_texts(root: str, ref: str):
+    """The sources of the modules commit ref holds."""
+    def git(*args: str) -> str:
+        return subprocess.run(["git", *args], cwd=root, check=True,
+                              capture_output=True, text=True).stdout
+
+    for path in git("ls-tree", "--name-only", ref, "src/minis2s/").split():
+        if path.endswith(".py"):
+            yield git("show", f"{ref}:{path}")
+
+
+def main(argv=None, root: str = ROOT) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--ref", help="commit to compare with")
+    args = parser.parse_args(argv)
+    this = tally(checkout_texts(root))
+    if args.ref is None:
+        for kind, n in this.items():
+            print(f"{kind:<10} {n:>6}")
+        return 0
+    ref = tally(committed_texts(root, args.ref))
+    print(f"{'':<10} {'ref':>6} {'this':>6} {'delta':>6}   (ref {args.ref})")
+    for kind, n in this.items():
+        print(f"{kind:<10} {ref[kind]:>6} {n:>6} {n - ref[kind]:>+6}")
     return 0
 
 

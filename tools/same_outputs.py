@@ -5,17 +5,20 @@ checkout's.
 
 Generates the corpora and trains perfbench's decode-asr set-up
 (transformer-toy, rnn-toy and a fusion LM on its fixed-shape corpus) for
-each seed, the same three models on the default toy corpus (seed 0), and
-perfbench's tts-toy run, once with this checkout's code and once with
-REF's, from a `git archive` copy as tools/pairs.py makes it. Every
-training artifact (TRAINED: `log.csv`, `ckpt-*.esc`, `avg.esc`,
-`lm.esc`) of the two trees is compared. Then REF and this checkout both
-run, on this checkout's checkpoints:
+each seed, the same three models on the default toy corpus (seed 0) and
+beside them transformer-toy in the sublayer wirings no preset trains
+(WIRINGS), perfbench's tts-toy run and a tts-toy run with RNN bodies,
+once with this checkout's code and once with REF's, from a `git archive`
+copy as tools/pairs.py makes it. Every training artifact (TRAINED:
+`log.csv`, `ckpt-*.esc`, `avg.esc`, `lm.esc`) of the two trees is
+compared. Then REF and this checkout both run, on this checkout's
+checkpoints:
 
 - `decode --beam 8 --nbest 8` of both ASR models, with and without
-  `--lm`, on each test split;
+  `--lm`, on each test split, and of the WIRINGS runs, without;
 - `synth` of the tts test texts at 40 frames, of the first five at 320
-  and of the first at 4,000 (LONGEST), EOS stopping off.
+  and of the first at 4,000 (LONGEST), EOS stopping off; and of the
+  texts at 40 frames with the RNN run.
 
 Compares every file byte for byte, prints one line per file, and exits 1
 if any differs or is missing on one side, or any command fails. The
@@ -44,6 +47,17 @@ TRAINED = ("log.csv", "ckpt-*.esc", "avg.esc", "lm.esc")
 # cached positions at tts-toy's r = 2
 LONGEST = 4000
 
+# transformer-toy runs on the toy corpus in the wirings the presets do
+# not train (they are pre-norm, paper residual), as (label, config)
+WIRINGS = (("post", "preset = transformer-toy\nepochs = 2\n"
+                    "normalize = post\nsrc_residual = conventional\n"),
+           ("none", "preset = transformer-toy\nepochs = 2\n"
+                    "normalize = none\n"))
+
+# the tts runs, as (label, config)
+TTS_RUNS = (("run", f"preset = tts-toy\nepochs = {Tts.EPOCHS}\n"),
+            ("rnn", "preset = tts-toy\nepochs = 1\nbody = rnn\n"))
+
 # runs each argv list of a JSON list through minis2s.cli.main, in order,
 # and exits with the first non-zero code
 RUNNER = ("import json, sys\nfrom minis2s.cli import main\n"
@@ -61,26 +75,28 @@ def run_all(src: str, commands) -> None:
                    stdout=subprocess.DEVNULL)
 
 
-def asr_setup(root: str, seed: int, shape: str):
-    """The commands that generate a corpus and train DecodeAsr's models
-    on it under root."""
+def asr_setup(root: str, seed: int, shape: str, models=DecodeAsr.MODELS):
+    """The commands that generate a corpus and train models, DecodeAsr's
+    unless given, on it under root."""
     spec = write_text(root + ".spec", f"task = asr\nseed = {seed}\n{shape}")
     commands = [["gen-data", "--spec", spec, "--out", f"{root}/data"]]
-    for label, cfg_text in DecodeAsr.MODELS:
+    for label, cfg_text in models:
         cfg = write_text(f"{root}.{label}.cfg", cfg_text)
         commands.append(["train", "--config", cfg, "--data", f"{root}/data",
                          "--out", f"{root}/{label}"])
     return commands
 
 
-def asr_outputs(root: str):
-    """(output name, argv) of every decode of the set-up under root."""
-    lm = ["--lm", f"{root}/lm/lm.esc", "--gamma", "0.3"]
+def asr_outputs(root: str, labels=("transformer", "rnn"), fusion=True):
+    """(output name, argv) of every decode of the set-up under root: of
+    each run labels names, and with fusion also with the LM."""
+    tags = [("", [])]
+    if fusion:
+        tags.append((".lm", ["--lm", f"{root}/lm/lm.esc", "--gamma", "0.3"]))
     return [(f"{os.path.basename(root)}.{label}{tag}.nbest.tsv",
              ["decode", "--ckpt", f"{root}/{label}/avg.esc", "--data",
               f"{root}/data", "--beam", "8", "--nbest", "8"] + extra)
-            for label in ("transformer", "rnn")
-            for tag, extra in (("", []), (".lm", lm))]
+            for label in labels for tag, extra in tags]
 
 
 def tts_outputs(root: str):
@@ -88,12 +104,13 @@ def tts_outputs(root: str):
     with open(f"{root}/data/test/transcripts.tsv", encoding="utf-8") as fh:
         texts = [line.rstrip("\n").split("\t", 1) for line in fh
                  if line.strip()]
-    return [(f"tts.{utt}.{frames}.esf",
-             ["synth", "--ckpt", f"{root}/run/avg.esc", "--text", text,
+    return [(f"tts.{label}.{utt}.{frames}.esf",
+             ["synth", "--ckpt", f"{root}/{label}/avg.esc", "--text", text,
               "--eos-threshold", "1.0", "--max-frames", str(frames)])
-            for frames, items in ((Tts.SHORT, texts),
-                                  (Tts.LONG, texts[:Tts.N_LONG]),
-                                  (LONGEST, texts[:1]))
+            for label, frames, items in (
+                ("run", Tts.SHORT, texts), ("run", Tts.LONG,
+                                             texts[:Tts.N_LONG]),
+                ("run", LONGEST, texts[:1]), ("rnn", Tts.SHORT, texts))
             for utt, text in items]
 
 
@@ -101,17 +118,19 @@ def setup(work: str, seeds):
     """The commands that generate every corpus and train every model
     under work, and the (output name, argv) of every decode of them."""
     commands, outputs = [], []
-    corpora = [(f"seed{s}", s, DecodeAsr.SHAPE) for s in seeds]
-    for name, seed, shape in corpora + [("toy", 0, "")]:
-        commands += asr_setup(f"{work}/{name}", seed, shape)
-        outputs += asr_outputs(f"{work}/{name}")
+    for seed in seeds:
+        commands += asr_setup(f"{work}/seed{seed}", seed, DecodeAsr.SHAPE)
+        outputs += asr_outputs(f"{work}/seed{seed}")
+    commands += asr_setup(f"{work}/toy", 0, "", DecodeAsr.MODELS + WIRINGS)
+    outputs += asr_outputs(f"{work}/toy")
+    outputs += asr_outputs(f"{work}/toy", [w for w, _ in WIRINGS], False)
     tts = f"{work}/tts"
     spec = write_text(tts + ".spec", "task = tts\nseed = 1\n")
-    cfg = write_text(tts + ".cfg",
-                     f"preset = tts-toy\nepochs = {Tts.EPOCHS}\n")
-    commands += [["gen-data", "--spec", spec, "--out", f"{tts}/data"],
-                 ["train", "--config", cfg, "--data", f"{tts}/data",
-                  "--out", f"{tts}/run"]]
+    commands.append(["gen-data", "--spec", spec, "--out", f"{tts}/data"])
+    for label, cfg_text in TTS_RUNS:
+        cfg = write_text(f"{tts}.{label}.cfg", cfg_text)
+        commands.append(["train", "--config", cfg, "--data", f"{tts}/data",
+                         "--out", f"{tts}/{label}"])
     return commands, outputs
 
 
