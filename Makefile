@@ -10,8 +10,9 @@ lines:
 	@cat src/minis2s/*.py | wc -l
 
 # The same lines split into docstring, comment, blank and code lines, from
-# each module's AST and tokens, for commit REF's committed modules and for
-# this checkout's, with each delta: the deltas ROADMAP.md asks for.
+# each module's AST and tokens, for commit REF's committed modules (REF is
+# HEAD unless given) and for this checkout's, with each delta: the deltas
+# ROADMAP.md asks for.
 .PHONY: code-lines
 code-lines:
 	@python3 tools/code_lines.py --ref $(REF)

@@ -6,11 +6,13 @@ Prints, summed over the package's modules, the total line count (what
 `make lines` counts) and its split into docstring, comment, blank and
 code lines. With --ref it prints them for commit REF's committed modules
 (read with `git show REF:path`) beside this checkout's modules as they
-are on disk, and each delta, this checkout's count less REF's. A docstring line lies in the docstring of a module, class
-or function, as the AST places it; a comment line holds a comment token
-and no code token; a blank line holds neither; every other line is code,
-so a line of code with a trailing comment is code, and so is each line
-of a multi-line string that is not a docstring.
+are on disk, and each delta, this checkout's count less REF's.
+
+A docstring line lies in the docstring of a module, class or function,
+as the AST places it; a comment line holds a comment token and no code
+token; a blank line holds neither; every other line is code, so a line
+of code with a trailing comment is code, and so is each line of a
+multi-line string that is not a docstring.
 """
 
 import argparse
