@@ -1,6 +1,6 @@
-"""tools/code_lines.py's --ref mode on a temporary git repository: a
-commit's modules are read from the commit, this checkout's from the
-disk, and the deltas are this checkout's counts less the commit's."""
+"""tools/code_lines.py on a temporary git repository: a commit's modules
+are read from the commit, this checkout's from the disk, and the deltas
+are this checkout's counts less the commit's."""
 
 import importlib.util
 import pathlib

@@ -4,8 +4,8 @@
 
 Prints, summed over the package's modules, the total line count (what
 `make lines` counts) and its split into docstring, comment, blank and
-code lines. With --ref it prints them for commit REF's committed modules
-(read with `git show REF:path`) beside this checkout's modules as they
+code lines: for commit REF's committed modules (read with `git show
+REF:path`; REF defaults to HEAD), for this checkout's modules as they
 are on disk, and each delta, this checkout's count less REF's.
 
 A docstring line lies in the docstring of a module, class or function,
@@ -90,13 +90,10 @@ def committed_texts(root: str, ref: str):
 
 def main(argv=None, root: str = ROOT) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--ref", help="commit to compare with")
+    parser.add_argument("--ref", default="HEAD",
+                        help="commit to compare with (default: HEAD)")
     args = parser.parse_args(argv)
     this = tally(checkout_texts(root))
-    if args.ref is None:
-        for kind, n in this.items():
-            print(f"{kind:<10} {n:>6}")
-        return 0
     ref = tally(committed_texts(root, args.ref))
     print(f"{'':<10} {'ref':>6} {'this':>6} {'delta':>6}   (ref {args.ref})")
     for kind, n in this.items():

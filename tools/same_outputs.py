@@ -14,8 +14,9 @@ copy as tools/pairs.py makes it. Every training artifact (TRAINED:
 compared. Then REF and this checkout both run, on this checkout's
 checkpoints:
 
-- `decode --beam 8 --nbest 8` of both ASR models, with and without
-  `--lm`, on each test split, and of the WIRINGS runs, without;
+- `decode --beam 8 --nbest 8` of both ASR models, and on the toy
+  corpus of the WIRINGS runs, with and without `--lm`, on each test
+  split;
 - `synth` of the tts test texts at 40 frames, of the first five at 320
   and of the first at 4,000 (LONGEST), EOS stopping off; and of the
   texts at 40 frames with the RNN run.
@@ -87,12 +88,10 @@ def asr_setup(root: str, seed: int, shape: str, models=DecodeAsr.MODELS):
     return commands
 
 
-def asr_outputs(root: str, labels=("transformer", "rnn"), fusion=True):
+def asr_outputs(root: str, labels=("transformer", "rnn")):
     """(output name, argv) of every decode of the set-up under root: of
-    each run labels names, and with fusion also with the LM."""
-    tags = [("", [])]
-    if fusion:
-        tags.append((".lm", ["--lm", f"{root}/lm/lm.esc", "--gamma", "0.3"]))
+    each run labels names, without and with the LM."""
+    tags = [("", []), (".lm", ["--lm", f"{root}/lm/lm.esc", "--gamma", "0.3"])]
     return [(f"{os.path.basename(root)}.{label}{tag}.nbest.tsv",
              ["decode", "--ckpt", f"{root}/{label}/avg.esc", "--data",
               f"{root}/data", "--beam", "8", "--nbest", "8"] + extra)
@@ -122,8 +121,8 @@ def setup(work: str, seeds):
         commands += asr_setup(f"{work}/seed{seed}", seed, DecodeAsr.SHAPE)
         outputs += asr_outputs(f"{work}/seed{seed}")
     commands += asr_setup(f"{work}/toy", 0, "", DecodeAsr.MODELS + WIRINGS)
-    outputs += asr_outputs(f"{work}/toy")
-    outputs += asr_outputs(f"{work}/toy", [w for w, _ in WIRINGS], False)
+    outputs += asr_outputs(f"{work}/toy", ["transformer", "rnn"]
+                           + [w for w, _ in WIRINGS])
     tts = f"{work}/tts"
     spec = write_text(tts + ".spec", "task = tts\nseed = 1\n")
     commands.append(["gen-data", "--spec", spec, "--out", f"{tts}/data"])
