@@ -42,8 +42,8 @@ pairs:
 same-outputs:
 	python3 tools/same_outputs.py --ref $(REF)
 
-# The functions and lines of src/minis2s that small copies of the
-# benchmark's commands never run, traced per line.
+# The functions and lines of src/minis2s that the benchmark's workloads
+# (one set-up and one execution each, seed 1) never run, traced per line.
 .PHONY: traffic
 traffic:
 	python3 tools/traffic.py

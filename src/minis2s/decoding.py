@@ -23,7 +23,7 @@ one token array, and pruning is one sort over the non-blank cells of
 every utterance that keeps each one's first beam_size. The finished
 pool, the length budget and the statistics stay per utterance:
 batch_beam_search gives each utterance the result a search of it alone
-gives, and beam_search is its one-utterance case.
+gives, and one utterance is a batch of one.
 
 An utterance retires once no live row can reach its n-best. With
 gamma >= 0 no step raises a score: decoder and LM steps add log-softmax
@@ -66,35 +66,31 @@ class CtcPrefixState:
     """Forward variables of a batch of prefixes, one column per prefix:
     the per-frame log-probability of having emitted the prefix with the
     last symbol non-blank (r_n) or with trailing blanks (r_b), both
-    (frames, B) over at least the frames of each prefix's utterance, each
-    prefix's last label (-1 for the empty one) and the utterance it
-    belongs to."""
+    (frames, B) over at least the frames of each prefix's utterance, and
+    each prefix's last label (-1 for the empty one)."""
 
     r_n: np.ndarray
     r_b: np.ndarray
     last: np.ndarray
-    utt: np.ndarray
 
 
 @dataclass
 class CtcExtensions:
     """Every one-label extension of a batch of prefixes: psi[b, c] is the
     total prefix log-probability of prefix b followed by label c (-inf in
-    the blank column), r_n and r_b their (frames, B, V) forward
-    variables, utt each prefix's utterance."""
+    the blank column), and r_n and r_b their (frames, B, V) forward
+    variables."""
 
     psi: np.ndarray
     r_n: np.ndarray
     r_b: np.ndarray
-    utt: np.ndarray
 
     def select(self, rows, labels) -> CtcPrefixState:
         """The state of the extensions (rows[i], labels[i])."""
         rows = np.asarray(rows, dtype=np.int64)
         labels = np.asarray(labels, dtype=np.int64)
         return CtcPrefixState(r_n=self.r_n[:, rows, labels],
-                              r_b=self.r_b[:, rows, labels], last=labels,
-                              utt=self.utt[rows])
+                              r_b=self.r_b[:, rows, labels], last=labels)
 
 
 class CtcPrefixScorer:
@@ -103,11 +99,12 @@ class CtcPrefixScorer:
     with their frame counts in `lengths`; one utterance is a batch of
     one.
 
-    extend() scores every one-label extension of every prefix in a batch
-    with one loop over the frames of the longest utterance among them;
-    finish() scores each prefix as the complete labeling (the eos case).
-    A prefix sees only its own utterance's frames: its psi sums over them
-    alone and finish reads its last one."""
+    extend(state, utt) scores every one-label extension of every prefix
+    in a batch with one loop over the frames of the longest utterance
+    among them; finish(state, utt) scores each prefix as the complete
+    labeling (the eos case). utt[b] is prefix b's utterance: the prefix
+    sees only its frames, its psi sums over them alone and finish reads
+    its last one."""
 
     def __init__(self, log_probs: np.ndarray, lengths: Sequence[int]):
         u = np.asarray(log_probs, dtype=np.float64)
@@ -122,17 +119,16 @@ class CtcPrefixScorer:
 
     def initial_state(self) -> CtcPrefixState:
         """The empty prefix of every utterance, one column each."""
-        n_utt = self.u.shape[1]
         r_b = np.cumsum(self.u[:, :, BLANK_ID], axis=0)
         r_n = np.full(r_b.shape, -np.inf)
         return CtcPrefixState(r_n=r_n, r_b=r_b,
-                              last=np.full(n_utt, -1, dtype=np.int64),
-                              utt=np.arange(n_utt))
+                              last=np.full(self.u.shape[1], -1,
+                                           dtype=np.int64))
 
-    def extend(self, state: CtcPrefixState) -> CtcExtensions:
+    def extend(self, state: CtcPrefixState, utt) -> CtcExtensions:
         # only the frames of the longest utterance with a prefix here
-        n = int(self.lengths[state.utt].max())
-        u = self.u[:n, state.utt]            # (frames, B, V), row by row
+        n = int(self.lengths[utt].max())
+        u = self.u[:n, utt]                  # (frames, B, V), row by row
         _, batch, vocab = u.shape
         r_b_in = state.r_b[:n]
         # phi[t, b, c]: mass of prefix b up to frame t-1 that label c may
@@ -153,18 +149,18 @@ class CtcPrefixScorer:
             r_n[t] = np.logaddexp(r_n[t - 1], phi[t]) + u[t]
             r_b[t] = np.logaddexp(r_b[t - 1], r_n[t - 1]) + u_blank[t]
         terms = phi + u
-        terms[self.pad[:n, state.utt]] = -np.inf
+        terms[self.pad[:n, utt]] = -np.inf
         m = terms.max(axis=0)
         safe = np.where(np.isfinite(m), m, 0.0)
         with np.errstate(divide="ignore"):
             psi = safe + np.log(np.exp(terms - safe).sum(axis=0))
         psi[:, BLANK_ID] = -np.inf
-        return CtcExtensions(psi=psi, r_n=r_n, r_b=r_b, utt=state.utt)
+        return CtcExtensions(psi=psi, r_n=r_n, r_b=r_b)
 
-    def finish(self, state: CtcPrefixState) -> np.ndarray:
+    def finish(self, state: CtcPrefixState, utt) -> np.ndarray:
         """log-probability that the complete labeling equals each prefix,
         read at the last frame of the prefix's utterance."""
-        last = self.lengths[state.utt] - 1
+        last = self.lengths[utt] - 1
         cols = np.arange(last.shape[0])
         return np.logaddexp(state.r_n[last, cols], state.r_b[last, cols])
 
@@ -228,12 +224,6 @@ class BeamResult:
     nbest: List[Hypothesis] = field(default_factory=list)
     no_finished: bool = False
     stats: SearchStats = field(default_factory=SearchStats)
-
-
-def beam_search(enc, model, lm=None, config: Optional[BeamConfig] = None) -> BeamResult:
-    """Beam search over the one utterance of an encoded batch of one:
-    batch_beam_search with N = 1."""
-    return batch_beam_search(enc, model, lm=lm, config=config)[0]
 
 
 def batch_beam_search(enc, model, lm=None,
@@ -300,8 +290,9 @@ def batch_beam_search(enc, model, lm=None,
             cand_lm = lmp[:, None] + rows_lm
         cand_ctc = np.zeros_like(cand_s2s)
         if use_ctc:
-            ext = scorer.extend(ctc_state)
-            cand_ctc = np.where(is_eos, scorer.finish(ctc_state)[:, None],
+            ext = scorer.extend(ctc_state, owner)
+            cand_ctc = np.where(is_eos,
+                                scorer.finish(ctc_state, owner)[:, None],
                                 ext.psi)
         cand = combined_score(cand_s2s, cand_ctc, cand_lm, config, use_ctc)
         rank = cand

@@ -121,25 +121,21 @@ class EncodedSequence:
     n_sub: np.ndarray
 
 
-def pad_sequences(seqs: Sequence[np.ndarray]) -> Tuple[Tensor, np.ndarray]:
-    """N (n_i, d) arrays as one (N, n_max, d) batch, zero past each one's
-    end, and their lengths: speech frames as S2SModel.encode takes them,
-    or TTS targets as forward_teacher lays them out."""
+def _pad(seqs: Sequence, fill) -> Tuple[np.ndarray, np.ndarray]:
+    """N (n_i, ...) sequences as one (N, n_max, ...) array, fill past
+    each one's end, and their lengths."""
     lens = np.array([len(x) for x in seqs])
-    out = np.zeros((len(seqs), lens.max(), np.shape(seqs[0])[1]))
+    out = np.full((len(seqs), lens.max()) + np.shape(seqs[0])[1:], fill)
     for i, x in enumerate(seqs):
         out[i, :lens[i]] = x
+    return out, lens
+
+
+def pad_sequences(seqs: Sequence[np.ndarray]) -> Tuple[Tensor, np.ndarray]:
+    """N (n_i, d) arrays as one (N, n_max, d) batch, zero past each one's
+    end, and their lengths, as S2SModel.encode takes speech frames."""
+    out, lens = _pad(seqs, 0.0)
     return Tensor(out), lens
-
-
-def _pad_ids(seqs: Sequence[Sequence[int]]) -> Tuple[np.ndarray, np.ndarray]:
-    """N id sequences as one (N, n_max) array, filled with the
-    end-of-sequence id past each one's end, and their lengths."""
-    lens = np.array([len(ys) for ys in seqs])
-    ids = np.full((len(seqs), lens.max()), SOS_EOS_ID)
-    for i, ys in enumerate(seqs):
-        ids[i, :lens[i]] = ys
-    return ids, lens
 
 
 def _key_mask(n_buf: int, lens) -> Optional[np.ndarray]:
@@ -582,9 +578,6 @@ class AdditiveAttention(Module):
         self.w_state = Linear(d_att, d_att, rng)
         self.v = Linear(d_att, 1, rng, bias=False)
 
-    def precompute(self, x_e: Tensor) -> Tensor:
-        return self.w_enc(x_e)
-
     def forward(self, enc_proj: Tensor, x_e: Tensor, state: Tensor,
                 groups: "_RowGroups") -> Tuple[Tensor, Tensor]:
         """Context rows (B, d_att) and weights (N, S, n_k) for decoder
@@ -641,7 +634,7 @@ class LstmDecoderBody(Module):
         real frames: each layer's h, then each layer's c, and as the
         source x_e and its attention projection, (N, 1, n_enc, d_att)."""
         n_utt, n_enc, d = x_e.shape
-        enc_proj = self.attention.precompute(x_e).reshape(n_utt, 1, n_enc, d)
+        enc_proj = self.attention.w_enc(x_e).reshape(n_utt, 1, n_enc, d)
         zeros = [Tensor(np.zeros((n_utt, self.d_att))) for _ in self.cells]
         return SearchState(zeros + zeros, [x_e, enc_proj],
                            _RowGroups.start(lens), 0)
@@ -761,6 +754,17 @@ class _RowGroups:
 # ------------------------------------------------------------- task models
 
 
+def _set_up(model, config: ModelConfig, tasks) -> np.random.Generator:
+    """Validate config, refuse a task the model does not serve, keep the
+    config on the model, and return the rng its weights are drawn from."""
+    config.validate()
+    if config.task not in tasks:
+        raise ConfigError(f"{type(model).__name__} serves "
+                          f"{'/'.join(tasks)}, not {config.task!r}")
+    model.config = config
+    return np.random.default_rng(config.seed)
+
+
 def _bodies(config: ModelConfig, rng: np.random.Generator):
     """The encoder and decoder bodies config.body names, drawn from rng in
     that order."""
@@ -782,11 +786,7 @@ class S2SModel(Module):
 
     def __init__(self, config: ModelConfig):
         super().__init__()
-        config.validate()
-        if config.task not in ("asr", "st"):
-            raise ConfigError(f"S2SModel serves asr/st, not {config.task!r}")
-        self.config = config
-        rng = np.random.default_rng(config.seed)
+        rng = _set_up(self, config, ("asr", "st"))
         sub_cls = ConvSubsampler if config.enc_pre == "conv" else VggSubsampler
         self.enc_pre = sub_cls(config.feat_dim, config.d_att,
                                config.dropout_rate, rng)
@@ -813,7 +813,7 @@ class S2SModel(Module):
         (B, n_max, V): ys_in holds one sequence of input ids per row of
         the encoded batch, each starting with the start-of-sequence id,
         and the rows past a sequence's end hold no meaning."""
-        y_d = self.dec_body(self.dec_pre(_pad_ids(ys_in)[0]), enc.x_e,
+        y_d = self.dec_body(self.dec_pre(_pad(ys_in, SOS_EOS_ID)[0]), enc.x_e,
                             enc.n_sub, records=records)
         return T.log_softmax(self.dec_post(y_d))
 
@@ -920,11 +920,7 @@ class TtsModel(Module):
 
     def __init__(self, config: ModelConfig):
         super().__init__()
-        config.validate()
-        if config.task != "tts":
-            raise ConfigError("TtsModel requires task=tts")
-        self.config = config
-        rng = np.random.default_rng(config.seed)
+        rng = _set_up(self, config, ("tts",))
         self.enc_pre = TokenFrontEnd(config.vocab_size, config.d_att,
                                      config.dropout_rate, rng, scaled_pe=True)
         self.enc_body, self.dec_body = _bodies(config, rng)
@@ -943,7 +939,7 @@ class TtsModel(Module):
         longest: x_e (B, n_max, d_att), row b holding n_sub[b] real
         positions, whose keys alone the encoder attends to (a BLSTM scans
         them alone)."""
-        ids, lens = _pad_ids(token_seqs)
+        ids, lens = _pad(token_seqs, SOS_EOS_ID)
         if lens.min() == 0:
             raise DataError("empty text input")
         return EncodedSequence(x_e=self.enc_body(self.enc_pre(ids), lens),
@@ -968,10 +964,8 @@ class TtsModel(Module):
         at a time, so a short row's padded steps never reach its real
         ones. The postnet reads each row's real frames only."""
         r = self.config.reduction_factor
-        target, n_pad = pad_sequences(
-            [self.pad_target(np.asarray(t, dtype=np.float64))
-             for t in targets])
-        target = target.data
+        target, n_pad = _pad([self.pad_target(np.asarray(t, dtype=np.float64))
+                              for t in targets], 0.0)
         n_b, n_max, feat_dim = target.shape
         s_max = n_max // r
         prev = np.zeros((n_b, s_max, feat_dim))
@@ -1041,11 +1035,7 @@ class RnnLm(Module):
 
     def __init__(self, config: ModelConfig):
         super().__init__()
-        config.validate()
-        if config.task != "lm":
-            raise ConfigError("RnnLm requires task=lm")
-        self.config = config
-        rng = np.random.default_rng(config.seed)
+        rng = _set_up(self, config, ("lm",))
         self.embed = Embedding(config.vocab_size, config.d_att, rng)
         self.lstm = LSTM(config.d_att, config.d_att, rng)
         self.out = Linear(config.d_att, config.vocab_size, rng)
@@ -1055,7 +1045,7 @@ class RnnLm(Module):
         id sequences padded to the longest; the forward scan never lets a
         row's padding reach its real positions, whose rows alone hold
         meaning."""
-        ids, lens = _pad_ids(ys_in)
+        ids, lens = _pad(ys_in, SOS_EOS_ID)
         return T.log_softmax(self.out(self.lstm(self.embed(ids), lens)))
 
     def init_state(self) -> SearchState:

@@ -107,10 +107,6 @@ class _FlatOptimizer:
         self._tmp = np.empty((2, min(UPDATE_BLOCK, self.flat.size)))
         self.t = 0
 
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None
-
     def step(self, lr: float) -> float:
         """Update the parameters at rate lr from `grad` and return the
         gradient 2-norm, one dot product over it. A p.grad that is not
@@ -184,9 +180,6 @@ class Adadelta(_FlatOptimizer):
         self.rho, self.eps = rho, eps
         self.eg = np.zeros_like(self.flat)
         self.ex = np.zeros_like(self.flat)
-
-    def step(self, lr: float = 1.0) -> float:
-        return super().step(lr)
 
     def _update(self, lr: float) -> None:
         rho, eps = self.rho, self.eps
@@ -533,12 +526,14 @@ def _fmt(x: float) -> str:
 def evaluate_dev(model, dev_set: Sequence) -> float:
     """Mean per-token (ASR/ST) or per-element (TTS) dev loss, run in
     length-sorted batches of DEV_BATCH."""
+    training = model.training
     model.eval()
     total = 0.0
     with T.no_grad(), T.Graph(seed=0):
         for batch in make_batches(dev_set, DEV_BATCH):
             total += batch_loss(model, batch, dev_set)[0].item()
-    model.train()
+    if training:
+        model.train()
     return total
 
 
@@ -557,8 +552,11 @@ def train_loop(model, train_set: Sequence, dev_set: Sequence,
     is_tts = model.config.task == "tts"
     if tcfg.optimizer == "adam":
         opt = Adam(model.parameters())
+        rate = lambda t: noam_lr(t, model.config.d_att,
+                                 tcfg.warmup_steps, tcfg.noam_k)
     else:
         opt = Adadelta(model.parameters())
+        rate = lambda t: tcfg.adadelta_lr
 
     log_path = os.path.join(out_dir, "log.csv")
     stopper = EarlyStopping(tcfg.patience, tcfg.min_delta)
@@ -575,7 +573,7 @@ def train_loop(model, train_set: Sequence, dev_set: Sequence,
             for batch in make_batches(train_set, tcfg.batch_size, rng):
                 step += 1
                 t0 = time.perf_counter()
-                opt.zero_grad()
+                model.zero_grad()
                 if tcfg.augment and not is_tts:
                     batch = [type(utt)(utt.utt_id, spec_augment(
                         utt.feats, tcfg.n_time_masks, tcfg.n_freq_masks,
@@ -586,11 +584,7 @@ def train_loop(model, train_set: Sequence, dev_set: Sequence,
                     loss, parts = batch_loss(model, batch, batch)
                     backward(loss)
                 _check_finite(loss.item(), "loss", epoch, step)
-                if tcfg.optimizer == "adam":
-                    lr = noam_lr(opt.t + 1, model.config.d_att,
-                                 tcfg.warmup_steps, tcfg.noam_k)
-                else:
-                    lr = tcfg.adadelta_lr
+                lr = rate(opt.t + 1)
                 # a non-finite gradient leaves the weights as they were
                 gnorm = _check_finite(opt.step(lr), "gradient norm", epoch,
                                       step)
@@ -640,7 +634,7 @@ def train_lm(lm, sequences: Sequence[Sequence[int]], epochs: int = 5,
         for i in order:
             ys = list(sequences[i])
             step += 1
-            opt.zero_grad()
+            lm.zero_grad()
             with T.Graph(seed=seed * 7919 + epoch * 613 + int(i)):
                 lp = lm.full_logprobs([[SOS_EOS_ID] + ys])
                 loss = L.s2s_cross_entropy(lp, [ys + [SOS_EOS_ID]])

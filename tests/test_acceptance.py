@@ -32,7 +32,7 @@ from minis2s import tensor as T
 from minis2s.attention import add_positional_encoding, multi_head_attention
 from minis2s.config import experiment_from_items
 from minis2s.data import ToySpec, Utterance, gen_toy, toy_vocab
-from minis2s.decoding import BeamConfig, CtcPrefixScorer, beam_search
+from minis2s.decoding import BeamConfig, CtcPrefixScorer, batch_beam_search
 from minis2s.errors import ConfigError
 from minis2s.losses import ctc_log_likelihood, ctc_min_frames
 from minis2s.metrics import bleu, cer, wer
@@ -97,7 +97,7 @@ def _beam_cer(model, utts, vocab, bcfg) -> float:
     for u in utts:
         with T.no_grad(), T.Graph(seed=0):
             enc = model.encode(*pad_sequences([u.feats]))
-            out = beam_search(enc, model, config=bcfg)
+            out = batch_beam_search(enc, model, config=bcfg)[0]
         hyps.append(" ".join(vocab.decode(out.best.tokens)))
         refs.append(" ".join(vocab.decode(u.tokens)))
     return cer(refs, hyps)
@@ -370,8 +370,9 @@ def test_a02_ctc_brute_force_oracle():
         scorer = CtcPrefixScorer(u[:, None], [len(u)])
         state = scorer.initial_state()
         for tok in target:
-            state = scorer.extend(state).select([0], [tok])
-        worst_chain = max(worst_chain, abs(scorer.finish(state)[0] - want))
+            state = scorer.extend(state, [0]).select([0], [tok])
+        worst_chain = max(worst_chain,
+                          abs(scorer.finish(state, [0])[0] - want))
     ok = worst_full < 1e-9 and worst_chain < 1e-9
     _verdict("A2 CTC oracle", ok,
              f"100 cases, forward vs enumeration {worst_full:.2e}, "
@@ -425,7 +426,7 @@ def test_a04_beam_search_oracle():
         with T.Graph(seed=0):
             enc = model.encode(*pad_sequences([x]))
             assert enc.n_sub[0] == 4  # so the length budget is max_len = 4
-            out = beam_search(enc, model, config=cfg)
+            out = batch_beam_search(enc, model, config=cfg)[0]
             want_comb, want_toks = enumerate_best(
                 enc, model, None, cfg, enc.n_sub[0], expand=(1, 3, 4))
             if (out.best.tokens != want_toks
@@ -439,7 +440,7 @@ def test_a04_beam_search_oracle():
                                    max_len_ratio=1.0)
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
-                    res = beam_search(enc, model, config=cfg_w)
+                    res = batch_beam_search(enc, model, config=cfg_w)[0]
                 if res.no_finished:
                     continue
                 if res.best.combined < best - 1e-12:
@@ -572,7 +573,7 @@ def test_a07_toy_st_pure_attention(tmp_path):
     for u in splits["test"]:
         with T.no_grad(), T.Graph(seed=0):
             enc = model.encode(*pad_sequences([u.feats]))
-            out = beam_search(enc, model, config=bcfg)
+            out = batch_beam_search(enc, model, config=bcfg)[0]
         hyps.append(" ".join(vocab.decode(out.best.tokens)))
         refs.append(" ".join(vocab.decode(u.tokens)))
     acc = 1.0 - wer(refs, hyps)

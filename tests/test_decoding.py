@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from minis2s import tensor as T
 from minis2s.decoding import (BOUND_MARGIN, BeamConfig, BeamResult,
                               CtcPrefixScorer, CtcPrefixState, Hypothesis,
-                              batch_beam_search, beam_search, combined_score,
+                              batch_beam_search, combined_score,
                               rank_hypotheses)
 from minis2s.errors import (ConfigError, DataError, DimensionError,
                             ImpossibleAlignmentError)
@@ -188,7 +188,7 @@ def scorer_chain(scorer, labels):
     state = scorer.initial_state()
     psi = 0.0
     for tok in labels:
-        ext = scorer.extend(state)
+        ext = scorer.extend(state, [0])
         psi = float(ext.psi[0, tok])
         state = ext.select([0], [tok])
     return psi, state
@@ -213,7 +213,8 @@ def test_prefix_scorer_rejects_a_single_utterance_layout():
 def test_prefix_finish_empty_is_all_blank():
     u = rand_logprobs(1, 5, 3)
     scorer = CtcPrefixScorer(u[:, None], [len(u)])
-    assert abs(scorer.finish(scorer.initial_state())[0] - u[:, 0].sum()) < 1e-12
+    assert abs(scorer.finish(scorer.initial_state(), [0])[0]
+               - u[:, 0].sum()) < 1e-12
 
 
 @pytest.mark.parametrize("seed", range(50))
@@ -228,7 +229,7 @@ def test_prefix_chain_matches_full_ctc(seed):
             break
     scorer = CtcPrefixScorer(u[:, None], [len(u)])
     _, state = scorer_chain(scorer, target)
-    got = scorer.finish(state)[0]
+    got = scorer.finish(state, [0])[0]
     want = ctc_log_likelihood(Tensor(u[None]), [target], [len(u)]).item()
     assert abs(got - want) < 1e-9
 
@@ -239,7 +240,7 @@ def test_prefix_impossible_goes_neg_inf_without_nan():
     state = scorer.initial_state()
     psis = []
     for tok in [1, 2, 3]:
-        ext = scorer.extend(state)
+        ext = scorer.extend(state, [0])
         assert not np.any(np.isnan(ext.psi))
         psis.append(ext.psi[0, tok])
         state = ext.select([0], [tok])
@@ -249,7 +250,7 @@ def test_prefix_impossible_goes_neg_inf_without_nan():
 
 def test_prefix_blank_column_is_impossible():
     scorer = CtcPrefixScorer(rand_logprobs(3, 3, 4)[:, None], [3])
-    ext = scorer.extend(scorer.initial_state())
+    ext = scorer.extend(scorer.initial_state(), [0])
     assert np.isneginf(ext.psi[:, 0]).all()
     assert np.isfinite(ext.psi[:, 1:]).all()
 
@@ -284,9 +285,9 @@ def test_vectorised_extend_matches_scalar_chain(seed):
     batch = CtcPrefixState(
         r_n=np.concatenate([s.r_n for s in states], axis=1),
         r_b=np.concatenate([s.r_b for s in states], axis=1),
-        last=np.concatenate([s.last for s in states]),
-        utt=np.concatenate([s.utt for s in states]))
-    ext = scorer.extend(batch)
+        last=np.concatenate([s.last for s in states]))
+    utt = np.zeros(len(prefixes), dtype=np.int64)
+    ext = scorer.extend(batch, utt)
     assert ext.psi.shape == (len(prefixes), v)
     assert not np.isnan(ext.psi).any()
     assert not np.isnan(ext.r_n).any() and not np.isnan(ext.r_b).any()
@@ -294,7 +295,7 @@ def test_vectorised_extend_matches_scalar_chain(seed):
     for b, p in enumerate(prefixes):
         _, r_n, r_b, last = scalar_chain(u, p)
         want_finish = np.logaddexp(r_n[-1], r_b[-1])
-        got_finish = scorer.finish(batch)[b]
+        got_finish = scorer.finish(batch, utt)[b]
         assert np.isneginf(got_finish) == np.isneginf(want_finish)
         if np.isfinite(want_finish):
             assert abs(got_finish - want_finish) < 1e-9
@@ -313,9 +314,9 @@ def test_vectorised_extend_matches_scalar_chain(seed):
 def test_extension_select_repeats_and_reorders_rows():
     u = rand_logprobs(7, 5, 5)
     scorer = CtcPrefixScorer(u[:, None], [len(u)])
-    ext = scorer.extend(scorer.initial_state())
+    ext = scorer.extend(scorer.initial_state(), [0])
     state = ext.select([0, 0, 0], [3, 1, 3])
-    ext2 = scorer.extend(state)
+    ext2 = scorer.extend(state, [0, 0, 0])
     np.testing.assert_array_equal(ext2.psi[0], ext2.psi[2])
     for b, first in enumerate([3, 1, 3]):
         for tok in (1, 3, 4):
@@ -347,9 +348,9 @@ def test_padded_extend_and_finish_match_scalar_oracle(seed):
     states = []
     for i, p in cases:
         state = CtcPrefixState(r_n=start.r_n[:, [i]], r_b=start.r_b[:, [i]],
-                               last=start.last[[i]], utt=start.utt[[i]])
+                               last=start.last[[i]])
         for tok in p:
-            state = scorer.extend(state).select([0], [tok])
+            state = scorer.extend(state, [i]).select([0], [tok])
         states.append(state)
     # a state of one utterance's prefixes holds only that utterance's
     # frames; -inf fills the rest of the batch's frames
@@ -362,12 +363,12 @@ def test_padded_extend_and_finish_match_scalar_oracle(seed):
     batch = CtcPrefixState(
         *(np.concatenate([frames(getattr(s, f)) for s in states], axis=-1)
           for f in ("r_n", "r_b")),
-        *(np.concatenate([getattr(s, f) for s in states])
-          for f in ("last", "utt")))
+        np.concatenate([s.last for s in states]))
+    utt = [i for i, _ in cases]
     assert all(len(s.r_n) == lengths[i] for s, (i, p) in zip(states, cases)
                if p)
-    ext = scorer.extend(batch)
-    finish = scorer.finish(batch)
+    ext = scorer.extend(batch, utt)
+    finish = scorer.finish(batch, utt)
     for arr in (ext.psi, ext.r_n, ext.r_b, finish):
         assert not np.isnan(arr).any()
     for b, (i, p) in enumerate(cases):
@@ -415,7 +416,7 @@ def test_combined_recomputable_from_parts():
     x = np.random.default_rng(6).standard_normal((16, 6))
     with T.Graph(seed=0):
         enc = encode_one(model, x)
-        out = beam_search(enc, model, lm=lm, config=cfg)
+        out = batch_beam_search(enc, model, lm=lm, config=cfg)[0]
     for hyp in out.nbest:
         want = 0.7 * hyp.log_s2s + 0.3 * hyp.log_ctc + 0.3 * hyp.log_lm
         assert abs(hyp.combined - want) < 1e-12
@@ -530,7 +531,7 @@ def test_beam_matches_exhaustive_enumeration(seed):
     x = np.random.default_rng(1000 + seed).standard_normal((16, 6))
     with T.Graph(seed=0):
         enc = encode_one(model, x)
-        out = beam_search(enc, model, config=cfg)
+        out = batch_beam_search(enc, model, config=cfg)[0]
         want_comb, want_toks = enumerate_best(
             enc, model, None, cfg, enc.n_sub[0], expand=(1, 3, 4))
     assert out.best.tokens == want_toks
@@ -545,7 +546,7 @@ def test_beam_with_lm_matches_enumeration():
     x = np.random.default_rng(7).standard_normal((16, 6))
     with T.Graph(seed=0):
         enc = encode_one(model, x)
-        out = beam_search(enc, model, lm=lm, config=cfg)
+        out = batch_beam_search(enc, model, lm=lm, config=cfg)[0]
         want_comb, want_toks = enumerate_best(
             enc, model, lm, cfg, enc.n_sub[0], expand=(1, 3, 4))
     assert out.best.tokens == want_toks
@@ -558,9 +559,9 @@ def test_gamma_zero_ignores_lm():
     x = np.random.default_rng(8).standard_normal((12, 6))
     with T.Graph(seed=0):
         enc = encode_one(model, x)
-        with_lm = beam_search(enc, model, lm=tiny_lm(5, 8, 4),
-                              config=cfg)
-        without = beam_search(enc, model, lm=None, config=cfg)
+        with_lm = batch_beam_search(enc, model, lm=tiny_lm(5, 8, 4),
+                              config=cfg)[0]
+        without = batch_beam_search(enc, model, lm=None, config=cfg)[0]
     assert with_lm.best.tokens == without.best.tokens
     assert with_lm.best.combined == without.best.combined
 
@@ -573,7 +574,7 @@ def test_wider_beam_never_scores_lower():
         best = -np.inf
         for beam in [1, 2, 4, 8]:
             cfg = BeamConfig(beam_size=beam, gamma=0.0)
-            out = beam_search(enc, model, config=cfg)
+            out = batch_beam_search(enc, model, config=cfg)[0]
             assert out.best.combined >= best - 1e-12
             best = max(best, out.best.combined)
 
@@ -620,7 +621,7 @@ def test_beam_nbest_matches_reference_beam(body, with_lm, beam):
             enc = encode_one(model, x)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                out = beam_search(enc, model, lm=lm, config=cfg)
+                out = batch_beam_search(enc, model, lm=lm, config=cfg)[0]
             want, _ = reference_beam(enc, model, lm, cfg)
         if not want:
             assert out.no_finished
@@ -674,7 +675,7 @@ def test_batched_search_equals_search_one_by_one(body, with_lm):
                                             config=cfg, ids=ids)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                alone = [beam_search(enc, model, lm=lm, config=cfg)
+                alone = [batch_beam_search(enc, model, lm=lm, config=cfg)[0]
                          for enc in encs]
             for got, want in zip(batched, alone):
                 _same_result(got, want)
@@ -759,7 +760,7 @@ def test_lam_one_beam_one_equals_greedy():
     model = TableModel(rows)
     enc = table_enc(6)
     cfg = BeamConfig(beam_size=1, lam=1.0, gamma=0.0)
-    out = beam_search(enc, model, config=cfg)
+    out = batch_beam_search(enc, model, config=cfg)[0]
     assert list(out.best.tokens) == greedy_decode(enc, model)
     assert out.best.finished
 
@@ -771,7 +772,7 @@ def test_no_finished_returns_best_live_with_flag():
     model = TableModel(rows)
     cfg = BeamConfig(beam_size=2, lam=1.0, gamma=0.0, max_len_ratio=0.5)
     with pytest.warns(UserWarning):
-        out = beam_search(table_enc(4), model, config=cfg)
+        out = batch_beam_search(table_enc(4), model, config=cfg)[0]
     assert out.no_finished
     assert not out.best.finished
     assert len(out.best.tokens) == 2
@@ -782,8 +783,8 @@ def test_search_stats_on_table_paths():
     rows[0, 3] = 0.0
     rows[1, 1] = 0.0
     rows[2, SOS_EOS_ID] = 0.0
-    out = beam_search(table_enc(6), TableModel(rows),
-                      config=BeamConfig(beam_size=1, lam=1.0, gamma=0.0))
+    out = batch_beam_search(table_enc(6), TableModel(rows),
+                      config=BeamConfig(beam_size=1, lam=1.0, gamma=0.0))[0]
     # three steps of one hypothesis by the three non-blank tokens; eos
     # retires the only hypothesis at the third
     assert (out.stats.steps, out.stats.scored) == (3, 9)
@@ -795,7 +796,7 @@ def test_search_stats_without_finish():
     rows[0, SOS_EOS_ID] = -50.0
     cfg = BeamConfig(beam_size=2, lam=1.0, gamma=0.0, max_len_ratio=0.5)
     with pytest.warns(UserWarning):
-        out = beam_search(table_enc(4), TableModel(rows), config=cfg)
+        out = batch_beam_search(table_enc(4), TableModel(rows), config=cfg)[0]
     assert (out.stats.steps, out.stats.scored) == (2, 3 + 6)
     assert (out.stats.finished, out.stats.live) == (0, 2)
 
@@ -822,7 +823,7 @@ def test_settled_utterance_retires_with_the_full_search_nbest(length_penalty):
     cfg = BeamConfig(beam_size=16, lam=0.5, gamma=0.0, max_len_ratio=3.0,
                      length_penalty=length_penalty)
     enc = ctc_table_enc(2, 5, seed=1)
-    out = beam_search(enc, model, config=cfg)
+    out = batch_beam_search(enc, model, config=cfg)[0]
     want, stop = reference_beam(enc, model, None, cfg)
     assert stop == 3
     assert out.stats.steps == stop + 1
@@ -842,7 +843,7 @@ def test_utterance_short_of_a_full_pool_runs_to_its_budget(length_penalty):
     cfg = BeamConfig(beam_size=64, lam=0.5, gamma=0.0, max_len_ratio=5.0,
                      length_penalty=length_penalty)
     enc = ctc_table_enc(1, 5, seed=2)
-    out = beam_search(enc, model, config=cfg)
+    out = batch_beam_search(enc, model, config=cfg)[0]
     want, stop = reference_beam(enc, model, None, cfg)
     # the pool may fill at the last step, where the budget ends it anyway
     assert stop == 4
@@ -866,7 +867,7 @@ def test_batched_retirement_equals_search_one_by_one():
                              max_len_ratio=3.0, length_penalty=length_penalty)
             batched = batch_beam_search(join(encs), model, config=cfg)
             for enc, got in zip(encs, batched):
-                _same_result(got, beam_search(enc, model, config=cfg))
+                _same_result(got, batch_beam_search(enc, model, config=cfg)[0])
                 want, stop = reference_beam(enc, model, None, cfg)
                 _same_nbest(got.nbest, want)
                 assert got.stats.steps == stop + 1
@@ -906,7 +907,7 @@ def test_exact_ties_at_the_beam_cut(beam, length_penalty):
     batched = batch_beam_search(join(encs), model, config=cfg)
     for enc, got in zip(encs, batched):
         assert not got.no_finished
-        _same_result(got, beam_search(enc, model, config=cfg))
+        _same_result(got, batch_beam_search(enc, model, config=cfg)[0])
         want, _ = reference_beam(enc, model, None, cfg)
         _same_nbest(got.nbest, want)
 
@@ -966,9 +967,10 @@ def psi_overshoot(model, enc, depth=3):
               if c not in (BLANK_ID, SOS_EOS_ID)]
     state, parent, most = scorer.initial_state(), np.zeros(1), -np.inf
     for _ in range(depth):
-        ext = scorer.extend(state)
+        utt = np.zeros(len(parent), dtype=np.int64)   # one utterance
+        ext = scorer.extend(state, utt)
         child = np.concatenate([ext.psi[:, labels],
-                                scorer.finish(state)[:, None]], axis=1)
+                                scorer.finish(state, utt)[:, None]], axis=1)
         live = np.isfinite(parent)
         most = (child[live] - parent[live, None]).max(initial=most)
         rows = np.repeat(np.arange(len(parent)), len(labels))
@@ -1003,7 +1005,7 @@ def test_empty_encoding_rejected():
     model = tiny_model(41)
     enc = EncodedSequence(x_e=Tensor(np.zeros((1, 0, 8))), n_sub=np.array([0]))
     with pytest.raises(DataError):
-        beam_search(enc, model)
+        batch_beam_search(enc, model)
     with pytest.raises(DataError):
         greedy_decode(enc, model)
 
@@ -1014,7 +1016,7 @@ def test_nbest_is_sorted_and_bounded():
     x = np.random.default_rng(11).standard_normal((16, 6))
     with T.Graph(seed=0):
         enc = encode_one(model, x)
-        out = beam_search(enc, model, config=cfg)
+        out = batch_beam_search(enc, model, config=cfg)[0]
     assert len(out.nbest) <= 5
     scores = [h.combined for h in out.nbest]
     assert scores == sorted(scores, reverse=True)

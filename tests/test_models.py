@@ -1119,7 +1119,7 @@ def lm_batches(draw):
 def test_lm_full_logprobs_rows_equal_single_runs_whatever_the_padding():
     lm = build_model(ModelConfig(task="lm", vocab_size=LM_VOCAB, d_att=6,
                                  seed=9))
-    pad_ids = models._pad_ids
+    pad = models._pad
 
     @PROPERTY
     @given(lm_batches(), st.integers(0, 2 ** 32 - 1))
@@ -1131,14 +1131,14 @@ def test_lm_full_logprobs_rows_equal_single_runs_whatever_the_padding():
                     batch[b, :len(ys)], lm.full_logprobs([ys]).data[0],
                     rtol=0, atol=1e-10)
 
-            def other_padding(rows):
-                ids, lens = pad_ids(rows)
+            def other_padding(rows, fill):
+                ids, lens = pad(rows, fill)
                 noise = np.random.default_rng(pad_seed).integers(
                     0, LM_VOCAB, ids.shape)
                 past = np.arange(ids.shape[1]) >= lens[:, None]
                 return np.where(past, noise, ids), lens
 
-            with mock.patch.object(models, "_pad_ids", other_padding):
+            with mock.patch.object(models, "_pad", other_padding):
                 repadded = lm.full_logprobs(seqs).data
         for b, ys in enumerate(seqs):
             assert np.array_equal(repadded[b, :len(ys)], batch[b, :len(ys)])

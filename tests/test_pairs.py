@@ -1,5 +1,6 @@
 """tools/pairs.py's BENCH_<workload>.json record, from two fake runs: its
-schema, the summary's medians and quartiles, and the wins per side."""
+schema, the summary's medians and quartiles, the wins per side, and the
+tier-1 run it keeps."""
 
 import importlib.util
 import json
@@ -24,12 +25,15 @@ def test_campaign_record_schema():
             {"order": 2, "seed": 1, "side": "this", "correct": True,
              "metrics": {"job1_scaled_ms_per_op": 3.5, "ok_share": 1.0}}]
     metrics = {"job1_scaled_ms_per_op": "lower", "ok_share": "higher"}
+    tier1 = {"wall_s": 131.5, "returncode": 0,
+             "summary": "1029 passed, 1 warning in 130.20s (0:02:10)"}
     record = pairs.campaign_record(
         "tts", {"ref": "a" * 40, "this": "b" * 40}, True, 10,
-        {"ref": env, "this": env}, runs, metrics)
+        {"ref": env, "this": env}, runs, metrics, tier1)
     assert json.loads(json.dumps(record)) == record
     assert set(record) == {"workload", "commits", "dirty", "run_seconds",
-                           "env", "runs", "summary"}
+                           "env", "runs", "summary", "tier1"}
+    assert record["tier1"] == tier1
     assert record["workload"] == "tts" and record["dirty"] is True
     assert record["run_seconds"] == 10
     assert record["commits"] == {"ref": "a" * 40, "this": "b" * 40}
@@ -43,3 +47,12 @@ def test_campaign_record_schema():
     assert job1["this"] == {"median": 3.5, "q1": 3.5, "q3": 3.5}
     assert job1["wins"] == {"ref": 0, "this": 1}
     assert record["summary"]["ok_share"]["wins"] == {"ref": 0, "this": 0}
+
+
+def test_summary_line_is_pytests_last_line():
+    pairs = _load()
+    out = ("..........                                   [100%]\n"
+           "=== 1029 passed, 1 warning in 130.20s (0:02:10) ===\n\n")
+    assert pairs.summary_line(out) == ("1029 passed, 1 warning in 130.20s "
+                                       "(0:02:10)")
+    assert pairs.summary_line("") == ""

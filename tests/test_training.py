@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from minis2s import tensor as T
 from minis2s.config import experiment_from_items
 from minis2s.data import ToySpec, gen_toy, toy_vocab
+from minis2s.decoding import BeamConfig, batch_beam_search
 from minis2s.errors import ConfigError, DataError, NumericError
 from minis2s.losses import (ctc_log_likelihood, ctc_min_frames,
                             guided_attention_weight, joint_asr_loss,
@@ -147,7 +148,7 @@ def test_adadelta_descends_quadratic():
     prev = float(x.data) ** 2
     for _ in range(100):
         x.grad = np.asarray(2.0 * float(x.data))
-        opt.step()
+        opt.step(1.0)
         cur = float(x.data) ** 2
         assert cur <= prev + 1e-15
         prev = cur
@@ -271,14 +272,14 @@ def test_optimizer_packs_parameters_into_one_vector(tmp_path, opt_cls):
 
 
 def test_backward_accumulates_into_the_flat_gradient_vector():
-    # after opt.zero_grad() and a backward every p.grad is its view of
+    # after model.zero_grad() and a backward every p.grad is its view of
     # opt.grad, so the step copies nothing; the weights stay those of
     # fresh gradient arrays under the per-array reference
     utts = toy_utts(4)
     model, ref_model = build_model(asr_cfg()), build_model(asr_cfg())
     opt, ref = Adam(model.parameters()), RefAdam(ref_model.parameters())
     for step in range(1, 4):
-        opt.zero_grad()
+        model.zero_grad()
         ref_model.zero_grad()
         for m in (model, ref_model):
             with T.Graph(seed=step):
@@ -292,7 +293,7 @@ def test_backward_accumulates_into_the_flat_gradient_vector():
             assert p.data.tobytes() == q.data.tobytes()
     # with no backward after zero_grad the step sees zero gradients, not
     # the last backward's, which opt.grad still holds
-    opt.zero_grad()
+    model.zero_grad()
     ref_model.zero_grad()
     opt.step(1e-2)
     ref.step(1e-2)
@@ -981,3 +982,19 @@ def test_evaluate_dev_matches_manual_mean():
         model.train()
         assert abs(evaluate_dev(model, dev) - manual) < 1e-12
         assert model.training
+
+
+@pytest.mark.parametrize("training", [False, True])
+def test_evaluate_dev_leaves_the_model_in_its_mode(training):
+    # a loaded checkpoint is evaluated in eval mode and then searched; the
+    # Transformer decoder's search step refuses dropout left on
+    utts = toy_utts(2)
+    model = build_model(asr_cfg(dropout_rate=0.1))
+    model.train() if training else model.eval()
+    evaluate_dev(model, utts)
+    drop = model.dec_body.layers[0].drop
+    assert model.training == drop.training == training
+    if not training:
+        with T.no_grad():
+            enc = model.encode(*pad_sequences([utts[0].feats]))
+            batch_beam_search(enc, model, config=BeamConfig(beam_size=2))

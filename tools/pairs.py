@@ -12,9 +12,12 @@ end-to-end metric that BENCHMARK.json declares, and the pairs the
 checkout wins on each (ties count for neither side). The temporary
 directory is removed at the end, also when a run fails.
 
-A finished campaign also writes BENCH_<workload>.json at the checkout
-root (see `campaign_record`): both commits, every run in the order it
-ran, each side's perfbench environment, and the summary printed here.
+After the pairs, runs the tier-1 tests (ROADMAP.md's command) once in
+the checkout's copy, for their wall time and pytest's summary line. A
+finished campaign also writes BENCH_<workload>.json at the checkout root
+(see `campaign_record`): both commits, every run in the order it ran,
+each side's perfbench environment, the summary printed here, and the
+tier-1 run, which gates nothing.
 
 The two copies differ in their code alone: run from the checkout itself,
 the parent's own code read slower than from an archive of it. Both
@@ -34,6 +37,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -85,6 +89,27 @@ def bench(root: str, env: dict, workload: str, seed: int,
     return json.loads(lines[-1]), bench_env
 
 
+def tier1(root: str, env: dict) -> dict:
+    """One tier-1 run in the copy at root: its wall time in seconds, its
+    exit code and the last line pytest printed, its summary."""
+    t0 = time.perf_counter()
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q",
+         "--continue-on-collection-errors"], cwd=root,
+        env=dict(env, PYTHONPATH=os.path.join(root, "src")),
+        capture_output=True, text=True)
+    wall = time.perf_counter() - t0
+    return {"wall_s": round(wall, 1), "returncode": run.returncode,
+            "summary": summary_line(run.stdout)}
+
+
+def summary_line(stdout: str) -> str:
+    """pytest's closing summary, its last non-empty line, without the
+    rule of = signs around it."""
+    lines = [x for x in stdout.splitlines() if x.strip()]
+    return lines[-1].strip("= ") if lines else ""
+
+
 def quartiles(values):
     """(first quartile, median, third quartile)."""
     if len(values) < 2:
@@ -95,7 +120,7 @@ def quartiles(values):
 
 def campaign_record(workload: str, commits: dict, dirty: bool,
                     run_seconds, envs: dict, runs: list,
-                    metrics: dict) -> dict:
+                    metrics: dict, tier1_run: dict) -> dict:
     """The BENCH_<workload>.json object of a campaign. commits maps "ref"
     and "this" to commit ids, dirty says whether the checkout differed
     from its commit, envs maps each side to its perfbench environment,
@@ -103,7 +128,8 @@ def campaign_record(workload: str, commits: dict, dirty: bool,
     "metrics"} in the order they ran, and metrics maps each end-to-end
     name to "lower" or "higher", the better direction. The summary
     gives per metric each side's median and quartiles and the pairs
-    (same seed) each side wins; ties count for neither."""
+    (same seed) each side wins; ties count for neither. tier1_run is
+    the tier-1 run of the checkout's copy (`tier1`), kept as it is."""
     summary = {}
     for name, better in metrics.items():
         by_side = {side: {r["seed"]: r["metrics"][name] for r in runs
@@ -121,7 +147,7 @@ def campaign_record(workload: str, commits: dict, dirty: bool,
             summary[name][side] = {"median": q2, "q1": q1, "q3": q3}
     return {"workload": workload, "commits": commits, "dirty": dirty,
             "run_seconds": run_seconds, "env": envs, "runs": runs,
-            "summary": summary}
+            "summary": summary, "tier1": tier1_run}
 
 
 def git(*args: str) -> str:
@@ -170,11 +196,13 @@ def main(argv=None) -> int:
                 print(f"seed {seed} {side:4} correct={result['correct']} "
                       + " ".join(f"{k}={v:.4g}" for k, v in values.items()),
                       flush=True)
+        tier1_run = tier1(roots["this"], envs["this"])
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
     record = campaign_record(args.workload, commits, dirty,
-                             spec["run_seconds"], bench_envs, runs, metrics)
+                             spec["run_seconds"], bench_envs, runs, metrics,
+                             tier1_run)
     path = os.path.join(ROOT, f"BENCH_{args.workload}.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
@@ -187,6 +215,8 @@ def main(argv=None) -> int:
               f"{r['q3']:.4g}]  this {t['median']:.4g} [{t['q1']:.4g}, "
               f"{t['q3']:.4g}]  this better in {m['wins']['this']}/"
               f"{args.pairs}")
+    print(f"tier-1 in the checkout's copy: {tier1_run['summary']} "
+          f"(exit {tier1_run['returncode']}, wall {tier1_run['wall_s']} s)")
     print(f"wrote {path}")
     return 0
 

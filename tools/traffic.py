@@ -1,26 +1,19 @@
 """Traffic: the functions and lines of src/minis2s that the benchmark's
-commands never run.
+workloads never run.
 
     python3 tools/traffic.py
 
-Runs small copies of each benchmark workload's commands (perfbench's
-train-asr, decode-asr and tts) in a temporary directory, in this process
-through `minis2s.cli.main`, under `sys.settrace`:
-
-- `gen-data` of an ASR corpus of decode-asr's fixed shape and of a TTS
-  corpus, N_TRAIN training and N_TEST test utterances each;
-- `train` of decode-asr's transformer-toy, rnn-toy and fusion LM
-  configs, one epoch each;
-- `decode` of the transformer with the LM at gamma 0.3 and of the rnn
-  without, and `eval --metric cer` of both;
-- `train` of tts-toy for one epoch and `synth` of each test text at 40
-  frames with EOS stopping off;
-- `avg-ckpt` and `report` of the transformer run.
+Runs each workload of perfbench (train-asr, decode-asr and tts) as a
+benchmark run does, at seed SEED, in a temporary directory, in this
+process under `sys.settrace`: one set-up, with `gen-data` run in process
+as a traced benchmark run runs it, and one execution of the timed part.
+Every command goes through `minis2s.cli.main` with the arguments the
+benchmark gives it.
 
 Then prints each function of src/minis2s that never ran (a nested
 function only when the one around it ran), and each line that never ran
 outside those functions, leaving out the lines of `raise` statements.
-Exits 1 if a command fails.
+Exits 1 if a set-up or an execution fails.
 
 Tracing is per line: a line counts as run once any part of it runs, so
 the untaken arm of a one-line conditional (`a if c else b`) or of a
@@ -32,7 +25,6 @@ import ast
 import contextlib
 import glob
 import os
-import re
 import shutil
 import sys
 import tempfile
@@ -41,9 +33,7 @@ import types
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "minis2s")
 
-# utterances per corpus split: enough for one batch of every preset
-N_TRAIN, N_TEST = 24, 4
-SYNTH_FRAMES = 40
+SEED = 1   # the seed of the first pair of a `make pairs` campaign
 
 
 class Tracer:
@@ -128,44 +118,6 @@ def never_run(path: str, tracer: Tracer):
     return functions, sorted(lines - ran - skipped)
 
 
-def _commands(work: str):
-    """The argv lists of the small copies of the benchmark's commands, one
-    at a time: the synth texts are read once `gen-data` has written them."""
-    from workloads import DecodeAsr, write_text
-
-    size = f"n_train = {N_TRAIN}\nn_dev = {N_TEST}\nn_test = {N_TEST}\n"
-    asr, tts = f"{work}/asr", f"{work}/tts"
-    for task, root, extra in (("asr", asr, DecodeAsr.SHAPE), ("tts", tts, "")):
-        spec = write_text(f"{root}.spec", f"task = {task}\n{size}{extra}")
-        yield ["gen-data", "--spec", spec, "--out", f"{root}/data"]
-    for label, cfg_text in DecodeAsr.MODELS:
-        cfg = write_text(f"{asr}.{label}.cfg",
-                         re.sub(r"epochs = \d+", "epochs = 1", cfg_text))
-        yield ["train", "--config", cfg, "--data", f"{asr}/data", "--out",
-               f"{asr}/{label}"]
-    for label, extra in (("transformer", ["--lm", f"{asr}/lm/lm.esc",
-                                          "--gamma", "0.3"]), ("rnn", [])):
-        hyp = f"{asr}/{label}.hyp.tsv"
-        yield ["decode", "--ckpt", f"{asr}/{label}/avg.esc", "--data",
-               f"{asr}/data", "--split", "test", "--out", hyp] + extra
-        yield ["eval", "--ref", f"{asr}/data/test/transcripts.tsv", "--hyp",
-               hyp, "--metric", "cer"]
-    cfg = write_text(f"{tts}.cfg", "preset = tts-toy\nepochs = 1\n")
-    yield ["train", "--config", cfg, "--data", f"{tts}/data", "--out",
-           f"{tts}/run"]
-    with open(f"{tts}/data/test/transcripts.tsv", encoding="utf-8") as fh:
-        texts = [line.rstrip("\n").split("\t", 1) for line in fh
-                 if line.strip()]
-    for utt, text in texts:
-        yield ["synth", "--ckpt", f"{tts}/run/avg.esc", "--text", text,
-               "--out", f"{tts}/{utt}.esf", "--eos-threshold", "1.0",
-               "--max-frames", str(SYNTH_FRAMES)]
-    run = f"{asr}/transformer"
-    yield ["avg-ckpt", "--out", f"{work}/avg.esc", f"{run}/ckpt-001.esc",
-           f"{run}/avg.esc"]
-    yield ["report", "--log", f"{run}/log.csv", "--per-epoch"]
-
-
 def main() -> int:
     tracer = Tracer(PACKAGE)
     work = tempfile.mkdtemp(prefix="traffic-")
@@ -174,12 +126,23 @@ def main() -> int:
         # the package is imported under the tracer, so its module-level
         # lines count as run
         with tracer, contextlib.redirect_stdout(sys.stderr):
-            from minis2s.cli import main as cli_main
-            for argv in _commands(work):
-                rc = cli_main(argv)
-                if rc:
-                    print(f"{argv[0]} exited {rc}: {argv}", file=sys.stderr)
+            from probe import Probe
+            from speed import Speed
+            from workloads import WORKLOADS
+            for name, workload in WORKLOADS.items():
+                wl = workload(SEED, Speed())
+                wl.gen_in_process = True
+                setup = os.path.join(work, name, "setup")
+                wl.setup(setup)
+                res = wl.execute(setup, os.path.join(work, name, "exec"),
+                                 Probe())
+                if res.failed or res.problems:
+                    print(f"{name}: " + "; ".join(res.problems),
+                          file=sys.stderr)
                     return 1
+    except RuntimeError as exc:   # a set-up command failed
+        print(f"set-up failed: {exc}", file=sys.stderr)
+        return 1
     finally:
         shutil.rmtree(work, ignore_errors=True)
     n_functions = n_lines = 0
