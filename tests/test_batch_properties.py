@@ -76,7 +76,7 @@ def _weighted_grads(run, idx, leaves, seed):
              for p in leaves])
 
 
-def assert_batch_equals_singles(run, n_rows, leaves, seed=0):
+def assert_batch_equals_singles(run, n_rows, leaves, seed):
     """run(idx) -> [(output, extents)]: the outputs of the padded batch of
     rows idx, each (len(idx), ...), with the real extent of each of its
     rows. Row b of the batch of every row must equal the batch of row b
