@@ -43,6 +43,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import tensor as T
 from .errors import DataError, DimensionError, check_settings, setting
 from .reserved import BLANK_ID, SOS_EOS_ID
 
@@ -114,7 +115,7 @@ class CtcPrefixScorer:
         self.lengths = np.asarray(lengths)
         # frames past an utterance's end: zeros keep the recursions finite,
         # and psi leaves them out
-        self.pad = np.arange(u.shape[0])[:, None] >= self.lengths
+        self.pad = ~T.length_mask(self.lengths, u.shape[0]).T
         self.u = np.where(self.pad[:, :, None], 0.0, u)
 
     def initial_state(self) -> CtcPrefixState:
@@ -222,7 +223,6 @@ class SearchStats:
 class BeamResult:
     best: Hypothesis
     nbest: List[Hypothesis] = field(default_factory=list)
-    no_finished: bool = False
     stats: SearchStats = field(default_factory=SearchStats)
 
 
@@ -310,8 +310,9 @@ def batch_beam_search(enc, model, lm=None,
         order = np.lexsort((tok, *prefix[row, :0:-1].T, tok != SOS_EOS_ID,
                             -score, owner[row]))
         ranked = owner[row[order]]
-        win = order[np.arange(len(order)) - np.searchsorted(ranked, ranked)
-                    < config.beam_size]
+        # each cell's place among its utterance's cells
+        place = np.arange(len(order)) - np.searchsorted(ranked, ranked)
+        win = order[place < config.beam_size]
         win_row, win_tok = row[win], tok[win]
         win_utt, win_eos = owner[win_row], win_tok == SOS_EOS_ID
         n_rows = np.bincount(owner, minlength=n_utt)
@@ -367,6 +368,5 @@ def batch_beam_search(enc, model, lm=None,
             warnings.warn(f"{who}no hypothesis finished within the length "
                           "budget; returning the best unfinished one")
         results.append(BeamResult(best=pool[0], nbest=pool[:config.beam_size],
-                                  no_finished=not finished[i],
                                   stats=stats))
     return results

@@ -3,6 +3,8 @@ loss, and the TTS terms (L1, weighted BCE, guided attention).
 
 Every loss takes a padded batch, one utterance being a batch of one,
 with each row's real length given: a target list or a count per row.
+tensor.length_mask turns the counts into the mask of real entries, and
+tensor.pad_batch lays out CTC's ragged label states.
 Every loss that normalizes accepts an optional `denom`: passing the
 batch-level token/frame count instead of the per-utterance one makes
 micro-batch gradient accumulation reproduce the big-batch update
@@ -39,8 +41,7 @@ def s2s_cross_entropy(log_probs: Tensor, targets: Sequence,
     if len(lens) != log_probs.shape[0] or max(lens) > log_probs.shape[1]:
         raise DimensionError(f"{log_probs.shape[:2]} prediction rows for "
                              f"target lengths {lens}")
-    rows = np.repeat(np.arange(len(lens)), lens)
-    steps = np.concatenate([np.arange(n) for n in lens])
+    rows, steps = np.nonzero(T.length_mask(lens, log_probs.shape[1]))
     picked = log_probs[rows, steps,
                        np.concatenate([np.asarray(ys, dtype=np.int64)
                                        for ys in targets])]
@@ -73,8 +74,8 @@ def ctc_log_likelihood(log_probs: Tensor, targets: Sequence,
     `log_probs` is a padded batch, (B, n_max, V), of per-frame log
     distributions over the vocabulary with the blank at BLANK_ID (one
     utterance is a batch of one). It takes one label sequence per row
-    and each row's frame count in `frames` and gives
-    the (B,) log-likelihoods, each over its own frames and labels alone:
+    and each row's frame count, 1 to n_max, in `frames` and gives the
+    (B,) log-likelihoods, each over its own frames and labels alone:
     the recursions run over every row at once, states past a row's
     labels stay at -inf, and the backward recursion starts at each row's
     own last frame. The backward pass distributes the gradient by
@@ -89,7 +90,10 @@ def ctc_log_likelihood(log_probs: Tensor, targets: Sequence,
     frames = np.reshape(frames, n_b)
     if len(targets) != n_b:
         raise DimensionError(f"{len(targets)} targets for {n_b} rows")
-    for ys, n_frames in zip(targets, frames):
+    for b, (ys, n_frames) in enumerate(zip(targets, frames)):
+        if not 1 <= n_frames <= n_max:
+            raise DimensionError(f"row {b}: {n_frames} frames, outside "
+                                 f"[1, {n_max}]")
         for y in ys:
             if not 0 <= y < vocab:
                 raise IndexError(f"target id {y} outside vocabulary of {vocab}")
@@ -99,16 +103,12 @@ def ctc_log_likelihood(log_probs: Tensor, targets: Sequence,
             raise ImpossibleAlignmentError(
                 f"target of {len(ys)} labels needs at least "
                 f"{ctc_min_frames(ys)} frames, got {n_frames}")
-    if n_max == 0:
-        return Tensor(np.zeros(n_b))  # empty targets over zero frames
 
-    s_lens = np.array([2 * len(ys) + 1 for ys in targets])
-    s_max = int(s_lens.max())
+    z, s_lens = T.pad_batch([expand_with_blanks(ys) for ys in targets],
+                            BLANK_ID)
+    s_max = z.shape[1]
     rows = np.arange(n_b)
-    z = np.full((n_b, s_max), BLANK_ID)
-    for b, ys in enumerate(targets):
-        z[b, :s_lens[b]] = expand_with_blanks(ys)
-    state_ok = np.arange(s_max) < s_lens[:, None]
+    state_ok = T.length_mask(s_lens, s_max)
     # (frames, B, states); states past a row's labels can never be entered
     uz = np.where(state_ok, u[rows[:, None], :, z].transpose(2, 0, 1), -np.inf)
     # state s may also be entered from s - 2, skipping a blank, unless it
@@ -134,7 +134,7 @@ def ctc_log_likelihood(log_probs: Tensor, targets: Sequence,
 
     skip_on = np.full((n_b, s_max), -np.inf)   # state s may move on to s + 2
     skip_on[:, :-2] = skip[:, 2:]
-    finals = (np.arange(s_max) >= s_lens[:, None] - 2) & state_ok
+    finals = ~T.length_mask(s_lens - 2, s_max) & state_ok
     # frame n_max stays at -inf: a row's recursion starts at its last frame
     b_pad = np.full((n_max + 1, n_b, s_max + 2), -np.inf)
     for t in range(n_max - 1, -1, -1):
@@ -164,11 +164,6 @@ def joint_asr_loss(s2s_nll: Tensor, ctc_nll: Tensor, alpha: float) -> Tensor:
     return s2s_nll * alpha + ctc_nll * (1.0 - alpha)
 
 
-def _real_mask(lens, n: int) -> np.ndarray:
-    """(B, n) ones on each row's first lens[b] entries, zeros after."""
-    return (np.arange(n) < np.asarray(lens)[:, None]).astype(np.float64)
-
-
 def tts_l1(coarse: Tensor, refined: Tensor, target: np.ndarray,
            lens: Sequence[int], denom: Optional[float] = None) -> Tensor:
     """Mean absolute error against the target frames, summed over the
@@ -179,7 +174,7 @@ def tts_l1(coarse: Tensor, refined: Tensor, target: np.ndarray,
     if coarse.shape != target.shape or refined.shape != target.shape:
         raise DimensionError(f"prediction shapes {coarse.shape}/{refined.shape} "
                              f"do not match target {target.shape}")
-    keep = Tensor(_real_mask(lens, target.shape[-2])[..., None])
+    keep = Tensor(T.length_mask(lens, target.shape[-2])[..., None])
     n_real = int(np.sum(lens)) * target.shape[-1]
     denom = float(n_real) if denom is None else float(denom)
     tgt = Tensor(target)
@@ -201,7 +196,7 @@ def weighted_bce(eos_logits: Tensor, eos_targets, lens: Sequence[int],
     y = np.asarray(eos_targets, dtype=np.float64)
     if eos_logits.shape != y.shape:
         raise DimensionError(f"{eos_logits.shape} logits for {y.shape} targets")
-    keep = _real_mask(lens, y.shape[-1])
+    keep = T.length_mask(lens, y.shape[-1])
     n_real = int(np.sum(lens))
     denom = float(n_real) if denom is None else float(denom)
     pos = T.log_sigmoid(eos_logits) * Tensor(pos_weight * y * keep)

@@ -13,18 +13,21 @@ the longest, (B, n_max, feat_dim) with each row's true length beside it
 n_max) id array and targets as a padded (B, N_max, feat_dim) array, the
 LM a padded (B, n_max) id array; encoder outputs, decoder outputs,
 log-probabilities and attention records all keep the leading batch
-axis. Each row's convolution tail (the speech front ends', the
-Postnet's) is re-zeroed stage by stage at its own length, key-padding
-masks hide its padded frames from every attention (the encoder's
-self-attention, the decoder's source attention, the LSTM decoder's
-additive attention), and each BLSTM direction scans only its real
-frames, the reverse one starting at the row's own last frame. The
+axis. Row b's first lens[b] entries are real: tensor.length_mask is the
+one statement of that rule, which every mask here is built from, and
+tensor.pad_batch the one padder of ragged rows. Each row's convolution
+input and tail (the speech front ends', the Postnet's) are zeroed stage
+by stage at its own length, key-padding masks hide its padded frames
+from every attention (the encoder's self-attention, the decoder's
+source attention, the LSTM decoder's additive attention), and each
+BLSTM direction scans only its real frames, the reverse one starting at
+the row's own last frame. The
 decoder teacher-forces every row's targets at once (the Transformer
 under the causal mask, the LSTM one step of every row at a time), so
 positions past a short row's end never reach its real ones. Each row of
 a padded batch thus equals the unpadded run of its utterance on the real
-frames; outputs past a row's end are left as they come (the Postnet's
-are zero) and the losses never read them.
+frames, whatever the padding holds; outputs past a row's end are left as
+they come (the Postnet's are zero) and the losses never read them.
 
 Search: S2SModel, both decoder bodies and RnnLm are steppers, and one
 SearchState is the state of every one of them. `init_state` starts it,
@@ -121,20 +124,10 @@ class EncodedSequence:
     n_sub: np.ndarray
 
 
-def _pad(seqs: Sequence, fill) -> Tuple[np.ndarray, np.ndarray]:
-    """N (n_i, ...) sequences as one (N, n_max, ...) array, fill past
-    each one's end, and their lengths."""
-    lens = np.array([len(x) for x in seqs])
-    out = np.full((len(seqs), lens.max()) + np.shape(seqs[0])[1:], fill)
-    for i, x in enumerate(seqs):
-        out[i, :lens[i]] = x
-    return out, lens
-
-
 def pad_sequences(seqs: Sequence[np.ndarray]) -> Tuple[Tensor, np.ndarray]:
     """N (n_i, d) arrays as one (N, n_max, d) batch, zero past each one's
     end, and their lengths, as S2SModel.encode takes speech frames."""
-    out, lens = _pad(seqs, 0.0)
+    out, lens = T.pad_batch(seqs, 0.0)
     return Tensor(out), lens
 
 
@@ -146,17 +139,11 @@ def _key_mask(n_buf: int, lens) -> Optional[np.ndarray]:
     lens = np.asarray(lens)
     if lens.min() >= n_buf:
         return None
-    return (np.arange(n_buf) < lens[:, None])[:, None, None, :]
+    return T.length_mask(lens, n_buf)[:, None, None, :]
 
 
 def conv_len(n: int, kernel: int = 3, stride: int = 2, padding: int = 1) -> int:
     return (n + 2 * padding - kernel) // stride + 1
-
-
-def subsample_length(n: int, mode: str = "conv") -> int:
-    if mode == "conv":
-        return conv_len(conv_len(n))
-    return n // 2 // 2
 
 
 def _zero_tail(x: Tensor, lens) -> Tensor:
@@ -167,9 +154,8 @@ def _zero_tail(x: Tensor, lens) -> Tensor:
     lens = np.asarray(lens)
     if lens.min() >= n:
         return x
-    keep = np.arange(n) < lens[:, None]
-    keep = keep.reshape(lens.shape + (1,) * (x.ndim - 3) + (n, 1))
-    return x * Tensor(keep.astype(np.float64))
+    keep = T.length_mask(lens, n)
+    return x * Tensor(keep.reshape(lens.shape + (1,) * (x.ndim - 3) + (n, 1)))
 
 
 def _front_end_lens(lens, min_frames: int, what: str) -> np.ndarray:
@@ -185,8 +171,10 @@ def _front_end_lens(lens, min_frames: int, what: str) -> np.ndarray:
 
 class ConvSubsampler(Module):
     """Two stride-2 kernel-3 convolutions with ReLU, then projection + PE,
-    over a padded (B, n_max, feat_dim) batch, zero past each row's lens
-    frames.
+    over a padded (B, n_max, feat_dim) batch whose row b holds lens[b]
+    real frames; the input and every stage are zeroed past each row's
+    end, so a kernel that reads past it reads the zeros the row's
+    unpadded run reads.
 
     Quarters the frame count: n -> ceil(n/2) -> ceil(ceil(n/2)/2).
     """
@@ -201,16 +189,19 @@ class ConvSubsampler(Module):
         self.proj = Linear(d_att, d_att, rng)
         self.drop = Dropout(dropout_rate)
 
+    @staticmethod
+    def frames(n):
+        """The frames kept of n input frames, an int or an array."""
+        return conv_len(conv_len(n))
+
     def forward(self, x: Tensor, lens) -> Tuple[Tensor, np.ndarray]:
         lens = _front_end_lens(lens, self.MIN_FRAMES, "two stride-2 stages")
-        h = T.relu(self.conv1(x))
-        len1 = conv_len(lens)
-        h = _zero_tail(h, len1)
-        h = T.relu(self.conv2(h))
-        len2 = conv_len(len1)
-        h = _zero_tail(h, len2)
+        h = T.relu(self.conv1(_zero_tail(x, lens)))
+        h = _zero_tail(h, conv_len(lens))
+        n_sub = self.frames(lens)
+        h = _zero_tail(T.relu(self.conv2(h)), n_sub)
         h = self.drop(A.add_positional_encoding(self.proj(h)))
-        return h, len2
+        return h, n_sub
 
 
 class VggSubsampler(Module):
@@ -239,20 +230,24 @@ class VggSubsampler(Module):
         self.drop = Dropout(dropout_rate)
 
     @staticmethod
+    def frames(n):
+        """The frames kept of n input frames, an int or an array."""
+        return n // 2 // 2
+
+    @staticmethod
     def _block(x: Tensor, conv_a: Conv2d, conv_b: Conv2d,
-               lens: np.ndarray) -> Tuple[Tensor, np.ndarray]:
+               lens: np.ndarray) -> Tensor:
         # conv_b reads conv_a's frames one past the end, so they are zeroed;
         # a pooled frame within the halved length reads real frames only,
         # so the pooled tail is zeroed once
         h = _zero_tail(T.relu(conv_a(x)), lens)
-        h = T.max_pool2d(T.relu(conv_b(h)), 2)
-        return _zero_tail(h, lens // 2), lens // 2
+        return _zero_tail(T.max_pool2d(T.relu(conv_b(h)), 2), lens // 2)
 
     def forward(self, x: Tensor, lens) -> Tuple[Tensor, np.ndarray]:
         lens = _front_end_lens(lens, self.MIN_FRAMES, "two pooling stages")
-        img = x.reshape(x.shape[:-2] + (1,) + x.shape[-2:])
-        h, len1 = self._block(img, self.conv1a, self.conv1b, lens)
-        h, len2 = self._block(h, self.conv2a, self.conv2b, len1)
+        img = _zero_tail(x, lens).reshape(x.shape[:-2] + (1,) + x.shape[-2:])
+        h = self._block(img, self.conv1a, self.conv1b, lens)
+        h = self._block(h, self.conv2a, self.conv2b, lens // 2)
         # (B, c2, t, f) -> (B, t, c2*f) as channel-blocked columns, one
         # gather
         n_b, _, t4, f4 = h.shape
@@ -260,7 +255,7 @@ class VggSubsampler(Module):
         idx = (np.arange(n_b)[:, None, None], col // f4,
                np.arange(t4)[:, None], col % f4)
         out = self.drop(A.add_positional_encoding(self.proj(h[idx])))
-        return out, len2
+        return out, self.frames(lens)
 
 
 class TokenFrontEnd(Module):
@@ -798,9 +793,10 @@ class S2SModel(Module):
                          if config.uses_ctc else None)
 
     def encode(self, x: Tensor, lens) -> EncodedSequence:
-        """Encode a padded (B, n_max, feat_dim) batch, zero past row b's
-        lens[b] frames (pad_sequences builds both; one utterance is a
-        batch of one), in one pass of the front end and the body."""
+        """Encode a padded (B, n_max, feat_dim) batch whose row b holds
+        lens[b] real frames, whatever lies past them (pad_sequences builds
+        both; one utterance is a batch of one), in one pass of the front
+        end and the body."""
         if x.ndim != 3:
             raise DimensionError(f"encode takes a padded (B, n_max, feat_dim) "
                                  f"batch, got {x.shape}")
@@ -813,8 +809,9 @@ class S2SModel(Module):
         (B, n_max, V): ys_in holds one sequence of input ids per row of
         the encoded batch, each starting with the start-of-sequence id,
         and the rows past a sequence's end hold no meaning."""
-        y_d = self.dec_body(self.dec_pre(_pad(ys_in, SOS_EOS_ID)[0]), enc.x_e,
-                            enc.n_sub, records=records)
+        ids = T.pad_batch(ys_in, SOS_EOS_ID)[0]
+        y_d = self.dec_body(self.dec_pre(ids), enc.x_e, enc.n_sub,
+                            records=records)
         return T.log_softmax(self.dec_post(y_d))
 
     def ctc_logprobs(self, enc: EncodedSequence) -> Tensor:
@@ -854,7 +851,7 @@ class TtsForward:
     records: List[Tensor]  # per layer, (B, H, S_max, n_enc) source attention
     target: np.ndarray    # (B, N_max, feat_dim) r-padded, zero past n_pad
     n_pad: np.ndarray     # frames per row, a multiple of r
-    n_steps: np.ndarray   # decoder steps per row, n_pad // r
+    n_steps: np.ndarray   # decoder steps per row, steps(n_pad)
 
 
 class Prenet(Module):
@@ -896,7 +893,6 @@ class Postnet(Module):
         self.convs = ModuleList(convs)
         self.norms = ModuleList([LayerNorm(channels)
                                  for _ in range(n_layers - 1)])
-        self.n_layers = n_layers
         self.drop = Dropout(dropout_rate)
 
     def forward(self, y: Tensor, lens) -> Tensor:
@@ -906,12 +902,9 @@ class Postnet(Module):
         window reads what the row's unpadded run reads, and the output is
         zero past the end."""
         h = _zero_tail(y, lens)
-        for i, conv in enumerate(self.convs):
-            h = conv(h)
-            if i < self.n_layers - 1:
-                h = self.drop(T.tanh(self.norms[i](h)))
-            h = _zero_tail(h, lens)
-        return h
+        for conv, norm in zip(self.convs, self.norms):
+            h = _zero_tail(self.drop(T.tanh(norm(conv(h)))), lens)
+        return _zero_tail(self.convs[-1](h), lens)
 
 
 class TtsModel(Module):
@@ -939,17 +932,21 @@ class TtsModel(Module):
         longest: x_e (B, n_max, d_att), row b holding n_sub[b] real
         positions, whose keys alone the encoder attends to (a BLSTM scans
         them alone)."""
-        ids, lens = _pad(token_seqs, SOS_EOS_ID)
+        ids, lens = T.pad_batch(token_seqs, SOS_EOS_ID)
         if lens.min() == 0:
             raise DataError("empty text input")
         return EncodedSequence(x_e=self.enc_body(self.enc_pre(ids), lens),
                                n_sub=lens)
 
+    def steps(self, n):
+        """The decoder steps of n frames, an int or an array: ceil(n/r),
+        each step r frames."""
+        return -(-n // self.config.reduction_factor)
+
     def pad_target(self, feats: np.ndarray) -> np.ndarray:
         """Repeat the final frame until the length divides r."""
-        r = self.config.reduction_factor
         n = feats.shape[0]
-        rem = (-n) % r
+        rem = self.steps(n) * self.config.reduction_factor - n
         if rem:
             feats = np.concatenate([feats, np.tile(feats[-1:], (rem, 1))])
         return feats
@@ -964,10 +961,11 @@ class TtsModel(Module):
         at a time, so a short row's padded steps never reach its real
         ones. The postnet reads each row's real frames only."""
         r = self.config.reduction_factor
-        target, n_pad = _pad([self.pad_target(np.asarray(t, dtype=np.float64))
-                              for t in targets], 0.0)
+        target, n_pad = T.pad_batch(
+            [self.pad_target(np.asarray(t, dtype=np.float64)) for t in targets],
+            0.0)
         n_b, n_max, feat_dim = target.shape
-        s_max = n_max // r
+        s_max = self.steps(n_max)
         prev = np.zeros((n_b, s_max, feat_dim))
         prev[:, 1:] = target[:, r - 1:(s_max - 1) * r:r]
         records = []
@@ -979,7 +977,7 @@ class TtsModel(Module):
         refined = coarse + self.postnet(coarse, n_pad)
         return TtsForward(coarse=coarse, refined=refined, eos_logits=eos_logits,
                           records=records, target=target, n_pad=n_pad,
-                          n_steps=n_pad // r)
+                          n_steps=self.steps(n_pad))
 
     def infer(self, token_ids, eos_threshold: float = 0.5,
               max_frames: int = 400, seed: int = 0) -> Tuple[np.ndarray, str]:
@@ -997,7 +995,7 @@ class TtsModel(Module):
         """
         r = self.config.reduction_factor
         feat_dim = self.config.feat_dim
-        max_steps = max(1, -(-max_frames // r))
+        max_steps = max(1, self.steps(max_frames))
         prev = np.zeros((1, feat_dim))
         groups = []
         reason = "cap"
@@ -1045,12 +1043,12 @@ class RnnLm(Module):
         id sequences padded to the longest; the forward scan never lets a
         row's padding reach its real positions, whose rows alone hold
         meaning."""
-        ids, lens = _pad(ys_in, SOS_EOS_ID)
+        ids, lens = T.pad_batch(ys_in, SOS_EOS_ID)
         return T.log_softmax(self.out(self.lstm(self.embed(ids), lens)))
 
     def init_state(self) -> SearchState:
         """One row, (h, c) zero, that has consumed nothing."""
-        zero = Tensor(np.zeros((1, self.lstm.d_hidden)))
+        zero = Tensor(np.zeros((1, self.lstm.cell.d_hidden)))
         return SearchState([zero, zero], [], None, 0)
 
     def step(self, state: SearchState, last_tokens

@@ -299,7 +299,6 @@ class LSTM(Module):
         super().__init__()
         self.cell = LSTMCell(d_in, d_hidden, rng)
         self.reverse = reverse
-        self.d_hidden = d_hidden
 
     def forward(self, x: Tensor, lens) -> Tensor:
         cell = self.cell

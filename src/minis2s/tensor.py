@@ -506,6 +506,25 @@ def dropout(x: Tensor, rate: float, training: bool) -> Tensor:
     return from_op(x, x.data * (keep * scale), lambda g: g * (keep * scale))
 
 
+# -- padded batches ------------------------------------------------------------
+
+
+def length_mask(lens, n: int) -> np.ndarray:
+    """(B, n) bool mask, True on row b's first lens[b] of n entries: the
+    one statement of which entries of a padded batch are real."""
+    return np.arange(n) < np.asarray(lens)[:, None]
+
+
+def pad_batch(seqs: Sequence, fill) -> Tuple[np.ndarray, np.ndarray]:
+    """N (n_i, ...) sequences as one (N, n_max, ...) array, fill past
+    each one's end, and their lengths."""
+    lens = np.array([len(x) for x in seqs])
+    out = np.full((len(seqs), lens.max()) + np.shape(seqs[0])[1:], fill)
+    for i, x in enumerate(seqs):
+        out[i, :lens[i]] = x
+    return out, lens
+
+
 # -- convolution, pooling, embedding ------------------------------------------
 
 
@@ -730,7 +749,7 @@ def lstm_scan(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor,
     # scan step k of row b reads input step pos[b, k]; real[b, k] marks the
     # steps that lie within the row
     pos = np.broadcast_to(np.arange(n), (n_b, n))
-    real = pos < lens[:, None]
+    real = length_mask(lens, n)
     if reverse:
         pos = np.where(real, lens[:, None] - 1 - pos, pos)
     rows = np.arange(n_b)[:, None]

@@ -47,8 +47,8 @@ import struct
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
-                    Sequence, Tuple)
+from typing import (Callable, Dict, Iterable, List, Mapping, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -56,7 +56,7 @@ from . import losses as L
 from . import tensor as T
 from .errors import (ConfigError, DataError, NumericError, check_settings,
                      setting)
-from .models import pad_sequences, subsample_length
+from .models import pad_sequences
 from .nn import flat_views, pack_parameters
 from .reserved import SOS_EOS_ID
 from .tensor import Tensor, backward
@@ -412,7 +412,7 @@ class TrainResult:
     ckpt_paths: List[str]
     log_path: str
     dev_losses: List[float]
-    avg_path: Optional[str] = None
+    avg_path: str
     stopped_early: bool = False
 
 
@@ -429,12 +429,11 @@ def batch_loss(model, batch: Sequence, whole: Sequence
     of r frames, plus the guided-attention loss per utterance of whole."""
     cfg = model.config
     if cfg.task == "tts":
-        r = cfg.reduction_factor
-        n_steps = sum(-(-len(u.feats) // r) for u in whole)
+        n_steps = sum(model.steps(len(u.feats)) for u in whole)
         enc = model.encode([u.tokens for u in batch])
         fwd = model.forward_teacher(enc, [u.feats for u in batch])
         l1 = L.tts_l1(fwd.coarse, fwd.refined, fwd.target, fwd.n_pad,
-                      denom=n_steps * r * cfg.feat_dim)
+                      denom=n_steps * cfg.reduction_factor * cfg.feat_dim)
         eos_y = np.arange(fwd.eos_logits.shape[1]) == fwd.n_steps[:, None] - 1
         bce = L.weighted_bce(fwd.eos_logits, eos_y, fwd.n_steps,
                              denom=n_steps)
@@ -496,7 +495,7 @@ def check_lengths(model, utts: Sequence, split: str,
         elif n < min_frames:
             bad.append(f"{u.utt_id} ({n} frames)")
         elif training and cfg.uses_ctc:
-            n_sub = subsample_length(n, cfg.enc_pre)
+            n_sub = model.enc_pre.frames(n)
             need = L.ctc_min_frames(u.tokens)
             if n_sub < need:
                 bad.append(f"{u.utt_id} ({n_sub} frames after subsampling, "
@@ -604,12 +603,9 @@ def train_loop(model, train_set: Sequence, dev_set: Sequence,
                     stopped = True
                     break
 
-    avg_path = None
-    window = ckpt_paths[-min(tcfg.keep_last, len(ckpt_paths)):]
-    if window:
-        avg_path = os.path.join(out_dir, "avg.esc")
-        avg = average_checkpoints(window)
-        save_checkpoint(avg_path, avg.params, epoch=avg.epoch)
+    avg_path = os.path.join(out_dir, "avg.esc")
+    avg = average_checkpoints(ckpt_paths[-tcfg.keep_last:])
+    save_checkpoint(avg_path, avg.params, epoch=avg.epoch)
     return TrainResult(ckpt_paths=ckpt_paths, log_path=log_path,
                        dev_losses=dev_losses, avg_path=avg_path,
                        stopped_early=stopped)

@@ -441,7 +441,7 @@ def test_a04_beam_search_oracle():
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
                     res = batch_beam_search(enc, model, config=cfg_w)[0]
-                if res.no_finished:
+                if not res.stats.finished:
                     continue
                 if res.best.combined < best - 1e-12:
                     mono_fail.append(f"seed{seed} width{width}")

@@ -1,4 +1,5 @@
-"""Batch-equals-singles properties of the batched entry points.
+"""Batch-equals-singles and refilled-padding properties of the batched
+entry points.
 
 Each property draws, derandomized, B in 1-4 rows of their own lengths:
 all equal, one long among short ones, all at the shortest length the
@@ -6,12 +7,20 @@ entry point takes, or any; odd and even lengths alike. Row b of the
 padded batch must give what the batch of one of row b alone gives,
 within 1e-10: in every output, on the row's real part, and in the
 gradient of every parameter, where the batch's gradient of a weighted
-sum of the real parts must equal the sum of the rows' own.
+sum of the real parts must equal the sum of the rows' own. Refilling
+the padding of every padded input (tensor.pad_batch filling past each
+row's end with draws) must leave every real output and every parameter
+gradient as it is, bit for bit.
 
-Entry points: S2SModel.encode (conv and vgg front ends, both bodies),
-S2SModel.decode_logprobs (both bodies), TtsModel.forward_teacher (both
-bodies, r = 1 and 2) and tensor.lstm_scan (both directions).
+Batch equals singles: S2SModel.encode (conv and vgg front ends, both
+bodies), S2SModel.decode_logprobs (both bodies), TtsModel.forward_teacher
+(both bodies, r = 1 and 2), and the tape ops tensor.lstm_scan (both
+directions), conv1d, conv2d into max_pool2d, attention_weights and
+mix_heads under key masks, and layer_norm. Refilled padding: the three
+model entry points, in the same cases.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -99,6 +108,40 @@ def assert_batch_equals_singles(run, n_rows, leaves, seed):
                                    err_msg=f"gradient of leaf {i}")
 
 
+def refilled_padding(seed):
+    """tensor.pad_batch, patched to fill past each row's end with draws:
+    token ids for an integer array, 3 standard normals for a float one."""
+    pad = T.pad_batch
+
+    def noisy(seqs, fill):
+        out, lens = pad(seqs, fill)
+        rng = np.random.default_rng(seed)
+        noise = (rng.integers(0, VOCAB, out.shape) if out.dtype.kind == "i"
+                 else 3 * rng.standard_normal(out.shape))
+        past = ~T.length_mask(lens, out.shape[1])
+        return np.where(past.reshape(past.shape + (1,) * (out.ndim - 2)),
+                        noise, out), lens
+
+    return mock.patch.object(T, "pad_batch", noisy)
+
+
+def assert_padding_unread(run, n_rows, leaves, seed):
+    """run as assert_batch_equals_singles takes it: the batch of every
+    row, its padding refilled, must give every output's real part and
+    every leaf gradient bit for bit."""
+    idx = list(range(n_rows))
+    outs, grads = _weighted_grads(run, idx, leaves, seed)
+    with refilled_padding(seed):
+        again, again_grads = _weighted_grads(run, idx, leaves, seed)
+    for k, ((out, extents), (other, _)) in enumerate(zip(outs, again)):
+        for b, ext in enumerate(extents):
+            real = (b,) + tuple(map(slice, ext))
+            np.testing.assert_array_equal(other[real], out[real],
+                                          err_msg=f"output {k} row {b}")
+    for i, (g, h) in enumerate(zip(grads, again_grads)):
+        np.testing.assert_array_equal(h, g, err_msg=f"gradient of leaf {i}")
+
+
 def asr_model(body, enc_pre="conv"):
     model = S2SModel(ModelConfig(
         task="asr", body=body, enc_pre=enc_pre, e=2, d=2, d_att=D_ATT,
@@ -112,11 +155,8 @@ def _frames(lens, seed):
     return [rng.standard_normal((n, FEAT_DIM)) for n in lens]
 
 
-@pytest.mark.parametrize("body", ["transformer", "rnn"])
-@pytest.mark.parametrize("enc_pre", ["conv", "vgg"])
-@PROPERTY
-@given(lens=row_lengths(4, 13), seed=st.integers(0, 2 ** 16))
-def test_encode_rows_equal_batches_of_one(body, enc_pre, lens, seed):
+def encode_case(body, enc_pre, lens, seed):
+    """(run, rows, leaves) of S2SModel.encode over frames of lens."""
     model = asr_model(body, enc_pre)
     xs = _frames(lens, seed)
 
@@ -124,13 +164,28 @@ def test_encode_rows_equal_batches_of_one(body, enc_pre, lens, seed):
         enc = model.encode(*pad_sequences([xs[b] for b in idx]))
         return [(enc.x_e, [(n, D_ATT) for n in enc.n_sub])]
 
-    assert_batch_equals_singles(run, len(lens), model.parameters(), seed)
+    return run, len(lens), model.parameters()
 
 
 @pytest.mark.parametrize("body", ["transformer", "rnn"])
+@pytest.mark.parametrize("enc_pre", ["conv", "vgg"])
 @PROPERTY
-@given(rows=asr_rows(), seed=st.integers(0, 2 ** 16))
-def test_decode_logprobs_rows_equal_batches_of_one(body, rows, seed):
+@given(lens=row_lengths(4, 13), seed=st.integers(0, 2 ** 16))
+def test_encode_rows_equal_batches_of_one(body, enc_pre, lens, seed):
+    assert_batch_equals_singles(*encode_case(body, enc_pre, lens, seed), seed)
+
+
+@pytest.mark.parametrize("body", ["transformer", "rnn"])
+@pytest.mark.parametrize("enc_pre", ["conv", "vgg"])
+@PROPERTY
+@given(lens=row_lengths(4, 13), seed=st.integers(0, 2 ** 16))
+def test_encode_reads_no_padding(body, enc_pre, lens, seed):
+    assert_padding_unread(*encode_case(body, enc_pre, lens, seed), seed)
+
+
+def decode_case(body, rows, seed):
+    """(run, rows, leaves) of S2SModel.decode_logprobs over utterances of
+    rows' frame and input token counts."""
     model = asr_model(body)
     n_frames, n_tokens = rows
     xs = _frames(n_frames, seed)
@@ -143,7 +198,21 @@ def test_decode_logprobs_rows_equal_batches_of_one(body, rows, seed):
         lp = model.decode_logprobs(enc, [ys[b] for b in idx])
         return [(lp, [(len(ys[b]), VOCAB) for b in idx])]
 
-    assert_batch_equals_singles(run, len(xs), model.parameters(), seed)
+    return run, len(xs), model.parameters()
+
+
+@pytest.mark.parametrize("body", ["transformer", "rnn"])
+@PROPERTY
+@given(rows=asr_rows(), seed=st.integers(0, 2 ** 16))
+def test_decode_logprobs_rows_equal_batches_of_one(body, rows, seed):
+    assert_batch_equals_singles(*decode_case(body, rows, seed), seed)
+
+
+@pytest.mark.parametrize("body", ["transformer", "rnn"])
+@PROPERTY
+@given(rows=asr_rows(), seed=st.integers(0, 2 ** 16))
+def test_decode_logprobs_reads_no_padding(body, rows, seed):
+    assert_padding_unread(*decode_case(body, rows, seed), seed)
 
 
 @st.composite
@@ -153,11 +222,9 @@ def tts_rows(draw):
     return n_text, draw(row_lengths(1, 9, len(n_text)))
 
 
-@pytest.mark.parametrize("body", ["transformer", "rnn"])
-@pytest.mark.parametrize("r", [1, 2])
-@PROPERTY
-@given(rows=tts_rows(), seed=st.integers(0, 2 ** 16))
-def test_forward_teacher_rows_equal_batches_of_one(body, r, rows, seed):
+def teacher_case(body, r, rows, seed):
+    """(run, rows, leaves) of TtsModel.forward_teacher over utterances
+    of rows' text lengths and frame counts."""
     model = TtsModel(ModelConfig(
         task="tts", body=body, e=1, d=2, d_att=D_ATT, d_ff=16, d_head=2,
         dropout_rate=0.0, vocab_size=VOCAB, feat_dim=FEAT_DIM,
@@ -180,7 +247,31 @@ def test_forward_teacher_rows_equal_batches_of_one(body, r, rows, seed):
                         for s, b in zip(fwd.n_steps, idx)])
                    for w in fwd.records])
 
-    assert_batch_equals_singles(run, len(texts), model.parameters(), seed)
+    return run, len(texts), model.parameters()
+
+
+@pytest.mark.parametrize("body", ["transformer", "rnn"])
+@pytest.mark.parametrize("r", [1, 2])
+@PROPERTY
+@given(rows=tts_rows(), seed=st.integers(0, 2 ** 16))
+def test_forward_teacher_rows_equal_batches_of_one(body, r, rows, seed):
+    assert_batch_equals_singles(*teacher_case(body, r, rows, seed), seed)
+
+
+@pytest.mark.parametrize("body", ["transformer", "rnn"])
+@pytest.mark.parametrize("r", [1, 2])
+@PROPERTY
+@given(rows=tts_rows(), seed=st.integers(0, 2 ** 16))
+def test_forward_teacher_reads_no_padding(body, r, rows, seed):
+    assert_padding_unread(*teacher_case(body, r, rows, seed), seed)
+
+
+# -- tape ops -------------------------------------------------------------------
+
+
+def _leaves(rng, *shapes):
+    return [Tensor(rng.standard_normal(shape) * 0.5, requires_grad=True)
+            for shape in shapes]
 
 
 @pytest.mark.parametrize("reverse", [False, True])
@@ -189,9 +280,7 @@ def test_forward_teacher_rows_equal_batches_of_one(body, r, rows, seed):
 def test_lstm_scan_rows_equal_batches_of_one(reverse, lens, seed):
     rng = np.random.default_rng(seed)
     d_in, d = 3, 4
-    w_ih, w_hh, bias = (Tensor(rng.standard_normal(shape) * 0.5,
-                               requires_grad=True)
-                        for shape in ((d_in, 4 * d), (d, 4 * d), (4 * d,)))
+    w_ih, w_hh, bias = _leaves(rng, (d_in, 4 * d), (d, 4 * d), (4 * d,))
     xs = [rng.standard_normal((n, d_in)) for n in lens]
 
     def run(idx):
@@ -200,3 +289,109 @@ def test_lstm_scan_rows_equal_batches_of_one(reverse, lens, seed):
                  [(k, d) for k in n])]
 
     assert_batch_equals_singles(run, len(lens), [w_ih, w_hh, bias], seed)
+
+
+@st.composite
+def conv_rows(draw, min_out=1):
+    """(kernel, stride, padding, row lengths): each row's output holds at
+    least min_out frames."""
+    k, stride, padding = (draw(st.integers(1, 4)), draw(st.integers(1, 2)),
+                          draw(st.integers(0, 2)))
+    shortest = max(1, k - 2 * padding + (min_out - 1) * stride)
+    return k, stride, padding, draw(row_lengths(shortest, shortest + 7))
+
+
+@PROPERTY
+@given(rows=conv_rows(), seed=st.integers(0, 2 ** 16))
+def test_conv1d_rows_equal_batches_of_one(rows, seed):
+    # a kernel reads up to `padding` frames past a row's end: the batch's
+    # zero padding there, the convolution's own alone
+    k, stride, padding, lens = rows
+    rng = np.random.default_rng(seed)
+    c_in, c_out = 2, 3
+    weight, bias = _leaves(rng, (c_out, c_in, k), (c_out,))
+    xs = [rng.standard_normal((n, c_in)) for n in lens]
+
+    def run(idx):
+        x, n = pad_sequences([xs[b] for b in idx])
+        out = T.conv1d(x, weight, bias, stride, padding)
+        return [(out, [((m + 2 * padding - k) // stride + 1, c_out)
+                       for m in n])]
+
+    assert_batch_equals_singles(run, len(lens), [weight, bias], seed)
+
+
+@PROPERTY
+@given(rows=conv_rows(min_out=2), seed=st.integers(0, 2 ** 16))
+def test_conv2d_max_pool2d_rows_equal_batches_of_one(rows, seed):
+    # images (c_in, frames, features), padded on the frame axis; a pooled
+    # frame within half a row's convolved frames reads real ones only
+    k, _, padding, lens = rows
+    rng = np.random.default_rng(seed)
+    c_in, c_out, n_feat = 2, 3, 5
+    weight, bias = _leaves(rng, (c_out, c_in, k, k), (c_out,))
+    imgs = [rng.standard_normal((n, c_in, n_feat)) for n in lens]
+    w_out = (n_feat + 2 * padding - k + 1) // 2
+
+    def run(idx):
+        x, n = T.pad_batch([imgs[b] for b in idx], 0.0)
+        out = T.max_pool2d(T.conv2d(Tensor(x.transpose(0, 2, 1, 3)), weight,
+                                    bias, padding=padding), 2)
+        return [(out, [(c_out, (m + 2 * padding - k + 1) // 2, w_out)
+                       for m in n])]
+
+    assert_batch_equals_singles(run, len(lens), [weight, bias], seed)
+
+
+@pytest.mark.parametrize("n_heads", [1, 2])
+@PROPERTY
+@given(n_keys=row_lengths(1, 6), seed=st.integers(0, 2 ** 16))
+def test_attention_under_key_masks_rows_equal_batches_of_one(n_heads, n_keys,
+                                                             seed):
+    # each row's queries see its real keys alone, through the key mask
+    rng = np.random.default_rng(seed)
+    d_in, width = 3, 2 * n_heads
+    n_queries = [int(rng.integers(1, 5)) for _ in n_keys]
+    wq, wk, wv = _leaves(rng, (d_in, width), (d_in, width), (d_in, width))
+    qs = [rng.standard_normal((n, d_in)) for n in n_queries]
+    ks = [rng.standard_normal((n, d_in)) for n in n_keys]
+
+    def run(idx):
+        q, nq = pad_sequences([qs[b] for b in idx])
+        x, nk = pad_sequences([ks[b] for b in idx])
+        mask = T.length_mask(nk, x.shape[1])[:, None, None, :]
+        w = T.attention_weights(q @ wq, x @ wk, n_heads, mask)
+        return [(w, [(n_heads, i, j) for i, j in zip(nq, nk)]),
+                (T.mix_heads(w, x @ wv), [(i, width) for i in nq])]
+
+    assert_batch_equals_singles(run, len(n_keys), [wq, wk, wv], seed)
+
+
+@PROPERTY
+@given(lens=row_lengths(1, 7), seed=st.integers(0, 2 ** 16))
+def test_layer_norm_rows_equal_batches_of_one(lens, seed):
+    rng = np.random.default_rng(seed)
+    d = 4
+    gain, bias = _leaves(rng, (d,), (d,))
+    xs = [rng.standard_normal((n, d)) for n in lens]
+
+    def run(idx):
+        x, n = pad_sequences([xs[b] for b in idx])
+        return [(T.layer_norm(x, gain, bias), [(m, d) for m in n])]
+
+    assert_batch_equals_singles(run, len(lens), [gain, bias], seed)
+
+
+@PROPERTY
+@given(lens=row_lengths(0, 5), fill=st.sampled_from([0.0, -1.5, 2, 7]))
+def test_pad_batch_keeps_each_row_and_fills_the_rest(lens, fill):
+    # the one padder and the one mask agree: row b's first lens[b]
+    # entries are its sequence, and fill is everywhere else
+    seqs = [np.arange(n * 2).reshape(n, 2) + 10 * b
+            for b, n in enumerate(lens)]
+    out, got = T.pad_batch(seqs, fill)
+    assert list(got) == lens
+    real = T.length_mask(got, out.shape[1])
+    assert real.sum() == sum(lens)
+    np.testing.assert_array_equal(out[real], np.concatenate(seqs))
+    assert (out[~real] == fill).all()

@@ -15,7 +15,7 @@ from minis2s.data import (ToySpec, Utterance, Vocab, bigram_swap, gen_toy,
                           write_transcripts, _prototypes)
 from minis2s.errors import ConfigError, DataError
 from minis2s.metrics import bleu, cer, edit_distance, wer
-from minis2s.models import subsample_length
+from minis2s.models import ConvSubsampler
 from minis2s.reserved import BLANK_ID, N_RESERVED, RESERVED_TOKENS, UNK_ID
 
 
@@ -182,7 +182,7 @@ def test_gen_toy_ctc_feasible_after_subsampling():
     splits = gen_toy(small_spec())
     for utts in splits.values():
         for u in utts:
-            assert subsample_length(len(u.feats)) >= len(u.tokens)
+            assert ConvSubsampler.frames(len(u.feats)) >= len(u.tokens)
 
 
 def test_st_shares_features_with_asr():

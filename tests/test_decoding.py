@@ -536,7 +536,7 @@ def test_beam_matches_exhaustive_enumeration(seed):
             enc, model, None, cfg, enc.n_sub[0], expand=(1, 3, 4))
     assert out.best.tokens == want_toks
     assert abs(out.best.combined - want_comb) < 1e-9
-    assert not out.no_finished
+    assert out.stats.finished
 
 
 def test_beam_with_lm_matches_enumeration():
@@ -624,7 +624,7 @@ def test_beam_nbest_matches_reference_beam(body, with_lm, beam):
                 out = batch_beam_search(enc, model, lm=lm, config=cfg)[0]
             want, _ = reference_beam(enc, model, lm, cfg)
         if not want:
-            assert out.no_finished
+            assert not out.stats.finished
             continue
         assert [h.tokens for h in out.nbest] == [w[0] for w in want]
         for hyp, (_, comb) in zip(out.nbest, want):
@@ -646,7 +646,6 @@ def _same_result(got, want):
             assert a == b or abs(a - b) < 1e-9
         assert g.finished == w.finished
     assert got.best.tokens == want.best.tokens
-    assert got.no_finished == want.no_finished
     assert got.stats == want.stats
 
 
@@ -680,7 +679,8 @@ def test_batched_search_equals_search_one_by_one(body, with_lm):
             for got, want in zip(batched, alone):
                 _same_result(got, want)
             # one warning per unfinished utterance, naming it
-            unfinished = [i for i, r in zip(ids, batched) if r.no_finished]
+            unfinished = [i for i, r in zip(ids, batched)
+                          if not r.stats.finished]
             assert sorted(str(w.message).split(":")[0] for w in caught) \
                 == unfinished
             mixed += 0 < len(unfinished) < len(frames)
@@ -706,7 +706,7 @@ def test_batched_beam_matches_exhaustive_enumeration(seed):
                 enc, model, None, cfg, enc.n_sub[0], expand=(1, 3, 4))
             assert out.best.tokens == want_toks
             assert abs(out.best.combined - want_comb) < 1e-9
-            assert not out.no_finished
+            assert out.stats.finished
 
 
 def test_batched_search_rejects_an_empty_encoding():
@@ -773,7 +773,7 @@ def test_no_finished_returns_best_live_with_flag():
     cfg = BeamConfig(beam_size=2, lam=1.0, gamma=0.0, max_len_ratio=0.5)
     with pytest.warns(UserWarning):
         out = batch_beam_search(table_enc(4), model, config=cfg)[0]
-    assert out.no_finished
+    assert not out.stats.finished
     assert not out.best.finished
     assert len(out.best.tokens) == 2
 
@@ -830,7 +830,7 @@ def test_settled_utterance_retires_with_the_full_search_nbest(length_penalty):
     _same_nbest(out.nbest, want)
     ranked = enumerate_ranked(enc, model, None, cfg, 6, expand=(1, 3, 4))
     _same_nbest(out.nbest, [(toks, comb) for comb, toks in ranked[:16]])
-    assert out.best is out.nbest[0] and not out.no_finished
+    assert out.best is out.nbest[0] and out.stats.finished
     # ten finite hypotheses, then the -inf tail
     assert sum(np.isfinite(h.combined) for h in out.nbest) == 10
 
@@ -906,7 +906,7 @@ def test_exact_ties_at_the_beam_cut(beam, length_penalty):
                      length_penalty=length_penalty)
     batched = batch_beam_search(join(encs), model, config=cfg)
     for enc, got in zip(encs, batched):
-        assert not got.no_finished
+        assert got.stats.finished
         _same_result(got, batch_beam_search(enc, model, config=cfg)[0])
         want, _ = reference_beam(enc, model, None, cfg)
         _same_nbest(got.nbest, want)
@@ -996,7 +996,7 @@ def test_score_bound_keeps_the_full_search_nbest(case):
             want, stop = reference_beam(enc, model, lm, cfg)
             assert got.stats.steps == stop + 1
             if not want:
-                assert got.no_finished
+                assert not got.stats.finished
                 continue
             _same_nbest(got.nbest, want)
 

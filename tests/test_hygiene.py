@@ -341,3 +341,46 @@ def test_scan_flags_select_methods():
                      "    def select(self, rows): pass\n"
                      "def select(rows): pass\n")
     assert list(select_methods(tree)) == [("SearchState", 2), ("Cache", 5)]
+
+
+ORDERINGS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+
+
+def arange_orderings(tree: ast.Module):
+    """(scope, line) of every ordering comparison (<, <=, >, >=) with an
+    operand that holds an np.arange(...) call."""
+    for scope, node in scoped_nodes(tree):
+        if not (isinstance(node, ast.Compare)
+                and any(isinstance(op, ORDERINGS) for op in node.ops)):
+            continue
+        if any(isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+               and n.func.attr == "arange"
+               and getattr(n.func.value, "id", None) == "np"
+               for operand in [node.left] + node.comparators
+               for n in ast.walk(operand)):
+            yield scope, node.lineno
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_length_mask_compares_positions_with_lengths(path):
+    # row b of a padded batch holds lens[b] real entries: one function,
+    # tensor.length_mask, turns that into a mask, and every other mask of
+    # real entries is built from it
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = [f"{path.name}:{line} {scope}"
+             for scope, line in arange_orderings(tree)
+             if (path.name, scope) != ("tensor.py", "length_mask")]
+    assert not found, f"positions compared outside length_mask: {found}"
+
+
+def test_scan_flags_arange_orderings():
+    tree = ast.parse("def length_mask(lens, n):\n"
+                     "    return np.arange(n) < lens[:, None]\n"
+                     "def pad(u, lens):\n"
+                     "    return np.arange(u.shape[0])[:, None] >= lens\n"
+                     "def last(n, lens, x):\n"
+                     "    return np.arange(n) == lens - 1, lens > 2, x < n\n"
+                     "class Scorer:\n"
+                     "    def f(self, n): return 0 <= np.arange(n) + 1\n")
+    assert list(arange_orderings(tree)) == [
+        ("length_mask", 2), ("pad", 4), ("Scorer.f", 8)]

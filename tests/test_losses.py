@@ -172,6 +172,17 @@ def test_ctc_blank_in_target_rejected():
         ctc_log_likelihood(one(lp), [[1, 0, 2]], [4])
 
 
+@pytest.mark.parametrize("frames,row", [([0, 3], 0), ([3, 0], 1),
+                                        ([4, 3], 0), ([3, 9], 1)])
+def test_ctc_refuses_frame_counts_outside_the_padded_frames(frames, row):
+    # a count of 0 would end its row at frame n_max - 1 (its last frame
+    # is count - 1), and a count past n_max at a frame that is not there
+    lp = T.log_softmax(Tensor(np.random.default_rng(9).standard_normal(
+        (2, 3, 5))))
+    with pytest.raises(DimensionError, match=rf"row {row}: {frames[row]} "):
+        ctc_log_likelihood(lp, [[], [3]], frames)
+
+
 def test_ctc_target_outside_vocab():
     _, lp = rand_logprobs(np.random.default_rng(8), 4, 3)
     with pytest.raises(IndexError):

@@ -20,8 +20,7 @@ from minis2s.models import (BlstmEncoderBody, ConvSubsampler, LstmDecoderBody,
                             TokenFrontEnd, TransformerDecoderBody,
                             TransformerDecoderLayer, TransformerEncoderBody,
                             TransformerEncoderLayer, TtsModel, VggSubsampler,
-                            build_model, conv_len, pad_sequences,
-                            subsample_length)
+                            build_model, conv_len, pad_sequences)
 from minis2s.nn import LayerNorm, MultiHeadAttention
 from minis2s.reserved import BLANK_ID, SOS_EOS_ID
 from minis2s.tensor import Tensor, grad_check
@@ -54,9 +53,9 @@ def encode_one(model, x: Tensor):
 
 def test_subsample_lengths():
     assert conv_len(7) == 4
-    assert subsample_length(100) == 25
-    assert subsample_length(4) == 1
-    assert subsample_length(8, mode="vgg") == 2
+    assert ConvSubsampler.frames(100) == 25
+    assert ConvSubsampler.frames(4) == 1
+    assert VggSubsampler.frames(8) == 2
 
 
 def test_conv_subsampler_shapes_and_short_input():
@@ -450,7 +449,7 @@ def test_padded_batch_equivalence():
             for b, (x, ys) in enumerate(zip(xs, yss)):
                 enc = encode_one(model, Tensor(x))
                 n = enc.n_sub[0]
-                assert batch.n_sub[b] == n == subsample_length(len(x), enc_pre)
+                assert batch.n_sub[b] == n == model.enc_pre.frames(len(x))
                 np.testing.assert_allclose(batch.x_e.data[b, :n],
                                            enc.x_e.data[0], rtol=0, atol=1e-12)
                 np.testing.assert_allclose(ctc[b, :n],
@@ -568,7 +567,7 @@ def test_ended_utterance_leaves_the_state():
         ref = ref.select([2, 0, 3, 1])
         # each Transformer layer's source keys first, or the LSTM's x_e
         source = state.source[0]
-        assert source.shape[:2] == (2, subsample_length(13))
+        assert source.shape[:2] == (2, ConvSubsampler.frames(13))
         for tokens in ([3, 4, 5, 6], [6, 6, 3, 3]):
             rows, state = model.step(state, tokens)
             want, ref = model.step(ref, tokens)
@@ -695,7 +694,7 @@ def test_search_state_select_keeps_every_stepper_exact():
                 # longest of them
                 live = {u for u, _ in hyps}
                 assert state.source[0].shape[:2] == (len(live), max(
-                    subsample_length(lens[u]) for u in live))
+                    ConvSubsampler.frames(lens[u]) for u in live))
             with T.no_grad():
                 for row, (u, prefix) in zip(rows, hyps):
                     np.testing.assert_allclose(
@@ -1119,7 +1118,7 @@ def lm_batches(draw):
 def test_lm_full_logprobs_rows_equal_single_runs_whatever_the_padding():
     lm = build_model(ModelConfig(task="lm", vocab_size=LM_VOCAB, d_att=6,
                                  seed=9))
-    pad = models._pad
+    pad = T.pad_batch
 
     @PROPERTY
     @given(lm_batches(), st.integers(0, 2 ** 32 - 1))
@@ -1138,7 +1137,7 @@ def test_lm_full_logprobs_rows_equal_single_runs_whatever_the_padding():
                 past = np.arange(ids.shape[1]) >= lens[:, None]
                 return np.where(past, noise, ids), lens
 
-            with mock.patch.object(models, "_pad", other_padding):
+            with mock.patch.object(T, "pad_batch", other_padding):
                 repadded = lm.full_logprobs(seqs).data
         for b, ys in enumerate(seqs):
             assert np.array_equal(repadded[b, :len(ys)], batch[b, :len(ys)])

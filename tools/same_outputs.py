@@ -6,12 +6,12 @@ checkout's.
 Generates the corpora and trains perfbench's decode-asr set-up
 (transformer-toy, rnn-toy and a fusion LM on its fixed-shape corpus) for
 each seed, the same three models on the default toy corpus (seed 0) and
-beside them transformer-toy in the sublayer wirings no preset trains
-(WIRINGS), perfbench's tts-toy run and a tts-toy run with RNN bodies,
-once with this checkout's code and once with REF's, from a `git archive`
-copy as tools/pairs.py makes it. Every training artifact (TRAINED:
-`log.csv`, `ckpt-*.esc`, `avg.esc`, `lm.esc`) of the two trees is
-compared. Then REF and this checkout both run, on this checkout's
+beside them transformer-toy in the wirings no preset trains (WIRINGS:
+two sublayer wirings and the VGG front end), perfbench's tts-toy run and
+a tts-toy run with RNN bodies, once with this checkout's code and once
+with REF's, from a `git archive` copy as tools/pairs.py makes it. Every
+training artifact (TRAINED: `log.csv`, `ckpt-*.esc`, `avg.esc`,
+`lm.esc`) of the two trees is compared. Then REF and this checkout both run, on this checkout's
 checkpoints:
 
 - `decode --beam 8 --nbest 8` of both ASR models, and on the toy
@@ -49,11 +49,13 @@ TRAINED = ("log.csv", "ckpt-*.esc", "avg.esc", "lm.esc")
 LONGEST = 4000
 
 # transformer-toy runs on the toy corpus in the wirings the presets do
-# not train (they are pre-norm, paper residual), as (label, config)
+# not train (they are pre-norm, paper residual, conv front end), as
+# (label, config)
 WIRINGS = (("post", "preset = transformer-toy\nepochs = 2\n"
                     "normalize = post\nsrc_residual = conventional\n"),
            ("none", "preset = transformer-toy\nepochs = 2\n"
-                    "normalize = none\n"))
+                    "normalize = none\n"),
+           ("vgg", "preset = transformer-toy\nepochs = 2\nenc_pre = vgg\n"))
 
 # the tts runs, as (label, config)
 TTS_RUNS = (("run", f"preset = tts-toy\nepochs = {Tts.EPOCHS}\n"),
