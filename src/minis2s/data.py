@@ -266,6 +266,9 @@ def save_dataset(out_dir: str, splits: Dict[str, List[Utterance]],
 
 def load_dataset(root: str, split: str,
                  vocab: Optional[Vocab] = None) -> Tuple[List[Utterance], Vocab]:
+    """The utterances of one split of a saved corpus, and its vocabulary.
+    Features with no dimensions or a non-finite value raise DataError
+    naming the split, the utterance and the file."""
     if vocab is None:
         vocab = Vocab.load(os.path.join(root, "vocab.txt"))
     sdir = os.path.join(root, split)
@@ -277,6 +280,13 @@ def load_dataset(root: str, split: str,
     for utt_id, rel in manifest:
         if utt_id not in transcripts:
             raise DataError(f"{utt_id}: in manifest but not in transcripts")
-        feats = read_feature_file(os.path.join(sdir, rel))
+        path = os.path.join(sdir, rel)
+        feats = read_feature_file(path)
+        if not feats.shape[1]:
+            raise DataError(f"{split} split, utterance {utt_id}: {path} "
+                            f"holds no feature dimensions")
+        if not np.isfinite(feats).all():
+            raise DataError(f"{split} split, utterance {utt_id}: {path} "
+                            f"holds a non-finite value")
         utts.append(Utterance(utt_id, feats, transcripts[utt_id]))
     return utts, vocab

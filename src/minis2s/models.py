@@ -71,9 +71,9 @@ from . import attention as A
 from . import tensor as T
 from .errors import (ConfigError, DataError, DimensionError, check_settings,
                      setting)
-from .nn import (Conv1d, Conv2d, Dropout, Embedding, FeedForward, LayerNorm,
-                 Linear, LSTM, LSTMCell, Module, ModuleList,
-                 MultiHeadAttention, parameter)
+from .nn import (Conv, Dropout, Embedding, FeedForward, LayerNorm, Linear,
+                 LSTM, LSTMCell, Module, ModuleList, MultiHeadAttention,
+                 parameter)
 from .reserved import N_RESERVED, SOS_EOS_ID
 from .tensor import Tensor
 
@@ -142,20 +142,16 @@ def _key_mask(n_buf: int, lens) -> Optional[np.ndarray]:
     return T.length_mask(lens, n_buf)[:, None, None, :]
 
 
-def conv_len(n: int, kernel: int = 3, stride: int = 2, padding: int = 1) -> int:
-    return (n + 2 * padding - kernel) // stride + 1
-
-
 def _zero_tail(x: Tensor, lens) -> Tensor:
     """Kill activations past each row's length so later stages see clean
-    zeros. The frame axis is x's second to last, the batch axis its first
-    (channel axes may lie between), and lens holds one count per row."""
-    n = x.shape[-2]
+    zeros. The batch axis is x's first and the frame axis its second, and
+    lens holds one count per row."""
+    n = x.shape[1]
     lens = np.asarray(lens)
     if lens.min() >= n:
         return x
     keep = T.length_mask(lens, n)
-    return x * Tensor(keep.reshape(lens.shape + (1,) * (x.ndim - 3) + (n, 1)))
+    return x * Tensor(keep.reshape(keep.shape + (1,) * (x.ndim - 2)))
 
 
 def _front_end_lens(lens, min_frames: int, what: str) -> np.ndarray:
@@ -184,20 +180,20 @@ class ConvSubsampler(Module):
     def __init__(self, feat_dim: int, d_att: int, dropout_rate: float,
                  rng: np.random.Generator):
         super().__init__()
-        self.conv1 = Conv1d(feat_dim, d_att, 3, rng, stride=2, padding=1)
-        self.conv2 = Conv1d(d_att, d_att, 3, rng, stride=2, padding=1)
+        self.conv1 = Conv(feat_dim, d_att, (3,), rng, stride=2, padding=1)
+        self.conv2 = Conv(d_att, d_att, (3,), rng, stride=2, padding=1)
         self.proj = Linear(d_att, d_att, rng)
         self.drop = Dropout(dropout_rate)
 
     @staticmethod
     def frames(n):
         """The frames kept of n input frames, an int or an array."""
-        return conv_len(conv_len(n))
+        return T.conv_len(T.conv_len(n, 3, 2, 1), 3, 2, 1)
 
     def forward(self, x: Tensor, lens) -> Tuple[Tensor, np.ndarray]:
         lens = _front_end_lens(lens, self.MIN_FRAMES, "two stride-2 stages")
         h = T.relu(self.conv1(_zero_tail(x, lens)))
-        h = _zero_tail(h, conv_len(lens))
+        h = _zero_tail(h, T.conv_len(lens, 3, 2, 1))
         n_sub = self.frames(lens)
         h = _zero_tail(T.relu(self.conv2(h)), n_sub)
         h = self.drop(A.add_positional_encoding(self.proj(h)))
@@ -205,11 +201,12 @@ class ConvSubsampler(Module):
 
 
 class VggSubsampler(Module):
-    """VGG-style alternative: two conv2d blocks with max pooling.
+    """VGG-style alternative: two blocks of two 3x3 convolutions and a
+    max pooling over (frames, features), channels last.
 
     Frame count drops to floor(n/4); the feature axis is pooled the same
-    way and flattened into channels before the projection. Takes what
-    ConvSubsampler takes.
+    way and flattened into channel-blocked columns before the
+    projection. Takes what ConvSubsampler takes.
     """
 
     MIN_FRAMES = 4
@@ -221,11 +218,10 @@ class VggSubsampler(Module):
             raise ConfigError("vgg front end needs feat_dim >= 4")
         c1 = max(1, d_att // 4)
         c2 = max(1, d_att // 2)
-        self.c1, self.c2 = c1, c2
-        self.conv1a = Conv2d(1, c1, 3, rng, padding=1)
-        self.conv1b = Conv2d(c1, c1, 3, rng, padding=1)
-        self.conv2a = Conv2d(c1, c2, 3, rng, padding=1)
-        self.conv2b = Conv2d(c2, c2, 3, rng, padding=1)
+        self.conv1a = Conv(1, c1, (3, 3), rng, padding=1)
+        self.conv1b = Conv(c1, c1, (3, 3), rng, padding=1)
+        self.conv2a = Conv(c1, c2, (3, 3), rng, padding=1)
+        self.conv2b = Conv(c2, c2, (3, 3), rng, padding=1)
         self.proj = Linear(c2 * (feat_dim // 4), d_att, rng)
         self.drop = Dropout(dropout_rate)
 
@@ -235,7 +231,7 @@ class VggSubsampler(Module):
         return n // 2 // 2
 
     @staticmethod
-    def _block(x: Tensor, conv_a: Conv2d, conv_b: Conv2d,
+    def _block(x: Tensor, conv_a: Conv, conv_b: Conv,
                lens: np.ndarray) -> Tensor:
         # conv_b reads conv_a's frames one past the end, so they are zeroed;
         # a pooled frame within the halved length reads real frames only,
@@ -245,16 +241,13 @@ class VggSubsampler(Module):
 
     def forward(self, x: Tensor, lens) -> Tuple[Tensor, np.ndarray]:
         lens = _front_end_lens(lens, self.MIN_FRAMES, "two pooling stages")
-        img = _zero_tail(x, lens).reshape(x.shape[:-2] + (1,) + x.shape[-2:])
+        img = _zero_tail(x, lens).reshape(x.shape + (1,))
         h = self._block(img, self.conv1a, self.conv1b, lens)
         h = self._block(h, self.conv2a, self.conv2b, lens // 2)
-        # (B, c2, t, f) -> (B, t, c2*f) as channel-blocked columns, one
-        # gather
-        n_b, _, t4, f4 = h.shape
-        col = np.arange(self.c2 * f4)
-        idx = (np.arange(n_b)[:, None, None], col // f4,
-               np.arange(t4)[:, None], col % f4)
-        out = self.drop(A.add_positional_encoding(self.proj(h[idx])))
+        # (B, t, f, c2) -> (B, t, c2*f): channel-blocked columns
+        n_b, t4, f4, c2 = h.shape
+        h = T.transpose(h).reshape(n_b, t4, c2 * f4)
+        out = self.drop(A.add_positional_encoding(self.proj(h)))
         return out, self.frames(lens)
 
 
@@ -889,7 +882,7 @@ class Postnet(Module):
         for i in range(n_layers):
             c_in = feat_dim if i == 0 else channels
             c_out = feat_dim if i == n_layers - 1 else channels
-            convs.append(Conv1d(c_in, c_out, 5, rng, stride=1, padding=2))
+            convs.append(Conv(c_in, c_out, (5,), rng, stride=1, padding=2))
         self.convs = ModuleList(convs)
         self.norms = ModuleList([LayerNorm(channels)
                                  for _ in range(n_layers - 1)])

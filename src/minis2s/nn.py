@@ -196,31 +196,21 @@ class Embedding(Module):
         return T.embedding_lookup(ids, self.table)
 
 
-class Conv1d(Module):
-    def __init__(self, c_in: int, c_out: int, kernel: int,
+class Conv(Module):
+    """A tensor.conv over as many spatial axes as `kernel`, a tuple such
+    as (5,) or (3, 3), holds; the weight is (c_out, c_in, *kernel)."""
+
+    def __init__(self, c_in: int, c_out: int, kernel: Tuple[int, ...],
                  rng: np.random.Generator, stride: int = 1, padding: int = 0):
         super().__init__()
         self.stride = stride
         self.padding = padding
-        self.weight = glorot(rng, (c_out, c_in, kernel), c_in * kernel, c_out * kernel)
+        k = math.prod(kernel)
+        self.weight = glorot(rng, (c_out, c_in) + kernel, c_in * k, c_out * k)
         self.bias = parameter((c_out,), np.zeros)
 
     def forward(self, x: Tensor) -> Tensor:
-        return T.conv1d(x, self.weight, self.bias, self.stride, self.padding)
-
-
-class Conv2d(Module):
-    def __init__(self, c_in: int, c_out: int, kernel: int,
-                 rng: np.random.Generator, stride: int = 1, padding: int = 0):
-        super().__init__()
-        self.stride = stride
-        self.padding = padding
-        self.weight = glorot(rng, (c_out, c_in, kernel, kernel),
-                             c_in * kernel * kernel, c_out * kernel * kernel)
-        self.bias = parameter((c_out,), np.zeros)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return T.conv2d(x, self.weight, self.bias, self.stride, self.padding)
+        return T.conv(x, self.weight, self.bias, self.stride, self.padding)
 
 
 class MultiHeadAttention(Module):

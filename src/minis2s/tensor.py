@@ -11,6 +11,7 @@ entered as a context manager around a forward pass.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -528,132 +529,101 @@ def pad_batch(seqs: Sequence, fill) -> Tuple[np.ndarray, np.ndarray]:
 # -- convolution, pooling, embedding ------------------------------------------
 
 
-def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
-           padding: int = 0) -> Tensor:
-    """1-D convolution over time of every row of a batch x (B, t, c_in)
-    alike; weight: (c_out, c_in, k).
+def conv_len(n, kernel: int, stride: int = 1, padding: int = 0):
+    """Positions a convolution keeps of n input positions (an int or an
+    array) along one axis: floor((n + 2*padding - kernel) / stride) + 1."""
+    return (n + 2 * padding - kernel) // stride + 1
 
-    Output length floor((t + 2*padding - k) / stride) + 1.
+
+def conv(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
+         padding: int = 0) -> Tensor:
+    """Convolution of every entry of a channels-last batch x (B, *spatial,
+    c_in) alike over its d spatial axes; weight (c_out, c_in, *kernel),
+    so d = weight.ndim - 2, with the same stride and zero padding on
+    every spatial axis. The result is (B, *out, c_out), out[i] being
+    conv_len(spatial[i], kernel[i], stride, padding).
+
+    One matrix product over im2col columns ordered (kernel entries,
+    c_in): a column block per kernel offset, in row-major order.
     """
-    if x.ndim != 3 or weight.ndim != 3:
-        raise DimensionError(f"conv1d takes x (B, t, c_in) and weight "
-                             f"(c_out, c_in, k), got {x.shape} and "
-                             f"{weight.shape}")
-    n_b, t, c_in = x.shape
-    c_out, w_cin, k = weight.shape
+    d = weight.ndim - 2
+    if d < 1 or x.ndim != d + 2:
+        raise DimensionError(f"conv takes x (B, *spatial, c_in) and weight "
+                             f"(c_out, c_in, *kernel) of as many spatial "
+                             f"axes, got {x.shape} and {weight.shape}")
+    n_b, *size, c_in = x.shape
+    c_out, w_cin, *kernel = weight.shape
     if w_cin != c_in:
-        raise DimensionError(f"conv1d channel mismatch: input {c_in}, weight {w_cin}")
+        raise DimensionError(f"conv channel mismatch: input {c_in}, weight {w_cin}")
     if bias.shape != (c_out,):
-        raise DimensionError("conv1d bias must have shape (c_out,)")
-    t_out = (t + 2 * padding - k) // stride + 1
-    if t_out < 1:
-        raise DimensionError(f"conv1d kernel {k} does not fit input of length {t} "
-                             f"with padding {padding}")
+        raise DimensionError("conv bias must have shape (c_out,)")
+    out = [conv_len(n, k, stride, padding) for n, k in zip(size, kernel)]
+    if min(out) < 1:
+        raise DimensionError(f"conv kernel {tuple(kernel)} does not fit input "
+                             f"{tuple(size)} with padding {padding}")
+    spatial = range(1, d + 1)
+    n_pix, n_col = n_b * math.prod(out), math.prod(kernel) * c_in
 
     def columns() -> np.ndarray:
-        # windows: (B, t_out, k, c_in) -> (B*t_out, k*c_in); k times x's
-        # size, so the backward rebuilds them instead of the tape keeping
-        # them
-        xpad = np.pad(x.data, ((0, 0), (padding, padding), (0, 0))) \
+        # windows (B, *out, c_in, *kernel) -> (B*prod(out), n_col), c_in
+        # moved last; prod(kernel) times x's size, so the backward
+        # rebuilds them instead of the tape keeping them
+        xpad = np.pad(x.data, ((0, 0), *((padding, padding),) * d, (0, 0))) \
             if padding else x.data
-        win = np.lib.stride_tricks.sliding_window_view(xpad, k, axis=1)
-        return win[:, ::stride].transpose(0, 1, 3, 2).reshape(n_b * t_out,
-                                                               k * c_in)
+        win = np.lib.stride_tricks.sliding_window_view(xpad, kernel,
+                                                       axis=tuple(spatial))
+        win = win[(slice(None), *(slice(None, None, stride),) * d)]
+        return win.transpose(0, *spatial, *range(d + 2, 2 * d + 2),
+                             d + 1).reshape(n_pix, n_col)
 
-    w2 = weight.data.transpose(0, 2, 1).reshape(c_out, k * c_in)
-    out = columns() @ w2.T + bias.data
+    w2 = weight.data.transpose(0, *range(2, d + 2), 1).reshape(c_out, n_col)
+    y = columns() @ w2.T + bias.data
 
     def grads():
         def dx(g):
-            gcols = (g.reshape(n_b * t_out, c_out) @ w2).reshape(n_b, t_out,
-                                                                  k * c_in)
-            gxpad = np.zeros((n_b, t + 2 * padding, c_in))
-            for kk in range(k):
-                gxpad[:, kk:kk + stride * t_out:stride] += \
-                    gcols[:, :, kk * c_in:(kk + 1) * c_in]
-            return gxpad[:, padding:padding + t]
+            gcols = (g.reshape(n_pix, c_out) @ w2).reshape(
+                n_b, *out, *kernel, c_in)
+            gxpad = np.zeros((n_b, *(n + 2 * padding for n in size), c_in))
+            for off in itertools.product(*map(range, kernel)):
+                hit = (slice(o, o + stride * m, stride)
+                       for o, m in zip(off, out))
+                gxpad[(slice(None), *hit)] += gcols[(Ellipsis, *off,
+                                                     slice(None))]
+            return gxpad[(slice(None), *(slice(padding, padding + n)
+                                         for n in size))]
 
         def dweight(g):
-            return (g.reshape(n_b * t_out, c_out).T @ columns()).reshape(
-                c_out, k, c_in).transpose(0, 2, 1)
+            return (g.reshape(n_pix, c_out).T @ columns()).reshape(
+                c_out, *kernel, c_in).transpose(0, d + 1, *spatial)
 
-        return dx, dweight, lambda g: g.reshape(n_b * t_out, c_out).sum(axis=0)
+        return dx, dweight, lambda g: g.reshape(n_pix, c_out).sum(axis=0)
 
-    return _result(out.reshape(n_b, t_out, c_out), (x, weight, bias), grads)
-
-
-def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
-           padding: int = 0) -> Tensor:
-    """2-D convolution of every image of a batch x (B, c_in, h, w) alike;
-    weight: (c_out, c_in, kh, kw)."""
-    if x.ndim != 4 or weight.ndim != 4:
-        raise DimensionError(f"conv2d takes x (B, c_in, h, w) and weight "
-                             f"(c_out, c_in, kh, kw), got {x.shape} and "
-                             f"{weight.shape}")
-    n_b, c_in, h, w = x.shape
-    c_out, w_cin, kh, kw = weight.shape
-    if w_cin != c_in:
-        raise DimensionError(f"conv2d channel mismatch: input {c_in}, weight {w_cin}")
-    if bias.shape != (c_out,):
-        raise DimensionError("conv2d bias must have shape (c_out,)")
-    h_out = (h + 2 * padding - kh) // stride + 1
-    w_out = (w + 2 * padding - kw) // stride + 1
-    if h_out < 1 or w_out < 1:
-        raise DimensionError("conv2d kernel does not fit padded input")
-    xpad = np.pad(x.data, ((0, 0), (0, 0), (padding, padding),
-                           (padding, padding))) if padding else x.data
-    win = np.lib.stride_tricks.sliding_window_view(xpad, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]  # (B, c_in, h_out, w_out, kh, kw)
-    n_pix = n_b * h_out * w_out
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n_pix, c_in * kh * kw)
-    w2 = weight.data.reshape(c_out, c_in * kh * kw)
-    out = cols @ w2.T + bias.data  # (B*h_out*w_out, c_out)
-    out = out.reshape(n_b, h_out, w_out, c_out).transpose(0, 3, 1, 2)
-
-    def grads():
-        gflat = _once(lambda g: g.transpose(0, 2, 3, 1).reshape(n_pix, c_out))
-
-        def dx(g):
-            gcols = (gflat(g) @ w2).reshape(n_b, h_out, w_out, c_in, kh, kw)
-            gxpad = np.zeros((n_b, c_in, h + 2 * padding, w + 2 * padding))
-            for i in range(kh):
-                for j in range(kw):
-                    gxpad[:, :, i:i + stride * h_out:stride,
-                          j:j + stride * w_out:stride] += \
-                        gcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-            if padding:
-                gxpad = gxpad[:, :, padding:padding + h, padding:padding + w]
-            return gxpad
-
-        return (dx, lambda g: (gflat(g).T @ cols).reshape(weight.shape),
-                lambda g: gflat(g).sum(axis=0))
-
-    return _result(out, (x, weight, bias), grads)
+    return _result(y.reshape(n_b, *out, c_out), (x, weight, bias), grads)
 
 
 def max_pool2d(x: Tensor, kernel: int = 2) -> Tensor:
-    """Max pooling over the last two axes of (..., h, w) in windows of
-    kernel x kernel, the stride the kernel; trailing rows/cols that do
-    not fill a window are dropped. Ties route the gradient to the first
-    maximum."""
-    lead, (h, w) = x.shape[:-2], x.shape[-2:]
+    """Max pooling over axes 1 and 2 of a channels-last batch (B, h, w,
+    c) in windows of kernel x kernel, the stride the kernel; trailing
+    rows/cols that do not fill a window are dropped. Ties route the
+    gradient to the first maximum, the window read row by row."""
+    n_b, h, w, c = x.shape
     h_out, w_out = h // kernel, w // kernel
     if h_out < 1 or w_out < 1:
         raise DimensionError("max_pool2d window does not fit input")
-    trimmed = x.data[..., :h_out * kernel, :w_out * kernel]
-    blocks = trimmed.reshape(lead + (h_out, kernel, w_out, kernel)).swapaxes(
-        -3, -2)
-    flat = blocks.reshape(lead + (h_out, w_out, kernel * kernel))
+    trimmed = x.data[:, :h_out * kernel, :w_out * kernel]
+    # (B, h_out, kh, w_out, kw, c) -> (B, h_out, w_out, c, kh*kw)
+    flat = trimmed.reshape(n_b, h_out, kernel, w_out, kernel, c).transpose(
+        0, 1, 3, 5, 2, 4).reshape(n_b, h_out, w_out, c, kernel * kernel)
     arg = flat.argmax(axis=-1)
     out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
 
     def grad(g):
-        gflat = np.zeros(lead + (h_out, w_out, kernel * kernel))
+        gflat = np.zeros(flat.shape)
         np.put_along_axis(gflat, arg[..., None], g[..., None], axis=-1)
         gx = np.zeros_like(x.data)
-        gx[..., :h_out * kernel, :w_out * kernel] = gflat.reshape(
-            lead + (h_out, w_out, kernel, kernel)).swapaxes(-3, -2).reshape(
-                lead + (h_out * kernel, w_out * kernel))
+        gx[:, :h_out * kernel, :w_out * kernel] = gflat.reshape(
+            n_b, h_out, w_out, c, kernel, kernel).transpose(
+                0, 1, 4, 2, 5, 3).reshape(n_b, h_out * kernel, w_out * kernel, c)
         return gx
 
     return from_op(x, out, grad)

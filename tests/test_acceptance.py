@@ -164,14 +164,14 @@ def _op_suite(seed: int):
     case("dropout-fixed-mask", drop_fixed, [dr])
     # the convolutions and scans take batches: one sequence is a batch of one
     c1x, c1w, c1b = rnd((1, 7, 3)), rnd((2, 3, 3)), rnd((2,))
-    case("conv1d", lambda c1x, c1w, c1b: T.conv1d(c1x, c1w, c1b, stride=2,
-                                                  padding=1).sum(),
+    case("conv1d", lambda c1x, c1w, c1b: T.conv(c1x, c1w, c1b, stride=2,
+                                                padding=1).sum(),
          [c1x, c1w, c1b])
-    c2x, c2w, c2b = rnd((1, 2, 5, 6)), rnd((3, 2, 2, 3)), rnd((3,))
-    case("conv2d", lambda c2x, c2w, c2b: T.conv2d(c2x, c2w, c2b, stride=2,
-                                                  padding=1).sum(),
+    c2x, c2w, c2b = rnd((1, 5, 6, 2)), rnd((3, 2, 2, 3)), rnd((3,))
+    case("conv2d", lambda c2x, c2w, c2b: T.conv(c2x, c2w, c2b, stride=2,
+                                                padding=1).sum(),
          [c2x, c2w, c2b])
-    mp_x = rnd((2, 4, 6), scale=5.0)
+    mp_x = rnd((1, 4, 6, 2), scale=5.0)
     case("max-pool2d", lambda mp_x: T.max_pool2d(mp_x, kernel=2).sum(), [mp_x])
     table = rnd((5, 4))
     case("embedding", lambda table: T.embedding_lookup([0, 2, 2, 4],

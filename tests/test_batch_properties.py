@@ -1,5 +1,5 @@
-"""Batch-equals-singles and refilled-padding properties of the batched
-entry points.
+"""Batch-equals-singles, refilled-padding and gradient properties of the
+batched entry points.
 
 Each property draws, derandomized, B in 1-4 rows of their own lengths:
 all equal, one long among short ones, all at the shortest length the
@@ -15,9 +15,12 @@ gradient as it is, bit for bit.
 Batch equals singles: S2SModel.encode (conv and vgg front ends, both
 bodies), S2SModel.decode_logprobs (both bodies), TtsModel.forward_teacher
 (both bodies, r = 1 and 2), and the tape ops tensor.lstm_scan (both
-directions), conv1d, conv2d into max_pool2d, attention_weights and
-mix_heads under key masks, and layer_norm. Refilled padding: the three
-model entry points, in the same cases.
+directions), conv with a 1-d kernel, conv with a 2-d kernel into
+max_pool2d, attention_weights and mix_heads under key masks, and
+layer_norm. Refilled padding: the three model entry points, in the same
+cases. grad_check of the same weighted sum: the three model entry
+points, in the same cases, at their smallest shapes (two rows, one a
+frame or token longer than the other).
 """
 
 from unittest import mock
@@ -30,7 +33,7 @@ from hypothesis import strategies as st
 from minis2s import tensor as T
 from minis2s.models import ModelConfig, S2SModel, TtsModel, pad_sequences
 from minis2s.reserved import N_RESERVED, SOS_EOS_ID
-from minis2s.tensor import Tensor, backward
+from minis2s.tensor import Tensor, backward, grad_check
 
 PROPERTY = settings(max_examples=40, derandomize=True, deadline=None,
                     database=None)
@@ -64,13 +67,9 @@ def asr_rows(draw):
     return draw(row_lengths(4, 13, len(n_tokens))), n_tokens
 
 
-def _weighted_grads(run, idx, leaves, seed):
-    """The outputs of run(idx), each with its rows' real extents, and the
-    gradients of the leaves of a sum over every output of its real parts
-    times fixed weights, drawn per (output, row)."""
-    for p in leaves:
-        p.grad = None
-    outs = run(idx)
+def _weighted_sum(outs, idx, seed):
+    """The sum over every output of run(idx) of its real parts times
+    fixed weights, drawn per (output, row)."""
     loss = None
     for k, (out, extents) in enumerate(outs):
         w = np.zeros(out.shape)
@@ -79,7 +78,16 @@ def _weighted_grads(run, idx, leaves, seed):
                 [seed, k, b]).standard_normal(ext)
         term = (out * Tensor(w)).sum()
         loss = term if loss is None else loss + term
-    backward(loss)
+    return loss
+
+
+def _weighted_grads(run, idx, leaves, seed):
+    """The outputs of run(idx), each with its rows' real extents, and the
+    gradients of the leaves of their weighted sum."""
+    for p in leaves:
+        p.grad = None
+    outs = run(idx)
+    backward(_weighted_sum(outs, idx, seed))
     return ([(out.data, extents) for out, extents in outs],
             [np.zeros_like(p.data) if p.grad is None else p.grad.copy()
              for p in leaves])
@@ -106,6 +114,16 @@ def assert_batch_equals_singles(run, n_rows, leaves, seed):
     for i, (g, s) in enumerate(zip(grads, summed)):
         np.testing.assert_allclose(g, s, rtol=0, atol=TOL,
                                    err_msg=f"gradient of leaf {i}")
+
+
+def assert_grad_checks(run, n_rows, leaves, seed):
+    """run as assert_batch_equals_singles takes it: the leaf gradients of
+    the weighted sum of the batch of every row must match central
+    differences, on a few coordinates of every leaf."""
+    idx = list(range(n_rows))
+    err = grad_check(lambda *_: _weighted_sum(run(idx), idx, seed), leaves,
+                     h=1e-4, max_coords=3, rng=seed, atol=1e-7)
+    assert err < 1e-5, err
 
 
 def refilled_padding(seed):
@@ -183,6 +201,12 @@ def test_encode_reads_no_padding(body, enc_pre, lens, seed):
     assert_padding_unread(*encode_case(body, enc_pre, lens, seed), seed)
 
 
+@pytest.mark.parametrize("body", ["transformer", "rnn"])
+@pytest.mark.parametrize("enc_pre", ["conv", "vgg"])
+def test_encode_grad_check(body, enc_pre):
+    assert_grad_checks(*encode_case(body, enc_pre, [4, 5], 11), 11)
+
+
 def decode_case(body, rows, seed):
     """(run, rows, leaves) of S2SModel.decode_logprobs over utterances of
     rows' frame and input token counts."""
@@ -213,6 +237,11 @@ def test_decode_logprobs_rows_equal_batches_of_one(body, rows, seed):
 @given(rows=asr_rows(), seed=st.integers(0, 2 ** 16))
 def test_decode_logprobs_reads_no_padding(body, rows, seed):
     assert_padding_unread(*decode_case(body, rows, seed), seed)
+
+
+@pytest.mark.parametrize("body", ["transformer", "rnn"])
+def test_decode_logprobs_grad_check(body):
+    assert_grad_checks(*decode_case(body, ([4, 5], [1, 2]), 12), 12)
 
 
 @st.composite
@@ -266,6 +295,19 @@ def test_forward_teacher_reads_no_padding(body, r, rows, seed):
     assert_padding_unread(*teacher_case(body, r, rows, seed), seed)
 
 
+@pytest.mark.parametrize("body", ["transformer", "rnn"])
+@pytest.mark.parametrize("r", [1, 2])
+def test_forward_teacher_grad_check(body, r):
+    run, n_rows, leaves = teacher_case(body, r, ([1, 2], [1, 2]), 13)
+    # the zero step-0 frame meets the prenet's zero biases at ReLU's kink,
+    # where central differences read half the slope: every zero-init
+    # parameter moves off zero
+    for p in leaves:
+        if not p.data.any():
+            p.data += 0.05
+    assert_grad_checks(run, n_rows, leaves, 13)
+
+
 # -- tape ops -------------------------------------------------------------------
 
 
@@ -314,8 +356,8 @@ def test_conv1d_rows_equal_batches_of_one(rows, seed):
 
     def run(idx):
         x, n = pad_sequences([xs[b] for b in idx])
-        out = T.conv1d(x, weight, bias, stride, padding)
-        return [(out, [((m + 2 * padding - k) // stride + 1, c_out)
+        out = T.conv(x, weight, bias, stride, padding)
+        return [(out, [(T.conv_len(m, k, stride, padding), c_out)
                        for m in n])]
 
     assert_batch_equals_singles(run, len(lens), [weight, bias], seed)
@@ -324,20 +366,20 @@ def test_conv1d_rows_equal_batches_of_one(rows, seed):
 @PROPERTY
 @given(rows=conv_rows(min_out=2), seed=st.integers(0, 2 ** 16))
 def test_conv2d_max_pool2d_rows_equal_batches_of_one(rows, seed):
-    # images (c_in, frames, features), padded on the frame axis; a pooled
+    # images (frames, features, c_in), padded on the frame axis; a pooled
     # frame within half a row's convolved frames reads real ones only
     k, _, padding, lens = rows
     rng = np.random.default_rng(seed)
     c_in, c_out, n_feat = 2, 3, 5
     weight, bias = _leaves(rng, (c_out, c_in, k, k), (c_out,))
-    imgs = [rng.standard_normal((n, c_in, n_feat)) for n in lens]
+    imgs = [rng.standard_normal((n, n_feat, c_in)) for n in lens]
     w_out = (n_feat + 2 * padding - k + 1) // 2
 
     def run(idx):
         x, n = T.pad_batch([imgs[b] for b in idx], 0.0)
-        out = T.max_pool2d(T.conv2d(Tensor(x.transpose(0, 2, 1, 3)), weight,
-                                    bias, padding=padding), 2)
-        return [(out, [(c_out, (m + 2 * padding - k + 1) // 2, w_out)
+        out = T.max_pool2d(T.conv(Tensor(x), weight, bias, padding=padding),
+                           2)
+        return [(out, [((m + 2 * padding - k + 1) // 2, w_out, c_out)
                        for m in n])]
 
     assert_batch_equals_singles(run, len(lens), [weight, bias], seed)

@@ -887,6 +887,35 @@ def test_decode_names_utterances_of_another_feature_dimension(workspace,
                     "asr-test-0001")
 
 
+@pytest.mark.parametrize("command,split,utt,value,what", [
+    ("decode", "test", "asr-test-0000", np.nan, "a non-finite value"),
+    ("train", "train", "asr-train-0003", np.inf, "a non-finite value"),
+    ("train", "train", "asr-train-0000", None, "no feature dimensions"),
+])
+def test_corrupt_feature_files_are_refused(workspace, tmp_path, capsys,
+                                           command, split, utt, value, what):
+    # value planted at frame 3, or None for a (5, 0) file: a NaN used to
+    # decode to a finite score (relu reads it as 0), an inf to end
+    # training in a gradient-norm error naming no file, and a (5, 0) first
+    # training utterance in a config error on feat_dim
+    data, run = tmp_path / "data", tmp_path / "run"
+    shutil.copytree(workspace / "data", data)
+    path = data / split / "feats" / f"{utt}.esf"
+    feats = np.zeros((5, 0))
+    if value is not None:
+        feats = read_feature_file(str(path))
+        feats[3, 1] = value
+    _rewrite_utterance(data, split, utt, feats)
+    (tmp_path / "exp.cfg").write_text(EXP, encoding="utf-8")
+    args = (["decode", "--ckpt", str(workspace / "run" / "avg.esc"),
+             "--split", "test"] if command == "decode" else
+            ["train", "--config", str(tmp_path / "exp.cfg"), "--out", str(run)])
+    capsys.readouterr()
+    rc = main(args + ["--data", str(data)])
+    _assert_refused(capsys, rc, run,
+                    f"{split} split, utterance {utt}: {path} holds {what}")
+
+
 @pytest.mark.parametrize("key,value", [
     ("d_att", "0"), ("d_att", "-4"), ("d_ff", "-1"),
     ("dropout_rate", "1.5"), ("dropout_rate", "-0.1"),

@@ -384,3 +384,41 @@ def test_scan_flags_arange_orderings():
                      "    def f(self, n): return 0 <= np.arange(n) + 1\n")
     assert list(arange_orderings(tree)) == [
         ("length_mask", 2), ("pad", 4), ("Scorer.f", 8)]
+
+
+def window_views(tree: ast.Module):
+    """(scope, line) of every reference to numpy's sliding_window_view:
+    an attribute, a bare name or an import of it."""
+    for scope, node in scoped_nodes(tree):
+        if ((isinstance(node, ast.Attribute)
+             and node.attr == "sliding_window_view")
+                or (isinstance(node, ast.Name)
+                    and node.id == "sliding_window_view")
+                or (isinstance(node, ast.alias)
+                    and node.name.endswith("sliding_window_view"))):
+            yield scope, node.lineno
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_conv_builds_windows(path):
+    # im2col has one home: tensor.conv builds the input windows of every
+    # convolution, whatever its number of spatial axes
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = [f"{path.name}:{line} {scope}"
+             for scope, line in window_views(tree)
+             if (path.name, scope) != ("tensor.py", "conv")]
+    assert not found, f"sliding_window_view outside tensor.conv: {found}"
+
+
+def test_scan_flags_window_views():
+    tree = ast.parse("from numpy.lib.stride_tricks import sliding_window_view\n"
+                     "def conv(x, k):\n"
+                     "    return np.lib.stride_tricks.sliding_window_view(x, k)\n"
+                     "def pool(x):\n"
+                     "    return sliding_window_view(x, 2)\n"
+                     "class Im2col:\n"
+                     "    def cols(self, x): return swv(x, 3)\n"
+                     "    def rows(self, x): return np.lib.stride_tricks"
+                     ".sliding_window_view(x, 3)\n")
+    assert list(window_views(tree)) == [
+        ("<module>", 1), ("conv", 3), ("pool", 5), ("Im2col.rows", 8)]

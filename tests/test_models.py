@@ -20,7 +20,7 @@ from minis2s.models import (BlstmEncoderBody, ConvSubsampler, LstmDecoderBody,
                             TokenFrontEnd, TransformerDecoderBody,
                             TransformerDecoderLayer, TransformerEncoderBody,
                             TransformerEncoderLayer, TtsModel, VggSubsampler,
-                            build_model, conv_len, pad_sequences)
+                            build_model, pad_sequences)
 from minis2s.nn import LayerNorm, MultiHeadAttention
 from minis2s.reserved import BLANK_ID, SOS_EOS_ID
 from minis2s.tensor import Tensor, grad_check
@@ -52,7 +52,7 @@ def encode_one(model, x: Tensor):
 
 
 def test_subsample_lengths():
-    assert conv_len(7) == 4
+    assert T.conv_len(7, 3, 2, 1) == 4
     assert ConvSubsampler.frames(100) == 25
     assert ConvSubsampler.frames(4) == 1
     assert VggSubsampler.frames(8) == 2
@@ -820,8 +820,8 @@ def test_encode_rejects_a_single_utterance_layout():
     with pytest.raises(DimensionError, match=r"\(B, n_max, feat_dim\)"):
         model.encode(feats(9), [9])
     conv = model.enc_pre.conv1
-    with pytest.raises(DimensionError, match=r"\(B, t, c_in\)"):
-        T.conv1d(feats(9), conv.weight, conv.bias)
+    with pytest.raises(DimensionError, match=r"\(B, \*spatial, c_in\)"):
+        T.conv(feats(9), conv.weight, conv.bias)
     lstm = S2SModel(toy_cfg(body="rnn")).enc_body.layers[0].fwd
     with pytest.raises(DimensionError, match=r"\(B, t, d_in\)"):
         lstm(feats(9, dim=8), [9])

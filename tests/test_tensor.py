@@ -186,8 +186,9 @@ def test_conv1d_output_length_and_values():
     x = rnd((1, t, c_in), 3)              # one sequence, a batch of one
     w = rnd((c_out, c_in, k), 4)
     b = rnd((c_out,), 5)
-    out = T.conv1d(x, w, b, stride=2, padding=1)
+    out = T.conv(x, w, b, stride=2, padding=1)
     assert out.shape == (1, 4, c_out)
+    assert T.conv_len(t, k, 2, 1) == 4
 
     # Oracle: direct loop over window positions.
     xpad = np.pad(x.data[0], ((1, 1), (0, 0)))
@@ -202,34 +203,35 @@ def test_conv1d_output_length_and_values():
 
 def test_conv1d_kernel_too_large():
     with pytest.raises(DimensionError):
-        T.conv1d(rnd((1, 2, 3), 0), rnd((1, 3, 7), 1), rnd((1,), 2),
-                 stride=2, padding=1)
+        T.conv(rnd((1, 2, 3), 0), rnd((1, 3, 7), 1), rnd((1,), 2),
+               stride=2, padding=1)
 
 
 def test_conv2d_values_against_loop():
     c_in, h, w = 2, 5, 6
     c_out, kh, kw = 3, 3, 3
-    x = rnd((1, c_in, h, w), 6)           # one image, a batch of one
+    x = rnd((1, h, w, c_in), 6)           # one image, a batch of one
     wt = rnd((c_out, c_in, kh, kw), 7)
-    out = T.conv2d(x, wt, Tensor(np.zeros(c_out)), stride=2, padding=1)
+    out = T.conv(x, wt, Tensor(np.zeros(c_out)), stride=2, padding=1)
     h_out = (h + 2 - kh) // 2 + 1
     w_out = (w + 2 - kw) // 2 + 1
-    assert out.shape == (1, c_out, h_out, w_out)
-    xpad = np.pad(x.data[0], ((0, 0), (1, 1), (1, 1)))
+    assert out.shape == (1, h_out, w_out, c_out)
+    xpad = np.pad(x.data[0], ((1, 1), (1, 1), (0, 0)))
     for o in range(c_out):
         for i in range(h_out):
             for j in range(w_out):
                 acc = 0.0
                 for c in range(c_in):
-                    acc += np.sum(xpad[c, i * 2:i * 2 + kh, j * 2:j * 2 + kw]
+                    acc += np.sum(xpad[i * 2:i * 2 + kh, j * 2:j * 2 + kw, c]
                                   * wt.data[o, c])
-                assert abs(out.data[0, o, i, j] - acc) < 1e-12
+                assert abs(out.data[0, i, j, o] - acc) < 1e-12
 
 
 def test_max_pool2d_values():
-    x = Tensor(np.arange(24, dtype=float).reshape(1, 4, 6), requires_grad=True)
+    x = Tensor(np.arange(24, dtype=float).reshape(1, 4, 6, 1),
+               requires_grad=True)
     out = T.max_pool2d(x, kernel=2)
-    want = np.array([[[7, 9, 11], [19, 21, 23]]], dtype=float)
+    want = np.array([[[7, 9, 11], [19, 21, 23]]], dtype=float)[..., None]
     np.testing.assert_array_equal(out.data, want)
 
 
@@ -440,18 +442,18 @@ def test_grad_conv1d():
     b = rnd((3,), 31)
 
     def f(x, w, b):
-        return T.tanh(T.conv1d(x, w, b, stride=2, padding=1)).sum()
+        return T.tanh(T.conv(x, w, b, stride=2, padding=1)).sum()
 
     assert grad_check(f, [x, w, b]) < EPS
 
 
 def test_grad_conv2d_and_pool():
-    x = rnd((1, 2, 6, 5), 32)
+    x = rnd((1, 6, 5, 2), 32)
     w = rnd((3, 2, 3, 3), 33)
 
     def f(x, w):
-        return T.max_pool2d(T.relu(T.conv2d(x, w, Tensor(np.zeros(3)),
-                                            stride=1, padding=1)), 2).sum()
+        return T.max_pool2d(T.relu(T.conv(x, w, Tensor(np.zeros(3)),
+                                          stride=1, padding=1)), 2).sum()
 
     assert grad_check(f, [x, w]) < EPS
 
@@ -586,11 +588,11 @@ OP_CASES = {
     "layer_norm": [lambda r: T.layer_norm(_leaf(r, 2, 3, 5), _leaf(r, 5),
                                           _leaf(r, 5))],
     "dropout": [lambda r: T.dropout(_leaf(r, 4, 6), 0.4, training=True)],
-    "conv1d": [lambda r: T.conv1d(_leaf(r, 2, 7, 3), _leaf(r, 4, 3, 3),
-                                  _leaf(r, 4), stride=2, padding=1)],
-    "conv2d": [lambda r: T.conv2d(_leaf(r, 2, 2, 5, 6), _leaf(r, 3, 2, 3, 3),
-                                  _leaf(r, 3), padding=1)],
-    "max_pool2d": [lambda r: T.max_pool2d(_leaf(r, 2, 3, 5, 7), 2)],
+    "conv": [lambda r: T.conv(_leaf(r, 2, 7, 3), _leaf(r, 4, 3, 3),
+                              _leaf(r, 4), stride=2, padding=1),
+             lambda r: T.conv(_leaf(r, 2, 5, 6, 2), _leaf(r, 3, 2, 3, 3),
+                              _leaf(r, 3), padding=1)],
+    "max_pool2d": [lambda r: T.max_pool2d(_leaf(r, 2, 5, 7, 3), 2)],
     "embedding_lookup": [lambda r: T.embedding_lookup([[3, 0], [3, 1]],
                                                       _leaf(r, 4, 5))],
     "lstm_scan": [lambda r: _lstm(r, False), lambda r: _lstm(r, True)],
@@ -691,12 +693,12 @@ def test_batched_conv_and_pool_equal_per_row():
     # forward and backward; the weight gradients sum over the rows
     rng = np.random.default_rng(70)
     cases = [
-        (lambda x, w, b: T.conv1d(x, w, b, stride=2, padding=1),
+        (lambda x, w, b: T.conv(x, w, b, stride=2, padding=1),
          (3, 7, 2), (4, 2, 3), 4),
-        (lambda x, w, b: T.conv2d(x, w, b, stride=1, padding=1),
-         (2, 2, 5, 6), (3, 2, 3, 3), 3),
-        (lambda x, w, b: T.max_pool2d(T.conv2d(x, w, b), 2),
-         (2, 1, 5, 7), (2, 1, 2, 2), 2),
+        (lambda x, w, b: T.conv(x, w, b, stride=1, padding=1),
+         (2, 5, 6, 2), (3, 2, 3, 3), 3),
+        (lambda x, w, b: T.max_pool2d(T.conv(x, w, b), 2),
+         (2, 5, 7, 1), (2, 1, 2, 2), 2),
     ]
     for op, x_shape, w_shape, c_out in cases:
         x = Tensor(rng.standard_normal(x_shape), requires_grad=True)

@@ -22,8 +22,13 @@ checkpoints:
   texts at 40 frames with the RNN run.
 
 Compares every file byte for byte, prints one line per file, and exits 1
-if any differs or is missing on one side, or any command fails. The
-temporary directory is removed at the end, also when a command fails.
+if any differs or is missing on one side, or any command fails. The line
+of a differing file says how far it moved: for a checkpoint (`.esc`) the
+largest absolute difference and the parameter that holds it, for a
+feature file (`.esf`) the largest absolute difference and its frame, for
+a hypothesis file whether the utterance ids and texts agree, line by
+line, and the largest score difference. The temporary directory is
+removed at the end, also when a command fails.
 """
 
 import argparse
@@ -39,6 +44,9 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
+import numpy as np  # noqa: E402
+from minis2s.data import read_feature_file  # noqa: E402
+from minis2s.training import load_checkpoint  # noqa: E402
 from workloads import DecodeAsr, Tts, write_text  # noqa: E402
 
 # the training artifacts compared, as file name patterns
@@ -142,15 +150,48 @@ def trained(work: str):
             if any(fnmatch.fnmatch(name, p) for p in TRAINED)}
 
 
+def moved(ref: str, this: str) -> str:
+    """How far the file this moved from ref, for a checkpoint, a feature
+    file or a hypothesis file (utt_id, text, score per line); '' for any
+    other file."""
+    if ref.endswith(".esc"):
+        a, b = load_checkpoint(ref).params, load_checkpoint(this).params
+        if [(k, v.shape) for k, v in a.items()] != [(k, v.shape)
+                                                     for k, v in b.items()]:
+            return "parameter names or shapes differ"
+        gap = {k: np.abs(a[k] - b[k]).max(initial=0.0) for k in a}
+        worst = max(gap, key=gap.get)
+        return f"max |diff| {gap[worst]:.3g} in {worst}"
+    if ref.endswith(".esf"):
+        a, b = read_feature_file(ref), read_feature_file(this)
+        if a.shape != b.shape:
+            return f"shapes {a.shape} and {b.shape}"
+        gap = np.abs(a - b)
+        frame = np.unravel_index(gap.argmax(), gap.shape)[0] if gap.size else 0
+        return f"max |diff| {gap.max(initial=0.0):.3g} at frame {frame}"
+    if ref.endswith(".tsv"):
+        a, b = ([line.split("\t") for line in open(p, encoding="utf-8")]
+                for p in (ref, this))
+        if [r[:2] for r in a] != [r[:2] for r in b]:
+            return "ids or texts differ"
+        gap = max((abs(float(x[2]) - float(y[2])) for x, y in zip(a, b)),
+                  default=0.0)
+        return f"ids and texts agree, max |score diff| {gap:.3g}"
+    return ""
+
+
 def compare(pairs) -> int:
-    """Prints a line per (name, ref path, this path); the count that
-    differ or are missing on one side."""
+    """Prints a line per (name, ref path, this path), with how far a
+    differing file moved; the count that differ or are missing on one
+    side."""
     differ = 0
     for name, ref, this in pairs:
-        same = (os.path.isfile(ref) and os.path.isfile(this)
-                and filecmp.cmp(ref, this, shallow=False))
+        found = os.path.isfile(ref) and os.path.isfile(this)
+        same = found and filecmp.cmp(ref, this, shallow=False)
         differ += not same
-        print(f"{'same' if same else 'DIFFERS'}  {name}")
+        how = moved(ref, this) if found and not same else ""
+        print(f"{'same' if same else 'DIFFERS'}  {name}"
+              + (f"  ({how})" if how else ""))
     return differ
 
 
