@@ -529,7 +529,7 @@ def pad_batch(seqs: Sequence, fill) -> Tuple[np.ndarray, np.ndarray]:
 # -- convolution, pooling, embedding ------------------------------------------
 
 
-def conv_len(n, kernel: int, stride: int = 1, padding: int = 0):
+def conv_len(n, kernel: int, stride: int, padding: int):
     """Positions a convolution keeps of n input positions (an int or an
     array) along one axis: floor((n + 2*padding - kernel) / stride) + 1."""
     return (n + 2 * padding - kernel) // stride + 1
